@@ -43,12 +43,7 @@ pub fn datasets_from_env() -> Vec<DatasetId> {
         Ok(list) => {
             let chosen: Vec<DatasetId> = list
                 .split(',')
-                .filter_map(|name| {
-                    let name = name.trim().to_uppercase();
-                    DatasetId::all()
-                        .into_iter()
-                        .find(|id| id.short_name() == name)
-                })
+                .filter_map(|name| DatasetId::from_short_name(name.trim()))
                 .collect();
             if chosen.is_empty() {
                 DatasetId::all().to_vec()

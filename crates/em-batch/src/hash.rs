@@ -8,9 +8,9 @@
 //! render as `fnv1a64:<16 hex digits>` so a future algorithm change is
 //! self-describing. The hasher itself lives in `em-codec` (shared with
 //! the serving cache's shard pick and `em-route`'s ring placement); this
-//! module re-exports it and adds the manifest text form.
+//! module adds the manifest text form.
 
-pub use em_codec::hash::{fnv1a64, Fnv1a64};
+use em_codec::hash::{fnv1a64, Fnv1a64};
 
 /// Renders a hash in the manifest's self-describing text form.
 pub fn format_hash(hash: u64) -> String {

@@ -16,11 +16,12 @@ use std::path::{Path, PathBuf};
 use em_batch::{execute, plan, NoFailpoints, PlanConfig, RunMode};
 use em_codec::explain::ExplainerKind;
 use em_codec::json::Value;
+use em_codec::ExplainOptions;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_par::ParallelismConfig;
-use em_serve::{client, ExplainOptions, Server, ServerConfig};
+use em_serve::{client, Server, ServerConfig};
 
 const N_SAMPLES: usize = 16;
 

@@ -244,12 +244,17 @@ fn hashmap_iter_order(ctx: &FileContext, out: &mut Vec<Finding>) {
     }
 }
 
-/// Entry points of `panic-in-request-path` reachability: the serving
-/// connection loop and the codec surfaces that parse or render untrusted
-/// bytes (shared with em-batch so batch output stays server-identical).
+/// Entry points of `panic-in-request-path` reachability: the shared
+/// connection loop, the router's request dispatch, and the codec
+/// surfaces that parse or render untrusted bytes (shared with em-batch
+/// so batch output stays server-identical). `em-route`'s `route` is a
+/// root of its own because the loop reaches it only through the
+/// `Service` trait, and em-serve's call graph cannot see a crate that
+/// depends on it.
 pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("em-serve", "handle_connection"),
     ("em-serve", "read_request"),
+    ("em-route", "route"),
     ("em-codec", "run_explain"),
     ("em-codec", "run_explain_traced"),
     ("em-codec", "parse"),
@@ -259,7 +264,7 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
 /// Crates the panic traversal may enter. The explainer core is excluded
 /// deliberately: its contract is seeded determinism, not totality on
 /// adversarial input — requests reach it only after codec validation.
-pub const PANIC_SCOPE: &[&str] = &["em-serve", "em-codec", "em-obs"];
+pub const PANIC_SCOPE: &[&str] = &["em-serve", "em-codec", "em-obs", "em-route"];
 
 /// `panic-in-request-path` (v2): walks the call graph from the request
 /// handlers ([`PANIC_ROOTS`]) through every helper in [`PANIC_SCOPE`]

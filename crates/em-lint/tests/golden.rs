@@ -109,6 +109,10 @@ const FIXTURES: &[(&str, &str)] = &[
         "panic-in-request-path/panic_reachable_deep.rs",
         "crates/em-serve/src/http.rs",
     ),
+    (
+        "panic-in-request-path/router_root.rs",
+        "crates/em-route/src/router.rs",
+    ),
     ("pub-item-docs/positive.rs", "crates/core/src/fixture.rs"),
     ("pub-item-docs/negative.rs", "crates/core/src/fixture.rs"),
     ("suppression/combined.rs", "crates/em-serve/src/json.rs"),

@@ -12,7 +12,9 @@
 //! * [`Collector`] — an atomic, thread-safe [`Tracer`] that accumulates
 //!   per-stage durations and [`Counter`]s;
 //! * [`noop`] — the default sink; it reports itself disabled, so [`Span`]
-//!   never reads the clock and the traced hot path stays allocation-free.
+//!   never reads the clock and the traced hot path stays allocation-free;
+//! * [`Histogram`] — the lock-free latency histogram over
+//!   [`LATENCY_BUCKETS_US`] that both serving tiers expose on `/metrics`.
 //!
 //! # Determinism contract
 //!
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -258,20 +261,28 @@ impl Collector {
     }
 
     /// Total nanoseconds recorded for `stage`.
-    // em-lint: allow(panic-in-request-path) -- Stage::index() < STAGE_COUNT by construction, array is STAGE_COUNT long
     pub fn stage_nanos(&self, stage: Stage) -> u64 {
-        self.stage_nanos[stage.index()].load(Ordering::Relaxed)
+        load_cell(&self.stage_nanos, stage.index())
     }
 
     /// Number of spans recorded for `stage`.
-    // em-lint: allow(panic-in-request-path) -- Stage::index() < STAGE_COUNT by construction, array is STAGE_COUNT long
     pub fn stage_entries(&self, stage: Stage) -> u64 {
-        self.stage_entries[stage.index()].load(Ordering::Relaxed)
+        load_cell(&self.stage_entries, stage.index())
+    }
+
+    /// `(stage, total microseconds)` for every stage entered at least
+    /// once, in pipeline order — what per-request stage histograms and
+    /// timing headers observe.
+    pub fn entered_stages_us(&self) -> impl Iterator<Item = (Stage, u64)> + '_ {
+        Stage::all()
+            .into_iter()
+            .filter(|&stage| self.stage_entries(stage) > 0)
+            .map(|stage| (stage, self.stage_nanos(stage) / 1_000))
     }
 
     /// Current value of `counter`.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters[counter.index()].load(Ordering::Relaxed)
+        load_cell(&self.counters, counter.index())
     }
 
     /// Sum of all stage durations — the traced share of wall-clock.
@@ -286,26 +297,99 @@ impl Collector {
     /// per-request collectors into a long-lived one).
     pub fn merge_into(&self, target: &Collector) {
         for stage in Stage::all() {
-            let i = stage.index();
-            target.stage_nanos[i].fetch_add(self.stage_nanos(stage), Ordering::Relaxed);
-            target.stage_entries[i].fetch_add(self.stage_entries(stage), Ordering::Relaxed);
+            add_to_cell(&target.stage_nanos, stage.index(), self.stage_nanos(stage));
+            add_to_cell(
+                &target.stage_entries,
+                stage.index(),
+                self.stage_entries(stage),
+            );
         }
         for counter in Counter::all() {
-            target.counters[counter.index()].fetch_add(self.counter(counter), Ordering::Relaxed);
+            add_to_cell(&target.counters, counter.index(), self.counter(counter));
         }
     }
 }
 
 impl Tracer for Collector {
-    // em-lint: allow(panic-in-request-path) -- Stage::index() < STAGE_COUNT by construction, arrays are STAGE_COUNT long
     fn record_stage(&self, stage: Stage, nanos: u64) {
-        self.stage_nanos[stage.index()].fetch_add(nanos, Ordering::Relaxed);
-        self.stage_entries[stage.index()].fetch_add(1, Ordering::Relaxed);
+        add_to_cell(&self.stage_nanos, stage.index(), nanos);
+        add_to_cell(&self.stage_entries, stage.index(), 1);
     }
 
-    // em-lint: allow(panic-in-request-path) -- Counter::index() < COUNTER_COUNT by construction, array is COUNTER_COUNT long
     fn add(&self, counter: Counter, amount: u64) {
-        self.counters[counter.index()].fetch_add(amount, Ordering::Relaxed);
+        add_to_cell(&self.counters, counter.index(), amount);
+    }
+}
+
+/// Reads cell `i` of a counter table; an out-of-range index reads zero.
+fn load_cell(cells: &[AtomicU64], i: usize) -> u64 {
+    cells.get(i).map_or(0, |cell| cell.load(Ordering::Relaxed))
+}
+
+/// Adds `amount` to cell `i` of a counter table; an out-of-range index
+/// is dropped rather than panicking on the request path.
+fn add_to_cell(cells: &[AtomicU64], i: usize, amount: u64) {
+    if let Some(cell) = cells.get(i) {
+        cell.fetch_add(amount, Ordering::Relaxed);
+    }
+}
+
+/// Latency histogram bucket upper bounds, in microseconds. Every
+/// [`Histogram`] uses this layout, so the serving tiers' dashboards line
+/// up bucket for bucket.
+pub const LATENCY_BUCKETS_US: [u64; 10] = [
+    100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000,
+];
+
+/// A lock-free latency histogram over [`LATENCY_BUCKETS_US`] plus a
+/// `+Inf` overflow bucket, rendered in the Prometheus text exposition
+/// format. Every cell is an `AtomicU64` bumped on the request path.
+#[derive(Debug, Default)]
+pub struct Histogram {
+    buckets: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
+    sum_us: AtomicU64,
+    count: AtomicU64,
+}
+
+impl Histogram {
+    /// Records one observation of `us` microseconds.
+    pub fn observe(&self, us: u64) {
+        let bucket = LATENCY_BUCKETS_US
+            .iter()
+            .position(|&bound| us <= bound)
+            .unwrap_or(LATENCY_BUCKETS_US.len());
+        add_to_cell(&self.buckets, bucket, 1);
+        self.sum_us.fetch_add(us, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Observations recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Appends the cumulative `{metric}_bucket` series, then
+    /// `{metric}_sum` and `{metric}_count`, each labelled
+    /// `{label}="{value}"`.
+    pub fn render(&self, out: &mut String, metric: &str, label: &str, value: &str) {
+        let mut cumulative = 0u64;
+        for (i, cell) in self.buckets.iter().enumerate() {
+            cumulative += cell.load(Ordering::Relaxed);
+            let le = LATENCY_BUCKETS_US
+                .get(i)
+                .map_or_else(|| "+Inf".to_string(), u64::to_string);
+            let _ = writeln!(
+                out,
+                "{metric}_bucket{{{label}=\"{value}\",le=\"{le}\"}} {cumulative}"
+            );
+        }
+        let sum = self.sum_us.load(Ordering::Relaxed);
+        let _ = writeln!(out, "{metric}_sum{{{label}=\"{value}\"}} {sum}");
+        let _ = writeln!(
+            out,
+            "{metric}_count{{{label}=\"{value}\"}} {}",
+            self.count()
+        );
     }
 }
 
@@ -399,6 +483,37 @@ mod tests {
         assert_eq!(c.stage_entries(Stage::ModelScoring), 400);
         assert_eq!(c.stage_nanos(Stage::ModelScoring), 400);
         assert_eq!(c.counter(Counter::SamplesScored), 800);
+    }
+
+    #[test]
+    fn histogram_buckets_are_inclusive_and_render_cumulatively() {
+        let h = Histogram::default();
+        for us in [50, 100, 101, 700, 10_000_000] {
+            h.observe(us);
+        }
+        assert_eq!(h.count(), 5);
+        let mut text = String::new();
+        h.render(&mut text, "m", "endpoint", "explain");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), LATENCY_BUCKETS_US.len() + 3);
+        assert_eq!(lines[0], "m_bucket{endpoint=\"explain\",le=\"100\"} 2");
+        assert_eq!(lines[1], "m_bucket{endpoint=\"explain\",le=\"500\"} 3");
+        assert_eq!(lines[2], "m_bucket{endpoint=\"explain\",le=\"1000\"} 4");
+        assert_eq!(lines[10], "m_bucket{endpoint=\"explain\",le=\"+Inf\"} 5");
+        assert_eq!(lines[11], "m_sum{endpoint=\"explain\"} 10000951");
+        assert_eq!(lines[12], "m_count{endpoint=\"explain\"} 5");
+    }
+
+    #[test]
+    fn entered_stages_skip_stages_never_entered() {
+        let c = Collector::new();
+        c.record_stage(Stage::SurrogateFit, 50_000);
+        c.record_stage(Stage::Tokenize, 999);
+        let entered: Vec<(Stage, u64)> = c.entered_stages_us().collect();
+        assert_eq!(
+            entered,
+            vec![(Stage::Tokenize, 0), (Stage::SurrogateFit, 50)]
+        );
     }
 
     #[test]

@@ -16,10 +16,10 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
+use em_codec::ExplainOptions;
 use em_datagen::{DatasetId, Domain};
 use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
-use em_serve::ExplainOptions;
 
 const USAGE: &str = "\
 em-route — consistent-hash routing tier for em-serve backends
@@ -94,17 +94,13 @@ impl Default for Args {
 }
 
 fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    let wanted = name.to_ascii_uppercase();
-    DatasetId::all()
-        .into_iter()
-        .find(|id| id.short_name() == wanted)
-        .ok_or_else(|| {
-            let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
-            format!(
-                "unknown dataset {name:?}; expected one of {}",
-                names.join(", ")
-            )
-        })
+    DatasetId::from_short_name(name).ok_or_else(|| {
+        let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
+        format!(
+            "unknown dataset {name:?}; expected one of {}",
+            names.join(", ")
+        )
+    })
 }
 
 /// Parses `[NAME=]HOST:PORT[*WEIGHT]`. `ordinal` supplies the default

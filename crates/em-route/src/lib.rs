@@ -17,17 +17,21 @@
 //! * [`health`] — per-backend health: active `/healthz` probing, passive
 //!   ejection on connect/timeout errors, half-open recovery, draining;
 //! * [`metrics`] — the router's own Prometheus surface:
-//!   `em_route_requests_total{backend,outcome}` plus latency and stage
+//!   `em_route_requests_total{backend,outcome}`, the shared
+//!   `em_route_rejects_total{cause}` taxonomy, and latency and stage
 //!   histograms;
-//! * [`router`] — the proxy itself: accept loop, worker pool, keyed
-//!   forwarding with bounded retry-with-backoff failover (connect
-//!   failures only — the requests are pure, so replaying one elsewhere
-//!   cannot change any answer), and the admin endpoints `GET /ring` and
-//!   `POST /drain`.
+//! * [`router`] — the proxy itself: keyed forwarding with bounded
+//!   retry-with-backoff failover (connect failures only — the requests
+//!   are pure, so replaying one elsewhere cannot change any answer), the
+//!   admin endpoints `GET /ring` and `POST /drain`, and the active health
+//!   prober.
 //!
-//! The transport pieces — bounded queue, per-connection deadlines, HTTP
-//! reader/writer, typed client — are `em-serve`'s own, reused as a
-//! library rather than copied; the crate adds no dependencies beyond the
+//! The connection lifecycle is `em-serve`'s own: the [`Router`] is an
+//! [`em_serve::Service`] on an [`em_serve::Listener`], the one accept
+//! loop, bounded queue, worker pool, per-connection deadline, shedding
+//! path, and reject-counter table both tiers run. With the HTTP
+//! reader/writer and the typed client, that machinery is reused as a
+//! library, not copied; the crate adds no dependencies beyond the
 //! workspace.
 
 #![forbid(unsafe_code)]
@@ -42,4 +46,4 @@ pub mod router;
 pub use health::{HealthConfig, HealthState, HealthTable};
 pub use metrics::{Outcome, RouterMetrics};
 pub use ring::{BackendSpec, Ring};
-pub use router::{Router, RouterConfig, RouterHandle};
+pub use router::{Router, RouterConfig};

@@ -4,15 +4,20 @@
 //! of `em_route_requests_total` — a request that fails over therefore
 //! leaves a visible trail: one `connect_error` on the dead backend and
 //! one `ok` on the survivor that absorbed it. Router-level events that
-//! have no backend (nothing routable) get their own counters. Latency
-//! histograms reuse `em-serve`'s bucket layout ([`LATENCY_BUCKETS_US`])
-//! so the two tiers' dashboards line up, and the proxy path's
-//! `route_key` / `route_forward` stages ([`em_obs::Stage`]) render as
-//! stage histograms exactly like the backends' pipeline stages do.
+//! have no backend (nothing routable) get their own counters, and
+//! rejected connections render from the shared listener's
+//! [`Rejects`] as `em_route_rejects_total{cause}` — the same taxonomy
+//! `em-serve` exposes. Latency histograms are [`em_obs::Histogram`]s, the
+//! backends' own type and bucket layout, so the two tiers' dashboards
+//! line up, and the proxy path's `route_key` / `route_forward` stages
+//! ([`em_obs::Stage`]) render as stage histograms exactly like the
+//! backends' pipeline stages do.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use em_serve::metrics::LATENCY_BUCKETS_US;
+use em_obs::Histogram;
+use em_serve::Rejects;
 
 /// The outcome of one proxied attempt against one backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,67 +118,15 @@ impl RouteEndpoint {
     }
 }
 
-/// Per-backend outcome counters.
-#[derive(Debug, Default)]
-struct BackendSeries {
-    outcomes: [AtomicU64; N_OUTCOMES],
-}
-
-/// One latency histogram.
-#[derive(Debug, Default)]
-struct Histogram {
-    count: AtomicU64,
-    sum_us: AtomicU64,
-    bucket_counts: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-}
-
-impl Histogram {
-    fn observe(&self, us: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        let bucket = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| us <= bound)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        self.bucket_counts[bucket].fetch_add(1, Ordering::Relaxed); // em-lint: allow(panic-in-request-path) -- bucket <= LATENCY_BUCKETS_US.len() by position()'s fallback; the array is one cell longer
-    }
-
-    fn render_into(&self, out: &mut String, metric: &str, labels: &str) {
-        let mut cumulative = 0u64;
-        for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-            cumulative += self.bucket_counts[i].load(Ordering::Relaxed); // em-lint: allow(panic-in-request-path) -- i < LATENCY_BUCKETS_US.len() from enumerate; the array is one cell longer
-            out.push_str(&format!(
-                "{metric}_bucket{{{labels}le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += self.bucket_counts[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "{metric}_bucket{{{labels}le=\"+Inf\"}} {cumulative}\n"
-        ));
-        out.push_str(&format!(
-            "{metric}_sum{{{trimmed}}} {}\n",
-            self.sum_us.load(Ordering::Relaxed),
-            trimmed = labels.trim_end_matches(','),
-        ));
-        out.push_str(&format!(
-            "{metric}_count{{{trimmed}}} {}\n",
-            self.count.load(Ordering::Relaxed),
-            trimmed = labels.trim_end_matches(','),
-        ));
-    }
-}
-
 /// The registry: `(backend, outcome)` counters, per-endpoint latency,
 /// per-stage latency, and the router-level event counters.
 #[derive(Debug)]
 pub struct RouterMetrics {
-    backends: Vec<BackendSeries>,
+    backends: Vec<[AtomicU64; N_OUTCOMES]>,
     endpoints: [Histogram; N_ROUTE_ENDPOINTS],
     stages: [Histogram; 2],
     failovers: AtomicU64,
     no_backend: AtomicU64,
-    sheds: AtomicU64,
-    deadline_rejects: AtomicU64,
 }
 
 /// The two proxy stages with histograms, in render order.
@@ -183,33 +136,36 @@ impl RouterMetrics {
     /// A fresh registry for `n_backends` backends, all counters zero.
     pub fn new(n_backends: usize) -> RouterMetrics {
         RouterMetrics {
-            backends: (0..n_backends).map(|_| BackendSeries::default()).collect(),
+            backends: (0..n_backends).map(|_| Default::default()).collect(),
             endpoints: Default::default(),
             stages: Default::default(),
             failovers: AtomicU64::new(0),
             no_backend: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
-            deadline_rejects: AtomicU64::new(0),
         }
+    }
+
+    fn outcome_cell(&self, backend: usize, outcome: Outcome) -> Option<&AtomicU64> {
+        self.backends.get(backend)?.get(outcome.index())
     }
 
     /// Counts one attempt outcome against one backend.
     pub fn record_outcome(&self, backend: usize, outcome: Outcome) {
-        if let Some(series) = self.backends.get(backend) {
-            series.outcomes[outcome.index()].fetch_add(1, Ordering::Relaxed); // em-lint: allow(panic-in-request-path) -- Outcome::index() < N_OUTCOMES by construction
+        if let Some(cell) = self.outcome_cell(backend, outcome) {
+            cell.fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Attempts recorded for `(backend, outcome)`.
     pub fn outcome(&self, backend: usize, outcome: Outcome) -> u64 {
-        self.backends
-            .get(backend)
-            .map_or(0, |s| s.outcomes[outcome.index()].load(Ordering::Relaxed)) // em-lint: allow(panic-in-request-path) -- Outcome::index() < N_OUTCOMES by construction
+        self.outcome_cell(backend, outcome)
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
     /// Observes one request's total router latency for an endpoint.
     pub fn record_latency(&self, endpoint: RouteEndpoint, us: u64) {
-        self.endpoints[endpoint.index()].observe(us); // em-lint: allow(panic-in-request-path) -- RouteEndpoint::index() < N_ROUTE_ENDPOINTS by construction
+        if let Some(histogram) = self.endpoints.get(endpoint.index()) {
+            histogram.observe(us);
+        }
     }
 
     /// Folds one request's `route_key` / `route_forward` span totals (an
@@ -238,65 +194,47 @@ impl RouterMetrics {
         self.no_backend.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one connection shed because the accept queue was full.
-    pub fn record_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one connection abandoned by its read/write deadline.
-    pub fn record_deadline_reject(&self) {
-        self.deadline_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Renders the Prometheus text exposition. `names[i]` labels backend
-    /// `i`; extra series (probe state) are appended by the caller.
-    pub fn render(&self, names: &[&str]) -> String {
+    /// `i`; `rejects` are the listener's reject counters; extra series
+    /// (probe state) are appended by the caller.
+    pub fn render(&self, names: &[&str], rejects: &Rejects) -> String {
         let mut out = String::new();
         out.push_str("# TYPE em_route_requests_total counter\n");
-        for (i, series) in self.backends.iter().enumerate() {
+        for (i, outcomes) in self.backends.iter().enumerate() {
             let name = names.get(i).copied().unwrap_or("?");
-            for outcome in Outcome::all() {
-                out.push_str(&format!(
-                    "em_route_requests_total{{backend=\"{name}\",outcome=\"{}\"}} {}\n",
+            for (outcome, cell) in Outcome::all().into_iter().zip(outcomes) {
+                let _ = writeln!(
+                    out,
+                    "em_route_requests_total{{backend=\"{name}\",outcome=\"{}\"}} {}",
                     outcome.label(),
-                    series.outcomes[outcome.index()].load(Ordering::Relaxed),
-                ));
+                    cell.load(Ordering::Relaxed),
+                );
             }
         }
-        out.push_str("# TYPE em_route_failovers_total counter\n");
-        out.push_str(&format!(
-            "em_route_failovers_total {}\n",
-            self.failovers.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_route_no_backend_total counter\n");
-        out.push_str(&format!(
-            "em_route_no_backend_total {}\n",
-            self.no_backend.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_route_sheds_total counter\n");
-        out.push_str(&format!(
-            "em_route_sheds_total {}\n",
-            self.sheds.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_route_deadline_rejects_total counter\n");
-        out.push_str(&format!(
-            "em_route_deadline_rejects_total {}\n",
-            self.deadline_rejects.load(Ordering::Relaxed)
-        ));
+        for (name, counter) in [
+            ("em_route_failovers_total", &self.failovers),
+            ("em_route_no_backend_total", &self.no_backend),
+        ] {
+            let value = counter.load(Ordering::Relaxed);
+            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
+        }
+        rejects.render(&mut out, "em_route_rejects_total");
         out.push_str("# TYPE em_route_request_latency_us histogram\n");
-        for endpoint in RouteEndpoint::all() {
-            self.endpoints[endpoint.index()].render_into(
+        for (endpoint, histogram) in RouteEndpoint::all().into_iter().zip(&self.endpoints) {
+            histogram.render(
                 &mut out,
                 "em_route_request_latency_us",
-                &format!("endpoint=\"{}\",", endpoint.label()),
+                "endpoint",
+                endpoint.label(),
             );
         }
         out.push_str("# TYPE em_route_stage_latency_us histogram\n");
-        for (slot, stage) in self.stages.iter().zip(ROUTE_STAGES) {
-            slot.render_into(
+        for (stage, histogram) in ROUTE_STAGES.into_iter().zip(&self.stages) {
+            histogram.render(
                 &mut out,
                 "em_route_stage_latency_us",
-                &format!("stage=\"{}\",", stage.label()),
+                "stage",
+                stage.label(),
             );
         }
         out
@@ -316,7 +254,7 @@ mod tests {
         m.record_outcome(7, Outcome::Ok); // unknown backend: dropped, not a panic
         assert_eq!(m.outcome(0, Outcome::Ok), 2);
         assert_eq!(m.outcome(1, Outcome::ConnectError), 1);
-        let text = m.render(&["alpha", "beta"]);
+        let text = m.render(&["alpha", "beta"], &Rejects::default());
         assert!(text.contains("em_route_requests_total{backend=\"alpha\",outcome=\"ok\"} 2"));
         assert!(
             text.contains("em_route_requests_total{backend=\"beta\",outcome=\"connect_error\"} 1")
@@ -330,7 +268,7 @@ mod tests {
         let m = RouterMetrics::new(1);
         m.record_latency(RouteEndpoint::Explain, 50);
         m.record_latency(RouteEndpoint::Explain, 700);
-        let text = m.render(&["a"]);
+        let text = m.render(&["a"], &Rejects::default());
         assert!(
             text.contains("em_route_request_latency_us_bucket{endpoint=\"explain\",le=\"100\"} 1")
         );
@@ -351,7 +289,7 @@ mod tests {
         trace.record_stage(em_obs::Stage::RouteKey, 40_000); // 40 us
         trace.record_stage(em_obs::Stage::RouteForward, 2_000_000); // 2000 us
         m.record_stages(&trace);
-        let text = m.render(&["a"]);
+        let text = m.render(&["a"], &Rejects::default());
         assert!(text.contains("em_route_stage_latency_us_count{stage=\"route_key\"} 1"));
         assert!(text.contains("em_route_stage_latency_us_sum{stage=\"route_forward\"} 2000"));
     }
@@ -361,13 +299,15 @@ mod tests {
         let m = RouterMetrics::new(1);
         m.record_failover();
         m.record_no_backend();
-        m.record_shed();
-        m.record_deadline_reject();
-        let text = m.render(&["a"]);
+        let rejects = Rejects::default();
+        rejects.record(em_serve::RejectCause::Shed);
+        rejects.record(em_serve::RejectCause::Idle);
+        let text = m.render(&["a"], &rejects);
         assert!(text.contains("em_route_failovers_total 1"));
         assert!(text.contains("em_route_no_backend_total 1"));
-        assert!(text.contains("em_route_sheds_total 1"));
-        assert!(text.contains("em_route_deadline_rejects_total 1"));
+        assert!(text.contains("em_route_rejects_total{cause=\"shed\"} 1"));
+        assert!(text.contains("em_route_rejects_total{cause=\"idle\"} 1"));
+        assert!(text.contains("em_route_rejects_total{cause=\"peer_abort\"} 0"));
         assert_eq!(m.failovers(), 1);
     }
 }

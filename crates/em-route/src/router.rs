@@ -1,12 +1,12 @@
-//! The reverse proxy: accept loop, keyed forwarding, failover, and the
-//! admin surface.
+//! The reverse proxy: keyed forwarding, failover, and the admin
+//! surface.
 //!
-//! The serving skeleton is `em-serve`'s, reused as a library: a listener
-//! thread pushes connections onto a bounded queue
-//! ([`em_serve::pool::BoundedQueue`]), `em_par::scoped_workers` drains
-//! it, and every picked-up connection runs under one
-//! [`em_serve::deadline::Deadline`] covering read, proxy exchange, and
-//! response write. What this crate adds is the routing brain:
+//! The serving skeleton is `em-serve`'s [`Listener`], reused as a
+//! library: its accept loop, bounded queue, worker pool, per-connection
+//! [`em_serve::deadline::Deadline`], shedding, and reject counters run
+//! the router exactly as they run a backend, and the [`Router`] is the
+//! [`Service`] plugged into it. What this crate adds is the routing
+//! brain:
 //!
 //! 1. **Key** (`route_key` stage): decode the request with the *same*
 //!    codec and defaults the backends use, compute the canonical cache
@@ -25,11 +25,8 @@
 //!    `em_route_requests_total{backend,outcome}`; the winning backend is
 //!    named in the response's `X-Backend` header.
 
-use std::io::Write;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::time::Duration;
 
 use em_codec::explain::{cache_key, decode_explain_request, decode_pair};
 use em_codec::{ExplainOptions, Value};
@@ -37,20 +34,12 @@ use em_entity::Schema;
 use em_obs::{Span, Stage};
 use em_par::ParallelismConfig;
 use em_serve::client::{self, ClientError, ClientResponse};
-use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
-use em_serve::http::{read_request, HttpError, Request, Response};
-use em_serve::pool::{BoundedQueue, PushError};
+use em_serve::http::{Request, Response};
+use em_serve::{Listener, ServerHandle, Service};
 
 use crate::health::{HealthConfig, HealthTable};
 use crate::metrics::{Outcome, RouteEndpoint, RouterMetrics};
 use crate::ring::{BackendSpec, Ring};
-
-/// Budget for writing a 408 after the connection deadline has expired
-/// (same courtesy-answer rationale as `em-serve`).
-const REJECT_WRITE_GRACE: Duration = Duration::from_secs(1);
-
-/// Bound on the shutdown self-wake connect.
-const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Router tunables.
 #[derive(Debug, Clone, Copy)]
@@ -93,36 +82,26 @@ impl Default for RouterConfig {
     }
 }
 
-/// Everything the proxy workers and the prober share.
-struct RouterState {
+/// A bound router. [`Router::run`] blocks until shutdown;
+/// [`Router::spawn`] runs it on a background thread for tests.
+pub struct Router {
     schema: Schema,
-    defaults: ExplainOptions,
     backends: Vec<BackendSpec>,
     ring: Ring,
     health: HealthTable,
     metrics: RouterMetrics,
-    queue: BoundedQueue<TcpStream>,
     config: RouterConfig,
-    shutdown: AtomicBool,
-    addr: SocketAddr,
-}
-
-/// A bound router. [`Router::run`] blocks until shutdown;
-/// [`Router::spawn`] runs it on a background thread for tests.
-pub struct Router {
-    listener: TcpListener,
-    workers: usize,
-    state: Arc<RouterState>,
+    listener: Listener,
 }
 
 impl std::fmt::Debug for Router {
-    // Manual impl: the state holds a schema and live tables; the bind
-    // address and backend count are what a log line needs.
+    // Manual impl: the router holds a schema and live tables; the
+    // listener (address, sizing) and backend count are what a log line
+    // needs.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Router")
-            .field("addr", &self.state.addr)
-            .field("workers", &self.workers)
-            .field("backends", &self.state.backends.len())
+            .field("listener", &self.listener)
+            .field("backends", &self.backends.len())
             .finish_non_exhaustive()
     }
 }
@@ -142,115 +121,58 @@ impl Router {
                 "at least one backend is required",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let ring = Ring::build(&backends);
         let n = backends.len();
         Ok(Router {
-            listener,
-            workers: config.parallelism.worker_count(),
-            state: Arc::new(RouterState {
-                schema,
-                defaults: config.defaults,
-                backends,
-                ring,
-                health: HealthTable::new(n, config.health),
-                metrics: RouterMetrics::new(n),
-                queue: BoundedQueue::new(config.queue_depth),
-                config,
-                shutdown: AtomicBool::new(false),
+            schema,
+            ring: Ring::build(&backends),
+            backends,
+            health: HealthTable::new(n, config.health),
+            metrics: RouterMetrics::new(n),
+            config,
+            listener: Listener::bind(
                 addr,
-            }),
+                config.parallelism.worker_count(),
+                config.queue_depth,
+                config.request_timeout,
+                config.max_queue_age,
+            )?,
         })
     }
 
     /// The bound address (useful after binding port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.addr
+        self.listener.local_addr()
     }
 
     /// Serves until a `POST /shutdown` arrives, then drains in-flight
     /// requests, stops the prober, and returns.
     pub fn run(self) {
-        let prober = spawn_prober(Arc::clone(&self.state));
-        let state = &*self.state;
-        let queue = &state.queue;
-        em_par::scoped_workers(
-            self.workers,
-            |_worker| {
-                while let Some(conn) = queue.pop() {
-                    if conn.age() > state.config.max_queue_age {
-                        state.metrics.record_deadline_reject();
-                        continue;
-                    }
-                    handle_connection(state, conn.item);
-                }
-            },
-            || {
-                for incoming in self.listener.incoming() {
-                    if state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match incoming {
-                        Ok(s) => s,
-                        Err(_) => continue,
-                    };
-                    if let Err(PushError::Full(stream) | PushError::Closed(stream)) =
-                        queue.push(stream)
-                    {
-                        shed_without_blocking(state, &stream);
-                    }
-                }
-                queue.close();
-            },
-        );
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a prober panic is the point
-        prober.join().expect("prober thread panicked");
+        std::thread::scope(|scope| {
+            scope.spawn(|| self.probe_until_shutdown());
+            self.listener.run(&self);
+        });
     }
 
     /// Runs the router on a background thread, returning a handle with
     /// the bound address.
-    pub fn spawn(self) -> RouterHandle {
-        let addr = self.local_addr();
-        let thread = std::thread::spawn(move || self.run());
-        RouterHandle { addr, thread }
-    }
-}
-
-/// Handle to a [`Router::spawn`]ed router.
-#[derive(Debug)]
-pub struct RouterHandle {
-    addr: SocketAddr,
-    thread: std::thread::JoinHandle<()>,
-}
-
-impl RouterHandle {
-    /// The router's bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+    pub fn spawn(self) -> ServerHandle {
+        ServerHandle::spawn(self.local_addr(), move || self.run())
     }
 
-    /// Waits for the router to finish (after a `/shutdown` request).
-    pub fn join(self) {
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a worker panic is the point
-        self.thread.join().expect("router thread panicked");
-    }
-}
-
-/// The active prober: every `probe_interval`, exchanges `GET /healthz`
-/// with each backend and feeds the result into the health machine — so a
-/// dead backend is ejected (and a recovered one readmitted) even with no
-/// client traffic flowing. Sleeps in short slices so shutdown is prompt.
-fn spawn_prober(state: Arc<RouterState>) -> std::thread::JoinHandle<()> {
-    std::thread::spawn(move || {
-        let interval = state.health.config().probe_interval;
-        let timeout = state.health.config().probe_timeout;
-        while !state.shutdown.load(Ordering::SeqCst) {
-            for (i, backend) in state.backends.iter().enumerate() {
+    /// The active prober: every `probe_interval`, exchanges `GET /healthz`
+    /// with each backend and feeds the result into the health machine —
+    /// so a dead backend is ejected (and a recovered one readmitted) even
+    /// with no client traffic flowing. Sleeps in short slices so shutdown
+    /// is prompt.
+    fn probe_until_shutdown(&self) {
+        let interval = self.health.config().probe_interval;
+        let timeout = self.health.config().probe_timeout;
+        while !self.listener.is_shutting_down() {
+            for (i, backend) in self.backends.iter().enumerate() {
                 match client::exchange_with_timeout(backend.addr, "GET", "/healthz", "", timeout) {
-                    Ok(_) | Err(ClientError::Status(_)) => state.health.record_success(i),
+                    Ok(_) | Err(ClientError::Status(_)) => self.health.record_success(i),
                     Err(ClientError::Connect(_) | ClientError::Timeout(_)) => {
-                        state.health.record_failure(i)
+                        self.health.record_failure(i)
                     }
                     // Garbage on the health port is not a transport
                     // failure; leave the circuit alone and let real
@@ -259,151 +181,84 @@ fn spawn_prober(state: Arc<RouterState>) -> std::thread::JoinHandle<()> {
                 }
             }
             let mut slept = Duration::ZERO;
-            while slept < interval && !state.shutdown.load(Ordering::SeqCst) {
+            while slept < interval && !self.listener.is_shutting_down() {
                 let slice = Duration::from_millis(25).min(interval - slept);
                 std::thread::sleep(slice);
                 slept += slice;
             }
         }
-    })
+    }
 }
 
-fn error_body(message: &str) -> String {
-    Value::object(vec![("error", Value::string(message))]).to_json()
-}
+impl Service for Router {
+    type Endpoint = RouteEndpoint;
+    const UNPARSED: RouteEndpoint = RouteEndpoint::Admin;
+    const OVERLOADED: &'static str = "router overloaded";
 
-/// Non-blocking 503 shed from the accept thread — same discipline as
-/// `em-serve`: drain already-arrived bytes, attempt one write, never
-/// wait on a client socket.
-fn shed_without_blocking(state: &RouterState, stream: &TcpStream) {
-    let response =
-        Response::json(503, error_body("router overloaded")).with_header("Retry-After", "1");
-    let wire = response.to_wire();
-    if stream.set_nonblocking(true).is_ok() {
-        let mut sink = [0u8; 4096];
-        for _ in 0..32 {
-            if !matches!(std::io::Read::read(&mut &*stream, &mut sink), Ok(n) if n > 0) {
-                break;
+    /// Maps a request to (endpoint, response, initiate-shutdown).
+    fn route(&self, request: &Request) -> (RouteEndpoint, Response, bool) {
+        match (request.method.as_str(), request.path.as_str()) {
+            ("POST", "/explain") => (RouteEndpoint::Explain, proxy_explain(self, request), false),
+            ("POST", "/predict") => (RouteEndpoint::Predict, proxy_predict(self, request), false),
+            ("GET", "/healthz") => (
+                RouteEndpoint::Admin,
+                Response::json(
+                    200,
+                    Value::object(vec![("status", Value::string("ok"))]).to_json(),
+                ),
+                false,
+            ),
+            ("GET", "/metrics") => (
+                RouteEndpoint::Admin,
+                Response::text(200, render_metrics(self)),
+                false,
+            ),
+            ("GET", "/ring") => (
+                RouteEndpoint::Admin,
+                Response::json(200, ring_json(self)),
+                false,
+            ),
+            ("POST", "/drain") => (RouteEndpoint::Admin, handle_drain(self, request), false),
+            ("POST", "/shutdown") => (
+                RouteEndpoint::Admin,
+                Response::json(
+                    200,
+                    Value::object(vec![("shutting_down", true.into())]).to_json(),
+                ),
+                true,
+            ),
+            (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
+                RouteEndpoint::Admin,
+                Response::error(405, "use POST"),
+                false,
+            ),
+            (_, "/healthz" | "/metrics" | "/ring") => {
+                (RouteEndpoint::Admin, Response::error(405, "use GET"), false)
             }
-        }
-        let _ = (&mut &*stream).write(wire.as_bytes());
-    }
-    state.metrics.record_shed();
-}
-
-/// Reads, routes, answers, and records one client connection under one
-/// [`Deadline`].
-fn handle_connection(state: &RouterState, stream: TcpStream) {
-    let deadline = Deadline::starting_now(state.config.request_timeout);
-    let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency metric stamp only; never touches proxied bytes
-    let mut reader = DeadlineStream::new(&stream, deadline);
-    let (endpoint, response, is_shutdown) = match read_request(&mut reader) {
-        Ok(request) => route(state, &request),
-        Err(HttpError::Closed) => return,
-        Err(HttpError::Timeout(_)) => {
-            state.metrics.record_deadline_reject();
-            let grace = Deadline::starting_now(REJECT_WRITE_GRACE);
-            let _ = Response::json(408, error_body("request deadline exceeded"))
-                .write_to(&mut DeadlineStream::new(&stream, grace));
-            return;
-        }
-        Err(HttpError::BodyTooLarge) => (
-            RouteEndpoint::Admin,
-            Response::json(413, error_body("request body too large")),
-            false,
-        ),
-        Err(err) => (
-            RouteEndpoint::Admin,
-            Response::json(400, error_body(&err.to_string())),
-            false,
-        ),
-    };
-    let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-    state.metrics.record_latency(endpoint, latency_us);
-    if let Err(err) = response.write_to(&mut DeadlineStream::new(&stream, deadline)) {
-        if is_timeout(&err) {
-            state.metrics.record_deadline_reject();
-        }
-    }
-    drop(stream);
-    if is_shutdown {
-        state.shutdown.store(true, Ordering::SeqCst);
-        wake_accept_loop(state.addr);
-    }
-}
-
-/// Pokes the accept loop with a loopback connection so it observes the
-/// shutdown flag (same wildcard-bind handling as `em-serve`).
-fn wake_accept_loop(addr: SocketAddr) {
-    let ip = match addr.ip() {
-        IpAddr::V4(v4) if v4.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
-        IpAddr::V6(v6) if v6.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
-        ip => ip,
-    };
-    let _ = TcpStream::connect_timeout(&SocketAddr::new(ip, addr.port()), WAKE_CONNECT_TIMEOUT);
-}
-
-/// Maps a request to (endpoint, response, initiate-shutdown).
-fn route(state: &RouterState, request: &Request) -> (RouteEndpoint, Response, bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/explain") => (RouteEndpoint::Explain, proxy_explain(state, request), false),
-        ("POST", "/predict") => (RouteEndpoint::Predict, proxy_predict(state, request), false),
-        ("GET", "/healthz") => (
-            RouteEndpoint::Admin,
-            Response::json(
-                200,
-                Value::object(vec![("status", Value::string("ok"))]).to_json(),
+            _ => (
+                RouteEndpoint::Admin,
+                Response::error(404, "no such endpoint"),
+                false,
             ),
-            false,
-        ),
-        ("GET", "/metrics") => (
-            RouteEndpoint::Admin,
-            Response::text(200, render_metrics(state)),
-            false,
-        ),
-        ("GET", "/ring") => (
-            RouteEndpoint::Admin,
-            Response::json(200, ring_json(state)),
-            false,
-        ),
-        ("POST", "/drain") => (RouteEndpoint::Admin, handle_drain(state, request), false),
-        ("POST", "/shutdown") => (
-            RouteEndpoint::Admin,
-            Response::json(
-                200,
-                Value::object(vec![("shutting_down", true.into())]).to_json(),
-            ),
-            true,
-        ),
-        (_, "/explain" | "/predict" | "/drain" | "/shutdown") => (
-            RouteEndpoint::Admin,
-            Response::json(405, error_body("use POST")),
-            false,
-        ),
-        (_, "/healthz" | "/metrics" | "/ring") => (
-            RouteEndpoint::Admin,
-            Response::json(405, error_body("use GET")),
-            false,
-        ),
-        _ => (
-            RouteEndpoint::Admin,
-            Response::json(404, error_body("no such endpoint")),
-            false,
-        ),
+        }
+    }
+
+    fn record(&self, endpoint: RouteEndpoint, latency_us: u64, _status: u16) {
+        self.metrics.record_latency(endpoint, latency_us);
     }
 }
 
 /// Proxies `POST /explain`: decode with the backends' own codec and
 /// defaults, key, and forward to the ring owner.
-fn proxy_explain(state: &RouterState, request: &Request) -> Response {
+fn proxy_explain(state: &Router, request: &Request) -> Response {
     let trace = em_obs::Collector::new();
     let key = {
         let _span = Span::enter(&trace, Stage::RouteKey);
         // The same decode the backend runs: a malformed body gets the
         // byte-identical 400 it would have gotten from `em-serve`.
-        match decode_explain_request(&request.body, &state.schema, &state.defaults) {
+        match decode_explain_request(&request.body, &state.schema, &state.config.defaults) {
             Ok(decoded) => cache_key(&state.schema, &decoded),
-            Err(msg) => return Response::json(400, error_body(&msg)),
+            Err(msg) => return Response::error(400, &msg),
         }
     };
     let response = forward(state, &trace, &key, "/explain", &request.body);
@@ -414,17 +269,17 @@ fn proxy_explain(state: &RouterState, request: &Request) -> Response {
 /// Proxies `POST /predict`: keyed on the canonical pair values only (a
 /// prediction has no explainer config), so both explanation and
 /// prediction traffic for one pair land on the same backend.
-fn proxy_predict(state: &RouterState, request: &Request) -> Response {
+fn proxy_predict(state: &Router, request: &Request) -> Response {
     let trace = em_obs::Collector::new();
     let key = {
         let _span = Span::enter(&trace, Stage::RouteKey);
         let root = match Value::parse(&request.body) {
             Ok(v) => v,
-            Err(e) => return Response::json(400, error_body(&e.to_string())),
+            Err(e) => return Response::error(400, &e.to_string()),
         };
         match decode_pair(&root, &state.schema) {
             Ok(pair) => predict_key(&state.schema, &pair),
-            Err(msg) => return Response::json(400, error_body(&msg)),
+            Err(msg) => return Response::error(400, &msg),
         }
     };
     let response = forward(state, &trace, &key, "/predict", &request.body);
@@ -454,7 +309,7 @@ fn predict_key(schema: &Schema, pair: &em_entity::EntityPair) -> String {
 /// past unroutable or connect-dead backends, bounded by the retry
 /// budget. See the module docs for the failover policy.
 fn forward(
-    state: &RouterState,
+    state: &Router,
     trace: &em_obs::Collector,
     key: &str,
     path: &str,
@@ -513,20 +368,20 @@ fn forward(
                 // rather than replaying onto a healthy node.
                 state.health.record_failure(backend);
                 state.metrics.record_outcome(backend, Outcome::Timeout);
-                return Response::json(504, error_body("backend exchange timed out"))
+                return Response::error(504, "backend exchange timed out")
                     .with_header("X-Backend", &spec.name);
             }
             Err(ClientError::Protocol(_)) => {
                 state
                     .metrics
                     .record_outcome(backend, Outcome::ProtocolError);
-                return Response::json(502, error_body("backend spoke invalid HTTP"))
+                return Response::error(502, "backend spoke invalid HTTP")
                     .with_header("X-Backend", &spec.name);
             }
         }
     }
     state.metrics.record_no_backend();
-    Response::json(503, error_body("no routable backend")).with_header("Retry-After", "1")
+    Response::error(503, "no routable backend").with_header("Retry-After", "1")
 }
 
 /// Rebuilds a backend response for the client: same status, byte-same
@@ -543,7 +398,7 @@ fn passthrough(response: ClientResponse, backend_name: &str) -> Response {
 }
 
 /// `GET /ring`: the ring's placement view joined with live health state.
-fn ring_json(state: &RouterState) -> String {
+fn ring_json(state: &Router) -> String {
     let base = state.ring.to_value(&state.backends);
     let entries: Vec<Value> = match base.get("backends").and_then(|b| b.as_array()) {
         Some(list) => list
@@ -572,20 +427,20 @@ fn ring_json(state: &RouterState) -> String {
 /// `"draining": false` to readmit). Marks the backend draining on the
 /// ring and forwards the drain to the backend itself so its `/readyz`
 /// flips too.
-fn handle_drain(state: &RouterState, request: &Request) -> Response {
+fn handle_drain(state: &Router, request: &Request) -> Response {
     let root = match Value::parse(&request.body) {
         Ok(v) => v,
-        Err(e) => return Response::json(400, error_body(&e.to_string())),
+        Err(e) => return Response::error(400, &e.to_string()),
     };
     let Some(name) = root.get("backend").and_then(|v| v.as_str()) else {
-        return Response::json(400, error_body("missing field \"backend\""));
+        return Response::error(400, "missing field \"backend\"");
     };
     let draining = root
         .get("draining")
         .and_then(|v| v.as_bool())
         .unwrap_or(true);
     let Some(backend) = state.backends.iter().position(|b| b.name == name) else {
-        return Response::json(404, error_body(&format!("unknown backend {name:?}")));
+        return Response::error(404, &format!("unknown backend {name:?}"));
     };
     state.health.set_draining(backend, draining);
     // Best-effort: tell the backend so its own /readyz reports draining.
@@ -619,9 +474,9 @@ fn handle_drain(state: &RouterState, request: &Request) -> Response {
 
 /// `GET /metrics`: the counter/histogram registry plus a live
 /// `em_route_backend_state` gauge per backend.
-fn render_metrics(state: &RouterState) -> String {
+fn render_metrics(state: &Router) -> String {
     let names: Vec<&str> = state.backends.iter().map(|b| b.name.as_str()).collect();
-    let mut out = state.metrics.render(&names);
+    let mut out = state.metrics.render(&names, state.listener.rejects());
     out.push_str("# TYPE em_route_backend_routable gauge\n");
     for (i, backend) in state.backends.iter().enumerate() {
         let snap = state.health.snapshot(i);

@@ -8,12 +8,13 @@
 
 use std::process::ExitCode;
 
+use em_codec::ExplainOptions;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_matchers::{
     load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher, MatcherConfig,
 };
 use em_par::ParallelismConfig;
-use em_serve::{ExplainOptions, Server, ServerConfig};
+use em_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
 em-serve — explanation-serving HTTP API
@@ -81,17 +82,13 @@ impl Default for Args {
 }
 
 fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    let wanted = name.to_ascii_uppercase();
-    DatasetId::all()
-        .into_iter()
-        .find(|id| id.short_name() == wanted)
-        .ok_or_else(|| {
-            let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
-            format!(
-                "unknown dataset {name:?}; expected one of {}",
-                names.join(", ")
-            )
-        })
+    DatasetId::from_short_name(name).ok_or_else(|| {
+        let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
+        format!(
+            "unknown dataset {name:?}; expected one of {}",
+            names.join(", ")
+        )
+    })
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {

@@ -6,7 +6,8 @@
 //! bit-identical to a freshly computed one by construction.
 //!
 //! Keys are the canonical JSON of the resolved request (stable across
-//! processes); an FNV-1a hash of the key picks the shard, and the full key
+//! processes); an FNV-1a hash of the key picks the shard — `em-codec`'s,
+//! the same hash `em-route`'s ring places the key with — and the full key
 //! string is kept in the map so hash collisions can never alias two
 //! different requests. Each shard is an independent mutex, so concurrent
 //! workers rarely contend. Recency is a monotonic tick per entry; eviction
@@ -17,13 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// FNV-1a 64-bit: a stable, dependency-free string hash.
-///
-/// Delegates to `em-codec`'s hasher so the shard pick here and the ring
-/// placement in `em-route` agree on every bit of the same canonical key.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    em_codec::hash::fnv1a64(bytes)
-}
+use em_codec::hash::fnv1a64;
 
 struct Entry {
     body: String,
@@ -76,7 +71,7 @@ impl ShardedCache {
     }
 
     fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
-        let idx = (fnv1a(key.as_bytes()) % self.shards.len() as u64) as usize;
+        let idx = (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize;
         &self.shards[idx] // em-lint: allow(panic-in-request-path) -- idx < shards.len() by the modulo above
     }
 
@@ -136,14 +131,6 @@ impl ShardedCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_is_stable() {
-        // Reference vectors for FNV-1a 64.
-        assert_eq!(fnv1a(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a(b"hello"), 0xa430d84680aabd0b);
-    }
 
     #[test]
     fn get_after_insert_hits() {

@@ -9,6 +9,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
+use em_codec::Value;
+
 /// Largest accepted request body (1 MiB) — an EM record pair is a few KB.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
@@ -231,6 +233,15 @@ impl Response {
             extra_headers: Vec::new(),
             body,
         }
+    }
+
+    /// A JSON error response: `{"error": message}`. Both tiers answer
+    /// every failure in this one shape.
+    pub fn error(status: u16, message: &str) -> Response {
+        Response::json(
+            status,
+            Value::object(vec![("error", Value::string(message))]).to_json(),
+        )
     }
 
     /// A plain-text response (used by `/metrics`).

@@ -22,9 +22,11 @@
 //!   stays green) so routers stop sending while in-flight work finishes;
 //! * `POST /shutdown` — graceful stop (in-flight requests drain).
 //!
-//! Concurrency comes from a bounded accept/worker pool built on
-//! `em_par::scoped_workers`, sized by [`em_par::ParallelismConfig`]. The
-//! [`json`] module is a self-contained parser/writer, so the crate adds no
+//! The connection lifecycle — accept loop, bounded queue, worker pool
+//! built on `em_par::scoped_workers` and sized by
+//! [`em_par::ParallelismConfig`] — is the [`Listener`], shared with the
+//! `em-route` tier: each tier only implements [`Service`]. JSON and the
+//! explanation codec come from `em-codec`, so the crate adds no
 //! dependencies beyond the workspace.
 //!
 //! The request lifecycle is hardened against misbehaving clients
@@ -41,18 +43,16 @@
 
 pub mod cache;
 pub mod client;
-pub mod codec;
 pub mod deadline;
 pub mod http;
-pub mod json;
+pub mod listener;
 pub mod metrics;
 pub mod pool;
 pub mod server;
 
 pub use cache::{CacheStats, ShardedCache};
 pub use client::{ClientError, ClientResponse};
-pub use codec::{ExplainOptions, ExplainRequest, ExplainerKind};
 pub use deadline::{Deadline, DeadlineStream};
-pub use json::{JsonError, Value};
-pub use metrics::{Endpoint, Metrics, RejectCause};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use listener::{Listener, ServerHandle, Service};
+pub use metrics::{Endpoint, Metrics, RejectCause, Rejects};
+pub use server::{Server, ServerConfig};

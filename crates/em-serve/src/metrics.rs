@@ -3,16 +3,17 @@
 //! Rendered in the Prometheus text exposition format (counters and
 //! cumulative `_bucket{le=...}` histogram series) so any standard scraper
 //! can consume it, while staying dependency-free: every cell is an
-//! `AtomicU64` bumped on the request path.
+//! `AtomicU64` bumped on the request path. Latency histograms are
+//! [`em_obs::Histogram`]s, the same type `em-route` exposes, and
+//! [`Rejects`] is the reject-cause table the shared connection lifecycle
+//! ([`crate::listener`]) fills for both tiers.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::cache::CacheStats;
+use em_obs::Histogram;
 
-/// Histogram bucket upper bounds, in microseconds.
-pub const LATENCY_BUCKETS_US: [u64; 10] = [
-    100, 500, 1_000, 5_000, 10_000, 50_000, 100_000, 500_000, 1_000_000, 5_000_000,
-];
+use crate::cache::CacheStats;
 
 /// The endpoints tracked individually. `Other` covers 404/405/parse
 /// failures so every handled connection is counted somewhere.
@@ -37,7 +38,7 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// All endpoints, in render order.
+    /// All endpoints, in render (and declaration) order.
     pub fn all() -> [Endpoint; 8] {
         [
             Endpoint::Explain,
@@ -64,25 +65,14 @@ impl Endpoint {
             Endpoint::Other => "other",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Endpoint::Explain => 0,
-            Endpoint::Predict => 1,
-            Endpoint::Healthz => 2,
-            Endpoint::Readyz => 3,
-            Endpoint::Metrics => 4,
-            Endpoint::Drain => 5,
-            Endpoint::Shutdown => 6,
-            Endpoint::Other => 7,
-        }
-    }
 }
 
 /// Why a connection was rejected or abandoned instead of being served
 /// normally. Each cause is one `em_serve_rejects_total{cause=...}`
-/// counter, so an operator (or the chaos suite) can attribute every
-/// misbehaving-client pattern to its specific defence (DESIGN.md §14).
+/// counter on a backend and one `em_route_rejects_total{cause=...}`
+/// counter on the router, so an operator (or the chaos suite) can
+/// attribute every misbehaving-client pattern to its specific defence
+/// at either tier (DESIGN.md §14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectCause {
     /// Queue full: 503 + `Retry-After` written from the accept thread.
@@ -108,7 +98,7 @@ pub enum RejectCause {
 }
 
 impl RejectCause {
-    /// All causes, in render order.
+    /// All causes, in render (and declaration) order.
     pub fn all() -> [RejectCause; 8] {
         [
             RejectCause::Shed,
@@ -135,46 +125,57 @@ impl RejectCause {
             RejectCause::PeerAbort => "peer_abort",
         }
     }
+}
 
-    fn index(self) -> usize {
-        match self {
-            RejectCause::Shed => 0,
-            RejectCause::ShedDrop => 1,
-            RejectCause::StaleQueue => 2,
-            RejectCause::Idle => 3,
-            RejectCause::HeaderDeadline => 4,
-            RejectCause::BodyDeadline => 5,
-            RejectCause::WriteDeadline => 6,
-            RejectCause::PeerAbort => 7,
+/// One counter per [`RejectCause`]. Rejects are deliberately **not**
+/// latency observations: a shed or reaped connection has no meaningful
+/// service latency, and recording a fabricated one (the old `0 µs` shed
+/// sample) drags the latency percentiles toward zero exactly when the
+/// server is overloaded.
+#[derive(Debug, Default)]
+pub struct Rejects([AtomicU64; 8]);
+
+impl Rejects {
+    /// Counts one rejected/abandoned connection under its cause.
+    pub fn record(&self, cause: RejectCause) {
+        if let Some(cell) = self.0.get(cause as usize) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Connections counted for `cause`.
+    pub fn get(&self, cause: RejectCause) -> u64 {
+        self.0
+            .get(cause as usize)
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+    }
+
+    /// Appends the `metric` counter family: one series per cause, every
+    /// cause rendered even at zero so scrapers see the full taxonomy from
+    /// the first scrape.
+    pub fn render(&self, out: &mut String, metric: &str) {
+        let _ = writeln!(out, "# TYPE {metric} counter");
+        for cause in RejectCause::all() {
+            let _ = writeln!(
+                out,
+                "{metric}{{cause=\"{}\"}} {}",
+                cause.label(),
+                self.get(cause)
+            );
         }
     }
 }
 
-#[derive(Debug, Default)]
-struct EndpointSeries {
-    requests: AtomicU64,
-    errors: AtomicU64,
-    bucket_counts: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    latency_sum_us: AtomicU64,
-}
-
-/// One histogram per pipeline stage ([`em_obs::Stage`]): each `/explain`
-/// request contributes one observation per stage it entered — the total
+/// The registry: per-endpoint request latency and error counts plus
+/// per-stage histograms ([`em_obs::Stage`]): each `/explain` request
+/// contributes one stage observation per stage it entered — the total
 /// time that request spent in the stage.
 #[derive(Debug, Default)]
-struct StageSeries {
-    count: AtomicU64,
-    bucket_counts: [AtomicU64; LATENCY_BUCKETS_US.len() + 1],
-    sum_us: AtomicU64,
-}
-
-/// The registry: one series per endpoint plus per-stage histograms.
-#[derive(Debug, Default)]
 pub struct Metrics {
-    series: [EndpointSeries; 8],
-    stages: [StageSeries; em_obs::N_STAGES],
+    latency: [Histogram; 8],
+    errors: [AtomicU64; 8],
+    stages: [Histogram; em_obs::N_STAGES],
     slow_requests: AtomicU64,
-    rejects: [AtomicU64; 8],
 }
 
 impl Metrics {
@@ -185,49 +186,31 @@ impl Metrics {
 
     /// Records one request: its endpoint, latency, and whether it was
     /// answered with a non-2xx status.
-    // em-lint: allow(panic-in-request-path) -- endpoint/bucket indices are bounded by Endpoint::index() and position()'s unwrap_or fallback
     pub fn record(&self, endpoint: Endpoint, latency_us: u64, is_error: bool) {
-        let series = &self.series[endpoint.index()];
-        series.requests.fetch_add(1, Ordering::Relaxed);
-        if is_error {
-            series.errors.fetch_add(1, Ordering::Relaxed);
+        if let Some(latency) = self.latency.get(endpoint as usize) {
+            latency.observe(latency_us);
         }
-        series
-            .latency_sum_us
-            .fetch_add(latency_us, Ordering::Relaxed);
-        let bucket = LATENCY_BUCKETS_US
-            .iter()
-            .position(|&bound| latency_us <= bound)
-            .unwrap_or(LATENCY_BUCKETS_US.len());
-        series.bucket_counts[bucket].fetch_add(1, Ordering::Relaxed);
+        if let Some(errors) = self.errors.get(endpoint as usize).filter(|_| is_error) {
+            errors.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Total requests recorded for an endpoint.
     pub fn requests(&self, endpoint: Endpoint) -> u64 {
-        self.series[endpoint.index()]
-            .requests
-            .load(Ordering::Relaxed)
+        self.latency
+            .get(endpoint as usize)
+            .map_or(0, Histogram::count)
     }
 
     /// Folds one request's per-stage timings (an [`em_obs::Collector`]
     /// filled during `/explain`) into the stage histograms. Stages the
     /// request never entered (e.g. everything on a cache hit) are skipped
     /// rather than observed as zeros.
-    // em-lint: allow(panic-in-request-path) -- stage/bucket indices are bounded by Stage::index() and position()'s unwrap_or fallback
     pub fn record_explain_stages(&self, trace: &em_obs::Collector) {
-        for stage in em_obs::Stage::all() {
-            if trace.stage_entries(stage) == 0 {
-                continue;
+        for (stage, us) in trace.entered_stages_us() {
+            if let Some(histogram) = self.stages.get(stage.index()) {
+                histogram.observe(us);
             }
-            let us = trace.stage_nanos(stage) / 1_000;
-            let series = &self.stages[stage.index()];
-            series.count.fetch_add(1, Ordering::Relaxed);
-            series.sum_us.fetch_add(us, Ordering::Relaxed);
-            let bucket = LATENCY_BUCKETS_US
-                .iter()
-                .position(|&bound| us <= bound)
-                .unwrap_or(LATENCY_BUCKETS_US.len());
-            series.bucket_counts[bucket].fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -241,136 +224,59 @@ impl Metrics {
         self.slow_requests.load(Ordering::Relaxed)
     }
 
-    /// Counts one rejected/abandoned connection under its cause. Rejects
-    /// are deliberately **not** latency observations: a shed or reaped
-    /// connection has no meaningful service latency, and recording a
-    /// fabricated one (the old `0 µs` shed sample) drags the latency
-    /// percentiles toward zero exactly when the server is overloaded.
-    pub fn record_reject(&self, cause: RejectCause) {
-        // em-lint: allow(panic-in-request-path) -- RejectCause::index() < 8 by construction, the array is 8 long
-        self.rejects[cause.index()].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections counted by [`Metrics::record_reject`] for a cause.
-    pub fn rejects(&self, cause: RejectCause) -> u64 {
-        // em-lint: allow(panic-in-request-path) -- RejectCause::index() < 8 by construction, the array is 8 long
-        self.rejects[cause.index()].load(Ordering::Relaxed)
-    }
-
-    /// Renders the Prometheus text exposition, including the cache
-    /// counters passed in (the cache lives next to the registry in the
-    /// server state).
-    // em-lint: allow(panic-in-request-path) -- every index is an enum index or i < LATENCY_BUCKETS_US.len() from enumerate(); arrays are one cell longer for the +Inf bucket
-    pub fn render(&self, cache: &CacheStats, cache_len: usize) -> String {
+    /// Renders the Prometheus text exposition, including the listener's
+    /// reject counters and the cache counters passed in (both live next
+    /// to the registry in the server).
+    pub fn render(&self, rejects: &Rejects, cache: &CacheStats, cache_len: usize) -> String {
         let mut out = String::new();
         out.push_str("# TYPE em_serve_requests_total counter\n");
         for ep in Endpoint::all() {
-            let s = &self.series[ep.index()];
-            out.push_str(&format!(
-                "em_serve_requests_total{{endpoint=\"{}\"}} {}\n",
+            let _ = writeln!(
+                out,
+                "em_serve_requests_total{{endpoint=\"{}\"}} {}",
                 ep.label(),
-                s.requests.load(Ordering::Relaxed)
-            ));
+                self.requests(ep)
+            );
         }
         out.push_str("# TYPE em_serve_request_errors_total counter\n");
-        for ep in Endpoint::all() {
-            let s = &self.series[ep.index()];
-            out.push_str(&format!(
-                "em_serve_request_errors_total{{endpoint=\"{}\"}} {}\n",
+        for (ep, errors) in Endpoint::all().into_iter().zip(&self.errors) {
+            let _ = writeln!(
+                out,
+                "em_serve_request_errors_total{{endpoint=\"{}\"}} {}",
                 ep.label(),
-                s.errors.load(Ordering::Relaxed)
-            ));
+                errors.load(Ordering::Relaxed)
+            );
         }
         out.push_str("# TYPE em_serve_request_latency_us histogram\n");
-        for ep in Endpoint::all() {
-            let s = &self.series[ep.index()];
-            let mut cumulative = 0u64;
-            for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cumulative += s.bucket_counts[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "em_serve_request_latency_us_bucket{{endpoint=\"{}\",le=\"{}\"}} {}\n",
-                    ep.label(),
-                    bound,
-                    cumulative
-                ));
-            }
-            cumulative += s.bucket_counts[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "em_serve_request_latency_us_bucket{{endpoint=\"{}\",le=\"+Inf\"}} {}\n",
+        for (ep, latency) in Endpoint::all().into_iter().zip(&self.latency) {
+            latency.render(
+                &mut out,
+                "em_serve_request_latency_us",
+                "endpoint",
                 ep.label(),
-                cumulative
-            ));
-            out.push_str(&format!(
-                "em_serve_request_latency_us_sum{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                s.latency_sum_us.load(Ordering::Relaxed)
-            ));
-            out.push_str(&format!(
-                "em_serve_request_latency_us_count{{endpoint=\"{}\"}} {}\n",
-                ep.label(),
-                s.requests.load(Ordering::Relaxed)
-            ));
+            );
         }
         out.push_str("# TYPE em_serve_stage_latency_us histogram\n");
-        for stage in em_obs::Stage::all() {
-            let s = &self.stages[stage.index()];
-            let mut cumulative = 0u64;
-            for (i, &bound) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cumulative += s.bucket_counts[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "em_serve_stage_latency_us_bucket{{stage=\"{}\",le=\"{}\"}} {}\n",
-                    stage.label(),
-                    bound,
-                    cumulative
-                ));
-            }
-            cumulative += s.bucket_counts[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "em_serve_stage_latency_us_bucket{{stage=\"{}\",le=\"+Inf\"}} {}\n",
+        for (stage, histogram) in em_obs::Stage::all().into_iter().zip(&self.stages) {
+            histogram.render(
+                &mut out,
+                "em_serve_stage_latency_us",
+                "stage",
                 stage.label(),
-                cumulative
-            ));
-            out.push_str(&format!(
-                "em_serve_stage_latency_us_sum{{stage=\"{}\"}} {}\n",
-                stage.label(),
-                s.sum_us.load(Ordering::Relaxed)
-            ));
-            out.push_str(&format!(
-                "em_serve_stage_latency_us_count{{stage=\"{}\"}} {}\n",
-                stage.label(),
-                s.count.load(Ordering::Relaxed)
-            ));
+            );
         }
-        out.push_str("# TYPE em_serve_rejects_total counter\n");
-        for cause in RejectCause::all() {
-            out.push_str(&format!(
-                "em_serve_rejects_total{{cause=\"{}\"}} {}\n",
-                cause.label(),
-                self.rejects[cause.index()].load(Ordering::Relaxed)
-            ));
+        rejects.render(&mut out, "em_serve_rejects_total");
+        for (name, counter) in [
+            ("em_serve_slow_requests_total", &self.slow_requests),
+            ("em_serve_cache_hits_total", &cache.hits),
+            ("em_serve_cache_misses_total", &cache.misses),
+            ("em_serve_cache_evictions_total", &cache.evictions),
+        ] {
+            let value = counter.load(Ordering::Relaxed);
+            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
         }
-        out.push_str("# TYPE em_serve_slow_requests_total counter\n");
-        out.push_str(&format!(
-            "em_serve_slow_requests_total {}\n",
-            self.slow_requests.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_serve_cache_hits_total counter\n");
-        out.push_str(&format!(
-            "em_serve_cache_hits_total {}\n",
-            cache.hits.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_serve_cache_misses_total counter\n");
-        out.push_str(&format!(
-            "em_serve_cache_misses_total {}\n",
-            cache.misses.load(Ordering::Relaxed)
-        ));
-        out.push_str("# TYPE em_serve_cache_evictions_total counter\n");
-        out.push_str(&format!(
-            "em_serve_cache_evictions_total {}\n",
-            cache.evictions.load(Ordering::Relaxed)
-        ));
         out.push_str("# TYPE em_serve_cache_entries gauge\n");
-        out.push_str(&format!("em_serve_cache_entries {cache_len}\n"));
+        let _ = writeln!(out, "em_serve_cache_entries {cache_len}");
         out
     }
 }
@@ -386,7 +292,7 @@ mod tests {
         m.record(Endpoint::Explain, 700, false); // <= 1000
         m.record(Endpoint::Explain, 10_000_000, true); // overflow bucket
         assert_eq!(m.requests(Endpoint::Explain), 3);
-        let text = m.render(&CacheStats::default(), 0);
+        let text = m.render(&Rejects::default(), &CacheStats::default(), 0);
         assert!(
             text.contains("em_serve_request_latency_us_bucket{endpoint=\"explain\",le=\"100\"} 1")
         );
@@ -406,7 +312,7 @@ mod tests {
         for us in [50, 50, 400, 900, 4000] {
             m.record(Endpoint::Predict, us, false);
         }
-        let text = m.render(&CacheStats::default(), 0);
+        let text = m.render(&Rejects::default(), &CacheStats::default(), 0);
         assert!(
             text.contains("em_serve_request_latency_us_bucket{endpoint=\"predict\",le=\"100\"} 2")
         );
@@ -430,7 +336,7 @@ mod tests {
         trace.record_stage(Stage::SurrogateFit, 50_000); // 50 us
         m.record_explain_stages(&trace);
         m.record_slow();
-        let text = m.render(&CacheStats::default(), 0);
+        let text = m.render(&Rejects::default(), &CacheStats::default(), 0);
         assert!(text
             .contains("em_serve_stage_latency_us_bucket{stage=\"model_scoring\",le=\"5000\"} 1"));
         assert!(text.contains("em_serve_stage_latency_us_sum{stage=\"model_scoring\"} 2000"));
@@ -448,7 +354,7 @@ mod tests {
         let stats = CacheStats::default();
         stats.hits.store(7, Ordering::Relaxed);
         stats.misses.store(3, Ordering::Relaxed);
-        let text = m.render(&stats, 5);
+        let text = m.render(&Rejects::default(), &stats, 5);
         assert!(text.contains("em_serve_cache_hits_total 7"));
         assert!(text.contains("em_serve_cache_misses_total 3"));
         assert!(text.contains("em_serve_cache_entries 5"));
@@ -457,12 +363,13 @@ mod tests {
     #[test]
     fn rejects_render_per_cause_without_latency_samples() {
         let m = Metrics::new();
-        m.record_reject(RejectCause::Shed);
-        m.record_reject(RejectCause::Shed);
-        m.record_reject(RejectCause::HeaderDeadline);
-        assert_eq!(m.rejects(RejectCause::Shed), 2);
-        assert_eq!(m.rejects(RejectCause::HeaderDeadline), 1);
-        let text = m.render(&CacheStats::default(), 0);
+        let rejects = Rejects::default();
+        rejects.record(RejectCause::Shed);
+        rejects.record(RejectCause::Shed);
+        rejects.record(RejectCause::HeaderDeadline);
+        assert_eq!(rejects.get(RejectCause::Shed), 2);
+        assert_eq!(rejects.get(RejectCause::HeaderDeadline), 1);
+        let text = m.render(&rejects, &CacheStats::default(), 0);
         assert!(text.contains("# TYPE em_serve_rejects_total counter"));
         assert!(text.contains("em_serve_rejects_total{cause=\"shed\"} 2"));
         assert!(text.contains("em_serve_rejects_total{cause=\"header_deadline\"} 1"));
@@ -484,7 +391,7 @@ mod tests {
 
     #[test]
     fn every_endpoint_has_a_requests_series() {
-        let text = Metrics::new().render(&CacheStats::default(), 0);
+        let text = Metrics::new().render(&Rejects::default(), &CacheStats::default(), 0);
         for ep in Endpoint::all() {
             assert!(text.contains(&format!(
                 "em_serve_requests_total{{endpoint=\"{}\"}} 0",

@@ -14,6 +14,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
@@ -21,7 +22,6 @@ use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
 use em_serve::http::Response;
-use em_serve::json::Value;
 use em_serve::{Server, ServerConfig};
 
 /// The per-connection budget used by the chaos server: short enough to
@@ -387,6 +387,7 @@ fn accept_loop_keeps_accepting_while_shedding_to_never_reading_clients() {
         .expect("probe must be accepted and answered while sheds are pending");
     assert_eq!(probe.status, 503, "probe should be shed, not queued");
     assert_eq!(probe.header("retry-after"), Some("1"));
+    assert_eq!(probe.body, "{\"error\":\"server overloaded\"}");
     assert!(
         probe_started.elapsed() < Duration::from_secs(1),
         "accept loop stalled behind never-reading shed clients: {:?}",

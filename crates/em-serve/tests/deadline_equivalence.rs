@@ -13,14 +13,15 @@
 use std::sync::OnceLock;
 use std::time::Duration;
 
+use em_codec::explain::{decode_explain_request, run_explain};
+use em_codec::ExplainOptions;
+use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_serve::client;
-use em_serve::codec::{decode_explain_request, run_explain};
-use em_serve::json::Value;
-use em_serve::{ExplainOptions, Server, ServerConfig, ServerHandle};
+use em_serve::{Server, ServerConfig, ServerHandle};
 use proptest::prelude::*;
 
 /// One server + one trained matcher shared by every proptest case: the

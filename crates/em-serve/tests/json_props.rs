@@ -2,7 +2,7 @@
 //! emit must survive encode → decode unchanged, and the parser must never
 //! panic on garbage.
 
-use em_serve::json::Value;
+use em_codec::Value;
 use proptest::prelude::*;
 
 /// Strings mixing JSON-hostile fragments: quotes, backslashes, control

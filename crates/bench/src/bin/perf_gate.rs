@@ -1,7 +1,8 @@
 //! CI perf-regression gate for the prepared scoring kernel.
 //!
-//! Compares a fresh `kernel_speedup` JSON report against the committed
-//! baseline (`results/BENCH_kernel.json`) and fails if:
+//! Compares a fresh `kernel_speedup` JSON report against its committed
+//! baseline (`results/BENCH_kernel.json` for T-AB,
+//! `results/BENCH_kernel_sfz.json` for S-FZ) and fails if:
 //!
 //! * the fresh run was not bit-identical between kernel and naive paths
 //!   (a correctness failure, never tolerated), or

@@ -3,11 +3,11 @@
 //! Decoding turns a request body into `em-entity` pairs and explainer
 //! configs (every failure is a message the server maps to a 400); encoding
 //! walks `PairExplanation` / `DualExplanation` into a deterministic
-//! [`Value`] tree. Both the online server (`em-serve`, which re-exports
-//! this module as `em_serve::codec`) and the offline batch pipeline
-//! (`em-batch`) run explanations through [`run_explain_traced`], which is
-//! what makes a batch-written record bit-identical to a served response
-//! for the same `(pair, explainer, config, seed)`. The canonical cache key
+//! [`Value`] tree. Both the online server (`em-serve`) and the offline
+//! batch pipeline (`em-batch`) run explanations through
+//! [`run_explain_traced`], which is what makes a batch-written record
+//! bit-identical to a served response for the same
+//! `(pair, explainer, config, seed)`. The canonical cache key
 //! is also built here: the JSON of the *resolved* request — schema-ordered
 //! pair values, explainer, and every config field that affects the
 //! explanation. `threads` is deliberately excluded: any thread count

@@ -11,6 +11,13 @@
 //! mask-invariant work into a one-time preparation step and scores each
 //! mask with integer id merges over reusable buffers.
 //!
+//! Each attribute's similarity reads only the mask bits of that
+//! attribute's own tokens, so a scorer also memoizes it per distinct
+//! sub-mask of those bits: a view's hundreds of masks compute each
+//! similarity at most 2^t times for an attribute with t varying tokens
+//! (up to [`MEMO_MAX_BITS`]). A memo hit returns the `f64` an earlier
+//! miss computed from the same bits, so it cannot change a result.
+//!
 //! **Bit-identity.** Every per-mask computation here replays the *exact*
 //! floating-point operation sequence of
 //! [`FeatureExtractor::extract`](crate::FeatureExtractor) on the
@@ -43,6 +50,14 @@ use em_text::{jaro_winkler, levenshtein_similarity, numeric_value_similarity, pa
 use crate::features::{code_similarity_norm, combine_name, combine_text, FeatureExtractor};
 use crate::logistic_matcher::LogisticMatcher;
 use crate::naive_bayes::NaiveBayesMatcher;
+
+/// Most mask bits one attribute's similarity may read and still get a
+/// memo table. A table has a slot per sub-mask, 2^t for t bits, and is
+/// allocated whole when the scorer is prepared, so the cap bounds it at
+/// 16 KiB per attribute whatever the input. 2^10 slots are already about
+/// twice a default view's 500 masks; past that most slots would be
+/// allocated and never filled.
+const MEMO_MAX_BITS: usize = 10;
 
 /// Mask-invariant state for one side of one attribute.
 #[derive(Debug)]
@@ -83,6 +98,14 @@ enum SideState<'a> {
 }
 
 impl SideState<'_> {
+    /// The global mask bits this side reads: none when fixed.
+    fn bits(&self) -> &[usize] {
+        match self {
+            SideState::Fixed { .. } => &[],
+            SideState::Varying { feat_idx, .. } => feat_idx,
+        }
+    }
+
     /// Collects the mask-surviving normalized tokens: `seq` gets their
     /// positions in this side's Monge-Elkan sequence (ascending), `ids`
     /// their interned ids sorted ascending (duplicates preserved).
@@ -207,10 +230,73 @@ struct AttrState<'a> {
     ncols: usize,
 }
 
-/// Reusable per-mask buffers: one allocation set per scorer, reused for
-/// every mask it scores.
+impl AttrState<'_> {
+    /// Number of mask bits the similarity reads (both sides).
+    fn n_bits(&self) -> usize {
+        self.left.bits().len() + self.right.bits().len()
+    }
+
+    /// The bits the similarity reads, packed into a memo slot index
+    /// (left side's bits lowest, each side in token order).
+    fn memo_index(&self, mask: &[bool]) -> usize {
+        self.left
+            .bits()
+            .iter()
+            .chain(self.right.bits())
+            .enumerate()
+            .fold(0, |index, (k, &bit)| index | usize::from(mask[bit]) << k)
+    }
+
+    /// The attribute's similarity on the reconstructed pair. It reads only
+    /// the mask bits its sides' [`SideState::bits`] name, and `bufs` holds
+    /// intermediates only, so it is a pure function of those bits.
+    fn similarity(&self, mask: &[bool], bufs: &mut MaskBuffers, idf_by_id: &[f64]) -> f64 {
+        match self.kind {
+            AttributeKind::Name => {
+                self.left
+                    .gather_norm(mask, &mut bufs.l_seq, &mut bufs.l_ids);
+                self.right
+                    .gather_norm(mask, &mut bufs.r_seq, &mut bufs.r_ids);
+                let jac = jaccard_ids(&bufs.l_ids, &bufs.r_ids);
+                let me = monge_elkan_matrix(&bufs.l_seq, &bufs.r_seq, &self.jw, self.ncols);
+                combine_name(jac, me)
+            }
+            AttributeKind::Text => {
+                self.left
+                    .gather_norm(mask, &mut bufs.l_seq, &mut bufs.l_ids);
+                self.right
+                    .gather_norm(mask, &mut bufs.r_seq, &mut bufs.r_ids);
+                let ld = self.left.doc(&bufs.l_ids, &mut bufs.l_doc, idf_by_id);
+                let rd = self.right.doc(&bufs.r_ids, &mut bufs.r_doc, idf_by_id);
+                let tfidf = cosine_prepared(ld, rd);
+                let jac = jaccard_ids(&bufs.l_ids, &bufs.r_ids);
+                combine_text(tfidf, jac)
+            }
+            AttributeKind::Numeric => {
+                match (
+                    self.left.numeric_value(mask),
+                    self.right.numeric_value(mask),
+                ) {
+                    (Some(x), Some(y)) => numeric_value_similarity(x, y),
+                    _ => {
+                        let l = self.left.raw_value(mask, &mut bufs.l_str);
+                        let r = self.right.raw_value(mask, &mut bufs.r_str);
+                        levenshtein_similarity(l, r)
+                    }
+                }
+            }
+            AttributeKind::Code => {
+                let l = self.left.code_value(mask, &mut bufs.l_str);
+                let r = self.right.code_value(mask, &mut bufs.r_str);
+                code_similarity_norm(l, r)
+            }
+        }
+    }
+}
+
+/// Reusable buffers for one similarity computation.
 #[derive(Debug, Default)]
-struct Scratch {
+struct MaskBuffers {
     l_seq: Vec<usize>,
     r_seq: Vec<usize>,
     l_ids: Vec<u32>,
@@ -219,6 +305,17 @@ struct Scratch {
     r_doc: PreparedDoc,
     l_str: String,
     r_str: String,
+}
+
+/// Per-scorer mutable state: one allocation set, reused for every mask
+/// the scorer scores.
+#[derive(Debug, Default)]
+struct Scratch {
+    bufs: MaskBuffers,
+    /// Token-drop only: per attribute, one slot per sub-mask of its bits
+    /// (indexed by [`AttrState::memo_index`]), filled on first use; empty
+    /// for an attribute over [`MEMO_MAX_BITS`].
+    memo: Vec<Vec<Option<f64>>>,
     features: Vec<f64>,
 }
 
@@ -327,6 +424,23 @@ impl<'a> PreparedTokenDrop<'a> {
         }
     }
 
+    /// Scratch for this family, with an unfilled memo table for every
+    /// attribute within [`MEMO_MAX_BITS`].
+    fn scratch(&self) -> Scratch {
+        let memo = self
+            .attrs
+            .iter()
+            .map(|attr| match attr.n_bits() {
+                t if t <= MEMO_MAX_BITS => vec![None; 1 << t],
+                _ => Vec::new(),
+            })
+            .collect();
+        Scratch {
+            memo,
+            ..Scratch::default()
+        }
+    }
+
     /// Computes the feature vector for one mask into `scratch.features`,
     /// bit-identical to extracting from the reconstructed pair.
     fn features<'s>(&self, mask: &[bool], scratch: &'s mut Scratch) -> &'s [f64] {
@@ -335,56 +449,23 @@ impl<'a> PreparedTokenDrop<'a> {
             self.mask_len,
             "perturbation mask length must equal the spec's mask length"
         );
-        scratch.features.clear();
-        for attr in &self.attrs {
-            let value = match attr.kind {
-                AttributeKind::Name => {
-                    attr.left
-                        .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
-                    attr.right
-                        .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
-                    let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
-                    let me =
-                        monge_elkan_matrix(&scratch.l_seq, &scratch.r_seq, &attr.jw, attr.ncols);
-                    combine_name(jac, me)
-                }
-                AttributeKind::Text => {
-                    attr.left
-                        .gather_norm(mask, &mut scratch.l_seq, &mut scratch.l_ids);
-                    attr.right
-                        .gather_norm(mask, &mut scratch.r_seq, &mut scratch.r_ids);
-                    let ld = attr
-                        .left
-                        .doc(&scratch.l_ids, &mut scratch.l_doc, &self.idf_by_id);
-                    let rd = attr
-                        .right
-                        .doc(&scratch.r_ids, &mut scratch.r_doc, &self.idf_by_id);
-                    let tfidf = cosine_prepared(ld, rd);
-                    let jac = jaccard_ids(&scratch.l_ids, &scratch.r_ids);
-                    combine_text(tfidf, jac)
-                }
-                AttributeKind::Numeric => {
-                    match (
-                        attr.left.numeric_value(mask),
-                        attr.right.numeric_value(mask),
-                    ) {
-                        (Some(x), Some(y)) => numeric_value_similarity(x, y),
-                        _ => {
-                            let l = attr.left.raw_value(mask, &mut scratch.l_str);
-                            let r = attr.right.raw_value(mask, &mut scratch.r_str);
-                            levenshtein_similarity(l, r)
-                        }
-                    }
-                }
-                AttributeKind::Code => {
-                    let l = attr.left.code_value(mask, &mut scratch.l_str);
-                    let r = attr.right.code_value(mask, &mut scratch.r_str);
-                    code_similarity_norm(l, r)
-                }
+        let Scratch {
+            bufs,
+            memo,
+            features,
+        } = scratch;
+        features.clear();
+        for (a, attr) in self.attrs.iter().enumerate() {
+            let table = &mut memo[a];
+            let value = if table.is_empty() {
+                attr.similarity(mask, bufs, &self.idf_by_id)
+            } else {
+                *table[attr.memo_index(mask)]
+                    .get_or_insert_with(|| attr.similarity(mask, bufs, &self.idf_by_id))
             };
-            scratch.features.push(value);
+            features.push(value);
         }
-        &scratch.features
+        features
     }
 }
 
@@ -602,18 +683,20 @@ impl<'a> PreparedFeatures<'a> {
         schema: &Schema,
         spec: &PerturbSpec<'a>,
     ) -> Self {
-        let family = match spec {
-            PerturbSpec::TokenDrop { pair, left, right } => PreparedFamily::TokenDrop(
-                PreparedTokenDrop::new(extractor, schema, pair, left, right),
-            ),
-            PerturbSpec::AttrCopy { pair, copy_into } => {
-                PreparedFamily::AttrCopy(PreparedAttrCopy::new(extractor, schema, pair, *copy_into))
+        let (family, scratch) = match spec {
+            PerturbSpec::TokenDrop { pair, left, right } => {
+                let td = PreparedTokenDrop::new(extractor, schema, pair, left, right);
+                let scratch = td.scratch();
+                (PreparedFamily::TokenDrop(td), scratch)
             }
+            PerturbSpec::AttrCopy { pair, copy_into } => (
+                PreparedFamily::AttrCopy(PreparedAttrCopy::new(
+                    extractor, schema, pair, *copy_into,
+                )),
+                Scratch::default(),
+            ),
         };
-        PreparedFeatures {
-            family,
-            scratch: Scratch::default(),
-        }
+        PreparedFeatures { family, scratch }
     }
 
     /// The feature vector for one mask (borrowed from internal scratch).
@@ -680,7 +763,7 @@ mod tests {
     use crate::logistic_matcher::MatcherConfig;
     use em_entity::prepared::FallbackScorer;
     use em_entity::schema::Attribute;
-    use em_entity::tokenizer::tokenize_entity;
+    use em_entity::tokenizer::{tokenize_entity, Token};
     use em_entity::{EmDataset, Entity, LabeledPair, MatchModel};
 
     fn schema() -> Schema {
@@ -777,16 +860,79 @@ mod tests {
         out
     }
 
+    /// Every assignment of the mask bits at `bits`, the other bits kept:
+    /// one attribute over all of its sub-masks.
+    fn sub_masks(n: usize, bits: &[usize]) -> Vec<Vec<bool>> {
+        (0..1usize << bits.len())
+            .map(|sub| {
+                let mut mask = vec![true; n];
+                for (k, &bit) in bits.iter().enumerate() {
+                    mask[bit] = sub >> k & 1 == 1;
+                }
+                mask
+            })
+            .collect()
+    }
+
+    /// Mask bits of attribute `attr`'s tokens in a varying side whose
+    /// first token is mask bit `offset`.
+    fn attr_bits(tokens: &[Token], attr: usize, offset: usize) -> Vec<usize> {
+        (0..tokens.len())
+            .filter(|&i| tokens[i].attribute == attr)
+            .map(|i| offset + i)
+            .collect()
+    }
+
+    /// `n` words cycled from a small vocabulary (with repeats), starting
+    /// at word `start`.
+    fn words(start: usize, n: usize) -> String {
+        const VOCAB: [&str; 7] = ["sony", "alpha", "slr", "camera", "lens", "kit", "a200"];
+        (start..start + n)
+            .map(|i| VOCAB[i % VOCAB.len()])
+            .collect::<Vec<_>>()
+            .join(" ")
+    }
+
+    /// Memo table sizes, per attribute, of a logistic scorer for `spec`.
+    fn memo_slots(m: &LogisticMatcher, s: &Schema, spec: &PerturbSpec<'_>) -> Vec<usize> {
+        let features = PreparedFeatures::new(m.extractor(), s, spec);
+        features.scratch.memo.iter().map(Vec::len).collect()
+    }
+
     fn assert_kernel_matches_fallback<M: MatchModel>(model: &M, s: &Schema, spec: PerturbSpec<'_>) {
+        let masks = masks_for(spec.mask_len(s.len()));
+        assert_kernel_matches_fallback_on(model, s, spec, &masks);
+    }
+
+    /// Checks every mask against the fallback, then scores them again in
+    /// reverse through the same scorer: memo tables filled in one order
+    /// must give the same bits in the other.
+    fn assert_kernel_matches_fallback_on<M: MatchModel>(
+        model: &M,
+        s: &Schema,
+        spec: PerturbSpec<'_>,
+        masks: &[Vec<bool>],
+    ) {
         let mut kernel = model.prepare_scorer(s, &spec);
         let mut naive = FallbackScorer::new(model, s, &spec);
-        for mask in masks_for(spec.mask_len(s.len())) {
-            let k = kernel.score_mask(&mask);
-            let n = naive.score_mask(&mask);
+        let forwards: Vec<u64> = masks
+            .iter()
+            .map(|mask| {
+                let k = kernel.score_mask(mask);
+                let n = naive.score_mask(mask);
+                assert_eq!(
+                    k.to_bits(),
+                    n.to_bits(),
+                    "kernel {k} != naive {n} for mask {mask:?}"
+                );
+                k.to_bits()
+            })
+            .collect();
+        for (mask, bits) in masks.iter().zip(&forwards).rev() {
             assert_eq!(
-                k.to_bits(),
-                n.to_bits(),
-                "kernel {k} != naive {n} for mask {mask:?}"
+                kernel.score_mask(mask).to_bits(),
+                *bits,
+                "scoring in reverse order changed mask {mask:?}"
             );
         }
     }
@@ -883,6 +1029,99 @@ mod tests {
             left: SideSpec::Varying(&tokens[..]),
             right: SideSpec::Fixed,
         };
+        assert_kernel_matches_fallback(&m, s, spec);
+    }
+
+    #[test]
+    fn memo_cap_boundary_is_bit_identical_on_every_sub_mask() {
+        // The name has exactly MEMO_MAX_BITS varying tokens and gets a
+        // table; the description has one more and is computed per mask.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let pair = EntityPair::new(
+            Entity::new(vec![
+                words(0, MEMO_MAX_BITS),
+                words(2, MEMO_MAX_BITS + 1),
+                "849.99".into(),
+                "DSLRA200W".into(),
+            ]),
+            d.records()[0].pair.right.clone(),
+        );
+        let tokens = tokenize_entity(&pair.left);
+        let spec = PerturbSpec::TokenDrop {
+            pair: &pair,
+            left: SideSpec::Varying(&tokens[..]),
+            right: SideSpec::Fixed,
+        };
+        assert_eq!(memo_slots(&m, s, &spec), [1 << MEMO_MAX_BITS, 0, 2, 2]);
+        for attr in [0, 1] {
+            let masks = sub_masks(tokens.len(), &attr_bits(&tokens, attr, 0));
+            assert_kernel_matches_fallback_on(&m, s, spec, &masks);
+        }
+        // Every sub-mask of the name was scored, so its table is full.
+        let mut features = PreparedFeatures::new(m.extractor(), s, &spec);
+        for mask in sub_masks(tokens.len(), &attr_bits(&tokens, 0, 0)) {
+            features.compute(&mask);
+        }
+        assert!(features.scratch.memo[0].iter().all(Option::is_some));
+    }
+
+    #[test]
+    fn memo_cap_counts_both_varying_sides() {
+        // LIME varies both sides: each name side is under the cap, but the
+        // similarity reads both, and together they cross it.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let half = MEMO_MAX_BITS / 2 + 1;
+        let pair = EntityPair::new(
+            Entity::new(vec![
+                words(0, half),
+                "slr camera".into(),
+                "849.99".into(),
+                "A200".into(),
+            ]),
+            Entity::new(vec![
+                words(3, half),
+                "camera kit".into(),
+                "$850".into(),
+                "a200".into(),
+            ]),
+        );
+        let lt = tokenize_entity(&pair.left);
+        let rt = tokenize_entity(&pair.right);
+        let spec = PerturbSpec::TokenDrop {
+            pair: &pair,
+            left: SideSpec::Varying(&lt[..]),
+            right: SideSpec::Varying(&rt[..]),
+        };
+        assert_eq!(memo_slots(&m, s, &spec), [0, 1 << 4, 1 << 2, 1 << 2]);
+        let mut name_bits = attr_bits(&lt, 0, 0);
+        name_bits.extend(attr_bits(&rt, 0, lt.len()));
+        let masks = sub_masks(lt.len() + rt.len(), &name_bits);
+        assert_kernel_matches_fallback_on(&m, s, spec, &masks);
+        assert_kernel_matches_fallback(&m, s, spec);
+    }
+
+    #[test]
+    fn memo_covers_an_attribute_whose_varying_side_has_no_tokens() {
+        // The blank name and description read no mask bit: one slot each,
+        // filled by the first mask and reused by every other.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let pair = EntityPair::new(
+            Entity::new(vec!["", "   ", "around 12.50", "DSLRA200W"]),
+            d.records()[0].pair.right.clone(),
+        );
+        let tokens = tokenize_entity(&pair.left);
+        let spec = PerturbSpec::TokenDrop {
+            pair: &pair,
+            left: SideSpec::Varying(&tokens[..]),
+            right: SideSpec::Fixed,
+        };
+        assert_eq!(memo_slots(&m, s, &spec), [1, 1, 1 << 2, 1 << 1]);
         assert_kernel_matches_fallback(&m, s, spec);
     }
 

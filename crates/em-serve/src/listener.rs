@@ -101,6 +101,11 @@ impl Listener {
         self.addr
     }
 
+    /// Size of the worker pool.
+    pub(crate) fn workers(&self) -> usize {
+        self.workers
+    }
+
     /// Connections accepted but not yet picked up by a worker.
     pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()

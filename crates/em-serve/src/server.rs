@@ -228,11 +228,12 @@ fn handle_readyz(state: &Server) -> Response {
 
 fn handle_explain(state: &Server, request: &Request) -> Response {
     let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency for the X-Compute-Micros header and metrics only; never touches explanation bytes
-    let decoded = match codec::decode_explain_request(&request.body, &state.schema, &state.defaults)
-    {
-        Ok(d) => d,
-        Err(msg) => return Response::error(400, &msg),
-    };
+    let mut decoded =
+        match codec::decode_explain_request(&request.body, &state.schema, &state.defaults) {
+            Ok(d) => d,
+            Err(msg) => return Response::error(400, &msg),
+        };
+    decoded.options.threads = request_threads(decoded.options.threads, state.listener.workers());
     let key = codec::cache_key(&state.schema, &decoded);
     let trace = em_obs::Collector::new();
     let (body, cache_state) = match state.cache.get(&key) {
@@ -266,6 +267,17 @@ fn handle_explain(state: &Server, request: &Request) -> Response {
         .with_header("X-Timing", &timing)
 }
 
+/// The scoring threads one `/explain` may use: `0` (auto) and any count
+/// above the worker pool mean the pool size. Every thread count gives the
+/// same bytes (DESIGN.md §7), so this bounds how far one request fans
+/// out, never what it answers.
+fn request_threads(requested: usize, workers: usize) -> usize {
+    match requested {
+        0 => workers,
+        n => n.min(workers),
+    }
+}
+
 /// Formats the `X-Timing` header: total handler wall-clock plus one
 /// `stage=<n>us` entry for every pipeline stage the request entered (a
 /// cache hit therefore reports only `total`).
@@ -292,4 +304,20 @@ fn handle_predict(state: &Server, request: &Request) -> Response {
         200,
         codec::encode_prediction(probability, state.predict_threshold).to_json(),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::request_threads;
+
+    #[test]
+    fn request_threads_are_clamped_to_the_worker_pool() {
+        assert_eq!(request_threads(0, 4), 4);
+        assert_eq!(request_threads(1, 4), 1);
+        assert_eq!(request_threads(3, 4), 3);
+        assert_eq!(request_threads(4, 4), 4);
+        assert_eq!(request_threads(1024, 4), 4);
+        assert_eq!(request_threads(0, 1), 1);
+        assert_eq!(request_threads(1024, 1), 1);
+    }
 }

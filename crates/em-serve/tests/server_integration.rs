@@ -16,7 +16,9 @@ use landmark_core::{LandmarkConfig, LandmarkExplainer};
 const N_SAMPLES: usize = 64;
 const SEED: u64 = 42;
 
-fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
+/// An `/explain` body for `pair`, with `"threads"` in its config when
+/// given.
+fn explain_body(schema: &Schema, pair: &EntityPair, threads: Option<usize>) -> String {
     let entity = |e: &em_entity::Entity| {
         Value::Object(
             (0..schema.len())
@@ -35,10 +37,15 @@ fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
         ("explainer", Value::string("landmark")),
         (
             "config",
-            Value::object(vec![
-                ("n_samples", N_SAMPLES.into()),
-                ("seed", Value::Number(SEED as f64)),
-            ]),
+            Value::object(
+                [
+                    ("n_samples", N_SAMPLES.into()),
+                    ("seed", Value::Number(SEED as f64)),
+                ]
+                .into_iter()
+                .chain(threads.map(|n| ("threads", n.into())))
+                .collect(),
+            ),
         ),
     ])
     .to_json()
@@ -99,7 +106,7 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
     );
 
     // Cold explanation.
-    let body = explain_body(&schema, &pair);
+    let body = explain_body(&schema, &pair, None);
     let cold = client::request(addr, "POST", "/explain", &body).unwrap();
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert_eq!(cold.header("x-cache"), Some("miss"));
@@ -231,4 +238,42 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
     let bye = client::request(addr, "POST", "/shutdown", "").unwrap();
     assert_eq!(bye.status, 200);
     handle.join();
+}
+
+#[test]
+fn request_thread_count_never_changes_the_body() {
+    // `threads` is left out of the cache key, so each count gets a server
+    // of its own and both requests compute. The pool has 2 workers, so
+    // 1024 requested threads run as 2.
+    let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
+    let schema = dataset.schema().clone();
+    let pair = dataset.records()[0].pair.clone();
+    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let bodies: Vec<String> = [1, 1024]
+        .into_iter()
+        .map(|threads| {
+            let server = Server::bind(
+                "127.0.0.1:0",
+                schema.clone(),
+                Box::new(matcher.clone()),
+                ServerConfig {
+                    parallelism: ParallelismConfig::with_threads(2),
+                    ..Default::default()
+                },
+            )
+            .expect("bind ephemeral port");
+            let handle = server.spawn();
+            let body = explain_body(&schema, &pair, Some(threads));
+            let response = client::request(handle.addr(), "POST", "/explain", &body).unwrap();
+            assert_eq!(response.status, 200, "{}", response.body);
+            assert_eq!(response.header("x-cache"), Some("miss"));
+            client::request(handle.addr(), "POST", "/shutdown", "").unwrap();
+            handle.join();
+            response.body
+        })
+        .collect();
+    assert_eq!(
+        bodies[0], bodies[1],
+        "threads 1 and 1024 must give the same bytes"
+    );
 }

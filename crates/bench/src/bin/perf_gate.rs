@@ -1,11 +1,13 @@
-//! CI perf-regression gate for the prepared scoring kernel.
+//! CI perf-regression gate for the prepared scoring kernel and the fused
+//! surrogate fit.
 //!
-//! Compares a fresh `kernel_speedup` JSON report against its committed
-//! baseline (`results/BENCH_kernel.json` for T-AB,
-//! `results/BENCH_kernel_sfz.json` for S-FZ) and fails if:
+//! Compares a fresh speedup report against its committed baseline
+//! (`kernel_speedup`: `results/BENCH_kernel.json` for T-AB,
+//! `results/BENCH_kernel_sfz.json` for S-FZ; `fit_speedup`:
+//! `results/BENCH_fit_sfz.json`) and fails if:
 //!
-//! * the fresh run was not bit-identical between kernel and naive paths
-//!   (a correctness failure, never tolerated), or
+//! * the fresh run was not bit-identical between the optimized and the
+//!   reference path (a correctness failure, never tolerated), or
 //! * the fresh speedup fell more than 25% below the baseline speedup
 //!   (a perf regression beyond shared-runner noise).
 //!
@@ -17,7 +19,8 @@
 use em_codec::Value;
 
 /// Fraction of the baseline speedup the fresh run may lose before the
-/// gate fails (shared CI runners are noisy; the kernel's margin is not).
+/// gate fails (shared CI runners are noisy; the optimizations' margins
+/// are not).
 const TOLERANCE: f64 = 0.25;
 
 struct Report {
@@ -58,7 +61,7 @@ fn main() {
     let current = load(&args[2]);
     let floor = baseline.speedup * (1.0 - TOLERANCE);
 
-    println!("# Kernel perf gate");
+    println!("# Perf gate");
     println!(
         "  baseline speedup: {:>7.2}x  ({})",
         baseline.speedup, args[1]
@@ -77,12 +80,14 @@ fn main() {
     );
 
     if !current.bit_identical {
-        eprintln!("\nFAIL: current run was not bit-identical between kernel and naive paths");
+        eprintln!(
+            "\nFAIL: current run was not bit-identical between optimized and reference paths"
+        );
         std::process::exit(1);
     }
     if current.speedup < floor {
         eprintln!(
-            "\nFAIL: kernel speedup regressed: {:.2}x < floor {:.2}x",
+            "\nFAIL: speedup regressed: {:.2}x < floor {:.2}x",
             current.speedup, floor
         );
         std::process::exit(1);

@@ -139,7 +139,8 @@ impl LandmarkExplainer {
 
     /// [`LandmarkExplainer::explain`] with per-stage timings recorded into
     /// `tracer`. Tracing only observes — traced and untraced explanations
-    /// are bit-identical (DESIGN.md §10).
+    /// are bit-identical (DESIGN.md §10). The record's own prediction is
+    /// computed once and shared by both landmark views.
     pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
@@ -147,21 +148,12 @@ impl LandmarkExplainer {
         pair: &EntityPair,
         tracer: &dyn Tracer,
     ) -> DualExplanation {
+        let model_prediction = model.predict_proba(schema, pair);
+        let view =
+            |landmark| self.explain_view(model, schema, pair, landmark, model_prediction, tracer);
         DualExplanation {
-            left_landmark: self.explain_with_landmark_traced(
-                model,
-                schema,
-                pair,
-                EntitySide::Left,
-                tracer,
-            ),
-            right_landmark: self.explain_with_landmark_traced(
-                model,
-                schema,
-                pair,
-                EntitySide::Right,
-                tracer,
-            ),
+            left_landmark: view(EntitySide::Left),
+            right_landmark: view(EntitySide::Right),
         }
     }
 
@@ -187,6 +179,20 @@ impl LandmarkExplainer {
         tracer: &dyn Tracer,
     ) -> LandmarkExplanation {
         let model_prediction = model.predict_proba(schema, pair);
+        self.explain_view(model, schema, pair, landmark, model_prediction, tracer)
+    }
+
+    /// One landmark view, given the model's prediction for the unperturbed
+    /// record (which resolves `Auto` and is reported as-is).
+    fn explain_view<M: MatchModel + Sync>(
+        &self,
+        model: &M,
+        schema: &Schema,
+        pair: &EntityPair,
+        landmark: EntitySide,
+        model_prediction: f64,
+        tracer: &dyn Tracer,
+    ) -> LandmarkExplanation {
         let strategy = self.config.strategy.resolve(model_prediction);
         let view = {
             // Landmark generation tokenizes both entities and (under
@@ -478,6 +484,52 @@ mod tests {
             a.right_landmark.explanation.token_weights,
             b.right_landmark.explanation.token_weights
         );
+    }
+
+    /// Counts `predict_proba` calls; its kernel scores masks without
+    /// calling it, so the count is the explainer's own record predictions.
+    struct CountingModel(std::sync::atomic::AtomicUsize);
+
+    struct KeptFractionScorer;
+
+    impl em_entity::PreparedScorer for KeptFractionScorer {
+        fn score_mask(&mut self, mask: &[bool]) -> f64 {
+            mask.iter().filter(|&&b| b).count() as f64 / mask.len().max(1) as f64
+        }
+    }
+
+    impl MatchModel for CountingModel {
+        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            0.25
+        }
+
+        fn prepare_scorer<'a>(
+            &'a self,
+            _schema: &'a Schema,
+            _spec: &'a PerturbSpec<'a>,
+        ) -> Box<dyn em_entity::PreparedScorer + 'a> {
+            Box::new(KeptFractionScorer)
+        }
+    }
+
+    #[test]
+    fn both_views_share_one_record_prediction() {
+        let model = CountingModel(Default::default());
+        let dual = LandmarkExplainer::default().explain(&model, &schema(), &non_matching_pair());
+        assert_eq!(model.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        for view in dual.both() {
+            assert_eq!(view.explanation.model_prediction, 0.25);
+            assert_eq!(view.strategy, ResolvedStrategy::DoubleEntity);
+        }
+        // The single-view entry point still predicts its own record.
+        LandmarkExplainer::default().explain_with_landmark(
+            &model,
+            &schema(),
+            &non_matching_pair(),
+            EntitySide::Left,
+        );
+        assert_eq!(model.0.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 
     #[test]

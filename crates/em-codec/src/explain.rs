@@ -17,7 +17,7 @@
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{
     LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer, PairExplanation,
-    SurrogateConfig, SurrogateSolver,
+    SurrogateConfig, SurrogateSolver, MIN_KERNEL_WIDTH,
 };
 use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
@@ -75,7 +75,8 @@ pub struct ExplainOptions {
     /// Scoring threads within one request (`0` auto, `1` serial). Not part
     /// of the cache key; see the module docs.
     pub threads: usize,
-    /// Proximity-kernel width.
+    /// Proximity-kernel width; a request may not go below
+    /// [`MIN_KERNEL_WIDTH`].
     pub kernel_width: f64,
     /// Surrogate solver.
     pub solver: SurrogateSolver,
@@ -195,10 +196,14 @@ pub fn decode_explain_request(
                     options.threads = n as usize;
                 }
                 "kernel_width" => {
+                    // Narrower widths underflow the kernel: the fit turns
+                    // non-finite instead of explaining (MIN_KERNEL_WIDTH).
                     let w = value
                         .as_f64()
-                        .filter(|w| *w > 0.0)
-                        .ok_or("\"kernel_width\" must be a positive number")?;
+                        .filter(|w| *w >= MIN_KERNEL_WIDTH)
+                        .ok_or_else(|| {
+                            format!("\"kernel_width\" must be a number >= {MIN_KERNEL_WIDTH:e}")
+                        })?;
                     options.kernel_width = w;
                 }
                 "solver" => {
@@ -506,6 +511,26 @@ mod tests {
         ] {
             let err = decode_explain_request(body, &s, &d).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
+        }
+    }
+
+    #[test]
+    fn kernel_widths_below_the_floor_are_rejected() {
+        let s = schema();
+        let d = ExplainOptions::default();
+        let body = |width: &str| {
+            format!(
+                r#"{{"pair": {{"left": {{"name": "alpha"}}, "right": {{"name": "beta"}}}},
+                     "explainer": "lime", "config": {{"kernel_width": {width}}}}}"#
+            )
+        };
+        for width in ["1e-150", "1e-17", "9.99e-7", "0", "-0.25", "\"0.25\""] {
+            let err = decode_explain_request(&body(width), &s, &d).unwrap_err();
+            assert_eq!(err, "\"kernel_width\" must be a number >= 1e-6", "{width}");
+        }
+        for (width, expected) in [("1e-6", MIN_KERNEL_WIDTH), ("0.25", 0.25), ("5", 5.0)] {
+            let req = decode_explain_request(&body(width), &s, &d).unwrap();
+            assert_eq!(req.options.kernel_width, expected, "{width}");
         }
     }
 

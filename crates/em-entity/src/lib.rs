@@ -8,6 +8,7 @@
 //! * [`Entity`] — one entity's attribute values;
 //! * [`EntityPair`] / [`LabeledPair`] — the record to classify / explain;
 //! * [`EmDataset`] — a labeled collection with split / sampling helpers;
+//! * [`Masks`] — a record's perturbation masks as one flat `n × d` matrix;
 //! * the [prefix tokenizer](tokenizer) of the paper (Section 3.1): one token
 //!   per space-separated term, prefixed with the attribute and an
 //!   occurrence index so that duplicate words stay distinguishable;
@@ -21,6 +22,7 @@ pub mod blocking;
 pub mod csv;
 pub mod dataset;
 pub mod entity;
+pub mod masks;
 pub mod model;
 pub mod pair;
 pub mod prepared;
@@ -31,6 +33,7 @@ pub use blocking::{evaluate_blocking, token_blocking, BlockingConfig, BlockingQu
 pub use csv::{dataset_from_csv, dataset_from_reader, dataset_to_csv, CsvError, CsvRecords};
 pub use dataset::{EmDataset, SplitConfig};
 pub use entity::{Entity, UnknownAttribute};
+pub use masks::Masks;
 pub use model::MatchModel;
 pub use pair::{EntityPair, EntitySide, LabeledPair};
 pub use prepared::{FallbackScorer, PerturbSpec, PreparedScorer, SideSpec};

@@ -1,5 +1,6 @@
 //! The black-box model interface every explainer consumes.
 
+use crate::masks::Masks;
 use crate::pair::EntityPair;
 use crate::prepared::{FallbackScorer, PerturbSpec, PreparedScorer};
 use crate::schema::Schema;
@@ -102,7 +103,7 @@ pub trait MatchModel {
     /// via [`MatchModel::prepare_scorer`].
     ///
     /// Each worker builds one scorer and reuses its buffers across its
-    /// contiguous chunk of masks; results come back in input order. For
+    /// contiguous chunk of mask rows; results come back in row order. For
     /// any thread count the output is bit-identical to scoring serially —
     /// and, by the prepared-scorer contract, to reconstructing each
     /// masked pair and calling [`MatchModel::predict_proba`] on it.
@@ -110,7 +111,7 @@ pub trait MatchModel {
         &self,
         schema: &Schema,
         spec: &PerturbSpec<'_>,
-        masks: &[Vec<bool>],
+        masks: &Masks,
         parallelism: &ParallelismConfig,
     ) -> Vec<f64>
     where
@@ -127,7 +128,7 @@ pub trait MatchModel {
         &self,
         schema: &Schema,
         spec: &PerturbSpec<'_>,
-        masks: &[Vec<bool>],
+        masks: &Masks,
         parallelism: &ParallelismConfig,
         tracer: &dyn Tracer,
     ) -> Vec<f64>
@@ -136,9 +137,10 @@ pub trait MatchModel {
     {
         let _span = Span::enter(tracer, Stage::ModelScoring);
         tracer.add(Counter::SamplesScored, masks.len() as u64);
+        let rows: Vec<&[bool]> = masks.iter().collect();
         em_par::par_map_init(
             parallelism,
-            masks,
+            &rows,
             || self.prepare_scorer(schema, spec),
             |scorer, _, mask| scorer.score_mask(mask),
         )
@@ -289,12 +291,11 @@ mod tests {
             pair: &p,
             copy_into: crate::pair::EntitySide::Right,
         };
-        let masks: Vec<Vec<bool>> = vec![
-            vec![true, true],
-            vec![false, true],
-            vec![true, false],
-            vec![false, false],
-        ];
+        // Every mask of width 2: 11, 01, 10, 00.
+        let mut masks = Masks::all_true(4, 2);
+        masks.row_mut(1)[0] = false;
+        masks.row_mut(2)[1] = false;
+        masks.row_mut(3).fill(false);
         let expected: Vec<f64> = masks
             .iter()
             .map(|m| EqualityModel.predict_proba(&s, &spec.reconstruct(m, s.len())))

@@ -112,7 +112,7 @@ fn lime_stats<M: MatchModel + Sync>(
     let masks = MaskSampler::new(seed).sample(features.len(), n_samples);
     let mut probs = Vec::with_capacity(masks.len());
     let mut nulls = 0usize;
-    for mask in &masks {
+    for mask in masks.iter() {
         // Null perturbation: some shared text dropped from both sides.
         let mut dropped_left: HashSet<&str> = HashSet::new();
         let mut dropped_right: HashSet<&str> = HashSet::new();

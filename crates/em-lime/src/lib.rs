@@ -26,6 +26,8 @@ pub mod anchor;
 pub mod explanation;
 pub mod lime;
 pub mod mojito;
+#[doc(hidden)]
+pub mod reference;
 pub mod sampler;
 pub mod surrogate;
 
@@ -35,4 +37,6 @@ pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::{LimeConfig, LimeExplainer};
 pub use mojito::{MojitoCopyConfig, MojitoCopyExplainer};
 pub use sampler::{sample_masks, MaskSampler};
-pub use surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit, SurrogateSolver};
+pub use surrogate::{
+    fit_surrogate, SurrogateConfig, SurrogateFit, SurrogateSolver, MIN_KERNEL_WIDTH,
+};

@@ -21,6 +21,15 @@ impl Cholesky {
     /// [`LinalgError::NotPositiveDefinite`] if a pivot is not strictly
     /// positive (within a small tolerance relative to the diagonal scale).
     pub fn decompose(a: &Matrix) -> Result<Cholesky> {
+        Cholesky::factor(a.clone())
+    }
+
+    /// [`Cholesky::decompose`] that factors `a` in its own buffer instead
+    /// of copying it: `L` overwrites the lower triangle as it is computed
+    /// (each entry of `a` is read before its slot is written) and the upper
+    /// triangle is zeroed. Same operations in the same order, so the same
+    /// factor bit for bit.
+    pub fn factor(a: Matrix) -> Result<Cholesky> {
         let n = a.rows();
         if a.cols() != n {
             return Err(LinalgError::DimensionMismatch {
@@ -32,10 +41,10 @@ impl Cholesky {
         if n == 0 {
             return Err(LinalgError::EmptyInput);
         }
-        let mut l = vec![0.0; n * n];
+        let mut l = a.into_vec();
         for i in 0..n {
             for j in 0..=i {
-                let mut sum = a.get(i, j);
+                let mut sum = l[i * n + j];
                 for k in 0..j {
                     sum -= l[i * n + k] * l[j * n + k];
                 }
@@ -48,6 +57,7 @@ impl Cholesky {
                     l[i * n + j] = sum / l[j * n + j];
                 }
             }
+            l[i * n + i + 1..(i + 1) * n].fill(0.0);
         }
         Ok(Cholesky { n, l })
     }
@@ -165,6 +175,48 @@ mod tests {
     fn solve_rejects_wrong_rhs_length() {
         let ch = Cholesky::decompose(&spd_example()).unwrap();
         assert!(ch.solve(&[1.0]).is_err());
+    }
+
+    /// The factorization as it was written before `factor` reused the
+    /// input buffer: a separate zeroed `L`, filled from `a.get(i, j)`.
+    fn reference_factor(a: &Matrix) -> Vec<f64> {
+        let n = a.rows();
+        let mut l = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a.get(i, j);
+                for k in 0..j {
+                    sum -= l[i * n + k] * l[j * n + k];
+                }
+                l[i * n + j] = if i == j {
+                    sum.sqrt()
+                } else {
+                    sum / l[j * n + j]
+                };
+            }
+        }
+        l
+    }
+
+    #[test]
+    fn in_place_factor_equals_the_copying_factorization() {
+        // Bᵀ B + I for a fixed irregular B, up to 12 × 12.
+        for n in 1..=12usize {
+            let b: Vec<f64> = (0..n * n)
+                .map(|k| ((k * 7919 % 101) as f64 - 50.0) / 17.0)
+                .collect();
+            let mut a = Matrix::identity(n);
+            for i in 0..n {
+                for j in 0..n {
+                    let v = a.get(i, j) + (0..n).map(|k| b[k * n + i] * b[k * n + j]).sum::<f64>();
+                    a.set(i, j, v);
+                }
+            }
+            let ch = Cholesky::factor(a.clone()).unwrap();
+            let expected: Vec<u64> = reference_factor(&a).iter().map(|v| v.to_bits()).collect();
+            let got: Vec<u64> = ch.l.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expected, "n = {n}");
+        }
     }
 
     #[test]

@@ -34,11 +34,13 @@ pub mod standardize;
 pub mod stats;
 
 pub use cholesky::Cholesky;
-pub use kernel::{cosine_distance, euclidean_distance, exponential_kernel, KernelFn};
+pub use kernel::{
+    cosine_distance, cosine_distance_to_ones, euclidean_distance, exponential_kernel, KernelFn,
+};
 pub use lasso::{lasso_fit, LassoConfig, LassoModel};
 pub use logistic::{LogisticConfig, LogisticModel};
 pub use matrix::Matrix;
-pub use ridge::{ridge_fit, RidgeConfig, RidgeModel};
+pub use ridge::{ridge_fit, ridge_solve_centered, RidgeConfig, RidgeModel};
 pub use standardize::Standardizer;
 
 /// Errors produced by the solvers in this crate.

@@ -129,6 +129,11 @@ impl Matrix {
         &self.data
     }
 
+    /// Consumes the matrix, returning its row-major data.
+    pub(crate) fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
     /// Returns the transpose of the matrix.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -187,6 +192,17 @@ impl Matrix {
     /// Computes the weighted Gram matrix `Xᵀ W X` where `W = diag(weights)`.
     ///
     /// `weights.len()` must equal `self.rows()`.
+    ///
+    /// Element `(i, j)` is the row-order sum of `(wᵣ·xᵣᵢ)·xᵣⱼ` over the
+    /// rows with a non-zero weight, starting from `+0.0`. Rows are taken
+    /// four at a time so each output row is loaded and stored once per
+    /// block instead of once per sample; within a block the terms are
+    /// still added one row after another, so every element sees the same
+    /// operations in the same order as a one-row-at-a-time loop. A short
+    /// last block is padded with an all-zero row of weight `0.0`, whose
+    /// terms are `+0.0`. No term is skipped for a zero entry: with finite
+    /// entries such a term is `±0.0`, and adding `±0.0` to a sum that
+    /// started at `+0.0` (and so can never be `−0.0`) leaves it unchanged.
     pub fn weighted_gram(&self, weights: &[f64]) -> Result<Matrix> {
         if weights.len() != self.rows {
             return Err(LinalgError::DimensionMismatch {
@@ -195,29 +211,30 @@ impl Matrix {
                 actual: weights.len(),
             });
         }
-        let mut g = Matrix::zeros(self.cols, self.cols);
+        let d = self.cols;
+        let mut g = Matrix::zeros(d, d);
+        let zero_row = vec![0.0; d];
+        let mut block: [(&[f64], f64); 4] = [(&zero_row, 0.0); 4];
+        let mut filled = 0;
         for (r, &w) in weights.iter().enumerate() {
             if w == 0.0 {
                 continue;
             }
-            let row = &self.data[r * self.cols..(r + 1) * self.cols];
-            for i in 0..self.cols {
-                let wi = w * row[i];
-                if wi == 0.0 {
-                    continue;
-                }
-                // Fill upper triangle only; mirror afterwards.
-                let g_row = &mut g.data[i * self.cols..(i + 1) * self.cols];
-                for j in i..self.cols {
-                    g_row[j] += wi * row[j];
-                }
+            block[filled] = (self.row(r), w);
+            filled += 1;
+            if filled == block.len() {
+                add_gram_block(&mut g.data, &block);
+                filled = 0;
             }
         }
+        if filled > 0 {
+            block[filled..].fill((&zero_row, 0.0));
+            add_gram_block(&mut g.data, &block);
+        }
         // Mirror upper triangle to lower triangle.
-        for i in 0..self.cols {
-            for j in (i + 1)..self.cols {
-                let v = g.data[i * self.cols + j];
-                g.data[j * self.cols + i] = v;
+        for i in 0..d {
+            for j in (i + 1)..d {
+                g.data[j * d + i] = g.data[i * d + j];
             }
         }
         Ok(g)
@@ -262,6 +279,29 @@ impl Matrix {
                 .copy_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
         }
         out
+    }
+}
+
+/// Adds four weighted rows `(xᵣ, wᵣ)` to the upper triangle of the
+/// `d × d` Gram `g` (`d` = row length), one row after another in block
+/// order for every element.
+fn add_gram_block(g: &mut [f64], block: &[(&[f64], f64); 4]) {
+    let [(r0, w0), (r1, w1), (r2, w2), (r3, w3)] = *block;
+    let d = r0.len();
+    for i in 0..d {
+        let (a0, a1, a2, a3) = (w0 * r0[i], w1 * r1[i], w2 * r2[i], w3 * r3[i]);
+        let out = &mut g[i * d + i..(i + 1) * d];
+        // Equal-length slices let the loop run without bounds checks.
+        let len = out.len();
+        let (x0, x1, x2, x3) = (
+            &r0[i..][..len],
+            &r1[i..][..len],
+            &r2[i..][..len],
+            &r3[i..][..len],
+        );
+        for j in 0..len {
+            out[j] = out[j] + a0 * x0[j] + a1 * x1[j] + a2 * x2[j] + a3 * x3[j];
+        }
     }
 }
 
@@ -375,6 +415,76 @@ mod tests {
             for j in 0..2 {
                 assert!((g.get(i, j) - expected.get(i, j)).abs() < 1e-12);
             }
+        }
+    }
+
+    /// `weighted_gram` as a plain loop, one row at a time, skipping
+    /// zero weights and zero `w·xᵢ` terms: the form the blocked version
+    /// must reproduce bit for bit.
+    fn reference_gram(x: &Matrix, weights: &[f64]) -> Matrix {
+        let d = x.cols();
+        let mut g = Matrix::zeros(d, d);
+        for (r, &w) in weights.iter().enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let row = x.row(r);
+            for i in 0..d {
+                let wi = w * row[i];
+                if wi == 0.0 {
+                    continue;
+                }
+                let g_row = &mut g.data[i * d..(i + 1) * d];
+                for j in i..d {
+                    g_row[j] += wi * row[j];
+                }
+            }
+        }
+        for i in 0..d {
+            for j in (i + 1)..d {
+                g.data[j * d + i] = g.data[i * d + j];
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn blocked_gram_equals_the_row_loop_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x6A4);
+        for case in 0..600 {
+            let rows = rng.gen_range(0..=45);
+            let cols = rng.gen_range(0..=13);
+            // Zeros of both signs, centered-mask-like pairs of values,
+            // and arbitrary magnitudes.
+            let entry = |rng: &mut StdRng| match rng.gen_range(0..6) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0 - 0.375,
+                3 => 0.0 - 0.375,
+                4 => rng.gen_range(-1.0..1.0),
+                _ => rng.gen_range(-1e6..1e6),
+            };
+            let data: Vec<f64> = (0..rows * cols).map(|_| entry(&mut rng)).collect();
+            let x = Matrix::from_vec(rows, cols, data).unwrap();
+            let weights: Vec<f64> = (0..rows)
+                .map(|_| match rng.gen_range(0..5) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    2 => 1e-300 * rng.gen_range(0.0..1.0),
+                    _ => rng.gen_range(0.0..1.0),
+                })
+                .collect();
+            let blocked = x.weighted_gram(&weights).unwrap();
+            let expected = reference_gram(&x, &weights);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&blocked),
+                bits(&expected),
+                "case {case}: {rows} x {cols}"
+            );
         }
     }
 

@@ -42,8 +42,17 @@ pub struct RidgeModel {
 
 impl RidgeModel {
     /// Predicts the response for a feature vector.
+    ///
+    /// # Panics
+    /// Panics if `x.len()` differs from the number of coefficients — a real
+    /// assert, because the dot product's `zip` would otherwise silently
+    /// drop the trailing features (or coefficients) in release builds.
     pub fn predict(&self, x: &[f64]) -> f64 {
-        debug_assert_eq!(x.len(), self.coefficients.len());
+        assert_eq!(
+            x.len(),
+            self.coefficients.len(),
+            "one feature per coefficient"
+        );
         self.intercept + crate::matrix::dot(x, &self.coefficients)
     }
 
@@ -61,7 +70,8 @@ impl RidgeModel {
 /// * `weights` — non-negative sample weights, same length as `y`.
 ///
 /// With `fit_intercept`, the data is first centered with the weighted means
-/// so the intercept stays unpenalized.
+/// so the intercept stays unpenalized; the centered system is then solved
+/// by [`ridge_solve_centered`].
 pub fn ridge_fit(
     x: &Matrix,
     y: &[f64],
@@ -91,60 +101,70 @@ pub fn ridge_fit(
     if wsum <= 0.0 {
         return Err(LinalgError::EmptyInput);
     }
+    if !config.fit_intercept {
+        return Ok(RidgeModel {
+            intercept: 0.0,
+            coefficients: ridge_solve_centered(x, y, weights, config.lambda)?,
+        });
+    }
 
     // Weighted means for centering.
-    let (x_mean, y_mean) = if config.fit_intercept {
-        let mut xm = vec![0.0; d];
-        let mut ym = 0.0;
-        for r in 0..n {
-            let w = weights[r];
-            ym += w * y[r];
-            for (m, &v) in xm.iter_mut().zip(x.row(r)) {
-                *m += w * v;
-            }
+    let mut x_mean = vec![0.0; d];
+    let mut y_mean = 0.0;
+    for r in 0..n {
+        let w = weights[r];
+        y_mean += w * y[r];
+        for (m, &v) in x_mean.iter_mut().zip(x.row(r)) {
+            *m += w * v;
         }
-        for m in xm.iter_mut() {
-            *m /= wsum;
-        }
-        (xm, ym / wsum)
-    } else {
-        (vec![0.0; d], 0.0)
-    };
+    }
+    for m in x_mean.iter_mut() {
+        *m /= wsum;
+    }
+    let y_mean = y_mean / wsum;
 
-    // Centered design matrix.
+    // Centered design matrix and response.
     let mut xc = x.clone();
-    if config.fit_intercept {
-        for r in 0..n {
-            let row = xc.row_mut(r);
-            for (v, m) in row.iter_mut().zip(&x_mean) {
-                *v -= m;
-            }
+    for r in 0..n {
+        for (v, m) in xc.row_mut(r).iter_mut().zip(&x_mean) {
+            *v -= m;
         }
     }
     let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-    // Normal equations: (XᵀWX + λI) β = XᵀWy
-    let mut gram = xc.weighted_gram(weights)?;
-    let lambda = config.lambda.max(0.0);
-    // A tiny jitter keeps the system SPD even with λ = 0 and duplicate columns.
-    let jitter = 1e-10;
-    for i in 0..d {
-        let v = gram.get(i, i) + lambda + jitter;
-        gram.set(i, i, v);
-    }
-    let rhs = xc.weighted_xty(weights, &yc)?;
-    let chol = Cholesky::decompose(&gram)?;
-    let coefficients = chol.solve(&rhs)?;
-
-    let intercept = if config.fit_intercept {
-        y_mean - crate::matrix::dot(&x_mean, &coefficients)
-    } else {
-        0.0
-    };
+    let coefficients = ridge_solve_centered(&xc, &yc, weights, config.lambda)?;
+    let intercept = y_mean - crate::matrix::dot(&x_mean, &coefficients);
     Ok(RidgeModel {
         intercept,
         coefficients,
     })
+}
+
+/// Solves the ridge normal equations `(XᵀWX + λI) β = XᵀWy` for a design
+/// `xc` and response `yc` that are already centered (or are fit without an
+/// intercept), returning `β`.
+///
+/// This is the solve [`ridge_fit`] runs after centering, exposed so a
+/// caller that can build the centered design more cheaply than
+/// `x − mean` (a surrogate over binary masks has two values per column)
+/// shares it. One Gram matrix is built and factored in place; a tiny
+/// jitter on the diagonal keeps the system positive definite even with
+/// `λ = 0` and duplicate columns. A negative `lambda` counts as 0.
+pub fn ridge_solve_centered(
+    xc: &Matrix,
+    yc: &[f64],
+    weights: &[f64],
+    lambda: f64,
+) -> Result<Vec<f64>> {
+    let mut gram = xc.weighted_gram(weights)?;
+    let lambda = lambda.max(0.0);
+    let jitter = 1e-10;
+    for i in 0..xc.cols() {
+        let v = gram.get(i, i) + lambda + jitter;
+        gram.set(i, i, v);
+    }
+    let rhs = xc.weighted_xty(weights, yc)?;
+    Cholesky::factor(gram)?.solve(&rhs)
 }
 
 #[cfg(test)]
@@ -306,6 +326,26 @@ mod tests {
     fn rejects_all_zero_weights() {
         let x = Matrix::zeros(2, 1);
         assert!(ridge_fit(&x, &[0.0, 0.0], &[0.0, 0.0], &RidgeConfig::default()).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "one feature per coefficient")]
+    fn predict_rejects_a_short_feature_vector() {
+        let m = RidgeModel {
+            intercept: 1.0,
+            coefficients: vec![2.0, -1.0],
+        };
+        m.predict(&[1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one feature per coefficient")]
+    fn predict_rejects_a_long_feature_vector() {
+        let m = RidgeModel {
+            intercept: 1.0,
+            coefficients: vec![2.0],
+        };
+        m.predict(&[1.0, 3.0]);
     }
 
     #[test]

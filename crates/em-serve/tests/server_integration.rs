@@ -277,3 +277,51 @@ fn request_thread_count_never_changes_the_body() {
         "threads 1 and 1024 must give the same bytes"
     );
 }
+
+#[test]
+fn a_kernel_width_below_the_floor_never_kills_a_worker() {
+    // Such a width once made every sample weight underflow to 0 and the
+    // surrogate fit panic its worker: one request per worker left a server
+    // that still accepted connections but never answered them. It is now
+    // a 400 at decode, before any work.
+    let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
+    let schema = dataset.schema().clone();
+    let pair = dataset.records()[0].pair.clone();
+    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let workers = 2;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        schema.clone(),
+        Box::new(matcher),
+        ServerConfig {
+            parallelism: ParallelismConfig::with_threads(workers),
+            ..Default::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let handle = server.spawn();
+    let addr = handle.addr();
+    let timeout = std::time::Duration::from_secs(10);
+
+    let deadly = r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"explainer":"lime","config":{"kernel_width":1e-150}}"#;
+    for _ in 0..workers {
+        // At worst the connection dies with its worker; what matters is
+        // that the server answers afterwards.
+        if let Ok(response) =
+            client::request_with_timeout(addr, "POST", "/explain", deadly, timeout)
+        {
+            assert_eq!(response.status, 400, "{}", response.body);
+        }
+    }
+
+    let health = client::request_with_timeout(addr, "GET", "/healthz", "", timeout)
+        .expect("a worker answers /healthz");
+    assert_eq!(health.status, 200);
+    let body = explain_body(&schema, &pair, None);
+    let explained = client::request_with_timeout(addr, "POST", "/explain", &body, timeout)
+        .expect("a worker answers /explain");
+    assert_eq!(explained.status, 200, "{}", explained.body);
+
+    client::request(addr, "POST", "/shutdown", "").unwrap();
+    handle.join();
+}

@@ -8,12 +8,20 @@
 //! compares it with a constant. An optimization that changes a single bit
 //! of a weight, intercept or R² changes a digest.
 //!
-//! The constants were generated before the fused surrogate fit replaced
-//! the row-by-row pipeline; they must only change together with a
+//! A second table pins T-AB records after a round trip through the CSV
+//! form `em-batch` reads. The importer names every column without a kind,
+//! so that schema is all Name, and the long descriptions are scored as
+//! Name attributes past the kernel's memo cap (DESIGN.md §11).
+//!
+//! The typed constants were generated before the fused surrogate fit
+//! replaced the row-by-row pipeline, the CSV constants before the probe
+//! path for long Name attributes; they must only change together with a
 //! deliberate, documented change of explanation semantics. On a mismatch
 //! the failure message lists every actual digest.
 
 use em_codec::{explain, fnv1a64, ExplainOptions, ExplainRequest, ExplainerKind};
+use landmark_explanation::entity::schema::AttributeKind;
+use landmark_explanation::entity::{dataset_from_reader, dataset_to_csv};
 use landmark_explanation::lime::SurrogateSolver;
 use landmark_explanation::prelude::*;
 
@@ -80,6 +88,14 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("T-AB", "lasso", "mojito-copy", 0xf2e441ab6da7a368),
 ];
 
+/// Expected digests of the CSV round-tripped T-AB records under the
+/// default options: `(explainer, digest)`.
+const GOLDEN_CSV: &[(&str, u64)] = &[
+    ("landmark", 0x545aeeddefeed812),
+    ("landmark-double", 0xa741d0befecc0d28),
+    ("lime", 0x15f25a0dc7734995),
+];
+
 /// A small trained setup: the matcher and the records to explain.
 struct Setup {
     id: DatasetId,
@@ -89,7 +105,18 @@ struct Setup {
 }
 
 fn setup(id: DatasetId, scale: f64) -> Setup {
-    let dataset = MagellanBenchmark::scaled(scale).generate(id);
+    trained(id, MagellanBenchmark::scaled(scale).generate(id))
+}
+
+/// [`setup`] on the generated records after `dataset_to_csv` and
+/// `dataset_from_reader`, the path `em-batch gen` and `plan` take.
+fn csv_setup(id: DatasetId, scale: f64) -> Setup {
+    let csv = dataset_to_csv(&MagellanBenchmark::scaled(scale).generate(id));
+    let dataset = dataset_from_reader(id.short_name(), csv.as_bytes()).expect("CSV round trip");
+    trained(id, dataset)
+}
+
+fn trained(id: DatasetId, dataset: EmDataset) -> Setup {
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
     let records = dataset
         .sample_by_label(true, 2, 11)
@@ -191,5 +218,34 @@ fn explanation_bytes_match_the_golden_digests() {
         actual.as_slice(),
         GOLDEN,
         "explanation bytes changed; actual digests:\n{listing}"
+    );
+}
+
+#[test]
+fn batch_path_explanation_bytes_match_the_golden_digests() {
+    let setup = csv_setup(DatasetId::TAb, 0.02);
+    assert_eq!(setup.records.len(), 4);
+    let schema = setup.dataset.schema();
+    assert!((0..schema.len()).all(|i| schema.attribute(i).kind == AttributeKind::Name));
+    let options = ExplainOptions {
+        n_samples: 64,
+        ..Default::default()
+    };
+    let actual: Vec<(&str, u64)> = [
+        ExplainerKind::Landmark,
+        ExplainerKind::LandmarkDouble,
+        ExplainerKind::Lime,
+    ]
+    .into_iter()
+    .map(|explainer| (explainer.name(), digest(&setup, explainer, options)))
+    .collect();
+    let listing: String = actual
+        .iter()
+        .map(|(e, h)| format!("    ({e:?}, 0x{h:016x}),\n"))
+        .collect();
+    assert_eq!(
+        actual.as_slice(),
+        GOLDEN_CSV,
+        "batch-path explanation bytes changed; actual digests:\n{listing}"
     );
 }

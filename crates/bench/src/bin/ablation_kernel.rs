@@ -11,7 +11,7 @@ use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, MatchModel, SplitConfig};
 use em_eval::removal::remove_tokens;
 use em_lime::surrogate::{SurrogateConfig, SurrogateSolver};
-use em_lime::{LimeConfig, LimeExplainer};
+use em_lime::{ExplainConfig, LimeExplainer};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -48,7 +48,7 @@ fn main() {
 
     println!("{:>8} {:>10} {:>10}", "width", "mean_r2", "mae");
     for width in [0.05, 0.1, 0.25, 0.5, 1.0, 5.0] {
-        let cfg = LimeConfig {
+        let cfg = ExplainConfig {
             n_samples: base.n_samples,
             surrogate: SurrogateConfig {
                 kernel_width: width,
@@ -62,7 +62,7 @@ fn main() {
         let mut errs: Vec<f64> = Vec::new();
         let mut rng = StdRng::seed_from_u64(99);
         for pair in &records {
-            let e = explainer.explain(&matcher, schema, pair);
+            let e = explainer.explain(&matcher, schema, pair, em_obs::noop());
             r2_sum += e.surrogate_r2;
             if e.token_weights.is_empty() {
                 continue;

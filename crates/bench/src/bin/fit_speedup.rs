@@ -90,7 +90,7 @@ fn main() {
 
     let mut views = Vec::new();
     for (i, pair) in records.iter().enumerate() {
-        let strategy = GenerationStrategy::auto().resolve(matcher.predict_proba(schema, pair));
+        let strategy = GenerationStrategy::Auto.resolve(matcher.predict_proba(schema, pair));
         for landmark in [EntitySide::Left, EntitySide::Right] {
             let view = generate_view(pair, landmark, strategy);
             let masks = sample_masks(view.tokens.len(), base.n_samples, i as u64);
@@ -99,8 +99,8 @@ fn main() {
                 EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
             };
             let spec = PerturbSpec::TokenDrop { pair, left, right };
-            let probs =
-                matcher.par_score_masks(schema, &spec, &masks, &ParallelismConfig::serial());
+            let serial = ParallelismConfig::serial();
+            let probs = matcher.par_score_masks(schema, &spec, &masks, &serial, em_obs::noop());
             let nested = masks.iter().map(<[bool]>::to_vec).collect();
             views.push(View {
                 masks,

@@ -27,9 +27,10 @@ use std::time::Instant;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema, SplitConfig};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
-use landmark_core::{DualExplanation, LandmarkConfig, LandmarkExplainer};
+use landmark_core::{DualExplanation, LandmarkExplainer};
 
 /// Forwards only `predict_proba`, hiding the wrapped matcher's
 /// `prepare_scorer` override so the default [`em_entity::FallbackScorer`]
@@ -74,11 +75,12 @@ fn main() {
         .map(|r| r.pair.clone())
         .collect();
 
-    let explainer = LandmarkExplainer::new(LandmarkConfig {
+    let config = ExplainConfig {
         n_samples: base.n_samples,
         parallelism: ParallelismConfig::serial(),
         ..Default::default()
-    });
+    };
+    let explainer = LandmarkExplainer::new(config, Default::default());
     let explain_all = |model: &dyn Fn(&EntityPair) -> DualExplanation| {
         let start = Instant::now();
         let duals: Vec<DualExplanation> = records.iter().map(model).collect();
@@ -86,8 +88,9 @@ fn main() {
     };
 
     let (naive_s, naive) =
-        explain_all(&|pair| explainer.explain(&NaiveOnly(&matcher), schema, pair));
-    let (kernel_s, kernel) = explain_all(&|pair| explainer.explain(&matcher, schema, pair));
+        explain_all(&|pair| explainer.explain(&NaiveOnly(&matcher), schema, pair, em_obs::noop()));
+    let (kernel_s, kernel) =
+        explain_all(&|pair| explainer.explain(&matcher, schema, pair, em_obs::noop()));
 
     let identical = naive.iter().zip(&kernel).all(|(a, b)| {
         a.both().iter().zip(b.both().iter()).all(|(x, y)| {

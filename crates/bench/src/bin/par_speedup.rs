@@ -3,8 +3,8 @@
 //! Explains the same records twice — once with `ParallelismConfig::serial()`
 //! and once with one worker per core — at both parallel levels:
 //!
-//! 1. **within one explanation**: the record's reconstructed perturbation
-//!    pairs fan out across threads inside `par_predict_proba_batch`;
+//! 1. **within one explanation**: the record's perturbation masks fan out
+//!    across threads inside `MatchModel::par_score_masks`;
 //! 2. **across records**: the eval harness explains records concurrently,
 //!    each seeded from the base seed and its record index.
 //!
@@ -20,9 +20,10 @@ use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, SplitConfig};
 use em_eval::technique::explain_record;
 use em_eval::Technique;
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::{par_map, ParallelismConfig};
-use landmark_core::{LandmarkConfig, LandmarkExplainer};
+use landmark_core::LandmarkExplainer;
 
 fn main() {
     let base = bench::config_from_env();
@@ -54,15 +55,16 @@ fn main() {
 
     // Level 1: perturbation scoring inside one explanation.
     let explain_all = |parallelism: ParallelismConfig| {
-        let explainer = LandmarkExplainer::new(LandmarkConfig {
+        let config = ExplainConfig {
             n_samples: base.n_samples,
             parallelism,
             ..Default::default()
-        });
+        };
+        let explainer = LandmarkExplainer::new(config, Default::default());
         let start = Instant::now();
         let duals: Vec<_> = records
             .iter()
-            .map(|pair| explainer.explain(&matcher, schema, pair))
+            .map(|pair| explainer.explain(&matcher, schema, pair, em_obs::noop()))
             .collect();
         (start.elapsed(), duals)
     };

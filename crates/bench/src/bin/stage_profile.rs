@@ -19,11 +19,11 @@ use std::time::Instant;
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, Schema};
-use em_lime::{LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer};
+use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_obs::{Collector, Counter, Stage};
 use em_par::ParallelismConfig;
-use landmark_core::{LandmarkConfig, LandmarkExplainer};
+use landmark_core::LandmarkExplainer;
 
 /// The coverage floor: stage spans must explain at least this fraction of
 /// end-to-end explanation wall-clock.
@@ -39,39 +39,25 @@ fn run_cell(
     threads: usize,
     trace: &Collector,
 ) {
-    let parallelism = ParallelismConfig::with_threads(threads);
-    match explainer {
-        "landmark" => {
-            let e = LandmarkExplainer::new(LandmarkConfig {
-                n_samples,
-                parallelism,
-                ..Default::default()
-            });
-            for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+    let config = ExplainConfig {
+        n_samples,
+        parallelism: ParallelismConfig::with_threads(threads),
+        ..Default::default()
+    };
+    for pair in pairs {
+        match explainer {
+            "landmark" => {
+                LandmarkExplainer::new(config, Default::default())
+                    .explain(model, schema, pair, trace);
             }
-        }
-        "lime" => {
-            let e = LimeExplainer::new(LimeConfig {
-                n_samples,
-                parallelism,
-                ..Default::default()
-            });
-            for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+            "lime" => {
+                LimeExplainer::new(config).explain(model, schema, pair, trace);
             }
-        }
-        "mojito-copy" => {
-            let e = MojitoCopyExplainer::new(MojitoCopyConfig {
-                n_samples,
-                parallelism,
-                ..Default::default()
-            });
-            for pair in pairs {
-                e.explain_traced(model, schema, pair, trace);
+            "mojito-copy" => {
+                MojitoCopyExplainer::new(config).explain(model, schema, pair, trace);
             }
+            other => unreachable!("unknown explainer {other}"),
         }
-        other => unreachable!("unknown explainer {other}"),
     }
 }
 

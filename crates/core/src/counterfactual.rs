@@ -159,9 +159,10 @@ pub fn counterfactual<M: MatchModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explainer::{LandmarkConfig, LandmarkExplainer};
+    use crate::explainer::LandmarkExplainer;
     use crate::strategy::GenerationStrategy;
     use em_entity::{Entity, EntitySide};
+    use em_lime::ExplainConfig;
     use std::collections::HashSet;
 
     struct Overlap;
@@ -190,23 +191,28 @@ mod tests {
         Schema::from_names(vec!["name"])
     }
 
+    /// The left-landmark explanation of `pair` under `strategy`.
+    fn left_view(
+        strategy: GenerationStrategy,
+        n_samples: usize,
+        pair: &EntityPair,
+    ) -> LandmarkExplanation {
+        let config = ExplainConfig {
+            n_samples,
+            ..Default::default()
+        };
+        LandmarkExplainer::new(config, strategy)
+            .explain(&Overlap, &schema(), pair, em_obs::noop())
+            .left_landmark
+    }
+
     #[test]
     fn flips_a_non_match_by_adding_injected_tokens() {
         let pair = EntityPair::new(
             Entity::new(vec!["alpha beta gamma delta"]),
             Entity::new(vec!["epsilon zeta"]),
         );
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::DoubleEntity,
-            n_samples: 400,
-            ..Default::default()
-        };
-        let le = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &Overlap,
-            &schema(),
-            &pair,
-            EntitySide::Left,
-        );
+        let le = left_view(GenerationStrategy::DoubleEntity, 400, &pair);
         let cf = counterfactual(
             &Overlap,
             &schema(),
@@ -224,17 +230,7 @@ mod tests {
     #[test]
     fn flips_a_match_by_removing_shared_tokens() {
         let pair = EntityPair::new(Entity::new(vec!["a b c d"]), Entity::new(vec!["a b c e"]));
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::SingleEntity,
-            n_samples: 400,
-            ..Default::default()
-        };
-        let le = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &Overlap,
-            &schema(),
-            &pair,
-            EntitySide::Left,
-        );
+        let le = left_view(GenerationStrategy::SingleEntity, 400, &pair);
         let cf = counterfactual(
             &Overlap,
             &schema(),
@@ -253,17 +249,7 @@ mod tests {
             Entity::new(vec!["a b c d e f g h"]),
             Entity::new(vec!["x y z w v u t s"]),
         );
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::DoubleEntity,
-            n_samples: 200,
-            ..Default::default()
-        };
-        let le = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &Overlap,
-            &schema(),
-            &pair,
-            EntitySide::Left,
-        );
+        let le = left_view(GenerationStrategy::DoubleEntity, 200, &pair);
         let cf = counterfactual(
             &Overlap,
             &schema(),
@@ -283,17 +269,7 @@ mod tests {
         // non-match needs edits, but a record already past the threshold in
         // the start class direction terminates cleanly either way.
         let pair = EntityPair::new(Entity::new(vec!["q"]), Entity::new(vec!["q"]));
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::SingleEntity,
-            n_samples: 100,
-            ..Default::default()
-        };
-        let le = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &Overlap,
-            &schema(),
-            &pair,
-            EntitySide::Left,
-        );
+        let le = left_view(GenerationStrategy::SingleEntity, 100, &pair);
         let cf = counterfactual(
             &Overlap,
             &schema(),

@@ -2,44 +2,12 @@
 
 use em_entity::prepared::{PerturbSpec, SideSpec};
 use em_entity::{EntityPair, EntitySide, MatchModel, Schema};
+use em_lime::engine::{perturb_and_fit, ExplainConfig};
 use em_lime::explanation::{PairExplanation, TokenWeight};
-use em_lime::sampler::MaskSampler;
-use em_lime::surrogate::{fit_surrogate, SurrogateConfig};
-use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
+use em_obs::{Span, Stage, Tracer};
 
 use crate::generation::generate_view;
 use crate::strategy::{GenerationStrategy, ResolvedStrategy};
-
-/// Configuration for [`LandmarkExplainer`].
-#[derive(Debug, Clone, Copy)]
-pub struct LandmarkConfig {
-    /// Number of perturbation samples per landmark explanation.
-    pub n_samples: usize,
-    /// Single / double / auto generation.
-    pub strategy: GenerationStrategy,
-    /// Surrogate kernel / solver settings.
-    pub surrogate: SurrogateConfig,
-    /// RNG seed for mask sampling.
-    pub seed: u64,
-    /// How to spread reconstruction scoring across threads. Mask sampling
-    /// stays serial (it drives the RNG stream); only the model's batch
-    /// scoring — the hot path — fans out, so any setting produces
-    /// bit-identical explanations.
-    pub parallelism: ParallelismConfig,
-}
-
-impl Default for LandmarkConfig {
-    fn default() -> Self {
-        LandmarkConfig {
-            n_samples: 500,
-            strategy: GenerationStrategy::auto(),
-            surrogate: SurrogateConfig::default(),
-            seed: 0,
-            parallelism: ParallelismConfig::serial(),
-        }
-    }
-}
 
 /// One landmark-side explanation: the varying entity's (possibly injected)
 /// tokens with their surrogate coefficients.
@@ -117,31 +85,27 @@ impl DualExplanation {
 /// The Landmark Explanation explainer (paper Section 3).
 #[derive(Debug, Clone, Default)]
 pub struct LandmarkExplainer {
-    /// Explainer configuration.
-    pub config: LandmarkConfig,
+    /// Sampling, surrogate and scoring settings shared with every
+    /// explainer. `config.n_samples` is per landmark view.
+    pub config: ExplainConfig,
+    /// Single / double / auto generation.
+    pub strategy: GenerationStrategy,
 }
 
 impl LandmarkExplainer {
-    /// Creates an explainer with the given configuration.
-    pub fn new(config: LandmarkConfig) -> Self {
-        LandmarkExplainer { config }
+    /// Creates an explainer with the given configuration and strategy.
+    pub fn new(config: ExplainConfig, strategy: GenerationStrategy) -> Self {
+        LandmarkExplainer { config, strategy }
     }
 
-    /// Produces the two landmark explanations for a record.
+    /// Produces the two landmark explanations for a record, recording
+    /// per-stage timings into `tracer` ([`em_obs::noop`] records nothing;
+    /// tracing only observes, DESIGN.md §10). The record's own prediction
+    /// is computed once and shared by both landmark views.
+    ///
+    /// Each view depends only on its landmark side and the record, so
+    /// `explain(..).with_landmark(side)` is the single-view explanation.
     pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> DualExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`LandmarkExplainer::explain`] with per-stage timings recorded into
-    /// `tracer`. Tracing only observes — traced and untraced explanations
-    /// are bit-identical (DESIGN.md §10). The record's own prediction is
-    /// computed once and shared by both landmark views.
-    pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -157,31 +121,6 @@ impl LandmarkExplainer {
         }
     }
 
-    /// Produces one explanation with `landmark` frozen.
-    pub fn explain_with_landmark<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-        landmark: EntitySide,
-    ) -> LandmarkExplanation {
-        self.explain_with_landmark_traced(model, schema, pair, landmark, em_obs::noop())
-    }
-
-    /// [`LandmarkExplainer::explain_with_landmark`] with per-stage timings
-    /// recorded into `tracer`.
-    pub fn explain_with_landmark_traced<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-        landmark: EntitySide,
-        tracer: &dyn Tracer,
-    ) -> LandmarkExplanation {
-        let model_prediction = model.predict_proba(schema, pair);
-        self.explain_view(model, schema, pair, landmark, model_prediction, tracer)
-    }
-
     /// One landmark view, given the model's prediction for the unperturbed
     /// record (which resolves `Auto` and is reported as-is).
     fn explain_view<M: MatchModel + Sync>(
@@ -193,7 +132,7 @@ impl LandmarkExplainer {
         model_prediction: f64,
         tracer: &dyn Tracer,
     ) -> LandmarkExplanation {
-        let strategy = self.config.strategy.resolve(model_prediction);
+        let strategy = self.strategy.resolve(model_prediction);
         let view = {
             // Landmark generation tokenizes both entities and (under
             // double-entity) injects the landmark's tokens, so this span
@@ -201,7 +140,6 @@ impl LandmarkExplainer {
             let _span = Span::enter(tracer, Stage::LandmarkGeneration);
             generate_view(pair, landmark, strategy)
         };
-        tracer.add(Counter::Features, view.tokens.len() as u64);
 
         // Seed differs per landmark so the two explanations don't share
         // masks, matching two independent explainer runs.
@@ -210,28 +148,12 @@ impl LandmarkExplainer {
                 EntitySide::Left => 0x9E37_79B9_7F4A_7C15,
                 EntitySide::Right => 0xD1B5_4A32_D192_ED03,
             };
-        let masks = {
-            let _span = Span::enter(tracer, Stage::MaskSampling);
-            MaskSampler::new(seed).sample(view.tokens.len(), self.config.n_samples)
+        let (left, right) = match view.varying {
+            EntitySide::Left => (SideSpec::Varying(&view.tokens[..]), SideSpec::Fixed),
+            EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
         };
-        // The prepared kernel subsumes per-mask pair reconstruction: the
-        // spec describes the whole perturbation family and the model's
-        // scorer rebuilds (or incrementally scores) each mask itself, with
-        // output bit-identical to reconstruct-then-predict (DESIGN.md §11).
-        let spec = {
-            let _span = Span::enter(tracer, Stage::PairReconstruction);
-            let (left, right) = match view.varying {
-                EntitySide::Left => (SideSpec::Varying(&view.tokens[..]), SideSpec::Fixed),
-                EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
-            };
-            PerturbSpec::TokenDrop { pair, left, right }
-        };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
-        let fit = {
-            let _span = Span::enter(tracer, Stage::SurrogateFit);
-            fit_surrogate(&masks, &probs, &self.config.surrogate)
-        };
+        let spec = PerturbSpec::TokenDrop { pair, left, right };
+        let (_, fit) = perturb_and_fit(model, schema, &spec, seed, &self.config, tracer);
 
         let token_weights: Vec<TokenWeight> = view
             .tokens
@@ -327,9 +249,29 @@ mod tests {
         )
     }
 
+    /// The left-landmark view of `pair` under `strategy`.
+    fn left_view(
+        strategy: GenerationStrategy,
+        n_samples: usize,
+        pair: &EntityPair,
+    ) -> LandmarkExplanation {
+        let config = ExplainConfig {
+            n_samples,
+            ..Default::default()
+        };
+        LandmarkExplainer::new(config, strategy)
+            .explain(&JaccardModel, &schema(), pair, em_obs::noop())
+            .left_landmark
+    }
+
     #[test]
     fn dual_explanation_has_both_landmarks() {
-        let d = LandmarkExplainer::default().explain(&JaccardModel, &schema(), &matching_pair());
+        let d = LandmarkExplainer::default().explain(
+            &JaccardModel,
+            &schema(),
+            &matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(d.left_landmark.landmark, EntitySide::Left);
         assert_eq!(d.left_landmark.varying, EntitySide::Right);
         assert_eq!(d.right_landmark.landmark, EntitySide::Right);
@@ -339,24 +281,20 @@ mod tests {
     #[test]
     fn auto_picks_single_for_matching_and_double_for_non_matching() {
         let ex = LandmarkExplainer::default();
-        let m = ex.explain(&JaccardModel, &schema(), &matching_pair());
+        let m = ex.explain(&JaccardModel, &schema(), &matching_pair(), em_obs::noop());
         assert_eq!(m.left_landmark.strategy, ResolvedStrategy::SingleEntity);
-        let n = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
+        let n = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(n.left_landmark.strategy, ResolvedStrategy::DoubleEntity);
     }
 
     #[test]
     fn single_entity_weights_cover_only_varying_tokens() {
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::SingleEntity,
-            ..Default::default()
-        };
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &matching_pair(),
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::SingleEntity, 500, &matching_pair());
         // Varying = right entity: 5 tokens.
         assert_eq!(e.explanation.token_weights.len(), 5);
         assert!(e.injected.iter().all(|&b| !b));
@@ -369,17 +307,7 @@ mod tests {
 
     #[test]
     fn shared_tokens_get_positive_weight_under_single_entity() {
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::SingleEntity,
-            n_samples: 800,
-            ..Default::default()
-        };
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &matching_pair(),
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::SingleEntity, 800, &matching_pair());
         for tw in &e.explanation.token_weights {
             match tw.token.text.as_str() {
                 "sony" | "alpha" | "camera" | "849.99" => {
@@ -393,16 +321,7 @@ mod tests {
 
     #[test]
     fn double_entity_marks_injected_tokens() {
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::DoubleEntity,
-            ..Default::default()
-        };
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &non_matching_pair(),
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::DoubleEntity, 500, &non_matching_pair());
         // Varying (right) has 4 tokens, injected (left) has 4.
         assert_eq!(e.explanation.token_weights.len(), 8);
         assert_eq!(e.injected.iter().filter(|&&b| b).count(), 4);
@@ -416,17 +335,7 @@ mod tests {
         // non-matching record, injected tokens (copies of landmark tokens)
         // should carry positive weight — adding them to the varying entity
         // pushes the model towards match.
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::DoubleEntity,
-            n_samples: 1000,
-            ..Default::default()
-        };
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &non_matching_pair(),
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::DoubleEntity, 1000, &non_matching_pair());
         let injected = e.injected_token_weights();
         let mean_injected: f64 =
             injected.iter().map(|t| t.weight).sum::<f64>() / injected.len() as f64;
@@ -444,24 +353,20 @@ mod tests {
 
     #[test]
     fn model_prediction_is_for_the_original_record_even_under_double() {
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::DoubleEntity,
-            ..Default::default()
-        };
         let pair = non_matching_pair();
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &pair,
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::DoubleEntity, 500, &pair);
         let expected = JaccardModel.predict_proba(&schema(), &pair);
         assert!((e.explanation.model_prediction - expected).abs() < 1e-12);
     }
 
     #[test]
     fn two_landmarks_use_different_masks() {
-        let d = LandmarkExplainer::default().explain(&JaccardModel, &schema(), &matching_pair());
+        let d = LandmarkExplainer::default().explain(
+            &JaccardModel,
+            &schema(),
+            &matching_pair(),
+            em_obs::noop(),
+        );
         // The two explanations are over different token sets but even their
         // weights should not be mirror-identical.
         assert_ne!(d.left_landmark.explanation.token_weights.len(), 0);
@@ -474,8 +379,18 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let ex = LandmarkExplainer::default();
-        let a = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
-        let b = ex.explain(&JaccardModel, &schema(), &non_matching_pair());
+        let a = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
+        let b = ex.explain(
+            &JaccardModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(
             a.left_landmark.explanation.token_weights,
             b.left_landmark.explanation.token_weights
@@ -516,35 +431,23 @@ mod tests {
     #[test]
     fn both_views_share_one_record_prediction() {
         let model = CountingModel(Default::default());
-        let dual = LandmarkExplainer::default().explain(&model, &schema(), &non_matching_pair());
+        let dual = LandmarkExplainer::default().explain(
+            &model,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(model.0.load(std::sync::atomic::Ordering::SeqCst), 1);
         for view in dual.both() {
             assert_eq!(view.explanation.model_prediction, 0.25);
             assert_eq!(view.strategy, ResolvedStrategy::DoubleEntity);
         }
-        // The single-view entry point still predicts its own record.
-        LandmarkExplainer::default().explain_with_landmark(
-            &model,
-            &schema(),
-            &non_matching_pair(),
-            EntitySide::Left,
-        );
-        assert_eq!(model.0.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 
     #[test]
     fn empty_varying_side_does_not_panic() {
         let p = EntityPair::new(Entity::new(vec!["sony", "1"]), Entity::new(vec!["", ""]));
-        let cfg = LandmarkConfig {
-            strategy: GenerationStrategy::SingleEntity,
-            ..Default::default()
-        };
-        let e = LandmarkExplainer::new(cfg).explain_with_landmark(
-            &JaccardModel,
-            &schema(),
-            &p,
-            EntitySide::Left,
-        );
+        let e = left_view(GenerationStrategy::SingleEntity, 500, &p);
         assert!(e.explanation.token_weights.is_empty());
     }
 }

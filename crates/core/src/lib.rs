@@ -23,16 +23,17 @@
 //!    informative about *what would have to change* for a match.
 //!
 //! The pipeline mirrors the paper's Figure 2: [`generation`] (Landmark
-//! generation) → mask sampling (from `em-lime`, the wrapped explainer) →
-//! [`reconstruction`] (Pair reconstruction) → black-box scoring (Dataset
-//! reconstruction) → surrogate fit (from `em-lime`).
+//! generation) builds each view, and `em-lime`'s perturb-and-fit engine —
+//! the wrapped explainer — runs mask sampling, pair reconstruction,
+//! black-box scoring (Dataset reconstruction) and the surrogate fit over
+//! it. [`reconstruction`] is the naive pair reconstruction the engine's
+//! prepared kernel must match bit for bit.
 //!
 //! Entry point: [`LandmarkExplainer`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod anchor;
 pub mod counterfactual;
 pub mod explainer;
 pub mod generation;
@@ -40,10 +41,9 @@ pub mod reconstruction;
 pub mod strategy;
 pub mod summary;
 
-pub use anchor::{LandmarkAnchorConfig, LandmarkAnchorExplainer, LandmarkAnchorExplanation};
 pub use counterfactual::{counterfactual, Counterfactual, CounterfactualConfig, Edit};
 pub use em_par::ParallelismConfig;
-pub use explainer::{DualExplanation, LandmarkConfig, LandmarkExplainer, LandmarkExplanation};
+pub use explainer::{DualExplanation, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
 pub use reconstruction::reconstruct_with_landmark;
 pub use strategy::GenerationStrategy;

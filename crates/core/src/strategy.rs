@@ -2,7 +2,7 @@
 
 /// How the varying entity's token list is built before perturbation
 /// (Section 3.1 of the paper, *Landmark generation component*).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum GenerationStrategy {
     /// *Single-entity generation*: perturb only the varying entity's own
     /// tokens. Highlights the differences of one entity with respect to
@@ -15,26 +15,19 @@ pub enum GenerationStrategy {
     DoubleEntity,
     /// Pick per record using the black-box prediction, following the
     /// paper's "lessons learned": `SingleEntity` when the model predicts
-    /// match (probability ≥ threshold), `DoubleEntity` otherwise.
-    Auto {
-        /// Decision threshold on the model's match probability.
-        threshold: f64,
-    },
+    /// match (probability ≥ 0.5), `DoubleEntity` otherwise.
+    #[default]
+    Auto,
 }
 
 impl GenerationStrategy {
-    /// The default `Auto` strategy with the conventional 0.5 threshold.
-    pub fn auto() -> Self {
-        GenerationStrategy::Auto { threshold: 0.5 }
-    }
-
     /// Resolves the strategy for a record given the model's probability.
     pub fn resolve(self, model_probability: f64) -> ResolvedStrategy {
         match self {
             GenerationStrategy::SingleEntity => ResolvedStrategy::SingleEntity,
             GenerationStrategy::DoubleEntity => ResolvedStrategy::DoubleEntity,
-            GenerationStrategy::Auto { threshold } => {
-                if model_probability >= threshold {
+            GenerationStrategy::Auto => {
+                if model_probability >= 0.5 {
                     ResolvedStrategy::SingleEntity
                 } else {
                     ResolvedStrategy::DoubleEntity
@@ -71,16 +64,9 @@ mod tests {
 
     #[test]
     fn auto_follows_the_model_prediction() {
-        let auto = GenerationStrategy::auto();
+        let auto = GenerationStrategy::Auto;
         assert_eq!(auto.resolve(0.9), ResolvedStrategy::SingleEntity);
         assert_eq!(auto.resolve(0.1), ResolvedStrategy::DoubleEntity);
-        assert_eq!(auto.resolve(0.5), ResolvedStrategy::SingleEntity); // boundary: >= threshold
-    }
-
-    #[test]
-    fn auto_threshold_is_respected() {
-        let auto = GenerationStrategy::Auto { threshold: 0.4 };
-        assert_eq!(auto.resolve(0.45), ResolvedStrategy::SingleEntity);
-        assert_eq!(auto.resolve(0.35), ResolvedStrategy::DoubleEntity);
+        assert_eq!(auto.resolve(0.5), ResolvedStrategy::SingleEntity); // boundary: >= 0.5
     }
 }

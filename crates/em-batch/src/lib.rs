@@ -7,7 +7,7 @@
 //! 1. **Determinism.** Every output byte is a pure function of
 //!    `(plan, input file, model file)`. Record seeds derive from the plan
 //!    seed and the record's global index (DESIGN.md §7), each record runs
-//!    through the same [`em_codec::explain::run_explain_traced`] encoder
+//!    through the same [`em_codec::explain::run_explain`] encoder
 //!    as the online server, and shard boundaries are fixed at plan time —
 //!    so the concatenated shard outputs are byte-identical at any thread
 //!    count and any shard count.

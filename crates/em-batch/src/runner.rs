@@ -16,7 +16,7 @@
 
 use std::path::Path;
 
-use em_codec::explain::{run_explain_traced, ExplainOptions, ExplainRequest};
+use em_codec::explain::{run_explain, ExplainOptions, ExplainRequest};
 use em_codec::json::Value;
 use em_entity::{Entity, LabeledPair, Schema};
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
@@ -123,7 +123,7 @@ fn compute_shard(
                 ..ExplainOptions::default()
             },
         };
-        let response = run_explain_traced(model, schema, &request, tracer);
+        let response = run_explain(model, schema, &request, tracer);
         encode_record_line(schema, index, seed, record, response)
     });
     lines.concat().into_bytes()

@@ -1,7 +1,7 @@
 //! Cross-crate byte-equality: a record's `response` field in the batch
 //! output must be **byte-identical** to what `em-serve` returns over HTTP
 //! for the same pair, explainer, and seed. Both paths run through
-//! `em_codec::explain::run_explain_traced` and the shared
+//! `em_codec::explain::run_explain` and the shared
 //! shortest-roundtrip JSON writer, so this holds by construction — the
 //! test pins the contract across the crate boundary, including the wire.
 //!

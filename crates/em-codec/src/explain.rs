@@ -5,7 +5,7 @@
 //! walks `PairExplanation` / `DualExplanation` into a deterministic
 //! [`Value`] tree. Both the online server (`em-serve`) and the offline
 //! batch pipeline (`em-batch`) run explanations through
-//! [`run_explain_traced`], which is what makes a batch-written record
+//! [`run_explain`], which is what makes a batch-written record
 //! bit-identical to a served response for the same
 //! `(pair, explainer, config, seed)`. The canonical cache key
 //! is also built here: the JSON of the *resolved* request — schema-ordered
@@ -16,12 +16,12 @@
 
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{
-    LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer, PairExplanation,
-    SurrogateConfig, SurrogateSolver, MIN_KERNEL_WIDTH,
+    ExplainConfig, LimeExplainer, MojitoCopyExplainer, PairExplanation, SurrogateConfig,
+    SurrogateSolver, MIN_KERNEL_WIDTH,
 };
 use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
+use landmark_core::{GenerationStrategy, LandmarkExplainer};
 
 use crate::json::Value;
 
@@ -96,17 +96,19 @@ impl Default for ExplainOptions {
 }
 
 impl ExplainOptions {
-    fn surrogate(&self) -> SurrogateConfig {
-        SurrogateConfig {
-            kernel_width: self.kernel_width,
-            solver: self.solver,
-        }
-    }
-
-    fn parallelism(&self) -> ParallelismConfig {
-        match self.threads {
-            1 => ParallelismConfig::serial(),
-            n => ParallelismConfig::with_threads(n),
+    /// The explainer settings these options select.
+    fn config(&self) -> ExplainConfig {
+        ExplainConfig {
+            n_samples: self.n_samples,
+            surrogate: SurrogateConfig {
+                kernel_width: self.kernel_width,
+                solver: self.solver,
+            },
+            seed: self.seed,
+            parallelism: match self.threads {
+                1 => ParallelismConfig::serial(),
+                n => ParallelismConfig::with_threads(n),
+            },
         }
     }
 
@@ -261,40 +263,27 @@ pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
     .to_json()
 }
 
-/// Runs the selected explainer and encodes the response body.
+/// Runs the selected explainer and encodes the response body, recording
+/// per-stage timings into `tracer` ([`em_obs::noop`] records nothing).
+/// Tracing only observes: traced and untraced response bodies are
+/// byte-identical (DESIGN.md §10).
 pub fn run_explain<M: em_entity::MatchModel + Sync>(
-    model: &M,
-    schema: &Schema,
-    request: &ExplainRequest,
-) -> Value {
-    run_explain_traced(model, schema, request, em_obs::noop())
-}
-
-/// [`run_explain`] with per-stage timings recorded into `tracer`. Tracing
-/// only observes: traced and untraced response bodies are byte-identical
-/// (DESIGN.md §10).
-pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     request: &ExplainRequest,
     tracer: &dyn em_obs::Tracer,
 ) -> Value {
-    let options = &request.options;
+    let config = request.options.config();
+    let pair = &request.pair;
     let views: Vec<Value> = match request.explainer {
         ExplainerKind::Landmark | ExplainerKind::LandmarkSingle | ExplainerKind::LandmarkDouble => {
             let strategy = match request.explainer {
                 ExplainerKind::LandmarkSingle => GenerationStrategy::SingleEntity,
                 ExplainerKind::LandmarkDouble => GenerationStrategy::DoubleEntity,
-                _ => GenerationStrategy::auto(),
+                _ => GenerationStrategy::Auto,
             };
-            let explainer = LandmarkExplainer::new(LandmarkConfig {
-                n_samples: options.n_samples,
-                strategy,
-                surrogate: options.surrogate(),
-                seed: options.seed,
-                parallelism: options.parallelism(),
-            });
-            let dual = explainer.explain_traced(model, schema, &request.pair, tracer);
+            let dual =
+                LandmarkExplainer::new(config, strategy).explain(model, schema, pair, tracer);
             dual.both()
                 .iter()
                 .map(|view| {
@@ -309,32 +298,12 @@ pub fn run_explain_traced<M: em_entity::MatchModel + Sync>(
                 })
                 .collect()
         }
-        ExplainerKind::Lime => {
-            let explainer = LimeExplainer::new(LimeConfig {
-                n_samples: options.n_samples,
-                surrogate: options.surrogate(),
-                seed: options.seed,
-                parallelism: options.parallelism(),
-            });
-            let explanation = explainer.explain_traced(model, schema, &request.pair, tracer);
-            vec![encode_view(
-                schema,
-                None,
-                EntitySide::Right,
-                None,
-                &explanation,
-                None,
-            )]
-        }
-        ExplainerKind::MojitoCopy => {
-            let explainer = MojitoCopyExplainer::new(MojitoCopyConfig {
-                n_samples: options.n_samples,
-                copy_into: EntitySide::Right,
-                surrogate: options.surrogate(),
-                seed: options.seed,
-                parallelism: options.parallelism(),
-            });
-            let explanation = explainer.explain_traced(model, schema, &request.pair, tracer);
+        ExplainerKind::Lime | ExplainerKind::MojitoCopy => {
+            let explanation = if request.explainer == ExplainerKind::Lime {
+                LimeExplainer::new(config).explain(model, schema, pair, tracer)
+            } else {
+                MojitoCopyExplainer::new(config).explain(model, schema, pair, tracer)
+            };
             vec![encode_view(
                 schema,
                 None,
@@ -570,15 +539,19 @@ mod tests {
     fn run_explain_encodes_weights_bit_identical_to_direct_call() {
         let s = schema();
         let req = decode_explain_request(BODY, &s, &ExplainOptions::default()).unwrap();
-        let response = run_explain(&OverlapModel, &s, &req);
+        let response = run_explain(&OverlapModel, &s, &req, em_obs::noop());
 
-        let direct = LandmarkExplainer::new(LandmarkConfig {
+        let config = ExplainConfig {
             n_samples: 64,
-            strategy: GenerationStrategy::SingleEntity,
             seed: 7,
             ..Default::default()
-        })
-        .explain(&OverlapModel, &s, &req.pair);
+        };
+        let direct = LandmarkExplainer::new(config, GenerationStrategy::SingleEntity).explain(
+            &OverlapModel,
+            &s,
+            &req.pair,
+            em_obs::noop(),
+        );
 
         let views = response.get("explanations").unwrap().as_array().unwrap();
         assert_eq!(views.len(), 2);
@@ -621,9 +594,9 @@ mod tests {
                      "explainer": "{explainer}"}}"#
             );
             let req = decode_explain_request(&body, &s, &d).unwrap();
-            let untraced = run_explain(&OverlapModel, &s, &req).to_json();
+            let untraced = run_explain(&OverlapModel, &s, &req, em_obs::noop()).to_json();
             let trace = em_obs::Collector::new();
-            let traced = run_explain_traced(&OverlapModel, &s, &req, &trace).to_json();
+            let traced = run_explain(&OverlapModel, &s, &req, &trace).to_json();
             assert_eq!(untraced, traced, "{explainer}");
             assert!(
                 trace.counter(em_obs::Counter::SamplesScored) > 0,
@@ -645,7 +618,7 @@ mod tests {
                      "explainer": "{explainer}"}}"#
             );
             let req = decode_explain_request(&body, &s, &d).unwrap();
-            let response = run_explain(&OverlapModel, &s, &req);
+            let response = run_explain(&OverlapModel, &s, &req, em_obs::noop());
             let views = response.get("explanations").unwrap().as_array().unwrap();
             assert_eq!(views.len(), 1, "{explainer}");
             assert_eq!(views[0].get("landmark"), Some(&Value::Null));

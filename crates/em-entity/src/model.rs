@@ -11,8 +11,9 @@ use em_par::ParallelismConfig;
 /// to a match probability.
 ///
 /// Explainers treat implementations as black boxes — exactly the post-hoc
-/// setting of the paper. The batch method exists because perturbation-based
-/// explainers score hundreds of synthetic records per explanation.
+/// setting of the paper. The mask-scoring method exists because
+/// perturbation-based explainers score hundreds of synthetic records per
+/// explanation.
 pub trait MatchModel {
     /// Probability in `[0, 1]` that the pair is a match.
     fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64;
@@ -33,50 +34,6 @@ pub trait MatchModel {
             .iter()
             .map(|p| self.predict_proba(schema, p))
             .collect()
-    }
-
-    /// Probabilities for a batch of records, scored across a thread pool.
-    ///
-    /// Semantically identical to [`MatchModel::predict_proba_batch`] — same
-    /// values in the same order for any thread count — because each pair is
-    /// scored independently and results are reassembled in input order.
-    /// Perturbation-based explainers score hundreds of reconstructed pairs
-    /// per explanation, which makes this the pipeline's hot path.
-    ///
-    /// Only available on `Sync` models (still object-safe: the method is
-    /// excluded from `dyn MatchModel` vtables).
-    fn par_predict_proba_batch(
-        &self,
-        schema: &Schema,
-        pairs: &[EntityPair],
-        parallelism: &ParallelismConfig,
-    ) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        self.par_predict_proba_batch_traced(schema, pairs, parallelism, em_obs::noop())
-    }
-
-    /// [`MatchModel::par_predict_proba_batch`] with the batch timed as the
-    /// [`Stage::ModelScoring`] stage of `tracer`.
-    ///
-    /// Tracing only observes: the returned probabilities are bit-identical
-    /// to the untraced call for any tracer and any thread count. The span
-    /// covers the whole fork/join (the per-explanation hot path), and the
-    /// batch size is recorded as [`Counter::SamplesScored`].
-    fn par_predict_proba_batch_traced(
-        &self,
-        schema: &Schema,
-        pairs: &[EntityPair],
-        parallelism: &ParallelismConfig,
-        tracer: &dyn Tracer,
-    ) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let _span = Span::enter(tracer, Stage::ModelScoring);
-        tracer.add(Counter::SamplesScored, pairs.len() as u64);
-        em_par::par_map(parallelism, pairs, |_, p| self.predict_proba(schema, p))
     }
 
     /// Builds a [`PreparedScorer`] for one perturbation family.
@@ -100,31 +57,22 @@ pub trait MatchModel {
     }
 
     /// Scores every mask of a perturbation family across a thread pool
-    /// via [`MatchModel::prepare_scorer`].
+    /// via [`MatchModel::prepare_scorer`], timed as the
+    /// [`Stage::ModelScoring`] stage of `tracer` with the mask count
+    /// recorded as [`Counter::SamplesScored`].
     ///
     /// Each worker builds one scorer and reuses its buffers across its
     /// contiguous chunk of mask rows; results come back in row order. For
-    /// any thread count the output is bit-identical to scoring serially —
-    /// and, by the prepared-scorer contract, to reconstructing each
-    /// masked pair and calling [`MatchModel::predict_proba`] on it.
+    /// any thread count and any tracer the output is bit-identical to
+    /// scoring serially — and, by the prepared-scorer contract, to
+    /// reconstructing each masked pair and calling
+    /// [`MatchModel::predict_proba`] on it. Perturbation-based explainers
+    /// score hundreds of masks per explanation, which makes this the
+    /// pipeline's hot path.
+    ///
+    /// Only available on `Sync` models (still object-safe: the method is
+    /// excluded from `dyn MatchModel` vtables).
     fn par_score_masks(
-        &self,
-        schema: &Schema,
-        spec: &PerturbSpec<'_>,
-        masks: &Masks,
-        parallelism: &ParallelismConfig,
-    ) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        self.par_score_masks_traced(schema, spec, masks, parallelism, em_obs::noop())
-    }
-
-    /// [`MatchModel::par_score_masks`] with the batch timed as the
-    /// [`Stage::ModelScoring`] stage of `tracer`, recording the mask count
-    /// as [`Counter::SamplesScored`] — the same accounting the pair-batch
-    /// path uses, so stage profiles stay comparable.
-    fn par_score_masks_traced(
         &self,
         schema: &Schema,
         spec: &PerturbSpec<'_>,
@@ -302,7 +250,7 @@ mod tests {
             .collect();
         for threads in [1, 2, 4] {
             let cfg = ParallelismConfig::with_threads(threads);
-            let got = EqualityModel.par_score_masks(&s, &spec, &masks, &cfg);
+            let got = EqualityModel.par_score_masks(&s, &spec, &masks, &cfg, em_obs::noop());
             assert_eq!(got, expected, "threads = {threads}");
         }
     }

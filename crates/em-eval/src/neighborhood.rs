@@ -18,10 +18,10 @@
 
 use std::collections::HashSet;
 
-use em_entity::{EntityPair, EntitySide, MatchModel, Schema, Token};
-use em_lime::sampler::MaskSampler;
+use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
+use em_lime::engine::{perturb, ExplainConfig};
+use landmark_core::generate_view;
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{generate_view, reconstruct_with_landmark};
 
 use crate::technique::Technique;
 
@@ -83,6 +83,22 @@ fn summarize(probs: &[f64], nulls: usize) -> NeighborhoodStats {
     }
 }
 
+/// The masks and probabilities of `spec`'s neighborhood: the engine's own
+/// sample, scored serially.
+fn neighborhood<M: MatchModel + Sync>(
+    model: &M,
+    schema: &Schema,
+    spec: &PerturbSpec<'_>,
+    n_samples: usize,
+    seed: u64,
+) -> (em_entity::Masks, Vec<f64>) {
+    let config = ExplainConfig {
+        n_samples,
+        ..Default::default()
+    };
+    perturb(model, schema, spec, seed, &config, em_obs::noop())
+}
+
 fn lime_stats<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
@@ -91,26 +107,23 @@ fn lime_stats<M: MatchModel + Sync>(
     seed: u64,
 ) -> NeighborhoodStats {
     let (lt, rt) = em_entity::tokenize_pair(pair);
-    let features: Vec<(EntitySide, Token)> = lt
-        .into_iter()
+    let spec = PerturbSpec::TokenDrop {
+        pair,
+        left: SideSpec::Varying(&lt),
+        right: SideSpec::Varying(&rt),
+    };
+    let (masks, probs) = neighborhood(model, schema, &spec, n_samples, seed);
+    // The mask layout is left tokens then right tokens.
+    let features: Vec<(EntitySide, &Token)> = lt
+        .iter()
         .map(|t| (EntitySide::Left, t))
-        .chain(rt.into_iter().map(|t| (EntitySide::Right, t)))
+        .chain(rt.iter().map(|t| (EntitySide::Right, t)))
         .collect();
     let shared: HashSet<&str> = {
-        let l: HashSet<&str> = features
-            .iter()
-            .filter(|(s, _)| *s == EntitySide::Left)
-            .map(|(_, t)| t.text.as_str())
-            .collect();
-        let r: HashSet<&str> = features
-            .iter()
-            .filter(|(s, _)| *s == EntitySide::Right)
-            .map(|(_, t)| t.text.as_str())
-            .collect();
+        let l: HashSet<&str> = lt.iter().map(|t| t.text.as_str()).collect();
+        let r: HashSet<&str> = rt.iter().map(|t| t.text.as_str()).collect();
         l.intersection(&r).copied().collect()
     };
-    let masks = MaskSampler::new(seed).sample(features.len(), n_samples);
-    let mut probs = Vec::with_capacity(masks.len());
     let mut nulls = 0usize;
     for mask in masks.iter() {
         // Null perturbation: some shared text dropped from both sides.
@@ -127,21 +140,6 @@ fn lime_stats<M: MatchModel + Sync>(
         if dropped_left.intersection(&dropped_right).next().is_some() {
             nulls += 1;
         }
-        let mut left_kept = Vec::new();
-        let mut right_kept = Vec::new();
-        for ((side, token), &keep) in features.iter().zip(mask) {
-            if keep {
-                match side {
-                    EntitySide::Left => left_kept.push(token.clone()),
-                    EntitySide::Right => right_kept.push(token.clone()),
-                }
-            }
-        }
-        let rebuilt = EntityPair::new(
-            em_entity::detokenize(&left_kept, schema.len()),
-            em_entity::detokenize(&right_kept, schema.len()),
-        );
-        probs.push(model.predict_proba(schema, &rebuilt));
     }
     summarize(&probs, nulls)
 }
@@ -154,16 +152,14 @@ fn landmark_stats<M: MatchModel + Sync>(
     n_samples: usize,
     seed: u64,
 ) -> NeighborhoodStats {
+    // The left entity is the landmark, so the right side varies.
     let view = generate_view(pair, EntitySide::Left, strategy);
-    let masks = MaskSampler::new(seed).sample(view.tokens.len(), n_samples);
-    let probs: Vec<f64> = masks
-        .iter()
-        .map(|m| {
-            let rebuilt = reconstruct_with_landmark(pair, &view, m, schema.len());
-            model.predict_proba(schema, &rebuilt)
-        })
-        .collect();
-    summarize(&probs, 0)
+    let spec = PerturbSpec::TokenDrop {
+        pair,
+        left: SideSpec::Fixed,
+        right: SideSpec::Varying(&view.tokens),
+    };
+    summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
 }
 
 fn copy_stats<M: MatchModel + Sync>(
@@ -173,22 +169,11 @@ fn copy_stats<M: MatchModel + Sync>(
     n_samples: usize,
     seed: u64,
 ) -> NeighborhoodStats {
-    let d = schema.len();
-    let masks = MaskSampler::new(seed).sample(d, n_samples);
-    let probs: Vec<f64> = masks
-        .iter()
-        .map(|mask| {
-            let mut p = pair.clone();
-            for (attr, &keep) in mask.iter().enumerate() {
-                if !keep {
-                    let v = pair.left.value(attr).to_string();
-                    p.right.set_value(attr, v);
-                }
-            }
-            model.predict_proba(schema, &p)
-        })
-        .collect();
-    summarize(&probs, 0)
+    let spec = PerturbSpec::AttrCopy {
+        pair,
+        copy_into: EntitySide::Right,
+    };
+    summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
 }
 
 #[cfg(test)]

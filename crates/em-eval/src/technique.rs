@@ -2,9 +2,8 @@
 //! compares.
 
 use em_entity::{EntityPair, EntitySide, MatchModel, Schema, Token};
-use em_lime::{LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer, SurrogateConfig};
-use em_par::ParallelismConfig;
-use landmark_core::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
+use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
+use landmark_core::{GenerationStrategy, LandmarkExplainer};
 
 /// The techniques compared in Tables 2-4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -79,7 +78,11 @@ pub fn explain_record<M: MatchModel + Sync>(
     n_samples: usize,
     seed: u64,
 ) -> Vec<ExplainedRecord> {
-    let surrogate = SurrogateConfig::default();
+    let config = ExplainConfig {
+        n_samples,
+        seed,
+        ..Default::default()
+    };
     match technique {
         Technique::LandmarkSingle | Technique::LandmarkDouble => {
             let strategy = if technique == Technique::LandmarkSingle {
@@ -87,14 +90,12 @@ pub fn explain_record<M: MatchModel + Sync>(
             } else {
                 GenerationStrategy::DoubleEntity
             };
-            let explainer = LandmarkExplainer::new(LandmarkConfig {
-                n_samples,
-                strategy,
-                surrogate,
-                seed,
-                parallelism: ParallelismConfig::serial(),
-            });
-            let dual = explainer.explain(model, schema, pair);
+            let dual = LandmarkExplainer::new(config, strategy).explain(
+                model,
+                schema,
+                pair,
+                em_obs::noop(),
+            );
             dual.both()
                 .into_iter()
                 .map(|le| {
@@ -125,34 +126,12 @@ pub fn explain_record<M: MatchModel + Sync>(
                 })
                 .collect()
         }
-        Technique::Lime => {
-            let explainer = LimeExplainer::new(LimeConfig {
-                n_samples,
-                surrogate,
-                seed,
-                parallelism: ParallelismConfig::serial(),
-            });
-            let e = explainer.explain(model, schema, pair);
-            vec![ExplainedRecord {
-                base: pair.clone(),
-                base_prediction: e.model_prediction,
-                original_prediction: e.model_prediction,
-                removable: e
-                    .token_weights
-                    .iter()
-                    .map(|tw| (tw.side, tw.token.clone(), tw.weight))
-                    .collect(),
-                attribute_importance: e.attribute_importance(schema),
-            }]
-        }
-        Technique::MojitoCopy => {
-            let explainer = MojitoCopyExplainer::new(MojitoCopyConfig {
-                n_samples,
-                surrogate,
-                seed,
-                ..Default::default()
-            });
-            let e = explainer.explain(model, schema, pair);
+        Technique::Lime | Technique::MojitoCopy => {
+            let e = if technique == Technique::Lime {
+                LimeExplainer::new(config).explain(model, schema, pair, em_obs::noop())
+            } else {
+                MojitoCopyExplainer::new(config).explain(model, schema, pair, em_obs::noop())
+            };
             vec![ExplainedRecord {
                 base: pair.clone(),
                 base_prediction: e.model_prediction,

@@ -9,10 +9,13 @@
 //!   draws them;
 //! * [`surrogate`] — *Surrogate model creation*: proximity-weighted ridge
 //!   (or lasso) regression from masks to black-box probabilities;
-//! * [`lime`] — the glue that tokenizes a record, perturbs it, scores the
-//!   reconstructions with the black-box [`em_entity::MatchModel`], and fits
-//!   the surrogate. Applied to an EM pair with token dropping over **both**
-//!   entities this is exactly the paper's *LIME / Mojito Drop* baseline;
+//! * [`engine`] — the loop that joins them: [`perturb_and_fit`] samples
+//!   masks over a view's features, scores the reconstructions with the
+//!   black-box [`em_entity::MatchModel`], and fits the surrogate. Every
+//!   explainer in the workspace runs it, configured by one
+//!   [`ExplainConfig`];
+//! * [`lime`] — token dropping over **both** entities of an EM pair: the
+//!   paper's *LIME / Mojito Drop* baseline;
 //! * [`mojito`] — the *Mojito Copy* baseline: attribute-level copy
 //!   perturbations whose attribute weight is spread uniformly over the
 //!   attribute's tokens;
@@ -22,7 +25,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod anchor;
+pub mod engine;
 pub mod explanation;
 pub mod lime;
 pub mod mojito;
@@ -31,11 +34,11 @@ pub mod reference;
 pub mod sampler;
 pub mod surrogate;
 
-pub use anchor::{AnchorConfig, AnchorExplainer, AnchorExplanation};
 pub use em_par::ParallelismConfig;
+pub use engine::{perturb_and_fit, ExplainConfig};
 pub use explanation::{PairExplanation, TokenWeight};
-pub use lime::{LimeConfig, LimeExplainer};
-pub use mojito::{MojitoCopyConfig, MojitoCopyExplainer};
+pub use lime::LimeExplainer;
+pub use mojito::MojitoCopyExplainer;
 pub use sampler::{sample_masks, MaskSampler};
 pub use surrogate::{
     fit_surrogate, SurrogateConfig, SurrogateFit, SurrogateSolver, MIN_KERNEL_WIDTH,

@@ -9,67 +9,30 @@
 #[cfg(test)]
 use em_entity::{detokenize, Token};
 use em_entity::{tokenize_pair, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec};
-use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
+use em_obs::{Span, Stage, Tracer};
 
+use crate::engine::{perturb_and_fit, ExplainConfig};
 use crate::explanation::{PairExplanation, TokenWeight};
-use crate::sampler::MaskSampler;
-use crate::surrogate::{fit_surrogate, SurrogateConfig};
-
-/// Configuration for [`LimeExplainer`].
-#[derive(Debug, Clone, Copy)]
-pub struct LimeConfig {
-    /// Number of perturbation samples (LIME's `num_samples`).
-    pub n_samples: usize,
-    /// Surrogate kernel / solver settings.
-    pub surrogate: SurrogateConfig,
-    /// RNG seed for mask sampling.
-    pub seed: u64,
-    /// Thread-pool settings for scoring the reconstructions. Sampling stays
-    /// serial, so any setting yields bit-identical explanations.
-    pub parallelism: ParallelismConfig,
-}
-
-impl Default for LimeConfig {
-    fn default() -> Self {
-        LimeConfig {
-            n_samples: 500,
-            surrogate: SurrogateConfig::default(),
-            seed: 0,
-            parallelism: ParallelismConfig::serial(),
-        }
-    }
-}
 
 /// The generic token-dropping explainer (LIME; called *Mojito Drop* in the
 /// paper when applied to EM records).
 #[derive(Debug, Clone, Default)]
 pub struct LimeExplainer {
     /// Explainer configuration.
-    pub config: LimeConfig,
+    pub config: ExplainConfig,
 }
 
 impl LimeExplainer {
     /// Creates an explainer with the given configuration.
-    pub fn new(config: LimeConfig) -> Self {
+    pub fn new(config: ExplainConfig) -> Self {
         LimeExplainer { config }
     }
 
     /// Explains one record: perturbs tokens of both entities, scores the
-    /// reconstructions with `model`, and fits the surrogate.
+    /// reconstructions with `model`, and fits the surrogate. Per-stage
+    /// timings go to `tracer` ([`em_obs::noop`] records nothing); tracing
+    /// only observes (DESIGN.md §10).
     pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> PairExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`LimeExplainer::explain`] with per-stage timings recorded into
-    /// `tracer`. Tracing only observes — traced and untraced explanations
-    /// are bit-identical (DESIGN.md §10).
-    pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
@@ -80,31 +43,15 @@ impl LimeExplainer {
             let _span = Span::enter(tracer, Stage::Tokenize);
             tokenize_pair(pair)
         };
-        let n_features = left_tokens.len() + right_tokens.len();
-        tracer.add(Counter::Features, n_features as u64);
-
-        let masks = {
-            let _span = Span::enter(tracer, Stage::MaskSampling);
-            MaskSampler::new(self.config.seed).sample(n_features, self.config.n_samples)
-        };
         // LIME's mask layout is left tokens then right tokens — exactly the
-        // layout `PerturbSpec::TokenDrop` uses with two varying sides, so
-        // the prepared kernel scores each mask without materializing the
-        // reconstructed pair (bit-identical either way, DESIGN.md §11).
-        let spec = {
-            let _span = Span::enter(tracer, Stage::PairReconstruction);
-            PerturbSpec::TokenDrop {
-                pair,
-                left: SideSpec::Varying(&left_tokens),
-                right: SideSpec::Varying(&right_tokens),
-            }
+        // layout `PerturbSpec::TokenDrop` uses with two varying sides.
+        let spec = PerturbSpec::TokenDrop {
+            pair,
+            left: SideSpec::Varying(&left_tokens),
+            right: SideSpec::Varying(&right_tokens),
         };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
-        let fit = {
-            let _span = Span::enter(tracer, Stage::SurrogateFit);
-            fit_surrogate(&masks, &probs, &self.config.surrogate)
-        };
+        let (probs, fit) =
+            perturb_and_fit(model, schema, &spec, self.config.seed, &self.config, tracer);
 
         let token_weights = left_tokens
             .into_iter()
@@ -210,25 +157,25 @@ mod tests {
 
     #[test]
     fn produces_one_weight_per_token() {
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         // 4 left tokens + 4 right tokens
         assert_eq!(e.token_weights.len(), 8);
     }
 
     #[test]
     fn model_prediction_matches_black_box() {
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         let expected = JaccardModel.predict_proba(&schema(), &pair());
         assert!((e.model_prediction - expected).abs() < 1e-12);
     }
 
     #[test]
     fn shared_tokens_get_positive_weight() {
-        let e = LimeExplainer::new(LimeConfig {
+        let e = LimeExplainer::new(ExplainConfig {
             n_samples: 1000,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         // "sony" and "camera" appear on both sides: dropping them lowers
         // Jaccard, so their weights should be positive.
         for tw in &e.token_weights {
@@ -240,11 +187,11 @@ mod tests {
 
     #[test]
     fn unshared_tokens_get_negative_weight() {
-        let e = LimeExplainer::new(LimeConfig {
+        let e = LimeExplainer::new(ExplainConfig {
             n_samples: 1000,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         for tw in &e.token_weights {
             if tw.text_is("digital") || tw.text_is("849.99") || tw.text_is("kit") {
                 assert!(tw.weight < 0.0, "{tw:?}");
@@ -254,23 +201,23 @@ mod tests {
 
     #[test]
     fn explanation_is_deterministic_per_seed() {
-        let a = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
-        let b = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair());
+        let a = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
+        let b = LimeExplainer::default().explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert_eq!(a.token_weights, b.token_weights);
     }
 
     #[test]
     fn different_seed_changes_weights_slightly() {
-        let a = LimeExplainer::new(LimeConfig {
+        let a = LimeExplainer::new(ExplainConfig {
             seed: 1,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
-        let b = LimeExplainer::new(LimeConfig {
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
+        let b = LimeExplainer::new(ExplainConfig {
             seed: 2,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert_ne!(a.token_weights, b.token_weights);
     }
 
@@ -299,17 +246,17 @@ mod tests {
     #[test]
     fn empty_record_explains_without_panicking() {
         let p = EntityPair::new(Entity::new(vec!["", ""]), Entity::new(vec!["", ""]));
-        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &p);
+        let e = LimeExplainer::default().explain(&JaccardModel, &schema(), &p, em_obs::noop());
         assert!(e.token_weights.is_empty());
     }
 
     #[test]
     fn surrogate_r2_is_reasonable_for_smooth_model() {
-        let e = LimeExplainer::new(LimeConfig {
+        let e = LimeExplainer::new(ExplainConfig {
             n_samples: 800,
             ..Default::default()
         })
-        .explain(&JaccardModel, &schema(), &pair());
+        .explain(&JaccardModel, &schema(), &pair(), em_obs::noop());
         assert!(e.surrogate_r2 > 0.5, "r2 = {}", e.surrogate_r2);
     }
 

@@ -10,114 +10,60 @@
 //! [`PairExplanation`].
 
 use em_entity::{tokenize_entity, EntityPair, EntitySide, MatchModel, PerturbSpec, Schema};
-use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
+use em_obs::{Span, Stage, Tracer};
 
+use crate::engine::{perturb_and_fit, ExplainConfig};
 use crate::explanation::{PairExplanation, TokenWeight};
-use crate::sampler::MaskSampler;
-use crate::surrogate::{fit_surrogate, SurrogateConfig};
 
-/// Configuration for [`MojitoCopyExplainer`].
-#[derive(Debug, Clone, Copy)]
-pub struct MojitoCopyConfig {
-    /// Number of perturbation samples.
-    pub n_samples: usize,
-    /// The side whose attribute values are overwritten by the copy. The
-    /// source of the copy is the opposite side.
-    pub copy_into: EntitySide,
-    /// Surrogate kernel / solver settings.
-    pub surrogate: SurrogateConfig,
-    /// RNG seed.
-    pub seed: u64,
-    /// Thread-pool settings for scoring the reconstructions. Sampling stays
-    /// serial, so any setting yields bit-identical explanations.
-    pub parallelism: ParallelismConfig,
-}
-
-impl Default for MojitoCopyConfig {
-    fn default() -> Self {
-        MojitoCopyConfig {
-            n_samples: 500,
-            copy_into: EntitySide::Right,
-            surrogate: SurrogateConfig::default(),
-            seed: 0,
-            parallelism: ParallelismConfig::serial(),
-        }
-    }
-}
+/// The side whose attribute values the copy overwrites; the source of the
+/// copy is the opposite side.
+const COPY_INTO: EntitySide = EntitySide::Right;
 
 /// The attribute-copying explainer.
 #[derive(Debug, Clone, Default)]
 pub struct MojitoCopyExplainer {
     /// Explainer configuration.
-    pub config: MojitoCopyConfig,
+    pub config: ExplainConfig,
 }
 
 impl MojitoCopyExplainer {
     /// Creates an explainer with the given configuration.
-    pub fn new(config: MojitoCopyConfig) -> Self {
+    pub fn new(config: ExplainConfig) -> Self {
         MojitoCopyExplainer { config }
     }
 
-    /// Explains one record with attribute-copy perturbations.
+    /// Explains one record with attribute-copy perturbations, recording
+    /// per-stage timings into `tracer` ([`em_obs::noop`] records nothing;
+    /// tracing only observes, DESIGN.md §10).
     ///
     /// Mask semantics: bit `a` **on** keeps attribute `a` as-is; bit **off**
-    /// overwrites the `copy_into` side's value with the other side's value.
+    /// overwrites the right entity's value with the left entity's value.
     /// A positive attribute coefficient therefore means "the original
     /// (differing) value supports the current prediction". As the paper
     /// notes, "Mojito treats attributes atomically, distributing its impact
     /// equally to its constituent tokens": the attribute coefficient is
-    /// spread uniformly over the tokens of the *replaced* (`copy_into`)
-    /// side — the tokens the copy perturbation actually substitutes.
+    /// spread uniformly over the tokens of the *replaced* (right) side —
+    /// the tokens the copy perturbation actually substitutes.
     pub fn explain<M: MatchModel + Sync>(
-        &self,
-        model: &M,
-        schema: &Schema,
-        pair: &EntityPair,
-    ) -> PairExplanation {
-        self.explain_traced(model, schema, pair, em_obs::noop())
-    }
-
-    /// [`MojitoCopyExplainer::explain`] with per-stage timings recorded
-    /// into `tracer`. Tracing only observes — traced and untraced
-    /// explanations are bit-identical (DESIGN.md §10).
-    pub fn explain_traced<M: MatchModel + Sync>(
         &self,
         model: &M,
         schema: &Schema,
         pair: &EntityPair,
         tracer: &dyn Tracer,
     ) -> PairExplanation {
-        let d = schema.len();
-        tracer.add(Counter::Features, d as u64);
-        let masks = {
-            let _span = Span::enter(tracer, Stage::MaskSampling);
-            MaskSampler::new(self.config.seed).sample(d, self.config.n_samples)
+        let spec = PerturbSpec::AttrCopy {
+            pair,
+            copy_into: COPY_INTO,
         };
-        // The copy perturbation is a pure function of the mask and the two
-        // original attribute values, so the prepared kernel can score each
-        // mask from per-attribute precomputed state instead of cloning the
-        // pair per sample (bit-identical either way, DESIGN.md §11).
-        let spec = {
-            let _span = Span::enter(tracer, Stage::PairReconstruction);
-            PerturbSpec::AttrCopy {
-                pair,
-                copy_into: self.config.copy_into,
-            }
-        };
-        let probs =
-            model.par_score_masks_traced(schema, &spec, &masks, &self.config.parallelism, tracer);
-        let fit = {
-            let _span = Span::enter(tracer, Stage::SurrogateFit);
-            fit_surrogate(&masks, &probs, &self.config.surrogate)
-        };
+        let (probs, fit) =
+            perturb_and_fit(model, schema, &spec, self.config.seed, &self.config, tracer);
 
         // Distribute each attribute's coefficient uniformly over the tokens
         // of the replaced side (the tokens the copy substitutes).
         let mut token_weights = Vec::new();
         let replaced_tokens = {
             let _span = Span::enter(tracer, Stage::Tokenize);
-            tokenize_entity(pair.entity(self.config.copy_into))
+            tokenize_entity(pair.entity(COPY_INTO))
         };
         for (attr, &attr_weight) in fit.coefficients.iter().enumerate() {
             let attr_tokens: Vec<&em_entity::Token> = replaced_tokens
@@ -130,7 +76,7 @@ impl MojitoCopyExplainer {
             let per_token = attr_weight / attr_tokens.len() as f64;
             for token in attr_tokens {
                 token_weights.push(TokenWeight {
-                    side: self.config.copy_into,
+                    side: COPY_INTO,
                     token: token.clone(),
                     weight: per_token,
                 });
@@ -180,10 +126,9 @@ mod tests {
     fn copying_differing_attributes_raises_probability() {
         // Direct check of the perturbation semantics, not the surrogate:
         // with all attributes copied, the model must see a perfect match.
-        let cfg = MojitoCopyConfig::default();
-        let explainer = MojitoCopyExplainer::new(cfg);
         let pair = non_matching_pair();
-        let e = explainer.explain(&ExactModel, &schema(), &pair);
+        let e =
+            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &pair, em_obs::noop());
         // Original record: 0 equal attributes.
         assert_eq!(e.model_prediction, 0.0);
         // The intercept region (everything copied) approaches 1.0, so
@@ -198,8 +143,12 @@ mod tests {
 
     #[test]
     fn token_weights_within_attribute_are_equal() {
-        let e =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let e = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         // Attribute 0's replaced side (right) has 2 tokens: equal weights.
         let w: Vec<f64> = e
             .token_weights
@@ -215,8 +164,12 @@ mod tests {
 
     #[test]
     fn attribute_importance_reflects_attribute_coefficient() {
-        let e =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let e = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         let imp = e.attribute_importance(&schema());
         // Every attribute contributes 1/3 to the ExactModel, so importances
         // should be roughly equal.
@@ -229,7 +182,8 @@ mod tests {
     fn matching_record_has_near_zero_weights() {
         let e_same = Entity::new(vec!["sony camera", "digital slr kit", "849.99"]);
         let pair = EntityPair::new(e_same.clone(), e_same);
-        let e = MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &pair);
+        let e =
+            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &pair, em_obs::noop());
         // Copying identical values changes nothing.
         for tw in &e.token_weights {
             assert!(tw.weight.abs() < 1e-9, "{tw:?}");
@@ -238,41 +192,19 @@ mod tests {
     }
 
     #[test]
-    fn copy_direction_is_respected() {
-        // Model that only looks at the left entity's name.
-        struct LeftOnlyModel;
-        impl MatchModel for LeftOnlyModel {
-            fn predict_proba(&self, _: &Schema, pair: &EntityPair) -> f64 {
-                if pair.left.value(0).contains("sony") {
-                    0.9
-                } else {
-                    0.1
-                }
-            }
-        }
-        let pair = non_matching_pair();
-        // Copying into Right never touches the left entity: flat model.
-        let into_right = MojitoCopyExplainer::default().explain(&LeftOnlyModel, &schema(), &pair);
-        assert!(into_right
-            .token_weights
-            .iter()
-            .all(|t| t.weight.abs() < 1e-9));
-        // Copying into Left overwrites "sony camera" with "nikon case".
-        let cfg = MojitoCopyConfig {
-            copy_into: EntitySide::Left,
-            ..Default::default()
-        };
-        let into_left = MojitoCopyExplainer::new(cfg).explain(&LeftOnlyModel, &schema(), &pair);
-        let name_importance = into_left.attribute_importance(&schema())[0];
-        assert!(name_importance > 0.1, "{name_importance}");
-    }
-
-    #[test]
     fn deterministic_per_seed() {
-        let a =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
-        let b =
-            MojitoCopyExplainer::default().explain(&ExactModel, &schema(), &non_matching_pair());
+        let a = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
+        let b = MojitoCopyExplainer::default().explain(
+            &ExactModel,
+            &schema(),
+            &non_matching_pair(),
+            em_obs::noop(),
+        );
         assert_eq!(a.token_weights, b.token_weights);
     }
 }

@@ -207,14 +207,20 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     Ok(lint_files(&files, Some(&deps)))
 }
 
-/// Builds the workspace call graph and returns its per-crate statistics
-/// (the `graph` subcommand).
-pub fn graph_stats(root: &Path) -> std::io::Result<GraphStats> {
+/// Builds the workspace call graph, with edges restricted by the
+/// dependency topology in the crates' manifests.
+pub fn workspace_graph(root: &Path) -> std::io::Result<Graph> {
     let files = read_workspace_sources(root)?;
     let ctxs: Vec<FileContext> = files.iter().map(|(p, s)| FileContext::new(p, s)).collect();
     let items: Vec<FileItems> = ctxs.iter().map(parser::parse).collect();
     let deps = parse_dep_map(root);
-    Ok(Graph::build(&ctxs, &items, Some(&deps)).stats())
+    Ok(Graph::build(&ctxs, &items, Some(&deps)))
+}
+
+/// The workspace call graph's per-crate statistics (the `graph`
+/// subcommand).
+pub fn graph_stats(root: &Path) -> std::io::Result<GraphStats> {
+    Ok(workspace_graph(root)?.stats())
 }
 
 fn read_workspace_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {

@@ -54,5 +54,6 @@ pub mod rules;
 pub mod taint;
 
 pub use engine::{
-    find_workspace_root, graph_stats, lint_source, lint_workspace, Report, Violation,
+    find_workspace_root, graph_stats, lint_source, lint_workspace, workspace_graph, Report,
+    Violation,
 };

@@ -256,7 +256,6 @@ pub const PANIC_ROOTS: &[(&str, &str)] = &[
     ("em-serve", "read_request"),
     ("em-route", "route"),
     ("em-codec", "run_explain"),
-    ("em-codec", "run_explain_traced"),
     ("em-codec", "parse"),
     ("em-codec", "to_json"),
 ];

@@ -34,13 +34,9 @@ use std::collections::BTreeMap;
 /// callees must be free of nondeterminism sources.
 pub const SINKS: &[(&str, &str)] = &[
     ("core", "explain"),
-    ("core", "explain_traced"),
-    ("core", "explain_with_landmark"),
-    ("core", "explain_with_landmark_traced"),
     ("em-lime", "explain"),
-    ("em-lime", "explain_traced"),
+    ("em-lime", "perturb_and_fit"),
     ("em-codec", "run_explain"),
-    ("em-codec", "run_explain_traced"),
     ("em-codec", "to_json"),
     ("em-serve", "handle_explain"),
     ("em-serve", "handle_predict"),

@@ -16,7 +16,9 @@
 //! v1 path-allowlist rules provably missed is caught by `nondet-taint`.
 
 use em_lint::engine::lint_files;
-use em_lint::{find_workspace_root, graph_stats, lint_source, lint_workspace};
+use em_lint::rules::PANIC_ROOTS;
+use em_lint::taint::SINKS;
+use em_lint::{find_workspace_root, graph_stats, lint_source, lint_workspace, workspace_graph};
 use std::path::Path;
 
 /// (fixture file, virtual workspace path it is linted under).
@@ -386,6 +388,26 @@ fn shipped_workspace_is_clean() {
         report.files_checked >= 100,
         "suspiciously few files checked: {}",
         report.files_checked
+    );
+}
+
+/// Every taint sink and panic root names at least one production function
+/// of the shipped workspace. The rules skip a name that resolves to
+/// nothing, so without this check a renamed or deleted entry point would
+/// silently drop out of the analysis.
+#[test]
+fn every_sink_and_panic_root_resolves_to_a_function() {
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
+        .expect("workspace root above em-lint");
+    let graph = workspace_graph(&root).expect("workspace graph");
+    let stale: Vec<&(&str, &str)> = SINKS
+        .iter()
+        .chain(PANIC_ROOTS)
+        .filter(|(krate, name)| graph.find(krate, name).is_empty())
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "entries that resolve to no function: {stale:?}"
     );
 }
 

@@ -246,8 +246,7 @@ fn handle_explain(state: &Server, request: &Request) -> Response {
         }
         None => {
             trace.add(em_obs::Counter::CacheMisses, 1);
-            let body =
-                codec::run_explain_traced(&state.model, &state.schema, &decoded, &trace).to_json();
+            let body = codec::run_explain(&state.model, &state.schema, &decoded, &trace).to_json();
             state.cache.insert(key, body.clone());
             (body, "miss")
         }

@@ -122,7 +122,7 @@ proptest! {
         let decoded = decode_explain_request(&body, &fx.schema, &ExplainOptions::default())
             .expect("request decodes");
         let boxed: Box<dyn MatchModel + Send + Sync> = Box::new(fx.matcher.clone());
-        let direct = run_explain(&boxed, &fx.schema, &decoded).to_json();
+        let direct = run_explain(&boxed, &fx.schema, &decoded, em_obs::noop()).to_json();
 
         // Served twice — cold then cached — both under the live deadline.
         let cold = client::request(fx.handle.addr(), "POST", "/explain", &body)

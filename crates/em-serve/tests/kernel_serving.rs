@@ -70,8 +70,8 @@ fn boxed_model_serves_bit_identical_to_naive_fallback() {
             let body = request_body(&schema, &record.pair, explainer);
             let decoded = decode_explain_request(&body, &schema, &ExplainOptions::default())
                 .expect("request decodes");
-            let served = run_explain(&boxed, &schema, &decoded).to_json();
-            let reference = run_explain(&naive, &schema, &decoded).to_json();
+            let served = run_explain(&boxed, &schema, &decoded, em_obs::noop()).to_json();
+            let reference = run_explain(&naive, &schema, &decoded, em_obs::noop()).to_json();
             assert_eq!(
                 served, reference,
                 "served ({explainer}) body diverged from the naive scorer"

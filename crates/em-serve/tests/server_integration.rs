@@ -7,11 +7,12 @@ use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
-use landmark_core::{LandmarkConfig, LandmarkExplainer};
+use landmark_core::{GenerationStrategy, LandmarkExplainer};
 
 const N_SAMPLES: usize = 64;
 const SEED: u64 = 42;
@@ -70,12 +71,17 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
 
     // Ground truth, computed before the matcher moves into the server.
-    let direct = LandmarkExplainer::new(LandmarkConfig {
+    let config = ExplainConfig {
         n_samples: N_SAMPLES,
         seed: SEED,
         ..Default::default()
-    })
-    .explain(&matcher, &schema, &pair);
+    };
+    let direct = LandmarkExplainer::new(config, GenerationStrategy::Auto).explain(
+        &matcher,
+        &schema,
+        &pair,
+        em_obs::noop(),
+    );
     let direct_prob = matcher.predict_proba(&schema, &pair);
 
     let server = Server::bind(

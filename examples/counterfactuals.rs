@@ -9,10 +9,7 @@
 //!
 //! Run with: `cargo run --release --example counterfactuals`
 
-use landmark_explanation::landmark::{
-    counterfactual, CounterfactualConfig, Edit, GenerationStrategy, LandmarkConfig,
-    LandmarkExplainer,
-};
+use landmark_explanation::landmark::{counterfactual, CounterfactualConfig, Edit};
 use landmark_explanation::prelude::*;
 
 fn main() {
@@ -38,17 +35,15 @@ fn main() {
         matcher.predict_proba(&schema, &record)
     );
 
-    let explainer = LandmarkExplainer::new(LandmarkConfig {
-        strategy: GenerationStrategy::DoubleEntity,
-        n_samples: 500,
-        ..Default::default()
-    });
-    let le = explainer.explain_with_landmark(&matcher, &schema, &record, EntitySide::Left);
+    let explainer =
+        LandmarkExplainer::new(ExplainConfig::default(), GenerationStrategy::DoubleEntity);
+    let dual = explainer.explain(&matcher, &schema, &record, noop());
+    let le = dual.with_landmark(EntitySide::Left);
     let cf = counterfactual(
         &matcher,
         &schema,
         &record,
-        &le,
+        le,
         &CounterfactualConfig {
             max_edits: 12,
             ..Default::default()

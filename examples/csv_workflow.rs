@@ -37,7 +37,7 @@ fn main() {
 
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
     let record = &dataset.records()[0].pair;
-    let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record);
+    let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
 
     println!("\nRecord:\n{}", record.display_with(dataset.schema()));
     for le in dual.both() {

@@ -17,16 +17,17 @@ fn main() {
     println!("Training the EM model on {} records...", dataset.len());
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
 
-    let explainer = LandmarkExplainer::new(LandmarkConfig {
+    let config = ExplainConfig {
         n_samples: 300,
         ..Default::default()
-    });
+    };
+    let explainer = LandmarkExplainer::new(config, GenerationStrategy::Auto);
 
     println!("Explaining 20 records per label...");
     let mut explanations = Vec::new();
     for label in [true, false] {
         for record in dataset.sample_by_label(label, 20, 7) {
-            explanations.push(explainer.explain(&matcher, &schema, &record.pair));
+            explanations.push(explainer.explain(&matcher, &schema, &record.pair, noop()));
         }
     }
     let views: Vec<_> = explanations.iter().flat_map(|d| d.both()).collect();

@@ -41,7 +41,7 @@ fn main() {
 
     // Landmark Explanation: two explanations, one per landmark.
     let explainer = LandmarkExplainer::default();
-    let dual = explainer.explain(&matcher, &schema, &record);
+    let dual = explainer.explain(&matcher, &schema, &record, noop());
 
     for le in dual.both() {
         println!(

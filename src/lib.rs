@@ -25,8 +25,10 @@
 //!
 //! // Explain one record from both landmark perspectives.
 //! let record = &dataset.records()[0].pair;
+//! // `noop()` records no stage timings; pass an `em_obs::Collector` to
+//! // trace the pipeline.
 //! let explainer = LandmarkExplainer::default();
-//! let dual = explainer.explain(&matcher, dataset.schema(), record);
+//! let dual = explainer.explain(&matcher, dataset.schema(), record, noop());
 //! for le in dual.both() {
 //!     println!(
 //!         "landmark={} top tokens:\n{}",
@@ -87,11 +89,12 @@ pub mod prelude {
     pub use em_entity::{
         EmDataset, Entity, EntityPair, EntitySide, LabeledPair, MatchModel, Schema, Token,
     };
-    pub use em_lime::{LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer};
+    pub use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
     pub use em_matchers::{LogisticMatcher, MatcherConfig, NaiveBayesMatcher};
+    pub use em_obs::noop;
     pub use em_par::ParallelismConfig;
     pub use landmark_core::{
-        DualExplanation, GenerationStrategy, LandmarkConfig, LandmarkExplainer, LandmarkExplanation,
+        DualExplanation, GenerationStrategy, LandmarkExplainer, LandmarkExplanation,
     };
 }
 
@@ -104,7 +107,7 @@ mod tests {
         let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SBr);
         let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
         let record = &dataset.records()[0].pair;
-        let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record);
+        let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
         assert_eq!(dual.both().len(), 2);
     }
 }

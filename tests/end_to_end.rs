@@ -90,7 +90,7 @@ fn landmark_explanations_respect_the_frozen_side() {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SIa);
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
     let record = &dataset.records()[1].pair;
-    let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record);
+    let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
     for le in dual.both() {
         assert_eq!(le.varying, le.landmark.other());
         for tw in &le.explanation.token_weights {

@@ -186,7 +186,7 @@ fn digest(setup: &Setup, explainer: ExplainerKind, options: ExplainOptions) -> u
                 ..options
             },
         };
-        let body = explain::run_explain(&setup.matcher, setup.dataset.schema(), &request);
+        let body = explain::run_explain(&setup.matcher, setup.dataset.schema(), &request, noop());
         bodies.push_str(&body.to_json());
         bodies.push('\n');
     }

@@ -34,15 +34,16 @@ fn landmark_explanations_agree_on_informative_attributes_across_model_families()
     let dataset = MagellanBenchmark::scaled(0.08).generate(DatasetId::SAg);
     let lr = LogisticMatcher::train(&dataset, &MatcherConfig::default());
     let nb = NaiveBayesMatcher::train(&dataset);
-    let explainer = LandmarkExplainer::new(LandmarkConfig {
+    let config = ExplainConfig {
         n_samples: 150,
         ..Default::default()
-    });
+    };
+    let explainer = LandmarkExplainer::new(config, GenerationStrategy::Auto);
 
     let importance = |model: &(dyn MatchModel + Sync)| -> Vec<f64> {
         let mut total = vec![0.0; dataset.schema().len()];
         for r in dataset.sample_by_label(true, 6, 1) {
-            let dual = explainer.explain(&model, dataset.schema(), &r.pair);
+            let dual = explainer.explain(&model, dataset.schema(), &r.pair, noop());
             for le in dual.both() {
                 for (t, v) in total
                     .iter_mut()
@@ -84,17 +85,17 @@ fn counterfactuals_work_for_naive_bayes_too() {
         .expect("confident match exists")
         .pair
         .clone();
-    let explainer = LandmarkExplainer::new(LandmarkConfig {
-        strategy: landmark_explanation::landmark::GenerationStrategy::SingleEntity,
+    let config = ExplainConfig {
         n_samples: 250,
         ..Default::default()
-    });
-    let le = explainer.explain_with_landmark(&nb, dataset.schema(), &record, EntitySide::Left);
+    };
+    let explainer = LandmarkExplainer::new(config, GenerationStrategy::SingleEntity);
+    let dual = explainer.explain(&nb, dataset.schema(), &record, noop());
     let cf = counterfactual(
         &nb,
         dataset.schema(),
         &record,
-        &le,
+        dual.with_landmark(EntitySide::Left),
         &CounterfactualConfig {
             max_edits: 20,
             ..Default::default()

@@ -1,8 +1,9 @@
 //! Serial and parallel execution must be bit-identical at every level of
-//! the pipeline: batch scoring, one explanation, and a full evaluation run.
+//! the pipeline: mask scoring, one explanation, and a full evaluation run.
 
+use landmark_explanation::entity::{tokenize_pair, PerturbSpec, SideSpec};
 use landmark_explanation::eval::{EvalConfig, Evaluator};
-use landmark_explanation::landmark::LandmarkConfig;
+use landmark_explanation::lime::sample_masks;
 use landmark_explanation::prelude::*;
 use proptest::prelude::*;
 
@@ -17,12 +18,17 @@ fn landmark_explanations_are_identical_for_any_thread_count() {
     let (dataset, matcher) = setup();
     let record = &dataset.records()[1].pair;
     let explain = |parallelism: ParallelismConfig| {
-        LandmarkExplainer::new(LandmarkConfig {
+        let config = ExplainConfig {
             n_samples: 200,
             parallelism,
             ..Default::default()
-        })
-        .explain(&matcher, dataset.schema(), record)
+        };
+        LandmarkExplainer::new(config, GenerationStrategy::Auto).explain(
+            &matcher,
+            dataset.schema(),
+            record,
+            noop(),
+        )
     };
     let serial = explain(ParallelismConfig::serial());
     for threads in [0, 2, 3, 8] {
@@ -72,19 +78,28 @@ proptest! {
     #[test]
     fn par_batch_scoring_equals_serial_batch_scoring(
         seed in 0u64..1_000,
-        n_pairs in 1usize..40,
+        n_masks in 1usize..40,
         threads in 0usize..9,
     ) {
         let (dataset, matcher) = setup();
+        let schema = dataset.schema();
         let records = dataset.records();
-        let pairs: Vec<EntityPair> = (0..n_pairs)
-            .map(|i| records[(seed as usize + i) % records.len()].pair.clone())
-            .collect();
-        let serial = matcher.predict_proba_batch(dataset.schema(), &pairs);
-        let parallel = matcher.par_predict_proba_batch(
-            dataset.schema(),
-            &pairs,
+        let pair = &records[seed as usize % records.len()].pair;
+        let (left, right) = tokenize_pair(pair);
+        let spec = PerturbSpec::TokenDrop {
+            pair,
+            left: SideSpec::Varying(&left),
+            right: SideSpec::Varying(&right),
+        };
+        let masks = sample_masks(spec.mask_len(schema.len()), n_masks, seed);
+        let mut scorer = matcher.prepare_scorer(schema, &spec);
+        let serial: Vec<f64> = masks.iter().map(|m| scorer.score_mask(m)).collect();
+        let parallel = matcher.par_score_masks(
+            schema,
+            &spec,
+            &masks,
             &ParallelismConfig::with_threads(threads),
+            noop(),
         );
         prop_assert_eq!(serial, parallel);
     }

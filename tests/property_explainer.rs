@@ -4,9 +4,10 @@
 use landmark_explanation::entity::{Entity, EntityPair, EntitySide, MatchModel, Schema};
 use landmark_explanation::landmark::strategy::ResolvedStrategy;
 use landmark_explanation::landmark::{
-    generate_view, reconstruct_with_landmark, GenerationStrategy, LandmarkConfig, LandmarkExplainer,
+    generate_view, reconstruct_with_landmark, GenerationStrategy, LandmarkExplainer,
 };
-use landmark_explanation::lime::{LimeConfig, LimeExplainer};
+use landmark_explanation::lime::{ExplainConfig, LimeExplainer};
+use landmark_explanation::prelude::noop;
 use proptest::prelude::*;
 
 /// Cheap deterministic model: token-overlap Jaccard.
@@ -51,8 +52,8 @@ proptest! {
     #[test]
     fn landmark_explainer_never_panics_and_weights_are_finite(p in pair(3), seed in 0u64..1000) {
         let schema = Schema::from_names(vec!["a", "b", "c"]);
-        let cfg = LandmarkConfig { n_samples: 40, seed, ..Default::default() };
-        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let cfg = ExplainConfig { n_samples: 40, seed, ..Default::default() };
+        let dual = LandmarkExplainer::new(cfg, GenerationStrategy::Auto).explain(&Overlap, &schema, &p, noop());
         for le in dual.both() {
             prop_assert_eq!(le.explanation.token_weights.len(), le.injected.len());
             for tw in &le.explanation.token_weights {
@@ -67,8 +68,8 @@ proptest! {
     #[test]
     fn lime_weight_count_equals_token_count(p in pair(2), seed in 0u64..1000) {
         let schema = Schema::from_names(vec!["a", "b"]);
-        let cfg = LimeConfig { n_samples: 40, seed, ..Default::default() };
-        let e = LimeExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let cfg = ExplainConfig { n_samples: 40, seed, ..Default::default() };
+        let e = LimeExplainer::new(cfg).explain(&Overlap, &schema, &p, noop());
         let expected = p.left.token_count() + p.right.token_count();
         prop_assert_eq!(e.token_weights.len(), expected);
     }
@@ -96,12 +97,8 @@ proptest! {
     #[test]
     fn auto_strategy_matches_model_prediction(p in pair(2)) {
         let schema = Schema::from_names(vec!["a", "b"]);
-        let cfg = LandmarkConfig {
-            n_samples: 30,
-            strategy: GenerationStrategy::auto(),
-            ..Default::default()
-        };
-        let dual = LandmarkExplainer::new(cfg).explain(&Overlap, &schema, &p);
+        let cfg = ExplainConfig { n_samples: 30, ..Default::default() };
+        let dual = LandmarkExplainer::new(cfg, GenerationStrategy::Auto).explain(&Overlap, &schema, &p, noop());
         let prob = Overlap.predict_proba(&schema, &p);
         let expected = if prob >= 0.5 {
             ResolvedStrategy::SingleEntity

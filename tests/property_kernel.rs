@@ -15,13 +15,12 @@ use landmark_explanation::entity::{
     tokenize_entity, EmDataset, Entity, EntityPair, EntitySide, FallbackScorer, LabeledPair,
     MatchModel, PerturbSpec, PreparedScorer, Schema, SideSpec, Token,
 };
-use landmark_explanation::landmark::{GenerationStrategy, LandmarkConfig, LandmarkExplainer};
-use landmark_explanation::lime::{
-    LimeConfig, LimeExplainer, MojitoCopyConfig, MojitoCopyExplainer,
-};
+use landmark_explanation::landmark::{GenerationStrategy, LandmarkExplainer};
+use landmark_explanation::lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
 use landmark_explanation::linalg::logistic::LogisticModel;
 use landmark_explanation::matchers::{FeatureExtractor, LogisticMatcher, NaiveBayesMatcher};
 use landmark_explanation::par::ParallelismConfig;
+use landmark_explanation::prelude::noop;
 use proptest::prelude::*;
 
 /// Forwards only `predict_proba`, hiding `prepare_scorer` so the default
@@ -272,18 +271,17 @@ proptest! {
         for strategy in [
             GenerationStrategy::SingleEntity,
             GenerationStrategy::DoubleEntity,
-            GenerationStrategy::auto(),
+            GenerationStrategy::Auto,
         ] {
-            let config = LandmarkConfig {
+            let config = ExplainConfig {
                 n_samples: 40,
                 seed,
-                strategy,
                 parallelism: ParallelismConfig::with_threads(threads),
                 ..Default::default()
             };
-            let explainer = LandmarkExplainer::new(config);
-            let kernel = explainer.explain(&s.matcher, &s.schema, &s.pair);
-            let naive = explainer.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
+            let explainer = LandmarkExplainer::new(config, strategy);
+            let kernel = explainer.explain(&s.matcher, &s.schema, &s.pair, noop());
+            let naive = explainer.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, noop());
             for (k, n) in kernel.both().iter().zip(naive.both().iter()) {
                 prop_assert_eq!(&k.explanation.token_weights, &n.explanation.token_weights);
                 prop_assert_eq!(
@@ -301,27 +299,21 @@ proptest! {
     /// Explainer-level bit-identity for the LIME and Mojito baselines.
     #[test]
     fn baseline_explanations_match_naive_path(s in scenario(2), seed in 0u64..1000) {
-        let lime = LimeExplainer::new(LimeConfig {
+        let config = ExplainConfig {
             n_samples: 40,
             seed,
             ..Default::default()
-        });
-        let k = lime.explain(&s.matcher, &s.schema, &s.pair);
-        let n = lime.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
+        };
+        let lime = LimeExplainer::new(config);
+        let k = lime.explain(&s.matcher, &s.schema, &s.pair, noop());
+        let n = lime.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, noop());
         prop_assert_eq!(k.token_weights, n.token_weights);
         prop_assert_eq!(k.intercept.to_bits(), n.intercept.to_bits());
 
-        for copy_into in EntitySide::both() {
-            let mojito = MojitoCopyExplainer::new(MojitoCopyConfig {
-                n_samples: 40,
-                seed,
-                copy_into,
-                ..Default::default()
-            });
-            let k = mojito.explain(&s.matcher, &s.schema, &s.pair);
-            let n = mojito.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair);
-            prop_assert_eq!(k.token_weights, n.token_weights);
-            prop_assert_eq!(k.intercept.to_bits(), n.intercept.to_bits());
-        }
+        let mojito = MojitoCopyExplainer::new(config);
+        let k = mojito.explain(&s.matcher, &s.schema, &s.pair, noop());
+        let n = mojito.explain(&NaiveOnly(&s.matcher), &s.schema, &s.pair, noop());
+        prop_assert_eq!(k.token_weights, n.token_weights);
+        prop_assert_eq!(k.intercept.to_bits(), n.intercept.to_bits());
     }
 }

@@ -10,7 +10,7 @@
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, MatchModel, SplitConfig};
 use em_eval::removal::remove_tokens;
-use em_lime::surrogate::{SurrogateConfig, SurrogateSolver};
+use em_lime::surrogate::SurrogateConfig;
 use em_lime::{ExplainConfig, LimeExplainer};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use rand::rngs::StdRng;
@@ -52,7 +52,7 @@ fn main() {
             n_samples: base.n_samples,
             surrogate: SurrogateConfig {
                 kernel_width: width,
-                solver: SurrogateSolver::Ridge { lambda: 1.0 },
+                lambda: 1.0,
             },
             seed: 7,
             parallelism: base.parallelism,

@@ -29,19 +29,6 @@ pub struct LandmarkExplanation {
 }
 
 impl LandmarkExplanation {
-    /// Weights of tokens that exist in the original record (not injected).
-    /// These are the coefficients the token-removal evaluations
-    /// (paper Sections 4.2.1 and 4.3) may subtract.
-    pub fn original_token_weights(&self) -> Vec<&TokenWeight> {
-        self.explanation
-            .token_weights
-            .iter()
-            .zip(&self.injected)
-            .filter(|(_, &inj)| !inj)
-            .map(|(t, _)| t)
-            .collect()
-    }
-
     /// Weights of injected (landmark-origin) tokens. Positive weights here
     /// are the "interesting" tokens of the paper's Example 1.2: tokens
     /// that, if used to describe the varying entity, would push the model
@@ -325,7 +312,6 @@ mod tests {
         // Varying (right) has 4 tokens, injected (left) has 4.
         assert_eq!(e.explanation.token_weights.len(), 8);
         assert_eq!(e.injected.iter().filter(|&&b| b).count(), 4);
-        assert_eq!(e.original_token_weights().len(), 4);
         assert_eq!(e.injected_token_weights().len(), 4);
     }
 
@@ -345,9 +331,14 @@ mod tests {
         );
         // Original right-entity tokens dilute the overlap: mean weight below
         // the injected tokens'.
-        let original = e.original_token_weights();
-        let mean_original: f64 =
-            original.iter().map(|t| t.weight).sum::<f64>() / original.len() as f64;
+        let original: Vec<f64> = e
+            .explanation
+            .iter()
+            .zip(&e.injected)
+            .filter(|(_, &inj)| !inj)
+            .map(|(t, _)| t.weight)
+            .collect();
+        let mean_original: f64 = original.iter().sum::<f64>() / original.len() as f64;
         assert!(mean_injected > mean_original);
     }
 

@@ -31,16 +31,6 @@ pub struct VaryingView {
 }
 
 impl VaryingView {
-    /// Indices of tokens that belong to the original varying entity.
-    pub fn original_indices(&self) -> Vec<usize> {
-        self.injected
-            .iter()
-            .enumerate()
-            .filter(|(_, &inj)| !inj)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Number of injected tokens.
     pub fn injected_count(&self) -> usize {
         self.injected.iter().filter(|&&b| b).count()
@@ -160,16 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn original_indices_point_at_varying_tokens() {
-        let v = generate_view(&pair(), EntitySide::Left, ResolvedStrategy::DoubleEntity);
-        let idx = v.original_indices();
-        assert_eq!(idx, vec![0, 1, 2, 5]);
-        for &i in &idx {
-            assert!(!v.injected[i]);
-        }
-    }
-
-    #[test]
     fn duplicate_tokens_across_entities_stay_distinct() {
         let p = EntityPair::new(
             Entity::new(vec!["sony camera"]),
@@ -196,6 +176,5 @@ mod tests {
         let v = generate_view(&p, EntitySide::Left, ResolvedStrategy::DoubleEntity);
         assert_eq!(v.tokens.len(), 1);
         assert_eq!(v.injected, vec![true]);
-        assert!(v.original_indices().is_empty());
     }
 }

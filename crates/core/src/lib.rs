@@ -34,17 +34,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod counterfactual;
 pub mod explainer;
 pub mod generation;
 pub mod reconstruction;
 pub mod strategy;
-pub mod summary;
 
-pub use counterfactual::{counterfactual, Counterfactual, CounterfactualConfig, Edit};
 pub use em_par::ParallelismConfig;
 pub use explainer::{DualExplanation, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
 pub use reconstruction::reconstruct_with_landmark;
 pub use strategy::GenerationStrategy;
-pub use summary::{summarize, ExplanationSummary};

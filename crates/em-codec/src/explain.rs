@@ -17,7 +17,7 @@
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{
     ExplainConfig, LimeExplainer, MojitoCopyExplainer, PairExplanation, SurrogateConfig,
-    SurrogateSolver, MIN_KERNEL_WIDTH,
+    MIN_KERNEL_WIDTH,
 };
 use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
@@ -78,8 +78,8 @@ pub struct ExplainOptions {
     /// Proximity-kernel width; a request may not go below
     /// [`MIN_KERNEL_WIDTH`].
     pub kernel_width: f64,
-    /// Surrogate solver.
-    pub solver: SurrogateSolver,
+    /// L2 penalty of the ridge surrogate.
+    pub lambda: f64,
 }
 
 impl Default for ExplainOptions {
@@ -90,7 +90,7 @@ impl Default for ExplainOptions {
             seed: 0,
             threads: 1,
             kernel_width: surrogate.kernel_width,
-            solver: surrogate.solver,
+            lambda: surrogate.lambda,
         }
     }
 }
@@ -102,20 +102,13 @@ impl ExplainOptions {
             n_samples: self.n_samples,
             surrogate: SurrogateConfig {
                 kernel_width: self.kernel_width,
-                solver: self.solver,
+                lambda: self.lambda,
             },
             seed: self.seed,
             parallelism: match self.threads {
                 1 => ParallelismConfig::serial(),
                 n => ParallelismConfig::with_threads(n),
             },
-        }
-    }
-
-    fn solver_fields(&self) -> (&'static str, f64) {
-        match self.solver {
-            SurrogateSolver::Ridge { lambda } => ("ridge", lambda),
-            SurrogateSolver::Lasso { lambda } => ("lasso", lambda),
         }
     }
 }
@@ -209,25 +202,17 @@ pub fn decode_explain_request(
                     options.kernel_width = w;
                 }
                 "solver" => {
-                    let name = value
-                        .as_str()
-                        .ok_or("\"solver\" must be \"ridge\" or \"lasso\"")?;
-                    let lambda = options.solver_fields().1;
-                    options.solver = match name {
-                        "ridge" => SurrogateSolver::Ridge { lambda },
-                        "lasso" => SurrogateSolver::Lasso { lambda },
-                        _ => return Err(format!("unknown solver {name:?}")),
-                    };
+                    // The surrogate is always ridge; the field stays so that
+                    // requests naming it keep decoding.
+                    if value.as_str() != Some("ridge") {
+                        return Err("\"solver\" must be \"ridge\"".into());
+                    }
                 }
                 "lambda" => {
-                    let lambda = value
+                    options.lambda = value
                         .as_f64()
                         .filter(|l| *l >= 0.0)
                         .ok_or("\"lambda\" must be a non-negative number")?;
-                    options.solver = match options.solver {
-                        SurrogateSolver::Ridge { .. } => SurrogateSolver::Ridge { lambda },
-                        SurrogateSolver::Lasso { .. } => SurrogateSolver::Lasso { lambda },
-                    };
                 }
                 other => return Err(format!("unknown config field {other:?}")),
             }
@@ -249,14 +234,14 @@ pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
                 .collect(),
         )
     };
-    let (solver, lambda) = request.options.solver_fields();
     Value::object(vec![
         ("explainer", Value::string(request.explainer.name())),
         ("n_samples", request.options.n_samples.into()),
         ("seed", Value::Number(request.options.seed as f64)),
         ("kernel_width", request.options.kernel_width.into()),
-        ("solver", Value::string(solver)),
-        ("lambda", lambda.into()),
+        // Only ridge remains; the field keeps every key's bytes unchanged.
+        ("solver", Value::string("ridge")),
+        ("lambda", request.options.lambda.into()),
         ("left", values(EntitySide::Left)),
         ("right", values(EntitySide::Right)),
     ])
@@ -504,11 +489,21 @@ mod tests {
     }
 
     #[test]
-    fn solver_and_lambda_compose() {
-        let body = r#"{"pair": {"left": {}, "right": {}},
-                       "config": {"solver": "lasso", "lambda": 0.25}}"#;
-        let req = decode_explain_request(body, &schema(), &ExplainOptions::default()).unwrap();
-        assert_eq!(req.options.solver, SurrogateSolver::Lasso { lambda: 0.25 });
+    fn only_the_ridge_solver_decodes() {
+        let s = schema();
+        let d = ExplainOptions::default();
+        let body = |solver: &str| {
+            format!(
+                r#"{{"pair": {{"left": {{}}, "right": {{}}}},
+                     "config": {{"solver": {solver}, "lambda": 0.25}}}}"#
+            )
+        };
+        let req = decode_explain_request(&body(r#""ridge""#), &s, &d).unwrap();
+        assert_eq!(req.options.lambda, 0.25);
+        for solver in [r#""lasso""#, r#""Ridge""#, "1", "null"] {
+            let err = decode_explain_request(&body(solver), &s, &d).unwrap_err();
+            assert_eq!(err, "\"solver\" must be \"ridge\"", "{solver}");
+        }
     }
 
     #[test]
@@ -533,6 +528,29 @@ mod tests {
         let mut c = a.clone();
         c.options.seed = 8;
         assert_ne!(cache_key(&s, &a), cache_key(&s, &c));
+    }
+
+    #[test]
+    fn cache_key_bytes_are_pinned() {
+        // em-route places a request on its ring by hashing these bytes and
+        // every cache entry is stored under them: a change here silently
+        // moves every key to a new backend and empties every cache.
+        let s = schema();
+        let d = ExplainOptions::default();
+        let key = |config: &str| {
+            let body = format!(
+                r#"{{"pair": {{"left": {{"name": "sony alpha"}}, "right": {{"name": "sony kit", "price": "9.5"}}}}{config}}}"#
+            );
+            cache_key(&s, &decode_explain_request(&body, &s, &d).unwrap())
+        };
+        assert_eq!(
+            key(""),
+            r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":1,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
+        );
+        assert_eq!(
+            key(r#", "config": {"solver": "ridge", "lambda": 0.5}"#),
+            r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":0.5,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
+        );
     }
 
     #[test]

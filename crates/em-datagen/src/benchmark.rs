@@ -183,14 +183,6 @@ impl MagellanBenchmark {
         };
         PairGenerator::new(Domain::new(spec.domain), config).generate(id.short_name())
     }
-
-    /// Generates all twelve datasets in Table 1 order.
-    pub fn generate_all(&self) -> Vec<EmDataset> {
-        DatasetId::all()
-            .iter()
-            .map(|&id| self.generate(id))
-            .collect()
-    }
 }
 
 #[cfg(test)]

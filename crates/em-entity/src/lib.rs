@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod blocking;
 pub mod csv;
 pub mod dataset;
 pub mod entity;
@@ -29,7 +28,6 @@ pub mod prepared;
 pub mod schema;
 pub mod tokenizer;
 
-pub use blocking::{evaluate_blocking, token_blocking, BlockingConfig, BlockingQuality};
 pub use csv::{dataset_from_csv, dataset_from_reader, dataset_to_csv, CsvError, CsvRecords};
 pub use dataset::{EmDataset, SplitConfig};
 pub use entity::{Entity, UnknownAttribute};

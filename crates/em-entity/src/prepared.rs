@@ -11,7 +11,7 @@
 //! The contract every implementation must honor: `score_mask(mask)` is
 //! **bit-identical** to reconstructing the masked pair exactly as the
 //! naive explainer would and calling
-//! [`MatchModel::predict_proba`](crate::MatchModel::predict_proba) on it.
+//! [`MatchModel::predict_proba`] on it.
 //! [`FallbackScorer`] is that naive path, word for word; it both serves as
 //! the default implementation for models without a kernel and as the
 //! reference oracle in bit-identity tests.

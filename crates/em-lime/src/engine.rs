@@ -22,7 +22,7 @@ pub struct ExplainConfig {
     /// Number of perturbation samples per surrogate fit (LIME's
     /// `num_samples`).
     pub n_samples: usize,
-    /// Surrogate kernel / solver settings.
+    /// Surrogate kernel width and ridge penalty.
     pub surrogate: SurrogateConfig,
     /// RNG seed for mask sampling.
     pub seed: u64,

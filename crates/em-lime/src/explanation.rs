@@ -69,22 +69,6 @@ impl PairExplanation {
         self.ranked().into_iter().take(k).collect()
     }
 
-    /// Tokens with strictly positive weight (pushing towards match).
-    pub fn positive_tokens(&self) -> Vec<&TokenWeight> {
-        self.token_weights
-            .iter()
-            .filter(|t| t.weight > 0.0)
-            .collect()
-    }
-
-    /// Tokens with strictly negative weight (pushing towards non-match).
-    pub fn negative_tokens(&self) -> Vec<&TokenWeight> {
-        self.token_weights
-            .iter()
-            .filter(|t| t.weight < 0.0)
-            .collect()
-    }
-
     /// Sum of `|token weight|` per attribute — the quantity the paper's
     /// attribute-based evaluation (Table 3) compares against the EM model's
     /// own attribute weights.
@@ -205,13 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_and_negative_partition() {
-        let e = explanation();
-        assert_eq!(e.positive_tokens().len(), 2);
-        assert_eq!(e.negative_tokens().len(), 2);
-    }
-
-    #[test]
     fn attribute_importance_sums_absolute_weights() {
         let e = explanation();
         let schema = Schema::from_names(vec!["name", "description"]);
@@ -223,7 +200,7 @@ mod tests {
     #[test]
     fn weight_sum_adds_up() {
         let e = explanation();
-        let s = PairExplanation::weight_sum(e.positive_tokens());
+        let s = PairExplanation::weight_sum(e.iter().filter(|t| t.weight > 0.0));
         assert!((s - 0.6).abs() < 1e-12);
     }
 

@@ -8,7 +8,7 @@
 //!   interpretable features (tokens), drawn the way LIME's text explainer
 //!   draws them;
 //! * [`surrogate`] — *Surrogate model creation*: proximity-weighted ridge
-//!   (or lasso) regression from masks to black-box probabilities;
+//!   regression from masks to black-box probabilities;
 //! * [`engine`] — the loop that joins them: [`perturb_and_fit`] samples
 //!   masks over a view's features, scores the reconstructions with the
 //!   black-box [`em_entity::MatchModel`], and fits the surrogate. Every
@@ -40,6 +40,4 @@ pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::LimeExplainer;
 pub use mojito::MojitoCopyExplainer;
 pub use sampler::{sample_masks, MaskSampler};
-pub use surrogate::{
-    fit_surrogate, SurrogateConfig, SurrogateFit, SurrogateSolver, MIN_KERNEL_WIDTH,
-};
+pub use surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit, MIN_KERNEL_WIDTH};

@@ -11,15 +11,14 @@
 //! fused fit against them on the same views.
 
 use em_linalg::kernel::{cosine_distance, exponential_kernel};
-use em_linalg::lasso::{lasso_fit, LassoConfig};
-use em_linalg::ridge::{ridge_fit, RidgeConfig};
+use em_linalg::ridge::{ridge_fit, RidgeConfig, RidgeModel};
 use em_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::surrogate::{SurrogateConfig, SurrogateFit, SurrogateSolver};
+use crate::surrogate::{SurrogateConfig, SurrogateFit};
 
 /// The nested sampler: one `Vec<bool>` per mask, same RNG draws as
 /// [`crate::sampler::MaskSampler::sample`].
@@ -77,35 +76,19 @@ pub fn fit_surrogate(masks: &[Vec<bool>], probs: &[f64], config: &SurrogateConfi
         .collect();
     let x = Matrix::from_rows(&rows).expect("rectangular rows");
 
-    let (intercept, coefficients) = match config.solver {
-        SurrogateSolver::Ridge { lambda } => {
-            let m = ridge_fit(
-                &x,
-                probs,
-                &weights,
-                &RidgeConfig {
-                    lambda,
-                    fit_intercept: true,
-                },
-            )
-            .expect("ridge surrogate fit");
-            (m.intercept, m.coefficients)
-        }
-        SurrogateSolver::Lasso { lambda } => {
-            let m = lasso_fit(
-                &x,
-                probs,
-                &weights,
-                &LassoConfig {
-                    lambda,
-                    fit_intercept: true,
-                    ..Default::default()
-                },
-            )
-            .expect("lasso surrogate fit");
-            (m.intercept, m.coefficients)
-        }
-    };
+    let RidgeModel {
+        intercept,
+        coefficients,
+    } = ridge_fit(
+        &x,
+        probs,
+        &weights,
+        &RidgeConfig {
+            lambda: config.lambda,
+            fit_intercept: true,
+        },
+    )
+    .expect("ridge surrogate fit");
 
     let wsum: f64 = weights.iter().sum();
     let y_mean: f64 = probs.iter().zip(&weights).map(|(y, w)| y * w).sum::<f64>() / wsum;

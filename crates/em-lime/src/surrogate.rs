@@ -3,7 +3,6 @@
 
 use em_entity::Masks;
 use em_linalg::kernel::{cosine_distance_to_ones, exponential_kernel, DEFAULT_TEXT_KERNEL_WIDTH};
-use em_linalg::lasso::{lasso_fit, LassoConfig};
 use em_linalg::matrix::dot;
 use em_linalg::ridge::ridge_solve_centered;
 use em_linalg::Matrix;
@@ -19,42 +18,21 @@ use em_linalg::Matrix;
 /// rejects narrower widths before any work is done.
 pub const MIN_KERNEL_WIDTH: f64 = 1e-6;
 
-/// Which linear solver fits the surrogate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SurrogateSolver {
-    /// Ridge regression (LIME's default).
-    Ridge {
-        /// L2 penalty.
-        lambda: f64,
-    },
-    /// Lasso — sparse surrogate, implicitly selecting features.
-    Lasso {
-        /// L1 penalty.
-        lambda: f64,
-    },
-}
-
-impl Default for SurrogateSolver {
-    fn default() -> Self {
-        SurrogateSolver::Ridge { lambda: 1.0 }
-    }
-}
-
 /// Configuration for [`fit_surrogate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SurrogateConfig {
     /// Width of the exponential proximity kernel over cosine distances
     /// (at least [`MIN_KERNEL_WIDTH`] for a finite fit).
     pub kernel_width: f64,
-    /// The solver.
-    pub solver: SurrogateSolver,
+    /// L2 penalty of the ridge fit (LIME's default is 1).
+    pub lambda: f64,
 }
 
 impl Default for SurrogateConfig {
     fn default() -> Self {
         SurrogateConfig {
             kernel_width: DEFAULT_TEXT_KERNEL_WIDTH,
-            solver: SurrogateSolver::default(),
+            lambda: 1.0,
         }
     }
 }
@@ -125,23 +103,7 @@ pub fn fit_surrogate(masks: &Masks, probs: &[f64], config: &SurrogateConfig) -> 
     }
 
     let weights = proximity_weights(masks, config.kernel_width);
-    let (intercept, coefficients) = match config.solver {
-        SurrogateSolver::Ridge { lambda } => fit_ridge(masks, probs, &weights, lambda),
-        SurrogateSolver::Lasso { lambda } => {
-            let m = lasso_fit(
-                &design(masks),
-                probs,
-                &weights,
-                &LassoConfig {
-                    lambda,
-                    fit_intercept: true,
-                    ..Default::default()
-                },
-            )
-            .expect("lasso surrogate fit");
-            (m.intercept, m.coefficients)
-        }
-    };
+    let (intercept, coefficients) = fit_ridge(masks, probs, &weights, config.lambda);
     let r2 = weighted_r2(masks, probs, &weights, intercept, &coefficients);
     SurrogateFit {
         intercept,
@@ -162,16 +124,6 @@ fn proximity_weights(masks: &Masks, width: f64) -> Vec<f64> {
                 .get_or_insert_with(|| exponential_kernel(cosine_distance_to_ones(kept, d), width))
         })
         .collect()
-}
-
-/// The masks as a 0/1 design matrix (the lasso solver's input).
-fn design(masks: &Masks) -> Matrix {
-    let data = masks
-        .as_slice()
-        .iter()
-        .map(|&b| f64::from(u8::from(b)))
-        .collect();
-    Matrix::from_vec(masks.len(), masks.width(), data).expect("one value per mask bit")
 }
 
 /// Weighted ridge with an unpenalized intercept, centered from the bits.
@@ -274,37 +226,6 @@ mod tests {
         assert!((fit.coefficients[2] - 0.3).abs() < 0.05);
         assert!(fit.coefficients[3].abs() < 0.05);
         assert!(fit.r2 > 0.95, "r2 = {}", fit.r2);
-    }
-
-    #[test]
-    fn recovers_additive_structure_with_lasso() {
-        let masks = sample_masks(4, 400, 1);
-        let probs = synthetic_probs(&masks);
-        let cfg = SurrogateConfig {
-            solver: SurrogateSolver::Lasso { lambda: 1e-4 },
-            ..Default::default()
-        };
-        let fit = fit_surrogate(&masks, &probs, &cfg);
-        assert!(
-            (fit.coefficients[0] - 0.5).abs() < 0.05,
-            "{:?}",
-            fit.coefficients
-        );
-        assert!((fit.coefficients[2] - 0.3).abs() < 0.05);
-    }
-
-    #[test]
-    fn lasso_with_strong_penalty_is_sparse() {
-        let masks = sample_masks(6, 300, 2);
-        let probs: Vec<f64> = masks.iter().map(|m| if m[0] { 0.9 } else { 0.1 }).collect();
-        let cfg = SurrogateConfig {
-            solver: SurrogateSolver::Lasso { lambda: 0.05 },
-            ..Default::default()
-        };
-        let fit = fit_surrogate(&masks, &probs, &cfg);
-        let nonzero = fit.coefficients.iter().filter(|c| c.abs() > 1e-9).count();
-        assert!(nonzero <= 2, "{:?}", fit.coefficients);
-        assert!(fit.coefficients[0] > 0.3);
     }
 
     #[test]
@@ -496,19 +417,12 @@ mod tests {
             1 => 1.0,
             _ => rng.gen_range(0.0..10.0),
         };
-        let solver = if rng.gen_range(0..8) == 0 {
-            SurrogateSolver::Lasso {
-                lambda: lambda * 0.01,
-            }
-        } else {
-            SurrogateSolver::Ridge { lambda }
-        };
         (
             masks,
             probs,
             SurrogateConfig {
                 kernel_width,
-                solver,
+                lambda,
             },
         )
     }

@@ -181,13 +181,6 @@ impl LogisticModel {
     pub fn predict(&self, x: &[f64]) -> bool {
         self.predict_proba(x) >= 0.5
     }
-
-    /// Probabilities for every row of a design matrix.
-    pub fn predict_proba_matrix(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows())
-            .map(|r| self.predict_proba(x.row(r)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -115,14 +115,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copies column `c` into a new vector.
-    pub fn col(&self, c: usize) -> Vec<f64> {
-        assert!(c < self.cols, "column index out of bounds");
-        (0..self.rows)
-            .map(|r| self.data[r * self.cols + c])
-            .collect()
-    }
-
     /// Raw row-major data.
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
@@ -268,17 +260,6 @@ impl Matrix {
             }
         }
         Ok(out)
-    }
-
-    /// Appends a constant column of ones on the left (intercept column).
-    pub fn with_intercept(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols + 1);
-        for r in 0..self.rows {
-            out.data[r * (self.cols + 1)] = 1.0;
-            out.data[r * (self.cols + 1) + 1..(r + 1) * (self.cols + 1)]
-                .copy_from_slice(&self.data[r * self.cols..(r + 1) * self.cols]);
-        }
-        out
     }
 }
 
@@ -493,19 +474,5 @@ mod tests {
         let x = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         let out = x.weighted_xty(&[2.0, 3.0], &[5.0, 7.0]).unwrap();
         assert_eq!(out, vec![10.0, 21.0]);
-    }
-
-    #[test]
-    fn with_intercept_prepends_ones() {
-        let x = Matrix::from_vec(2, 1, vec![3.0, 4.0]).unwrap();
-        let xi = x.with_intercept();
-        assert_eq!(xi.row(0), &[1.0, 3.0]);
-        assert_eq!(xi.row(1), &[1.0, 4.0]);
-    }
-
-    #[test]
-    fn col_extracts_column() {
-        let m = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
-        assert_eq!(m.col(1), vec![2.0, 5.0]);
     }
 }

@@ -55,11 +55,6 @@ impl RidgeModel {
         );
         self.intercept + crate::matrix::dot(x, &self.coefficients)
     }
-
-    /// Predicts the response for every row of `x`.
-    pub fn predict_matrix(&self, x: &Matrix) -> Vec<f64> {
-        (0..x.rows()).map(|r| self.predict(x.row(r))).collect()
-    }
 }
 
 /// Fits weighted ridge regression by solving the normal equations with a
@@ -346,15 +341,5 @@ mod tests {
             coefficients: vec![2.0],
         };
         m.predict(&[1.0, 3.0]);
-    }
-
-    #[test]
-    fn predict_matrix_matches_predict() {
-        let m = RidgeModel {
-            intercept: 1.0,
-            coefficients: vec![2.0, -1.0],
-        };
-        let x = Matrix::from_rows(&[vec![1.0, 1.0], vec![0.0, 3.0]]).unwrap();
-        assert_eq!(m.predict_matrix(&x), vec![2.0, -2.0]);
     }
 }

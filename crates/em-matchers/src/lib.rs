@@ -9,26 +9,22 @@
 //!   evaluation, Table 3, which ranks attributes by LR weight);
 //! * [`LogisticMatcher`] — the trained classifier implementing
 //!   [`em_entity::MatchModel`];
-//! * simple interpretable baselines: [`ThresholdMatcher`] and
-//!   [`RuleMatcher`];
+//! * [`NaiveBayesMatcher`] — a second model family, so the tests can show
+//!   that every explainer is model-agnostic;
 //! * [`evaluation`] — precision / recall / F1 and threshold tuning.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
-pub mod baselines;
 pub mod evaluation;
 pub mod features;
-pub mod importance;
 pub mod logistic_matcher;
 pub mod naive_bayes;
 pub mod persist;
 pub mod prepared;
 
-pub use baselines::{RuleMatcher, ThresholdMatcher};
 pub use evaluation::{evaluate_matcher, tune_threshold, MatchQuality};
 pub use features::FeatureExtractor;
-pub use importance::{drop_column_importance, permutation_importance};
 pub use logistic_matcher::{LogisticMatcher, MatcherConfig};
 pub use naive_bayes::NaiveBayesMatcher;
 pub use prepared::{LogisticPreparedScorer, NaiveBayesPreparedScorer};

@@ -114,16 +114,6 @@ impl NaiveBayesMatcher {
         let en = (log_non - max).exp();
         em / (em + en)
     }
-
-    /// Per-attribute separation `|mean_match − mean_non| / sqrt(var)` — a
-    /// crude global attribute importance for this model family.
-    pub fn attribute_separation(&self) -> Vec<f64> {
-        self.match_params
-            .iter()
-            .zip(&self.non_params)
-            .map(|(m, n)| (m.mean - n.mean).abs() / ((m.var + n.var) / 2.0).sqrt())
-            .collect()
-    }
 }
 
 impl MatchModel for NaiveBayesMatcher {
@@ -202,13 +192,6 @@ mod tests {
             let p = m.predict_proba(d.schema(), &r.pair);
             assert!((0.0..=1.0).contains(&p) && p.is_finite());
         }
-    }
-
-    #[test]
-    fn informative_attribute_has_high_separation() {
-        let d = toy_dataset();
-        let m = NaiveBayesMatcher::train(&d);
-        assert!(m.attribute_separation()[0] > 1.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! attribute's own tokens, so a scorer also memoizes it per distinct
 //! sub-mask of those bits: a view's hundreds of masks compute each
 //! similarity at most 2^t times for an attribute with t varying tokens
-//! (up to [`MEMO_MAX_BITS`]). A memo hit returns the `f64` an earlier
+//! (up to `MEMO_MAX_BITS`). A memo hit returns the `f64` an earlier
 //! miss computed from the same bits, so it cannot change a result.
 //!
 //! **Bit-identity.** Every per-mask computation here replays the *exact*

@@ -29,7 +29,7 @@
 //! request, never what bytes ship: every backend computes bit-identical
 //! responses (the workspace determinism contract), so routing is
 //! response-invariant. The clock reads are concentrated in
-//! [`HealthTable::now_ms`], a declared `nondet-taint` sanitizer.
+//! `HealthTable::now_ms`, a declared `nondet-taint` sanitizer.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

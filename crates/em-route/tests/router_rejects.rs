@@ -2,10 +2,10 @@
 //!
 //! The router runs the same connection lifecycle as `em-serve`, so a
 //! misbehaving client is reaped by the same defence and counted under
-//! the same cause in `em_route_rejects_total{cause=...}`. Neither test
-//! needs a live backend: every connection here is rejected before a
-//! request ever parses, so the single backend address points at a
-//! closed port.
+//! the same cause in `em_route_rejects_total{cause=...}`. No test needs
+//! a live backend: every request here is rejected before the router
+//! would forward it, so the single backend address points at a closed
+//! port.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -137,4 +137,24 @@ fn a_full_queue_is_shed_with_the_routers_503() {
     let text = scrape_and_shut_down(router);
     assert_eq!(reject_count(&text, "shed"), shed as u64, "{text}");
     assert_eq!(reject_count(&text, "idle"), reaped as u64, "{text}");
+}
+
+#[test]
+fn a_body_the_codec_refuses_is_answered_without_a_forward() {
+    // The router decodes with em-serve's codec, so a request a backend
+    // would refuse with a 400 never leaves the router. The lasso solver
+    // once panicked the backend worker that explained such a request.
+    let router = spawn_router(1, 4, Duration::from_secs(5));
+    let body = r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"solver":"lasso","lambda":0}}"#;
+    let response = client::request(router.addr(), "POST", "/explain", body).expect("explain");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert_eq!(response.body, r#"{"error":"\"solver\" must be \"ridge\""}"#);
+
+    let text = scrape_and_shut_down(router);
+    let forwarded: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("em_route_requests_total{") && !l.ends_with(" 0"))
+        .collect();
+    assert!(forwarded.is_empty(), "{forwarded:?}");
+    assert_eq!(metric(&text, "em_route_no_backend_total"), 0, "{text}");
 }

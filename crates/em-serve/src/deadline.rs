@@ -113,7 +113,7 @@ fn expired_error() -> std::io::Error {
 
 /// An I/O adaptor that charges every read and write against one
 /// [`Deadline`]: before each operation the socket timeout is re-armed to
-/// the remaining budget (never below [`MIN_SOCKET_TIMEOUT`]), and an
+/// the remaining budget (never below `MIN_SOCKET_TIMEOUT`), and an
 /// already-expired deadline fails immediately with
 /// [`std::io::ErrorKind::TimedOut`] without touching the socket.
 #[derive(Debug)]

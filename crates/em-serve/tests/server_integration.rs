@@ -285,11 +285,13 @@ fn request_thread_count_never_changes_the_body() {
 }
 
 #[test]
-fn a_kernel_width_below_the_floor_never_kills_a_worker() {
-    // Such a width once made every sample weight underflow to 0 and the
-    // surrogate fit panic its worker: one request per worker left a server
-    // that still accepted connections but never answered them. It is now
-    // a 400 at decode, before any work.
+fn a_request_of_death_never_kills_a_worker() {
+    // Each body once panicked the worker that explained it, so one such
+    // request per worker left a server that still accepted connections but
+    // never answered them. A kernel width below the floor made every
+    // sample weight underflow to 0 and the surrogate fit panic; the lasso
+    // solver's coordinate descent stopped short of convergence on a long
+    // record. Both are now a 400 at decode, before any work.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();
@@ -309,20 +311,34 @@ fn a_kernel_width_below_the_floor_never_kills_a_worker() {
     let addr = handle.addr();
     let timeout = std::time::Duration::from_secs(10);
 
-    let deadly = r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"explainer":"lime","config":{"kernel_width":1e-150}}"#;
-    for _ in 0..workers {
-        // At worst the connection dies with its worker; what matters is
-        // that the server answers afterwards.
-        if let Ok(response) =
-            client::request_with_timeout(addr, "POST", "/explain", deadly, timeout)
-        {
-            assert_eq!(response.status, 400, "{}", response.body);
+    let words = |prefix: &str| {
+        (0..30)
+            .map(|i| format!("{prefix}{i}"))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let deadly = [
+        r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"explainer":"lime","config":{"kernel_width":1e-150}}"#.to_string(),
+        format!(
+            r#"{{"pair":{{"left":{{"name":"{}"}},"right":{{"name":"{}"}}}},"explainer":"landmark","config":{{"n_samples":8,"solver":"lasso","lambda":0}}}}"#,
+            words("left"),
+            words("right")
+        ),
+    ];
+    for body in &deadly {
+        for _ in 0..workers {
+            // At worst the connection dies with its worker; what matters is
+            // that the server answers afterwards.
+            if let Ok(response) =
+                client::request_with_timeout(addr, "POST", "/explain", body, timeout)
+            {
+                assert_eq!(response.status, 400, "{}", response.body);
+            }
         }
+        let health = client::request_with_timeout(addr, "GET", "/healthz", "", timeout)
+            .unwrap_or_else(|e| panic!("no worker answers /healthz after {body}: {e}"));
+        assert_eq!(health.status, 200);
     }
-
-    let health = client::request_with_timeout(addr, "GET", "/healthz", "", timeout)
-        .expect("a worker answers /healthz");
-    assert_eq!(health.status, 200);
     let body = explain_body(&schema, &pair, None);
     let explained = client::request_with_timeout(addr, "POST", "/explain", &body, timeout)
         .expect("a worker answers /explain");

@@ -18,32 +18,6 @@ pub fn jaccard(a: &[&str], b: &[&str]) -> f64 {
     inter / union
 }
 
-/// Dice coefficient `2 |A ∩ B| / (|A| + |B|)`; two empty sets are 1.
-pub fn dice(a: &[&str], b: &[&str]) -> f64 {
-    let sa = to_set(a);
-    let sb = to_set(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    2.0 * inter / (sa.len() + sb.len()) as f64
-}
-
-/// Overlap coefficient `|A ∩ B| / min(|A|, |B|)`; if either set is empty the
-/// result is 0 (or 1 when both are empty).
-pub fn overlap_coefficient(a: &[&str], b: &[&str]) -> f64 {
-    let sa = to_set(a);
-    let sb = to_set(b);
-    if sa.is_empty() && sb.is_empty() {
-        return 1.0;
-    }
-    if sa.is_empty() || sb.is_empty() {
-        return 0.0;
-    }
-    let inter = sa.intersection(&sb).count() as f64;
-    inter / sa.len().min(sb.len()) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,34 +46,12 @@ mod tests {
     fn empty_conventions() {
         assert_eq!(jaccard(&[], &[]), 1.0);
         assert_eq!(jaccard(&[], &["a"]), 0.0);
-        assert_eq!(dice(&[], &[]), 1.0);
-        assert_eq!(overlap_coefficient(&[], &[]), 1.0);
-        assert_eq!(overlap_coefficient(&[], &["a"]), 0.0);
     }
 
     #[test]
-    fn dice_partial() {
-        assert!((dice(&["a", "b"], &["b", "c"]) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dice_geq_jaccard() {
-        let a = ["a", "b", "c", "d"];
-        let b = ["c", "d", "e"];
-        assert!(dice(&a, &b) >= jaccard(&a, &b));
-    }
-
-    #[test]
-    fn overlap_subset_is_one() {
-        assert_eq!(overlap_coefficient(&["a", "b"], &["a", "b", "c", "d"]), 1.0);
-    }
-
-    #[test]
-    fn all_symmetric() {
+    fn jaccard_symmetric() {
         let a = ["x", "y", "z"];
         let b = ["y", "q"];
         assert_eq!(jaccard(&a, &b), jaccard(&b, &a));
-        assert_eq!(dice(&a, &b), dice(&b, &a));
-        assert_eq!(overlap_coefficient(&a, &b), overlap_coefficient(&b, &a));
     }
 }

@@ -22,7 +22,6 @@
 use em_codec::{explain, fnv1a64, ExplainOptions, ExplainRequest, ExplainerKind};
 use landmark_explanation::entity::schema::AttributeKind;
 use landmark_explanation::entity::{dataset_from_reader, dataset_to_csv};
-use landmark_explanation::lime::SurrogateSolver;
 use landmark_explanation::prelude::*;
 
 /// The explainers every digest row covers, in wire order.
@@ -56,11 +55,6 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("S-FZ", "lambda0", "landmark-double", 0xfa9d07a3d54e2b20),
     ("S-FZ", "lambda0", "lime", 0x6ec87b919a099570),
     ("S-FZ", "lambda0", "mojito-copy", 0x42bacd4cf332bb8d),
-    ("S-FZ", "lasso", "landmark", 0xaa4d2fed8252376c),
-    ("S-FZ", "lasso", "landmark-single", 0x9c7b3ce65badabf1),
-    ("S-FZ", "lasso", "landmark-double", 0x2fc45ddfbf65cb4d),
-    ("S-FZ", "lasso", "lime", 0xd418dd70ebb89b87),
-    ("S-FZ", "lasso", "mojito-copy", 0xe46f3b838c1f306d),
     ("T-AB", "default", "landmark", 0x849bd0458cecf741),
     ("T-AB", "default", "landmark-single", 0x7bfd7872d7240d2a),
     ("T-AB", "default", "landmark-double", 0xa30711133435d8e3),
@@ -81,11 +75,6 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("T-AB", "lambda0", "landmark-double", 0x457cbce2a3199efc),
     ("T-AB", "lambda0", "lime", 0xb82b483469117ec4),
     ("T-AB", "lambda0", "mojito-copy", 0xbdfc98f6c927158a),
-    ("T-AB", "lasso", "landmark", 0x52a07f4c5a559dbe),
-    ("T-AB", "lasso", "landmark-single", 0x5ea704548c4760d8),
-    ("T-AB", "lasso", "landmark-double", 0x15c0dabea3cbde2d),
-    ("T-AB", "lasso", "lime", 0x19e3edb884a98be7),
-    ("T-AB", "lasso", "mojito-copy", 0xf2e441ab6da7a368),
 ];
 
 /// Expected digests of the CSV round-tripped T-AB records under the
@@ -135,7 +124,7 @@ fn trained(id: DatasetId, dataset: EmDataset) -> Setup {
 /// The option sets each explainer runs under: the defaults at a small
 /// sample count, plus the surrogate settings the fit special-cases (the
 /// narrowest accepted kernel width, which zeroes every perturbed weight,
-/// a wide kernel, λ = 0, and the lasso solver).
+/// a wide kernel, and λ = 0).
 fn cases() -> Vec<(&'static str, ExplainOptions)> {
     let base = ExplainOptions {
         n_samples: 64,
@@ -160,14 +149,7 @@ fn cases() -> Vec<(&'static str, ExplainOptions)> {
         (
             "lambda0",
             ExplainOptions {
-                solver: SurrogateSolver::Ridge { lambda: 0.0 },
-                ..base
-            },
-        ),
-        (
-            "lasso",
-            ExplainOptions {
-                solver: SurrogateSolver::Lasso { lambda: 0.01 },
+                lambda: 0.0,
                 ..base
             },
         ),

@@ -3,8 +3,7 @@
 
 use landmark_explanation::text::monge_elkan::monge_elkan_symmetric;
 use landmark_explanation::text::{
-    dice, jaccard, jaro, jaro_winkler, levenshtein, levenshtein_similarity, overlap_coefficient,
-    qgram_cosine,
+    jaccard, jaro, jaro_winkler, levenshtein, levenshtein_similarity,
 };
 use proptest::prelude::*;
 
@@ -31,7 +30,7 @@ proptest! {
 
     #[test]
     fn char_similarities_are_bounded_and_symmetric(a in word(), b in word()) {
-        for f in [levenshtein_similarity, jaro, jaro_winkler, |x: &str, y: &str| qgram_cosine(x, y, 3)] {
+        for f in [levenshtein_similarity, jaro, jaro_winkler] {
             let s = f(&a, &b);
             prop_assert!((0.0..=1.0 + 1e-12).contains(&s), "{s}");
             prop_assert!((s - f(&b, &a)).abs() < 1e-12);
@@ -42,7 +41,6 @@ proptest! {
     fn identity_gives_similarity_one(a in word()) {
         prop_assert_eq!(levenshtein_similarity(&a, &a), 1.0);
         prop_assert_eq!(jaro(&a, &a), 1.0);
-        prop_assert!((qgram_cosine(&a, &a, 2) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -54,16 +52,9 @@ proptest! {
     fn set_similarities_bounded_symmetric(a in words(), b in words()) {
         let ar: Vec<&str> = a.iter().map(String::as_str).collect();
         let br: Vec<&str> = b.iter().map(String::as_str).collect();
-        for f in [jaccard, dice, overlap_coefficient] {
-            let s = f(&ar, &br);
-            prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
-            prop_assert!((s - f(&br, &ar)).abs() < 1e-12);
-        }
-        // Jaccard <= Dice <= Overlap ordering holds for non-empty sets.
-        if !ar.is_empty() && !br.is_empty() {
-            prop_assert!(jaccard(&ar, &br) <= dice(&ar, &br) + 1e-12);
-            prop_assert!(dice(&ar, &br) <= overlap_coefficient(&ar, &br) + 1e-12);
-        }
+        let s = jaccard(&ar, &br);
+        prop_assert!((0.0..=1.0 + 1e-12).contains(&s));
+        prop_assert!((s - jaccard(&br, &ar)).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based tests for the numerical substrate.
 
-use landmark_explanation::linalg::lasso::{lasso_fit, LassoConfig};
 use landmark_explanation::linalg::ridge::{ridge_fit, RidgeConfig};
 use landmark_explanation::linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
@@ -79,34 +78,6 @@ proptest! {
         }
         prop_assert!(objective(&fit.coefficients, fit.intercept + 0.01) >= base - 1e-9);
         prop_assert!(objective(&fit.coefficients, fit.intercept - 0.01) >= base - 1e-9);
-    }
-
-    #[test]
-    fn lasso_zeroes_never_hurt_the_objective(
-        rows in prop::collection::vec(prop::collection::vec(small_f64(), 2), 6..10),
-    ) {
-        let n = rows.len();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<f64> = rows.iter().map(|r| 2.0 * r[0]).collect();
-        let w = vec![1.0; n];
-        let cfg = LassoConfig { lambda: 0.05, ..Default::default() };
-        let fit = lasso_fit(&x, &y, &w, &cfg).unwrap();
-        // All coefficients finite, and the sparse solution's objective is
-        // no worse than the all-zeros solution.
-        let wsum = n as f64;
-        let objective = |coefs: &[f64], intercept: f64| -> f64 {
-            let mut loss = 0.0;
-            for (r, &yi) in rows.iter().zip(&y) {
-                let pred: f64 = intercept + r.iter().zip(coefs).map(|(a, b)| a * b).sum::<f64>();
-                loss += (yi - pred) * (yi - pred);
-            }
-            loss / (2.0 * wsum) + cfg.lambda * coefs.iter().map(|c| c.abs()).sum::<f64>()
-        };
-        let mean_y = y.iter().sum::<f64>() / n as f64;
-        prop_assert!(fit.coefficients.iter().all(|c| c.is_finite()));
-        prop_assert!(
-            objective(&fit.coefficients, fit.intercept) <= objective(&[0.0, 0.0], mean_y) + 1e-9
-        );
     }
 
     #[test]

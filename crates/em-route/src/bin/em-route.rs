@@ -37,7 +37,7 @@ FLAGS:
     --dataset NAME       Table 1 dataset the backends serve [default: S-FZ]
     --samples N          default perturbation samples (must match backends) [default: 500]
     --seed N             default explanation seed (must match backends)     [default: 0]
-    --request-timeout-ms N   total per-connection budget (ms)   [default: 30000]
+    --request-timeout-ms N   total per-request budget (ms)      [default: 30000]
     --queue-age-ms N         discard connections queued longer (ms) [default: 10000]
     --backend-timeout-ms N   one backend exchange budget (ms)   [default: 20000]
     --failover-retries N     extra ring owners tried on connect failure [default: 2]

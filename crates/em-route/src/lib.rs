@@ -17,10 +17,12 @@
 //! * [`health`] — per-backend health: active `/healthz` probing, passive
 //!   ejection on connect/timeout errors, half-open recovery, draining;
 //! * [`metrics`] — the router's own Prometheus surface:
-//!   `em_route_requests_total{backend,outcome}`, the shared
+//!   `em_route_requests_total{backend,outcome}`,
+//!   `em_route_connections_total{backend,kind}`, the shared
 //!   `em_route_rejects_total{cause}` taxonomy, and latency and stage
 //!   histograms;
-//! * [`router`] — the proxy itself: keyed forwarding with bounded
+//! * [`router`] — the proxy itself: keyed forwarding over a pool of
+//!   kept-alive connections per backend, with bounded
 //!   retry-with-backoff failover (connect failures only — the requests
 //!   are pure, so replaying one elsewhere cannot change any answer), the
 //!   admin endpoints `GET /ring` and `POST /drain`, and the active health
@@ -28,11 +30,11 @@
 //!
 //! The connection lifecycle is `em-serve`'s own: the [`Router`] is an
 //! [`em_serve::Service`] on an [`em_serve::Listener`], the one accept
-//! loop, bounded queue, worker pool, per-connection deadline, shedding
+//! loop, bounded queue, worker pool, per-request deadline, shedding
 //! path, and reject-counter table both tiers run. With the HTTP
-//! reader/writer and the typed client, that machinery is reused as a
-//! library, not copied; the crate adds no dependencies beyond the
-//! workspace.
+//! reader/writer and the typed client and its connection pool, that
+//! machinery is reused as a library, not copied; the crate adds no
+//! dependencies beyond the workspace.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -3,7 +3,9 @@
 //! Every proxied *attempt* is attributed to a `(backend, outcome)` cell
 //! of `em_route_requests_total` — a request that fails over therefore
 //! leaves a visible trail: one `connect_error` on the dead backend and
-//! one `ok` on the survivor that absorbed it. Router-level events that
+//! one `ok` on the survivor that absorbed it. How each attempt used the
+//! backend's connection pool lands in
+//! `em_route_connections_total{backend,kind}`. Router-level events that
 //! have no backend (nothing routable) get their own counters, and
 //! rejected connections render from the shared listener's
 //! [`Rejects`] as `em_route_rejects_total{cause}` — the same taxonomy
@@ -74,6 +76,50 @@ impl Outcome {
     }
 }
 
+/// How one forward used its backend's connection pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConnectionKind {
+    /// A fresh connection was opened.
+    Opened,
+    /// The answer came back on a pooled connection.
+    Reused,
+    /// A pooled connection was found closed and the request was re-sent
+    /// on a fresh one.
+    Stale,
+}
+
+/// Number of [`ConnectionKind`] variants (array-table size).
+pub const N_CONNECTION_KINDS: usize = 3;
+
+impl ConnectionKind {
+    /// All kinds, in render order.
+    pub const fn all() -> [ConnectionKind; N_CONNECTION_KINDS] {
+        [
+            ConnectionKind::Opened,
+            ConnectionKind::Reused,
+            ConnectionKind::Stale,
+        ]
+    }
+
+    /// The `kind` label value.
+    pub const fn label(self) -> &'static str {
+        match self {
+            ConnectionKind::Opened => "opened",
+            ConnectionKind::Reused => "reused",
+            ConnectionKind::Stale => "stale",
+        }
+    }
+
+    /// Dense index for array-backed tables.
+    pub const fn index(self) -> usize {
+        match self {
+            ConnectionKind::Opened => 0,
+            ConnectionKind::Reused => 1,
+            ConnectionKind::Stale => 2,
+        }
+    }
+}
+
 /// The router endpoints tracked with latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteEndpoint {
@@ -118,11 +164,13 @@ impl RouteEndpoint {
     }
 }
 
-/// The registry: `(backend, outcome)` counters, per-endpoint latency,
-/// per-stage latency, and the router-level event counters.
+/// The registry: `(backend, outcome)` and `(backend, connection kind)`
+/// counters, per-endpoint latency, per-stage latency, and the
+/// router-level event counters.
 #[derive(Debug)]
 pub struct RouterMetrics {
     backends: Vec<[AtomicU64; N_OUTCOMES]>,
+    connections: Vec<[AtomicU64; N_CONNECTION_KINDS]>,
     endpoints: [Histogram; N_ROUTE_ENDPOINTS],
     stages: [Histogram; 2],
     failovers: AtomicU64,
@@ -137,6 +185,7 @@ impl RouterMetrics {
     pub fn new(n_backends: usize) -> RouterMetrics {
         RouterMetrics {
             backends: (0..n_backends).map(|_| Default::default()).collect(),
+            connections: (0..n_backends).map(|_| Default::default()).collect(),
             endpoints: Default::default(),
             stages: Default::default(),
             failovers: AtomicU64::new(0),
@@ -158,6 +207,23 @@ impl RouterMetrics {
     /// Attempts recorded for `(backend, outcome)`.
     pub fn outcome(&self, backend: usize, outcome: Outcome) -> u64 {
         self.outcome_cell(backend, outcome)
+            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+    }
+
+    fn connection_cell(&self, backend: usize, kind: ConnectionKind) -> Option<&AtomicU64> {
+        self.connections.get(backend)?.get(kind.index())
+    }
+
+    /// Counts one use of `backend`'s connection pool.
+    pub fn record_connection(&self, backend: usize, kind: ConnectionKind) {
+        if let Some(cell) = self.connection_cell(backend, kind) {
+            cell.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Pool uses recorded for `(backend, kind)`.
+    pub fn connections(&self, backend: usize, kind: ConnectionKind) -> u64 {
+        self.connection_cell(backend, kind)
             .map_or(0, |cell| cell.load(Ordering::Relaxed))
     }
 
@@ -207,6 +273,18 @@ impl RouterMetrics {
                     out,
                     "em_route_requests_total{{backend=\"{name}\",outcome=\"{}\"}} {}",
                     outcome.label(),
+                    cell.load(Ordering::Relaxed),
+                );
+            }
+        }
+        out.push_str("# TYPE em_route_connections_total counter\n");
+        for (i, kinds) in self.connections.iter().enumerate() {
+            let name = names.get(i).copied().unwrap_or("?");
+            for (kind, cell) in ConnectionKind::all().into_iter().zip(kinds) {
+                let _ = writeln!(
+                    out,
+                    "em_route_connections_total{{backend=\"{name}\",kind=\"{}\"}} {}",
+                    kind.label(),
                     cell.load(Ordering::Relaxed),
                 );
             }
@@ -261,6 +339,21 @@ mod tests {
         );
         // Every (backend, outcome) cell renders even at zero.
         assert!(text.contains("em_route_requests_total{backend=\"beta\",outcome=\"timeout\"} 0"));
+    }
+
+    #[test]
+    fn connection_uses_are_attributed_per_backend() {
+        let m = RouterMetrics::new(2);
+        m.record_connection(0, ConnectionKind::Opened);
+        m.record_connection(0, ConnectionKind::Reused);
+        m.record_connection(0, ConnectionKind::Reused);
+        m.record_connection(1, ConnectionKind::Stale);
+        m.record_connection(5, ConnectionKind::Opened); // unknown backend: dropped
+        assert_eq!(m.connections(0, ConnectionKind::Reused), 2);
+        assert_eq!(m.connections(1, ConnectionKind::Stale), 1);
+        let text = m.render(&["alpha", "beta"], &Rejects::default());
+        assert!(text.contains("em_route_connections_total{backend=\"alpha\",kind=\"reused\"} 2"));
+        assert!(text.contains("em_route_connections_total{backend=\"beta\",kind=\"opened\"} 0"));
     }
 
     #[test]

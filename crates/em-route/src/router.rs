@@ -2,7 +2,7 @@
 //! surface.
 //!
 //! The serving skeleton is `em-serve`'s [`Listener`], reused as a
-//! library: its accept loop, bounded queue, worker pool, per-connection
+//! library: its accept loop, bounded queue, worker pool, per-request
 //! [`em_serve::deadline::Deadline`], shedding, and reject counters run
 //! the router exactly as they run a backend, and the [`Router`] is the
 //! [`Service`] plugged into it. What this crate adds is the routing
@@ -14,15 +14,22 @@
 //!    the ring. Malformed requests are rejected here with the byte-same
 //!    400 body a backend would have produced — same decode functions,
 //!    same error encoding.
-//! 2. **Forward** (`route_forward` stage): exchange with the owner. On a
-//!    *connect* failure — nothing reached the backend — record the
-//!    failure, back off, and retry against the next ring owner, bounded
-//!    by [`RouterConfig::failover_retries`]. `/explain` and `/predict`
-//!    are pure functions of their body, so replaying one elsewhere
-//!    cannot change any answer; only connect failures trigger this (a
-//!    timeout after connecting might mean the backend is mid-compute).
+//! 2. **Forward** (`route_forward` stage): exchange with the owner, on a
+//!    kept-alive connection from that backend's [`client::Pool`] when one
+//!    is idle. On a *connect* failure — nothing reached the backend —
+//!    record the failure, back off, and retry against the next ring
+//!    owner, bounded by [`RouterConfig::failover_retries`]. `/explain`
+//!    and `/predict` are pure functions of their body, so replaying one
+//!    elsewhere cannot change any answer; only connect failures trigger
+//!    this (a timeout after connecting might mean the backend is
+//!    mid-compute). A pooled connection the backend closed between
+//!    requests is not a failure: the pool re-sends on a fresh connection,
+//!    and a connect failure there fails over as above. A backend's idle
+//!    connections are closed on a connect failure or timeout, when the
+//!    health table ejects it, and when it is drained.
 //! 3. **Attribute**: every attempt lands in
-//!    `em_route_requests_total{backend,outcome}`; the winning backend is
+//!    `em_route_requests_total{backend,outcome}` and its pool use in
+//!    `em_route_connections_total{backend,kind}`; the winning backend is
 //!    named in the response's `X-Backend` header.
 
 use std::net::{SocketAddr, ToSocketAddrs};
@@ -33,12 +40,12 @@ use em_codec::{ExplainOptions, Value};
 use em_entity::Schema;
 use em_obs::{Span, Stage};
 use em_par::ParallelismConfig;
-use em_serve::client::{self, ClientError, ClientResponse};
+use em_serve::client::{self, ClientError, ClientResponse, Pool, PoolUse};
 use em_serve::http::{Request, Response};
 use em_serve::{Listener, ServerHandle, Service};
 
 use crate::health::{HealthConfig, HealthTable};
-use crate::metrics::{Outcome, RouteEndpoint, RouterMetrics};
+use crate::metrics::{ConnectionKind, Outcome, RouteEndpoint, RouterMetrics};
 use crate::ring::{BackendSpec, Ring};
 
 /// Router tunables.
@@ -48,12 +55,13 @@ pub struct RouterConfig {
     pub parallelism: ParallelismConfig,
     /// Accepted-but-unserved connections held before shedding with 503.
     pub queue_depth: usize,
-    /// Total wall-clock budget for one client connection (read + proxy +
+    /// Total wall-clock budget for one client request (read + proxy +
     /// write).
     pub request_timeout: Duration,
     /// Connections queued longer than this are discarded unanswered.
     pub max_queue_age: Duration,
-    /// Timeout for one backend exchange.
+    /// Budget for one backend exchange: connect, request write and the
+    /// whole response read together.
     pub backend_timeout: Duration,
     /// Additional ring owners tried after the first on connect failure.
     pub failover_retries: usize,
@@ -87,6 +95,10 @@ impl Default for RouterConfig {
 pub struct Router {
     schema: Schema,
     backends: Vec<BackendSpec>,
+    /// One idle-connection pool per backend, index-aligned with
+    /// `backends`. A forward holds one connection at a time, so a pool
+    /// never holds more than the router's worker count.
+    pools: Vec<Pool>,
     ring: Ring,
     health: HealthTable,
     metrics: RouterMetrics,
@@ -125,6 +137,7 @@ impl Router {
         Ok(Router {
             schema,
             ring: Ring::build(&backends),
+            pools: backends.iter().map(|b| Pool::new(b.addr)).collect(),
             backends,
             health: HealthTable::new(n, config.health),
             metrics: RouterMetrics::new(n),
@@ -159,11 +172,19 @@ impl Router {
         ServerHandle::spawn(self.local_addr(), move || self.run())
     }
 
+    /// Closes `backend`'s idle pooled connections.
+    fn discard_idle(&self, backend: usize) {
+        if let Some(pool) = self.pools.get(backend) {
+            pool.discard_idle();
+        }
+    }
+
     /// The active prober: every `probe_interval`, exchanges `GET /healthz`
     /// with each backend and feeds the result into the health machine —
     /// so a dead backend is ejected (and a recovered one readmitted) even
-    /// with no client traffic flowing. Sleeps in short slices so shutdown
-    /// is prompt.
+    /// with no client traffic flowing. Probes use fresh connections, not
+    /// the pool: they test that the backend accepts. Sleeps in short
+    /// slices so shutdown is prompt.
     fn probe_until_shutdown(&self) {
         let interval = self.health.config().probe_interval;
         let timeout = self.health.config().probe_timeout;
@@ -172,7 +193,10 @@ impl Router {
                 match client::exchange_with_timeout(backend.addr, "GET", "/healthz", "", timeout) {
                     Ok(_) | Err(ClientError::Status(_)) => self.health.record_success(i),
                     Err(ClientError::Connect(_) | ClientError::Timeout(_)) => {
-                        self.health.record_failure(i)
+                        self.health.record_failure(i);
+                        if !self.health.is_routable(i) {
+                            self.discard_idle(i);
+                        }
                     }
                     // Garbage on the health port is not a transport
                     // failure; leave the circuit alone and let real
@@ -332,17 +356,13 @@ fn forward(
             let factor = 1u32 << (hops - 1).min(8);
             std::thread::sleep(state.config.failover_backoff.saturating_mul(factor));
         }
-        let spec = match state.backends.get(backend) {
-            Some(s) => s,
-            None => continue,
+        let (Some(spec), Some(pool)) = (state.backends.get(backend), state.pools.get(backend))
+        else {
+            continue;
         };
-        match client::exchange_with_timeout(
-            spec.addr,
-            "POST",
-            path,
-            body,
-            state.config.backend_timeout,
-        ) {
+        let (result, used) = pool.exchange("POST", path, body, state.config.backend_timeout);
+        record_pool_use(state, backend, used);
+        match result {
             Ok(response) => {
                 state.health.record_success(backend);
                 state.metrics.record_outcome(backend, Outcome::Ok);
@@ -358,7 +378,9 @@ fn forward(
             }
             Err(ClientError::Connect(_)) => {
                 // Nothing reached the backend: eject-worthy and safe to
-                // retry against the next ring owner.
+                // retry against the next ring owner. Its idle connections
+                // lead to the same dead or saturated process.
+                pool.discard_idle();
                 state.health.record_failure(backend);
                 state.metrics.record_outcome(backend, Outcome::ConnectError);
                 hops += 1;
@@ -366,6 +388,7 @@ fn forward(
             Err(ClientError::Timeout(_)) => {
                 // The backend may be mid-compute; report gateway timeout
                 // rather than replaying onto a healthy node.
+                pool.discard_idle();
                 state.health.record_failure(backend);
                 state.metrics.record_outcome(backend, Outcome::Timeout);
                 return Response::error(504, "backend exchange timed out")
@@ -382,6 +405,19 @@ fn forward(
     }
     state.metrics.record_no_backend();
     Response::error(503, "no routable backend").with_header("Retry-After", "1")
+}
+
+/// Counts how one forward used `backend`'s connection pool.
+fn record_pool_use(state: &Router, backend: usize, used: PoolUse) {
+    for (happened, kind) in [
+        (used.opened, ConnectionKind::Opened),
+        (used.reused, ConnectionKind::Reused),
+        (used.stale, ConnectionKind::Stale),
+    ] {
+        if happened {
+            state.metrics.record_connection(backend, kind);
+        }
+    }
 }
 
 /// Rebuilds a backend response for the client: same status, byte-same
@@ -443,6 +479,9 @@ fn handle_drain(state: &Router, request: &Request) -> Response {
         return Response::error(404, &format!("unknown backend {name:?}"));
     };
     state.health.set_draining(backend, draining);
+    if draining {
+        state.discard_idle(backend);
+    }
     // Best-effort: tell the backend so its own /readyz reports draining.
     // Readmission is router-side only (em-serve draining is one-way by
     // design — a drained node restarts to rejoin).

@@ -3,11 +3,11 @@
 //! The registry is fed a fixed set of observations and its rendering
 //! must match `tests/golden/metrics.txt` byte for byte. The latency and
 //! stage histograms are read by the perf harness, and the per-backend
-//! outcome counters by the CI smoke job, so any change to a series
-//! name, label, order or bucket layout shows up here as a diff.
+//! outcome and connection counters by the CI smoke job, so any change to
+//! a series name, label, order or bucket layout shows up here as a diff.
 
 use em_obs::{Stage, Tracer};
-use em_route::metrics::{Outcome, RouteEndpoint, RouterMetrics};
+use em_route::metrics::{ConnectionKind, Outcome, RouteEndpoint, RouterMetrics};
 use em_serve::{RejectCause, Rejects};
 
 #[test]
@@ -19,6 +19,12 @@ fn metrics_render_matches_the_golden_text() {
     m.record_outcome(1, Outcome::ConnectError);
     m.record_outcome(1, Outcome::Status);
     m.record_outcome(1, Outcome::ProtocolError);
+
+    m.record_connection(0, ConnectionKind::Opened);
+    m.record_connection(0, ConnectionKind::Reused);
+    m.record_connection(0, ConnectionKind::Reused);
+    m.record_connection(1, ConnectionKind::Stale);
+    m.record_connection(1, ConnectionKind::Opened);
 
     m.record_latency(RouteEndpoint::Explain, 50);
     m.record_latency(RouteEndpoint::Explain, 700);

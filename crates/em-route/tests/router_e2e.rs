@@ -1,6 +1,6 @@
-//! End-to-end failover test (the ISSUE's acceptance scenario): three
-//! real `em-serve` backends behind the router, mixed `/explain` and
-//! `/predict` traffic, one backend killed mid-run. Every request must be
+//! End-to-end failover test: three real `em-serve` backends behind the
+//! router, mixed `/explain` and `/predict` traffic, one backend that
+//! holds pooled connections killed mid-run. Every request must be
 //! answered, every body byte-identical to a direct single-backend run,
 //! and post-kill traffic must redistribute to the survivors only.
 
@@ -197,8 +197,18 @@ fn failover_keeps_every_answer_byte_identical() {
     // Kill the backend that served request 0, mid-run and for real.
     // Joining its thread guarantees the listener socket is fully closed,
     // so later connects are refused rather than racing the kernel
-    // accept backlog.
+    // accept backlog. The router holds pooled connections to it: the
+    // repeat above was answered on one.
     let victim_name = served_by[0].clone();
+    let before_kill = client::request(via, "GET", "/metrics", "").expect("metrics");
+    assert!(
+        metric(
+            &before_kill.body,
+            &format!("em_route_connections_total{{backend=\"{victim_name}\",kind=\"reused\"}}")
+        ) >= 1,
+        "the victim was never forwarded to on a pooled connection:\n{}",
+        before_kill.body
+    );
     let victim_idx: usize = victim_name
         .strip_prefix('b')
         .and_then(|s| s.parse().ok())

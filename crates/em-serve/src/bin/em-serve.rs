@@ -34,7 +34,7 @@ FLAGS:
     --samples N          default perturbation samples      [default: 500]
     --seed N             default explanation seed          [default: 0]
     --slow-ms N          slow-request log threshold (ms), 0 disables [default: 1000]
-    --request-timeout-ms N  total per-connection read+write budget (ms) [default: 30000]
+    --request-timeout-ms N  total per-request read+write budget (ms) [default: 30000]
     --queue-age-ms N     discard connections queued longer than this (ms) [default: 10000]
     --model PATH         load logistic coefficients instead of training
     --save-model PATH    write trained coefficients after startup training

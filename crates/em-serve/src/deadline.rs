@@ -1,15 +1,18 @@
-//! Per-connection deadlines for the request lifecycle.
+//! Per-request deadlines for the request lifecycle.
 //!
-//! A per-*read* socket timeout does not bound a connection: a slowloris
+//! A per-*read* socket timeout does not bound a request: a slowloris
 //! client dripping one byte just inside the timeout holds a worker
-//! forever. [`Deadline`] fixes the total budget at connection start;
+//! forever. [`Deadline`] fixes the total budget when a request starts;
 //! [`DeadlineStream`] re-arms the socket timeout to the *remaining*
 //! budget before every read and write, so total header+body time and
-//! total response-write time are bounded no matter how the client
-//! paces itself. The deadline machinery only decides *when to give up
-//! on a socket* — it never influences explanation bytes, seeds, or
-//! orderings, which is why its clock reads are declared
-//! `sanitize(nondet-taint)` barriers (DESIGN.md §14).
+//! total response-write time are bounded no matter how the client paces
+//! itself. A kept-alive connection re-arms its stream with a fresh
+//! deadline for each further request ([`DeadlineStream::rearm`]), and the
+//! client charges a whole exchange — connect, write, every read — to one.
+//! The deadline machinery only decides *when to give up on a socket* — it
+//! never influences explanation bytes, seeds, or orderings, which is why
+//! its clock reads are declared `sanitize(nondet-taint)` barriers
+//! (DESIGN.md §14).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -138,9 +141,19 @@ impl<S> DeadlineStream<S> {
         self.deadline
     }
 
-    /// Total bytes successfully read so far — how the server tells a
-    /// connect-and-hold peer (deadline expired at zero bytes) from a
-    /// slowloris dripper (expired mid-header).
+    /// Charges every later operation against `deadline` instead: the next
+    /// request on a kept-alive connection gets a budget of its own. The
+    /// byte count carries over, so a request after the first is never
+    /// taken for a connect-and-hold peer.
+    pub fn rearm(&mut self, deadline: Deadline) {
+        self.deadline = deadline;
+    }
+
+    /// Total bytes successfully read so far, over every deadline this
+    /// stream has had — how the server tells a connect-and-hold peer
+    /// (deadline expired at zero bytes) from a slowloris dripper (expired
+    /// mid-header), and the client a closed pooled connection (no response
+    /// byte) from a broken response.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
@@ -326,6 +339,38 @@ mod tests {
         let mut stream = DeadlineStream::new(&peer, Deadline::starting_now(budget));
         let err = read_request(&mut stream).expect_err("body drip must time out");
         assert_eq!(err, HttpError::Timeout(ReadPhase::Body));
+    }
+
+    #[test]
+    fn rearm_gives_the_next_request_a_fresh_budget() {
+        // Two requests on one stream: after the first, a spent budget
+        // fails the next read at once and a fresh one lets the second
+        // request parse; the byte count runs on across both.
+        let first = b"GET /healthz HTTP/1.1\r\n\r\n";
+        let mut payload = first.to_vec();
+        payload.extend_from_slice(b"GET /metrics HTTP/1.1\r\n\r\n");
+        let peer = DripPeer::new(&payload, Duration::ZERO);
+        let mut stream = DeadlineStream::new(&peer, Deadline::starting_now(Duration::from_secs(5)));
+        let mut reader = std::io::BufReader::with_capacity(first.len(), &mut stream);
+        assert_eq!(
+            crate::http::read_request_from(&mut reader).map(|r| r.path),
+            Ok("/healthz".to_string())
+        );
+        reader
+            .get_mut()
+            .rearm(Deadline::starting_now(Duration::ZERO));
+        assert_eq!(
+            crate::http::read_request_from(&mut reader).map(|r| r.path),
+            Err(HttpError::Timeout(ReadPhase::Header))
+        );
+        reader
+            .get_mut()
+            .rearm(Deadline::starting_now(Duration::from_secs(5)));
+        assert_eq!(
+            crate::http::read_request_from(&mut reader).map(|r| r.path),
+            Ok("/metrics".to_string())
+        );
+        assert_eq!(stream.bytes_read(), payload.len() as u64);
     }
 
     #[test]

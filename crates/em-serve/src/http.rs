@@ -1,11 +1,14 @@
 //! Minimal HTTP/1.1 framing over `std::net` streams.
 //!
-//! Implements exactly what the service needs: request-line + header
+//! Implements exactly what both tiers need: request-line + header
 //! parsing, `Content-Length` bodies with a size cap, and response writing.
-//! Every connection is `Connection: close` — the worker pool gives
-//! concurrency, so keep-alive bookkeeping would buy latency only for
-//! clients that pipeline, which the bench shows is not the bottleneck
-//! (explanation compute is).
+//! A response says `Connection: keep-alive` only when the listener keeps
+//! the connection open for another request, which it does for a request
+//! that asks (em-route's backend pool does) and only while no other
+//! connection waits for a worker (DESIGN.md §14); every other response is
+//! `Connection: close`. Bodies are framed by `Content-Length` alone: a
+//! request carrying `Transfer-Encoding` is refused with a 501, because its
+//! unread chunks would otherwise be parsed as the next request.
 
 use std::io::{BufRead, BufReader, Read, Write};
 
@@ -14,8 +17,9 @@ use em_codec::Value;
 /// Largest accepted request body (1 MiB) — an EM record pair is a few KB.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
-/// Largest accepted header section.
-const MAX_HEADER_BYTES: usize = 16 << 10;
+/// Largest accepted header section (the client caps response heads at
+/// the same size).
+pub(crate) const MAX_HEADER_BYTES: usize = 16 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -38,6 +42,22 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether the request asks for `Connection: keep-alive`.
+    pub fn wants_keep_alive(&self) -> bool {
+        has_keep_alive(&self.headers)
+    }
+}
+
+/// Whether any `Connection` header in `headers` (lower-cased names)
+/// lists the `keep-alive` token.
+pub(crate) fn has_keep_alive(headers: &[(String, String)]) -> bool {
+    headers.iter().any(|(name, value)| {
+        name == "connection"
+            && value
+                .split(',')
+                .any(|token| token.trim().eq_ignore_ascii_case("keep-alive"))
+    })
 }
 
 /// Which part of the request was being read when a timeout fired. The
@@ -76,6 +96,9 @@ pub enum HttpError {
     /// The connection deadline (or a socket timeout) expired while
     /// reading the given phase (→ 408).
     Timeout(ReadPhase),
+    /// The request carries `Transfer-Encoding`, which is not decoded
+    /// (→ 501, and the connection closes).
+    TransferEncoding,
     /// The socket failed or closed mid-request.
     Io(String),
 }
@@ -88,6 +111,9 @@ impl std::fmt::Display for HttpError {
             HttpError::Closed => write!(f, "connection closed before any request byte"),
             HttpError::Timeout(phase) => {
                 write!(f, "request deadline exceeded reading the {}", phase.label())
+            }
+            HttpError::TransferEncoding => {
+                write!(f, "Transfer-Encoding is not supported; send Content-Length")
             }
             HttpError::Io(m) => write!(f, "i/o: {m}"),
         }
@@ -108,35 +134,48 @@ fn classify_io(error: std::io::Error, phase: ReadPhase) -> HttpError {
 }
 
 /// Reads one `\n`-terminated line of at most `budget` bytes (terminator
-/// included), without buffering anything past the cap. Returns the empty
-/// string on EOF. A line longer than `budget` is rejected — this is what
-/// keeps a newline-less request line (or a single huge header line) from
-/// buffering unboundedly.
-fn read_capped_line<R: BufRead>(
+/// included), without buffering anything past the cap: `None` for a
+/// longer line, the empty string on EOF. The cap is what keeps a
+/// newline-less request line (or a single huge header line) from
+/// buffering unboundedly; the client's response reader shares it.
+pub(crate) fn read_capped_line<R: BufRead>(
+    reader: &mut R,
+    budget: usize,
+) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    let n = reader.take(budget as u64 + 1).read_line(&mut line)?;
+    Ok((n <= budget).then_some(line))
+}
+
+/// [`read_capped_line`] for the request head, with its failures typed.
+fn read_head_line<R: BufRead>(
     reader: &mut R,
     budget: usize,
     what: &str,
 ) -> Result<String, HttpError> {
-    let mut line = String::new();
-    let n = reader
-        .take(budget as u64 + 1)
-        .read_line(&mut line)
-        .map_err(|e| classify_io(e, ReadPhase::Header))?;
-    if n > budget {
-        return Err(HttpError::Malformed(format!(
-            "{what} exceeds the {MAX_HEADER_BYTES}-byte header cap"
-        )));
-    }
-    Ok(line)
+    read_capped_line(reader, budget)
+        .map_err(|e| classify_io(e, ReadPhase::Header))?
+        .ok_or_else(|| {
+            HttpError::Malformed(format!(
+                "{what} exceeds the {MAX_HEADER_BYTES}-byte header cap"
+            ))
+        })
 }
 
-/// Reads one HTTP/1.1 request from `stream`.
+/// Reads one HTTP/1.1 request from `stream`, buffered for this request
+/// alone; [`read_request_from`] keeps one buffer across requests.
 pub fn read_request<S: Read>(stream: S) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
+    read_request_from(&mut BufReader::new(stream))
+}
+
+/// Reads one HTTP/1.1 request from a caller-owned buffered reader. Bytes
+/// past the request stay in `reader`, so a connection that carries
+/// several requests loses none of them.
+pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
     // The request line, headers, and terminating blank line all count
     // against one [`MAX_HEADER_BYTES`] budget, enforced *while* reading.
     let mut budget = MAX_HEADER_BYTES;
-    let line = read_capped_line(&mut reader, budget, "request line")?;
+    let line = read_head_line(reader, budget, "request line")?;
     if line.is_empty() {
         return Err(HttpError::Closed);
     }
@@ -159,7 +198,7 @@ pub fn read_request<S: Read>(stream: S) -> Result<Request, HttpError> {
 
     let mut headers = Vec::new();
     loop {
-        let header = read_capped_line(&mut reader, budget, "header section")?;
+        let header = read_head_line(reader, budget, "header section")?;
         let trimmed = header.trim_end_matches(['\r', '\n']);
         if trimmed.is_empty() {
             break;
@@ -169,6 +208,13 @@ pub fn read_request<S: Read>(stream: S) -> Result<Request, HttpError> {
             .split_once(':')
             .ok_or_else(|| HttpError::Malformed(format!("bad header line {trimmed:?}")))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+
+    // A chunked body is never decoded. Reading on without it would leave
+    // the chunks on the wire, to be parsed as the next request on a
+    // kept-alive connection, so the request is refused whole.
+    if headers.iter().any(|(name, _)| name == "transfer-encoding") {
+        return Err(HttpError::TransferEncoding);
     }
 
     // Every `Content-Length` header must agree. Resolving duplicates to
@@ -261,16 +307,19 @@ impl Response {
         self
     }
 
-    /// Serializes the response to its wire bytes (always
-    /// `Connection: close`). Split from [`Response::write_to`] so the
-    /// accept loop can attempt a single non-blocking shed write.
-    pub fn to_wire(&self) -> String {
+    /// Serializes the response to its wire bytes. `keep_alive` picks the
+    /// `Connection` header: `keep-alive` when the listener keeps the
+    /// connection open for another request, `close` otherwise. Split from
+    /// [`Response::write_to`] so the accept loop can attempt a single
+    /// non-blocking shed write.
+    pub fn to_wire(&self, keep_alive: bool) -> String {
         let mut out = format!(
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n",
             self.status,
             status_reason(self.status),
             self.content_type,
             self.body.len(),
+            if keep_alive { "keep-alive" } else { "close" },
         );
         for (name, value) in &self.extra_headers {
             out.push_str(name);
@@ -283,9 +332,9 @@ impl Response {
         out
     }
 
-    /// Serializes and writes the response (always `Connection: close`).
-    pub fn write_to<W: Write>(&self, mut stream: W) -> std::io::Result<()> {
-        stream.write_all(self.to_wire().as_bytes())?;
+    /// Serializes and writes the response (see [`Response::to_wire`]).
+    pub fn write_to<W: Write>(&self, mut stream: W, keep_alive: bool) -> std::io::Result<()> {
+        stream.write_all(self.to_wire(keep_alive).as_bytes())?;
         stream.flush()
     }
 }
@@ -299,6 +348,7 @@ fn status_reason(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         413 => "Payload Too Large",
+        501 => "Not Implemented",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
@@ -451,12 +501,61 @@ mod tests {
         let mut buf = Vec::new();
         Response::json(200, "{\"ok\":true}".to_string())
             .with_header("X-Cache", "hit")
-            .write_to(&mut buf)
+            .write_to(&mut buf, false)
             .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("X-Cache: hit\r\n"));
+        assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
+        let kept = Response::json(200, "{}".to_string()).to_wire(true);
+        assert!(kept.contains("Connection: keep-alive\r\n"), "{kept}");
+    }
+
+    #[test]
+    fn transfer_encoding_is_refused_before_any_body_byte() {
+        // Regression: the chunks used to be left unread, so the body
+        // parsed as empty JSON, and on a kept-alive connection the chunk
+        // bytes would have been read as the next request.
+        let raw = "POST /explain HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\
+Connection: keep-alive\r\n\r\n4\r\n{}{}\r\n0\r\n\r\n";
+        let err = read_request(raw.as_bytes()).expect_err("chunked body must be refused");
+        assert_eq!(err, HttpError::TransferEncoding);
+        assert_eq!(
+            err.to_string(),
+            "Transfer-Encoding is not supported; send Content-Length"
+        );
+        assert_eq!(status_reason(501), "Not Implemented");
+    }
+
+    #[test]
+    fn a_shared_reader_keeps_the_bytes_of_the_next_request() {
+        let raw = "GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n\
+POST /predict HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
+        let mut reader = BufReader::new(raw.as_bytes());
+        let first = read_request_from(&mut reader).unwrap();
+        assert_eq!(first.path, "/healthz");
+        assert!(first.wants_keep_alive());
+        let second = read_request_from(&mut reader).unwrap();
+        assert_eq!(
+            (second.path.as_str(), second.body.as_str()),
+            ("/predict", "{}")
+        );
+        assert!(!second.wants_keep_alive());
+        assert!(matches!(
+            read_request_from(&mut reader),
+            Err(HttpError::Closed)
+        ));
+    }
+
+    #[test]
+    fn keep_alive_is_read_from_any_connection_token() {
+        let req =
+            read_request("GET / HTTP/1.1\r\nConnection: Upgrade, Keep-Alive\r\n\r\n".as_bytes())
+                .unwrap();
+        assert!(req.wants_keep_alive());
+        let req = read_request("GET / HTTP/1.1\r\nConnection: close\r\n\r\n".as_bytes()).unwrap();
+        assert!(!req.wants_keep_alive());
     }
 }

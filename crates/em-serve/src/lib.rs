@@ -30,12 +30,12 @@
 //! dependencies beyond the workspace.
 //!
 //! The request lifecycle is hardened against misbehaving clients
-//! (DESIGN.md §14): each connection runs under a per-connection
-//! [`Deadline`] bounding total read + write time regardless of how the
-//! peer drips bytes, queued connections past an admission age bound are
-//! discarded, overload shedding never blocks the accept loop, and every
-//! rejection is attributed to a cause in
-//! `em_serve_rejects_total{cause=...}`.
+//! (DESIGN.md §14): each request runs under a [`Deadline`] bounding
+//! total read + write time regardless of how the peer drips bytes, a
+//! kept-alive connection holds its worker only while no other connection
+//! waits, queued connections past an admission age bound are discarded,
+//! overload shedding never blocks the accept loop, and every rejection is
+//! attributed to a cause in `em_serve_rejects_total{cause=...}`.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

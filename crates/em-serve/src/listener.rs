@@ -5,10 +5,18 @@
 //! drains it. When the queue is full the accept thread sheds with a
 //! non-blocking 503 + `Retry-After` instead of queueing unbounded —
 //! never waiting on a client socket, because every other user's `accept`
-//! is behind it. Each picked-up connection runs under one [`Deadline`]
-//! covering request read, compute, and response write; queued
-//! connections older than the admission bound are discarded unanswered.
-//! Every rejection is counted under its [`RejectCause`] (DESIGN.md §14).
+//! is behind it. Each request runs under one [`Deadline`] covering its
+//! read, compute, and response write; queued connections older than the
+//! admission bound are discarded unanswered. Every rejection is counted
+//! under its [`RejectCause`] (DESIGN.md §14).
+//!
+//! A request that asks for `Connection: keep-alive` keeps its connection
+//! open while nobody else waits for a worker: the worker then waits for
+//! the next request's first byte in short slices, and gives the
+//! connection up as soon as a connection is queued, shutdown starts, the
+//! peer closes, or the connection has idled for the idle bound. A
+//! kept-alive peer therefore holds a worker no longer than one request
+//! can, and never while another connection waits.
 //! A request that asks for shutdown flips an atomic flag and pokes the
 //! listener with a loopback connection so `accept` wakes up; closing the
 //! queue then lets every in-flight request finish before
@@ -18,13 +26,13 @@
 //! `em-route`'s proxy each route a parsed request and record its
 //! latency, and nothing else (DESIGN.md §15).
 
-use std::io::Write;
+use std::io::{BufReader, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::deadline::{is_timeout, Deadline, DeadlineStream};
-use crate::http::{read_request, HttpError, ReadPhase, Request, Response};
+use crate::http::{read_request_from, HttpError, ReadPhase, Request, Response};
 use crate::metrics::{RejectCause, Rejects};
 use crate::pool::{BoundedQueue, PushError};
 
@@ -37,6 +45,28 @@ const REJECT_WRITE_GRACE: Duration = Duration::from_secs(1);
 /// Bound on the shutdown self-wake connect, so `run` can never wedge
 /// behind its own wake-up.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// How long a kept-alive connection may stay silent between requests
+/// before its worker closes it (capped at the request timeout).
+const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(1);
+
+/// How often a worker waiting on a kept-alive connection looks up from
+/// it to check the accept queue and the shutdown flag.
+const KEEP_ALIVE_POLL: Duration = Duration::from_millis(5);
+
+/// The buffered, deadline-charged reader a connection keeps across its
+/// requests.
+type ConnReader<'a> = BufReader<DeadlineStream<&'a TcpStream>>;
+
+/// What a connection does after one request's response.
+enum AfterResponse {
+    /// Wait for another request on it.
+    KeepAlive,
+    /// Close it.
+    Close,
+    /// Close it, then stop the listener.
+    Shutdown,
+}
 
 /// One tier's request handling, plugged into a [`Listener`].
 pub trait Service: Sync {
@@ -170,7 +200,7 @@ impl Listener {
     fn shed_without_blocking(&self, stream: &TcpStream, message: &str) {
         let wire = Response::error(503, message)
             .with_header("Retry-After", "1")
-            .to_wire();
+            .to_wire(false);
         let nonblocking = stream.set_nonblocking(true).is_ok();
         if nonblocking {
             let mut sink = [0u8; 4096];
@@ -189,41 +219,77 @@ impl Listener {
         });
     }
 
-    /// Reads, routes, answers, and records one connection, all under one
-    /// [`Deadline`]: every socket read and write is charged against the
-    /// same `request_timeout` budget, so no pacing a client chooses can
-    /// hold the worker past it (DESIGN.md §14).
+    /// Serves one connection: its first request under a [`Deadline`]
+    /// counted from pickup, and each kept-alive request after it under a
+    /// deadline of its own counted from its first byte. Every socket read
+    /// and write of a request is charged against its `request_timeout`
+    /// budget, so no pacing a client chooses can hold the worker past it
+    /// (DESIGN.md §14).
     fn handle_connection<S: Service>(&self, service: &S, stream: TcpStream) {
         let deadline = Deadline::starting_now(self.request_timeout);
+        let mut reader = BufReader::new(DeadlineStream::new(&stream, deadline));
+        let shutdown = loop {
+            match self.serve_request(service, &stream, &mut reader) {
+                AfterResponse::KeepAlive if self.await_next_request(&stream, &reader) => {
+                    reader
+                        .get_mut()
+                        .rearm(Deadline::starting_now(self.request_timeout));
+                }
+                AfterResponse::Shutdown => break true,
+                AfterResponse::KeepAlive | AfterResponse::Close => break false,
+            }
+        };
+        drop(reader);
+        drop(stream);
+        if shutdown {
+            self.shutdown.store(true, Ordering::SeqCst);
+            wake_accept_loop(self.addr);
+        }
+    }
+
+    /// Reads, routes, answers, and records one request under the
+    /// reader's current deadline, and says what the connection does next.
+    fn serve_request<S: Service>(
+        &self,
+        service: &S,
+        stream: &TcpStream,
+        reader: &mut ConnReader<'_>,
+    ) -> AfterResponse {
         let start = Instant::now();
-        let mut reader = DeadlineStream::new(&stream, deadline);
-        let (endpoint, response, is_shutdown) = match read_request(&mut reader) {
-            Ok(request) => service.route(&request),
-            // The peer connected and closed without sending a byte (port
-            // probe, health checker). Nothing was asked, so nothing is
-            // answered and no counter is bumped.
-            Err(HttpError::Closed) => return,
+        // A request the listener answers itself never keeps its connection.
+        let unparsed = |response: Response| (S::UNPARSED, response, false, false);
+        let (endpoint, response, is_shutdown, wants_keep_alive) = match read_request_from(reader) {
+            Ok(request) => {
+                let (endpoint, response, is_shutdown) = service.route(&request);
+                (endpoint, response, is_shutdown, request.wants_keep_alive())
+            }
+            // The peer closed without sending a byte (port probe, health
+            // checker, or a kept-alive peer hanging up between requests).
+            // Nothing was asked, so nothing is answered and no counter is
+            // bumped.
+            Err(HttpError::Closed) => return AfterResponse::Close,
             Err(HttpError::Timeout(phase)) => {
                 // The deadline expired mid-request. Attribute the cause —
-                // connect-and-hold (not one byte), header drip, or body
-                // drip — then answer 408 under a short grace budget (the
-                // client may well still be reading) and reap the
-                // connection.
+                // connect-and-hold (not one byte on the connection),
+                // header drip, or body drip — then answer 408 under a
+                // short grace budget (the client may well still be
+                // reading) and reap the connection.
                 self.rejects.record(match phase {
-                    ReadPhase::Header if reader.bytes_read() == 0 => RejectCause::Idle,
+                    ReadPhase::Header if reader.get_ref().bytes_read() == 0 => RejectCause::Idle,
                     ReadPhase::Header => RejectCause::HeaderDeadline,
                     ReadPhase::Body => RejectCause::BodyDeadline,
                 });
-                let grace = Deadline::starting_now(REJECT_WRITE_GRACE);
-                let _ = Response::error(408, "request deadline exceeded")
-                    .write_to(&mut DeadlineStream::new(&stream, grace));
-                return;
+                let sink = reader.get_mut();
+                sink.rearm(Deadline::starting_now(REJECT_WRITE_GRACE));
+                let _ = Response::error(408, "request deadline exceeded").write_to(sink, false);
+                return AfterResponse::Close;
             }
-            Err(HttpError::BodyTooLarge) => (
-                S::UNPARSED,
-                Response::error(413, "request body too large"),
-                false,
-            ),
+            Err(HttpError::BodyTooLarge) => {
+                unparsed(Response::error(413, "request body too large"))
+            }
+            Err(err @ HttpError::TransferEncoding) => {
+                unparsed(Response::error(501, &err.to_string()))
+            }
             Err(err) => {
                 if matches!(err, HttpError::Io(_)) {
                     // The peer closed or reset mid-request; the 400 below
@@ -231,25 +297,65 @@ impl Listener {
                     // half-closed peers (`shutdown(Write)`) still read it.
                     self.rejects.record(RejectCause::PeerAbort);
                 }
-                (S::UNPARSED, Response::error(400, &err.to_string()), false)
+                unparsed(Response::error(400, &err.to_string()))
             }
         };
         let latency_us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         service.record(endpoint, latency_us, response.status);
-        // The response write shares the connection's deadline: a peer
-        // that accepts bytes too slowly (or never reads) is cut off when
-        // the budget runs out — silently, since no response can follow a
+        // Keep the connection only for a peer that asked, and only while
+        // nobody else waits for a worker.
+        let keep_alive =
+            wants_keep_alive && !is_shutdown && !self.is_shutting_down() && self.queue.is_empty();
+        if keep_alive {
+            // Each response is one write: with Nagle on, it could wait for
+            // the ACK of the previous response on the same connection.
+            let _ = stream.set_nodelay(true);
+        }
+        // The response write shares the request's deadline: a peer that
+        // accepts bytes too slowly (or never reads) is cut off when the
+        // budget runs out — silently, since no response can follow a
         // partial response.
-        if let Err(err) = response.write_to(&mut DeadlineStream::new(&stream, deadline)) {
-            if is_timeout(&err) {
-                self.rejects.record(RejectCause::WriteDeadline);
+        let written = match response.write_to(reader.get_mut(), keep_alive) {
+            Ok(()) => true,
+            Err(err) => {
+                if is_timeout(&err) {
+                    self.rejects.record(RejectCause::WriteDeadline);
+                }
+                false
+            }
+        };
+        if is_shutdown {
+            AfterResponse::Shutdown
+        } else if keep_alive && written {
+            AfterResponse::KeepAlive
+        } else {
+            AfterResponse::Close
+        }
+    }
+
+    /// Waits, in [`KEEP_ALIVE_POLL`] slices, for the first byte of the
+    /// next request on a kept-alive connection. Returns `false`, and the
+    /// caller closes the connection, when the peer closes, a connection
+    /// waits in the queue, shutdown starts, or the connection has been
+    /// silent for the idle bound. None of these is a reject: the peer has
+    /// asked for nothing.
+    fn await_next_request(&self, stream: &TcpStream, reader: &ConnReader<'_>) -> bool {
+        if !reader.buffer().is_empty() {
+            return true;
+        }
+        let idle = Deadline::starting_now(KEEP_ALIVE_IDLE.min(self.request_timeout));
+        let mut first_byte = [0u8; 1];
+        while !idle.expired() && self.queue.is_empty() && !self.is_shutting_down() {
+            if stream.set_read_timeout(Some(KEEP_ALIVE_POLL)).is_err() {
+                return false;
+            }
+            match stream.peek(&mut first_byte) {
+                Ok(n) => return n > 0,
+                Err(err) if is_timeout(&err) => {}
+                Err(_) => return false,
             }
         }
-        drop(stream);
-        if is_shutdown {
-            self.shutdown.store(true, Ordering::SeqCst);
-            wake_accept_loop(self.addr);
-        }
+        false
     }
 }
 

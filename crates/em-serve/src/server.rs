@@ -42,9 +42,11 @@ pub struct ServerConfig {
     /// `em_serve_slow_requests_total`. `None` disables slow-request
     /// logging entirely.
     pub slow_request_ms: Option<u64>,
-    /// Total wall-clock budget for one connection once a worker picks it
-    /// up: reading the request (however slowly the client drips it),
-    /// computing, and writing the response all share this one deadline.
+    /// Total wall-clock budget for one request: reading it (however
+    /// slowly the client drips it), computing, and writing the response
+    /// all share this one deadline. A connection's first request counts
+    /// from the moment a worker picks the connection up; a later one on a
+    /// kept-alive connection counts from its first byte.
     pub request_timeout: Duration,
     /// Admission bound: a connection that waited in the queue longer
     /// than this is discarded unanswered — its client has almost

@@ -1,13 +1,15 @@
 //! Misbehaving-client fault-injection harness, driven over real TCP.
 //!
-//! Five attack clients — slowloris header drip, byte-at-a-time body
-//! drip, connect-and-hold, never-reading receiver, mid-body abort — run
-//! concurrently against a live server while healthy `/explain` traffic
-//! flows. The request-lifecycle hardening (DESIGN.md §14) must hold all
-//! of these at once: healthy requests keep completing with responses
-//! byte-identical to an unloaded run, every attack connection is reaped
-//! by its deadline, and `/metrics` attributes each rejection to its
-//! distinct `em_serve_rejects_total{cause=...}`.
+//! Seven attack clients — slowloris header drip, byte-at-a-time body
+//! drip, connect-and-hold, never-reading receiver, mid-body abort, and
+//! two that first get a connection kept alive (then fall silent, or
+//! drip the headers of their second request) — run concurrently against
+//! a live server while healthy `/explain` traffic flows. The
+//! request-lifecycle hardening (DESIGN.md §14) must hold all of these at
+//! once: healthy requests keep completing with responses byte-identical
+//! to an unloaded run, every attack connection is reaped by its
+//! deadline, and `/metrics` attributes each rejection to its distinct
+//! `em_serve_rejects_total{cause=...}`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -89,34 +91,116 @@ fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
 }
 
 /// Drains the socket until EOF/reset (the server has finished with us)
-/// and returns how long the connection lived since `started`. Polls with
-/// a short read timeout so drip attacks can keep dripping in between.
-fn await_reaped(stream: &TcpStream, started: Instant, drip: Option<&[u8]>) -> Duration {
+/// and returns how long the connection lived since `started`, with the
+/// bytes the server sent. Polls with a short read timeout so drip attacks
+/// can keep dripping in between.
+fn await_reaped(stream: &TcpStream, started: Instant, drip: Option<&[u8]>) -> (Duration, String) {
     stream
         .set_read_timeout(Some(DRIP_INTERVAL))
         .expect("set read timeout");
     let mut buf = [0u8; 4096];
+    let mut received = Vec::new();
     loop {
         match (&mut (&*stream)).read(&mut buf) {
             // Response bytes (a 408, say) mean the server is done with
             // us; keep draining until the close comes through.
-            Ok(n) if n > 0 => continue,
-            Ok(_) => return started.elapsed(), // EOF: reaped
+            Ok(n) if n > 0 => {
+                received.extend_from_slice(&buf[..n]);
+                continue;
+            }
+            Ok(_) => break, // EOF: reaped
             Err(e) if is_timeout(&e) => {
                 // Still alive — drip the next byte if this attack drips.
                 if let Some(bytes) = drip {
                     if (&mut (&*stream)).write_all(bytes).is_err() {
-                        return started.elapsed(); // reset: reaped
+                        break; // reset: reaped
                     }
                 }
             }
-            Err(_) => return started.elapsed(), // reset: reaped
+            Err(_) => break, // reset: reaped
         }
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "attack connection never reaped"
         );
     }
+    (
+        started.elapsed(),
+        String::from_utf8_lossy(&received).into_owned(),
+    )
+}
+
+/// Opens connections that ask for keep-alive (`GET /healthz`) until the
+/// server keeps one open. It closes after the response whenever another
+/// connection waits for a worker, so under attack this can take a few
+/// tries. Reads byte by byte: nothing past the response may be consumed.
+fn kept_alive_connection(addr: SocketAddr) -> TcpStream {
+    let started = Instant::now();
+    loop {
+        let mut stream = TcpStream::connect(addr).expect("keep-alive connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set read timeout");
+        stream
+            .write_all(b"GET /healthz HTTP/1.1\r\nConnection: keep-alive\r\n\r\n")
+            .expect("keep-alive request");
+        let mut head = Vec::new();
+        let mut byte = [0u8; 1];
+        while !head.ends_with(b"\r\n\r\n") {
+            assert_eq!(
+                stream.read(&mut byte).expect("response head"),
+                1,
+                "closed mid-head"
+            );
+            head.push(byte[0]);
+        }
+        let head = String::from_utf8(head).expect("utf-8 head");
+        let length: usize = head
+            .lines()
+            .find_map(|l| l.strip_prefix("Content-Length: "))
+            .and_then(|v| v.parse().ok())
+            .expect("Content-Length");
+        let mut body = vec![0u8; length];
+        stream.read_exact(&mut body).expect("response body");
+        if head.contains("\r\nConnection: keep-alive\r\n") {
+            return stream;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(20),
+            "the server never kept a connection alive"
+        );
+    }
+}
+
+/// Keep-alive, then silence: the worker waiting for the next request
+/// gives the connection up at the idle bound (or sooner, for a queued
+/// connection) without a word — the peer asked for nothing, so no 408
+/// and no reject.
+fn keep_alive_then_silent(addr: SocketAddr) -> Duration {
+    let stream = kept_alive_connection(addr);
+    let (lived, received) = await_reaped(&stream, Instant::now(), None);
+    assert_eq!(received, "", "an idle kept-alive connection was answered");
+    lived
+}
+
+/// Keep-alive, then a header drip on the second request: the second
+/// request runs under a deadline of its own and is reaped mid-header.
+/// If the server gave the connection up before the request line arrived
+/// (a connection was queued), there was no second request; try again.
+fn keep_alive_then_header_drip(addr: SocketAddr) -> Duration {
+    for _ in 0..20 {
+        let mut stream = kept_alive_connection(addr);
+        let started = Instant::now();
+        if stream.write_all(b"POST /explain HTTP/1.1\r\n").is_err() {
+            continue;
+        }
+        let (lived, received) = await_reaped(&stream, started, Some(b"X"));
+        if received.starts_with("HTTP/1.1 408 ") {
+            return lived;
+        }
+        assert_eq!(received, "", "second request answered with something else");
+    }
+    panic!("no kept-alive connection carried a second request");
 }
 
 /// Slowloris: a real request line, then header bytes dripped one at a
@@ -127,7 +211,7 @@ fn slowloris_header_drip(addr: SocketAddr) -> Duration {
     stream
         .write_all(b"POST /explain HTTP/1.1\r\n")
         .expect("request line");
-    await_reaped(&stream, started, Some(b"X"))
+    await_reaped(&stream, started, Some(b"X")).0
 }
 
 /// Body drip: complete headers declaring a body, then one body byte per
@@ -138,14 +222,14 @@ fn body_byte_drip(addr: SocketAddr) -> Duration {
     stream
         .write_all(b"POST /explain HTTP/1.1\r\nContent-Length: 600\r\n\r\n")
         .expect("headers");
-    await_reaped(&stream, started, Some(b"a"))
+    await_reaped(&stream, started, Some(b"a")).0
 }
 
 /// Connect-and-hold: open the connection and send nothing at all.
 fn connect_and_hold(addr: SocketAddr) -> Duration {
     let started = Instant::now();
     let stream = TcpStream::connect(addr).expect("hold connect");
-    await_reaped(&stream, started, None)
+    await_reaped(&stream, started, None).0
 }
 
 /// Never-reading receiver: sends a complete valid request, then refuses
@@ -189,8 +273,9 @@ fn mid_body_abort(addr: SocketAddr) {
 
 /// The acceptance scenario: 8 concurrent attack connections (two each of
 /// slowloris, body drip, never-reading, connect-and-hold) plus mid-body
-/// aborts against a 4-worker server, while 50 healthy `/explain`
-/// requests complete byte-identical to an unloaded run.
+/// aborts and the two kept-alive attacks against a 4-worker server,
+/// while 50 healthy `/explain` requests complete byte-identical to an
+/// unloaded run.
 #[test]
 fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
     let suite_started = Instant::now();
@@ -253,6 +338,10 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
         for _ in 0..2 {
             scope.spawn(move || mid_body_abort(addr));
         }
+        let kept_alive = vec![
+            scope.spawn(move || ("keep-alive-then-silent", keep_alive_then_silent(addr))),
+            scope.spawn(move || ("keep-alive-then-drip", keep_alive_then_header_drip(addr))),
+        ];
 
         // Give the attacks a head start so they genuinely contend with
         // the healthy traffic for workers.
@@ -293,7 +382,7 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
         for h in healthy {
             h.join().expect("healthy client");
         }
-        for a in attacks {
+        for a in attacks.into_iter().chain(kept_alive) {
             let (kind, lived) = a.join().expect("attack client");
             assert!(
                 lived <= CHAOS_DEADLINE + REAP_SLACK,
@@ -309,9 +398,12 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
     let text = client::request(addr, "GET", "/metrics", "")
         .expect("metrics")
         .body;
-    assert!(reject_count(&text, "header_deadline") >= 2, "{text}");
+    // The kept-alive drip adds one header_deadline; the silent kept-alive
+    // connection adds nothing, so exactly the two connect-and-hold
+    // attacks count as idle.
+    assert!(reject_count(&text, "header_deadline") >= 3, "{text}");
     assert!(reject_count(&text, "body_deadline") >= 2, "{text}");
-    assert!(reject_count(&text, "idle") >= 2, "{text}");
+    assert_eq!(reject_count(&text, "idle"), 2, "{text}");
     assert!(reject_count(&text, "peer_abort") >= 2, "{text}");
     // The healthy traffic all landed on /explain, error-free.
     assert!(metric(&text, "em_serve_requests_total{endpoint=\"explain\"}") >= 55);
@@ -554,7 +646,7 @@ fn response_write_is_abandoned_when_the_peer_never_reads() {
     let deadline = Deadline::starting_now(Duration::from_millis(500));
     let started = Instant::now();
     let err = response
-        .write_to(&mut DeadlineStream::new(&server_side, deadline))
+        .write_to(&mut DeadlineStream::new(&server_side, deadline), false)
         .expect_err("writing 8 MiB to a never-reading peer must hit the deadline");
     assert!(is_timeout(&err), "expected a timeout, got {err:?}");
     let elapsed = started.elapsed();

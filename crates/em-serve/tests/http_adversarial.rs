@@ -135,3 +135,45 @@ fn hostile_framing_is_rejected_cleanly_and_nothing_wedges() {
     assert_eq!(bye.status, 200);
     handle.join();
 }
+
+#[test]
+fn a_chunked_body_is_refused_with_501_and_the_connection_closes() {
+    // Regression: the chunks were never read, so the body parsed as empty
+    // JSON (a 400), and on a kept-alive connection the chunk bytes would
+    // have been parsed as the next request. Now the request is refused
+    // whole, and the connection closes although it asked to stay open.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Schema::from_names(vec!["name"]),
+        Box::new(ConstModel),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+    let handle = server.spawn();
+    let addr = handle.addr();
+
+    let answer = raw_roundtrip(
+        addr,
+        b"POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked\r\nConnection: keep-alive\r\n\r\n\
+7\r\n{\"pair\"\r\n0\r\n\r\n",
+        false,
+    );
+    let message = "{\"error\":\"Transfer-Encoding is not supported; send Content-Length\"}";
+    assert_eq!(
+        answer,
+        format!(
+            "HTTP/1.1 501 Not Implemented\r\nContent-Type: application/json\r\n\
+Content-Length: {}\r\nConnection: close\r\n\r\n{message}",
+            message.len()
+        )
+    );
+
+    let text = client::request(addr, "GET", "/metrics", "").unwrap().body;
+    assert_eq!(
+        metric(&text, "em_serve_request_errors_total{endpoint=\"other\"}"),
+        1
+    );
+    let bye = client::request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(bye.status, 200);
+    handle.join();
+}

@@ -28,10 +28,12 @@
 //!   same order as the sorted-string merges of the naive TF-IDF path;
 //! * Jaccard counts are integers either way; the final division uses the
 //!   same two casts;
-//! * Monge-Elkan reads each kept row's maximum of the precomputed
-//!   Jaro-Winkler matrix from a probe order sorted once (`NameProbe`):
-//!   the value the naive `f64::max` fold returns, summed in the same
-//!   token order;
+//! * Monge-Elkan gives each kept position its best Jaro-Winkler match:
+//!   a maximum stored at prepare time when the other side is fixed, or an
+//!   elementwise max over the other side's kept vectors of the
+//!   precomputed matrix (`NameProbe`). Either is the value the naive
+//!   `f64::max` fold returns, and positions are summed in the same token
+//!   order, an unkept one adding +0.0;
 //! * numeric parsing per token is equivalent to parsing the joined string
 //!   (a space always flushes the current number fragment), and the blend /
 //!   fallback helpers are shared functions, not re-implementations.
@@ -128,54 +130,14 @@ impl SideState<'_> {
         }
     }
 
-    /// `(normalized id, global mask bit)` of each token in this side's
-    /// Monge-Elkan sequence, sorted by id; empty for a fixed side.
-    fn ids_with_bits(&self) -> Vec<(u32, usize)> {
+    /// The global mask bit of each position of this side's Monge-Elkan
+    /// sequence, or `None` for a fixed side.
+    fn norm_bits(&self) -> Option<Vec<usize>> {
         match self {
-            SideState::Fixed { .. } => Vec::new(),
+            SideState::Fixed { .. } => None,
             SideState::Varying {
                 feat_idx, norm_pos, ..
-            } => {
-                let mut by_id: Vec<(u32, usize)> = norm_pos
-                    .iter()
-                    .map(|&(local, id)| (id, feat_idx[local]))
-                    .collect();
-                by_id.sort_unstable();
-                by_id
-            }
-        }
-    }
-
-    /// A Name attribute's [`SideState::gather_norm`]: `kept` gets one flag
-    /// per position of this side's Monge-Elkan sequence, and the result is
-    /// the surviving ids ascending, filtered from `by_id` (this side's
-    /// [`SideState::ids_with_bits`]) or, for a fixed side, borrowed.
-    fn gather_kept<'s>(
-        &'s self,
-        by_id: &[(u32, usize)],
-        mask: &[bool],
-        kept: &mut Vec<bool>,
-        ids: &'s mut Vec<u32>,
-    ) -> &'s [u32] {
-        kept.clear();
-        match self {
-            SideState::Fixed { sorted_ids, .. } => {
-                kept.resize(sorted_ids.len(), true);
-                sorted_ids
-            }
-            SideState::Varying {
-                feat_idx, norm_pos, ..
-            } => {
-                kept.extend(norm_pos.iter().map(|&(local, _)| mask[feat_idx[local]]));
-                ids.clear();
-                ids.extend(
-                    by_id
-                        .iter()
-                        .filter(|&&(_, bit)| mask[bit])
-                        .map(|&(id, _)| id),
-                );
-                ids
-            }
+            } => Some(norm_pos.iter().map(|&(local, _)| feat_idx[local]).collect()),
         }
     }
 
@@ -268,7 +230,7 @@ struct AttrState<'a> {
     kind: AttributeKind,
     left: SideState<'a>,
     right: SideState<'a>,
-    /// Name-kind only: the Jaro-Winkler matrix and its probe orders.
+    /// Name-kind only: the Jaro-Winkler state and Jaccard's id groups.
     /// Empty for other kinds.
     probe: NameProbe,
 }
@@ -302,22 +264,8 @@ impl AttrState<'_> {
     fn similarity(&self, mask: &[bool], bufs: &mut MaskBuffers, idf_by_id: &[f64]) -> f64 {
         match self.kind {
             AttributeKind::Name => {
-                let probe = &self.probe;
-                let l_ids = self.left.gather_kept(
-                    &probe.left_by_id,
-                    mask,
-                    &mut bufs.l_kept,
-                    &mut bufs.l_ids,
-                );
-                let r_ids = self.right.gather_kept(
-                    &probe.right_by_id,
-                    mask,
-                    &mut bufs.r_kept,
-                    &mut bufs.r_ids,
-                );
-                let jac = jaccard_ids(l_ids, r_ids);
-                let me =
-                    probe.monge_elkan((&bufs.l_kept, l_ids.len()), (&bufs.r_kept, r_ids.len()));
+                let jac = self.probe.jaccard(mask);
+                let me = self.probe.monge_elkan(mask, bufs);
                 combine_name(jac, me)
             }
             AttributeKind::Text => {
@@ -354,8 +302,12 @@ impl AttrState<'_> {
 /// Reusable buffers for one similarity computation.
 #[derive(Debug, Default)]
 struct MaskBuffers {
-    l_kept: Vec<bool>,
-    r_kept: Vec<bool>,
+    /// Name only: the left side's kept position indices.
+    l_idx: Vec<usize>,
+    /// Name only: the right side's kept position indices.
+    r_idx: Vec<usize>,
+    /// Name only: the best matches of one side's positions.
+    best: Vec<f64>,
     l_ids: Vec<u32>,
     r_ids: Vec<u32>,
     l_doc: PreparedDoc,
@@ -469,7 +421,11 @@ impl<'a> PreparedTokenDrop<'a> {
                         });
                     }
                 }
-                NameProbe::new(jw, r_norm_ids.len(), &l_state, &r_state)
+                NameProbe::new(
+                    &jw,
+                    (&l_norm_ids, l_state.norm_bits()),
+                    (&r_norm_ids, r_state.norm_bits()),
+                )
             } else {
                 NameProbe::default()
             };
@@ -653,89 +609,250 @@ impl TokenChars {
 }
 
 /// A Name attribute's mask-invariant Monge-Elkan and Jaccard state
-/// (DESIGN.md §11 "Probe path and the Jaro core"): Monge-Elkan reads each
-/// kept row's best match from an order sorted once, and Jaccard gathers
-/// ids already sorted.
+/// (DESIGN.md §11 "Name path and the Jaro core"). Scoring a mask with it
+/// is straight-line work over the attribute's positions: no sort, no
+/// search, and no branch on a mask bit.
 ///
-/// Jaro-Winkler values are finite and at least +0.0, so the naive
-/// `f64::max` fold over a row's kept columns returns their largest value
-/// whatever their order, and that value is the first kept entry of the
-/// row's descending order. Rows are still summed in sequence order, so the
-/// result is bit-identical.
+/// Monge-Elkan gives each kept position of one side its best
+/// Jaro-Winkler match among the other side's kept positions. Against a
+/// fixed side that is a maximum stored here; against a varying side it is
+/// an elementwise max over the kept positions' vectors. Jaro-Winkler
+/// values are finite and at least +0.0, so either equals the naive
+/// `fold(0.0, f64::max)` over the kept entries. Positions are summed in
+/// sequence order, and an unkept one adds `best · 0.0 = +0.0`, which
+/// leaves the sum's bits as they were: the result is bit-identical.
 #[derive(Debug, Default)]
 struct NameProbe {
-    /// Row-major Jaro-Winkler matrix between the left side's full
-    /// normalized-token sequence (rows) and the right side's (columns).
-    jw: Vec<f64>,
-    /// Column count of `jw`.
-    ncols: usize,
-    /// For each row of `jw`, its column indices by descending similarity.
-    row_order: Vec<usize>,
-    /// For each column of `jw`, its row indices by descending similarity.
-    col_order: Vec<usize>,
-    /// The left side's [`SideState::ids_with_bits`].
-    left_by_id: Vec<(u32, usize)>,
-    /// The right side's [`SideState::ids_with_bits`].
-    right_by_id: Vec<(u32, usize)>,
+    /// The left side: the matrix's rows.
+    left: NameSide,
+    /// The right side: the matrix's columns.
+    right: NameSide,
+    /// Jaccard's state: one group per distinct normalized id of either
+    /// side.
+    groups: Vec<IdGroup>,
+    /// Every group's mask bits, group by group: its varying left
+    /// positions', then its varying right positions'.
+    group_bits: Vec<usize>,
 }
 
-impl NameProbe {
-    fn new(jw: Vec<f64>, ncols: usize, left: &SideState<'_>, right: &SideState<'_>) -> Self {
-        // With no columns there are no entries, whatever the row count.
-        let nrows = jw.len().checked_div(ncols).unwrap_or(0);
-        // `n` orders of `len` indices each, in one buffer.
-        let descending = |n: usize, len: usize, at: &dyn Fn(usize, usize) -> f64| {
-            let mut orders = Vec::with_capacity(n * len);
-            for k in 0..n {
-                let start = orders.len();
-                orders.extend(0..len);
-                orders[start..].sort_unstable_by(|&x, &y| at(k, y).total_cmp(&at(k, x)));
-            }
-            orders
-        };
-        NameProbe {
-            row_order: descending(nrows, ncols, &|i, j| jw[i * ncols + j]),
-            col_order: descending(ncols, nrows, &|j, i| jw[i * ncols + j]),
-            left_by_id: left.ids_with_bits(),
-            right_by_id: right.ids_with_bits(),
-            jw,
-            ncols,
+/// One side of a Name attribute's Monge-Elkan sequence, and the best
+/// matches it offers the other side's positions.
+#[derive(Debug)]
+enum NameSide {
+    /// A fixed side: every position is always kept.
+    Fixed {
+        /// Number of positions.
+        len: usize,
+        /// For each position of the other side, its best Jaro-Winkler
+        /// match over all of this side's positions.
+        best: Vec<f64>,
+    },
+    /// A varying side.
+    Varying {
+        /// The mask bit of each position, in sequence order.
+        bits: Vec<usize>,
+        /// Each position's Jaro-Winkler values against every position of
+        /// the other side, one vector per position, back to back.
+        vectors: Vec<f64>,
+    },
+}
+
+impl Default for NameSide {
+    fn default() -> Self {
+        NameSide::Fixed {
+            len: 0,
+            best: Vec::new(),
+        }
+    }
+}
+
+impl NameSide {
+    /// A side with `len` positions, `bits` as from
+    /// [`SideState::norm_bits`], against `other_len` positions; `at(p, q)`
+    /// is the Jaro-Winkler value of this side's position `p` and the
+    /// other side's position `q`.
+    fn new(
+        bits: Option<Vec<usize>>,
+        len: usize,
+        other_len: usize,
+        at: impl Fn(usize, usize) -> f64,
+    ) -> Self {
+        match bits {
+            None => NameSide::Fixed {
+                len,
+                best: (0..other_len)
+                    .map(|q| (0..len).map(|p| at(p, q)).fold(0.0, f64::max))
+                    .collect(),
+            },
+            Some(bits) => NameSide::Varying {
+                vectors: (0..len)
+                    .flat_map(|p| (0..other_len).map(move |q| (p, q)))
+                    .map(|(p, q)| at(p, q))
+                    .collect(),
+                bits,
+            },
         }
     }
 
-    /// Symmetric Monge-Elkan on the kept rows and columns, with
-    /// `monge_elkan_symmetric`'s empty-list conventions: each side is its
-    /// kept flag per position and its kept count.
-    fn monge_elkan(&self, (l_kept, n_l): (&[bool], usize), (r_kept, n_r): (&[bool], usize)) -> f64 {
+    fn len(&self) -> usize {
+        match self {
+            NameSide::Fixed { len, .. } => *len,
+            NameSide::Varying { bits, .. } => bits.len(),
+        }
+    }
+
+    /// How many positions `mask` keeps, and the kept indices ascending,
+    /// compacted into `idx`, of a varying side (a fixed side keeps all of
+    /// its positions and lists none).
+    fn kept<'i>(&self, mask: &[bool], idx: &'i mut Vec<usize>) -> (usize, &'i [usize]) {
+        match self {
+            NameSide::Fixed { len, .. } => (*len, &[]),
+            NameSide::Varying { bits, .. } => {
+                if idx.len() < bits.len() {
+                    idx.resize(bits.len(), 0);
+                }
+                let mut n = 0;
+                for (k, &bit) in bits.iter().enumerate() {
+                    idx[n] = k;
+                    n += usize::from(mask[bit]);
+                }
+                (n, &idx[..n])
+            }
+        }
+    }
+
+    /// Each of the other side's `other_len` positions' best match among
+    /// this side's kept positions, listed in `kept` when this side varies.
+    fn best_matches<'s>(
+        &'s self,
+        kept: &[usize],
+        other_len: usize,
+        best: &'s mut Vec<f64>,
+    ) -> &'s [f64] {
+        match self {
+            NameSide::Fixed { best, .. } => best,
+            NameSide::Varying { vectors, .. } => {
+                best.clear();
+                best.resize(other_len, 0.0);
+                for &k in kept {
+                    let vector = &vectors[k * other_len..(k + 1) * other_len];
+                    for (b, &v) in best.iter_mut().zip(vector) {
+                        // `f64::max` on values that are never NaN or -0.0,
+                        // without its NaN handling.
+                        *b = if v > *b { v } else { *b };
+                    }
+                }
+                best
+            }
+        }
+    }
+
+    /// The sum, in sequence order, of `best` over this side's kept
+    /// positions.
+    fn sum_kept(&self, mask: &[bool], best: &[f64]) -> f64 {
+        match self {
+            NameSide::Fixed { .. } => best.iter().fold(0.0, |sum, &b| sum + b),
+            NameSide::Varying { bits, .. } => bits.iter().zip(best).fold(0.0, |sum, (&bit, &b)| {
+                sum + b * f64::from(u8::from(mask[bit]))
+            }),
+        }
+    }
+}
+
+/// One distinct normalized id of a Name attribute, for Jaccard.
+#[derive(Debug)]
+struct IdGroup {
+    /// Whether the left and the right side are fixed and hold the id.
+    held: [bool; 2],
+    /// Where the group's left and right mask bits end in
+    /// [`NameProbe::group_bits`].
+    ends: [usize; 2],
+}
+
+impl NameProbe {
+    /// `jw` is the row-major Jaro-Winkler matrix between the left side's
+    /// normalized-id sequence (rows) and the right side's (columns); each
+    /// side comes with its [`SideState::norm_bits`].
+    fn new(
+        jw: &[f64],
+        (l_ids, l_bits): (&[u32], Option<Vec<usize>>),
+        (r_ids, r_bits): (&[u32], Option<Vec<usize>>),
+    ) -> Self {
+        // `(id, side, mask bit)` of every position, a fixed side's with no
+        // bit, sorted so each id's positions are one run, left ones first.
+        let mut entries: Vec<(u32, usize, Option<usize>)> = Vec::new();
+        for (side, (ids, bits)) in [(l_ids, &l_bits), (r_ids, &r_bits)].into_iter().enumerate() {
+            for (p, &id) in ids.iter().enumerate() {
+                entries.push((id, side, bits.as_ref().map(|bits| bits[p])));
+            }
+        }
+        entries.sort_unstable();
+        let mut groups = Vec::new();
+        let mut group_bits = Vec::new();
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            let mut held = [false; 2];
+            let mut ends = [0; 2];
+            for side in 0..2 {
+                for &(_, _, bit) in run.iter().filter(|entry| entry.1 == side) {
+                    match bit {
+                        Some(bit) => group_bits.push(bit),
+                        None => held[side] = true,
+                    }
+                }
+                ends[side] = group_bits.len();
+            }
+            groups.push(IdGroup { held, ends });
+        }
+        let (nrows, ncols) = (l_ids.len(), r_ids.len());
+        NameProbe {
+            left: NameSide::new(l_bits, nrows, ncols, |i, j| jw[i * ncols + j]),
+            right: NameSide::new(r_bits, ncols, nrows, |j, i| jw[i * ncols + j]),
+            groups,
+            group_bits,
+        }
+    }
+
+    /// Jaccard of the kept ids: an id is present on a side that is fixed
+    /// and holds it, or that keeps any of its positions. The counts are
+    /// integers and the division is `em_text::jaccard`'s, so the result
+    /// is bit-identical.
+    fn jaccard(&self, mask: &[bool]) -> f64 {
+        let any_kept = |bits: &[usize]| bits.iter().fold(false, |any, &bit| any | mask[bit]);
+        let (mut start, mut union, mut inter) = (0, 0usize, 0usize);
+        for group in &self.groups {
+            let [l_end, r_end] = group.ends;
+            let left = group.held[0] | any_kept(&self.group_bits[start..l_end]);
+            let right = group.held[1] | any_kept(&self.group_bits[l_end..r_end]);
+            union += usize::from(left | right);
+            inter += usize::from(left & right);
+            start = r_end;
+        }
+        if union == 0 {
+            return 1.0;
+        }
+        inter as f64 / union as f64
+    }
+
+    /// Symmetric Monge-Elkan on the kept positions, with
+    /// `monge_elkan_symmetric`'s empty-list conventions.
+    fn monge_elkan(&self, mask: &[bool], bufs: &mut MaskBuffers) -> f64 {
+        let (n_l, l_kept) = self.left.kept(mask, &mut bufs.l_idx);
+        let (n_r, r_kept) = self.right.kept(mask, &mut bufs.r_idx);
         if n_l == 0 && n_r == 0 {
             return 1.0;
         }
         if n_l == 0 || n_r == 0 {
             return 0.0;
         }
-        let (jw, ncols) = (&self.jw, self.ncols);
-        let mut fwd = 0.0;
-        for (i, order) in self.row_order.chunks_exact(ncols).enumerate() {
-            if l_kept[i] {
-                fwd += jw[i * ncols + first_kept(order, r_kept)];
-            }
-        }
-        let mut bwd = 0.0;
-        for (j, order) in self.col_order.chunks_exact(l_kept.len()).enumerate() {
-            if r_kept[j] {
-                bwd += jw[first_kept(order, l_kept) * ncols + j];
-            }
-        }
+        let (l_len, r_len) = (self.left.len(), self.right.len());
+        let fwd = self
+            .left
+            .sum_kept(mask, self.right.best_matches(r_kept, l_len, &mut bufs.best));
+        let bwd = self
+            .right
+            .sum_kept(mask, self.left.best_matches(l_kept, r_len, &mut bufs.best));
         (fwd / n_l as f64 + bwd / n_r as f64) / 2.0
     }
-}
-
-/// The first position in `order` that is kept.
-fn first_kept(order: &[usize], kept: &[bool]) -> usize {
-    *order
-        .iter()
-        .find(|&&k| kept[k])
-        .expect("the caller checked that some position is kept")
 }
 
 /// Prepared state for an attribute-copy (Mojito copy) family: every
@@ -1230,7 +1347,7 @@ mod tests {
     }
 
     #[test]
-    fn memo_covers_an_attribute_whose_varying_side_has_no_tokens() {
+    fn memo_covers_attributes_that_read_no_mask_bit() {
         // The blank name and description read no mask bit: one slot each,
         // filled by the first mask and reused by every other.
         let d = dataset();
@@ -1248,6 +1365,16 @@ mod tests {
         };
         assert_eq!(memo_slots(&m, s, &spec), [1, 1, 1 << 2, 1 << 1]);
         assert_kernel_matches_fallback(&m, s, spec);
+        // With both sides fixed no attribute reads a bit, and the one mask
+        // is empty.
+        let fixed = PerturbSpec::TokenDrop {
+            pair: &d.records()[0].pair,
+            left: SideSpec::Fixed,
+            right: SideSpec::Fixed,
+        };
+        assert_eq!(fixed.mask_len(s.len()), 0);
+        assert_eq!(memo_slots(&m, s, &fixed), [1; 4]);
+        assert_kernel_matches_fallback_on(&m, s, fixed, &[Vec::new()]);
     }
 
     /// A token-drop spec for `pair` varying the left side, the right side
@@ -1261,51 +1388,88 @@ mod tests {
     }
 
     #[test]
-    fn over_cap_name_with_every_varying_token_dropped() {
+    fn over_cap_name_keeping_none_one_or_all_varying_tokens() {
+        // Keeping exactly one name token sweeps a single vector: a row
+        // when the left side varies, a column when the right side does.
         let d = dataset();
         let m = LogisticMatcher::train(&d, &MatcherConfig::default());
         let s = d.schema();
-        let pair = EntityPair::new(
-            Entity::new(vec![
-                words(0, MEMO_MAX_BITS + 5),
-                "slr camera".into(),
-                "849.99".into(),
-                "DSLRA200W".into(),
-            ]),
-            d.records()[0].pair.right.clone(),
-        );
-        let tokens = tokenize_entity(&pair.left);
-        let spec = left_varying(&pair, &tokens);
-        assert_eq!(memo_slots(&m, s, &spec)[0], 0);
-        let name_bits = attr_bits(&tokens, 0, 0);
-        let name_kept = |kept: bool| -> Vec<bool> {
-            (0..tokens.len())
-                .map(|i| name_bits.contains(&i) == kept)
-                .collect()
-        };
-        let masks = [name_kept(false), name_kept(true), vec![false; tokens.len()]];
-        assert_kernel_matches_fallback_on(&m, s, spec, &masks);
-        assert_kernel_matches_fallback(&m, s, spec);
+        let long = Entity::new(vec![
+            words(0, MEMO_MAX_BITS + 5),
+            "slr camera".into(),
+            "849.99".into(),
+            "DSLRA200W".into(),
+        ]);
+        let other = d.records()[0].pair.right.clone();
+        for varying in [EntitySide::Left, EntitySide::Right] {
+            let pair = match varying {
+                EntitySide::Left => EntityPair::new(long.clone(), other.clone()),
+                EntitySide::Right => EntityPair::new(other.clone(), long.clone()),
+            };
+            let tokens = tokenize_entity(pair.entity(varying));
+            let spec = match varying {
+                EntitySide::Left => left_varying(&pair, &tokens),
+                EntitySide::Right => PerturbSpec::TokenDrop {
+                    pair: &pair,
+                    left: SideSpec::Fixed,
+                    right: SideSpec::Varying(&tokens[..]),
+                },
+            };
+            assert_eq!(memo_slots(&m, s, &spec)[0], 0);
+            let name_bits = attr_bits(&tokens, 0, 0);
+            let name_kept = |kept: bool| -> Vec<bool> {
+                (0..tokens.len())
+                    .map(|i| name_bits.contains(&i) == kept)
+                    .collect()
+            };
+            let mut masks = vec![name_kept(false), name_kept(true), vec![false; tokens.len()]];
+            masks.extend(name_bits.iter().map(|&bit| {
+                let mut mask = name_kept(false);
+                mask[bit] = true;
+                mask
+            }));
+            assert_kernel_matches_fallback_on(&m, s, spec, &masks);
+            assert_kernel_matches_fallback(&m, s, spec);
+        }
     }
 
     #[test]
-    fn over_cap_name_against_an_empty_fixed_side() {
+    fn over_cap_name_against_an_empty_side() {
         let d = dataset();
         let m = LogisticMatcher::train(&d, &MatcherConfig::default());
         let s = d.schema();
-        let pair = EntityPair::new(
-            Entity::new(vec![
-                words(1, MEMO_MAX_BITS + 3),
-                "slr camera".into(),
-                "849.99".into(),
-                "DSLRA200W".into(),
-            ]),
-            Entity::new(vec!["", "", "", ""]),
-        );
+        let long = Entity::new(vec![
+            words(1, MEMO_MAX_BITS + 3),
+            "slr camera".into(),
+            "849.99".into(),
+            "DSLRA200W".into(),
+        ]);
+        let blank = Entity::new(vec!["", "", "", ""]);
+        let pair = EntityPair::new(long.clone(), blank.clone());
         let tokens = tokenize_entity(&pair.left);
         let spec = left_varying(&pair, &tokens);
         assert_eq!(memo_slots(&m, s, &spec)[0], 0);
         assert_kernel_matches_fallback(&m, s, spec);
+        // LIME varies both sides; the blank one has no position, so every
+        // bit the name reads is on the other side.
+        for pair in [pair.clone(), EntityPair::new(blank, long)] {
+            let lt = tokenize_entity(&pair.left);
+            let rt = tokenize_entity(&pair.right);
+            let lime = PerturbSpec::TokenDrop {
+                pair: &pair,
+                left: SideSpec::Varying(&lt[..]),
+                right: SideSpec::Varying(&rt[..]),
+            };
+            assert_eq!(memo_slots(&m, s, &lime)[0], 0);
+            let n = lt.len() + rt.len();
+            let mut masks = masks_for(n);
+            masks.extend((0..n).map(|bit| {
+                let mut mask = vec![false; n];
+                mask[bit] = true;
+                mask
+            }));
+            assert_kernel_matches_fallback_on(&m, s, lime, &masks);
+        }
     }
 
     #[test]
@@ -1357,6 +1521,34 @@ mod tests {
             }))
             .collect();
         assert_kernel_matches_fallback_on(&m, s, both, &masks);
+    }
+
+    #[test]
+    fn over_cap_name_whose_every_jaro_winkler_value_is_zero() {
+        // Digits share no character with letters: every matrix entry, and
+        // so every stored maximum and swept best match, is 0.0.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let digits = (0..MEMO_MAX_BITS + 2)
+            .map(|i| (i * 37 % 100).to_string())
+            .collect::<Vec<_>>()
+            .join(" ");
+        let pair = EntityPair::new(
+            Entity::new(vec![digits.as_str(), "slr camera", "849.99", "DSLRA200W"]),
+            Entity::new(vec!["sony alpha camera", "camera kit", "$850", "a200"]),
+        );
+        let lt = tokenize_entity(&pair.left);
+        let spec = left_varying(&pair, &lt);
+        assert_eq!(memo_slots(&m, s, &spec)[0], 0);
+        assert_kernel_matches_fallback_on(&m, s, spec, &masks_for(lt.len()));
+        let rt = tokenize_entity(&pair.right);
+        let both = PerturbSpec::TokenDrop {
+            pair: &pair,
+            left: SideSpec::Varying(&lt[..]),
+            right: SideSpec::Varying(&rt[..]),
+        };
+        assert_kernel_matches_fallback_on(&m, s, both, &masks_for(lt.len() + rt.len()));
     }
 
     #[test]

@@ -174,6 +174,10 @@ mod tests {
 
         /// The char core, its `&str` wrappers, and one scratch reused
         /// across inputs of different lengths all equal the reference.
+        /// Every Jaro-Winkler value is also finite, at most 1.0 and has its
+        /// sign bit clear (never -0.0): the prepared kernel's Monge-Elkan
+        /// relies on that to take maxima in any order and to add an unkept
+        /// position as `value * 0.0`.
         #[test]
         fn char_core_equals_the_reference(a in text(), b in text(), c in "[a-z]{0,30}") {
             let chars = |s: &str| s.chars().collect::<Vec<char>>();
@@ -185,7 +189,9 @@ mod tests {
                 prop_assert_eq!(jaro_chars(&xc, &yc, &mut scratch).to_bits(), jaro_bits);
                 prop_assert_eq!(jaro_winkler_chars(&xc, &yc, &mut scratch).to_bits(), winkler_bits);
                 prop_assert_eq!(jaro(x, y).to_bits(), jaro_bits);
-                prop_assert_eq!(jaro_winkler(x, y).to_bits(), winkler_bits);
+                let w = jaro_winkler(x, y);
+                prop_assert_eq!(w.to_bits(), winkler_bits);
+                prop_assert!(w.is_finite() && w <= 1.0 && w.is_sign_positive(), "{}", w);
             }
         }
 
@@ -257,8 +263,9 @@ mod tests {
         ] {
             let j = jaro(a, b);
             let w = jaro_winkler(a, b);
-            assert!((0.0..=1.0).contains(&j));
-            assert!((0.0..=1.0).contains(&w));
+            // The range check alone would accept -0.0.
+            assert!((0.0..=1.0).contains(&j) && j.is_sign_positive());
+            assert!((0.0..=1.0).contains(&w) && w.is_sign_positive());
             assert!(w >= j);
         }
     }

@@ -8,8 +8,9 @@
 //! 2. **across records**: the eval harness explains records concurrently,
 //!    each seeded from the base seed and its record index.
 //!
-//! Both runs must be bit-identical (the report verifies this); only
-//! wall-clock differs. On a single-core host the speedup is ~1.0 by
+//! Both runs must be bit-identical (the report compares every float of
+//! both views by its bits, via `bench::bit_identical`); only wall-clock
+//! differs. On a single-core host the speedup is ~1.0 by
 //! construction.
 //!
 //! Run with: `cargo run --release -p bench --bin par_speedup`
@@ -70,12 +71,10 @@ fn main() {
     };
     let (t_serial, serial) = explain_all(ParallelismConfig::serial());
     let (t_parallel, parallel) = explain_all(ParallelismConfig::with_threads(threads));
-    let identical = serial.iter().zip(&parallel).all(|(a, b)| {
-        a.both().iter().zip(b.both().iter()).all(|(x, y)| {
-            x.explanation.token_weights == y.explanation.token_weights
-                && x.explanation.intercept == y.explanation.intercept
-        })
-    });
+    let identical = serial
+        .iter()
+        .zip(&parallel)
+        .all(|(a, b)| bench::bit_identical(a, b));
     println!(
         "## within-explanation scoring ({} records, {} samples)",
         records.len(),
@@ -102,9 +101,14 @@ fn main() {
     let (t2_serial, v_serial) = run_level2(ParallelismConfig::serial());
     let (t2_parallel, v_parallel) = run_level2(ParallelismConfig::with_threads(threads));
     let identical2 = v_serial.iter().zip(&v_parallel).all(|(a, b)| {
-        a.iter()
-            .zip(b)
-            .all(|(x, y)| x.removable == y.removable && x.base_prediction == y.base_prediction)
+        a.iter().zip(b).all(|(x, y)| {
+            x.base_prediction.to_bits() == y.base_prediction.to_bits()
+                && x.removable.len() == y.removable.len()
+                && x.removable
+                    .iter()
+                    .zip(&y.removable)
+                    .all(|(s, t)| (s.0, &s.1, s.2.to_bits()) == (t.0, &t.1, t.2.to_bits()))
+        })
     });
     println!("\n## across-record explanation ({} records)", records.len());
     report(

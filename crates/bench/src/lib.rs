@@ -16,6 +16,8 @@
 
 use em_datagen::DatasetId;
 use em_eval::{EvalConfig, ParallelismConfig};
+use em_lime::PairExplanation;
+use landmark_core::DualExplanation;
 
 /// Reads an environment variable with a fallback parse.
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
@@ -71,9 +73,70 @@ pub fn print_banner(table: &str, config: &EvalConfig, datasets: &[DatasetId]) {
     println!("# (set SCALE=1.0 RECORDS=100 SAMPLES=500 for the full paper-scale run)\n");
 }
 
+/// Whether two explanations of one record are the same bits: in both
+/// views, the same tokens in the same order, and every float (each token
+/// weight, the intercept, the model and surrogate predictions and the
+/// surrogate's R²) equal by `to_bits`, so +0.0 and -0.0 differ.
+pub fn bit_identical(a: &DualExplanation, b: &DualExplanation) -> bool {
+    let floats = |e: &PairExplanation| {
+        [
+            e.intercept,
+            e.model_prediction,
+            e.surrogate_prediction,
+            e.surrogate_r2,
+        ]
+        .map(f64::to_bits)
+    };
+    a.both().iter().zip(b.both()).all(|(x, y)| {
+        let (x, y) = (&x.explanation, &y.explanation);
+        floats(x) == floats(y)
+            && x.token_weights.len() == y.token_weights.len()
+            && x.token_weights.iter().zip(&y.token_weights).all(|(s, t)| {
+                s.side == t.side && s.token == t.token && s.weight.to_bits() == t.weight.to_bits()
+            })
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_entity::{EntitySide, Token};
+    use em_lime::TokenWeight;
+    use landmark_core::strategy::ResolvedStrategy;
+    use landmark_core::LandmarkExplanation;
+
+    fn dual(weight: f64, surrogate_r2: f64) -> DualExplanation {
+        let view = |landmark: EntitySide| LandmarkExplanation {
+            landmark,
+            varying: landmark.other(),
+            strategy: ResolvedStrategy::SingleEntity,
+            explanation: PairExplanation {
+                token_weights: vec![TokenWeight {
+                    side: landmark.other(),
+                    token: Token::new(0, 0, "sony"),
+                    weight,
+                }],
+                intercept: 0.25,
+                model_prediction: 0.75,
+                surrogate_prediction: 0.5,
+                surrogate_r2,
+            },
+            injected: vec![false],
+        };
+        DualExplanation {
+            left_landmark: view(EntitySide::Left),
+            right_landmark: view(EntitySide::Right),
+        }
+    }
+
+    #[test]
+    fn bit_identity_compares_every_float_by_its_bits() {
+        assert!(bit_identical(&dual(0.0, 0.5), &dual(0.0, 0.5)));
+        // Equal by `==`, different bits.
+        assert!(!bit_identical(&dual(0.0, 0.5), &dual(-0.0, 0.5)));
+        // Token weights and intercept equal; only the fit quality moved.
+        assert!(!bit_identical(&dual(0.0, 0.5), &dual(0.0, 0.25)));
+    }
 
     #[test]
     fn default_config_is_sane() {

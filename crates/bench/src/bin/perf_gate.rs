@@ -3,8 +3,9 @@
 //!
 //! Compares a fresh speedup report against its committed baseline
 //! (`kernel_speedup`: `results/BENCH_kernel.json` for T-AB,
-//! `results/BENCH_kernel_sfz.json` for S-FZ; `fit_speedup`:
-//! `results/BENCH_fit_sfz.json`) and fails if:
+//! `results/BENCH_kernel_sfz.json` for S-FZ,
+//! `results/BENCH_kernel_csv.json` for T-AB read back from CSV;
+//! `fit_speedup`: `results/BENCH_fit_sfz.json`) and fails if:
 //!
 //! * the fresh run was not bit-identical between the optimized and the
 //!   reference path (a correctness failure, never tolerated), or

@@ -7,7 +7,8 @@
 //! Run with: `cargo run --release -p bench --bin ablation_samples`
 
 use em_datagen::DatasetId;
-use em_eval::{EvalConfig, Evaluator, Technique};
+use em_eval::{EvalConfig, Evaluator};
+use landmark_core::ExplainerKind;
 
 fn main() {
     let base = bench::config_from_env();
@@ -26,7 +27,7 @@ fn main() {
         let r = evaluator.evaluate_dataset(id);
         for lr in [&r.matching, &r.non_matching] {
             for t in &lr.techniques {
-                if t.technique == Technique::MojitoCopy && lr.label {
+                if t.technique == ExplainerKind::MojitoCopy && lr.label {
                     continue; // the paper reports Copy on non-matching only
                 }
                 println!(

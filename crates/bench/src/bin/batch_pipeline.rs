@@ -8,9 +8,9 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use em_batch::{execute, plan, NoFailpoints, PlanConfig, RunMode};
-use em_codec::explain::ExplainerKind;
 use em_datagen::MagellanBenchmark;
 use em_entity::{dataset_to_csv, EmDataset};
+use landmark_core::ExplainerKind;
 
 fn scratch() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bench-batch-pipeline-{}", std::process::id()));

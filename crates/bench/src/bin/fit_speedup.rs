@@ -55,11 +55,6 @@ fn same_fit(a: &SurrogateFit, b: &SurrogateFit) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let base = bench::config_from_env();
     let id = DatasetId::SFz;
@@ -139,8 +134,8 @@ fn main() {
         reference_times.push(reference_s);
         fused_times.push(fused_s);
     }
-    let reference_s = median(reference_times);
-    let fused_s = median(fused_times);
+    let reference_s = bench::median(reference_times);
+    let fused_s = bench::median(fused_times);
     let speedup = reference_s / fused_s.max(1e-9);
     let per_view_us = |s: f64| s * 1e6 / views.len().max(1) as f64;
 

@@ -68,11 +68,6 @@ impl View<'_> {
     }
 }
 
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let base = bench::config_from_env();
     let selected = std::env::var("DATASETS").ok();
@@ -167,8 +162,8 @@ fn main() {
         naive_times.push(naive_s);
         kernel_times.push(kernel_s);
     }
-    let naive_s = median(naive_times);
-    let kernel_s = median(kernel_times);
+    let naive_s = bench::median(naive_times);
+    let kernel_s = bench::median(kernel_times);
     let speedup = naive_s / kernel_s.max(1e-9);
 
     println!("  views: {} ({n_masks} masks)", views.len());

@@ -20,11 +20,10 @@ use std::time::Instant;
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, SplitConfig};
 use em_eval::technique::explain_record;
-use em_eval::Technique;
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::{par_map, ParallelismConfig};
-use landmark_core::LandmarkExplainer;
+use landmark_core::{ExplainerKind, LandmarkExplainer};
 
 fn main() {
     let base = bench::config_from_env();
@@ -88,7 +87,7 @@ fn main() {
         let views = par_map(&parallelism, &records, |i, pair| {
             let record_seed = base.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
             explain_record(
-                Technique::LandmarkDouble,
+                ExplainerKind::LandmarkDouble,
                 &matcher,
                 schema,
                 pair,

@@ -13,7 +13,9 @@
 //!   (a perf regression beyond shared-runner noise).
 //!
 //! A fresh speedup *above* baseline passes silently — ratcheting the
-//! committed baseline upward is a human decision, not a CI one.
+//! committed baseline upward is a human decision, not a CI one. Two
+//! reports of different inputs (`dataset`, `records` or `samples`) are
+//! not compared at all: the gate exits 2 before reading either speedup.
 //!
 //! Usage: `perf_gate <baseline.json> <current.json>`
 
@@ -25,6 +27,7 @@ use em_codec::Value;
 const TOLERANCE: f64 = 0.25;
 
 struct Report {
+    value: Value,
     speedup: f64,
     bit_identical: bool,
 }
@@ -38,13 +41,16 @@ fn load(path: &str) -> Report {
             .get(key)
             .unwrap_or_else(|| die(&format!("{path}: missing field {key:?}")))
     };
+    let speedup = field("speedup")
+        .as_f64()
+        .unwrap_or_else(|| die(&format!("{path}: speedup is not a number")));
+    let bit_identical = field("bit_identical")
+        .as_bool()
+        .unwrap_or_else(|| die(&format!("{path}: bit_identical is not a bool")));
     Report {
-        speedup: field("speedup")
-            .as_f64()
-            .unwrap_or_else(|| die(&format!("{path}: speedup is not a number"))),
-        bit_identical: field("bit_identical")
-            .as_bool()
-            .unwrap_or_else(|| die(&format!("{path}: bit_identical is not a bool"))),
+        value,
+        speedup,
+        bit_identical,
     }
 }
 
@@ -60,6 +66,12 @@ fn main() {
     }
     let baseline = load(&args[1]);
     let current = load(&args[2]);
+    if let Err(differing) = bench::same_input(&baseline.value, &current.value) {
+        die(&format!(
+            "{} and {} measured different inputs ({differing})",
+            args[1], args[2]
+        ));
+    }
     let floor = baseline.speedup * (1.0 - TOLERANCE);
 
     println!("# Perf gate");

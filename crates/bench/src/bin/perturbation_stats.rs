@@ -13,8 +13,17 @@
 
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, SplitConfig};
-use em_eval::{neighborhood_stats, Technique};
+use em_eval::neighborhood_stats;
 use em_matchers::{LogisticMatcher, MatcherConfig};
+use landmark_core::ExplainerKind;
+
+/// The report's columns, in print order.
+const COLUMNS: [ExplainerKind; 4] = [
+    ExplainerKind::Lime,
+    ExplainerKind::LandmarkSingle,
+    ExplainerKind::LandmarkDouble,
+    ExplainerKind::MojitoCopy,
+];
 
 fn main() {
     let config = bench::config_from_env();
@@ -45,24 +54,17 @@ fn main() {
         let mut sums = [0.0f64; 4];
         let mut null_sum = 0.0;
         for (i, pair) in records.iter().enumerate() {
-            for (k, technique) in Technique::all().into_iter().enumerate() {
-                let order = [
-                    Technique::Lime,
-                    Technique::LandmarkSingle,
-                    Technique::LandmarkDouble,
-                    Technique::MojitoCopy,
-                ];
-                let _ = technique;
+            for (k, technique) in COLUMNS.into_iter().enumerate() {
                 let s = neighborhood_stats(
                     &matcher,
                     dataset.schema(),
                     pair,
-                    order[k],
+                    technique,
                     config.n_samples,
                     i as u64,
                 );
                 sums[k] += s.match_fraction;
-                if order[k] == Technique::Lime {
+                if technique == ExplainerKind::Lime {
                     null_sum += s.null_perturbation_fraction;
                 }
             }

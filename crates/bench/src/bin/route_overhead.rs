@@ -18,46 +18,15 @@
 //!
 //! Run with: `cargo run --release -p bench --bin route_overhead`
 
-use std::net::SocketAddr;
-use std::time::Instant;
-
-use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
-use em_entity::{EntityPair, Schema};
+use em_entity::Schema;
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_route::{BackendSpec, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
-
-fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
-    Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
-        ("explainer", Value::string("landmark")),
-        (
-            "config",
-            Value::object(vec![
-                ("n_samples", n_samples.into()),
-                ("seed", Value::Number(seed as f64)),
-            ]),
-        ),
-    ])
-    .to_json()
-}
 
 fn spawn_backend(
     schema: &Schema,
@@ -74,48 +43,12 @@ fn spawn_backend(
             // are hits whenever they reach the same backend.
             cache_capacity: cache.max(1),
             cache_shards: 1,
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )
     .expect("bind backend")
     .spawn()
-}
-
-/// Drives one pass; returns (latencies µs, bodies, cache hits observed).
-fn drive(addr: SocketAddr, bodies: &[String]) -> (Vec<u64>, Vec<String>, usize) {
-    let mut latencies = Vec::with_capacity(bodies.len());
-    let mut responses = Vec::with_capacity(bodies.len());
-    let mut hits = 0usize;
-    for body in bodies {
-        let start = Instant::now();
-        let resp = client::request(addr, "POST", "/explain", body).expect("request failed");
-        latencies.push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        if resp.header("x-cache") == Some("hit") {
-            hits += 1;
-        }
-        responses.push(resp.body);
-    }
-    (latencies, responses, hits)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
-    latencies.sort_unstable();
-    let total_us: u64 = latencies.iter().sum();
-    let rps = latencies.len() as f64 / (total_us as f64 / 1e6);
-    Value::object(vec![
-        ("phase", Value::string(name)),
-        ("requests", latencies.len().into()),
-        ("requests_per_sec", rps.into()),
-        ("p50_us", Value::Number(percentile(latencies, 0.5) as f64)),
-        ("p99_us", Value::Number(percentile(latencies, 0.99) as f64)),
-    ])
 }
 
 fn main() {
@@ -138,17 +71,17 @@ fn main() {
     let bodies: Vec<String> = (0..n_requests)
         .map(|i| {
             let pair = &records[i % records.len()].pair;
-            explain_body(&schema, pair, base.n_samples, base.seed + i as u64)
+            bench::explain_body(&schema, pair, base.n_samples, base.seed + i as u64)
         })
         .collect();
 
     // Baseline: one backend, driven directly.
     let direct = spawn_backend(&schema, &matcher, n_requests);
-    let (mut direct_cold, direct_bodies, _) = drive(direct.addr(), &bodies);
-    let (mut direct_cached, direct_cached_bodies, direct_hits) = drive(direct.addr(), &bodies);
+    let mut direct_cold = bench::drive(direct.addr(), &bodies);
+    let mut direct_cached = bench::drive(direct.addr(), &bodies);
     client::request(direct.addr(), "POST", "/shutdown", "").expect("shutdown direct");
     direct.join();
-    let baseline_hit_rate = direct_hits as f64 / n_requests as f64;
+    let baseline_hit_rate = direct_cached.hits() as f64 / n_requests as f64;
 
     // Routed: three backends behind the consistent-hash router.
     let backends: Vec<_> = (0..3)
@@ -171,9 +104,9 @@ fn main() {
     .expect("bind router")
     .spawn();
 
-    let (mut routed_cold, routed_bodies, _) = drive(router.addr(), &bodies);
-    let (mut routed_cached, routed_cached_bodies, routed_hits) = drive(router.addr(), &bodies);
-    let affinity_hit_rate = routed_hits as f64 / n_requests as f64;
+    let mut routed_cold = bench::drive(router.addr(), &bodies);
+    let mut routed_cached = bench::drive(router.addr(), &bodies);
+    let affinity_hit_rate = routed_cached.hits() as f64 / n_requests as f64;
 
     client::request(router.addr(), "POST", "/shutdown", "").expect("shutdown router");
     router.join();
@@ -182,16 +115,21 @@ fn main() {
         backend.join();
     }
 
-    let identical = direct_bodies == routed_bodies
-        && direct_cached_bodies == routed_cached_bodies
-        && direct_bodies == direct_cached_bodies;
+    let identical = direct_cold.bodies == routed_cold.bodies
+        && direct_cached.bodies == routed_cached.bodies
+        && direct_cold.bodies == direct_cached.bodies;
 
+    // `phase_report` sorts each pass's latencies in place.
+    let phases = Value::Array(vec![
+        bench::phase_report("direct_cold", &mut direct_cold.latencies_us),
+        bench::phase_report("direct_cached", &mut direct_cached.latencies_us),
+        bench::phase_report("routed_cold", &mut routed_cold.latencies_us),
+        bench::phase_report("routed_cached", &mut routed_cached.latencies_us),
+    ]);
     // Router-added latency is read off the cached path: both topologies
     // answer from a warm cache there, so the difference is proxy cost.
-    routed_cached.sort_unstable();
-    direct_cached.sort_unstable();
-    let router_added_p50_us =
-        percentile(&routed_cached, 0.5) as i64 - percentile(&direct_cached, 0.5) as i64;
+    let router_added_p50_us = bench::percentile(&routed_cached.latencies_us, 0.5) as i64
+        - bench::percentile(&direct_cached.latencies_us, 0.5) as i64;
 
     let report = Value::object(vec![
         ("dataset", Value::string(id.short_name())),
@@ -204,15 +142,7 @@ fn main() {
             "router_added_p50_us",
             Value::Number(router_added_p50_us as f64),
         ),
-        (
-            "phases",
-            Value::Array(vec![
-                phase_report("direct_cold", &mut direct_cold),
-                phase_report("direct_cached", &mut direct_cached),
-                phase_report("routed_cold", &mut routed_cold),
-                phase_report("routed_cached", &mut routed_cached),
-            ]),
-        ),
+        ("phases", phases),
     ]);
     println!("{}", report.to_json());
     assert!(

@@ -14,81 +14,13 @@
 //!
 //! Run with: `cargo run --release -p bench --bin serve_throughput`
 
-use std::time::Instant;
-
-use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
-use em_entity::{EntityPair, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
-
-fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
-    Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
-        ("explainer", Value::string("landmark")),
-        (
-            "config",
-            Value::object(vec![
-                ("n_samples", n_samples.into()),
-                ("seed", Value::Number(seed as f64)),
-            ]),
-        ),
-    ])
-    .to_json()
-}
-
-/// Runs one phase; returns (per-request latencies in µs, response bodies).
-fn drive(
-    addr: std::net::SocketAddr,
-    bodies: &[String],
-    expect_cache: &str,
-) -> (Vec<u64>, Vec<String>) {
-    let mut latencies = Vec::with_capacity(bodies.len());
-    let mut responses = Vec::with_capacity(bodies.len());
-    for body in bodies {
-        let start = Instant::now();
-        let resp = client::request(addr, "POST", "/explain", body).expect("request failed");
-        latencies.push(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        assert_eq!(resp.header("x-cache"), Some(expect_cache));
-        responses.push(resp.body);
-    }
-    (latencies, responses)
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
-    latencies.sort_unstable();
-    let total_us: u64 = latencies.iter().sum();
-    let rps = latencies.len() as f64 / (total_us as f64 / 1e6);
-    Value::object(vec![
-        ("phase", Value::string(name)),
-        ("requests", latencies.len().into()),
-        ("requests_per_sec", rps.into()),
-        ("p50_us", Value::Number(percentile(latencies, 0.5) as f64)),
-        ("p99_us", Value::Number(percentile(latencies, 0.99) as f64)),
-    ])
-}
 
 fn main() {
     let base = bench::config_from_env();
@@ -112,7 +44,7 @@ fn main() {
     let bodies: Vec<String> = (0..n_requests)
         .map(|i| {
             let pair = &records[i % records.len()].pair;
-            explain_body(&schema, pair, base.n_samples, base.seed + i as u64)
+            bench::explain_body(&schema, pair, base.n_samples, base.seed + i as u64)
         })
         .collect();
 
@@ -126,7 +58,7 @@ fn main() {
             // second pass is all hits regardless of key-hash imbalance.
             cache_capacity: n_requests.max(1),
             cache_shards: 1,
-            defaults: ExplainOptions {
+            defaults: ExplainConfig {
                 n_samples: base.n_samples,
                 ..Default::default()
             },
@@ -137,9 +69,19 @@ fn main() {
     let handle = server.spawn();
     let addr = handle.addr();
 
-    let (mut cold, cold_bodies) = drive(addr, &bodies, "miss");
-    let (mut cached, cached_bodies) = drive(addr, &bodies, "hit");
-    let identical = cold_bodies == cached_bodies;
+    let mut cold = bench::drive(addr, &bodies);
+    let mut cached = bench::drive(addr, &bodies);
+    assert!(
+        cold.cache.iter().all(|c| c == "miss"),
+        "every cold request must miss: {:?}",
+        cold.cache
+    );
+    assert!(
+        cached.cache.iter().all(|c| c == "hit"),
+        "every repeated request must hit: {:?}",
+        cached.cache
+    );
+    let identical = cold.bodies == cached.bodies;
 
     let metrics = client::request(addr, "GET", "/metrics", "").expect("metrics");
     client::request(addr, "POST", "/shutdown", "").expect("shutdown");
@@ -152,8 +94,8 @@ fn main() {
         (
             "phases",
             Value::Array(vec![
-                phase_report("cold", &mut cold),
-                phase_report("cached", &mut cached),
+                bench::phase_report("cold", &mut cold.latencies_us),
+                bench::phase_report("cached", &mut cached.latencies_us),
             ]),
         ),
     ]);

@@ -9,7 +9,7 @@
 
 use em_datagen::MagellanBenchmark;
 use em_entity::SplitConfig;
-use em_eval::{explanation_stability, Technique};
+use em_eval::{explanation_stability, TECHNIQUES};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         "technique", "samples", "top5 jaccard", "weight cv"
     );
     for n_samples in [100usize, config.n_samples] {
-        for technique in Technique::all() {
+        for technique in TECHNIQUES {
             let mut jac = 0.0;
             let mut cv = 0.0;
             let records = dataset.sample_by_label(false, 5, 3);

@@ -19,11 +19,11 @@ use std::time::Instant;
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, Schema};
-use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_obs::{Collector, Counter, Stage};
 use em_par::ParallelismConfig;
-use landmark_core::LandmarkExplainer;
+use landmark_core::ExplainerKind;
 
 /// The coverage floor: stage spans must explain at least this fraction of
 /// end-to-end explanation wall-clock.
@@ -31,7 +31,7 @@ const MIN_COVERAGE: f64 = 0.9;
 
 /// Explains every pair once with the selected explainer, filling `trace`.
 fn run_cell(
-    explainer: &str,
+    explainer: ExplainerKind,
     model: &LogisticMatcher,
     schema: &Schema,
     pairs: &[&EntityPair],
@@ -45,19 +45,7 @@ fn run_cell(
         ..Default::default()
     };
     for pair in pairs {
-        match explainer {
-            "landmark" => {
-                LandmarkExplainer::new(config, Default::default())
-                    .explain(model, schema, pair, trace);
-            }
-            "lime" => {
-                LimeExplainer::new(config).explain(model, schema, pair, trace);
-            }
-            "mojito-copy" => {
-                MojitoCopyExplainer::new(config).explain(model, schema, pair, trace);
-            }
-            other => unreachable!("unknown explainer {other}"),
-        }
+        explainer.explain(model, schema, pair, &config, trace);
     }
 }
 
@@ -94,7 +82,11 @@ fn main() {
 
     let mut cells = Vec::new();
     let mut min_coverage = f64::INFINITY;
-    for explainer in ["landmark", "lime", "mojito-copy"] {
+    for explainer in [
+        ExplainerKind::Landmark,
+        ExplainerKind::Lime,
+        ExplainerKind::MojitoCopy,
+    ] {
         for &threads in &thread_counts {
             let trace = Collector::new();
             let start = Instant::now();
@@ -125,7 +117,7 @@ fn main() {
                 })
                 .collect();
             cells.push(Value::object(vec![
-                ("explainer", Value::string(explainer)),
+                ("explainer", Value::string(explainer.name())),
                 ("threads", threads.into()),
                 ("records", pairs.len().into()),
                 ("end_to_end_us", Value::Number((wall_ns / 1_000) as f64)),

@@ -1,4 +1,5 @@
-//! Shared plumbing for the table-regenerating binaries.
+//! Shared plumbing for the table-regenerating binaries and the
+//! performance reports.
 //!
 //! Every binary reads three environment variables so the paper-scale runs
 //! and quick smoke runs share one code path:
@@ -8,15 +9,26 @@
 //!   setting);
 //! * `SAMPLES` — perturbation samples per explanation (default `500`);
 //! * `DATASETS` — comma-separated short names (e.g. `S-BR,S-IA`) to
-//!   restrict the run (default: all twelve);
+//!   restrict the run (default: all twelve; an unknown name is an error);
 //! * `THREADS` — worker threads for per-record explanation (`0` = one per
 //!   core, `1` = serial; default `0`). Results are identical for any value.
+//!
+//! The serving reports share [`explain_body`], [`drive`] and
+//! [`phase_report`]; the speedup reports share [`median`], and `perf_gate`
+//! checks with [`same_input`] that a fresh report and its baseline
+//! measured the same input.
 
 #![forbid(unsafe_code)]
 
+use std::net::SocketAddr;
+use std::time::Instant;
+
+use em_codec::Value;
 use em_datagen::DatasetId;
+use em_entity::{Entity, EntityPair, Schema};
 use em_eval::{EvalConfig, ParallelismConfig};
 use em_lime::PairExplanation;
+use em_serve::client;
 use landmark_core::DualExplanation;
 
 /// Reads an environment variable with a fallback parse.
@@ -38,21 +50,39 @@ pub fn config_from_env() -> EvalConfig {
     }
 }
 
+/// Parses a comma-separated list of dataset short names. Empty entries
+/// are skipped and an empty list selects all twelve; the error names
+/// every entry that is not a short name.
+pub fn parse_datasets(list: &str) -> Result<Vec<DatasetId>, String> {
+    let mut chosen = Vec::new();
+    let mut unknown = Vec::new();
+    for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+        match DatasetId::from_short_name(name) {
+            Some(id) => chosen.push(id),
+            None => unknown.push(format!("{name:?}")),
+        }
+    }
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unknown dataset {} (expected short names such as S-BR or T-AB)",
+            unknown.join(", ")
+        ));
+    }
+    if chosen.is_empty() {
+        chosen = DatasetId::all().to_vec();
+    }
+    Ok(chosen)
+}
+
 /// The datasets selected by the `DATASETS` environment variable (all
-/// twelve when unset or unparseable).
+/// twelve when unset). Exits with status 2 on an unknown name, so a typo
+/// never measures another dataset.
 pub fn datasets_from_env() -> Vec<DatasetId> {
     match std::env::var("DATASETS") {
-        Ok(list) => {
-            let chosen: Vec<DatasetId> = list
-                .split(',')
-                .filter_map(|name| DatasetId::from_short_name(name.trim()))
-                .collect();
-            if chosen.is_empty() {
-                DatasetId::all().to_vec()
-            } else {
-                chosen
-            }
-        }
+        Ok(list) => parse_datasets(&list).unwrap_or_else(|msg| {
+            eprintln!("DATASETS: {msg}");
+            std::process::exit(2);
+        }),
         Err(_) => DatasetId::all().to_vec(),
     }
 }
@@ -95,6 +125,127 @@ pub fn bit_identical(a: &DualExplanation, b: &DualExplanation) -> bool {
                 s.side == t.side && s.token == t.token && s.weight.to_bits() == t.weight.to_bits()
             })
     })
+}
+
+/// The median of `xs` (the upper one for an even count).
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The report fields that name a speedup report's input.
+const INPUT_FIELDS: [&str; 3] = ["dataset", "records", "samples"];
+
+/// Whether two speedup reports measured the same input: equal `dataset`,
+/// `records` and `samples`. The error names every field that differs or
+/// is missing, so a report is never gated against another input's
+/// baseline.
+pub fn same_input(baseline: &Value, current: &Value) -> Result<(), String> {
+    let show = |v: Option<&Value>| v.map_or_else(|| "missing".to_string(), Value::to_json);
+    let differing: Vec<String> = INPUT_FIELDS
+        .iter()
+        .filter_map(|&key| {
+            let (b, c) = (baseline.get(key), current.get(key));
+            match (b, c) {
+                (Some(b), Some(c)) if b == c => None,
+                _ => Some(format!("{key} {} vs {}", show(b), show(c))),
+            }
+        })
+        .collect();
+    if differing.is_empty() {
+        Ok(())
+    } else {
+        Err(differing.join(", "))
+    }
+}
+
+/// A `POST /explain` body for `pair` under the landmark explainer.
+pub fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
+    let entity = |e: &Entity| {
+        Value::Object(
+            (0..schema.len())
+                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
+                .collect(),
+        )
+    };
+    Value::object(vec![
+        (
+            "pair",
+            Value::object(vec![
+                ("left", entity(&pair.left)),
+                ("right", entity(&pair.right)),
+            ]),
+        ),
+        ("explainer", Value::string("landmark")),
+        (
+            "config",
+            Value::object(vec![
+                ("n_samples", n_samples.into()),
+                ("seed", Value::Number(seed as f64)),
+            ]),
+        ),
+    ])
+    .to_json()
+}
+
+/// What one [`drive`] pass saw, in request order.
+#[derive(Debug)]
+pub struct Pass {
+    /// Client-observed latency of each request, in µs.
+    pub latencies_us: Vec<u64>,
+    /// Each response body.
+    pub bodies: Vec<String>,
+    /// Each response's `X-Cache` header (empty when absent).
+    pub cache: Vec<String>,
+}
+
+impl Pass {
+    /// How many responses came from a cache (`X-Cache: hit`).
+    pub fn hits(&self) -> usize {
+        self.cache.iter().filter(|c| *c == "hit").count()
+    }
+}
+
+/// Sends every body to `addr` as `POST /explain`, one after another,
+/// each on its own connection; panics unless each answer is a 200.
+pub fn drive(addr: SocketAddr, bodies: &[String]) -> Pass {
+    let mut pass = Pass {
+        latencies_us: Vec::with_capacity(bodies.len()),
+        bodies: Vec::with_capacity(bodies.len()),
+        cache: Vec::with_capacity(bodies.len()),
+    };
+    for body in bodies {
+        let start = Instant::now();
+        let resp = client::request(addr, "POST", "/explain", body).expect("request failed");
+        let latency = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        pass.latencies_us.push(latency);
+        pass.cache
+            .push(resp.header("x-cache").unwrap_or_default().to_string());
+        pass.bodies.push(resp.body);
+    }
+    pass
+}
+
+/// The `p`-quantile (`0.0..=1.0`) of an ascending slice, by nearest rank.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
+    sorted[idx]
+}
+
+/// One phase's row of a serving report: request count, throughput, and
+/// p50/p99 latency. Sorts `latencies` in place.
+pub fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
+    latencies.sort_unstable();
+    let total_us: u64 = latencies.iter().sum();
+    let rps = latencies.len() as f64 / (total_us as f64 / 1e6);
+    Value::object(vec![
+        ("phase", Value::string(name)),
+        ("requests", latencies.len().into()),
+        ("requests_per_sec", rps.into()),
+        ("p50_us", Value::Number(percentile(latencies, 0.5) as f64)),
+        ("p99_us", Value::Number(percentile(latencies, 0.99) as f64)),
+    ])
 }
 
 #[cfg(test)]
@@ -149,5 +300,56 @@ mod tests {
     fn dataset_filter_falls_back_to_all() {
         // No env var set in tests -> all twelve.
         assert_eq!(datasets_from_env().len(), 12);
+        assert_eq!(parse_datasets("").unwrap().len(), 12);
+    }
+
+    #[test]
+    fn dataset_filter_names_every_unknown_name() {
+        assert_eq!(
+            parse_datasets(" S-BR,T-AB,").unwrap(),
+            vec![DatasetId::SBr, DatasetId::TAb]
+        );
+        let err = parse_datasets("S-FZZ,S-BR,T-AB.csv").unwrap_err();
+        assert!(
+            err.contains("\"S-FZZ\"") && err.contains("\"T-AB.csv\""),
+            "{err}"
+        );
+        assert!(!err.contains("\"S-BR\""), "{err}");
+    }
+
+    fn report(dataset: &str, records: usize, samples: usize) -> Value {
+        Value::object(vec![
+            ("dataset", Value::string(dataset)),
+            ("records", records.into()),
+            ("samples", samples.into()),
+            ("speedup", 20.0.into()),
+        ])
+    }
+
+    #[test]
+    fn reports_of_the_same_input_compare() {
+        assert_eq!(
+            same_input(&report("S-FZ", 12, 200), &report("S-FZ", 12, 200)),
+            Ok(())
+        );
+    }
+
+    #[test]
+    fn reports_of_different_inputs_are_refused() {
+        let base = report("S-FZ", 12, 200);
+        let err = same_input(&base, &report("T-AB.csv", 12, 200)).unwrap_err();
+        assert_eq!(err, "dataset \"S-FZ\" vs \"T-AB.csv\"");
+        let err = same_input(&base, &report("S-FZ", 4, 80)).unwrap_err();
+        assert_eq!(err, "records 12 vs 4, samples 200 vs 80");
+        let err = same_input(&base, &Value::Object(Vec::new())).unwrap_err();
+        assert!(err.contains("dataset \"S-FZ\" vs missing"), "{err}");
+    }
+
+    #[test]
+    fn percentiles_and_medians_pick_ranks() {
+        assert_eq!(percentile(&[1, 2, 3, 4, 5], 0.5), 3);
+        assert_eq!(percentile(&[1, 2, 3, 4, 5], 0.99), 5);
+        assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
+        assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }
 }

@@ -29,18 +29,24 @@
 //! it. [`reconstruction`] is the naive pair reconstruction the engine's
 //! prepared kernel must match bit for bit.
 //!
-//! Entry point: [`LandmarkExplainer`].
+//! Entry point: [`LandmarkExplainer`]. [`ExplainerKind`] names the five
+//! explainers the workspace serves and evaluates (the landmark strategies,
+//! LIME and Mojito Copy) and holds the one dispatch every path runs them
+//! through: `em-codec` for the server and the batch pipeline, `em-eval`
+//! for the paper's tables, and the bench binaries.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
 pub mod explainer;
 pub mod generation;
+pub mod kind;
 pub mod reconstruction;
 pub mod strategy;
 
 pub use em_par::ParallelismConfig;
 pub use explainer::{DualExplanation, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
+pub use kind::{ExplainerKind, Explanation};
 pub use reconstruction::reconstruct_with_landmark;
 pub use strategy::GenerationStrategy;

@@ -13,9 +13,9 @@ use em_batch::{
     execute, gen, plan, summary, verify_run, BatchError, FailAt, FailpointHook, NoFailpoints,
     PlanConfig, RunMode,
 };
-use em_codec::explain::ExplainerKind;
 use em_datagen::DatasetId;
 use em_obs::Collector;
+use landmark_core::ExplainerKind;
 
 const USAGE: &str = "\
 usage: em-batch <command> [options]

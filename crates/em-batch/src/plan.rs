@@ -14,10 +14,11 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use em_codec::explain::ExplainerKind;
+use em_codec::explain::SEED_LIMIT;
 use em_codec::json::Value;
 use em_entity::{dataset_from_reader, EmDataset};
 use em_matchers::{save_logistic_file, LogisticMatcher, MatcherConfig};
+use landmark_core::ExplainerKind;
 
 use crate::atomic;
 use crate::error::BatchError;
@@ -39,15 +40,6 @@ pub const LOCK_FILE: &str = "run.lock";
 
 /// Multiplier mixing the record index into its seed (DESIGN.md §7).
 const SEED_MIX: u64 = 0x9E37_79B9;
-
-/// Upper bound (exclusive) on any seed that crosses a JSON boundary.
-///
-/// JSON numbers are f64, exact only for integers below 2^53. The base
-/// seed is bounded at plan time and every derived record seed is masked
-/// below this limit, so the `seed` recorded on an output line — and
-/// replayed in an `em-serve` request body — is always the exact seed the
-/// explainer consumed.
-pub const SEED_LIMIT: u64 = 1 << 53;
 
 /// Everything a run needs to know, fixed at plan time.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,9 +16,10 @@
 
 use std::path::Path;
 
-use em_codec::explain::{run_explain, ExplainOptions, ExplainRequest};
+use em_codec::explain::{run_explain, ExplainRequest};
 use em_codec::json::Value;
 use em_entity::{Entity, LabeledPair, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_obs::Tracer;
 use em_par::{par_map, ParallelismConfig};
@@ -59,9 +60,9 @@ pub struct RunOutcome {
 /// shortest-roundtrip writer, so the bytes match a served response body.
 /// `seed` is recorded so a reader can replay any single record against
 /// the server (`"config": {"seed": …}`) and diff the bytes; it is always
-/// below [`plan::SEED_LIMIT`] (`record_seed` masks it there), so the
-/// `as f64` conversion below is exact and the recorded seed equals the
-/// seed the explainer consumed.
+/// below [`em_codec::explain::SEED_LIMIT`] (`record_seed` masks it
+/// there), so the `as f64` conversion below is exact and the recorded
+/// seed equals the seed the explainer consumed.
 fn encode_record_line(
     schema: &Schema,
     index: usize,
@@ -113,14 +114,14 @@ fn compute_shard(
         let request = ExplainRequest {
             pair: record.pair.clone(),
             explainer: plan.explainer,
-            options: ExplainOptions {
+            config: ExplainConfig {
                 n_samples: plan.n_samples,
                 seed,
                 // Serial inside one record: the batch worker pool is the
                 // only fork level, and the serial path is exactly where
                 // `par_map_init` builds one `PreparedScorer` per worker.
-                threads: 1,
-                ..ExplainOptions::default()
+                parallelism: ParallelismConfig::serial(),
+                ..ExplainConfig::default()
             },
         };
         let response = run_explain(model, schema, &request, tracer);

@@ -75,7 +75,7 @@ pub fn write_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_codec::explain::ExplainerKind;
+    use landmark_core::ExplainerKind;
 
     #[test]
     fn summary_reports_stages_counters_and_progress() {

@@ -5,10 +5,10 @@
 use std::path::{Path, PathBuf};
 
 use em_batch::{execute, plan, verify_run, BatchError, NoFailpoints, PlanConfig, RunMode};
-use em_codec::explain::ExplainerKind;
 use em_codec::json::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
+use landmark_core::ExplainerKind;
 
 const N_RECORDS: usize = 10;
 const N_SAMPLES: usize = 16;

@@ -14,9 +14,9 @@ use em_batch::{
     execute, manifest, plan, verify_run, BatchError, FailAt, FailSite, NoFailpoints, PlanConfig,
     RunMode,
 };
-use em_codec::explain::ExplainerKind;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
+use landmark_core::ExplainerKind;
 
 const N_RECORDS: usize = 9;
 const SHARDS: usize = 3;

@@ -14,14 +14,14 @@
 use std::path::{Path, PathBuf};
 
 use em_batch::{execute, plan, NoFailpoints, PlanConfig, RunMode};
-use em_codec::explain::ExplainerKind;
 use em_codec::json::Value;
-use em_codec::ExplainOptions;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
+use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_par::ParallelismConfig;
 use em_serve::{client, Server, ServerConfig};
+use landmark_core::ExplainerKind;
 
 const N_SAMPLES: usize = 16;
 
@@ -103,7 +103,7 @@ fn assert_batch_replays_byte_identically(name: &str, base_seed: u64, n_records: 
         Box::new(matcher),
         ServerConfig {
             parallelism: ParallelismConfig::serial(),
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )

@@ -1,115 +1,49 @@
 //! Typed encode/decode between the JSON layer and the workspace types.
 //!
-//! Decoding turns a request body into `em-entity` pairs and explainer
-//! configs (every failure is a message the server maps to a 400); encoding
-//! walks `PairExplanation` / `DualExplanation` into a deterministic
+//! Decoding turns a request body into an `em-entity` pair, a
+//! [`ExplainerKind`] and em-lime's [`ExplainConfig`] (every failure is a
+//! message the server maps to a 400); encoding walks the typed
+//! [`Explanation`] the kind's dispatch returns into a deterministic
 //! [`Value`] tree. Both the online server (`em-serve`) and the offline
-//! batch pipeline (`em-batch`) run explanations through
-//! [`run_explain`], which is what makes a batch-written record
-//! bit-identical to a served response for the same
-//! `(pair, explainer, config, seed)`. The canonical cache key
-//! is also built here: the JSON of the *resolved* request — schema-ordered
-//! pair values, explainer, and every config field that affects the
-//! explanation. `threads` is deliberately excluded: any thread count
-//! yields bit-identical weights (DESIGN.md §7), so including it would only
-//! fragment the cache.
+//! batch pipeline (`em-batch`) run explanations through [`run_explain`],
+//! which is what makes a batch-written record bit-identical to a served
+//! response for the same `(pair, explainer, config, seed)`. The canonical
+//! cache key is also built here: the JSON of the *resolved* request —
+//! schema-ordered pair values, explainer, and every config field that
+//! affects the explanation. `threads` is deliberately excluded: any thread
+//! count yields bit-identical weights (DESIGN.md §7), so including it
+//! would only fragment the cache.
+//!
+//! A request's `"config"` may set `n_samples`, `seed` (below
+//! [`SEED_LIMIT`]) and `threads`; any other field is refused. The
+//! surrogate's kernel width and ridge penalty are not on the wire: every
+//! served explanation uses the defaults' [`em_lime::SurrogateConfig`].
 
 use em_entity::{EntityPair, EntitySide, Schema};
-use em_lime::{
-    ExplainConfig, LimeExplainer, MojitoCopyExplainer, PairExplanation, SurrogateConfig,
-    MIN_KERNEL_WIDTH,
-};
+use em_lime::{ExplainConfig, PairExplanation};
 use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{GenerationStrategy, LandmarkExplainer};
+use landmark_core::{ExplainerKind, Explanation};
 
 use crate::json::Value;
 
-/// Which explainer a request selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExplainerKind {
-    /// Landmark with `Auto` strategy resolution (the paper's default).
-    Landmark,
-    /// Landmark, single-entity generation forced.
-    LandmarkSingle,
-    /// Landmark, double-entity generation forced.
-    LandmarkDouble,
-    /// LIME / Mojito Drop over both entities.
-    Lime,
-    /// Mojito Copy (attribute-level copy perturbations).
-    MojitoCopy,
-}
+/// Upper bound (exclusive) on any seed that crosses a JSON boundary.
+///
+/// JSON numbers are f64, exact only for integers below 2^53: a larger
+/// seed would round to a neighbour and the explanation would run under a
+/// seed nobody sent. Decoding refuses a wire seed at or above this limit,
+/// `em-serve` and `em-route` refuse such a `--seed` default, and
+/// `em-batch` bounds its base seed and masks every derived record seed
+/// below it.
+pub const SEED_LIMIT: u64 = 1 << 53;
 
-impl ExplainerKind {
-    /// Parses the wire name.
-    pub fn parse(s: &str) -> Option<ExplainerKind> {
-        match s {
-            "landmark" => Some(ExplainerKind::Landmark),
-            "landmark-single" => Some(ExplainerKind::LandmarkSingle),
-            "landmark-double" => Some(ExplainerKind::LandmarkDouble),
-            "lime" => Some(ExplainerKind::Lime),
-            "mojito-copy" => Some(ExplainerKind::MojitoCopy),
-            _ => None,
-        }
-    }
-
-    /// The wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExplainerKind::Landmark => "landmark",
-            ExplainerKind::LandmarkSingle => "landmark-single",
-            ExplainerKind::LandmarkDouble => "landmark-double",
-            ExplainerKind::Lime => "lime",
-            ExplainerKind::MojitoCopy => "mojito-copy",
-        }
-    }
-}
-
-/// Per-request explainer settings (defaults overridable via `"config"`).
-#[derive(Debug, Clone, Copy)]
-pub struct ExplainOptions {
-    /// Perturbation samples per surrogate fit.
-    pub n_samples: usize,
-    /// RNG seed (part of the cache key — same seed, same bytes).
-    pub seed: u64,
-    /// Scoring threads within one request (`0` auto, `1` serial). Not part
-    /// of the cache key; see the module docs.
-    pub threads: usize,
-    /// Proximity-kernel width; a request may not go below
-    /// [`MIN_KERNEL_WIDTH`].
-    pub kernel_width: f64,
-    /// L2 penalty of the ridge surrogate.
-    pub lambda: f64,
-}
-
-impl Default for ExplainOptions {
-    fn default() -> Self {
-        let surrogate = SurrogateConfig::default();
-        ExplainOptions {
-            n_samples: 500,
-            seed: 0,
-            threads: 1,
-            kernel_width: surrogate.kernel_width,
-            lambda: surrogate.lambda,
-        }
-    }
-}
-
-impl ExplainOptions {
-    /// The explainer settings these options select.
-    fn config(&self) -> ExplainConfig {
-        ExplainConfig {
-            n_samples: self.n_samples,
-            surrogate: SurrogateConfig {
-                kernel_width: self.kernel_width,
-                lambda: self.lambda,
-            },
-            seed: self.seed,
-            parallelism: match self.threads {
-                1 => ParallelismConfig::serial(),
-                n => ParallelismConfig::with_threads(n),
-            },
-        }
+/// The scoring parallelism a wire `threads` count selects: `1` runs
+/// serially on the calling thread, any other count (`0` auto) fans out up
+/// to that many threads.
+pub fn parallelism(threads: usize) -> ParallelismConfig {
+    match threads {
+        1 => ParallelismConfig::serial(),
+        n => ParallelismConfig::with_threads(n),
     }
 }
 
@@ -120,8 +54,8 @@ pub struct ExplainRequest {
     pub pair: EntityPair,
     /// Which explainer runs.
     pub explainer: ExplainerKind,
-    /// Resolved settings (defaults + overrides).
-    pub options: ExplainOptions,
+    /// Resolved settings: the defaults with the request's overrides.
+    pub config: ExplainConfig,
 }
 
 /// Decodes the `"pair"` field: `{"left": {attr: value, ...}, "right": ...}`.
@@ -152,7 +86,7 @@ fn decode_entity_values(v: &Value) -> Result<Vec<(&str, &str)>, String> {
 pub fn decode_explain_request(
     body: &str,
     schema: &Schema,
-    defaults: &ExplainOptions,
+    defaults: &ExplainConfig,
 ) -> Result<ExplainRequest, String> {
     let root = Value::parse(body).map_err(|e| e.to_string())?;
     let pair = decode_pair(&root, schema)?;
@@ -164,9 +98,9 @@ pub fn decode_explain_request(
                 .ok_or_else(|| format!("unknown explainer {name:?} (expected one of landmark, landmark-single, landmark-double, lime, mojito-copy)"))?
         }
     };
-    let mut options = *defaults;
-    if let Some(config) = root.get("config") {
-        let Some(entries) = config.as_object() else {
+    let mut config = *defaults;
+    if let Some(wire) = root.get("config") {
+        let Some(entries) = wire.as_object() else {
             return Err("\"config\" must be an object".into());
         };
         for (key, value) in entries {
@@ -176,43 +110,20 @@ pub fn decode_explain_request(
                         .as_u64()
                         .filter(|&n| (1..=1_000_000).contains(&n))
                         .ok_or("\"n_samples\" must be an integer in 1..=1000000")?;
-                    options.n_samples = n as usize;
+                    config.n_samples = n as usize;
                 }
                 "seed" => {
-                    options.seed = value
+                    config.seed = value
                         .as_u64()
-                        .ok_or("\"seed\" must be a non-negative integer")?;
+                        .filter(|&seed| seed < SEED_LIMIT)
+                        .ok_or("\"seed\" must be a non-negative integer below 2^53")?;
                 }
                 "threads" => {
                     let n = value
                         .as_u64()
                         .filter(|&n| n <= 1024)
                         .ok_or("\"threads\" must be an integer in 0..=1024")?;
-                    options.threads = n as usize;
-                }
-                "kernel_width" => {
-                    // Narrower widths underflow the kernel: the fit turns
-                    // non-finite instead of explaining (MIN_KERNEL_WIDTH).
-                    let w = value
-                        .as_f64()
-                        .filter(|w| *w >= MIN_KERNEL_WIDTH)
-                        .ok_or_else(|| {
-                            format!("\"kernel_width\" must be a number >= {MIN_KERNEL_WIDTH:e}")
-                        })?;
-                    options.kernel_width = w;
-                }
-                "solver" => {
-                    // The surrogate is always ridge; the field stays so that
-                    // requests naming it keep decoding.
-                    if value.as_str() != Some("ridge") {
-                        return Err("\"solver\" must be \"ridge\"".into());
-                    }
-                }
-                "lambda" => {
-                    options.lambda = value
-                        .as_f64()
-                        .filter(|l| *l >= 0.0)
-                        .ok_or("\"lambda\" must be a non-negative number")?;
+                    config.parallelism = parallelism(n as usize);
                 }
                 other => return Err(format!("unknown config field {other:?}")),
             }
@@ -221,11 +132,14 @@ pub fn decode_explain_request(
     Ok(ExplainRequest {
         pair,
         explainer,
-        options,
+        config,
     })
 }
 
-/// The canonical cache key for a resolved request (see module docs).
+/// The canonical cache key for a resolved request (see module docs). The
+/// surrogate fields come from the resolved config; a decoded request always
+/// carries the defaults' values there, and writing them keeps every key's
+/// bytes, ring placement and cache entry unchanged.
 pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
     let values = |side: EntitySide| -> Value {
         Value::Array(
@@ -234,14 +148,15 @@ pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
                 .collect(),
         )
     };
+    let config = &request.config;
     Value::object(vec![
         ("explainer", Value::string(request.explainer.name())),
-        ("n_samples", request.options.n_samples.into()),
-        ("seed", Value::Number(request.options.seed as f64)),
-        ("kernel_width", request.options.kernel_width.into()),
+        ("n_samples", config.n_samples.into()),
+        ("seed", Value::Number(config.seed as f64)),
+        ("kernel_width", config.surrogate.kernel_width.into()),
         // Only ridge remains; the field keeps every key's bytes unchanged.
         ("solver", Value::string("ridge")),
-        ("lambda", request.options.lambda.into()),
+        ("lambda", config.surrogate.lambda.into()),
         ("left", values(EntitySide::Left)),
         ("right", values(EntitySide::Right)),
     ])
@@ -258,46 +173,33 @@ pub fn run_explain<M: em_entity::MatchModel + Sync>(
     request: &ExplainRequest,
     tracer: &dyn em_obs::Tracer,
 ) -> Value {
-    let config = request.options.config();
-    let pair = &request.pair;
-    let views: Vec<Value> = match request.explainer {
-        ExplainerKind::Landmark | ExplainerKind::LandmarkSingle | ExplainerKind::LandmarkDouble => {
-            let strategy = match request.explainer {
-                ExplainerKind::LandmarkSingle => GenerationStrategy::SingleEntity,
-                ExplainerKind::LandmarkDouble => GenerationStrategy::DoubleEntity,
-                _ => GenerationStrategy::Auto,
-            };
-            let dual =
-                LandmarkExplainer::new(config, strategy).explain(model, schema, pair, tracer);
-            dual.both()
-                .iter()
-                .map(|view| {
-                    encode_view(
-                        schema,
-                        Some(view.landmark),
-                        view.varying,
-                        Some(view.strategy),
-                        &view.explanation,
-                        Some(&view.injected),
-                    )
-                })
-                .collect()
-        }
-        ExplainerKind::Lime | ExplainerKind::MojitoCopy => {
-            let explanation = if request.explainer == ExplainerKind::Lime {
-                LimeExplainer::new(config).explain(model, schema, pair, tracer)
-            } else {
-                MojitoCopyExplainer::new(config).explain(model, schema, pair, tracer)
-            };
-            vec![encode_view(
-                schema,
-                None,
-                EntitySide::Right,
-                None,
-                &explanation,
-                None,
-            )]
-        }
+    let explanation =
+        request
+            .explainer
+            .explain(model, schema, &request.pair, &request.config, tracer);
+    let views: Vec<Value> = match &explanation {
+        Explanation::Dual(dual) => dual
+            .both()
+            .iter()
+            .map(|view| {
+                encode_view(
+                    schema,
+                    Some(view.landmark),
+                    view.varying,
+                    Some(view.strategy),
+                    &view.explanation,
+                    Some(&view.injected),
+                )
+            })
+            .collect(),
+        Explanation::Pair(explanation) => vec![encode_view(
+            schema,
+            None,
+            EntitySide::Right,
+            None,
+            explanation,
+            None,
+        )],
     };
 
     let model_prediction = views
@@ -382,6 +284,7 @@ pub fn encode_prediction(probability: f64, threshold: f64) -> Value {
 mod tests {
     use super::*;
     use em_entity::{Entity, MatchModel};
+    use landmark_core::{GenerationStrategy, LandmarkExplainer};
 
     struct OverlapModel;
     impl MatchModel for OverlapModel {
@@ -416,10 +319,10 @@ mod tests {
 
     #[test]
     fn decodes_a_full_request() {
-        let req = decode_explain_request(BODY, &schema(), &ExplainOptions::default()).unwrap();
+        let req = decode_explain_request(BODY, &schema(), &ExplainConfig::default()).unwrap();
         assert_eq!(req.explainer, ExplainerKind::LandmarkSingle);
-        assert_eq!(req.options.n_samples, 64);
-        assert_eq!(req.options.seed, 7);
+        assert_eq!(req.config.n_samples, 64);
+        assert_eq!(req.config.seed, 7);
         assert_eq!(req.pair.left.value(0), "sony alpha camera");
         assert_eq!(req.pair.right.value(1), "849.99");
     }
@@ -427,9 +330,9 @@ mod tests {
     #[test]
     fn defaults_apply_when_fields_are_absent() {
         let body = r#"{"pair": {"left": {"name": "a"}, "right": {"name": "b"}}}"#;
-        let req = decode_explain_request(body, &schema(), &ExplainOptions::default()).unwrap();
+        let req = decode_explain_request(body, &schema(), &ExplainConfig::default()).unwrap();
         assert_eq!(req.explainer, ExplainerKind::Landmark);
-        assert_eq!(req.options.n_samples, 500);
+        assert_eq!(req.config.n_samples, 500);
         // Missing attributes decode as empty values.
         assert_eq!(req.pair.left.value(1), "");
     }
@@ -437,8 +340,14 @@ mod tests {
     #[test]
     fn rejects_bad_requests_with_messages() {
         let s = schema();
-        let d = ExplainOptions::default();
-        for (body, needle) in [
+        let d = ExplainConfig::default();
+        let config = |fields: &str| {
+            format!(
+                r#"{{"pair": {{"left": {{"name": "alpha"}}, "right": {{"name": "beta"}}}},
+                     "explainer": "lime", "config": {{{fields}}}}}"#
+            )
+        };
+        let mut cases: Vec<(String, &str)> = [
             ("not json", "json error"),
             ("{}", "missing field \"pair\""),
             (r#"{"pair": {"left": {}}}"#, "pair.right"),
@@ -454,61 +363,48 @@ mod tests {
                 r#"{"pair": {"left": {}, "right": {}}, "explainer": "shap"}"#,
                 "unknown explainer",
             ),
-            (
-                r#"{"pair": {"left": {}, "right": {}}, "config": {"n_samples": 0}}"#,
-                "n_samples",
-            ),
-            (
-                r#"{"pair": {"left": {}, "right": {}}, "config": {"wat": 1}}"#,
-                "unknown config field",
-            ),
+        ]
+        .into_iter()
+        .map(|(body, needle)| (body.to_string(), needle))
+        .collect();
+        let seed = "\"seed\" must be a non-negative integer below 2^53";
+        let width = "unknown config field \"kernel_width\"";
+        let solver = "unknown config field \"solver\"";
+        for (fields, needle) in [
+            (r#""n_samples": 0"#, "n_samples"),
+            (r#""wat": 1"#, "unknown config field"),
+            // JSON numbers are f64: 2^53 + 1 parses as 2^53, and 2^64 is
+            // outside u64 altogether.
+            (r#""seed": 9007199254740992"#, seed),
+            (r#""seed": 9007199254740993"#, seed),
+            (r#""seed": 18446744073709551616"#, seed),
+            (r#""seed": -1"#, seed),
+            // The surrogate's settings are not on the wire, whatever the
+            // value: every width, including the ones that broke the fit.
+            (r#""kernel_width": 1e-150"#, width),
+            (r#""kernel_width": 9.99e-7"#, width),
+            (r#""kernel_width": 0"#, width),
+            (r#""kernel_width": 0.25"#, width),
+            (r#""kernel_width": "0.25""#, width),
+            (r#""solver": "ridge""#, solver),
+            (r#""solver": "lasso""#, solver),
+            (r#""solver": null"#, solver),
+            (r#""lambda": 0.25"#, "unknown config field \"lambda\""),
         ] {
-            let err = decode_explain_request(body, &s, &d).unwrap_err();
+            cases.push((config(fields), needle));
+        }
+        for (body, needle) in cases {
+            let err = decode_explain_request(&body, &s, &d).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
-    }
-
-    #[test]
-    fn kernel_widths_below_the_floor_are_rejected() {
-        let s = schema();
-        let d = ExplainOptions::default();
-        let body = |width: &str| {
-            format!(
-                r#"{{"pair": {{"left": {{"name": "alpha"}}, "right": {{"name": "beta"}}}},
-                     "explainer": "lime", "config": {{"kernel_width": {width}}}}}"#
-            )
-        };
-        for width in ["1e-150", "1e-17", "9.99e-7", "0", "-0.25", "\"0.25\""] {
-            let err = decode_explain_request(&body(width), &s, &d).unwrap_err();
-            assert_eq!(err, "\"kernel_width\" must be a number >= 1e-6", "{width}");
-        }
-        for (width, expected) in [("1e-6", MIN_KERNEL_WIDTH), ("0.25", 0.25), ("5", 5.0)] {
-            let req = decode_explain_request(&body(width), &s, &d).unwrap();
-            assert_eq!(req.options.kernel_width, expected, "{width}");
-        }
-    }
-
-    #[test]
-    fn only_the_ridge_solver_decodes() {
-        let s = schema();
-        let d = ExplainOptions::default();
-        let body = |solver: &str| {
-            format!(
-                r#"{{"pair": {{"left": {{}}, "right": {{}}}},
-                     "config": {{"solver": {solver}, "lambda": 0.25}}}}"#
-            )
-        };
-        let req = decode_explain_request(&body(r#""ridge""#), &s, &d).unwrap();
-        assert_eq!(req.options.lambda, 0.25);
-        for solver in [r#""lasso""#, r#""Ridge""#, "1", "null"] {
-            let err = decode_explain_request(&body(solver), &s, &d).unwrap_err();
-            assert_eq!(err, "\"solver\" must be \"ridge\"", "{solver}");
-        }
+        // The largest seed JSON carries exactly decodes to exactly itself.
+        let req = decode_explain_request(&config(r#""seed": 9007199254740991"#), &s, &d).unwrap();
+        assert_eq!(req.config.seed, SEED_LIMIT - 1);
     }
 
     #[test]
     fn cache_key_is_canonical_and_ignores_threads() {
-        let d = ExplainOptions::default();
+        let d = ExplainConfig::default();
         let s = schema();
         let a = decode_explain_request(BODY, &s, &d).unwrap();
         // Same request with reordered JSON fields and a different thread
@@ -522,11 +418,13 @@ mod tests {
             }
         }"#;
         let b = decode_explain_request(reordered, &s, &d).unwrap();
+        assert_eq!(b.config.parallelism, ParallelismConfig::with_threads(4));
+        assert_eq!(a.config.parallelism, ParallelismConfig::serial());
         assert_eq!(cache_key(&s, &a), cache_key(&s, &b));
 
         // A different seed must change the key.
         let mut c = a.clone();
-        c.options.seed = 8;
+        c.config.seed = 8;
         assert_ne!(cache_key(&s, &a), cache_key(&s, &c));
     }
 
@@ -536,19 +434,18 @@ mod tests {
         // every cache entry is stored under them: a change here silently
         // moves every key to a new backend and empties every cache.
         let s = schema();
-        let d = ExplainOptions::default();
-        let key = |config: &str| {
-            let body = format!(
-                r#"{{"pair": {{"left": {{"name": "sony alpha"}}, "right": {{"name": "sony kit", "price": "9.5"}}}}{config}}}"#
-            );
-            cache_key(&s, &decode_explain_request(&body, &s, &d).unwrap())
-        };
+        let body = r#"{"pair": {"left": {"name": "sony alpha"}, "right": {"name": "sony kit", "price": "9.5"}}}"#;
+        let request = decode_explain_request(body, &s, &ExplainConfig::default()).unwrap();
         assert_eq!(
-            key(""),
+            cache_key(&s, &request),
             r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":1,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
         );
+        // The wire cannot set the ridge penalty; a request built in code
+        // still keys by it.
+        let mut ridge = request;
+        ridge.config.surrogate.lambda = 0.5;
         assert_eq!(
-            key(r#", "config": {"solver": "ridge", "lambda": 0.5}"#),
+            cache_key(&s, &ridge),
             r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":0.5,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
         );
     }
@@ -556,7 +453,7 @@ mod tests {
     #[test]
     fn run_explain_encodes_weights_bit_identical_to_direct_call() {
         let s = schema();
-        let req = decode_explain_request(BODY, &s, &ExplainOptions::default()).unwrap();
+        let req = decode_explain_request(BODY, &s, &ExplainConfig::default()).unwrap();
         let response = run_explain(&OverlapModel, &s, &req, em_obs::noop());
 
         let config = ExplainConfig {
@@ -602,7 +499,7 @@ mod tests {
         // The tracing acceptance bar: attaching a Collector must never
         // change a single output byte, for every explainer.
         let s = schema();
-        let d = ExplainOptions {
+        let d = ExplainConfig {
             n_samples: 32,
             ..Default::default()
         };
@@ -626,7 +523,7 @@ mod tests {
     #[test]
     fn lime_and_mojito_produce_single_views() {
         let s = schema();
-        let d = ExplainOptions {
+        let d = ExplainConfig {
             n_samples: 32,
             ..Default::default()
         };

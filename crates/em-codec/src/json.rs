@@ -135,9 +135,11 @@ impl Value {
     }
 
     /// The number payload as a non-negative integer, if it is one exactly.
+    /// `u64::MAX as f64` is 2^64 itself, one past the range, so the bound
+    /// is strict.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -497,6 +499,12 @@ mod tests {
         assert_eq!(Value::Number(0.5).as_u64(), None);
         assert_eq!(Value::Number(-1.0).as_u64(), None);
         assert_eq!(Value::Null.as_u64(), None);
+        // 2^64 is outside u64; the f64 just below it is inside.
+        assert_eq!(Value::Number(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(
+            Value::Number(18_446_744_073_709_549_568.0).as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
     }
 
     #[test]

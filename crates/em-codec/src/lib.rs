@@ -12,9 +12,10 @@
 //!   shortest-round-trip `Display`, so encoding is deterministic and
 //!   `f64 → text → f64` is exact (originally `em-serve::json`, hoisted
 //!   here; `em-serve` re-exports it unchanged);
-//! * [`explain`] — typed decode of explain requests, the canonical cache
-//!   key, and the walk from `PairExplanation` / `DualExplanation` into a
-//!   deterministic [`Value`] tree (originally `em-serve::codec`);
+//! * [`explain`] — typed decode of explain requests into a
+//!   `landmark_core::ExplainerKind` and an `em_lime::ExplainConfig`, the
+//!   canonical cache key, and the walk from the kind's typed explanation
+//!   into a deterministic [`Value`] tree (originally `em-serve::codec`);
 //! * [`hash`] — the FNV-1a 64-bit hash applied to the canonical key, so
 //!   the serving cache's shard pick and the routing tier's ring placement
 //!   (`em-route`) agree byte-for-byte on where a key lives.
@@ -29,6 +30,6 @@ pub mod explain;
 pub mod hash;
 pub mod json;
 
-pub use explain::{ExplainOptions, ExplainRequest, ExplainerKind};
+pub use explain::ExplainRequest;
 pub use hash::{fnv1a64, Fnv1a64};
 pub use json::{JsonError, Value};

@@ -7,9 +7,10 @@
 //! Kendall tau.
 
 use em_entity::{EntityPair, MatchModel, Schema};
+use landmark_core::ExplainerKind;
 
 use crate::kendall::weighted_kendall_tau;
-use crate::technique::{explain_record, Technique};
+use crate::technique::explain_record;
 
 /// Runs the attribute-based evaluation for one technique.
 ///
@@ -25,7 +26,7 @@ pub fn attribute_eval<M: MatchModel + Sync>(
     model_attribute_weights: &[f64],
     schema: &Schema,
     records: &[&EntityPair],
-    technique: Technique,
+    technique: ExplainerKind,
     n_samples: usize,
     seed: u64,
 ) -> f64 {
@@ -119,7 +120,7 @@ mod tests {
     fn faithful_technique_recovers_the_attribute_ranking() {
         let pair = matching_pair();
         let records = vec![&pair];
-        for technique in [Technique::Lime, Technique::LandmarkSingle] {
+        for technique in [ExplainerKind::Lime, ExplainerKind::LandmarkSingle] {
             let tau = attribute_eval(
                 &WeightedOverlapModel,
                 &WeightedOverlapModel::WEIGHTS,
@@ -143,7 +144,7 @@ mod tests {
             &reversed,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             600,
             0,
         );
@@ -157,7 +158,7 @@ mod tests {
             &WeightedOverlapModel::WEIGHTS,
             &schema(),
             &[],
-            Technique::Lime,
+            ExplainerKind::Lime,
             100,
             0,
         );
@@ -174,7 +175,7 @@ mod tests {
             &[1.0],
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             100,
             0,
         );
@@ -189,7 +190,7 @@ mod tests {
             &WeightedOverlapModel::WEIGHTS,
             &schema(),
             &records,
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             200,
             7,
         );
@@ -198,7 +199,7 @@ mod tests {
             &WeightedOverlapModel::WEIGHTS,
             &schema(),
             &records,
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             200,
             7,
         );

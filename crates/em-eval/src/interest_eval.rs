@@ -13,9 +13,10 @@
 //! predicted class flips after the removal.
 
 use em_entity::{EntityPair, MatchModel, Schema};
+use landmark_core::ExplainerKind;
 
 use crate::removal::remove_tokens;
-use crate::technique::{explain_record, Technique};
+use crate::technique::explain_record;
 
 /// Configuration for the interest evaluation.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +48,7 @@ pub fn interest_eval<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     records: &[&EntityPair],
-    technique: Technique,
+    technique: ExplainerKind,
     remove_positive: bool,
     config: &InterestConfig,
 ) -> f64 {
@@ -158,7 +159,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             true,
             &InterestConfig {
                 n_samples: 600,
@@ -179,7 +180,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             false,
             &InterestConfig::default(),
         );
@@ -201,7 +202,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             false,
             &InterestConfig {
                 n_samples: 800,
@@ -217,7 +218,7 @@ mod tests {
             &Overlap,
             &schema(),
             &[],
-            Technique::Lime,
+            ExplainerKind::Lime,
             true,
             &InterestConfig::default(),
         );
@@ -234,7 +235,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             true,
             &InterestConfig {
                 threshold: 0.05,
@@ -264,7 +265,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             false,
             &cfg,
         );
@@ -272,7 +273,7 @@ mod tests {
             &Overlap,
             &schema(),
             &records,
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             false,
             &cfg,
         );

@@ -2,9 +2,11 @@
 //!
 //! * [`kendall`] — the weighted Kendall tau correlation used by the
 //!   attribute-based evaluation;
-//! * [`technique`] — a uniform interface over the four explanation
-//!   techniques the paper compares (*Single*, *Double*, *LIME / Mojito
-//!   Drop*, *Mojito Copy*);
+//! * [`technique`] — the four explanation techniques the paper compares
+//!   (*Single*, *Double*, *LIME / Mojito Drop*, *Mojito Copy*) as
+//!   `landmark_core::ExplainerKind`s, and their explanations, produced by
+//!   the kind's one dispatch, mapped to the records the evaluations
+//!   read;
 //! * [`token_eval`](mod@token_eval) — the token-based reliability experiment (Table 2):
 //!   remove 25% of explained tokens and check that the surrogate's
 //!   coefficient sum predicts the black-box probability shift;
@@ -39,5 +41,5 @@ pub use kendall::weighted_kendall_tau;
 pub use neighborhood::{neighborhood_stats, NeighborhoodStats};
 pub use runner::{DatasetEvaluation, EvalConfig, Evaluator};
 pub use stability::{explanation_stability, StabilityReport};
-pub use technique::{ExplainedRecord, Technique};
+pub use technique::{ExplainedRecord, TECHNIQUES};
 pub use token_eval::{token_eval, TokenEvalResult};

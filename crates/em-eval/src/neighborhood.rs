@@ -20,10 +20,8 @@ use std::collections::HashSet;
 
 use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
 use em_lime::engine::{perturb, ExplainConfig};
-use landmark_core::generate_view;
 use landmark_core::strategy::ResolvedStrategy;
-
-use crate::technique::Technique;
+use landmark_core::{generate_view, ExplainerKind, GenerationStrategy};
 
 /// Statistics of one record's perturbation neighborhood.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,35 +40,27 @@ pub struct NeighborhoodStats {
 }
 
 /// Measures the perturbation neighborhood a technique would generate for
-/// `pair`. Landmark techniques report the left-landmark neighborhood.
+/// `pair`. Landmark techniques report the left-landmark neighborhood;
+/// `Landmark` resolves its strategy from the record's prediction, as the
+/// landmark explainer does.
 pub fn neighborhood_stats<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
-    technique: Technique,
+    technique: ExplainerKind,
     n_samples: usize,
     seed: u64,
 ) -> NeighborhoodStats {
-    match technique {
-        Technique::Lime => lime_stats(model, schema, pair, n_samples, seed),
-        Technique::LandmarkSingle => landmark_stats(
-            model,
-            schema,
-            pair,
-            ResolvedStrategy::SingleEntity,
-            n_samples,
-            seed,
-        ),
-        Technique::LandmarkDouble => landmark_stats(
-            model,
-            schema,
-            pair,
-            ResolvedStrategy::DoubleEntity,
-            n_samples,
-            seed,
-        ),
-        Technique::MojitoCopy => copy_stats(model, schema, pair, n_samples, seed),
-    }
+    let strategy = match technique {
+        ExplainerKind::Lime => return lime_stats(model, schema, pair, n_samples, seed),
+        ExplainerKind::MojitoCopy => return copy_stats(model, schema, pair, n_samples, seed),
+        ExplainerKind::LandmarkSingle => ResolvedStrategy::SingleEntity,
+        ExplainerKind::LandmarkDouble => ResolvedStrategy::DoubleEntity,
+        ExplainerKind::Landmark => {
+            GenerationStrategy::Auto.resolve(model.predict_proba(schema, pair))
+        }
+    };
+    landmark_stats(model, schema, pair, strategy, n_samples, seed)
 }
 
 fn summarize(probs: &[f64], nulls: usize) -> NeighborhoodStats {
@@ -216,14 +206,21 @@ mod tests {
 
     #[test]
     fn lime_produces_null_perturbations_on_shared_tokens() {
-        let s = neighborhood_stats(&Overlap, &schema(), &non_match(), Technique::Lime, 400, 0);
+        let s = neighborhood_stats(
+            &Overlap,
+            &schema(),
+            &non_match(),
+            ExplainerKind::Lime,
+            400,
+            0,
+        );
         // "a" is shared; a fair share of random masks drop it from both sides.
         assert!(s.null_perturbation_fraction > 0.05, "{s:?}");
     }
 
     #[test]
     fn landmark_strategies_have_zero_null_perturbations() {
-        for t in [Technique::LandmarkSingle, Technique::LandmarkDouble] {
+        for t in [ExplainerKind::LandmarkSingle, ExplainerKind::LandmarkDouble] {
             let s = neighborhood_stats(&Overlap, &schema(), &non_match(), t, 200, 0);
             assert_eq!(s.null_perturbation_fraction, 0.0, "{t:?}");
         }
@@ -235,7 +232,7 @@ mod tests {
             &Overlap,
             &schema(),
             &non_match(),
-            Technique::LandmarkSingle,
+            ExplainerKind::LandmarkSingle,
             400,
             1,
         );
@@ -243,7 +240,7 @@ mod tests {
             &Overlap,
             &schema(),
             &non_match(),
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             400,
             1,
         );
@@ -258,7 +255,14 @@ mod tests {
 
     #[test]
     fn lime_neighborhood_of_non_match_is_match_starved() {
-        let s = neighborhood_stats(&Overlap, &schema(), &non_match(), Technique::Lime, 400, 2);
+        let s = neighborhood_stats(
+            &Overlap,
+            &schema(),
+            &non_match(),
+            ExplainerKind::Lime,
+            400,
+            2,
+        );
         assert!(s.match_fraction < 0.2, "{s:?}");
     }
 
@@ -268,7 +272,7 @@ mod tests {
             &Overlap,
             &schema(),
             &non_match(),
-            Technique::MojitoCopy,
+            ExplainerKind::MojitoCopy,
             100,
             3,
         );
@@ -277,9 +281,41 @@ mod tests {
     }
 
     #[test]
+    fn landmark_resolves_its_strategy_from_the_prediction() {
+        let stats = |pair: &EntityPair, t| neighborhood_stats(&Overlap, &schema(), pair, t, 200, 4);
+        let non_match = non_match();
+        assert_eq!(
+            stats(&non_match, ExplainerKind::Landmark),
+            stats(&non_match, ExplainerKind::LandmarkDouble)
+        );
+        let matching = EntityPair::new(
+            Entity::new(vec!["a b c d e"]),
+            Entity::new(vec!["a b c d e"]),
+        );
+        assert_eq!(
+            stats(&matching, ExplainerKind::Landmark),
+            stats(&matching, ExplainerKind::LandmarkSingle)
+        );
+    }
+
+    #[test]
     fn stats_are_deterministic() {
-        let a = neighborhood_stats(&Overlap, &schema(), &non_match(), Technique::Lime, 100, 9);
-        let b = neighborhood_stats(&Overlap, &schema(), &non_match(), Technique::Lime, 100, 9);
+        let a = neighborhood_stats(
+            &Overlap,
+            &schema(),
+            &non_match(),
+            ExplainerKind::Lime,
+            100,
+            9,
+        );
+        let b = neighborhood_stats(
+            &Overlap,
+            &schema(),
+            &non_match(),
+            ExplainerKind::Lime,
+            100,
+            9,
+        );
         assert_eq!(a, b);
     }
 }

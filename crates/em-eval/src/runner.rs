@@ -12,9 +12,10 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, SplitConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
+use landmark_core::ExplainerKind;
 
 use crate::interest_eval::InterestConfig;
-use crate::technique::Technique;
+use crate::technique::TECHNIQUES;
 use crate::token_eval::{TokenEvalConfig, TokenEvalResult};
 
 /// Experiment configuration (paper defaults).
@@ -56,7 +57,7 @@ impl Default for EvalConfig {
 #[derive(Debug, Clone)]
 pub struct TechniqueResult {
     /// Which technique.
-    pub technique: Technique,
+    pub technique: ExplainerKind,
     /// Token-based evaluation (Table 2).
     pub token: TokenEvalResult,
     /// Weighted Kendall tau of attribute rankings (Table 3).
@@ -72,7 +73,7 @@ pub struct LabelResults {
     pub label: bool,
     /// Number of records evaluated.
     pub n_records: usize,
-    /// One row per technique, in [`Technique::all`] order.
+    /// One row per technique, in [`TECHNIQUES`] order.
     pub techniques: Vec<TechniqueResult>,
 }
 
@@ -161,7 +162,7 @@ impl Evaluator {
             seed: self.config.seed,
         };
 
-        let techniques = Technique::all()
+        let techniques = TECHNIQUES
             .into_iter()
             .map(|technique| {
                 // Explain each record once and share the explanations

@@ -11,9 +11,10 @@
 //! by the mean absolute weight (a scale-free noise-to-signal ratio).
 
 use em_entity::{EntityPair, MatchModel, Schema};
+use landmark_core::ExplainerKind;
 use std::collections::HashSet;
 
-use crate::technique::{explain_record, Technique};
+use crate::technique::explain_record;
 
 /// Stability metrics over repeated explanations of one record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +35,7 @@ fn explain_keys_and_weights<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
-    technique: Technique,
+    technique: ExplainerKind,
     n_samples: usize,
     seed: u64,
 ) -> Vec<(Key, f64)> {
@@ -56,7 +57,7 @@ pub fn explanation_stability<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
-    technique: Technique,
+    technique: ExplainerKind,
     n_samples: usize,
     k: usize,
     seeds: &[u64],
@@ -171,13 +172,20 @@ mod tests {
     #[test]
     fn more_samples_give_more_stable_explanations() {
         let seeds = [1, 2, 3, 4];
-        let low =
-            explanation_stability(&Overlap, &schema(), &pair(), Technique::Lime, 60, 4, &seeds);
+        let low = explanation_stability(
+            &Overlap,
+            &schema(),
+            &pair(),
+            ExplainerKind::Lime,
+            60,
+            4,
+            &seeds,
+        );
         let high = explanation_stability(
             &Overlap,
             &schema(),
             &pair(),
-            Technique::Lime,
+            ExplainerKind::Lime,
             800,
             4,
             &seeds,
@@ -202,7 +210,7 @@ mod tests {
             &Overlap,
             &schema(),
             &pair(),
-            Technique::LandmarkSingle,
+            ExplainerKind::LandmarkSingle,
             800,
             3,
             &seeds,
@@ -217,7 +225,7 @@ mod tests {
             &Overlap,
             &schema(),
             &pair(),
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             100,
             5,
             &[1, 2],
@@ -229,7 +237,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least two seeds")]
     fn single_seed_is_rejected() {
-        explanation_stability(&Overlap, &schema(), &pair(), Technique::Lime, 50, 3, &[1]);
+        explanation_stability(
+            &Overlap,
+            &schema(),
+            &pair(),
+            ExplainerKind::Lime,
+            50,
+            3,
+            &[1],
+        );
     }
 
     #[test]
@@ -247,7 +263,7 @@ mod tests {
             &NanModel,
             &schema(),
             &pair(),
-            Technique::Lime,
+            ExplainerKind::Lime,
             40,
             3,
             &[1, 2],

@@ -1,9 +1,10 @@
 //! Plain-text rendering of the paper's tables.
 
 use em_datagen::DatasetId;
+use landmark_core::ExplainerKind;
 
-use crate::runner::{DatasetEvaluation, LabelResults};
-use crate::technique::Technique;
+use crate::runner::{DatasetEvaluation, LabelResults, TechniqueResult};
+use crate::technique::TECHNIQUES;
 
 /// Renders Table 1 (the benchmark inventory) from generated datasets.
 pub fn format_table1(rows: &[(DatasetId, usize, f64)]) -> String {
@@ -25,7 +26,7 @@ pub fn format_table1(rows: &[(DatasetId, usize, f64)]) -> String {
     out
 }
 
-fn technique_result(label: &LabelResults, technique: Technique) -> &crate::runner::TechniqueResult {
+fn technique_result(label: &LabelResults, technique: ExplainerKind) -> &TechniqueResult {
     label
         .techniques
         .iter()
@@ -34,21 +35,12 @@ fn technique_result(label: &LabelResults, technique: Technique) -> &crate::runne
 }
 
 /// Columns shown for a label in Tables 2 and 4: the paper reports Mojito
-/// Copy only for the non-matching label.
-fn columns_for(label_is_match: bool) -> Vec<Technique> {
+/// Copy (the last technique) only for the non-matching label.
+fn columns_for(label_is_match: bool) -> &'static [ExplainerKind] {
     if label_is_match {
-        vec![
-            Technique::LandmarkSingle,
-            Technique::LandmarkDouble,
-            Technique::Lime,
-        ]
+        &TECHNIQUES[..3]
     } else {
-        vec![
-            Technique::LandmarkSingle,
-            Technique::LandmarkDouble,
-            Technique::Lime,
-            Technique::MojitoCopy,
-        ]
+        &TECHNIQUES
     }
 }
 
@@ -65,7 +57,7 @@ pub fn format_table2(results: &[DatasetEvaluation], label_is_match: bool) -> Str
         }
     );
     out.push_str("Dataset");
-    for t in &techniques {
+    for t in techniques {
         out.push_str(&format!(" | {:>11} Acc  MAE ", t.label()));
     }
     out.push('\n');
@@ -76,7 +68,7 @@ pub fn format_table2(results: &[DatasetEvaluation], label_is_match: bool) -> Str
             &r.non_matching
         };
         out.push_str(&format!("{:<7}", r.dataset));
-        for t in &techniques {
+        for t in techniques {
             let tr = technique_result(lr, *t);
             out.push_str(&format!(
                 " | {:>10} {:.3} {:.3}",
@@ -101,7 +93,7 @@ pub fn format_table3(results: &[DatasetEvaluation], label_is_match: bool) -> Str
         }
     );
     out.push_str("Dataset");
-    for t in &techniques {
+    for t in techniques {
         out.push_str(&format!(" | {:>11}", t.label()));
     }
     out.push('\n');
@@ -112,7 +104,7 @@ pub fn format_table3(results: &[DatasetEvaluation], label_is_match: bool) -> Str
             &r.non_matching
         };
         out.push_str(&format!("{:<7}", r.dataset));
-        for t in &techniques {
+        for t in techniques {
             out.push_str(&format!(" | {:>11.3}", technique_result(lr, *t).attr_tau));
         }
         out.push('\n');
@@ -133,7 +125,7 @@ pub fn format_table4(results: &[DatasetEvaluation], label_is_match: bool) -> Str
         }
     );
     out.push_str("Dataset");
-    for t in &techniques {
+    for t in techniques {
         out.push_str(&format!(" | {:>11}", t.label()));
     }
     out.push('\n');
@@ -144,7 +136,7 @@ pub fn format_table4(results: &[DatasetEvaluation], label_is_match: bool) -> Str
             &r.non_matching
         };
         out.push_str(&format!("{:<7}", r.dataset));
-        for t in &techniques {
+        for t in techniques {
             out.push_str(&format!(" | {:>11.3}", technique_result(lr, *t).interest));
         }
         out.push('\n');
@@ -155,14 +147,13 @@ pub fn format_table4(results: &[DatasetEvaluation], label_is_match: bool) -> Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{LabelResults, TechniqueResult};
     use crate::token_eval::TokenEvalResult;
 
     fn fake_eval(name: &str) -> DatasetEvaluation {
         let mk_label = |label: bool| LabelResults {
             label,
             n_records: 10,
-            techniques: Technique::all()
+            techniques: TECHNIQUES
                 .into_iter()
                 .map(|technique| TechniqueResult {
                     technique,

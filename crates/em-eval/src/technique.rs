@@ -1,44 +1,18 @@
-//! A uniform interface over the four explanation techniques the paper
-//! compares.
+//! The four explanation techniques the paper compares, as
+//! [`ExplainerKind`]s, and their explanations normalized for the
+//! evaluations.
 
 use em_entity::{EntityPair, EntitySide, MatchModel, Schema, Token};
-use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
-use landmark_core::{GenerationStrategy, LandmarkExplainer};
+use em_lime::ExplainConfig;
+use landmark_core::{ExplainerKind, Explanation};
 
-/// The techniques compared in Tables 2-4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Technique {
-    /// Landmark Explanation with single-entity generation.
-    LandmarkSingle,
-    /// Landmark Explanation with double-entity generation.
-    LandmarkDouble,
-    /// LIME / Mojito Drop: token dropping over both entities.
-    Lime,
-    /// Mojito Copy: attribute-level copy perturbation.
-    MojitoCopy,
-}
-
-impl Technique {
-    /// All techniques, in the paper's column order.
-    pub fn all() -> [Technique; 4] {
-        [
-            Technique::LandmarkSingle,
-            Technique::LandmarkDouble,
-            Technique::Lime,
-            Technique::MojitoCopy,
-        ]
-    }
-
-    /// The column header used in the paper's tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Technique::LandmarkSingle => "Single",
-            Technique::LandmarkDouble => "Double",
-            Technique::Lime => "LIME",
-            Technique::MojitoCopy => "Mojito Copy",
-        }
-    }
-}
+/// The techniques compared in Tables 2-4, in the paper's column order.
+pub const TECHNIQUES: [ExplainerKind; 4] = [
+    ExplainerKind::LandmarkSingle,
+    ExplainerKind::LandmarkDouble,
+    ExplainerKind::Lime,
+    ExplainerKind::MojitoCopy,
+];
 
 /// The parts of an explanation the evaluations need, normalized across
 /// techniques. A landmark technique produces **two** of these per record
@@ -71,7 +45,7 @@ pub struct ExplainedRecord {
 /// mask sampling. Inner explainers run serially: the evaluation harness
 /// parallelizes *across* records, which owns the cores already.
 pub fn explain_record<M: MatchModel + Sync>(
-    technique: Technique,
+    technique: ExplainerKind,
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
@@ -83,67 +57,48 @@ pub fn explain_record<M: MatchModel + Sync>(
         seed,
         ..Default::default()
     };
-    match technique {
-        Technique::LandmarkSingle | Technique::LandmarkDouble => {
-            let strategy = if technique == Technique::LandmarkSingle {
-                GenerationStrategy::SingleEntity
-            } else {
-                GenerationStrategy::DoubleEntity
-            };
-            let dual = LandmarkExplainer::new(config, strategy).explain(
-                model,
-                schema,
-                pair,
-                em_obs::noop(),
-            );
-            dual.both()
-                .into_iter()
-                .map(|le| {
-                    let removable: Vec<(EntitySide, Token, f64)> = le
-                        .explanation
-                        .token_weights
-                        .iter()
-                        .map(|tw| (tw.side, tw.token.clone(), tw.weight))
-                        .collect();
-                    // The interpretable-space record: the raw record for
-                    // single-entity generation (the view's tokens are the
-                    // varying entity's own), the concatenated record for
-                    // double-entity generation.
-                    let varying_tokens: Vec<Token> =
-                        removable.iter().map(|(_, t, _)| t.clone()).collect();
-                    let base = pair.with_entity(
-                        le.varying,
-                        em_entity::detokenize(&varying_tokens, schema.len()),
-                    );
-                    let base_prediction = model.predict_proba(schema, &base);
-                    ExplainedRecord {
-                        base,
-                        base_prediction,
-                        original_prediction: le.explanation.model_prediction,
-                        removable,
-                        attribute_importance: le.explanation.attribute_importance(schema),
-                    }
-                })
-                .collect()
-        }
-        Technique::Lime | Technique::MojitoCopy => {
-            let e = if technique == Technique::Lime {
-                LimeExplainer::new(config).explain(model, schema, pair, em_obs::noop())
-            } else {
-                MojitoCopyExplainer::new(config).explain(model, schema, pair, em_obs::noop())
-            };
-            vec![ExplainedRecord {
-                base: pair.clone(),
-                base_prediction: e.model_prediction,
-                original_prediction: e.model_prediction,
-                removable: e
+    match technique.explain(model, schema, pair, &config, em_obs::noop()) {
+        Explanation::Dual(dual) => dual
+            .both()
+            .into_iter()
+            .map(|le| {
+                let removable: Vec<(EntitySide, Token, f64)> = le
+                    .explanation
                     .token_weights
                     .iter()
                     .map(|tw| (tw.side, tw.token.clone(), tw.weight))
-                    .collect(),
-                attribute_importance: e.attribute_importance(schema),
-            }]
-        }
+                    .collect();
+                // The interpretable-space record: the raw record for
+                // single-entity generation (the view's tokens are the
+                // varying entity's own), the concatenated record for
+                // double-entity generation.
+                let varying_tokens: Vec<Token> =
+                    removable.iter().map(|(_, t, _)| t.clone()).collect();
+                let base = pair.with_entity(
+                    le.varying,
+                    em_entity::detokenize(&varying_tokens, schema.len()),
+                );
+                let base_prediction = model.predict_proba(schema, &base);
+                ExplainedRecord {
+                    base,
+                    base_prediction,
+                    original_prediction: le.explanation.model_prediction,
+                    removable,
+                    attribute_importance: le.explanation.attribute_importance(schema),
+                }
+            })
+            .collect(),
+        Explanation::Pair(e) => vec![ExplainedRecord {
+            base: pair.clone(),
+            base_prediction: e.model_prediction,
+            original_prediction: e.model_prediction,
+            removable: e
+                .token_weights
+                .iter()
+                .map(|tw| (tw.side, tw.token.clone(), tw.weight))
+                .collect(),
+            attribute_importance: e.attribute_importance(schema),
+        }],
     }
 }
 
@@ -192,7 +147,11 @@ mod tests {
 
     #[test]
     fn landmark_techniques_produce_two_views() {
-        for t in [Technique::LandmarkSingle, Technique::LandmarkDouble] {
+        for t in [
+            ExplainerKind::Landmark,
+            ExplainerKind::LandmarkSingle,
+            ExplainerKind::LandmarkDouble,
+        ] {
             let views = explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0);
             assert_eq!(views.len(), 2, "{t:?}");
         }
@@ -200,7 +159,7 @@ mod tests {
 
     #[test]
     fn flat_techniques_produce_one_view() {
-        for t in [Technique::Lime, Technique::MojitoCopy] {
+        for t in [ExplainerKind::Lime, ExplainerKind::MojitoCopy] {
             let views = explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0);
             assert_eq!(views.len(), 1, "{t:?}");
         }
@@ -208,14 +167,21 @@ mod tests {
 
     #[test]
     fn lime_removable_covers_all_record_tokens() {
-        let views = explain_record(Technique::Lime, &OverlapModel, &schema(), &pair(), 100, 0);
+        let views = explain_record(
+            ExplainerKind::Lime,
+            &OverlapModel,
+            &schema(),
+            &pair(),
+            100,
+            0,
+        );
         assert_eq!(views[0].removable.len(), 8);
     }
 
     #[test]
     fn single_removable_covers_one_side_per_view() {
         let views = explain_record(
-            Technique::LandmarkSingle,
+            ExplainerKind::LandmarkSingle,
             &OverlapModel,
             &schema(),
             &pair(),
@@ -237,7 +203,7 @@ mod tests {
     #[test]
     fn double_removable_includes_injected_tokens() {
         let views = explain_record(
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             &OverlapModel,
             &schema(),
             &pair(),
@@ -253,7 +219,7 @@ mod tests {
     #[test]
     fn double_base_is_the_concatenated_record() {
         let views = explain_record(
-            Technique::LandmarkDouble,
+            ExplainerKind::LandmarkDouble,
             &OverlapModel,
             &schema(),
             &pair(),
@@ -276,9 +242,9 @@ mod tests {
     #[test]
     fn single_base_is_the_raw_record() {
         for t in [
-            Technique::LandmarkSingle,
-            Technique::Lime,
-            Technique::MojitoCopy,
+            ExplainerKind::LandmarkSingle,
+            ExplainerKind::Lime,
+            ExplainerKind::MojitoCopy,
         ] {
             for v in explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0) {
                 assert_eq!(v.base, pair(), "{t:?}");
@@ -290,7 +256,7 @@ mod tests {
     #[test]
     fn original_prediction_is_consistent_across_techniques() {
         let expected = OverlapModel.predict_proba(&schema(), &pair());
-        for t in Technique::all() {
+        for t in TECHNIQUES {
             for v in explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0) {
                 assert!((v.original_prediction - expected).abs() < 1e-12, "{t:?}");
             }
@@ -299,8 +265,7 @@ mod tests {
 
     #[test]
     fn labels_match_paper_columns() {
-        assert_eq!(Technique::LandmarkSingle.label(), "Single");
-        assert_eq!(Technique::MojitoCopy.label(), "Mojito Copy");
-        assert_eq!(Technique::all().len(), 4);
+        let labels = TECHNIQUES.map(ExplainerKind::label);
+        assert_eq!(labels, ["Single", "Double", "LIME", "Mojito Copy"]);
     }
 }

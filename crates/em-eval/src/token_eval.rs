@@ -13,12 +13,13 @@
 //! probabilities thresholded, default 0.5).
 
 use em_entity::{EntityPair, MatchModel, Schema};
+use landmark_core::ExplainerKind;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::removal::remove_tokens;
-use crate::technique::{explain_record, Technique};
+use crate::technique::explain_record;
 
 /// Result of the token-based evaluation on a set of records.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +82,7 @@ pub fn token_eval<M: MatchModel + Sync>(
     model: &M,
     schema: &Schema,
     records: &[&EntityPair],
-    technique: Technique,
+    technique: ExplainerKind,
     config: &TokenEvalConfig,
 ) -> TokenEvalResult {
     let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
@@ -173,7 +174,7 @@ mod tests {
             &LinearTokenModel,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             &TokenEvalConfig {
                 n_samples: 600,
                 ..Default::default()
@@ -193,7 +194,7 @@ mod tests {
             &LinearTokenModel,
             &schema(),
             &records,
-            Technique::LandmarkSingle,
+            ExplainerKind::LandmarkSingle,
             &TokenEvalConfig {
                 n_samples: 600,
                 ..Default::default()
@@ -220,7 +221,7 @@ mod tests {
             &AlwaysLow,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             &TokenEvalConfig::default(),
         );
         assert_eq!(r.accuracy, 1.0);
@@ -233,7 +234,7 @@ mod tests {
             &LinearTokenModel,
             &schema(),
             &[],
-            Technique::Lime,
+            ExplainerKind::Lime,
             &TokenEvalConfig::default(),
         );
         assert_eq!(r.n, 0);
@@ -252,14 +253,14 @@ mod tests {
             &LinearTokenModel,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             &cfg,
         );
         let b = token_eval(
             &LinearTokenModel,
             &schema(),
             &records,
-            Technique::Lime,
+            ExplainerKind::Lime,
             &cfg,
         );
         assert_eq!(a, b);
@@ -301,8 +302,14 @@ mod tests {
             n_samples: 400,
             ..Default::default()
         };
-        let lime = token_eval(&Overlap, &schema(), &records, Technique::Lime, &cfg);
-        let copy = token_eval(&Overlap, &schema(), &records, Technique::MojitoCopy, &cfg);
+        let lime = token_eval(&Overlap, &schema(), &records, ExplainerKind::Lime, &cfg);
+        let copy = token_eval(
+            &Overlap,
+            &schema(),
+            &records,
+            ExplainerKind::MojitoCopy,
+            &cfg,
+        );
         assert!(
             copy.mae >= lime.mae,
             "copy {} vs lime {}",

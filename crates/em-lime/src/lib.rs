@@ -40,4 +40,4 @@ pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::LimeExplainer;
 pub use mojito::MojitoCopyExplainer;
 pub use sampler::{sample_masks, MaskSampler};
-pub use surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit, MIN_KERNEL_WIDTH};
+pub use surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit};

@@ -7,22 +7,19 @@ use em_linalg::matrix::dot;
 use em_linalg::ridge::ridge_solve_centered;
 use em_linalg::Matrix;
 
-/// The narrowest proximity-kernel width a request may ask for.
-///
-/// A narrower width cannot change an explanation, only break it. At this
-/// width every perturbed mask of a record with up to about 18,000 features
-/// already weighs exactly 0 and the unperturbed mask exactly 1, so the
-/// surrogate is the unperturbed probability. Far below it the kernel
-/// underflows: near `1e-162` the square of the width is 0, the unperturbed
-/// weight becomes `0 / 0`, and the fit turns non-finite. The serving codec
-/// rejects narrower widths before any work is done.
-pub const MIN_KERNEL_WIDTH: f64 = 1e-6;
-
 /// Configuration for [`fit_surrogate`].
 #[derive(Debug, Clone, Copy)]
 pub struct SurrogateConfig {
-    /// Width of the exponential proximity kernel over cosine distances
-    /// (at least [`MIN_KERNEL_WIDTH`] for a finite fit).
+    /// Width of the exponential proximity kernel over cosine distances.
+    ///
+    /// Keep it at or above `1e-6`: a narrower width cannot change an
+    /// explanation, only break it. At `1e-6` every perturbed mask of a
+    /// record with up to about 18,000 features already weighs exactly 0
+    /// and the unperturbed mask exactly 1, so the surrogate is the
+    /// unperturbed probability; near `1e-162` the square of the width is
+    /// 0, the unperturbed weight becomes `0 / 0`, and the fit turns
+    /// non-finite. No request can set it: the serving codec keeps the
+    /// default.
     pub kernel_width: f64,
     /// L2 penalty of the ridge fit (LIME's default is 1).
     pub lambda: f64,
@@ -88,7 +85,7 @@ impl SurrogateFit {
 /// Panics if `masks.len() != probs.len()`, if no samples are given, or if
 /// every sample weight is zero (impossible for sampled neighborhoods,
 /// whose first mask keeps every feature and weighs exactly 1 at any width
-/// of at least [`MIN_KERNEL_WIDTH`]).
+/// of at least `1e-6`, see [`SurrogateConfig::kernel_width`]).
 pub fn fit_surrogate(masks: &Masks, probs: &[f64], config: &SurrogateConfig) -> SurrogateFit {
     assert_eq!(masks.len(), probs.len(), "one probability per mask");
     assert!(!masks.is_empty(), "need at least one sample");
@@ -203,6 +200,9 @@ mod tests {
     use crate::sampler::sample_masks;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
+
+    /// The width floor of [`SurrogateConfig::kernel_width`].
+    const NARROWEST_WIDTH: f64 = 1e-6;
 
     /// Black box: probability = 0.1 + 0.5·[token0 on] + 0.3·[token2 on].
     fn synthetic_probs(masks: &Masks) -> Vec<f64> {
@@ -408,7 +408,7 @@ mod tests {
         };
         let kernel_width = match rng.gen_range(0..4) {
             // So narrow that every perturbed weight is exactly 0.
-            0 => MIN_KERNEL_WIDTH * rng.gen_range(1.0..10.0),
+            0 => NARROWEST_WIDTH * rng.gen_range(1.0..10.0),
             1 => DEFAULT_TEXT_KERNEL_WIDTH,
             _ => 10f64.powf(rng.gen_range(-6.0..2.0)),
         };
@@ -454,7 +454,7 @@ mod tests {
             let masks = sample_masks(d, 200, d as u64);
             let probs: Vec<f64> = (0..200).map(|i| (i % 7) as f64 / 7.0 + 0.01).collect();
             let config = SurrogateConfig {
-                kernel_width: MIN_KERNEL_WIDTH,
+                kernel_width: NARROWEST_WIDTH,
                 ..Default::default()
             };
             let fit = fit_surrogate(&masks, &probs, &config);

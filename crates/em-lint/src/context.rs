@@ -12,7 +12,7 @@
 //!   (`HashMap`/`HashSet`), tracked from `let` statements, for the
 //!   iteration-order rule.
 
-use crate::lexer::{lex, LexedFile, Token};
+use crate::lexer::{lex, matching_group, LexedFile, Token};
 use std::collections::BTreeSet;
 
 /// Where a file sits in the workspace, as far as rule scoping cares.
@@ -212,17 +212,9 @@ fn item_end_line(toks: &[Token], i: usize) -> usize {
             return t.line;
         }
         if t.is_punct('{') {
-            let mut depth = 1usize;
-            let mut k = j + 1;
-            while k < toks.len() && depth > 0 {
-                if toks[k].is_punct('{') {
-                    depth += 1;
-                } else if toks[k].is_punct('}') {
-                    depth -= 1;
-                }
-                k += 1;
-            }
-            return toks.get(k.saturating_sub(1)).map_or(t.line, |t| t.line);
+            // An unclosed item runs to the last token.
+            let close = matching_group(toks, j, '{', '}');
+            return toks.get(close).or(toks.last()).map_or(t.line, |t| t.line);
         }
         j += 1;
     }

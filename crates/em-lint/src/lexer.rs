@@ -113,6 +113,25 @@ pub fn lex(source: &str) -> LexedFile {
     Lexer::new(source).run()
 }
 
+/// Index of the `close` token that balances the `open` token at
+/// `toks[at]`, or `toks.len()` if it is never closed.
+pub fn matching_group(toks: &[Token], at: usize, open: char, close: char) -> usize {
+    let mut depth = 0usize;
+    let mut j = at;
+    while j < toks.len() {
+        if toks[j].is_punct(open) {
+            depth += 1;
+        } else if toks[j].is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+        j += 1;
+    }
+    toks.len()
+}
+
 struct Lexer<'a> {
     src: &'a [u8],
     pos: usize,

@@ -14,7 +14,7 @@
 //! v2 rules must not have.
 
 use crate::context::FileContext;
-use crate::lexer::{AnnotationKind, Token};
+use crate::lexer::{matching_group, AnnotationKind, Token};
 use std::collections::BTreeMap;
 
 /// One `fn` item: a free function, an `impl`/`trait` method (default
@@ -73,7 +73,7 @@ pub fn parse(ctx: &FileContext) -> FileItems {
         match id {
             "impl" | "trait" => {
                 if let Some((open, owner)) = scope_owner(toks, i, id == "trait") {
-                    let close = matching_brace(toks, open);
+                    let close = matching_group(toks, open, '{', '}');
                     owners.push((close, owner));
                     i = open + 1;
                     continue;
@@ -156,24 +156,6 @@ fn first_ident_after(toks: &[Token], i: usize) -> Option<String> {
     toks.get(i + 1)?.ident().map(str::to_string)
 }
 
-/// Token index just past the `}` matching the `{` at `open`.
-fn matching_brace(toks: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct('{') {
-            depth += 1;
-        } else if toks[j].is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
-}
-
 /// From just past a fn's name, finds its body `{..}` token range —
 /// skipping the signature (parens, return type, where clause). A `;` at
 /// bracket depth 0 means a bodyless trait declaration.
@@ -188,7 +170,7 @@ fn fn_body(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
         } else if depth == 0 && t.is_punct(';') {
             return None;
         } else if depth == 0 && t.is_punct('{') {
-            return Some((j, matching_brace(toks, j)));
+            return Some((j, matching_group(toks, j, '{', '}')));
         }
         j += 1;
     }
@@ -279,23 +261,6 @@ fn parse_use_group(
         }
         j += 1;
     }
-}
-
-fn matching_group(toks: &[Token], open: usize, o: char, c: char) -> usize {
-    let mut depth = 0usize;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].is_punct(o) {
-            depth += 1;
-        } else if toks[j].is_punct(c) {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    toks.len()
 }
 
 /// Resolves `sanitize(...)` annotations onto the functions they cover: a

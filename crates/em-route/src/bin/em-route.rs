@@ -16,8 +16,9 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use em_codec::ExplainOptions;
+use em_codec::explain::SEED_LIMIT;
 use em_datagen::{DatasetId, Domain};
+use em_lime::ExplainConfig;
 use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 
@@ -36,7 +37,7 @@ FLAGS:
     --queue-depth N      pending connections    [default: 128]
     --dataset NAME       Table 1 dataset the backends serve [default: S-FZ]
     --samples N          default perturbation samples (must match backends) [default: 500]
-    --seed N             default explanation seed (must match backends)     [default: 0]
+    --seed N             default explanation seed, < 2^53 (must match backends) [default: 0]
     --request-timeout-ms N   total per-request budget (ms)      [default: 30000]
     --queue-age-ms N         discard connections queued longer (ms) [default: 10000]
     --backend-timeout-ms N   one backend exchange budget (ms)   [default: 20000]
@@ -159,7 +160,13 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .filter(|n| *n > 0)
                     .ok_or_else(|| bad("expected a positive integer"))?
             }
-            "--seed" => args.seed = value.parse().map_err(|_| bad("expected an integer"))?,
+            "--seed" => {
+                args.seed = value
+                    .parse()
+                    .ok()
+                    .filter(|s| *s < SEED_LIMIT)
+                    .ok_or_else(|| bad("expected an integer below 2^53"))?
+            }
             "--request-timeout-ms" => {
                 args.request_timeout_ms =
                     parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
@@ -227,7 +234,7 @@ fn run(args: Args) -> Result<(), String> {
             eject_threshold: args.eject_threshold,
             eject_cooldown: Duration::from_millis(args.eject_cooldown_ms),
         },
-        defaults: ExplainOptions {
+        defaults: ExplainConfig {
             n_samples: args.samples,
             seed: args.seed,
             ..Default::default()

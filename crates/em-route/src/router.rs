@@ -36,8 +36,9 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use em_codec::explain::{cache_key, decode_explain_request, decode_pair};
-use em_codec::{ExplainOptions, Value};
+use em_codec::Value;
 use em_entity::Schema;
+use em_lime::ExplainConfig;
 use em_obs::{Span, Stage};
 use em_par::ParallelismConfig;
 use em_serve::client::{self, ClientError, ClientResponse, Pool, PoolUse};
@@ -69,9 +70,9 @@ pub struct RouterConfig {
     pub failover_backoff: Duration,
     /// Health-machine tunables (probing, ejection, recovery).
     pub health: HealthConfig,
-    /// Default explainer options — must mirror the backends' defaults so
+    /// Default explainer settings — must mirror the backends' defaults so
     /// the router resolves each request to the same canonical key.
-    pub defaults: ExplainOptions,
+    pub defaults: ExplainConfig,
 }
 
 impl Default for RouterConfig {
@@ -85,7 +86,7 @@ impl Default for RouterConfig {
             failover_retries: 2,
             failover_backoff: Duration::from_millis(20),
             health: HealthConfig::default(),
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
         }
     }
 }

@@ -6,10 +6,10 @@
 
 use std::time::Duration;
 
-use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
@@ -61,7 +61,7 @@ fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::Server
         ServerConfig {
             parallelism: ParallelismConfig::with_threads(2),
             cache_capacity: 64,
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )
@@ -121,7 +121,7 @@ fn failover_keeps_every_answer_byte_identical() {
                 eject_threshold: 1,
                 eject_cooldown: Duration::from_secs(120),
             },
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )

@@ -143,12 +143,23 @@ fn a_full_queue_is_shed_with_the_routers_503() {
 fn a_body_the_codec_refuses_is_answered_without_a_forward() {
     // The router decodes with em-serve's codec, so a request a backend
     // would refuse with a 400 never leaves the router. The lasso solver
-    // once panicked the backend worker that explained such a request.
+    // once panicked the backend worker that explained such a request; a
+    // seed JSON cannot carry exactly would have run under another seed.
     let router = spawn_router(1, 4, Duration::from_secs(5));
-    let body = r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"solver":"lasso","lambda":0}}"#;
-    let response = client::request(router.addr(), "POST", "/explain", body).expect("explain");
-    assert_eq!(response.status, 400, "{}", response.body);
-    assert_eq!(response.body, r#"{"error":"\"solver\" must be \"ridge\""}"#);
+    for (body, expected) in [
+        (
+            r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"solver":"lasso","lambda":0}}"#,
+            r#"{"error":"unknown config field \"solver\""}"#,
+        ),
+        (
+            r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"seed":9007199254740993}}"#,
+            r#"{"error":"\"seed\" must be a non-negative integer below 2^53"}"#,
+        ),
+    ] {
+        let response = client::request(router.addr(), "POST", "/explain", body).expect("explain");
+        assert_eq!(response.status, 400, "{}", response.body);
+        assert_eq!(response.body, expected);
+    }
 
     let text = scrape_and_shut_down(router);
     let forwarded: Vec<&str> = text

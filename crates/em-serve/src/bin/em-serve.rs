@@ -8,8 +8,9 @@
 
 use std::process::ExitCode;
 
-use em_codec::ExplainOptions;
+use em_codec::explain::SEED_LIMIT;
 use em_datagen::{DatasetId, MagellanBenchmark};
+use em_lime::ExplainConfig;
 use em_matchers::{
     load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher, MatcherConfig,
 };
@@ -32,7 +33,7 @@ FLAGS:
     --dataset NAME       Table 1 dataset (e.g. S-FZ, T-AB) [default: S-FZ]
     --scale F            dataset size multiplier in (0,1]  [default: 0.25]
     --samples N          default perturbation samples      [default: 500]
-    --seed N             default explanation seed          [default: 0]
+    --seed N             default explanation seed, < 2^53  [default: 0]
     --slow-ms N          slow-request log threshold (ms), 0 disables [default: 1000]
     --request-timeout-ms N  total per-request read+write budget (ms) [default: 30000]
     --queue-age-ms N     discard connections queued longer than this (ms) [default: 10000]
@@ -130,7 +131,13 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .filter(|n| *n > 0)
                     .ok_or_else(|| bad("expected a positive integer"))?
             }
-            "--seed" => args.seed = value.parse().map_err(|_| bad("expected an integer"))?,
+            "--seed" => {
+                args.seed = value
+                    .parse()
+                    .ok()
+                    .filter(|s| *s < SEED_LIMIT)
+                    .ok_or_else(|| bad("expected an integer below 2^53"))?
+            }
             "--slow-ms" => args.slow_ms = value.parse().map_err(|_| bad("expected an integer"))?,
             "--request-timeout-ms" => {
                 args.request_timeout_ms = value
@@ -188,7 +195,7 @@ fn run(args: Args) -> Result<(), String> {
         queue_depth: args.queue_depth,
         cache_capacity: args.cache_size,
         cache_shards: args.cache_shards,
-        defaults: ExplainOptions {
+        defaults: ExplainConfig {
             n_samples: args.samples,
             seed: args.seed,
             ..Default::default()

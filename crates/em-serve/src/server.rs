@@ -10,9 +10,10 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use em_codec::explain::{self as codec, ExplainOptions};
+use em_codec::explain as codec;
 use em_codec::Value;
 use em_entity::{MatchModel, Schema};
+use em_lime::ExplainConfig;
 use em_obs::Tracer;
 use em_par::ParallelismConfig;
 
@@ -33,8 +34,9 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Explanation-cache shard count.
     pub cache_shards: usize,
-    /// Default explainer options, overridable per request via `"config"`.
-    pub defaults: ExplainOptions,
+    /// Default explainer settings; a request's `"config"` may override
+    /// `n_samples`, `seed` and `threads`.
+    pub defaults: ExplainConfig,
     /// Decision threshold for `POST /predict`.
     pub predict_threshold: f64,
     /// An `/explain` request slower than this (wall-clock, milliseconds)
@@ -61,7 +63,7 @@ impl Default for ServerConfig {
             queue_depth: 64,
             cache_capacity: 1024,
             cache_shards: 8,
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             predict_threshold: 0.5,
             slow_request_ms: Some(1_000),
             request_timeout: Duration::from_secs(30),
@@ -77,7 +79,7 @@ pub struct Server {
     model: Box<dyn MatchModel + Send + Sync>,
     cache: ShardedCache,
     metrics: Metrics,
-    defaults: ExplainOptions,
+    defaults: ExplainConfig,
     predict_threshold: f64,
     slow_request_ms: Option<u64>,
     /// Set by `POST /drain`: the node keeps serving, but `GET /readyz`
@@ -235,7 +237,8 @@ fn handle_explain(state: &Server, request: &Request) -> Response {
             Ok(d) => d,
             Err(msg) => return Response::error(400, &msg),
         };
-    decoded.options.threads = request_threads(decoded.options.threads, state.listener.workers());
+    let threads = request_threads(decoded.config.parallelism.threads, state.listener.workers());
+    decoded.config.parallelism = codec::parallelism(threads);
     let key = codec::cache_key(&state.schema, &decoded);
     let trace = em_obs::Collector::new();
     let (body, cache_state) = match state.cache.get(&key) {

@@ -9,10 +9,10 @@
 //! fallback (correctness), through every served explainer kind.
 
 use em_codec::explain::{decode_explain_request, run_explain};
-use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 
 /// Forwards only `predict_proba`: the default `prepare_scorer` kicks in,
@@ -68,7 +68,7 @@ fn boxed_model_serves_bit_identical_to_naive_fallback() {
     ] {
         for record in dataset.records().iter().take(3) {
             let body = request_body(&schema, &record.pair, explainer);
-            let decoded = decode_explain_request(&body, &schema, &ExplainOptions::default())
+            let decoded = decode_explain_request(&body, &schema, &ExplainConfig::default())
                 .expect("request decodes");
             let served = run_explain(&boxed, &schema, &decoded, em_obs::noop()).to_json();
             let reference = run_explain(&naive, &schema, &decoded, em_obs::noop()).to_json();

@@ -3,7 +3,6 @@
 //! bit-identical to a direct explainer call — on both the cold and the
 //! cached path — with the metrics counters moving accordingly.
 
-use em_codec::ExplainOptions;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
@@ -91,7 +90,7 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
         ServerConfig {
             parallelism: ParallelismConfig::with_threads(2),
             cache_capacity: 64,
-            defaults: ExplainOptions::default(),
+            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )
@@ -291,7 +290,8 @@ fn a_request_of_death_never_kills_a_worker() {
     // never answered them. A kernel width below the floor made every
     // sample weight underflow to 0 and the surrogate fit panic; the lasso
     // solver's coordinate descent stopped short of convergence on a long
-    // record. Both are now a 400 at decode, before any work.
+    // record. Neither field is on the wire any more: both bodies are a 400
+    // at decode, before any work.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example compare_explainers`
 
-use landmark_explanation::eval::{ExplainedRecord, Technique};
+use landmark_explanation::eval::{ExplainedRecord, TECHNIQUES};
 use landmark_explanation::prelude::*;
 
 fn show(schema: &Schema, label: &str, views: &[ExplainedRecord]) {
@@ -72,7 +72,7 @@ fn main() {
         matcher.predict_proba(&schema, &record)
     );
 
-    for technique in Technique::all() {
+    for technique in TECHNIQUES {
         let views = landmark_explanation::eval::technique::explain_record(
             technique, &matcher, &schema, &record, 500, 0,
         );

@@ -3,7 +3,8 @@
 
 use landmark_explanation::entity::SplitConfig;
 use landmark_explanation::eval::technique::explain_record;
-use landmark_explanation::eval::{EvalConfig, Evaluator, Technique};
+use landmark_explanation::eval::{EvalConfig, Evaluator, TECHNIQUES};
+use landmark_explanation::landmark::ExplainerKind;
 use landmark_explanation::prelude::*;
 
 fn small_eval_config() -> EvalConfig {
@@ -71,7 +72,7 @@ fn every_technique_explains_every_domain_without_panicking() {
         let dataset = benchmark.generate(id);
         let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
         let record = &dataset.records()[0].pair;
-        for technique in Technique::all() {
+        for technique in TECHNIQUES {
             let views = explain_record(technique, &matcher, dataset.schema(), record, 80, 3);
             assert!(!views.is_empty(), "{technique:?} on {}", id.short_name());
             for v in &views {
@@ -115,7 +116,7 @@ fn paper_shape_single_is_faithful_on_matching_records() {
         .matching
         .techniques
         .iter()
-        .find(|t| t.technique == Technique::LandmarkSingle)
+        .find(|t| t.technique == ExplainerKind::LandmarkSingle)
         .unwrap();
     assert!(single.token.mae < 0.2, "single MAE = {}", single.token.mae);
     assert!(
@@ -137,7 +138,7 @@ fn paper_shape_double_interest_beats_lime_on_non_matching_records() {
         ..Default::default()
     };
     let result = Evaluator::new(cfg).evaluate_dataset(DatasetId::SBr);
-    let get = |tech: Technique| {
+    let get = |tech: ExplainerKind| {
         result
             .non_matching
             .techniques
@@ -146,9 +147,9 @@ fn paper_shape_double_interest_beats_lime_on_non_matching_records() {
             .unwrap()
             .interest
     };
-    let double = get(Technique::LandmarkDouble);
-    let lime = get(Technique::Lime);
-    let copy = get(Technique::MojitoCopy);
+    let double = get(ExplainerKind::LandmarkDouble);
+    let lime = get(ExplainerKind::Lime);
+    let copy = get(ExplainerKind::MojitoCopy);
     assert!(
         double >= lime,
         "double interest {double} should be >= lime {lime}"

@@ -19,9 +19,11 @@
 //! deliberate, documented change of explanation semantics. On a mismatch
 //! the failure message lists every actual digest.
 
-use em_codec::{explain, fnv1a64, ExplainOptions, ExplainRequest, ExplainerKind};
+use em_codec::{explain, fnv1a64, ExplainRequest};
 use landmark_explanation::entity::schema::AttributeKind;
 use landmark_explanation::entity::{dataset_from_reader, dataset_to_csv};
+use landmark_explanation::landmark::ExplainerKind;
+use landmark_explanation::lime::SurrogateConfig;
 use landmark_explanation::prelude::*;
 
 /// The explainers every digest row covers, in wire order.
@@ -78,7 +80,7 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
 ];
 
 /// Expected digests of the CSV round-tripped T-AB records under the
-/// default options: `(explainer, digest)`.
+/// default config: `(explainer, digest)`.
 const GOLDEN_CSV: &[(&str, u64)] = &[
     ("landmark", 0x545aeeddefeed812),
     ("landmark-double", 0xa741d0befecc0d28),
@@ -121,51 +123,42 @@ fn trained(id: DatasetId, dataset: EmDataset) -> Setup {
     }
 }
 
-/// The option sets each explainer runs under: the defaults at a small
+/// The settings each explainer runs under: the defaults at a small
 /// sample count, plus the surrogate settings the fit special-cases (the
-/// narrowest accepted kernel width, which zeroes every perturbed weight,
-/// a wide kernel, and λ = 0).
-fn cases() -> Vec<(&'static str, ExplainOptions)> {
-    let base = ExplainOptions {
+/// narrowest kernel width, which zeroes every perturbed weight, a wide
+/// kernel, and λ = 0). The wire cannot set the surrogate; these requests
+/// are built in code.
+fn cases() -> Vec<(&'static str, ExplainConfig)> {
+    let base = ExplainConfig {
         n_samples: 64,
         ..Default::default()
     };
+    let surrogate = |kernel_width, lambda| ExplainConfig {
+        surrogate: SurrogateConfig {
+            kernel_width,
+            lambda,
+        },
+        ..base
+    };
+    let defaults = base.surrogate;
     vec![
         ("default", base),
-        (
-            "narrow",
-            ExplainOptions {
-                kernel_width: 1e-6,
-                ..base
-            },
-        ),
-        (
-            "wide",
-            ExplainOptions {
-                kernel_width: 5.0,
-                ..base
-            },
-        ),
-        (
-            "lambda0",
-            ExplainOptions {
-                lambda: 0.0,
-                ..base
-            },
-        ),
+        ("narrow", surrogate(1e-6, defaults.lambda)),
+        ("wide", surrogate(5.0, defaults.lambda)),
+        ("lambda0", surrogate(defaults.kernel_width, 0.0)),
     ]
 }
 
-/// Digests every record's response body for one explainer and option set.
-fn digest(setup: &Setup, explainer: ExplainerKind, options: ExplainOptions) -> u64 {
+/// Digests every record's response body for one explainer and config.
+fn digest(setup: &Setup, explainer: ExplainerKind, config: ExplainConfig) -> u64 {
     let mut bodies = String::new();
     for (i, pair) in setup.records.iter().enumerate() {
         let request = ExplainRequest {
             pair: pair.clone(),
             explainer,
-            options: ExplainOptions {
-                seed: options.seed + i as u64,
-                ..options
+            config: ExplainConfig {
+                seed: config.seed + i as u64,
+                ..config
             },
         };
         let body = explain::run_explain(&setup.matcher, setup.dataset.schema(), &request, noop());
@@ -181,13 +174,13 @@ fn explanation_bytes_match_the_golden_digests() {
     let mut actual = Vec::new();
     for setup in &setups {
         assert_eq!(setup.records.len(), 4, "{}", setup.id.short_name());
-        for (case, options) in cases() {
+        for (case, config) in cases() {
             for explainer in EXPLAINERS {
                 actual.push((
                     setup.id.short_name(),
                     case,
                     explainer.name(),
-                    digest(setup, explainer, options),
+                    digest(setup, explainer, config),
                 ));
             }
         }
@@ -209,7 +202,7 @@ fn batch_path_explanation_bytes_match_the_golden_digests() {
     assert_eq!(setup.records.len(), 4);
     let schema = setup.dataset.schema();
     assert!((0..schema.len()).all(|i| schema.attribute(i).kind == AttributeKind::Name));
-    let options = ExplainOptions {
+    let config = ExplainConfig {
         n_samples: 64,
         ..Default::default()
     };
@@ -219,7 +212,7 @@ fn batch_path_explanation_bytes_match_the_golden_digests() {
         ExplainerKind::Lime,
     ]
     .into_iter()
-    .map(|explainer| (explainer.name(), digest(&setup, explainer, options)))
+    .map(|explainer| (explainer.name(), digest(&setup, explainer, config)))
     .collect();
     let listing: String = actual
         .iter()

@@ -4,7 +4,7 @@
 
 use landmark_explanation::entity::MatchModel;
 use landmark_explanation::eval::technique::explain_record;
-use landmark_explanation::eval::Technique;
+use landmark_explanation::eval::TECHNIQUES;
 use landmark_explanation::matchers::NaiveBayesMatcher;
 use landmark_explanation::prelude::*;
 
@@ -13,7 +13,7 @@ fn all_techniques_explain_a_naive_bayes_model() {
     let dataset = MagellanBenchmark::scaled(0.08).generate(DatasetId::SWa);
     let nb = NaiveBayesMatcher::train(&dataset);
     let record = &dataset.records()[0].pair;
-    for technique in Technique::all() {
+    for technique in TECHNIQUES {
         let views = explain_record(technique, &nb, dataset.schema(), record, 120, 0);
         assert!(!views.is_empty());
         for v in &views {

@@ -13,8 +13,9 @@
 //! span must update them deliberately. On a mismatch the failure message
 //! lists every actual row.
 
-use em_codec::{explain, ExplainOptions, ExplainRequest, ExplainerKind};
+use em_codec::{explain, ExplainRequest};
 use em_obs::{Collector, Counter, Stage};
+use landmark_explanation::landmark::ExplainerKind;
 use landmark_explanation::prelude::*;
 
 /// The explainers every row covers, in wire order.
@@ -234,10 +235,10 @@ fn every_explainer_enters_each_stage_as_pinned() {
                     let request = ExplainRequest {
                         pair: pair.clone(),
                         explainer,
-                        options: ExplainOptions {
+                        config: ExplainConfig {
                             n_samples: SAMPLES,
                             seed: i as u64,
-                            threads,
+                            parallelism: explain::parallelism(threads),
                             ..Default::default()
                         },
                     };

@@ -15,7 +15,7 @@
 //! A fresh speedup *above* baseline passes silently — ratcheting the
 //! committed baseline upward is a human decision, not a CI one. Two
 //! reports of different inputs (`dataset`, `records` or `samples`) are
-//! not compared at all: the gate exits 2 before reading either speedup.
+//! not compared at all: the gate exits 2 without comparing speedups.
 //!
 //! Usage: `perf_gate <baseline.json> <current.json>`
 

@@ -29,11 +29,11 @@ use std::time::Instant;
 
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{EntitySide, Masks, MatchModel, PerturbSpec, SideSpec, SplitConfig};
+use em_entity::{EntitySide, Masks, MatchModel, SplitConfig};
 use em_lime::{fit_surrogate, reference, sample_masks, SurrogateConfig, SurrogateFit};
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
-use landmark_core::{generate_view, GenerationStrategy};
+use landmark_core::{generate_view, perturb_spec, GenerationStrategy};
 
 /// Timed rounds per side; the report keeps the median of each.
 const ROUNDS: usize = 21;
@@ -89,11 +89,7 @@ fn main() {
         for landmark in [EntitySide::Left, EntitySide::Right] {
             let view = generate_view(pair, landmark, strategy);
             let masks = sample_masks(view.tokens.len(), base.n_samples, i as u64);
-            let (left, right) = match view.varying {
-                EntitySide::Left => (SideSpec::Varying(&view.tokens[..]), SideSpec::Fixed),
-                EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
-            };
-            let spec = PerturbSpec::TokenDrop { pair, left, right };
+            let spec = perturb_spec(pair, &view);
             let serial = ParallelismConfig::serial();
             let probs = matcher.par_score_masks(schema, &spec, &masks, &serial, em_obs::noop());
             let nested = masks.iter().map(<[bool]>::to_vec).collect();

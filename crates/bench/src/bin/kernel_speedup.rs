@@ -37,11 +37,11 @@ use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{
     dataset_from_csv, dataset_to_csv, EntityPair, EntitySide, FallbackScorer, Masks, MatchModel,
-    PerturbSpec, PreparedScorer, SideSpec, SplitConfig, Token,
+    PreparedScorer, SplitConfig,
 };
 use em_lime::sample_masks;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use landmark_core::{generate_view, GenerationStrategy};
+use landmark_core::{generate_view, perturb_spec, GenerationStrategy, VaryingView};
 
 /// Timed rounds per side; the report keeps the median of each.
 const ROUNDS: usize = 5;
@@ -49,23 +49,8 @@ const ROUNDS: usize = 5;
 /// One landmark view of a record and its sampled masks.
 struct View<'a> {
     pair: &'a EntityPair,
-    varying: EntitySide,
-    tokens: Vec<Token>,
+    view: VaryingView,
     masks: Masks,
-}
-
-impl View<'_> {
-    fn spec(&self) -> PerturbSpec<'_> {
-        let (left, right) = match self.varying {
-            EntitySide::Left => (SideSpec::Varying(&self.tokens[..]), SideSpec::Fixed),
-            EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&self.tokens[..])),
-        };
-        PerturbSpec::TokenDrop {
-            pair: self.pair,
-            left,
-            right,
-        }
-    }
 }
 
 fn main() {
@@ -120,9 +105,8 @@ fn main() {
             let view = generate_view(pair, landmark, strategy);
             views.push(View {
                 pair,
-                varying: view.varying,
                 masks: sample_masks(view.tokens.len(), base.n_samples, i as u64),
-                tokens: view.tokens,
+                view,
             });
         }
     }
@@ -132,7 +116,7 @@ fn main() {
         let start = Instant::now();
         let mut bits = Vec::with_capacity(n_masks);
         for view in &views {
-            let spec = view.spec();
+            let spec = perturb_spec(view.pair, &view.view);
             let mut scorer: Box<dyn PreparedScorer + '_> = if kernel {
                 matcher.prepare_scorer(schema, &spec)
             } else {

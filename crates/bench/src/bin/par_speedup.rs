@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, SplitConfig};
-use em_eval::technique::explain_record;
+use em_eval::technique::{explain_record, record_seed};
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::{par_map, ParallelismConfig};
@@ -85,14 +85,13 @@ fn main() {
     let run_level2 = |parallelism: ParallelismConfig| {
         let start = Instant::now();
         let views = par_map(&parallelism, &records, |i, pair| {
-            let record_seed = base.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
             explain_record(
                 ExplainerKind::LandmarkDouble,
                 &matcher,
                 schema,
                 pair,
                 base.n_samples,
-                record_seed,
+                record_seed(base.seed, i),
             )
         });
         (start.elapsed(), views)

@@ -23,11 +23,13 @@
 use std::net::SocketAddr;
 use std::time::Instant;
 
+use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::DatasetId;
-use em_entity::{Entity, EntityPair, Schema};
-use em_eval::{EvalConfig, ParallelismConfig};
+use em_entity::{EntityPair, Schema};
+use em_eval::EvalConfig;
 use em_lime::PairExplanation;
+use em_par::ParallelismConfig;
 use em_serve::client;
 use landmark_core::DualExplanation;
 
@@ -161,21 +163,8 @@ pub fn same_input(baseline: &Value, current: &Value) -> Result<(), String> {
 
 /// A `POST /explain` body for `pair` under the landmark explainer.
 pub fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
-    let entity = |e: &Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string("landmark")),
         (
             "config",

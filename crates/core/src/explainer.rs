@@ -1,12 +1,12 @@
 //! The Landmark Explanation entry point.
 
-use em_entity::prepared::{PerturbSpec, SideSpec};
 use em_entity::{EntityPair, EntitySide, MatchModel, Schema};
 use em_lime::engine::{perturb_and_fit, ExplainConfig};
 use em_lime::explanation::{PairExplanation, TokenWeight};
 use em_obs::{Span, Stage, Tracer};
 
 use crate::generation::generate_view;
+use crate::reconstruction::perturb_spec;
 use crate::strategy::{GenerationStrategy, ResolvedStrategy};
 
 /// One landmark-side explanation: the varying entity's (possibly injected)
@@ -88,7 +88,8 @@ impl LandmarkExplainer {
     /// Produces the two landmark explanations for a record, recording
     /// per-stage timings into `tracer` ([`em_obs::noop`] records nothing;
     /// tracing only observes, DESIGN.md §10). The record's own prediction
-    /// is computed once and shared by both landmark views.
+    /// is computed once, timed as [`Stage::ModelScoring`], and shared by
+    /// both landmark views.
     ///
     /// Each view depends only on its landmark side and the record, so
     /// `explain(..).with_landmark(side)` is the single-view explanation.
@@ -99,7 +100,10 @@ impl LandmarkExplainer {
         pair: &EntityPair,
         tracer: &dyn Tracer,
     ) -> DualExplanation {
-        let model_prediction = model.predict_proba(schema, pair);
+        let model_prediction = {
+            let _span = Span::enter(tracer, Stage::ModelScoring);
+            model.predict_proba(schema, pair)
+        };
         let view =
             |landmark| self.explain_view(model, schema, pair, landmark, model_prediction, tracer);
         DualExplanation {
@@ -135,11 +139,7 @@ impl LandmarkExplainer {
                 EntitySide::Left => 0x9E37_79B9_7F4A_7C15,
                 EntitySide::Right => 0xD1B5_4A32_D192_ED03,
             };
-        let (left, right) = match view.varying {
-            EntitySide::Left => (SideSpec::Varying(&view.tokens[..]), SideSpec::Fixed),
-            EntitySide::Right => (SideSpec::Fixed, SideSpec::Varying(&view.tokens[..])),
-        };
-        let spec = PerturbSpec::TokenDrop { pair, left, right };
+        let spec = perturb_spec(pair, &view);
         let (_, fit) = perturb_and_fit(model, schema, &spec, seed, &self.config, tracer);
 
         let token_weights: Vec<TokenWeight> = view
@@ -413,7 +413,7 @@ mod tests {
         fn prepare_scorer<'a>(
             &'a self,
             _schema: &'a Schema,
-            _spec: &'a PerturbSpec<'a>,
+            _spec: &'a em_entity::PerturbSpec<'a>,
         ) -> Box<dyn em_entity::PreparedScorer + 'a> {
             Box::new(KeptFractionScorer)
         }

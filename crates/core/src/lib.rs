@@ -23,11 +23,12 @@
 //!    informative about *what would have to change* for a match.
 //!
 //! The pipeline mirrors the paper's Figure 2: [`generation`] (Landmark
-//! generation) builds each view, and `em-lime`'s perturb-and-fit engine —
-//! the wrapped explainer — runs mask sampling, pair reconstruction,
-//! black-box scoring (Dataset reconstruction) and the surrogate fit over
-//! it. [`reconstruction`] is the naive pair reconstruction the engine's
-//! prepared kernel must match bit for bit.
+//! generation) builds each view, [`reconstruction`] states it as the
+//! perturbation family em-entity's `PerturbSpec::reconstruct` rebuilds
+//! pairs from (Pair reconstruction, the one reconstruction the scoring
+//! kernel must match bit for bit), and `em-lime`'s perturb-and-fit engine
+//! — the wrapped explainer — runs mask sampling, black-box scoring
+//! (Dataset reconstruction) and the surrogate fit over it.
 //!
 //! Entry point: [`LandmarkExplainer`]. [`ExplainerKind`] names the five
 //! explainers the workspace serves and evaluates (the landmark strategies,
@@ -44,9 +45,8 @@ pub mod kind;
 pub mod reconstruction;
 pub mod strategy;
 
-pub use em_par::ParallelismConfig;
 pub use explainer::{DualExplanation, LandmarkExplainer, LandmarkExplanation};
 pub use generation::{generate_view, VaryingView};
 pub use kind::{ExplainerKind, Explanation};
-pub use reconstruction::reconstruct_with_landmark;
+pub use reconstruction::perturb_spec;
 pub use strategy::GenerationStrategy;

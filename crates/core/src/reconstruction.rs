@@ -1,43 +1,33 @@
-//! The *Pair reconstruction* component (paper Section 3.1).
+//! The *Pair reconstruction* component (paper Section 3.1), for landmark
+//! views.
 //!
-//! Takes the landmark entity and one perturbation (a mask over the varying
-//! view's tokens) and rebuilds a well-formed [`EntityPair`]: the landmark
-//! side is copied verbatim, the varying side is detokenized from the kept
-//! tokens. The attribute prefixes carried by [`em_entity::Token`] are what
-//! makes this reconstruction possible — and they are erased in the output,
-//! which contains plain attribute values again.
+//! A perturbation is a mask over the varying view's tokens, and it is
+//! rebuilt into a well-formed [`EntityPair`] by em-entity's
+//! [`PerturbSpec::reconstruct`], the workspace's one pair reconstruction:
+//! the landmark side is copied verbatim, the varying side is detokenized
+//! from the kept tokens. The attribute prefixes carried by
+//! [`em_entity::Token`] are what makes this possible — and they are erased
+//! in the output, which contains plain attribute values again.
+//!
+//! [`perturb_spec`] states a landmark view as that perturbation family.
+//! The explainer scores masks through it, and the scoring kernel must
+//! match its reconstruction bit for bit.
 
-use em_entity::{detokenize, EntityPair, Token};
+use em_entity::prepared::{PerturbSpec, SideSpec};
+use em_entity::{EntityPair, EntitySide};
 
 use crate::generation::VaryingView;
 
-/// Rebuilds the record for one perturbation mask.
-///
-/// # Panics
-/// Panics if `mask.len() != view.tokens.len()`. This is a real assert (not
-/// `debug_assert`): a short mask would otherwise silently truncate the
-/// perturbation via `zip`, keeping every unmasked trailing token and
-/// corrupting the surrogate's training data in release builds.
-pub fn reconstruct_with_landmark(
-    original: &EntityPair,
-    view: &VaryingView,
-    mask: &[bool],
-    n_attributes: usize,
-) -> EntityPair {
-    assert_eq!(
-        mask.len(),
-        view.tokens.len(),
-        "perturbation mask length must equal the view's token count"
-    );
-    let kept: Vec<Token> = view
-        .tokens
-        .iter()
-        .zip(mask)
-        .filter(|(_, &keep)| keep)
-        .map(|(t, _)| t.clone())
-        .collect();
-    let varying_entity = detokenize(&kept, n_attributes);
-    original.with_entity(view.varying, varying_entity)
+/// The token-drop family of one landmark view: the landmark side is
+/// [`SideSpec::Fixed`], the varying side keeps or drops each of the
+/// view's tokens.
+pub fn perturb_spec<'a>(pair: &'a EntityPair, view: &'a VaryingView) -> PerturbSpec<'a> {
+    let varying = SideSpec::Varying(&view.tokens);
+    let (left, right) = match view.varying {
+        EntitySide::Left => (varying, SideSpec::Fixed),
+        EntitySide::Right => (SideSpec::Fixed, varying),
+    };
+    PerturbSpec::TokenDrop { pair, left, right }
 }
 
 #[cfg(test)]
@@ -45,7 +35,7 @@ mod tests {
     use super::*;
     use crate::generation::generate_view;
     use crate::strategy::ResolvedStrategy;
-    use em_entity::{Entity, EntitySide};
+    use em_entity::Entity;
 
     fn pair() -> EntityPair {
         EntityPair::new(
@@ -54,12 +44,17 @@ mod tests {
         )
     }
 
+    /// The record the explainer scores for `mask` over `view`.
+    fn reconstruct(p: &EntityPair, view: &VaryingView, mask: &[bool]) -> EntityPair {
+        perturb_spec(p, view).reconstruct(mask, 2)
+    }
+
     #[test]
     fn full_mask_reproduces_the_record() {
         let p = pair();
         let view = generate_view(&p, EntitySide::Left, ResolvedStrategy::SingleEntity);
         let mask = vec![true; view.tokens.len()];
-        assert_eq!(reconstruct_with_landmark(&p, &view, &mask, 2), p);
+        assert_eq!(reconstruct(&p, &view, &mask), p);
     }
 
     #[test]
@@ -67,7 +62,7 @@ mod tests {
         let p = pair();
         let view = generate_view(&p, EntitySide::Left, ResolvedStrategy::DoubleEntity);
         let mask = vec![false; view.tokens.len()];
-        let rec = reconstruct_with_landmark(&p, &view, &mask, 2);
+        let rec = reconstruct(&p, &view, &mask);
         assert_eq!(rec.left, p.left);
         assert_eq!(rec.right, Entity::empty(2));
     }
@@ -78,7 +73,7 @@ mod tests {
         let view = generate_view(&p, EntitySide::Left, ResolvedStrategy::SingleEntity);
         // Drop "case" (index 1 of [nikon, case, 7.99]).
         let mask = vec![true, false, true];
-        let rec = reconstruct_with_landmark(&p, &view, &mask, 2);
+        let rec = reconstruct(&p, &view, &mask);
         assert_eq!(rec.left, p.left);
         assert_eq!(rec.right.value(0), "nikon");
         assert_eq!(rec.right.value(1), "7.99");
@@ -90,8 +85,7 @@ mod tests {
         let view = generate_view(&p, EntitySide::Left, ResolvedStrategy::DoubleEntity);
         // Keep only the injected landmark tokens: the varying entity becomes
         // a copy of the landmark's values.
-        let mask: Vec<bool> = view.injected.clone();
-        let rec = reconstruct_with_landmark(&p, &view, &mask, 2);
+        let rec = reconstruct(&p, &view, &view.injected);
         assert_eq!(rec.right.value(0), "sony camera");
         assert_eq!(rec.right.value(1), "849.99");
         assert_eq!(rec.left, p.left);
@@ -103,7 +97,7 @@ mod tests {
         let p = pair();
         let view = generate_view(&p, EntitySide::Left, ResolvedStrategy::SingleEntity);
         let mask = vec![true; view.tokens.len() - 1];
-        reconstruct_with_landmark(&p, &view, &mask, 2);
+        reconstruct(&p, &view, &mask);
     }
 
     #[test]
@@ -111,7 +105,7 @@ mod tests {
         let p = pair();
         let view = generate_view(&p, EntitySide::Right, ResolvedStrategy::SingleEntity);
         let mask = vec![false; view.tokens.len()];
-        let rec = reconstruct_with_landmark(&p, &view, &mask, 2);
+        let rec = reconstruct(&p, &view, &mask);
         assert_eq!(rec.right, p.right);
         assert_eq!(rec.left, Entity::empty(2));
     }

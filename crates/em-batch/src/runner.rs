@@ -16,9 +16,9 @@
 
 use std::path::Path;
 
-use em_codec::explain::{run_explain, ExplainRequest};
+use em_codec::explain::{encode_pair, run_explain, ExplainRequest};
 use em_codec::json::Value;
-use em_entity::{Entity, LabeledPair, Schema};
+use em_entity::{LabeledPair, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_obs::Tracer;
@@ -70,24 +70,11 @@ fn encode_record_line(
     record: &LabeledPair,
     response: Value,
 ) -> String {
-    let entity_obj = |e: &Entity| {
-        Value::object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     let mut line = Value::object(vec![
         ("index", index.into()),
         ("label", record.label.into()),
         ("seed", Value::Number(seed as f64)),
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity_obj(&record.pair.left)),
-                ("right", entity_obj(&record.pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, &record.pair)),
         ("response", response),
     ])
     .to_json();

@@ -7,12 +7,21 @@
 //! [`Value`] tree. Both the online server (`em-serve`) and the offline
 //! batch pipeline (`em-batch`) run explanations through [`run_explain`],
 //! which is what makes a batch-written record bit-identical to a served
-//! response for the same `(pair, explainer, config, seed)`. The canonical
-//! cache key is also built here: the JSON of the *resolved* request —
-//! schema-ordered pair values, explainer, and every config field that
-//! affects the explanation. `threads` is deliberately excluded: any thread
-//! count yields bit-identical weights (DESIGN.md §7), so including it
-//! would only fragment the cache.
+//! response for the same `(pair, explainer, config, seed)`.
+//!
+//! The pair's wire form is owned here in both directions: [`decode_pair`]
+//! reads `{"left": {attr: value, ...}, "right": {...}}` and
+//! [`encode_pair`] writes it, for em-batch's record lines and for every
+//! client that builds a request body.
+//!
+//! So are the two routing keys. [`cache_key`] is the JSON of the
+//! *resolved* request — explainer, every config field that affects the
+//! explanation, and the schema-ordered pair values. `threads` is
+//! deliberately excluded: any thread count yields bit-identical weights
+//! (DESIGN.md §7), so including it would only fragment the cache.
+//! [`predict_key`] is the same pair values alone. em-serve keys its cache
+//! by the first, and em-route places both kinds of request on its ring by
+//! hashing them, so their bytes are pinned.
 //!
 //! A request's `"config"` may set `n_samples`, `seed` (below
 //! [`SEED_LIMIT`]) and `threads`; any other field is refused. The
@@ -56,6 +65,23 @@ pub struct ExplainRequest {
     pub explainer: ExplainerKind,
     /// Resolved settings: the defaults with the request's overrides.
     pub config: ExplainConfig,
+}
+
+/// Encodes a pair as the object [`decode_pair`] reads from a `"pair"`
+/// field: `{"left": {attr: value, ...}, "right": {...}}`, every attribute
+/// of both entities in schema order.
+pub fn encode_pair(schema: &Schema, pair: &EntityPair) -> Value {
+    let entity = |side: EntitySide| {
+        Value::object(
+            (0..schema.len())
+                .map(|i| (schema.name(i), Value::string(pair.entity(side).value(i))))
+                .collect(),
+        )
+    };
+    Value::object(vec![
+        ("left", entity(EntitySide::Left)),
+        ("right", entity(EntitySide::Right)),
+    ])
 }
 
 /// Decodes the `"pair"` field: `{"left": {attr: value, ...}, "right": ...}`.
@@ -141,13 +167,6 @@ pub fn decode_explain_request(
 /// carries the defaults' values there, and writing them keeps every key's
 /// bytes, ring placement and cache entry unchanged.
 pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
-    let values = |side: EntitySide| -> Value {
-        Value::Array(
-            (0..schema.len())
-                .map(|i| Value::string(request.pair.entity(side).value(i)))
-                .collect(),
-        )
-    };
     let config = &request.config;
     Value::object(vec![
         ("explainer", Value::string(request.explainer.name())),
@@ -157,10 +176,32 @@ pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
         // Only ridge remains; the field keeps every key's bytes unchanged.
         ("solver", Value::string("ridge")),
         ("lambda", config.surrogate.lambda.into()),
-        ("left", values(EntitySide::Left)),
-        ("right", values(EntitySide::Right)),
+        ("left", values(schema, &request.pair, EntitySide::Left)),
+        ("right", values(schema, &request.pair, EntitySide::Right)),
     ])
     .to_json()
+}
+
+/// The routing key of a `POST /predict`: the `left`/`right` value arrays
+/// [`cache_key`] embeds, without the explainer fields (a prediction has
+/// no explainer config), so both kinds of traffic for one pair land on
+/// the same backend.
+pub fn predict_key(schema: &Schema, pair: &EntityPair) -> String {
+    Value::object(vec![
+        ("left", values(schema, pair, EntitySide::Left)),
+        ("right", values(schema, pair, EntitySide::Right)),
+    ])
+    .to_json()
+}
+
+/// One side's attribute values in schema order, as both routing keys
+/// write them.
+fn values(schema: &Schema, pair: &EntityPair, side: EntitySide) -> Value {
+    Value::Array(
+        (0..schema.len())
+            .map(|i| Value::string(pair.entity(side).value(i)))
+            .collect(),
+    )
 }
 
 /// Runs the selected explainer and encodes the response body, recording
@@ -283,8 +324,10 @@ pub fn encode_prediction(probability: f64, threshold: f64) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_datagen::{DatasetId, Domain};
     use em_entity::{Entity, MatchModel};
     use landmark_core::{GenerationStrategy, LandmarkExplainer};
+    use proptest::prelude::*;
 
     struct OverlapModel;
     impl MatchModel for OverlapModel {
@@ -448,6 +491,72 @@ mod tests {
             cache_key(&s, &ridge),
             r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":0.5,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
         );
+    }
+
+    /// A pair whose values need escaping, keep their spacing as sent, and
+    /// include an empty value.
+    fn awkward_pair() -> (Schema, EntityPair) {
+        let schema = Schema::from_names(vec!["name", "addr", "phone"]);
+        let pair = EntityPair::new(
+            Entity::new(vec!["Caffè \"Roma\"", "  12  via  Po ", ""]),
+            Entity::new(vec!["caffe roma\\ bar", "日本\ttab", "555-0101"]),
+        );
+        (schema, pair)
+    }
+
+    #[test]
+    fn encode_pair_bytes_are_pinned() {
+        // em-batch writes this object into every record line, so a change
+        // here changes every shard. The bytes are the ones em-batch wrote
+        // before the encoder moved here.
+        let (s, p) = awkward_pair();
+        assert_eq!(
+            encode_pair(&s, &p).to_json(),
+            r#"{"left":{"name":"Caffè \"Roma\"","addr":"  12  via  Po ","phone":""},"right":{"name":"caffe roma\\ bar","addr":"日本\ttab","phone":"555-0101"}}"#
+        );
+    }
+
+    #[test]
+    fn predict_key_bytes_are_pinned() {
+        // em-route places a `/predict` on its ring by hashing these bytes.
+        // They are the ones em-route's own key function wrote before the
+        // key moved here.
+        let (s, p) = awkward_pair();
+        assert_eq!(
+            predict_key(&s, &p),
+            r#"{"left":["Caffè \"Roma\"","  12  via  Po ",""],"right":["caffe roma\\ bar","日本\ttab","555-0101"]}"#
+        );
+    }
+
+    /// An attribute value a client may send: Unicode, quotes and
+    /// backslashes, runs of spaces (leading, doubled, trailing), or
+    /// nothing at all.
+    fn wire_value() -> impl Strategy<Value = String> {
+        let word = "[a-zé日\"\\\t]{0,4}";
+        (" {0,2}", word, " {0,2}", word, " {0,2}").prop_map(|(a, b, c, d, e)| a + &b + &c + &d + &e)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn decode_pair_reads_back_what_encode_pair_writes(
+            left in prop::collection::vec(wire_value(), 16),
+            right in prop::collection::vec(wire_value(), 16),
+        ) {
+            for id in DatasetId::all() {
+                let schema = Domain::new(id.spec().domain).schema();
+                let n = schema.len();
+                prop_assert!(n <= left.len(), "{} has {n} attributes", id.short_name());
+                let pair = EntityPair::new(
+                    Entity::new(left[..n].to_vec()),
+                    Entity::new(right[..n].to_vec()),
+                );
+                let body = Value::object(vec![("pair", encode_pair(&schema, &pair))]).to_json();
+                let root = Value::parse(&body).map_err(|e| e.to_string())?;
+                prop_assert_eq!(decode_pair(&root, &schema), Ok(pair.clone()));
+            }
+        }
     }
 
     #[test]

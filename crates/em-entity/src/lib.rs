@@ -32,7 +32,7 @@ pub use csv::{dataset_from_csv, dataset_from_reader, dataset_to_csv, CsvError, C
 pub use dataset::{EmDataset, SplitConfig};
 pub use entity::{Entity, UnknownAttribute};
 pub use masks::Masks;
-pub use model::MatchModel;
+pub use model::{MatchModel, MATCH_THRESHOLD};
 pub use pair::{EntityPair, EntitySide, LabeledPair};
 pub use prepared::{FallbackScorer, PerturbSpec, PreparedScorer, SideSpec};
 pub use schema::Schema;

@@ -7,6 +7,10 @@ use crate::schema::Schema;
 use em_obs::{Counter, Span, Stage, Tracer};
 use em_par::ParallelismConfig;
 
+/// The conventional decision threshold: [`MatchModel::predict`] calls a
+/// record a match when its probability reaches it.
+pub const MATCH_THRESHOLD: f64 = 0.5;
+
 /// An entity-matching model: anything that maps a record (pair of entities)
 /// to a match probability.
 ///
@@ -23,17 +27,9 @@ pub trait MatchModel {
         self.predict_proba(schema, pair) >= threshold
     }
 
-    /// Hard decision at the conventional 0.5 threshold.
+    /// Hard decision at [`MATCH_THRESHOLD`].
     fn predict(&self, schema: &Schema, pair: &EntityPair) -> bool {
-        self.predict_with_threshold(schema, pair, 0.5)
-    }
-
-    /// Probabilities for a batch of records.
-    fn predict_proba_batch(&self, schema: &Schema, pairs: &[EntityPair]) -> Vec<f64> {
-        pairs
-            .iter()
-            .map(|p| self.predict_proba(schema, p))
-            .collect()
+        self.predict_with_threshold(schema, pair, MATCH_THRESHOLD)
     }
 
     /// Builds a [`PreparedScorer`] for one perturbation family.
@@ -166,20 +162,6 @@ mod tests {
         let (s, p) = setup();
         assert!(!EqualityModel.predict_with_threshold(&s, &p, 0.6));
         assert!(EqualityModel.predict_with_threshold(&s, &p, 0.4));
-    }
-
-    #[test]
-    fn batch_matches_single_calls() {
-        let (s, p) = setup();
-        let p2 = EntityPair::new(Entity::new(vec!["x", "y"]), Entity::new(vec!["x", "y"]));
-        let batch = EqualityModel.predict_proba_batch(&s, &[p.clone(), p2.clone()]);
-        assert_eq!(
-            batch,
-            vec![
-                EqualityModel.predict_proba(&s, &p),
-                EqualityModel.predict_proba(&s, &p2)
-            ]
-        );
     }
 
     #[test]

@@ -6,54 +6,24 @@
 //! two attribute *rankings* should agree — measured with the weighted
 //! Kendall tau.
 
-use em_entity::{EntityPair, MatchModel, Schema};
-use landmark_core::ExplainerKind;
+use em_entity::Schema;
 
 use crate::kendall::weighted_kendall_tau;
-use crate::technique::explain_record;
+use crate::technique::ExplainedRecord;
 
-/// Runs the attribute-based evaluation for one technique.
+/// Runs the attribute-based evaluation over explained records (one inner
+/// vec of views per record, as
+/// [`explain_record`](crate::technique::explain_record) returns them).
 ///
-/// * `model_attribute_weights` — the EM model's per-attribute coefficients
-///   (absolute values are ranked);
-/// * `records` — the sampled records to explain.
-///
-/// Per-record attribute importances are averaged over all records (and
-/// both landmark views, for landmark techniques) before ranking, yielding
-/// one correlation per dataset/technique/label like the paper's Table 3.
-pub fn attribute_eval<M: MatchModel + Sync>(
-    model: &M,
+/// `model_attribute_weights` are the EM model's per-attribute coefficients
+/// (absolute values are ranked). Per-record attribute importances are
+/// averaged over all records (and both landmark views, for landmark
+/// techniques) before ranking, yielding one correlation per
+/// dataset/technique/label like the paper's Table 3.
+pub fn attribute_eval(
     model_attribute_weights: &[f64],
     schema: &Schema,
-    records: &[&EntityPair],
-    technique: ExplainerKind,
-    n_samples: usize,
-    seed: u64,
-) -> f64 {
-    assert_eq!(
-        model_attribute_weights.len(),
-        schema.len(),
-        "one model weight per attribute"
-    );
-    if records.is_empty() {
-        return 0.0;
-    }
-    let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let record_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-            explain_record(technique, model, schema, pair, n_samples, record_seed)
-        })
-        .collect();
-    attribute_eval_views(model_attribute_weights, schema, &views_per_record)
-}
-
-/// Attribute-based evaluation over pre-computed explanations.
-pub fn attribute_eval_views(
-    model_attribute_weights: &[f64],
-    schema: &Schema,
-    views_per_record: &[Vec<crate::technique::ExplainedRecord>],
+    views_per_record: &[Vec<ExplainedRecord>],
 ) -> f64 {
     assert_eq!(
         model_attribute_weights.len(),
@@ -81,7 +51,9 @@ pub fn attribute_eval_views(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::Entity;
+    use crate::technique::explain_record;
+    use em_entity::{Entity, EntityPair, MatchModel};
+    use landmark_core::ExplainerKind;
 
     /// Linear model over per-attribute token overlap with known weights:
     /// attribute 0 matters three times as much as attribute 1.
@@ -109,6 +81,20 @@ mod tests {
         Schema::from_names(vec!["name", "price"])
     }
 
+    /// Explains the matching pair as the evaluation's only record, then
+    /// evaluates it against `weights`.
+    fn evaluate(weights: &[f64], technique: ExplainerKind, n_samples: usize, seed: u64) -> f64 {
+        let views = explain_record(
+            technique,
+            &WeightedOverlapModel,
+            &schema(),
+            &matching_pair(),
+            n_samples,
+            seed,
+        );
+        attribute_eval(weights, &schema(), &[views])
+    }
+
     fn matching_pair() -> EntityPair {
         EntityPair::new(
             Entity::new(vec!["sony alpha camera", "849.99 usd"]),
@@ -118,87 +104,41 @@ mod tests {
 
     #[test]
     fn faithful_technique_recovers_the_attribute_ranking() {
-        let pair = matching_pair();
-        let records = vec![&pair];
         for technique in [ExplainerKind::Lime, ExplainerKind::LandmarkSingle] {
-            let tau = attribute_eval(
-                &WeightedOverlapModel,
-                &WeightedOverlapModel::WEIGHTS,
-                &schema(),
-                &records,
-                technique,
-                600,
-                0,
-            );
+            let tau = evaluate(&WeightedOverlapModel::WEIGHTS, technique, 600, 0);
             assert!(tau > 0.9, "{technique:?}: tau = {tau}");
         }
     }
 
     #[test]
     fn reversed_reference_gives_negative_tau() {
-        let pair = matching_pair();
-        let records = vec![&pair];
         let reversed = [0.2, 0.6]; // wrong order on purpose
-        let tau = attribute_eval(
-            &WeightedOverlapModel,
-            &reversed,
-            &schema(),
-            &records,
-            ExplainerKind::Lime,
-            600,
-            0,
-        );
+        let tau = evaluate(&reversed, ExplainerKind::Lime, 600, 0);
         assert!(tau < 0.0, "tau = {tau}");
     }
 
     #[test]
     fn empty_records_give_zero() {
-        let tau = attribute_eval(
-            &WeightedOverlapModel,
-            &WeightedOverlapModel::WEIGHTS,
-            &schema(),
-            &[],
-            ExplainerKind::Lime,
-            100,
-            0,
-        );
+        let tau = attribute_eval(&WeightedOverlapModel::WEIGHTS, &schema(), &[]);
         assert_eq!(tau, 0.0);
     }
 
     #[test]
     #[should_panic(expected = "one model weight per attribute")]
     fn weight_length_mismatch_panics() {
-        let pair = matching_pair();
-        let records = vec![&pair];
-        attribute_eval(
-            &WeightedOverlapModel,
-            &[1.0],
-            &schema(),
-            &records,
-            ExplainerKind::Lime,
-            100,
-            0,
-        );
+        evaluate(&[1.0], ExplainerKind::Lime, 100, 0);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let pair = matching_pair();
-        let records = vec![&pair];
-        let t1 = attribute_eval(
-            &WeightedOverlapModel,
+        let t1 = evaluate(
             &WeightedOverlapModel::WEIGHTS,
-            &schema(),
-            &records,
             ExplainerKind::LandmarkDouble,
             200,
             7,
         );
-        let t2 = attribute_eval(
-            &WeightedOverlapModel,
+        let t2 = evaluate(
             &WeightedOverlapModel::WEIGHTS,
-            &schema(),
-            &records,
             ExplainerKind::LandmarkDouble,
             200,
             7,

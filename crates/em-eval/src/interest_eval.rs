@@ -12,75 +12,26 @@
 //! The *interest* of a technique is the fraction of records whose
 //! predicted class flips after the removal.
 
-use em_entity::{EntityPair, MatchModel, Schema};
-use landmark_core::ExplainerKind;
+use em_entity::{MatchModel, Schema};
 
 use crate::removal::remove_tokens;
-use crate::technique::explain_record;
+use crate::technique::ExplainedRecord;
 
-/// Configuration for the interest evaluation.
-#[derive(Debug, Clone, Copy)]
-pub struct InterestConfig {
-    /// Decision threshold (paper: 0.5, with a 0.4 sensitivity note).
-    pub threshold: f64,
-    /// Perturbation samples per explanation.
-    pub n_samples: usize,
-    /// Base seed.
-    pub seed: u64,
-}
-
-impl Default for InterestConfig {
-    fn default() -> Self {
-        InterestConfig {
-            threshold: 0.5,
-            n_samples: 500,
-            seed: 0,
-        }
-    }
-}
-
-/// Runs the interest evaluation for one technique.
+/// Runs the interest evaluation over explained records (one inner vec of
+/// views per record, as [`explain_record`](crate::technique::explain_record)
+/// returns them) at the decision `threshold` (paper: 0.5, with a 0.4
+/// sensitivity note).
 ///
 /// `remove_positive` selects the removal direction: `true` for records
 /// labeled matching (remove match-supporting tokens), `false` for
 /// non-matching (remove match-blocking tokens).
-pub fn interest_eval<M: MatchModel + Sync>(
+pub fn interest_eval<M: MatchModel>(
     model: &M,
     schema: &Schema,
-    records: &[&EntityPair],
-    technique: ExplainerKind,
+    views_per_record: &[Vec<ExplainedRecord>],
     remove_positive: bool,
-    config: &InterestConfig,
+    threshold: f64,
 ) -> f64 {
-    let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> = records
-        .iter()
-        .enumerate()
-        .map(|(i, pair)| {
-            let record_seed = config.seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
-            explain_record(
-                technique,
-                model,
-                schema,
-                pair,
-                config.n_samples,
-                record_seed,
-            )
-        })
-        .collect();
-    interest_eval_views(model, schema, &views_per_record, remove_positive, config)
-}
-
-/// Interest evaluation over pre-computed explanations.
-pub fn interest_eval_views<M: MatchModel + Sync>(
-    model: &M,
-    schema: &Schema,
-    views_per_record: &[Vec<crate::technique::ExplainedRecord>],
-    remove_positive: bool,
-    config: &InterestConfig,
-) -> f64 {
-    if views_per_record.is_empty() {
-        return 0.0;
-    }
     let mut flips = 0usize;
     let mut n = 0usize;
     for views in views_per_record {
@@ -100,8 +51,8 @@ pub fn interest_eval_views<M: MatchModel + Sync>(
             // "Change in the label" is measured against the class the model
             // assigns to the *raw* record (for double-entity generation the
             // base is the concatenated record, whose class may differ).
-            let before = view.original_prediction >= config.threshold;
-            let after = model.predict_proba(schema, &modified) >= config.threshold;
+            let before = view.original_prediction >= threshold;
+            let after = model.predict_proba(schema, &modified) >= threshold;
             if before != after {
                 flips += 1;
             }
@@ -117,7 +68,9 @@ pub fn interest_eval_views<M: MatchModel + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::Entity;
+    use crate::technique::explain_record;
+    use em_entity::{Entity, EntityPair};
+    use landmark_core::ExplainerKind;
 
     /// Overlap model: probability = Jaccard over all tokens.
     struct Overlap;
@@ -147,6 +100,18 @@ mod tests {
         Schema::from_names(vec!["name"])
     }
 
+    /// Explains `pair` as the evaluation's only record, then evaluates it.
+    fn evaluate(
+        pair: &EntityPair,
+        technique: ExplainerKind,
+        remove_positive: bool,
+        n_samples: usize,
+        threshold: f64,
+    ) -> f64 {
+        let views = explain_record(technique, &Overlap, &schema(), pair, n_samples, 0);
+        interest_eval(&Overlap, &schema(), &[views], remove_positive, threshold)
+    }
+
     #[test]
     fn removing_positive_tokens_flips_a_match() {
         // Strong match: 5 of 6 tokens shared -> p = 5/7 ≈ 0.71 ≥ 0.5.
@@ -154,18 +119,7 @@ mod tests {
             Entity::new(vec!["a b c d e f"]),
             Entity::new(vec!["a b c d e g"]),
         );
-        let records = vec![&pair];
-        let interest = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::Lime,
-            true,
-            &InterestConfig {
-                n_samples: 600,
-                ..Default::default()
-            },
-        );
+        let interest = evaluate(&pair, ExplainerKind::Lime, true, 600, 0.5);
         assert_eq!(interest, 1.0);
     }
 
@@ -175,15 +129,7 @@ mod tests {
         // label cannot flip to match — the exact weakness the paper
         // describes for LIME / Mojito Drop on non-matching records.
         let pair = EntityPair::new(Entity::new(vec!["a b c"]), Entity::new(vec!["x y z"]));
-        let records = vec![&pair];
-        let interest = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::Lime,
-            false,
-            &InterestConfig::default(),
-        );
+        let interest = evaluate(&pair, ExplainerKind::Lime, false, 500, 0.5);
         assert_eq!(interest, 0.0);
     }
 
@@ -197,31 +143,13 @@ mod tests {
             Entity::new(vec!["a b c d e f"]),
             Entity::new(vec!["a b c x y"]),
         );
-        let records = vec![&pair];
-        let double = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::LandmarkDouble,
-            false,
-            &InterestConfig {
-                n_samples: 800,
-                ..Default::default()
-            },
-        );
+        let double = evaluate(&pair, ExplainerKind::LandmarkDouble, false, 800, 0.5);
         assert!(double > 0.9, "double interest = {double}");
     }
 
     #[test]
     fn empty_records_give_zero() {
-        let r = interest_eval(
-            &Overlap,
-            &schema(),
-            &[],
-            ExplainerKind::Lime,
-            true,
-            &InterestConfig::default(),
-        );
+        let r = interest_eval(&Overlap, &schema(), &[], true, 0.5);
         assert_eq!(r, 0.0);
     }
 
@@ -230,18 +158,7 @@ mod tests {
         // p = 3/5 = 0.6: a match at threshold 0.5 and also at 0.55; with a
         // lower threshold of 0.2 the removal must push further to flip.
         let pair = EntityPair::new(Entity::new(vec!["a b c d"]), Entity::new(vec!["a b c e"]));
-        let records = vec![&pair];
-        let strict = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::Lime,
-            true,
-            &InterestConfig {
-                threshold: 0.05,
-                ..Default::default()
-            },
-        );
+        let strict = evaluate(&pair, ExplainerKind::Lime, true, 500, 0.05);
         // At threshold 0.05 nearly any residual overlap keeps it a match:
         // flipping requires eliminating all overlap, which removing only
         // positive tokens achieves (shared tokens are positive).
@@ -256,27 +173,8 @@ mod tests {
             Entity::new(vec!["a b c d e"]),
             Entity::new(vec!["a b x y z"]),
         );
-        let records = vec![&pair];
-        let cfg = InterestConfig {
-            n_samples: 300,
-            ..Default::default()
-        };
-        let a = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::LandmarkDouble,
-            false,
-            &cfg,
-        );
-        let b = interest_eval(
-            &Overlap,
-            &schema(),
-            &records,
-            ExplainerKind::LandmarkDouble,
-            false,
-            &cfg,
-        );
+        let a = evaluate(&pair, ExplainerKind::LandmarkDouble, false, 300, 0.5);
+        let b = evaluate(&pair, ExplainerKind::LandmarkDouble, false, 300, 0.5);
         assert_eq!(a, b);
     }
 }

@@ -4,9 +4,11 @@
 //!   attribute-based evaluation;
 //! * [`technique`] — the four explanation techniques the paper compares
 //!   (*Single*, *Double*, *LIME / Mojito Drop*, *Mojito Copy*) as
-//!   `landmark_core::ExplainerKind`s, and their explanations, produced by
-//!   the kind's one dispatch, mapped to the records the evaluations
-//!   read;
+//!   `landmark_core::ExplainerKind`s; [`explain_record`](technique::explain_record)
+//!   explains one record through the kind's one dispatch and maps it to
+//!   the records the evaluations read, under the seed
+//!   [`record_seed`](technique::record_seed) derives from the record's
+//!   index;
 //! * [`token_eval`](mod@token_eval) — the token-based reliability experiment (Table 2):
 //!   remove 25% of explained tokens and check that the surrogate's
 //!   coefficient sum predicts the black-box probability shift;
@@ -19,6 +21,10 @@
 //! * [`runner`] — end-to-end per-dataset runners producing the paper's
 //!   table rows;
 //! * [`tables`] — plain-text table formatting.
+//!
+//! Each table has one entry point, and it evaluates records already
+//! explained: [`Evaluator`] explains every sampled record once per
+//! technique and hands the same explanations to all three evaluations.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -35,7 +41,6 @@ pub mod technique;
 pub mod token_eval;
 
 pub use attr_eval::attribute_eval;
-pub use em_par::ParallelismConfig;
 pub use interest_eval::interest_eval;
 pub use kendall::weighted_kendall_tau;
 pub use neighborhood::{neighborhood_stats, NeighborhoodStats};

@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
 use em_lime::engine::{perturb, ExplainConfig};
 use landmark_core::strategy::ResolvedStrategy;
-use landmark_core::{generate_view, ExplainerKind, GenerationStrategy};
+use landmark_core::{generate_view, perturb_spec, ExplainerKind, GenerationStrategy};
 
 /// Statistics of one record's perturbation neighborhood.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,11 +144,7 @@ fn landmark_stats<M: MatchModel + Sync>(
 ) -> NeighborhoodStats {
     // The left entity is the landmark, so the right side varies.
     let view = generate_view(pair, EntitySide::Left, strategy);
-    let spec = PerturbSpec::TokenDrop {
-        pair,
-        left: SideSpec::Fixed,
-        right: SideSpec::Varying(&view.tokens),
-    };
+    let spec = perturb_spec(pair, &view);
     summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
 }
 

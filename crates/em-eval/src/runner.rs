@@ -14,9 +14,10 @@ use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_par::ParallelismConfig;
 use landmark_core::ExplainerKind;
 
-use crate::interest_eval::InterestConfig;
-use crate::technique::TECHNIQUES;
-use crate::token_eval::{TokenEvalConfig, TokenEvalResult};
+use crate::attr_eval::attribute_eval;
+use crate::interest_eval::interest_eval;
+use crate::technique::{explain_record, record_seed, ExplainedRecord, TECHNIQUES};
+use crate::token_eval::{token_eval, TokenEvalConfig, TokenEvalResult};
 
 /// Experiment configuration (paper defaults).
 #[derive(Debug, Clone, Copy)]
@@ -153,12 +154,6 @@ impl Evaluator {
         let token_cfg = TokenEvalConfig {
             removal_fraction: self.config.removal_fraction,
             threshold: self.config.threshold,
-            n_samples: self.config.n_samples,
-            seed: self.config.seed,
-        };
-        let interest_cfg = InterestConfig {
-            threshold: self.config.threshold,
-            n_samples: self.config.n_samples,
             seed: self.config.seed,
         };
 
@@ -170,43 +165,26 @@ impl Evaluator {
                 // they do with the coefficients). Records fan out across
                 // the thread pool; each derives its RNG seed from the base
                 // seed and its index, so thread count never changes results.
-                let views_per_record: Vec<Vec<crate::technique::ExplainedRecord>> =
+                let views_per_record: Vec<Vec<ExplainedRecord>> =
                     em_par::par_map(&self.config.parallelism, &records, |i, pair| {
-                        let record_seed = self
-                            .config
-                            .seed
-                            .wrapping_add(i as u64)
-                            .wrapping_mul(0x9E37_79B9);
-                        crate::technique::explain_record(
+                        explain_record(
                             technique,
                             matcher,
                             schema,
                             pair,
                             self.config.n_samples,
-                            record_seed,
+                            record_seed(self.config.seed, i),
                         )
                     });
-                let token = crate::token_eval::token_eval_views(
-                    matcher,
-                    schema,
-                    &views_per_record,
-                    &token_cfg,
-                );
-                let attr_tau = if records.is_empty() {
-                    0.0
-                } else {
-                    crate::attr_eval::attribute_eval_views(
-                        matcher.attribute_weights(),
-                        schema,
-                        &views_per_record,
-                    )
-                };
-                let interest = crate::interest_eval::interest_eval_views(
+                let token = token_eval(matcher, schema, &views_per_record, &token_cfg);
+                let attr_tau =
+                    attribute_eval(matcher.attribute_weights(), schema, &views_per_record);
+                let interest = interest_eval(
                     matcher,
                     schema,
                     &views_per_record,
                     label, // matching label -> remove positive tokens
-                    &interest_cfg,
+                    self.config.threshold,
                 );
                 TechniqueResult {
                     technique,

@@ -39,6 +39,13 @@ pub struct ExplainedRecord {
     pub attribute_importance: Vec<f64>,
 }
 
+/// The explanation seed of the record at `index` in an evaluation seeded
+/// with `base`. Every record's seed depends only on its index, so serial
+/// and parallel runs explain each record identically.
+pub fn record_seed(base: u64, index: usize) -> u64 {
+    base.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9)
+}
+
 /// Produces the explained record(s) for a technique.
 ///
 /// `n_samples` is the perturbation budget per explanation; `seed` drives

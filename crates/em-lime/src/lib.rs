@@ -34,7 +34,6 @@ pub mod reference;
 pub mod sampler;
 pub mod surrogate;
 
-pub use em_par::ParallelismConfig;
 pub use engine::{perturb_and_fit, ExplainConfig};
 pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::LimeExplainer;

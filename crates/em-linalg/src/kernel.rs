@@ -2,11 +2,7 @@
 //!
 //! LIME weights every perturbation sample by its similarity to the original
 //! record, using `exp(-D(x, z)² / σ²)`. For token data, `D` is the cosine
-//! distance between the binary presence vectors; for tabular data it is the
-//! euclidean distance.
-
-/// A sample-weighting kernel: maps a distance to a non-negative weight.
-pub type KernelFn = fn(f64, f64) -> f64;
+//! distance between the binary presence vectors.
 
 /// The exponential kernel `exp(-d² / width²)` used by LIME.
 #[inline]
@@ -57,16 +53,6 @@ pub fn cosine_distance_to_ones(ones: usize, len: usize) -> f64 {
     let (k, d) = (ones as f64, len as f64);
     let c = (k / (k.sqrt() * d.sqrt())).clamp(-1.0, 1.0);
     1.0 - c
-}
-
-/// Euclidean distance between two vectors.
-pub fn euclidean_distance(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
 }
 
 /// Default width of the text kernel: `0.25`.
@@ -150,10 +136,5 @@ mod tests {
             assert_eq!(cosine_distance_to_ones(len, len), 0.0);
         }
         assert_eq!(cosine_distance_to_ones(0, 0), 1.0);
-    }
-
-    #[test]
-    fn euclidean_distance_matches_manual() {
-        assert!((euclidean_distance(&[0.0, 0.0], &[3.0, 4.0]) - 5.0).abs() < 1e-12);
     }
 }

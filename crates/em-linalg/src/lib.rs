@@ -12,8 +12,8 @@
 //! * [logistic regression](logistic) — the entity-matching model that the
 //!   paper explains (Section 4.1 of the paper uses a Logistic Regression
 //!   classifier as the EM model);
-//! * [sample kernels](kernel) — the exponential (cosine / euclidean)
-//!   proximity kernels that weight perturbation samples.
+//! * [sample kernels](kernel) — the exponential kernel over cosine
+//!   distance that weights perturbation samples.
 //!
 //! Everything is implemented from scratch on `f64`, with no third-party
 //! dependencies, and is deterministic.
@@ -28,9 +28,7 @@ pub mod matrix;
 pub mod ridge;
 
 pub use cholesky::Cholesky;
-pub use kernel::{
-    cosine_distance, cosine_distance_to_ones, euclidean_distance, exponential_kernel, KernelFn,
-};
+pub use kernel::{cosine_distance, cosine_distance_to_ones, exponential_kernel};
 pub use logistic::{LogisticConfig, LogisticModel};
 pub use matrix::Matrix;
 pub use ridge::{ridge_fit, ridge_solve_centered, RidgeConfig, RidgeModel};

@@ -48,7 +48,8 @@ pub enum Stage {
     MaskSampling,
     /// Materializing one `EntityPair` per mask.
     PairReconstruction,
-    /// Black-box scoring of the reconstructed pairs (the hot path).
+    /// Black-box scoring of the reconstructed pairs (the hot path), and
+    /// a landmark explanation's prediction of the record itself.
     ModelScoring,
     /// Fitting the weighted linear surrogate.
     SurrogateFit,

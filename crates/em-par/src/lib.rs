@@ -74,11 +74,6 @@ impl ParallelismConfig {
         }
     }
 
-    /// Whether this config can ever use more than one thread.
-    pub fn is_parallel(&self) -> bool {
-        self.threads != 1
-    }
-
     /// The resolved hard thread cap: the configured count, or the detected
     /// core count when `threads == 0`, always at least 1. Long-lived worker
     /// pools (e.g. a server's accept/worker pool) size themselves by this
@@ -213,18 +208,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Ordered parallel flat-map: like [`par_map`] but each call may yield any
-/// number of results, concatenated in input order. Used when one record
-/// expands into several explanation views.
-pub fn par_flat_map<T, R, F>(config: &ParallelismConfig, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> Vec<R> + Sync,
-{
-    par_map(config, items, f).into_iter().flatten().collect()
-}
-
 /// Long-lived scoped workers: spawns `workers` threads each running
 /// `work(worker_index)`, runs `foreground()` on the calling thread, and
 /// joins everything before returning `foreground`'s result.
@@ -262,7 +245,6 @@ mod tests {
     fn serial_config_never_forks() {
         let cfg = ParallelismConfig::serial();
         assert_eq!(cfg.effective_threads(1_000_000), 1);
-        assert!(!cfg.is_parallel());
     }
 
     #[test]
@@ -277,7 +259,6 @@ mod tests {
         let cfg = ParallelismConfig::with_threads(4);
         assert_eq!(cfg.effective_threads(1_000), 4);
         assert_eq!(cfg.effective_threads(2), 2);
-        assert!(cfg.is_parallel());
     }
 
     #[test]
@@ -408,15 +389,6 @@ mod tests {
             |(), i, _| i,
         );
         assert_eq!(inits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
-    fn par_flat_map_concatenates_in_order() {
-        let items: Vec<usize> = (0..50).collect();
-        let cfg = ParallelismConfig::with_threads(3);
-        let got = par_flat_map(&cfg, &items, |_, &x| vec![x, x]);
-        let expected: Vec<usize> = items.iter().flat_map(|&x| [x, x]).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Ring {
         }
     }
 
-    /// Number of virtual-node points on the ring.
-    pub fn n_points(&self) -> usize {
-        self.points.len()
-    }
-
     /// Number of configured backends (including zero-weight ones).
     pub fn n_backends(&self) -> usize {
         self.n_backends

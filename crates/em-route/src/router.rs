@@ -9,11 +9,12 @@
 //! brain:
 //!
 //! 1. **Key** (`route_key` stage): decode the request with the *same*
-//!    codec and defaults the backends use, compute the canonical cache
-//!    key ([`em_codec::explain::cache_key`]), and look up the owner on
-//!    the ring. Malformed requests are rejected here with the byte-same
-//!    400 body a backend would have produced — same decode functions,
-//!    same error encoding.
+//!    codec and defaults the backends use, compute the canonical key
+//!    ([`em_codec::explain::cache_key`], or
+//!    [`em_codec::explain::predict_key`] for `/predict`), and look up the
+//!    owner on the ring. Malformed requests are rejected here with the
+//!    byte-same 400 body a backend would have produced — same decode
+//!    functions, same error encoding.
 //! 2. **Forward** (`route_forward` stage): exchange with the owner, on a
 //!    kept-alive connection from that backend's [`client::Pool`] when one
 //!    is idle. On a *connect* failure — nothing reached the backend —
@@ -35,7 +36,7 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
-use em_codec::explain::{cache_key, decode_explain_request, decode_pair};
+use em_codec::explain::{cache_key, decode_explain_request, decode_pair, predict_key};
 use em_codec::Value;
 use em_entity::Schema;
 use em_lime::ExplainConfig;
@@ -191,7 +192,8 @@ impl Router {
         let timeout = self.health.config().probe_timeout;
         while !self.listener.is_shutting_down() {
             for (i, backend) in self.backends.iter().enumerate() {
-                match client::exchange_with_timeout(backend.addr, "GET", "/healthz", "", timeout) {
+                // Any answer, whatever its status, shows the backend up.
+                match client::request_with_timeout(backend.addr, "GET", "/healthz", "", timeout) {
                     Ok(_) | Err(ClientError::Status(_)) => self.health.record_success(i),
                     Err(ClientError::Connect(_) | ClientError::Timeout(_)) => {
                         self.health.record_failure(i);
@@ -291,9 +293,7 @@ fn proxy_explain(state: &Router, request: &Request) -> Response {
     response
 }
 
-/// Proxies `POST /predict`: keyed on the canonical pair values only (a
-/// prediction has no explainer config), so both explanation and
-/// prediction traffic for one pair land on the same backend.
+/// Proxies `POST /predict`, keyed by [`predict_key`].
 fn proxy_predict(state: &Router, request: &Request) -> Response {
     let trace = em_obs::Collector::new();
     let key = {
@@ -310,24 +310,6 @@ fn proxy_predict(state: &Router, request: &Request) -> Response {
     let response = forward(state, &trace, &key, "/predict", &request.body);
     state.metrics.record_stages(&trace);
     response
-}
-
-/// The routing key for a prediction: the canonical JSON of the pair's
-/// attribute values in schema order — the same `left`/`right` encoding
-/// [`cache_key`] embeds, minus the explainer fields.
-fn predict_key(schema: &Schema, pair: &em_entity::EntityPair) -> String {
-    let values = |side: em_entity::EntitySide| -> Value {
-        Value::Array(
-            (0..schema.len())
-                .map(|i| Value::string(pair.entity(side).value(i)))
-                .collect(),
-        )
-    };
-    Value::object(vec![
-        ("left", values(em_entity::EntitySide::Left)),
-        ("right", values(em_entity::EntitySide::Right)),
-    ])
-    .to_json()
 }
 
 /// Forwards `body` to the backends in ring order for `key`, failing over
@@ -491,14 +473,14 @@ fn handle_drain(state: &Router, request: &Request) -> Response {
             .backends
             .get(backend)
             .map(|spec| {
-                client::exchange_with_timeout(
+                client::request_with_timeout(
                     spec.addr,
                     "POST",
                     "/drain",
                     "",
                     state.health.config().probe_timeout,
                 )
-                .is_ok()
+                .is_ok_and(|response| (200..300).contains(&response.status))
             })
             .unwrap_or(false);
     Response::json(

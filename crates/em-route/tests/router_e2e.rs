@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
@@ -21,21 +22,8 @@ const SEED: u64 = 7;
 const N_PAIRS: usize = 8;
 
 fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string("landmark")),
         (
             "config",

@@ -203,7 +203,6 @@ fn run(args: Args) -> Result<(), String> {
         slow_request_ms: (args.slow_ms > 0).then_some(args.slow_ms),
         request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
         max_queue_age: std::time::Duration::from_millis(args.queue_age_ms),
-        ..Default::default()
     };
     let workers = config.parallelism.worker_count();
     let server = Server::bind(

@@ -4,7 +4,7 @@
 //! Speaks exactly the dialect the server emits: responses framed by
 //! `Content-Length`, read by one parser (`read_response`) whether the
 //! connection is used once or kept alive. The one-shot API ([`request`],
-//! [`exchange`]) opens a connection per request and sends
+//! [`request_with_timeout`]) opens a connection per request and sends
 //! `Connection: close`; a [`Pool`] keeps idle connections to one backend
 //! and sends each request on one of them with `Connection: keep-alive`.
 //! Either way, one exchange — connect, request write, and every response
@@ -12,15 +12,18 @@
 //! overridden), so a wedged or dripping server fails the exchange within
 //! its budget instead of holding the caller.
 //!
-//! Failures are typed ([`ClientError`]) by what a failover policy may do
-//! with them: a [`ClientError::Connect`] means no request byte ever
-//! reached the backend (safe to retry elsewhere), while
-//! [`ClientError::Status`] means the backend answered — it carries the
-//! full response (including `Retry-After`) so "backend said no" can be
-//! passed through rather than treated as "backend down". A pooled
-//! connection the backend closed between requests is not an error: the
-//! request is re-sent once on a fresh connection, and that attempt types
-//! the failure.
+//! Both report failures as one type, [`ClientError`], typed by what a
+//! failover policy may do with them: a [`ClientError::Connect`] means no
+//! request byte ever reached the backend (safe to retry elsewhere), a
+//! [`ClientError::Timeout`] or [`ClientError::Protocol`] means it may
+//! have. A one-shot call returns any parsed response as `Ok`, whatever
+//! its status. [`Pool::exchange`] forwards for the router, so it types a
+//! non-2xx answer as [`ClientError::Status`]: the backend answered, and
+//! the full response (including `Retry-After`) is carried so "backend
+//! said no" can be passed through rather than treated as "backend down".
+//! A pooled connection the backend closed between requests is not an
+//! error: the request is re-sent once on a fresh connection, and that
+//! attempt types the failure.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -31,10 +34,10 @@ use std::time::Duration;
 use crate::deadline::{is_timeout, Deadline, DeadlineStream};
 use crate::http::{has_keep_alive, read_capped_line, MAX_HEADER_BYTES};
 
-/// Exchange budget applied by [`request`] and [`exchange`]: bounds the
-/// connect, the request write and the whole response read together.
-/// Generous, because a cold `/explain` trains nothing but can still
-/// compute for seconds on a loaded CI box.
+/// Exchange budget applied by [`request`]: bounds the connect, the
+/// request write and the whole response read together. Generous, because
+/// a cold `/explain` trains nothing but can still compute for seconds on
+/// a loaded CI box.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A parsed response.
@@ -71,9 +74,9 @@ pub enum ClientError {
     /// processing — the request; only idempotent requests are safe to
     /// retry.
     Timeout(std::io::Error),
-    /// The backend answered with a non-2xx status. This is not a
-    /// transport failure: the full response (including any `Retry-After`)
-    /// is carried so a proxy can pass it through verbatim.
+    /// The backend answered [`Pool::exchange`] with a non-2xx status.
+    /// This is not a transport failure: the full response (including any
+    /// `Retry-After`) is carried so a proxy can pass it through verbatim.
     Status(ClientResponse),
     /// The backend spoke, but not valid HTTP — or the connection broke
     /// mid-exchange with a non-timeout error. The request reached the
@@ -95,18 +98,6 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 impl ClientError {
-    /// Collapses the typed error back into `std::io::Error` for the
-    /// legacy [`request`] API (which reports any parsed response as `Ok`
-    /// and everything else as IO).
-    fn into_io(self) -> std::io::Error {
-        match self {
-            ClientError::Connect(e) | ClientError::Timeout(e) | ClientError::Protocol(e) => e,
-            ClientError::Status(r) => {
-                std::io::Error::other(format!("backend answered {}", r.status))
-            }
-        }
-    }
-
     /// Types a failure on an established connection.
     fn established(error: std::io::Error) -> ClientError {
         if is_timeout(&error) {
@@ -118,54 +109,42 @@ impl ClientError {
 }
 
 /// Sends one request and reads the full response, under
-/// [`DEFAULT_TIMEOUT`]. Any parsed response — whatever its status — is
-/// `Ok`; use [`exchange`] when the caller needs failures typed.
+/// [`DEFAULT_TIMEOUT`].
 pub fn request(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
-) -> std::io::Result<ClientResponse> {
+) -> Result<ClientResponse, ClientError> {
     request_with_timeout(addr, method, path, body, DEFAULT_TIMEOUT)
 }
 
-/// [`request`] with an explicit exchange budget (see [`exchange_with_timeout`]).
+/// The one-shot exchange: connect, send with `Connection: close`, read
+/// one response. Any parsed response, whatever its status, is `Ok`; a
+/// failure is [`ClientError::Connect`] before the connection is
+/// established and [`ClientError::Timeout`] or [`ClientError::Protocol`]
+/// after. `timeout` bounds the connect, the request write and the whole
+/// response read together: a server that accepts but never answers, or
+/// drips its answer, fails the exchange within one `timeout`.
+/// Sub-millisecond values are raised to 1 ms — a zero socket timeout
+/// means "block forever", the opposite of what a caller asking for a tiny
+/// timeout wants.
 pub fn request_with_timeout(
     addr: SocketAddr,
     method: &str,
     path: &str,
     body: &str,
     timeout: Duration,
-) -> std::io::Result<ClientResponse> {
-    transfer(addr, method, path, body, timeout).map_err(ClientError::into_io)
-}
-
-/// Sends one request under [`DEFAULT_TIMEOUT`], with failures typed for
-/// failover: `Ok` is a 2xx response; a non-2xx answer is
-/// [`ClientError::Status`] carrying the full response.
-pub fn exchange(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
 ) -> Result<ClientResponse, ClientError> {
-    exchange_with_timeout(addr, method, path, body, DEFAULT_TIMEOUT)
-}
-
-/// [`exchange`] with an explicit exchange budget. `timeout` bounds the
-/// connect, the request write and the whole response read together: a
-/// server that accepts but never answers, or drips its answer, fails the
-/// exchange within one `timeout`. Sub-millisecond values are raised to
-/// 1 ms — a zero socket timeout means "block forever", the opposite of
-/// what a caller asking for a tiny timeout wants.
-pub fn exchange_with_timeout(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<ClientResponse, ClientError> {
-    transfer(addr, method, path, body, timeout).and_then(require_2xx)
+    let deadline = exchange_deadline(timeout);
+    let stream = connect(addr, deadline)?;
+    round_trip(
+        &stream,
+        deadline,
+        &request_wire(addr, method, path, body, false),
+    )
+    .map(|(response, _)| response)
+    .map_err(|failed| ClientError::established(failed.error))
 }
 
 /// Idle keep-alive connections to one backend, the most recently used on
@@ -214,7 +193,8 @@ impl Pool {
 
     /// Sends one request under one exchange budget, on the most recently
     /// used idle connection when there is one, typed like
-    /// [`exchange_with_timeout`]. A pooled connection that fails before
+    /// [`request_with_timeout`] except that a non-2xx answer is
+    /// [`ClientError::Status`]. A pooled connection that fails before
     /// one response byte arrives (write error, EOF or reset) was closed by
     /// the backend between requests, so the request is re-sent once on a
     /// fresh connection, and the fresh attempt types any failure:
@@ -302,27 +282,6 @@ fn request_wire(
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
     )
-}
-
-/// The one-shot exchange: connect, send with `Connection: close`, read
-/// one response. `Ok` is any parsed response; errors are typed by phase
-/// (connect vs. established).
-fn transfer(
-    addr: SocketAddr,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> Result<ClientResponse, ClientError> {
-    let deadline = exchange_deadline(timeout);
-    let stream = connect(addr, deadline)?;
-    round_trip(
-        &stream,
-        deadline,
-        &request_wire(addr, method, path, body, false),
-    )
-    .map(|(response, _)| response)
-    .map_err(|failed| ClientError::established(failed.error))
 }
 
 /// Opens a connection within what is left of `deadline`. A connect
@@ -516,7 +475,7 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
             }
         });
         let started = std::time::Instant::now();
-        let err = exchange_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(300))
+        let err = request_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(300))
             .expect_err("a 4 s drip must not fit a 300 ms budget");
         assert!(matches!(err, ClientError::Timeout(_)), "got {err:?}");
         assert!(
@@ -533,7 +492,7 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         drop(listener);
-        let err = exchange_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(500))
+        let err = request_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(500))
             .expect_err("connect to a closed port must fail");
         assert!(matches!(err, ClientError::Connect(_)), "got {err:?}");
     }
@@ -546,7 +505,7 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let started = std::time::Instant::now();
-        let err = exchange_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(200))
+        let err = request_with_timeout(addr, "GET", "/healthz", "", Duration::from_millis(200))
             .expect_err("unresponsive server must time the client out");
         assert!(matches!(err, ClientError::Timeout(_)), "got {err:?}");
         assert!(
@@ -559,12 +518,11 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
 
     #[test]
     fn non_2xx_is_a_status_error_carrying_the_response() {
-        let addr = one_shot_server(
-            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}",
-        );
-        let err = exchange_with_timeout(addr, "POST", "/explain", "{}", Duration::from_secs(5))
-            .expect_err("503 must be a Status error");
-        match err {
+        const UNAVAILABLE: &str =
+            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}";
+        let pool = Pool::new(one_shot_server(UNAVAILABLE));
+        let (result, _) = pool.exchange("POST", "/explain", "{}", Duration::from_secs(5));
+        match result.expect_err("503 must be a Status error") {
             ClientError::Status(response) => {
                 assert_eq!(response.status, 503);
                 assert_eq!(response.header("retry-after"), Some("1"));
@@ -572,20 +530,19 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
             }
             other => panic!("expected Status, got {other:?}"),
         }
-        // The legacy API reports the same answer as Ok: tests assert on
-        // 4xx/5xx statuses directly.
-        let addr = one_shot_server(
-            "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\nContent-Length: 2\r\n\r\n{}",
-        );
-        let legacy =
+        // The one-shot call reports the same answer as Ok, with its
+        // status: tests assert on 4xx/5xx statuses directly.
+        let addr = one_shot_server(UNAVAILABLE);
+        let response =
             request_with_timeout(addr, "POST", "/explain", "{}", Duration::from_secs(5)).unwrap();
-        assert_eq!(legacy.status, 503);
+        assert_eq!(response.status, 503);
+        assert_eq!(response.header("retry-after"), Some("1"));
     }
 
     #[test]
     fn garbage_bytes_are_a_protocol_error() {
         let addr = one_shot_server("this is not http at all");
-        let err = exchange_with_timeout(addr, "GET", "/healthz", "", Duration::from_secs(5))
+        let err = request_with_timeout(addr, "GET", "/healthz", "", Duration::from_secs(5))
             .expect_err("garbage must be a Protocol error");
         assert!(matches!(err, ClientError::Protocol(_)), "got {err:?}");
     }
@@ -594,7 +551,7 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
     fn a_2xx_exchange_is_ok() {
         let addr = one_shot_server("HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}");
         let response =
-            exchange_with_timeout(addr, "GET", "/healthz", "", Duration::from_secs(5)).unwrap();
+            request_with_timeout(addr, "GET", "/healthz", "", Duration::from_secs(5)).unwrap();
         assert_eq!(response.status, 200);
         assert_eq!(response.body, "{}");
     }

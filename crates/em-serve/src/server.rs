@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use em_codec::explain as codec;
 use em_codec::Value;
-use em_entity::{MatchModel, Schema};
+use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
 use em_lime::ExplainConfig;
 use em_obs::Tracer;
 use em_par::ParallelismConfig;
@@ -37,8 +37,6 @@ pub struct ServerConfig {
     /// Default explainer settings; a request's `"config"` may override
     /// `n_samples`, `seed` and `threads`.
     pub defaults: ExplainConfig,
-    /// Decision threshold for `POST /predict`.
-    pub predict_threshold: f64,
     /// An `/explain` request slower than this (wall-clock, milliseconds)
     /// is logged to stderr with its stage breakdown and counted in
     /// `em_serve_slow_requests_total`. `None` disables slow-request
@@ -64,7 +62,6 @@ impl Default for ServerConfig {
             cache_capacity: 1024,
             cache_shards: 8,
             defaults: ExplainConfig::default(),
-            predict_threshold: 0.5,
             slow_request_ms: Some(1_000),
             request_timeout: Duration::from_secs(30),
             max_queue_age: Duration::from_secs(10),
@@ -80,7 +77,6 @@ pub struct Server {
     cache: ShardedCache,
     metrics: Metrics,
     defaults: ExplainConfig,
-    predict_threshold: f64,
     slow_request_ms: Option<u64>,
     /// Set by `POST /drain`: the node keeps serving, but `GET /readyz`
     /// answers 503 so a routing tier stops sending it new traffic.
@@ -113,7 +109,6 @@ impl Server {
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             metrics: Metrics::new(),
             defaults: config.defaults,
-            predict_threshold: config.predict_threshold,
             slow_request_ms: config.slow_request_ms,
             draining: AtomicBool::new(false),
             listener: Listener::bind(
@@ -306,7 +301,7 @@ fn handle_predict(state: &Server, request: &Request) -> Response {
     let probability = state.model.predict_proba(&state.schema, &pair);
     Response::json(
         200,
-        codec::encode_prediction(probability, state.predict_threshold).to_json(),
+        codec::encode_prediction(probability, MATCH_THRESHOLD).to_json(),
     )
 }
 

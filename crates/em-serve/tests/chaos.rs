@@ -16,6 +16,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
+use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
@@ -66,21 +67,8 @@ fn reject_count(text: &str, cause: &str) -> u64 {
 }
 
 fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string("landmark")),
         (
             "config",

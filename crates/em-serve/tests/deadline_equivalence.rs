@@ -13,7 +13,7 @@
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use em_codec::explain::{decode_explain_request, run_explain};
+use em_codec::explain::{decode_explain_request, encode_pair, run_explain};
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
@@ -75,21 +75,8 @@ fn request_body(
     n_samples: usize,
     seed: u64,
 ) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string(explainer)),
         (
             "config",

@@ -8,7 +8,7 @@
 //! the boxed path produces byte-identical response bodies to the naive
 //! fallback (correctness), through every served explainer kind.
 
-use em_codec::explain::{decode_explain_request, run_explain};
+use em_codec::explain::{decode_explain_request, encode_pair, run_explain};
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
@@ -26,21 +26,8 @@ impl MatchModel for NaiveOnly {
 }
 
 fn request_body(schema: &Schema, pair: &EntityPair, explainer: &str) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string(explainer)),
         (
             "config",

@@ -3,6 +3,7 @@
 //! bit-identical to a direct explainer call — on both the cold and the
 //! cached path — with the metrics counters moving accordingly.
 
+use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
@@ -19,21 +20,8 @@ const SEED: u64 = 42;
 /// An `/explain` body for `pair`, with `"threads"` in its config when
 /// given.
 fn explain_body(schema: &Schema, pair: &EntityPair, threads: Option<usize>) -> String {
-    let entity = |e: &em_entity::Entity| {
-        Value::Object(
-            (0..schema.len())
-                .map(|i| (schema.name(i).to_string(), Value::string(e.value(i))))
-                .collect(),
-        )
-    };
     Value::object(vec![
-        (
-            "pair",
-            Value::object(vec![
-                ("left", entity(&pair.left)),
-                ("right", entity(&pair.right)),
-            ]),
-        ),
+        ("pair", encode_pair(schema, pair)),
         ("explainer", Value::string("landmark")),
         (
             "config",

@@ -71,11 +71,6 @@ impl TfIdfVectorizer {
         *self.idf.get(token).unwrap_or(&self.default_idf)
     }
 
-    /// Number of tokens in the vocabulary.
-    pub fn vocab_size(&self) -> usize {
-        self.idf.len()
-    }
-
     /// Sparse TF-IDF entries `(token, tf * idf)` for a token list, sorted
     /// by token in byte-lexicographic order.
     fn weighted<'t, S: AsRef<str>>(&self, tokens: &'t [S]) -> Vec<(&'t str, f64)> {
@@ -93,14 +88,6 @@ impl TfIdfVectorizer {
             i += count;
         }
         out
-    }
-
-    /// Converts a token list into a sparse TF-IDF map.
-    pub fn vectorize<S: AsRef<str>>(&self, tokens: &[S]) -> HashMap<String, f64> {
-        self.weighted(tokens)
-            .into_iter()
-            .map(|(t, w)| (t.to_string(), w))
-            .collect()
     }
 
     /// Cosine similarity between the TF-IDF vectors of two token lists.
@@ -288,20 +275,6 @@ mod tests {
         let s_rare = v.cosine(&["sony", "x1", "x2"], &["sony", "y1", "y2"]);
         let s_common = v.cosine(&["camera", "x1", "x2"], &["camera", "y1", "y2"]);
         assert!(s_rare > s_common, "{s_rare} vs {s_common}");
-    }
-
-    #[test]
-    fn vectorize_counts_term_frequency() {
-        let v = build_small_corpus();
-        let m = v.vectorize(&["camera", "camera", "sony"]);
-        assert!(m["camera"] > v.idf("camera") * 1.5); // tf = 2
-        assert!((m["sony"] - v.idf("sony")).abs() < 1e-12);
-    }
-
-    #[test]
-    fn vocab_size_counts_distinct_tokens() {
-        let v = build_small_corpus();
-        assert_eq!(v.vocab_size(), 9);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use landmark_explanation::entity::{Entity, EntityPair, EntitySide, MatchModel, Schema};
 use landmark_explanation::landmark::strategy::ResolvedStrategy;
 use landmark_explanation::landmark::{
-    generate_view, reconstruct_with_landmark, GenerationStrategy, LandmarkExplainer,
+    generate_view, perturb_spec, GenerationStrategy, LandmarkExplainer,
 };
 use landmark_explanation::lime::{ExplainConfig, LimeExplainer};
 use landmark_explanation::prelude::noop;
@@ -81,7 +81,7 @@ proptest! {
                 let view = generate_view(&p, landmark, strategy);
                 let mask: Vec<bool> =
                     (0..view.tokens.len()).map(|i| mask_bits.get(i).copied().unwrap_or(true)).collect();
-                let rec = reconstruct_with_landmark(&p, &view, &mask, 3);
+                let rec = perturb_spec(&p, &view).reconstruct(&mask, 3);
                 prop_assert_eq!(rec.entity(landmark), p.entity(landmark));
             }
         }

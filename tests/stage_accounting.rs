@@ -10,8 +10,10 @@
 //!
 //! The expected rows were generated before the explainers were folded
 //! into one perturb-and-fit engine; an observability change that moves a
-//! span must update them deliberately. On a mismatch the failure message
-//! lists every actual row.
+//! span must update them deliberately. The landmark kinds' third
+//! `model_scoring` entry is the record's own prediction, timed since it
+//! was found outside every span. On a mismatch the failure message lists
+//! every actual row.
 
 use em_codec::{explain, ExplainRequest};
 use em_obs::{Collector, Counter, Stage};
@@ -36,12 +38,12 @@ const SAMPLES: usize = 64;
 type Row = (&'static str, usize, &'static str, [u64; 8], u64, u64);
 
 const EXPECTED: &[Row] = &[
-    ("S-FZ", 0, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 17),
+    ("S-FZ", 0, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 17),
     (
         "S-FZ",
         0,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         17,
     ),
@@ -49,18 +51,18 @@ const EXPECTED: &[Row] = &[
         "S-FZ",
         0,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         34,
     ),
     ("S-FZ", 0, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 17),
     ("S-FZ", 0, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 5),
-    ("S-FZ", 1, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 18),
+    ("S-FZ", 1, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 18),
     (
         "S-FZ",
         1,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         18,
     ),
@@ -68,18 +70,18 @@ const EXPECTED: &[Row] = &[
         "S-FZ",
         1,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         36,
     ),
     ("S-FZ", 1, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 18),
     ("S-FZ", 1, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 5),
-    ("S-FZ", 2, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 32),
+    ("S-FZ", 2, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 32),
     (
         "S-FZ",
         2,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         16,
     ),
@@ -87,18 +89,18 @@ const EXPECTED: &[Row] = &[
         "S-FZ",
         2,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         32,
     ),
     ("S-FZ", 2, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 16),
     ("S-FZ", 2, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 5),
-    ("S-FZ", 3, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 36),
+    ("S-FZ", 3, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 36),
     (
         "S-FZ",
         3,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         18,
     ),
@@ -106,18 +108,18 @@ const EXPECTED: &[Row] = &[
         "S-FZ",
         3,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         36,
     ),
     ("S-FZ", 3, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 18),
     ("S-FZ", 3, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 5),
-    ("T-AB", 0, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 43),
+    ("T-AB", 0, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 43),
     (
         "T-AB",
         0,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         43,
     ),
@@ -125,18 +127,18 @@ const EXPECTED: &[Row] = &[
         "T-AB",
         0,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         86,
     ),
     ("T-AB", 0, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 43),
     ("T-AB", 0, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 3),
-    ("T-AB", 1, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 48),
+    ("T-AB", 1, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 48),
     (
         "T-AB",
         1,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         48,
     ),
@@ -144,18 +146,18 @@ const EXPECTED: &[Row] = &[
         "T-AB",
         1,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         96,
     ),
     ("T-AB", 1, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 48),
     ("T-AB", 1, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 3),
-    ("T-AB", 2, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 90),
+    ("T-AB", 2, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 90),
     (
         "T-AB",
         2,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         45,
     ),
@@ -163,18 +165,18 @@ const EXPECTED: &[Row] = &[
         "T-AB",
         2,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         90,
     ),
     ("T-AB", 2, "lime", [1, 0, 1, 1, 1, 1, 0, 0], 64, 45),
     ("T-AB", 2, "mojito-copy", [1, 0, 1, 1, 1, 1, 0, 0], 64, 3),
-    ("T-AB", 3, "landmark", [0, 2, 2, 2, 2, 2, 0, 0], 128, 82),
+    ("T-AB", 3, "landmark", [0, 2, 2, 2, 3, 2, 0, 0], 128, 82),
     (
         "T-AB",
         3,
         "landmark-single",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         41,
     ),
@@ -182,7 +184,7 @@ const EXPECTED: &[Row] = &[
         "T-AB",
         3,
         "landmark-double",
-        [0, 2, 2, 2, 2, 2, 0, 0],
+        [0, 2, 2, 2, 3, 2, 0, 0],
         128,
         82,
     ),

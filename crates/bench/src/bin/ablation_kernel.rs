@@ -55,7 +55,6 @@ fn main() {
                 lambda: 1.0,
             },
             seed: 7,
-            parallelism: base.parallelism,
         };
         let explainer = LimeExplainer::new(cfg);
         let mut r2_sum = 0.0;

@@ -32,7 +32,6 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntitySide, Masks, MatchModel, SplitConfig};
 use em_lime::{fit_surrogate, reference, sample_masks, SurrogateConfig, SurrogateFit};
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use landmark_core::{generate_view, perturb_spec, GenerationStrategy};
 
 /// Timed rounds per side; the report keeps the median of each.
@@ -90,8 +89,8 @@ fn main() {
             let view = generate_view(pair, landmark, strategy);
             let masks = sample_masks(view.tokens.len(), base.n_samples, i as u64);
             let spec = perturb_spec(pair, &view);
-            let serial = ParallelismConfig::serial();
-            let probs = matcher.par_score_masks(schema, &spec, &masks, &serial, em_obs::noop());
+            let mut scorer = matcher.prepare_scorer(schema, &spec);
+            let probs = masks.iter().map(|mask| scorer.score_mask(mask)).collect();
             let nested = masks.iter().map(<[bool]>::to_vec).collect();
             views.push(View {
                 masks,

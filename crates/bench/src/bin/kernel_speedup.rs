@@ -60,8 +60,8 @@ fn main() {
         .as_deref()
         .and_then(|list| list.trim().strip_suffix(".csv"));
     let id = match (csv_name, &selected) {
-        (Some(name), _) => DatasetId::from_short_name(name).unwrap_or_else(|| {
-            eprintln!("kernel_speedup: unknown dataset {name:?}");
+        (Some(name), _) => DatasetId::parse(name).unwrap_or_else(|msg| {
+            eprintln!("kernel_speedup: {msg}");
             std::process::exit(2);
         }),
         (None, Some(_)) => bench::datasets_from_env()[0],

@@ -23,7 +23,6 @@ use em_datagen::MagellanBenchmark;
 use em_entity::Schema;
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_route::{BackendSpec, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
@@ -38,7 +37,6 @@ fn spawn_backend(
         schema.clone(),
         Box::new(matcher.clone()),
         ServerConfig {
-            parallelism: ParallelismConfig::auto(),
             // One exact-LRU shard sized to the request set, so repeats
             // are hits whenever they reach the same backend.
             cache_capacity: cache.max(1),
@@ -96,10 +94,7 @@ fn main() {
         "127.0.0.1:0",
         schema.clone(),
         specs,
-        RouterConfig {
-            parallelism: ParallelismConfig::auto(),
-            ..Default::default()
-        },
+        RouterConfig::default(),
     )
     .expect("bind router")
     .spawn();

@@ -18,7 +18,6 @@ use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
 
@@ -53,7 +52,6 @@ fn main() {
         schema,
         Box::new(matcher),
         ServerConfig {
-            parallelism: ParallelismConfig::auto(),
             // One shard: exact LRU, so capacity = n_requests guarantees the
             // second pass is all hits regardless of key-hash imbalance.
             cache_capacity: n_requests.max(1),

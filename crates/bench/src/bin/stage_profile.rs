@@ -1,16 +1,15 @@
 //! Per-stage latency profile of the explanation pipeline.
 //!
 //! Trains a matcher on one benchmark dataset, then runs each explainer
-//! (landmark, lime, mojito-copy) at each requested thread count with an
+//! (landmark, lime, mojito-copy) over the same records with an
 //! [`em_obs::Collector`] attached, and emits a JSON report: end-to-end
 //! wall-clock, per-stage time and entry counts, throughput counters, and
 //! the *coverage* — the fraction of end-to-end time the stage spans
 //! account for. Coverage below 0.9 fails the run: it would mean a
 //! meaningful chunk of explanation latency is invisible to tracing.
 //!
-//! Reads the shared `SCALE`/`RECORDS`/`SAMPLES`/`DATASETS` variables plus
-//! `THREAD_COUNTS` (comma-separated scoring thread counts, `0` = auto;
-//! default `1,0`).
+//! Reads the shared `SCALE`/`RECORDS`/`SAMPLES`/`DATASETS` variables.
+//! Every explanation runs on one thread, so each explainer is one cell.
 //!
 //! Run with: `cargo run --release -p bench --bin stage_profile`
 
@@ -22,7 +21,6 @@ use em_entity::{EntityPair, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_obs::{Collector, Counter, Stage};
-use em_par::ParallelismConfig;
 use landmark_core::ExplainerKind;
 
 /// The coverage floor: stage spans must explain at least this fraction of
@@ -36,12 +34,10 @@ fn run_cell(
     schema: &Schema,
     pairs: &[&EntityPair],
     n_samples: usize,
-    threads: usize,
     trace: &Collector,
 ) {
     let config = ExplainConfig {
         n_samples,
-        parallelism: ParallelismConfig::with_threads(threads),
         ..Default::default()
     };
     for pair in pairs {
@@ -52,11 +48,6 @@ fn run_cell(
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    let thread_counts: Vec<usize> = std::env::var("THREAD_COUNTS")
-        .ok()
-        .map(|v| v.split(',').filter_map(|t| t.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 0]);
 
     let dataset = MagellanBenchmark {
         scale: base.scale,
@@ -73,11 +64,10 @@ fn main() {
         .collect();
 
     eprintln!(
-        "# stage_profile — dataset={}, records={}, samples={}, threads={:?}",
+        "# stage_profile — dataset={}, records={}, samples={}",
         id.short_name(),
         pairs.len(),
-        base.n_samples,
-        thread_counts
+        base.n_samples
     );
 
     let mut cells = Vec::new();
@@ -87,52 +77,41 @@ fn main() {
         ExplainerKind::Lime,
         ExplainerKind::MojitoCopy,
     ] {
-        for &threads in &thread_counts {
-            let trace = Collector::new();
-            let start = Instant::now();
-            run_cell(
-                explainer,
-                &matcher,
-                &schema,
-                &pairs,
-                base.n_samples,
-                threads,
-                &trace,
-            );
-            let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let coverage = trace.total_stage_nanos() as f64 / wall_ns as f64;
-            min_coverage = min_coverage.min(coverage);
+        let trace = Collector::new();
+        let start = Instant::now();
+        run_cell(explainer, &matcher, &schema, &pairs, base.n_samples, &trace);
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let coverage = trace.total_stage_nanos() as f64 / wall_ns as f64;
+        min_coverage = min_coverage.min(coverage);
 
-            let stages: Vec<(String, Value)> = Stage::all()
-                .iter()
-                .filter(|s| trace.stage_entries(**s) > 0)
-                .map(|s| {
-                    (
-                        s.label().to_string(),
-                        Value::object(vec![
-                            ("us", Value::Number((trace.stage_nanos(*s) / 1_000) as f64)),
-                            ("entries", Value::Number(trace.stage_entries(*s) as f64)),
-                        ]),
-                    )
-                })
-                .collect();
-            cells.push(Value::object(vec![
-                ("explainer", Value::string(explainer.name())),
-                ("threads", threads.into()),
-                ("records", pairs.len().into()),
-                ("end_to_end_us", Value::Number((wall_ns / 1_000) as f64)),
-                ("stage_coverage", coverage.into()),
-                ("stages", Value::Object(stages)),
+        let stages: Vec<(String, Value)> = Stage::all()
+            .iter()
+            .filter(|s| trace.stage_entries(**s) > 0)
+            .map(|s| {
                 (
-                    "samples_scored",
-                    Value::Number(trace.counter(Counter::SamplesScored) as f64),
-                ),
-                (
-                    "features",
-                    Value::Number(trace.counter(Counter::Features) as f64),
-                ),
-            ]));
-        }
+                    s.label().to_string(),
+                    Value::object(vec![
+                        ("us", Value::Number((trace.stage_nanos(*s) / 1_000) as f64)),
+                        ("entries", Value::Number(trace.stage_entries(*s) as f64)),
+                    ]),
+                )
+            })
+            .collect();
+        cells.push(Value::object(vec![
+            ("explainer", Value::string(explainer.name())),
+            ("records", pairs.len().into()),
+            ("end_to_end_us", Value::Number((wall_ns / 1_000) as f64)),
+            ("stage_coverage", coverage.into()),
+            ("stages", Value::Object(stages)),
+            (
+                "samples_scored",
+                Value::Number(trace.counter(Counter::SamplesScored) as f64),
+            ),
+            (
+                "features",
+                Value::Number(trace.counter(Counter::Features) as f64),
+            ),
+        ]));
     }
 
     let report = Value::object(vec![

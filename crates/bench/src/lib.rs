@@ -29,7 +29,6 @@ use em_datagen::DatasetId;
 use em_entity::{EntityPair, Schema};
 use em_eval::EvalConfig;
 use em_lime::PairExplanation;
-use em_par::ParallelismConfig;
 use em_serve::client;
 use landmark_core::DualExplanation;
 
@@ -47,28 +46,26 @@ pub fn config_from_env() -> EvalConfig {
         scale: env_or("SCALE", 0.25f64).clamp(0.001, 1.0),
         n_records_per_label: env_or("RECORDS", 100usize),
         n_samples: env_or("SAMPLES", 500usize),
-        parallelism: ParallelismConfig::with_threads(env_or("THREADS", 0usize)),
+        threads: env_or("THREADS", 0usize),
         ..Default::default()
     }
 }
 
 /// Parses a comma-separated list of dataset short names. Empty entries
-/// are skipped and an empty list selects all twelve; the error names
-/// every entry that is not a short name.
+/// are skipped and an empty list selects all twelve; the error holds
+/// [`DatasetId::parse`]'s message for every entry that is not a short
+/// name, one per line.
 pub fn parse_datasets(list: &str) -> Result<Vec<DatasetId>, String> {
     let mut chosen = Vec::new();
     let mut unknown = Vec::new();
     for name in list.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-        match DatasetId::from_short_name(name) {
-            Some(id) => chosen.push(id),
-            None => unknown.push(format!("{name:?}")),
+        match DatasetId::parse(name) {
+            Ok(id) => chosen.push(id),
+            Err(msg) => unknown.push(msg),
         }
     }
     if !unknown.is_empty() {
-        return Err(format!(
-            "unknown dataset {} (expected short names such as S-BR or T-AB)",
-            unknown.join(", ")
-        ));
+        return Err(unknown.join("\n"));
     }
     if chosen.is_empty() {
         chosen = DatasetId::all().to_vec();

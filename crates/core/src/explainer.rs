@@ -93,7 +93,7 @@ impl LandmarkExplainer {
     ///
     /// Each view depends only on its landmark side and the record, so
     /// `explain(..).with_landmark(side)` is the single-view explanation.
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,
@@ -114,7 +114,7 @@ impl LandmarkExplainer {
 
     /// One landmark view, given the model's prediction for the unperturbed
     /// record (which resolves `Auto` and is reported as-is).
-    fn explain_view<M: MatchModel + Sync>(
+    fn explain_view<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,

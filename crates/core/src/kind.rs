@@ -34,16 +34,26 @@ pub enum Explanation {
 }
 
 impl ExplainerKind {
-    /// Parses the wire name.
-    pub fn parse(s: &str) -> Option<ExplainerKind> {
-        match s {
-            "landmark" => Some(ExplainerKind::Landmark),
-            "landmark-single" => Some(ExplainerKind::LandmarkSingle),
-            "landmark-double" => Some(ExplainerKind::LandmarkDouble),
-            "lime" => Some(ExplainerKind::Lime),
-            "mojito-copy" => Some(ExplainerKind::MojitoCopy),
-            _ => None,
-        }
+    /// Every kind, in the order usage and error messages list them.
+    pub const ALL: [ExplainerKind; 5] = [
+        ExplainerKind::Landmark,
+        ExplainerKind::LandmarkSingle,
+        ExplainerKind::LandmarkDouble,
+        ExplainerKind::Lime,
+        ExplainerKind::MojitoCopy,
+    ];
+
+    /// Parses the wire name. The error names every wire name.
+    pub fn parse(s: &str) -> Result<ExplainerKind, String> {
+        ExplainerKind::ALL
+            .into_iter()
+            .find(|kind| kind.name() == s)
+            .ok_or_else(|| {
+                format!(
+                    "unknown explainer {s:?} (expected one of {})",
+                    ExplainerKind::ALL.map(ExplainerKind::name).join(", ")
+                )
+            })
     }
 
     /// The wire name.
@@ -72,7 +82,7 @@ impl ExplainerKind {
     /// Explains `pair` with this kind's explainer under `config`,
     /// recording per-stage timings into `tracer` ([`em_obs::noop`]
     /// records nothing; tracing only observes, DESIGN.md §10).
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         self,
         model: &M,
         schema: &Schema,
@@ -102,20 +112,20 @@ impl ExplainerKind {
 mod tests {
     use super::*;
 
-    const ALL: [ExplainerKind; 5] = [
-        ExplainerKind::Landmark,
-        ExplainerKind::LandmarkSingle,
-        ExplainerKind::LandmarkDouble,
-        ExplainerKind::Lime,
-        ExplainerKind::MojitoCopy,
-    ];
-
     #[test]
     fn wire_names_round_trip() {
-        for kind in ALL {
-            assert_eq!(ExplainerKind::parse(kind.name()), Some(kind));
+        for kind in ExplainerKind::ALL {
+            assert_eq!(ExplainerKind::parse(kind.name()), Ok(kind));
         }
-        assert_eq!(ExplainerKind::parse("shap"), None);
-        assert_eq!(ExplainerKind::parse("Landmark"), None);
+        let expected =
+            "(expected one of landmark, landmark-single, landmark-double, lime, mojito-copy)";
+        assert_eq!(
+            ExplainerKind::parse("shap"),
+            Err(format!("unknown explainer \"shap\" {expected}"))
+        );
+        assert_eq!(
+            ExplainerKind::parse("Landmark"),
+            Err(format!("unknown explainer \"Landmark\" {expected}"))
+        );
     }
 }

@@ -14,14 +14,6 @@ use em_entity::dataset_to_csv;
 use crate::atomic;
 use crate::error::BatchError;
 
-/// The short names `gen --dataset` accepts, for usage messages.
-pub fn dataset_names() -> Vec<&'static str> {
-    DatasetId::all()
-        .into_iter()
-        .map(DatasetId::short_name)
-        .collect()
-}
-
 /// Generates `dataset` at `scale` and writes it to `out` as CSV.
 /// Returns the number of records written.
 pub fn generate_csv(dataset: DatasetId, scale: f64, out: &Path) -> Result<usize, BatchError> {

@@ -134,11 +134,9 @@ fn cmd_gen(opts: &Options) -> Result<ExitCode, BatchError> {
         Ok(p) => p,
         Err(msg) => return Ok(usage_error(&msg)),
     };
-    let Some(dataset) = DatasetId::from_short_name(&name) else {
-        return Ok(usage_error(&format!(
-            "unknown dataset {name:?} (expected one of {})",
-            gen::dataset_names().join(", ")
-        )));
+    let dataset = match DatasetId::parse(&name) {
+        Ok(dataset) => dataset,
+        Err(msg) => return Ok(usage_error(&msg)),
     };
     let records = gen::generate_csv(dataset, scale, &out)?;
     println!("em-batch: wrote {records} records to {}", out.display());
@@ -160,8 +158,7 @@ fn cmd_plan(opts: &Options) -> Result<ExitCode, BatchError> {
         let run_dir = PathBuf::from(opts.require("run")?);
         let defaults = PlanConfig::default();
         let explainer_name = opts.get("explainer").unwrap_or("landmark");
-        let explainer = ExplainerKind::parse(explainer_name)
-            .ok_or_else(|| format!("unknown explainer {explainer_name:?}"))?;
+        let explainer = ExplainerKind::parse(explainer_name)?;
         let config = PlanConfig {
             shards: opts.parsed("shards", defaults.shards)?,
             seed: opts.parsed("seed", defaults.seed)?,

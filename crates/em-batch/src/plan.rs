@@ -177,8 +177,7 @@ impl RunPlan {
             return Err(bad("unsupported plan version"));
         }
         let explainer_name = str_field("explainer")?;
-        let explainer = ExplainerKind::parse(&explainer_name)
-            .ok_or_else(|| BatchError::Plan(format!("unknown explainer {explainer_name:?}")))?;
+        let explainer = ExplainerKind::parse(&explainer_name).map_err(BatchError::Plan)?;
         let schema = root
             .get("schema")
             .and_then(Value::as_array)

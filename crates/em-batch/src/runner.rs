@@ -8,11 +8,10 @@
 //! whole duration, so two concurrent run/resume processes can never
 //! interleave manifest appends; the lock dies with the process, so a
 //! crashed run never wedges a later resume. Per-record work fans out with
-//! `em_par::par_map` over the shard's records; each record's explainer
-//! runs serially (`threads: 1`), engaging the `PreparedScorer` kernel
-//! through `par_map_init`'s serial path, one prepared state per batch
-//! worker. Record outputs depend only on `(plan, input, model, global
-//! index)`, never on the worker that computed them.
+//! `em_par::par_map` over the shard's records, the only fork level: each
+//! record is explained on one batch worker, like every explanation.
+//! Record outputs depend only on `(plan, input, model, global index)`,
+//! never on the worker that computed them.
 
 use std::path::Path;
 
@@ -22,7 +21,7 @@ use em_entity::{LabeledPair, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_obs::Tracer;
-use em_par::{par_map, ParallelismConfig};
+use em_par::par_map;
 
 use crate::atomic;
 use crate::error::BatchError;
@@ -88,14 +87,14 @@ fn compute_shard(
     shard: usize,
     dataset: &em_entity::EmDataset,
     model: &LogisticMatcher,
-    par: &ParallelismConfig,
+    threads: usize,
     tracer: &dyn Tracer,
 ) -> Vec<u8> {
     let range = plan.shard_range(shard);
     let offset = range.start;
     let records = &dataset.records()[range];
     let schema = dataset.schema();
-    let lines: Vec<String> = par_map(par, records, |i, record| {
+    let lines: Vec<String> = par_map(threads, records, |i, record| {
         let index = offset + i;
         let seed = plan.record_seed(index);
         let request = ExplainRequest {
@@ -104,10 +103,6 @@ fn compute_shard(
             config: ExplainConfig {
                 n_samples: plan.n_samples,
                 seed,
-                // Serial inside one record: the batch worker pool is the
-                // only fork level, and the serial path is exactly where
-                // `par_map_init` builds one `PreparedScorer` per worker.
-                parallelism: ParallelismConfig::serial(),
                 ..ExplainConfig::default()
             },
         };
@@ -217,11 +212,7 @@ pub fn execute(
     let shard_dir = run_dir.join(plan::SHARD_DIR);
     std::fs::create_dir_all(&shard_dir).map_err(|e| BatchError::io(&shard_dir, e))?;
 
-    let par = match threads.unwrap_or(plan.threads) {
-        1 => ParallelismConfig::serial(),
-        n => ParallelismConfig::with_threads(n),
-    };
-
+    let threads = threads.unwrap_or(plan.threads);
     let mut outcome = RunOutcome {
         shards_total: plan.shards,
         shards_run: Vec::new(),
@@ -233,7 +224,7 @@ pub fn execute(
             outcome.shards_skipped += 1;
             continue;
         }
-        let bytes = compute_shard(&plan, shard, &dataset, &model, &par, tracer);
+        let bytes = compute_shard(&plan, shard, &dataset, &model, threads, tracer);
         let n_records = plan.shard_range(shard).len();
         let dst = plan.shard_path(run_dir, shard);
         let tmp = atomic::tmp_path(&dst);

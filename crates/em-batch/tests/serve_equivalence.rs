@@ -19,7 +19,6 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
 use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
-use em_par::ParallelismConfig;
 use em_serve::{client, Server, ServerConfig};
 use landmark_core::ExplainerKind;
 
@@ -102,7 +101,6 @@ fn assert_batch_replays_byte_identically(name: &str, base_seed: u64, n_records: 
         schema,
         Box::new(matcher),
         ServerConfig {
-            parallelism: ParallelismConfig::serial(),
             defaults: ExplainConfig::default(),
             ..Default::default()
         },

@@ -16,21 +16,19 @@
 //!
 //! So are the two routing keys. [`cache_key`] is the JSON of the
 //! *resolved* request — explainer, every config field that affects the
-//! explanation, and the schema-ordered pair values. `threads` is
-//! deliberately excluded: any thread count yields bit-identical weights
-//! (DESIGN.md §7), so including it would only fragment the cache.
-//! [`predict_key`] is the same pair values alone. em-serve keys its cache
+//! explanation, and the schema-ordered pair values. [`predict_key`] is
+//! the same pair values alone. em-serve keys its cache
 //! by the first, and em-route places both kinds of request on its ring by
 //! hashing them, so their bytes are pinned.
 //!
-//! A request's `"config"` may set `n_samples`, `seed` (below
-//! [`SEED_LIMIT`]) and `threads`; any other field is refused. The
-//! surrogate's kernel width and ridge penalty are not on the wire: every
-//! served explanation uses the defaults' [`em_lime::SurrogateConfig`].
+//! A request's `"config"` may set `n_samples` and `seed` (below
+//! [`SEED_LIMIT`]); any other field is refused. The surrogate's kernel
+//! width and ridge penalty are not on the wire: every served explanation
+//! uses the defaults' [`em_lime::SurrogateConfig`]. Neither is a thread
+//! count: one explanation always runs on one thread (DESIGN.md §7).
 
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{ExplainConfig, PairExplanation};
-use em_par::ParallelismConfig;
 use landmark_core::strategy::ResolvedStrategy;
 use landmark_core::{ExplainerKind, Explanation};
 
@@ -45,16 +43,6 @@ use crate::json::Value;
 /// `em-batch` bounds its base seed and masks every derived record seed
 /// below it.
 pub const SEED_LIMIT: u64 = 1 << 53;
-
-/// The scoring parallelism a wire `threads` count selects: `1` runs
-/// serially on the calling thread, any other count (`0` auto) fans out up
-/// to that many threads.
-pub fn parallelism(threads: usize) -> ParallelismConfig {
-    match threads {
-        1 => ParallelismConfig::serial(),
-        n => ParallelismConfig::with_threads(n),
-    }
-}
 
 /// A decoded `POST /explain` body.
 #[derive(Debug, Clone)]
@@ -120,8 +108,7 @@ pub fn decode_explain_request(
         None => ExplainerKind::Landmark,
         Some(v) => {
             let name = v.as_str().ok_or("\"explainer\" must be a string")?;
-            ExplainerKind::parse(name)
-                .ok_or_else(|| format!("unknown explainer {name:?} (expected one of landmark, landmark-single, landmark-double, lime, mojito-copy)"))?
+            ExplainerKind::parse(name)?
         }
     };
     let mut config = *defaults;
@@ -143,13 +130,6 @@ pub fn decode_explain_request(
                         .as_u64()
                         .filter(|&seed| seed < SEED_LIMIT)
                         .ok_or("\"seed\" must be a non-negative integer below 2^53")?;
-                }
-                "threads" => {
-                    let n = value
-                        .as_u64()
-                        .filter(|&n| n <= 1024)
-                        .ok_or("\"threads\" must be an integer in 0..=1024")?;
-                    config.parallelism = parallelism(n as usize);
                 }
                 other => return Err(format!("unknown config field {other:?}")),
             }
@@ -208,7 +188,7 @@ fn values(schema: &Schema, pair: &EntityPair, side: EntitySide) -> Value {
 /// per-stage timings into `tracer` ([`em_obs::noop`] records nothing).
 /// Tracing only observes: traced and untraced response bodies are
 /// byte-identical (DESIGN.md §10).
-pub fn run_explain<M: em_entity::MatchModel + Sync>(
+pub fn run_explain<M: em_entity::MatchModel>(
     model: &M,
     schema: &Schema,
     request: &ExplainRequest,
@@ -404,7 +384,7 @@ mod tests {
             ),
             (
                 r#"{"pair": {"left": {}, "right": {}}, "explainer": "shap"}"#,
-                "unknown explainer",
+                "unknown explainer \"shap\" (expected one of landmark, landmark-single, landmark-double, lime, mojito-copy)",
             ),
         ]
         .into_iter()
@@ -433,6 +413,8 @@ mod tests {
             (r#""solver": "lasso""#, solver),
             (r#""solver": null"#, solver),
             (r#""lambda": 0.25"#, "unknown config field \"lambda\""),
+            // One explanation runs on one thread whatever the body asks.
+            (r#""threads": 1"#, "unknown config field \"threads\""),
         ] {
             cases.push((config(fields), needle));
         }
@@ -450,10 +432,10 @@ mod tests {
         let d = ExplainConfig::default();
         let s = schema();
         let a = decode_explain_request(BODY, &s, &d).unwrap();
-        // Same request with reordered JSON fields and a different thread
-        // count must produce the same key.
+        // Same request with reordered JSON fields must produce the same
+        // key, and no key names a thread count.
         let reordered = r#"{
-            "config": {"seed": 7, "threads": 4, "n_samples": 64},
+            "config": {"seed": 7, "n_samples": 64},
             "explainer": "landmark-single",
             "pair": {
                 "right": {"price": "849.99", "name": "sony alpha camera kit"},
@@ -461,9 +443,8 @@ mod tests {
             }
         }"#;
         let b = decode_explain_request(reordered, &s, &d).unwrap();
-        assert_eq!(b.config.parallelism, ParallelismConfig::with_threads(4));
-        assert_eq!(a.config.parallelism, ParallelismConfig::serial());
         assert_eq!(cache_key(&s, &a), cache_key(&s, &b));
+        assert!(!cache_key(&s, &a).contains("threads"));
 
         // A different seed must change the key.
         let mut c = a.clone();

@@ -71,11 +71,18 @@ impl DatasetId {
         }
     }
 
-    /// Parses a short name (e.g. `S-FZ`), case-insensitively.
-    pub fn from_short_name(name: &str) -> Option<DatasetId> {
+    /// Parses a short name (e.g. `S-FZ`), case-insensitively. The error
+    /// names every short name.
+    pub fn parse(name: &str) -> Result<DatasetId, String> {
         DatasetId::all()
             .into_iter()
             .find(|id| id.short_name().eq_ignore_ascii_case(name))
+            .ok_or_else(|| {
+                format!(
+                    "unknown dataset {name:?}; expected one of {}",
+                    DatasetId::all().map(DatasetId::short_name).join(", ")
+                )
+            })
     }
 
     /// The underlying Magellan dataset name.
@@ -201,11 +208,18 @@ mod tests {
     #[test]
     fn short_names_parse_case_insensitively() {
         for id in DatasetId::all() {
-            assert_eq!(DatasetId::from_short_name(id.short_name()), Some(id));
+            assert_eq!(DatasetId::parse(id.short_name()), Ok(id));
             let lower = id.short_name().to_lowercase();
-            assert_eq!(DatasetId::from_short_name(&lower), Some(id));
+            assert_eq!(DatasetId::parse(&lower), Ok(id));
         }
-        assert_eq!(DatasetId::from_short_name("nope"), None);
+        assert_eq!(
+            DatasetId::parse("nope"),
+            Err(
+                "unknown dataset \"nope\"; expected one of S-BR, S-IA, S-FZ, S-DA, S-DG, \
+                 S-AG, S-WA, T-AB, D-IA, D-DA, D-DG, D-WA"
+                    .to_string()
+            )
+        );
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! The black-box model interface every explainer consumes.
 
-use crate::masks::Masks;
 use crate::pair::EntityPair;
 use crate::prepared::{FallbackScorer, PerturbSpec, PreparedScorer};
 use crate::schema::Schema;
-use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 /// The conventional decision threshold: [`MatchModel::predict`] calls a
 /// record a match when its probability reaches it.
@@ -50,44 +47,6 @@ pub trait MatchModel {
         spec: &'a PerturbSpec<'a>,
     ) -> Box<dyn PreparedScorer + 'a> {
         Box::new(FallbackScorer::new(self, schema, spec))
-    }
-
-    /// Scores every mask of a perturbation family across a thread pool
-    /// via [`MatchModel::prepare_scorer`], timed as the
-    /// [`Stage::ModelScoring`] stage of `tracer` with the mask count
-    /// recorded as [`Counter::SamplesScored`].
-    ///
-    /// Each worker builds one scorer and reuses its buffers across its
-    /// contiguous chunk of mask rows; results come back in row order. For
-    /// any thread count and any tracer the output is bit-identical to
-    /// scoring serially — and, by the prepared-scorer contract, to
-    /// reconstructing each masked pair and calling
-    /// [`MatchModel::predict_proba`] on it. Perturbation-based explainers
-    /// score hundreds of masks per explanation, which makes this the
-    /// pipeline's hot path.
-    ///
-    /// Only available on `Sync` models (still object-safe: the method is
-    /// excluded from `dyn MatchModel` vtables).
-    fn par_score_masks(
-        &self,
-        schema: &Schema,
-        spec: &PerturbSpec<'_>,
-        masks: &Masks,
-        parallelism: &ParallelismConfig,
-        tracer: &dyn Tracer,
-    ) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        let _span = Span::enter(tracer, Stage::ModelScoring);
-        tracer.add(Counter::SamplesScored, masks.len() as u64);
-        let rows: Vec<&[bool]> = masks.iter().collect();
-        em_par::par_map_init(
-            parallelism,
-            &rows,
-            || self.prepare_scorer(schema, spec),
-            |scorer, _, mask| scorer.score_mask(mask),
-        )
     }
 }
 
@@ -212,28 +171,5 @@ mod tests {
         assert_eq!(boxed.prepare_scorer(&s, &spec).score_mask(&mask), 42.0);
         let by_ref = &KernelProbe;
         assert_eq!(by_ref.prepare_scorer(&s, &spec).score_mask(&mask), 42.0);
-    }
-
-    #[test]
-    fn par_score_masks_matches_fallback_for_any_thread_count() {
-        let (s, p) = setup();
-        let spec = PerturbSpec::AttrCopy {
-            pair: &p,
-            copy_into: crate::pair::EntitySide::Right,
-        };
-        // Every mask of width 2: 11, 01, 10, 00.
-        let mut masks = Masks::all_true(4, 2);
-        masks.row_mut(1)[0] = false;
-        masks.row_mut(2)[1] = false;
-        masks.row_mut(3).fill(false);
-        let expected: Vec<f64> = masks
-            .iter()
-            .map(|m| EqualityModel.predict_proba(&s, &spec.reconstruct(m, s.len())))
-            .collect();
-        for threads in [1, 2, 4] {
-            let cfg = ParallelismConfig::with_threads(threads);
-            let got = EqualityModel.par_score_masks(&s, &spec, &masks, &cfg, em_obs::noop());
-            assert_eq!(got, expected, "threads = {threads}");
-        }
     }
 }

@@ -43,7 +43,7 @@ pub struct NeighborhoodStats {
 /// `pair`. Landmark techniques report the left-landmark neighborhood;
 /// `Landmark` resolves its strategy from the record's prediction, as the
 /// landmark explainer does.
-pub fn neighborhood_stats<M: MatchModel + Sync>(
+pub fn neighborhood_stats<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
@@ -74,8 +74,8 @@ fn summarize(probs: &[f64], nulls: usize) -> NeighborhoodStats {
 }
 
 /// The masks and probabilities of `spec`'s neighborhood: the engine's own
-/// sample, scored serially.
-fn neighborhood<M: MatchModel + Sync>(
+/// sample and scores.
+fn neighborhood<M: MatchModel>(
     model: &M,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
@@ -89,7 +89,7 @@ fn neighborhood<M: MatchModel + Sync>(
     perturb(model, schema, spec, seed, &config, em_obs::noop())
 }
 
-fn lime_stats<M: MatchModel + Sync>(
+fn lime_stats<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
@@ -134,7 +134,7 @@ fn lime_stats<M: MatchModel + Sync>(
     summarize(&probs, nulls)
 }
 
-fn landmark_stats<M: MatchModel + Sync>(
+fn landmark_stats<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
@@ -148,7 +148,7 @@ fn landmark_stats<M: MatchModel + Sync>(
     summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
 }
 
-fn copy_stats<M: MatchModel + Sync>(
+fn copy_stats<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,

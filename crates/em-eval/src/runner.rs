@@ -11,7 +11,6 @@
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, SplitConfig};
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use landmark_core::ExplainerKind;
 
 use crate::attr_eval::attribute_eval;
@@ -34,10 +33,11 @@ pub struct EvalConfig {
     pub threshold: f64,
     /// Base seed.
     pub seed: u64,
-    /// How to spread per-record explanation across threads. Each record's
-    /// explanation is seeded independently from the base seed and its
-    /// record index, so serial and parallel runs are bit-identical.
-    pub parallelism: ParallelismConfig,
+    /// Worker threads for per-record explanation (`0` = one per core,
+    /// `1` = serial). Each record's explanation is seeded independently
+    /// from the base seed and its record index, so serial and parallel
+    /// runs are bit-identical.
+    pub threads: usize,
 }
 
 impl Default for EvalConfig {
@@ -49,7 +49,7 @@ impl Default for EvalConfig {
             removal_fraction: 0.25,
             threshold: 0.5,
             seed: 0xE0B7,
-            parallelism: ParallelismConfig::serial(),
+            threads: 1,
         }
     }
 }
@@ -166,7 +166,7 @@ impl Evaluator {
                 // the thread pool; each derives its RNG seed from the base
                 // seed and its index, so thread count never changes results.
                 let views_per_record: Vec<Vec<ExplainedRecord>> =
-                    em_par::par_map(&self.config.parallelism, &records, |i, pair| {
+                    em_par::par_map(self.config.threads, &records, |i, pair| {
                         explain_record(
                             technique,
                             matcher,

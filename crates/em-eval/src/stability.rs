@@ -31,7 +31,7 @@ pub struct StabilityReport {
 /// Token identity for set comparison: (view index, side, attribute, occurrence).
 type Key = (usize, em_entity::EntitySide, usize, usize);
 
-fn explain_keys_and_weights<M: MatchModel + Sync>(
+fn explain_keys_and_weights<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
@@ -53,7 +53,7 @@ fn explain_keys_and_weights<M: MatchModel + Sync>(
 
 /// Measures stability of a technique's explanation of `pair` across
 /// `seeds`, looking at the top-`k` tokens by |weight|.
-pub fn explanation_stability<M: MatchModel + Sync>(
+pub fn explanation_stability<M: MatchModel>(
     model: &M,
     schema: &Schema,
     pair: &EntityPair,

@@ -49,9 +49,9 @@ pub fn record_seed(base: u64, index: usize) -> u64 {
 /// Produces the explained record(s) for a technique.
 ///
 /// `n_samples` is the perturbation budget per explanation; `seed` drives
-/// mask sampling. Inner explainers run serially: the evaluation harness
-/// parallelizes *across* records, which owns the cores already.
-pub fn explain_record<M: MatchModel + Sync>(
+/// mask sampling. Like every explanation it runs on the calling thread;
+/// the evaluation harness parallelizes *across* records.
+pub fn explain_record<M: MatchModel>(
     technique: ExplainerKind,
     model: &M,
     schema: &Schema,

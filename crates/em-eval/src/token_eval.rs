@@ -137,7 +137,7 @@ mod tests {
     }
 
     /// Explains `pair` as the evaluation's only record, then evaluates it.
-    fn evaluate<M: MatchModel + Sync>(
+    fn evaluate<M: MatchModel>(
         model: &M,
         pair: &EntityPair,
         technique: ExplainerKind,

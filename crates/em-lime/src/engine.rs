@@ -8,10 +8,13 @@
 //! means — and in how it maps the surrogate's coefficients back onto
 //! tokens. [`perturb_and_fit`] is the loop; LIME, Mojito Copy and
 //! Landmark Explanation (`landmark-core`) each call it once per view.
+//!
+//! The loop runs on the calling thread: a view prepares one scorer and
+//! scores its masks in order. Parallelism lives above one explanation,
+//! across records (em-eval, em-batch) and requests (the serving tiers).
 
 use em_entity::{Masks, MatchModel, PerturbSpec, Schema};
 use em_obs::{Counter, Span, Stage, Tracer};
-use em_par::ParallelismConfig;
 
 use crate::sampler::MaskSampler;
 use crate::surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit};
@@ -26,11 +29,6 @@ pub struct ExplainConfig {
     pub surrogate: SurrogateConfig,
     /// RNG seed for mask sampling.
     pub seed: u64,
-    /// How to spread reconstruction scoring across threads. Mask sampling
-    /// stays serial (it drives the RNG stream); only the model's scoring —
-    /// the hot path — fans out, so any setting produces bit-identical
-    /// explanations.
-    pub parallelism: ParallelismConfig,
 }
 
 impl Default for ExplainConfig {
@@ -39,7 +37,6 @@ impl Default for ExplainConfig {
             n_samples: 500,
             surrogate: SurrogateConfig::default(),
             seed: 0,
-            parallelism: ParallelismConfig::serial(),
         }
     }
 }
@@ -56,7 +53,7 @@ impl Default for ExplainConfig {
 /// [`Stage::ModelScoring`] (with [`Counter::SamplesScored`]) and
 /// [`Stage::SurrogateFit`], once each and in that order. Tracing only
 /// observes: any tracer yields the same bits (DESIGN.md §10).
-pub fn perturb_and_fit<M: MatchModel + Sync>(
+pub fn perturb_and_fit<M: MatchModel>(
     model: &M,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
@@ -75,7 +72,13 @@ pub fn perturb_and_fit<M: MatchModel + Sync>(
 /// The neighborhood half of [`perturb_and_fit`]: the sampled masks and
 /// their probabilities, with every stage but the fit recorded. The
 /// neighborhood diagnostics read it directly.
-pub fn perturb<M: MatchModel + Sync>(
+///
+/// Scoring prepares one scorer for the view with
+/// [`MatchModel::prepare_scorer`] and scores the masks in order with it,
+/// inside [`Stage::ModelScoring`]; by the prepared-scorer contract each
+/// probability equals reconstructing the masked pair and calling
+/// [`MatchModel::predict_proba`] on it (DESIGN.md §11).
+pub fn perturb<M: MatchModel>(
     model: &M,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
@@ -95,7 +98,12 @@ pub fn perturb<M: MatchModel + Sync>(
     // bit-identical to reconstruct-then-predict (DESIGN.md §11). The stage
     // is still entered so the stage histograms and `X-Timing` keep it.
     drop(Span::enter(tracer, Stage::PairReconstruction));
-    let probs = model.par_score_masks(schema, spec, &masks, &config.parallelism, tracer);
+    let probs = {
+        let _span = Span::enter(tracer, Stage::ModelScoring);
+        tracer.add(Counter::SamplesScored, masks.len() as u64);
+        let mut scorer = model.prepare_scorer(schema, spec);
+        masks.iter().map(|mask| scorer.score_mask(mask)).collect()
+    };
     (masks, probs)
 }
 
@@ -126,6 +134,25 @@ mod tests {
             _schema: &'a Schema,
             _spec: &'a PerturbSpec<'a>,
         ) -> Box<dyn PreparedScorer + 'a> {
+            Box::new(KeptFractionScorer)
+        }
+    }
+
+    /// [`KeptFraction`] that counts the scorers it prepares.
+    #[derive(Default)]
+    struct CountingPrepares(std::cell::Cell<usize>);
+
+    impl MatchModel for CountingPrepares {
+        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
+            unreachable!("the engine scores masks through the prepared scorer")
+        }
+
+        fn prepare_scorer<'a>(
+            &'a self,
+            _schema: &'a Schema,
+            _spec: &'a PerturbSpec<'a>,
+        ) -> Box<dyn PreparedScorer + 'a> {
+            self.0.set(self.0.get() + 1);
             Box::new(KeptFractionScorer)
         }
     }
@@ -227,5 +254,25 @@ mod tests {
         let direct = fit_surrogate(&masks, &expected, &config.surrogate);
         assert_eq!(fit.coefficients, direct.coefficients);
         assert_eq!(fit.intercept, direct.intercept);
+    }
+
+    #[test]
+    fn perturb_prepares_one_scorer_per_call() {
+        let schema = Schema::from_names(vec!["name", "price"]);
+        let pair = pair();
+        let spec = PerturbSpec::AttrCopy {
+            pair: &pair,
+            copy_into: EntitySide::Right,
+        };
+        let model = CountingPrepares::default();
+        for (calls, n_samples) in [(1, 1), (2, 64), (3, 500)] {
+            let config = ExplainConfig {
+                n_samples,
+                ..Default::default()
+            };
+            let (masks, probs) = perturb(&model, &schema, &spec, 5, &config, em_obs::noop());
+            assert_eq!((masks.len(), probs.len()), (n_samples, n_samples));
+            assert_eq!(model.0.get(), calls, "{n_samples} samples");
+        }
     }
 }

@@ -30,7 +30,7 @@ impl LimeExplainer {
     /// reconstructions with `model`, and fits the surrogate. Per-stage
     /// timings go to `tracer` ([`em_obs::noop`] records nothing); tracing
     /// only observes (DESIGN.md §10).
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,

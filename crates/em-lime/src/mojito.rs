@@ -44,7 +44,7 @@ impl MojitoCopyExplainer {
     /// equally to its constituent tokens": the attribute coefficient is
     /// spread uniformly over the tokens of the *replaced* (right) side —
     /// the tokens the copy perturbation actually substitutes.
-    pub fn explain<M: MatchModel + Sync>(
+    pub fn explain<M: MatchModel>(
         &self,
         model: &M,
         schema: &Schema,

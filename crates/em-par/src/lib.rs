@@ -1,13 +1,17 @@
 //! Deterministic data-parallel execution for the Landmark Explanation
 //! workspace.
 //!
-//! The explanation pipeline is embarrassingly parallel at two levels: each
-//! record's hundreds of reconstructed perturbation pairs are scored
-//! independently, and the evaluation harness explains each record
-//! independently. This crate provides the one primitive both levels use —
-//! an **ordered fork/join map** over a slice ([`par_map`]) built on
-//! `std::thread::scope` — plus the [`ParallelismConfig`] every layer
-//! threads through its own config.
+//! The workspace forks at one level only: across independent units of
+//! work. The evaluation harness and `em-batch` explain records
+//! concurrently, and the serving tiers answer requests concurrently; one
+//! explanation always runs on one thread. This crate provides the two
+//! primitives those levels use — an **ordered fork/join map** over a
+//! slice ([`par_map`]) and a long-lived worker pool ([`scoped_workers`]),
+//! both built on `std::thread::scope` — and [`worker_count`], which
+//! resolves a thread setting.
+//!
+//! A thread setting is a plain count: `0` means one thread per core,
+//! `1` runs on the calling thread, and `n` caps the fork at `n` threads.
 //!
 //! (`rayon` would be the natural backend, but the build environment is
 //! offline; the scoped-thread implementation below provides the same
@@ -15,101 +19,43 @@
 //!
 //! # Determinism
 //!
-//! `par_map(cfg, items, f)` returns **exactly** `items.iter().enumerate()
-//! .map(|(i, x)| f(i, x)).collect()` for any thread count: work is split
-//! into contiguous chunks, each worker writes results for its own chunk,
-//! and chunks are reassembled in input order. As long as `f` is a pure
-//! function of `(index, item)` — which every caller guarantees by deriving
-//! per-item RNG seeds from the index — parallel and serial runs are
-//! bit-identical.
+//! `par_map(threads, items, f)` returns **exactly** `items.iter()
+//! .enumerate().map(|(i, x)| f(i, x)).collect()` for any thread count:
+//! work is split into contiguous chunks, each worker writes results for
+//! its own chunk, and chunks are reassembled in input order. As long as
+//! `f` is a pure function of `(index, item)` — which every caller
+//! guarantees by deriving per-item RNG seeds from the index — parallel
+//! and serial runs are bit-identical.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
 use std::num::NonZeroUsize;
 
-/// How a parallel region may use threads.
-///
-/// The config is `Copy` and lives inside every explainer/eval config so a
-/// single knob controls the whole pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelismConfig {
-    /// Worker threads to use. `0` means auto-detect
-    /// (`std::thread::available_parallelism`). `1` forces serial execution
-    /// on the calling thread.
-    pub threads: usize,
-    /// Minimum number of items each worker must receive before an extra
-    /// thread is worth spawning; small inputs stay serial.
-    pub min_items_per_thread: usize,
-}
-
-impl Default for ParallelismConfig {
-    fn default() -> Self {
-        ParallelismConfig {
-            threads: 0,
-            min_items_per_thread: 32,
-        }
-    }
-}
-
-impl ParallelismConfig {
-    /// Serial execution on the calling thread.
-    pub const fn serial() -> Self {
-        ParallelismConfig {
-            threads: 1,
-            min_items_per_thread: usize::MAX,
-        }
-    }
-
-    /// Auto-detected thread count (the default).
-    pub fn auto() -> Self {
-        ParallelismConfig::default()
-    }
-
-    /// A fixed thread count with the default chunking threshold.
-    pub const fn with_threads(threads: usize) -> Self {
-        ParallelismConfig {
-            threads,
-            min_items_per_thread: 1,
-        }
-    }
-
-    /// The resolved hard thread cap: the configured count, or the detected
-    /// core count when `threads == 0`, always at least 1. Long-lived worker
-    /// pools (e.g. a server's accept/worker pool) size themselves by this
-    /// directly, since they have no per-call item count to chunk by.
-    pub fn worker_count(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-        .max(1)
-    }
-
-    /// The number of workers a region with `n_items` items should fork:
-    /// bounded by the configured/detected thread count and by
-    /// `min_items_per_thread`, and always at least 1.
-    pub fn effective_threads(&self, n_items: usize) -> usize {
-        let chunk_cap = match self.min_items_per_thread {
-            0 => n_items,
-            m => n_items / m,
-        };
-        self.worker_count().min(chunk_cap).max(1)
+/// The number of threads a thread setting resolves to: `threads` itself,
+/// or the detected core count when `threads == 0`, always at least 1.
+/// Long-lived worker pools (a server's request workers) are sized by
+/// this directly.
+pub fn worker_count(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1),
+        n => n,
     }
 }
 
 /// Ordered parallel map: `f(i, &items[i])` for every `i`, results in input
-/// order. Serial fallback when the config or input size doesn't warrant
-/// forking. See the crate docs for the determinism contract.
-pub fn par_map<T, R, F>(config: &ParallelismConfig, items: &[T], f: F) -> Vec<R>
+/// order, on at most [`worker_count`]`(threads)` threads and never more
+/// threads than items. With one worker it runs on the calling thread. See
+/// the crate docs for the determinism contract.
+pub fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let workers = config.effective_threads(items.len());
+    let workers = worker_count(threads).min(items.len());
     if workers <= 1 {
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
@@ -139,69 +85,6 @@ where
         for handle in handles {
             // A worker panic propagates: join returns Err only if the
             // closure panicked, and unwrapping re-panics here.
-            results.push(handle.join().expect("parallel worker panicked"));
-        }
-    });
-    results.into_iter().flatten().collect()
-}
-
-/// Ordered parallel map with per-worker state: like [`par_map`], but each
-/// worker first builds a private state value with `init()` and every
-/// `f(&mut state, i, &items[i])` call on that worker reuses it.
-///
-/// This is the shape the prepared scoring kernel needs: `init` builds a
-/// scorer (precomputed per-record state + scratch buffers) once per
-/// worker, and `f` scores one mask with it. The state never crosses a
-/// thread boundary — it is created and dropped inside the worker — so `S`
-/// needs no `Send` bound.
-///
-/// Determinism contract: results must depend only on `(index, item)`,
-/// never on which worker's state instance scored them or in what order.
-/// `init` must therefore produce interchangeable states (same inputs →
-/// same outputs, with any interior mutation limited to scratch space).
-/// Under that contract the result equals the serial
-/// `items.iter().enumerate().map(|(i, x)| f(&mut init(), i, x))` for any
-/// thread count, bit for bit.
-pub fn par_map_init<T, R, S, I, F>(config: &ParallelismConfig, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
-    let workers = config.effective_threads(items.len());
-    if workers <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| f(&mut state, i, x))
-            .collect();
-    }
-
-    let base = items.len() / workers;
-    let extra = items.len() % workers;
-    let mut results: Vec<Vec<R>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        let mut start = 0;
-        let init = &init;
-        let f = &f;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let chunk = &items[start..start + len];
-            let offset = start;
-            handles.push(scope.spawn(move || {
-                let mut state = init();
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, x)| f(&mut state, offset + i, x))
-                    .collect::<Vec<R>>()
-            }));
-            start += len;
-        }
-        for handle in handles {
             results.push(handle.join().expect("parallel worker panicked"));
         }
     });
@@ -240,25 +123,30 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
-    #[test]
-    fn serial_config_never_forks() {
-        let cfg = ParallelismConfig::serial();
-        assert_eq!(cfg.effective_threads(1_000_000), 1);
+    /// The distinct threads `par_map` ran `n_items` items on.
+    fn threads_used(threads: usize, n_items: usize) -> HashSet<ThreadId> {
+        let seen = Mutex::new(HashSet::new());
+        let items = vec![0u8; n_items];
+        par_map(threads, &items, |_, _| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        seen.into_inner().unwrap()
     }
 
     #[test]
-    fn small_inputs_stay_serial_under_auto() {
-        let cfg = ParallelismConfig::default();
-        assert_eq!(cfg.effective_threads(0), 1);
-        assert_eq!(cfg.effective_threads(31), 1);
+    fn serial_config_never_forks() {
+        let caller = std::thread::current().id();
+        assert_eq!(threads_used(1, 1_000), HashSet::from([caller]));
     }
 
     #[test]
     fn with_threads_caps_at_the_requested_count() {
-        let cfg = ParallelismConfig::with_threads(4);
-        assert_eq!(cfg.effective_threads(1_000), 4);
-        assert_eq!(cfg.effective_threads(2), 2);
+        assert_eq!(threads_used(4, 1_000).len(), 4);
+        assert_eq!(threads_used(4, 2).len(), 2);
     }
 
     #[test]
@@ -270,8 +158,7 @@ mod tests {
             .map(|(i, x)| x * 3 + i as u64)
             .collect();
         for threads in [1, 2, 3, 4, 7, 16] {
-            let cfg = ParallelismConfig::with_threads(threads);
-            let got = par_map(&cfg, &items, |i, x| x * 3 + i as u64);
+            let got = par_map(threads, &items, |i, x| x * 3 + i as u64);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -280,29 +167,27 @@ mod tests {
     fn par_map_preserves_order_with_uneven_chunks() {
         // 10 items across 4 workers: chunks of 3, 3, 2, 2.
         let items: Vec<usize> = (0..10).collect();
-        let cfg = ParallelismConfig::with_threads(4);
-        let got = par_map(&cfg, &items, |i, _| i);
+        let got = par_map(4, &items, |i, _| i);
         assert_eq!(got, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn par_map_handles_empty_and_tiny_inputs() {
-        let cfg = ParallelismConfig::with_threads(8);
-        assert_eq!(par_map(&cfg, &[] as &[u8], |_, x| *x), Vec::<u8>::new());
-        assert_eq!(par_map(&cfg, &[42u8], |_, x| *x), vec![42]);
+        assert_eq!(par_map(8, &[] as &[u8], |_, x| *x), Vec::<u8>::new());
+        assert_eq!(par_map(8, &[42u8], |_, x| *x), vec![42]);
     }
 
     #[test]
     fn worker_count_resolves_auto_and_fixed() {
-        assert_eq!(ParallelismConfig::with_threads(5).worker_count(), 5);
-        assert_eq!(ParallelismConfig::serial().worker_count(), 1);
-        assert!(ParallelismConfig::auto().worker_count() >= 1);
+        assert_eq!(worker_count(5), 5);
+        assert_eq!(worker_count(1), 1);
+        assert!(worker_count(0) >= 1);
     }
 
     #[test]
     fn scoped_workers_join_after_foreground() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::{Condvar, Mutex};
+        use std::sync::Condvar;
 
         // A tiny closeable queue: workers drain it, the foreground fills
         // it and closes it — the shape em-serve uses.
@@ -347,56 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn par_map_init_matches_serial_for_any_thread_count() {
-        use std::cell::Cell;
-        let items: Vec<u64> = (0..500).collect();
-        // State is a scratch counter: results must not depend on it.
-        let run = |threads: usize| {
-            par_map_init(
-                &ParallelismConfig::with_threads(threads),
-                &items,
-                || Cell::new(0u64),
-                |scratch, i, x| {
-                    scratch.set(scratch.get() + 1);
-                    x * 7 + i as u64
-                },
-            )
-        };
-        let serial = run(1);
-        let expected: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, x)| x * 7 + i as u64)
-            .collect();
-        assert_eq!(serial, expected);
-        for threads in [2, 3, 4, 7, 16] {
-            assert_eq!(run(threads), serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_init_builds_one_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..40).collect();
-        let cfg = ParallelismConfig::with_threads(4);
-        let _ = par_map_init(
-            &cfg,
-            &items,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-            },
-            |(), i, _| i,
-        );
-        assert_eq!(inits.load(Ordering::Relaxed), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "parallel worker panicked")]
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..100).collect();
-        let cfg = ParallelismConfig::with_threads(2);
-        let _ = par_map(&cfg, &items, |_, &x| {
+        let _ = par_map(2, &items, |_, &x| {
             assert!(x != 60, "boom");
             x
         });
@@ -411,9 +250,9 @@ mod tests {
             let seed = 0xE0B7u64.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9);
             seed ^ (seed >> 7)
         };
-        let serial = par_map(&ParallelismConfig::serial(), &items, explain);
+        let serial = par_map(1, &items, explain);
         for threads in [2, 5, 8] {
-            let parallel = par_map(&ParallelismConfig::with_threads(threads), &items, explain);
+            let parallel = par_map(threads, &items, explain);
             assert_eq!(serial, parallel);
         }
     }

@@ -19,7 +19,6 @@ use std::time::Duration;
 use em_codec::explain::SEED_LIMIT;
 use em_datagen::{DatasetId, Domain};
 use em_lime::ExplainConfig;
-use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 
 const USAGE: &str = "\
@@ -94,16 +93,6 @@ impl Default for Args {
     }
 }
 
-fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    DatasetId::from_short_name(name).ok_or_else(|| {
-        let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
-        format!(
-            "unknown dataset {name:?}; expected one of {}",
-            names.join(", ")
-        )
-    })
-}
-
 /// Parses `[NAME=]HOST:PORT[*WEIGHT]`. `ordinal` supplies the default
 /// name (`b0`, `b1`, ...).
 fn parse_backend(spec: &str, ordinal: usize) -> Result<BackendSpec, String> {
@@ -152,7 +141,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--queue-depth" => {
                 args.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
             }
-            "--dataset" => args.dataset = parse_dataset(value)?,
+            "--dataset" => args.dataset = DatasetId::parse(value)?,
             "--samples" => {
                 args.samples = value
                     .parse()
@@ -221,7 +210,7 @@ fn run(args: Args) -> Result<(), String> {
     // never generates data or trains a model.
     let schema = Domain::new(args.dataset.spec().domain).schema();
     let config = RouterConfig {
-        parallelism: ParallelismConfig::with_threads(args.threads),
+        workers: args.threads,
         queue_depth: args.queue_depth,
         request_timeout: Duration::from_millis(args.request_timeout_ms),
         max_queue_age: Duration::from_millis(args.queue_age_ms),
@@ -240,7 +229,7 @@ fn run(args: Args) -> Result<(), String> {
             ..Default::default()
         },
     };
-    let workers = config.parallelism.worker_count();
+    let workers = em_par::worker_count(config.workers);
     let names: Vec<String> = args
         .backends
         .iter()

@@ -41,7 +41,6 @@ use em_codec::Value;
 use em_entity::Schema;
 use em_lime::ExplainConfig;
 use em_obs::{Span, Stage};
-use em_par::ParallelismConfig;
 use em_serve::client::{self, ClientError, ClientResponse, Pool, PoolUse};
 use em_serve::http::{Request, Response};
 use em_serve::{Listener, ServerHandle, Service};
@@ -53,8 +52,8 @@ use crate::ring::{BackendSpec, Ring};
 /// Router tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Worker-pool sizing for the proxy workers.
-    pub parallelism: ParallelismConfig,
+    /// Proxy workers; `0` means one per core.
+    pub workers: usize,
     /// Accepted-but-unserved connections held before shedding with 503.
     pub queue_depth: usize,
     /// Total wall-clock budget for one client request (read + proxy +
@@ -79,7 +78,7 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            parallelism: ParallelismConfig::auto(),
+            workers: 0,
             queue_depth: 128,
             request_timeout: Duration::from_secs(30),
             max_queue_age: Duration::from_secs(10),
@@ -146,7 +145,7 @@ impl Router {
             config,
             listener: Listener::bind(
                 addr,
-                config.parallelism.worker_count(),
+                em_par::worker_count(config.workers),
                 config.queue_depth,
                 config.request_timeout,
                 config.max_queue_age,
@@ -443,9 +442,9 @@ fn ring_json(state: &Router) -> String {
 }
 
 /// `POST /drain`: body `{"backend": "<name>"}` (optionally
-/// `"draining": false` to readmit). Marks the backend draining on the
-/// ring and forwards the drain to the backend itself so its `/readyz`
-/// flips too.
+/// `"draining": false` to readmit; any value but a boolean is a 400
+/// before anything changes). Marks the backend draining on the ring and
+/// forwards the drain to the backend itself so its `/readyz` flips too.
 fn handle_drain(state: &Router, request: &Request) -> Response {
     let root = match Value::parse(&request.body) {
         Ok(v) => v,
@@ -454,10 +453,11 @@ fn handle_drain(state: &Router, request: &Request) -> Response {
     let Some(name) = root.get("backend").and_then(|v| v.as_str()) else {
         return Response::error(400, "missing field \"backend\"");
     };
-    let draining = root
-        .get("draining")
-        .and_then(|v| v.as_bool())
-        .unwrap_or(true);
+    let draining = match root.get("draining").map(Value::as_bool) {
+        None => true,
+        Some(Some(draining)) => draining,
+        Some(None) => return Response::error(400, "\"draining\" must be a boolean"),
+    };
     let Some(backend) = state.backends.iter().position(|b| b.name == name) else {
         return Response::error(404, &format!("unknown backend {name:?}"));
     };

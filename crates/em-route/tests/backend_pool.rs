@@ -1,7 +1,8 @@
 //! The router → backend hop over real TCP: forwards reuse a pooled
 //! connection, a pooled connection the backend closed costs one re-send
-//! on a fresh connection (not a failover), and `backend_timeout` bounds
-//! a whole backend exchange, however the backend paces its answer.
+//! on a fresh connection (not a failover), `backend_timeout` bounds a
+//! whole backend exchange, however the backend paces its answer, and a
+//! drain the router refuses never reaches the backend.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -9,7 +10,6 @@ use std::time::{Duration, Instant};
 
 use em_datagen::{DatasetId, Domain};
 use em_entity::{EntityPair, MatchModel, Schema};
-use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig, ServerHandle};
@@ -38,7 +38,7 @@ fn spawn_router(backend: SocketAddr, backend_timeout: Duration) -> ServerHandle 
         schema(),
         vec![BackendSpec::new("b0", backend)],
         RouterConfig {
-            parallelism: ParallelismConfig::with_threads(2),
+            workers: 2,
             backend_timeout,
             health: HealthConfig {
                 probe_interval: Duration::from_secs(60),
@@ -95,7 +95,7 @@ fn a_pooled_connection_the_backend_closed_is_re_sent_not_failed_over() {
         schema(),
         Box::new(ConstModel),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(2),
+            workers: 2,
             ..Default::default()
         },
     )
@@ -189,4 +189,39 @@ fn a_dripping_backend_is_cut_at_the_exchange_budget() {
     let text = scrape(&router);
     assert_eq!(outcome(&text, "timeout"), 1, "{text}");
     shut_down(router);
+}
+
+#[test]
+fn a_drain_whose_flag_is_not_a_boolean_changes_nothing() {
+    // em-serve cannot undo a drain without a restart, so a body that
+    // does not say `true` or `false` must not drain either tier.
+    let backend = Server::bind(
+        "127.0.0.1:0",
+        schema(),
+        Box::new(ConstModel),
+        ServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind backend")
+    .spawn();
+    let router = spawn_router(backend.addr(), Duration::from_secs(10));
+    for flag in [r#""false""#, "0", "null", "[]"] {
+        let body = format!(r#"{{"backend":"b0","draining":{flag}}}"#);
+        let response = client::request(router.addr(), "POST", "/drain", &body).expect("drain");
+        assert_eq!(response.status, 400, "{flag}: {}", response.body);
+        assert_eq!(
+            response.body,
+            r#"{"error":"\"draining\" must be a boolean"}"#
+        );
+    }
+    let ring = client::request(router.addr(), "GET", "/ring", "").expect("ring");
+    assert_eq!(ring.status, 200);
+    assert!(ring.body.contains(r#""draining":false"#), "{}", ring.body);
+    assert!(!ring.body.contains(r#""draining":true"#), "{}", ring.body);
+    let ready = client::request(backend.addr(), "GET", "/readyz", "").expect("readyz");
+    assert_eq!(ready.status, 200, "{}", ready.body);
+    shut_down(router);
+    shut_down(backend);
 }

@@ -12,7 +12,6 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
@@ -47,7 +46,7 @@ fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::Server
         schema.clone(),
         Box::new(matcher.clone()),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(2),
+            workers: 2,
             cache_capacity: 64,
             defaults: ExplainConfig::default(),
             ..Default::default()
@@ -96,7 +95,7 @@ fn failover_keeps_every_answer_byte_identical() {
         schema.clone(),
         specs,
         RouterConfig {
-            parallelism: ParallelismConfig::with_threads(2),
+            workers: 2,
             failover_retries: 2,
             failover_backoff: Duration::from_millis(5),
             backend_timeout: Duration::from_secs(10),

@@ -12,7 +12,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use em_datagen::{DatasetId, Domain};
-use em_par::ParallelismConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
 
@@ -38,7 +37,7 @@ fn spawn_router(workers: usize, queue_depth: usize, timeout: Duration) -> em_ser
         schema,
         vec![BackendSpec::new("b0", closed_port())],
         RouterConfig {
-            parallelism: ParallelismConfig::with_threads(workers),
+            workers,
             queue_depth,
             request_timeout: timeout,
             health: HealthConfig {
@@ -144,7 +143,8 @@ fn a_body_the_codec_refuses_is_answered_without_a_forward() {
     // The router decodes with em-serve's codec, so a request a backend
     // would refuse with a 400 never leaves the router. The lasso solver
     // once panicked the backend worker that explained such a request; a
-    // seed JSON cannot carry exactly would have run under another seed.
+    // seed JSON cannot carry exactly would have run under another seed;
+    // a thread count once let one request fan out over several cores.
     let router = spawn_router(1, 4, Duration::from_secs(5));
     for (body, expected) in [
         (
@@ -154,6 +154,10 @@ fn a_body_the_codec_refuses_is_answered_without_a_forward() {
         (
             r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"seed":9007199254740993}}"#,
             r#"{"error":"\"seed\" must be a non-negative integer below 2^53"}"#,
+        ),
+        (
+            r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}},"config":{"threads":2}}"#,
+            r#"{"error":"unknown config field \"threads\""}"#,
         ),
     ] {
         let response = client::request(router.addr(), "POST", "/explain", body).expect("explain");

@@ -14,7 +14,6 @@ use em_lime::ExplainConfig;
 use em_matchers::{
     load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher, MatcherConfig,
 };
-use em_par::ParallelismConfig;
 use em_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -82,16 +81,6 @@ impl Default for Args {
     }
 }
 
-fn parse_dataset(name: &str) -> Result<DatasetId, String> {
-    DatasetId::from_short_name(name).ok_or_else(|| {
-        let names: Vec<&str> = DatasetId::all().iter().map(|id| id.short_name()).collect();
-        format!(
-            "unknown dataset {name:?}; expected one of {}",
-            names.join(", ")
-        )
-    })
-}
-
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args::default();
     let mut it = argv.iter();
@@ -116,7 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--cache-shards" => {
                 args.cache_shards = value.parse().map_err(|_| bad("expected an integer"))?
             }
-            "--dataset" => args.dataset = parse_dataset(value)?,
+            "--dataset" => args.dataset = DatasetId::parse(value)?,
             "--scale" => {
                 args.scale = value
                     .parse()
@@ -191,7 +180,7 @@ fn run(args: Args) -> Result<(), String> {
     }
 
     let config = ServerConfig {
-        parallelism: ParallelismConfig::with_threads(args.threads),
+        workers: args.threads,
         queue_depth: args.queue_depth,
         cache_capacity: args.cache_size,
         cache_shards: args.cache_shards,
@@ -204,7 +193,7 @@ fn run(args: Args) -> Result<(), String> {
         request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
         max_queue_age: std::time::Duration::from_millis(args.queue_age_ms),
     };
-    let workers = config.parallelism.worker_count();
+    let workers = em_par::worker_count(config.workers);
     let server = Server::bind(
         (args.host.as_str(), args.port),
         schema,

@@ -24,8 +24,10 @@
 //!
 //! The connection lifecycle — accept loop, bounded queue, worker pool
 //! built on `em_par::scoped_workers` and sized by
-//! [`em_par::ParallelismConfig`] — is the [`Listener`], shared with the
-//! `em-route` tier: each tier only implements [`Service`]. JSON and the
+//! [`ServerConfig::workers`] — is the [`Listener`], shared with the
+//! `em-route` tier: each tier only implements [`Service`]. A request is
+//! explained on the worker that reads it, so one request never occupies
+//! more than one core. JSON and the
 //! explanation codec come from `em-codec`, so the crate adds no
 //! dependencies beyond the workspace.
 //!

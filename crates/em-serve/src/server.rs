@@ -15,7 +15,6 @@ use em_codec::Value;
 use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
 use em_lime::ExplainConfig;
 use em_obs::Tracer;
-use em_par::ParallelismConfig;
 
 use crate::cache::ShardedCache;
 use crate::http::{Request, Response};
@@ -25,9 +24,9 @@ use crate::metrics::{Endpoint, Metrics};
 /// Server tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker-pool sizing; `worker_count()` resolves `threads: 0` to the
-    /// core count.
-    pub parallelism: ParallelismConfig,
+    /// Request workers; `0` means one per core. Each request is explained
+    /// on the worker that reads it.
+    pub workers: usize,
     /// Accepted-but-unserved connections held before shedding with 503.
     pub queue_depth: usize,
     /// Explanation-cache capacity (entries).
@@ -35,7 +34,7 @@ pub struct ServerConfig {
     /// Explanation-cache shard count.
     pub cache_shards: usize,
     /// Default explainer settings; a request's `"config"` may override
-    /// `n_samples`, `seed` and `threads`.
+    /// `n_samples` and `seed`.
     pub defaults: ExplainConfig,
     /// An `/explain` request slower than this (wall-clock, milliseconds)
     /// is logged to stderr with its stage breakdown and counted in
@@ -57,7 +56,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            parallelism: ParallelismConfig::auto(),
+            workers: 0,
             queue_depth: 64,
             cache_capacity: 1024,
             cache_shards: 8,
@@ -113,7 +112,7 @@ impl Server {
             draining: AtomicBool::new(false),
             listener: Listener::bind(
                 addr,
-                config.parallelism.worker_count(),
+                em_par::worker_count(config.workers),
                 config.queue_depth,
                 config.request_timeout,
                 config.max_queue_age,
@@ -227,13 +226,11 @@ fn handle_readyz(state: &Server) -> Response {
 
 fn handle_explain(state: &Server, request: &Request) -> Response {
     let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency for the X-Compute-Micros header and metrics only; never touches explanation bytes
-    let mut decoded =
-        match codec::decode_explain_request(&request.body, &state.schema, &state.defaults) {
-            Ok(d) => d,
-            Err(msg) => return Response::error(400, &msg),
-        };
-    let threads = request_threads(decoded.config.parallelism.threads, state.listener.workers());
-    decoded.config.parallelism = codec::parallelism(threads);
+    let decoded = match codec::decode_explain_request(&request.body, &state.schema, &state.defaults)
+    {
+        Ok(d) => d,
+        Err(msg) => return Response::error(400, &msg),
+    };
     let key = codec::cache_key(&state.schema, &decoded);
     let trace = em_obs::Collector::new();
     let (body, cache_state) = match state.cache.get(&key) {
@@ -266,17 +263,6 @@ fn handle_explain(state: &Server, request: &Request) -> Response {
         .with_header("X-Timing", &timing)
 }
 
-/// The scoring threads one `/explain` may use: `0` (auto) and any count
-/// above the worker pool mean the pool size. Every thread count gives the
-/// same bytes (DESIGN.md §7), so this bounds how far one request fans
-/// out, never what it answers.
-fn request_threads(requested: usize, workers: usize) -> usize {
-    match requested {
-        0 => workers,
-        n => n.min(workers),
-    }
-}
-
 /// Formats the `X-Timing` header: total handler wall-clock plus one
 /// `stage=<n>us` entry for every pipeline stage the request entered (a
 /// cache hit therefore reports only `total`).
@@ -303,20 +289,4 @@ fn handle_predict(state: &Server, request: &Request) -> Response {
         200,
         codec::encode_prediction(probability, MATCH_THRESHOLD).to_json(),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::request_threads;
-
-    #[test]
-    fn request_threads_are_clamped_to_the_worker_pool() {
-        assert_eq!(request_threads(0, 4), 4);
-        assert_eq!(request_threads(1, 4), 1);
-        assert_eq!(request_threads(3, 4), 3);
-        assert_eq!(request_threads(4, 4), 4);
-        assert_eq!(request_threads(1024, 4), 4);
-        assert_eq!(request_threads(0, 1), 1);
-        assert_eq!(request_threads(1024, 1), 1);
-    }
 }

@@ -21,7 +21,6 @@ use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
 use em_serve::http::Response;
@@ -275,7 +274,7 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
         schema.clone(),
         Box::new(matcher),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(4),
+            workers: 4,
             queue_depth: 256,
             request_timeout: CHAOS_DEADLINE,
             // Generous admission bound: healthy requests queued behind
@@ -421,7 +420,7 @@ fn accept_loop_keeps_accepting_while_shedding_to_never_reading_clients() {
         Schema::from_names(vec!["name"]),
         Box::new(ConstModel),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(1),
+            workers: 1,
             queue_depth: 1,
             request_timeout: Duration::from_millis(1500),
             max_queue_age: Duration::from_secs(10),
@@ -514,7 +513,7 @@ fn wildcard_bind_shuts_down_cleanly() {
         Schema::from_names(vec!["name"]),
         Box::new(ConstModel),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(1),
+            workers: 1,
             ..Default::default()
         },
     )
@@ -554,7 +553,7 @@ fn stale_queued_connections_are_discarded_unanswered() {
         Schema::from_names(vec!["name"]),
         Box::new(ConstModel),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(1),
+            workers: 1,
             queue_depth: 16,
             request_timeout: Duration::from_millis(600),
             max_queue_age: Duration::from_millis(50),

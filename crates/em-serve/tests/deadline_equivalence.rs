@@ -19,7 +19,6 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::{Server, ServerConfig, ServerHandle};
 use proptest::prelude::*;
@@ -47,7 +46,7 @@ fn fixture() -> &'static Fixture {
             schema.clone(),
             Box::new(matcher.clone()),
             ServerConfig {
-                parallelism: ParallelismConfig::with_threads(2),
+                workers: 2,
                 // Small but sufficient: a well-behaved loopback client
                 // finishes in milliseconds; the deadline is live either
                 // way because every read/write arms a real socket

@@ -9,7 +9,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use em_entity::{EntityPair, MatchModel, Schema};
-use em_par::ParallelismConfig;
 use em_serve::client::{self, Pool, PoolUse};
 use em_serve::{Server, ServerConfig, ServerHandle};
 
@@ -38,7 +37,7 @@ fn spawn_server(workers: usize) -> ServerHandle {
         Schema::from_names(vec!["name"]),
         Box::new(OverlapModel),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(workers),
+            workers,
             ..Default::default()
         },
     )

@@ -23,7 +23,7 @@ fn spawn_server() -> em_serve::ServerHandle {
         Schema::from_names(vec!["name"]),
         Box::new(ConstModel),
         ServerConfig {
-            parallelism: em_par::ParallelismConfig::with_threads(2),
+            workers: 2,
             ..Default::default()
         },
     )

@@ -9,7 +9,6 @@ use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
-use em_par::ParallelismConfig;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
 use landmark_core::{GenerationStrategy, LandmarkExplainer};
@@ -18,7 +17,7 @@ const N_SAMPLES: usize = 64;
 const SEED: u64 = 42;
 
 /// An `/explain` body for `pair`, with `"threads"` in its config when
-/// given.
+/// given (a field the codec refuses).
 fn explain_body(schema: &Schema, pair: &EntityPair, threads: Option<usize>) -> String {
     Value::object(vec![
         ("pair", encode_pair(schema, pair)),
@@ -76,7 +75,7 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
         schema.clone(),
         Box::new(matcher),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(2),
+            workers: 2,
             cache_capacity: 64,
             defaults: ExplainConfig::default(),
             ..Default::default()
@@ -235,31 +234,40 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
 
 #[test]
 fn request_thread_count_never_changes_the_body() {
-    // `threads` is left out of the cache key, so each count gets a server
-    // of its own and both requests compute. The pool has 2 workers, so
-    // 1024 requested threads run as 2.
+    // An explanation runs on the one worker that reads its request, so a
+    // pool of one and a pool of two answer the same bytes. A body that
+    // asks for a thread count is refused at decode, before any work.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();
     let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
-    let bodies: Vec<String> = [1, 1024]
+    let bodies: Vec<String> = [1, 2]
         .into_iter()
-        .map(|threads| {
+        .map(|workers| {
             let server = Server::bind(
                 "127.0.0.1:0",
                 schema.clone(),
                 Box::new(matcher.clone()),
                 ServerConfig {
-                    parallelism: ParallelismConfig::with_threads(2),
+                    workers,
                     ..Default::default()
                 },
             )
             .expect("bind ephemeral port");
             let handle = server.spawn();
-            let body = explain_body(&schema, &pair, Some(threads));
+            let body = explain_body(&schema, &pair, None);
             let response = client::request(handle.addr(), "POST", "/explain", &body).unwrap();
             assert_eq!(response.status, 200, "{}", response.body);
             assert_eq!(response.header("x-cache"), Some("miss"));
+            for threads in [0, 1, workers] {
+                let body = explain_body(&schema, &pair, Some(threads));
+                let refused = client::request(handle.addr(), "POST", "/explain", &body).unwrap();
+                assert_eq!(refused.status, 400, "threads {threads}");
+                assert_eq!(
+                    refused.body,
+                    r#"{"error":"unknown config field \"threads\""}"#
+                );
+            }
             client::request(handle.addr(), "POST", "/shutdown", "").unwrap();
             handle.join();
             response.body
@@ -267,7 +275,7 @@ fn request_thread_count_never_changes_the_body() {
         .collect();
     assert_eq!(
         bodies[0], bodies[1],
-        "threads 1 and 1024 must give the same bytes"
+        "1 and 2 workers must give the same bytes"
     );
 }
 
@@ -290,7 +298,7 @@ fn a_request_of_death_never_kills_a_worker() {
         schema.clone(),
         Box::new(matcher),
         ServerConfig {
-            parallelism: ParallelismConfig::with_threads(workers),
+            workers,
             ..Default::default()
         },
     )

@@ -92,7 +92,6 @@ pub mod prelude {
     pub use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
     pub use em_matchers::{LogisticMatcher, MatcherConfig, NaiveBayesMatcher};
     pub use em_obs::noop;
-    pub use em_par::ParallelismConfig;
     pub use landmark_core::{
         DualExplanation, GenerationStrategy, LandmarkExplainer, LandmarkExplanation,
     };

@@ -39,7 +39,7 @@ fn landmark_explanations_agree_on_informative_attributes_across_model_families()
     };
     let explainer = LandmarkExplainer::new(config, GenerationStrategy::Auto);
 
-    let importance = |model: &(dyn MatchModel + Sync)| -> Vec<f64> {
+    let importance = |model: &dyn MatchModel| -> Vec<f64> {
         let mut total = vec![0.0; dataset.schema().len()];
         for r in dataset.sample_by_label(true, 6, 1) {
             let dual = explainer.explain(&model, dataset.schema(), &r.pair, noop());

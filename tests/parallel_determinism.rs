@@ -1,9 +1,11 @@
-//! Serial and parallel execution must be bit-identical at every level of
-//! the pipeline: mask scoring, one explanation, and a full evaluation run.
+//! Parallel execution forks across records only, and must be
+//! bit-identical to serial execution at every place it does: explaining
+//! records, scoring their masks, and a full evaluation run.
 
 use landmark_explanation::entity::{tokenize_pair, PerturbSpec, SideSpec};
 use landmark_explanation::eval::{EvalConfig, Evaluator};
 use landmark_explanation::lime::sample_masks;
+use landmark_explanation::par::par_map;
 use landmark_explanation::prelude::*;
 use proptest::prelude::*;
 
@@ -17,27 +19,26 @@ fn setup() -> (EmDataset, LogisticMatcher) {
 fn landmark_explanations_are_identical_for_any_thread_count() {
     let (dataset, matcher) = setup();
     let record = &dataset.records()[1].pair;
-    let explain = |parallelism: ParallelismConfig| {
-        let config = ExplainConfig {
+    let explainer = LandmarkExplainer::new(
+        ExplainConfig {
             n_samples: 200,
-            parallelism,
             ..Default::default()
-        };
-        LandmarkExplainer::new(config, GenerationStrategy::Auto).explain(
-            &matcher,
-            dataset.schema(),
-            record,
-            noop(),
-        )
-    };
-    let serial = explain(ParallelismConfig::serial());
+        },
+        GenerationStrategy::Auto,
+    );
+    let explain = || explainer.explain(&matcher, dataset.schema(), record, noop());
+    let serial = explain();
+    // Eight copies of one record, so every worker explains it at least
+    // once and each explanation must equal the serial one.
+    let copies = [(); 8];
     for threads in [0, 2, 3, 8] {
-        let parallel = explain(ParallelismConfig::with_threads(threads));
-        for (a, b) in serial.both().iter().zip(parallel.both().iter()) {
-            assert_eq!(a.explanation.token_weights, b.explanation.token_weights);
-            assert_eq!(a.explanation.intercept, b.explanation.intercept);
-            assert_eq!(a.explanation.surrogate_r2, b.explanation.surrogate_r2);
-            assert_eq!(a.injected, b.injected);
+        for parallel in par_map(threads, &copies, |_, ()| explain()) {
+            for (a, b) in serial.both().iter().zip(parallel.both().iter()) {
+                assert_eq!(a.explanation.token_weights, b.explanation.token_weights);
+                assert_eq!(a.explanation.intercept, b.explanation.intercept);
+                assert_eq!(a.explanation.surrogate_r2, b.explanation.surrogate_r2);
+                assert_eq!(a.injected, b.injected);
+            }
         }
     }
 }
@@ -50,15 +51,11 @@ fn dataset_evaluation_is_identical_for_any_thread_count() {
         n_samples: 60,
         ..Default::default()
     };
-    let run = |parallelism: ParallelismConfig| {
-        Evaluator::new(EvalConfig {
-            parallelism,
-            ..base
-        })
-        .evaluate_dataset(DatasetId::SBr)
+    let run = |threads: usize| {
+        Evaluator::new(EvalConfig { threads, ..base }).evaluate_dataset(DatasetId::SBr)
     };
-    let serial = run(ParallelismConfig::serial());
-    let parallel = run(ParallelismConfig::with_threads(4));
+    let serial = run(1);
+    let parallel = run(4);
     for (a, b) in [
         (&serial.matching, &parallel.matching),
         (&serial.non_matching, &parallel.non_matching),
@@ -84,23 +81,24 @@ proptest! {
         let (dataset, matcher) = setup();
         let schema = dataset.schema();
         let records = dataset.records();
-        let pair = &records[seed as usize % records.len()].pair;
-        let (left, right) = tokenize_pair(pair);
-        let spec = PerturbSpec::TokenDrop {
-            pair,
-            left: SideSpec::Varying(&left),
-            right: SideSpec::Varying(&right),
+        // Several records, each scoring its own masks on one prepared
+        // scorer, the way one explanation scores a view.
+        let picked: Vec<&EntityPair> = (0..4)
+            .map(|k| &records[(seed as usize + 7 * k) % records.len()].pair)
+            .collect();
+        let score = |i: usize, pair: &&EntityPair| -> Vec<u64> {
+            let (left, right) = tokenize_pair(pair);
+            let spec = PerturbSpec::TokenDrop {
+                pair,
+                left: SideSpec::Varying(&left),
+                right: SideSpec::Varying(&right),
+            };
+            let masks = sample_masks(spec.mask_len(schema.len()), n_masks, seed + i as u64);
+            let mut scorer = matcher.prepare_scorer(schema, &spec);
+            masks.iter().map(|m| scorer.score_mask(m).to_bits()).collect()
         };
-        let masks = sample_masks(spec.mask_len(schema.len()), n_masks, seed);
-        let mut scorer = matcher.prepare_scorer(schema, &spec);
-        let serial: Vec<f64> = masks.iter().map(|m| scorer.score_mask(m)).collect();
-        let parallel = matcher.par_score_masks(
-            schema,
-            &spec,
-            &masks,
-            &ParallelismConfig::with_threads(threads),
-            noop(),
-        );
+        let serial = par_map(1, &picked, score);
+        let parallel = par_map(threads, &picked, score);
         prop_assert_eq!(serial, parallel);
     }
 }

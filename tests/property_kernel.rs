@@ -1,7 +1,7 @@
 //! Property tests for the prepared perturbation-scoring kernel.
 //!
 //! The kernel's contract (DESIGN.md §11) is *bit-identity*: for any
-//! schema, record, perturbation family, mask, and thread count, scoring a
+//! schema, record, perturbation family and mask, scoring a
 //! mask through `MatchModel::prepare_scorer` must produce the same `f64`
 //! — same bits — as reconstructing the perturbed pair and calling
 //! `predict_proba` on it. These tests drive that contract with random
@@ -19,7 +19,6 @@ use landmark_explanation::landmark::{GenerationStrategy, LandmarkExplainer};
 use landmark_explanation::lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
 use landmark_explanation::linalg::logistic::LogisticModel;
 use landmark_explanation::matchers::{FeatureExtractor, LogisticMatcher, NaiveBayesMatcher};
-use landmark_explanation::par::ParallelismConfig;
 use landmark_explanation::prelude::noop;
 use proptest::prelude::*;
 
@@ -261,12 +260,11 @@ proptest! {
 
     /// Explainer-level bit-identity: landmark explanations (weights,
     /// intercepts, predictions) through the kernel equal the naive path
-    /// for every strategy and thread count.
+    /// for every strategy.
     #[test]
     fn landmark_explanations_match_naive_path(
         s in scenario(3),
         seed in 0u64..1000,
-        threads in 1usize..4,
     ) {
         for strategy in [
             GenerationStrategy::SingleEntity,
@@ -276,7 +274,6 @@ proptest! {
             let config = ExplainConfig {
                 n_samples: 40,
                 seed,
-                parallelism: ParallelismConfig::with_threads(threads),
                 ..Default::default()
             };
             let explainer = LandmarkExplainer::new(config, strategy);

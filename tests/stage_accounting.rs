@@ -6,7 +6,7 @@
 //! many features it perturbed. Byte digests (`tests/explain_golden.rs`)
 //! cannot see a span that was lost or entered twice, so this suite pins
 //! those figures for each wire explainer over small-scale S-FZ and T-AB
-//! records, at one and two scoring threads.
+//! records.
 //!
 //! The expected rows were generated before the explainers were folded
 //! into one perturb-and-fit engine; an observability change that moves a
@@ -33,8 +33,7 @@ const EXPLAINERS: [ExplainerKind; 5] = [
 const SAMPLES: usize = 64;
 
 /// Expected accounting: `(dataset, record, explainer, stage entries in
-/// `Stage::all()` order, samples scored, features)`. The same row holds
-/// for every thread count.
+/// `Stage::all()` order, samples scored, features)`.
 type Row = (&'static str, usize, &'static str, [u64; 8], u64, u64);
 
 const EXPECTED: &[Row] = &[
@@ -233,27 +232,16 @@ fn every_explainer_enters_each_stage_as_pinned() {
         assert_eq!(records.len(), 4, "{}", id.short_name());
         for (i, pair) in records.iter().enumerate() {
             for explainer in EXPLAINERS {
-                let per_threads = [1, 2].map(|threads| {
-                    let request = ExplainRequest {
-                        pair: pair.clone(),
-                        explainer,
-                        config: ExplainConfig {
-                            n_samples: SAMPLES,
-                            seed: i as u64,
-                            parallelism: explain::parallelism(threads),
-                            ..Default::default()
-                        },
-                    };
-                    account(&matcher, dataset.schema(), &request)
-                });
-                assert_eq!(
-                    per_threads[0],
-                    per_threads[1],
-                    "{} record {i} {}: accounting depends on the thread count",
-                    id.short_name(),
-                    explainer.name()
-                );
-                let (entries, samples, features) = per_threads[0];
+                let request = ExplainRequest {
+                    pair: pair.clone(),
+                    explainer,
+                    config: ExplainConfig {
+                        n_samples: SAMPLES,
+                        seed: i as u64,
+                        ..Default::default()
+                    },
+                };
+                let (entries, samples, features) = account(&matcher, dataset.schema(), &request);
                 actual.push((
                     id.short_name(),
                     i,

@@ -21,7 +21,6 @@
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::Schema;
-use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_route::{BackendSpec, Router, RouterConfig};
 use em_serve::client;
@@ -41,7 +40,6 @@ fn spawn_backend(
             // are hits whenever they reach the same backend.
             cache_capacity: cache.max(1),
             cache_shards: 1,
-            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )
@@ -52,10 +50,7 @@ fn spawn_backend(
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    let n_requests: usize = std::env::var("REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
+    let n_requests = bench::requests_from_env();
 
     let dataset = MagellanBenchmark {
         scale: base.scale,

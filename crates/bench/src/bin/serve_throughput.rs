@@ -16,7 +16,6 @@
 
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
-use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
@@ -24,10 +23,7 @@ use em_serve::{Server, ServerConfig};
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    let n_requests: usize = std::env::var("REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20);
+    let n_requests = bench::requests_from_env();
 
     let dataset = MagellanBenchmark {
         scale: base.scale,
@@ -56,10 +52,6 @@ fn main() {
             // second pass is all hits regardless of key-hash imbalance.
             cache_capacity: n_requests.max(1),
             cache_shards: 1,
-            defaults: ExplainConfig {
-                n_samples: base.n_samples,
-                ..Default::default()
-            },
             ..Default::default()
         },
     )

@@ -1,7 +1,7 @@
 //! Shared plumbing for the table-regenerating binaries and the
 //! performance reports.
 //!
-//! Every binary reads three environment variables so the paper-scale runs
+//! Every binary reads these environment variables so the paper-scale runs
 //! and quick smoke runs share one code path:
 //!
 //! * `SCALE` — benchmark size multiplier in `(0, 1]` (default `0.25`);
@@ -9,9 +9,14 @@
 //!   setting);
 //! * `SAMPLES` — perturbation samples per explanation (default `500`);
 //! * `DATASETS` — comma-separated short names (e.g. `S-BR,S-IA`) to
-//!   restrict the run (default: all twelve; an unknown name is an error);
+//!   restrict the run (default: all twelve);
 //! * `THREADS` — worker threads for per-record explanation (`0` = one per
 //!   core, `1` = serial; default `0`). Results are identical for any value.
+//!
+//! The serving reports also read `REQUESTS` ([`requests_from_env`]). A
+//! value that does not parse, a `SCALE` outside `(0, 1]` or an unknown
+//! dataset name exits with status 2 naming the variable, so a typo never
+//! measures another input.
 //!
 //! The serving reports share [`explain_body`], [`drive`] and
 //! [`phase_report`]; the speedup reports share [`median`], and `perf_gate`
@@ -32,23 +37,60 @@ use em_lime::PairExplanation;
 use em_serve::client;
 use landmark_core::DualExplanation;
 
-/// Reads an environment variable with a fallback parse.
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// One environment variable's value, `None` when it is unset.
+fn env(key: &str) -> Option<String> {
+    std::env::var(key).ok()
 }
 
-/// Builds the experiment configuration from the environment.
-pub fn config_from_env() -> EvalConfig {
-    EvalConfig {
-        scale: env_or("SCALE", 0.25f64).clamp(0.001, 1.0),
-        n_records_per_label: env_or("RECORDS", 100usize),
-        n_samples: env_or("SAMPLES", 500usize),
-        threads: env_or("THREADS", 0usize),
-        ..Default::default()
+/// Exits with status 2 on a malformed variable, naming it.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    })
+}
+
+/// Parses variable `key`: `default` when it is unset, an error naming
+/// the variable and its value when it does not parse.
+fn parse_var<T: std::str::FromStr>(
+    lookup: &dyn Fn(&str) -> Option<String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    match lookup(key) {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("{key}={value:?} does not parse")),
     }
+}
+
+/// The experiment configuration the variables `lookup` gives select (see
+/// the crate docs); the error names the first malformed variable.
+fn parse_config(lookup: &dyn Fn(&str) -> Option<String>) -> Result<EvalConfig, String> {
+    let scale = parse_var(lookup, "SCALE", 0.25f64)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(format!("SCALE={scale} is outside (0, 1]"));
+    }
+    Ok(EvalConfig {
+        scale,
+        n_records_per_label: parse_var(lookup, "RECORDS", 100usize)?,
+        n_samples: parse_var(lookup, "SAMPLES", 500usize)?,
+        threads: parse_var(lookup, "THREADS", 0usize)?,
+        ..Default::default()
+    })
+}
+
+/// Builds the experiment configuration from the environment. Exits with
+/// status 2 on a malformed variable.
+pub fn config_from_env() -> EvalConfig {
+    or_exit(parse_config(&env))
+}
+
+/// The serving reports' `REQUESTS`: requests per phase, default 20. Exits
+/// with status 2 when it does not parse.
+pub fn requests_from_env() -> usize {
+    or_exit(parse_var(&env, "REQUESTS", 20))
 }
 
 /// Parses a comma-separated list of dataset short names. Empty entries
@@ -77,12 +119,9 @@ pub fn parse_datasets(list: &str) -> Result<Vec<DatasetId>, String> {
 /// twelve when unset). Exits with status 2 on an unknown name, so a typo
 /// never measures another dataset.
 pub fn datasets_from_env() -> Vec<DatasetId> {
-    match std::env::var("DATASETS") {
-        Ok(list) => parse_datasets(&list).unwrap_or_else(|msg| {
-            eprintln!("DATASETS: {msg}");
-            std::process::exit(2);
-        }),
-        Err(_) => DatasetId::all().to_vec(),
+    match env("DATASETS") {
+        Some(list) => or_exit(parse_datasets(&list).map_err(|msg| format!("DATASETS: {msg}"))),
+        None => DatasetId::all().to_vec(),
     }
 }
 
@@ -280,6 +319,46 @@ mod tests {
         let c = config_from_env();
         assert!(c.scale > 0.0 && c.scale <= 1.0);
         assert!(c.n_samples > 0);
+    }
+
+    /// Parses the config from fixed `KEY=value` pairs; the process
+    /// environment is shared by every test, so it is never touched.
+    fn config_of(vars: &[(&str, &str)]) -> Result<EvalConfig, String> {
+        let lookup = |key: &str| {
+            vars.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.to_string())
+        };
+        parse_config(&lookup)
+    }
+
+    #[test]
+    fn unset_variables_take_their_defaults() {
+        let c = config_of(&[]).unwrap();
+        assert_eq!(
+            (c.scale, c.n_records_per_label, c.n_samples, c.threads),
+            (0.25, 100, 500, 0)
+        );
+        let c = config_of(&[("SCALE", "1"), ("RECORDS", "3"), ("THREADS", "1")]).unwrap();
+        assert_eq!(
+            (c.scale, c.n_records_per_label, c.n_samples, c.threads),
+            (1.0, 3, 500, 1)
+        );
+    }
+
+    #[test]
+    fn malformed_variables_are_named_not_replaced() {
+        for (vars, expected) in [
+            (vec![("SCALE", "0,05")], r#"SCALE="0,05" does not parse"#),
+            (vec![("SAMPLES", "5OO")], r#"SAMPLES="5OO" does not parse"#),
+            (vec![("RECORDS", "-1")], r#"RECORDS="-1" does not parse"#),
+            (vec![("THREADS", "")], r#"THREADS="" does not parse"#),
+            (vec![("SCALE", "0")], "SCALE=0 is outside (0, 1]"),
+            (vec![("SCALE", "7")], "SCALE=7 is outside (0, 1]"),
+            (vec![("SCALE", "NaN")], "SCALE=NaN is outside (0, 1]"),
+        ] {
+            assert_eq!(config_of(&vars).unwrap_err(), expected, "{vars:?}");
+        }
     }
 
     #[test]

@@ -14,9 +14,10 @@
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use em_codec::explain::SEED_LIMIT;
+use em_codec::explain::{N_SAMPLES_RANGE, SEED_LIMIT};
 use em_codec::json::Value;
 use em_entity::{dataset_from_reader, EmDataset};
+use em_lime::ExplainConfig;
 use em_matchers::{save_logistic_file, LogisticMatcher, MatcherConfig};
 use landmark_core::ExplainerKind;
 
@@ -60,7 +61,8 @@ pub struct RunPlan {
     pub seed: u64,
     /// Which explainer runs on every pair.
     pub explainer: ExplainerKind,
-    /// Perturbation samples per surrogate fit.
+    /// Perturbation samples per surrogate fit, in
+    /// [`N_SAMPLES_RANGE`] like a request's.
     pub n_samples: usize,
     /// Worker threads per shard (`0` auto, `1` serial). Not part of any
     /// output byte — recorded only as the default for `run`.
@@ -90,7 +92,7 @@ impl Default for PlanConfig {
             shards: 4,
             seed: 0,
             explainer: ExplainerKind::Landmark,
-            n_samples: 500,
+            n_samples: ExplainConfig::default().n_samples,
             threads: 0,
         }
     }
@@ -207,6 +209,7 @@ impl RunPlan {
         if plan.shards == 0 {
             return Err(bad("shard count must be at least 1"));
         }
+        check_n_samples(plan.n_samples)?;
         Ok(plan)
     }
 
@@ -215,6 +218,18 @@ impl RunPlan {
         let path = run_dir.join(PLAN_FILE);
         let text = std::fs::read_to_string(&path).map_err(|e| BatchError::io(&path, e))?;
         RunPlan::from_json(&text)
+    }
+}
+
+/// Refuses a sample count no request may ask for: every batch line must
+/// replay against `em-serve` as a request.
+fn check_n_samples(n_samples: usize) -> Result<(), BatchError> {
+    if N_SAMPLES_RANGE.contains(&n_samples) {
+        Ok(())
+    } else {
+        Err(BatchError::Plan(format!(
+            "n_samples must be in {N_SAMPLES_RANGE:?}"
+        )))
     }
 }
 
@@ -245,6 +260,7 @@ pub fn create_plan(
             "seed must fit in 53 bits (JSON number precision)".into(),
         ));
     }
+    check_n_samples(config.n_samples)?;
     let plan_path = run_dir.join(PLAN_FILE);
     if plan_path.exists() {
         return Err(BatchError::Plan(format!(
@@ -376,6 +392,33 @@ mod tests {
             create_plan(Path::new("no-such.csv"), Path::new("no-such-dir"), &config),
             Err(BatchError::Plan(_))
         ));
+    }
+
+    #[test]
+    fn sample_counts_the_wire_refuses_are_rejected_before_any_io() {
+        for n_samples in [0, N_SAMPLES_RANGE.end() + 1] {
+            let config = PlanConfig {
+                n_samples,
+                ..PlanConfig::default()
+            };
+            match create_plan(Path::new("no-such.csv"), Path::new("no-such-dir"), &config) {
+                Err(BatchError::Plan(msg)) => assert_eq!(msg, "n_samples must be in 1..=1000000"),
+                other => panic!("{n_samples}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn plan_files_with_a_sample_count_the_wire_refuses_are_rejected() {
+        let text = plan(10, 3).to_json();
+        assert!(text.contains(r#""n_samples":64"#), "{text}");
+        for n_samples in ["0", "1000001"] {
+            let edited = text.replace(r#""n_samples":64"#, &format!(r#""n_samples":{n_samples}"#));
+            assert!(
+                matches!(RunPlan::from_json(&edited), Err(BatchError::Plan(m)) if m.contains("n_samples")),
+                "{edited}"
+            );
+        }
     }
 
     #[test]

@@ -182,6 +182,37 @@ fn changed_input_is_detected_before_any_work() {
 }
 
 #[test]
+fn only_sample_counts_a_request_may_carry_are_planned_and_run() {
+    let dir = scratch("n-samples");
+    let input = write_input(&dir);
+    // The top of the wire's range plans.
+    let top = PlanConfig {
+        n_samples: 1_000_000,
+        ..config(2)
+    };
+    plan::create_plan(&input, &dir.join("top"), &top).unwrap();
+    // A plan edited below the range is refused before any shard runs.
+    let run_dir = dir.join("edited");
+    plan::create_plan(&input, &run_dir, &config(2)).unwrap();
+    let plan_path = run_dir.join(plan::PLAN_FILE);
+    let text = std::fs::read_to_string(&plan_path).unwrap();
+    let needle = format!("\"n_samples\":{N_SAMPLES}");
+    assert!(text.contains(&needle), "{text}");
+    std::fs::write(&plan_path, text.replace(&needle, "\"n_samples\":0")).unwrap();
+    assert!(matches!(
+        execute(
+            &run_dir,
+            RunMode::Fresh,
+            None,
+            &NoFailpoints,
+            em_obs::noop()
+        ),
+        Err(BatchError::Plan(_))
+    ));
+    assert!(!run_dir.join(plan::MANIFEST_FILE).exists());
+}
+
+#[test]
 fn concurrent_execute_on_one_run_directory_is_rejected() {
     let dir = scratch("locked");
     let input = write_input(&dir);

@@ -17,7 +17,6 @@ use em_batch::{execute, plan, NoFailpoints, PlanConfig, RunMode};
 use em_codec::json::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
-use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_serve::{client, Server, ServerConfig};
 use landmark_core::ExplainerKind;
@@ -100,10 +99,7 @@ fn assert_batch_replays_byte_identically(name: &str, base_seed: u64, n_records: 
         "127.0.0.1:0",
         schema,
         Box::new(matcher),
-        ServerConfig {
-            defaults: ExplainConfig::default(),
-            ..Default::default()
-        },
+        ServerConfig::default(),
     )
     .expect("bind server");
     let handle = server.spawn();

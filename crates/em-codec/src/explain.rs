@@ -21,11 +21,18 @@
 //! by the first, and em-route places both kinds of request on its ring by
 //! hashing them, so their bytes are pinned.
 //!
-//! A request's `"config"` may set `n_samples` and `seed` (below
-//! [`SEED_LIMIT`]); any other field is refused. The surrogate's kernel
-//! width and ridge penalty are not on the wire: every served explanation
-//! uses the defaults' [`em_lime::SurrogateConfig`]. Neither is a thread
-//! count: one explanation always runs on one thread (DESIGN.md §7).
+//! What a request means is decided here and by the body alone, the same
+//! on every path. Its `"config"` may set `n_samples` (in
+//! [`N_SAMPLES_RANGE`]) and `seed` (below [`SEED_LIMIT`]); any other field
+//! is refused, and a field the body leaves out takes
+//! [`ExplainConfig::default`]'s value. No server or router setting
+//! changes that resolution, so one body has one cache key on every tier.
+//! The surrogate's kernel width and ridge penalty are not on the wire:
+//! every served explanation uses the default [`em_lime::SurrogateConfig`].
+//! Neither is a thread count: one explanation always runs on one thread
+//! (DESIGN.md §7).
+
+use std::ops::RangeInclusive;
 
 use em_entity::{EntityPair, EntitySide, Schema};
 use em_lime::{ExplainConfig, PairExplanation};
@@ -39,10 +46,14 @@ use crate::json::Value;
 /// JSON numbers are f64, exact only for integers below 2^53: a larger
 /// seed would round to a neighbour and the explanation would run under a
 /// seed nobody sent. Decoding refuses a wire seed at or above this limit,
-/// `em-serve` and `em-route` refuse such a `--seed` default, and
-/// `em-batch` bounds its base seed and masks every derived record seed
-/// below it.
+/// and `em-batch` bounds its base seed and masks every derived record
+/// seed below it.
 pub const SEED_LIMIT: u64 = 1 << 53;
+
+/// The perturbation sample counts an explanation may ask for. Decoding
+/// refuses a wire `n_samples` outside it, and `em-batch` refuses to plan
+/// one, so every batch line can be replayed as a request.
+pub const N_SAMPLES_RANGE: RangeInclusive<usize> = 1..=1_000_000;
 
 /// A decoded `POST /explain` body.
 #[derive(Debug, Clone)]
@@ -51,7 +62,8 @@ pub struct ExplainRequest {
     pub pair: EntityPair,
     /// Which explainer runs.
     pub explainer: ExplainerKind,
-    /// Resolved settings: the defaults with the request's overrides.
+    /// Resolved settings: [`ExplainConfig::default`] with the body's
+    /// `n_samples` and `seed`.
     pub config: ExplainConfig,
 }
 
@@ -96,12 +108,9 @@ fn decode_entity_values(v: &Value) -> Result<Vec<(&str, &str)>, String> {
         .collect()
 }
 
-/// Decodes a full `POST /explain` body against the schema and defaults.
-pub fn decode_explain_request(
-    body: &str,
-    schema: &Schema,
-    defaults: &ExplainConfig,
-) -> Result<ExplainRequest, String> {
+/// Decodes a full `POST /explain` body against the schema. A field the
+/// body leaves out takes [`ExplainConfig::default`]'s value.
+pub fn decode_explain_request(body: &str, schema: &Schema) -> Result<ExplainRequest, String> {
     let root = Value::parse(body).map_err(|e| e.to_string())?;
     let pair = decode_pair(&root, schema)?;
     let explainer = match root.get("explainer") {
@@ -111,7 +120,7 @@ pub fn decode_explain_request(
             ExplainerKind::parse(name)?
         }
     };
-    let mut config = *defaults;
+    let mut config = ExplainConfig::default();
     if let Some(wire) = root.get("config") {
         let Some(entries) = wire.as_object() else {
             return Err("\"config\" must be an object".into());
@@ -119,11 +128,13 @@ pub fn decode_explain_request(
         for (key, value) in entries {
             match key.as_str() {
                 "n_samples" => {
-                    let n = value
+                    config.n_samples = value
                         .as_u64()
-                        .filter(|&n| (1..=1_000_000).contains(&n))
-                        .ok_or("\"n_samples\" must be an integer in 1..=1000000")?;
-                    config.n_samples = n as usize;
+                        .and_then(|n| usize::try_from(n).ok())
+                        .filter(|n| N_SAMPLES_RANGE.contains(n))
+                        .ok_or_else(|| {
+                            format!("\"n_samples\" must be an integer in {N_SAMPLES_RANGE:?}")
+                        })?;
                 }
                 "seed" => {
                     config.seed = value
@@ -144,7 +155,7 @@ pub fn decode_explain_request(
 
 /// The canonical cache key for a resolved request (see module docs). The
 /// surrogate fields come from the resolved config; a decoded request always
-/// carries the defaults' values there, and writing them keeps every key's
+/// carries the library defaults there, and writing them keeps every key's
 /// bytes, ring placement and cache entry unchanged.
 pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
     let config = &request.config;
@@ -342,7 +353,7 @@ mod tests {
 
     #[test]
     fn decodes_a_full_request() {
-        let req = decode_explain_request(BODY, &schema(), &ExplainConfig::default()).unwrap();
+        let req = decode_explain_request(BODY, &schema()).unwrap();
         assert_eq!(req.explainer, ExplainerKind::LandmarkSingle);
         assert_eq!(req.config.n_samples, 64);
         assert_eq!(req.config.seed, 7);
@@ -353,9 +364,11 @@ mod tests {
     #[test]
     fn defaults_apply_when_fields_are_absent() {
         let body = r#"{"pair": {"left": {"name": "a"}, "right": {"name": "b"}}}"#;
-        let req = decode_explain_request(body, &schema(), &ExplainConfig::default()).unwrap();
+        let req = decode_explain_request(body, &schema()).unwrap();
+        let defaults = ExplainConfig::default();
         assert_eq!(req.explainer, ExplainerKind::Landmark);
-        assert_eq!(req.config.n_samples, 500);
+        assert_eq!(req.config.n_samples, defaults.n_samples);
+        assert_eq!(req.config.seed, defaults.seed);
         // Missing attributes decode as empty values.
         assert_eq!(req.pair.left.value(1), "");
     }
@@ -363,7 +376,6 @@ mod tests {
     #[test]
     fn rejects_bad_requests_with_messages() {
         let s = schema();
-        let d = ExplainConfig::default();
         let config = |fields: &str| {
             format!(
                 r#"{{"pair": {{"left": {{"name": "alpha"}}, "right": {{"name": "beta"}}}},
@@ -390,11 +402,14 @@ mod tests {
         .into_iter()
         .map(|(body, needle)| (body.to_string(), needle))
         .collect();
+        let samples = "\"n_samples\" must be an integer in 1..=1000000";
         let seed = "\"seed\" must be a non-negative integer below 2^53";
         let width = "unknown config field \"kernel_width\"";
         let solver = "unknown config field \"solver\"";
         for (fields, needle) in [
-            (r#""n_samples": 0"#, "n_samples"),
+            (r#""n_samples": 0"#, samples),
+            (r#""n_samples": 1000001"#, samples),
+            (r#""n_samples": 2.5"#, samples),
             (r#""wat": 1"#, "unknown config field"),
             // JSON numbers are f64: 2^53 + 1 parses as 2^53, and 2^64 is
             // outside u64 altogether.
@@ -419,19 +434,23 @@ mod tests {
             cases.push((config(fields), needle));
         }
         for (body, needle) in cases {
-            let err = decode_explain_request(&body, &s, &d).unwrap_err();
+            let err = decode_explain_request(&body, &s).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
         // The largest seed JSON carries exactly decodes to exactly itself.
-        let req = decode_explain_request(&config(r#""seed": 9007199254740991"#), &s, &d).unwrap();
+        let req = decode_explain_request(&config(r#""seed": 9007199254740991"#), &s).unwrap();
         assert_eq!(req.config.seed, SEED_LIMIT - 1);
+        // Both ends of the sample range decode.
+        for n in [N_SAMPLES_RANGE.start(), N_SAMPLES_RANGE.end()] {
+            let req = decode_explain_request(&config(&format!(r#""n_samples": {n}"#)), &s).unwrap();
+            assert_eq!(req.config.n_samples, *n);
+        }
     }
 
     #[test]
     fn cache_key_is_canonical_and_ignores_threads() {
-        let d = ExplainConfig::default();
         let s = schema();
-        let a = decode_explain_request(BODY, &s, &d).unwrap();
+        let a = decode_explain_request(BODY, &s).unwrap();
         // Same request with reordered JSON fields must produce the same
         // key, and no key names a thread count.
         let reordered = r#"{
@@ -442,9 +461,21 @@ mod tests {
                 "left": {"price": "849.99", "name": "sony alpha camera"}
             }
         }"#;
-        let b = decode_explain_request(reordered, &s, &d).unwrap();
+        let b = decode_explain_request(reordered, &s).unwrap();
         assert_eq!(cache_key(&s, &a), cache_key(&s, &b));
         assert!(!cache_key(&s, &a).contains("threads"));
+
+        // A body that leaves the config out has exactly the key of the
+        // same body spelling the defaults out: em-route places both on
+        // the backend that cached either.
+        let pair = r#""pair": {"left": {"name": "sony"}, "right": {"name": "sony kit"}}"#;
+        let implicit = decode_explain_request(&format!("{{{pair}}}"), &s).unwrap();
+        let explicit = decode_explain_request(
+            &format!(r#"{{{pair}, "config": {{"n_samples": 500, "seed": 0}}}}"#),
+            &s,
+        )
+        .unwrap();
+        assert_eq!(cache_key(&s, &implicit), cache_key(&s, &explicit));
 
         // A different seed must change the key.
         let mut c = a.clone();
@@ -459,7 +490,7 @@ mod tests {
         // moves every key to a new backend and empties every cache.
         let s = schema();
         let body = r#"{"pair": {"left": {"name": "sony alpha"}, "right": {"name": "sony kit", "price": "9.5"}}}"#;
-        let request = decode_explain_request(body, &s, &ExplainConfig::default()).unwrap();
+        let request = decode_explain_request(body, &s).unwrap();
         assert_eq!(
             cache_key(&s, &request),
             r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":1,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
@@ -543,7 +574,7 @@ mod tests {
     #[test]
     fn run_explain_encodes_weights_bit_identical_to_direct_call() {
         let s = schema();
-        let req = decode_explain_request(BODY, &s, &ExplainConfig::default()).unwrap();
+        let req = decode_explain_request(BODY, &s).unwrap();
         let response = run_explain(&OverlapModel, &s, &req, em_obs::noop());
 
         let config = ExplainConfig {
@@ -589,16 +620,12 @@ mod tests {
         // The tracing acceptance bar: attaching a Collector must never
         // change a single output byte, for every explainer.
         let s = schema();
-        let d = ExplainConfig {
-            n_samples: 32,
-            ..Default::default()
-        };
         for explainer in ["landmark", "landmark-single", "lime", "mojito-copy"] {
             let body = format!(
                 r#"{{"pair": {{"left": {{"name": "sony camera"}}, "right": {{"name": "sony kit"}}}},
-                     "explainer": "{explainer}"}}"#
+                     "explainer": "{explainer}", "config": {{"n_samples": 32}}}}"#
             );
-            let req = decode_explain_request(&body, &s, &d).unwrap();
+            let req = decode_explain_request(&body, &s).unwrap();
             let untraced = run_explain(&OverlapModel, &s, &req, em_obs::noop()).to_json();
             let trace = em_obs::Collector::new();
             let traced = run_explain(&OverlapModel, &s, &req, &trace).to_json();
@@ -613,16 +640,12 @@ mod tests {
     #[test]
     fn lime_and_mojito_produce_single_views() {
         let s = schema();
-        let d = ExplainConfig {
-            n_samples: 32,
-            ..Default::default()
-        };
         for explainer in ["lime", "mojito-copy"] {
             let body = format!(
                 r#"{{"pair": {{"left": {{"name": "sony camera"}}, "right": {{"name": "sony kit"}}}},
-                     "explainer": "{explainer}"}}"#
+                     "explainer": "{explainer}", "config": {{"n_samples": 32}}}}"#
             );
-            let req = decode_explain_request(&body, &s, &d).unwrap();
+            let req = decode_explain_request(&body, &s).unwrap();
             let response = run_explain(&OverlapModel, &s, &req, em_obs::noop());
             let views = response.get("explanations").unwrap().as_array().unwrap();
             assert_eq!(views.len(), 1, "{explainer}");

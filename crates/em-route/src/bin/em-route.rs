@@ -16,9 +16,7 @@ use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use em_codec::explain::SEED_LIMIT;
 use em_datagen::{DatasetId, Domain};
-use em_lime::ExplainConfig;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 
 const USAGE: &str = "\
@@ -35,8 +33,6 @@ FLAGS:
     --threads N          proxy worker threads, 0=auto [default: 0]
     --queue-depth N      pending connections    [default: 128]
     --dataset NAME       Table 1 dataset the backends serve [default: S-FZ]
-    --samples N          default perturbation samples (must match backends) [default: 500]
-    --seed N             default explanation seed, < 2^53 (must match backends) [default: 0]
     --request-timeout-ms N   total per-request budget (ms)      [default: 30000]
     --queue-age-ms N         discard connections queued longer (ms) [default: 10000]
     --backend-timeout-ms N   one backend exchange budget (ms)   [default: 20000]
@@ -55,8 +51,6 @@ struct Args {
     threads: usize,
     queue_depth: usize,
     dataset: DatasetId,
-    samples: usize,
-    seed: u64,
     request_timeout_ms: u64,
     queue_age_ms: u64,
     backend_timeout_ms: u64,
@@ -77,8 +71,6 @@ impl Default for Args {
             threads: 0,
             queue_depth: 128,
             dataset: DatasetId::SFz,
-            samples: 500,
-            seed: 0,
             request_timeout_ms: 30_000,
             queue_age_ms: 10_000,
             backend_timeout_ms: 20_000,
@@ -142,20 +134,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                 args.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
             }
             "--dataset" => args.dataset = DatasetId::parse(value)?,
-            "--samples" => {
-                args.samples = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| bad("expected a positive integer"))?
-            }
-            "--seed" => {
-                args.seed = value
-                    .parse()
-                    .ok()
-                    .filter(|s| *s < SEED_LIMIT)
-                    .ok_or_else(|| bad("expected an integer below 2^53"))?
-            }
             "--request-timeout-ms" => {
                 args.request_timeout_ms =
                     parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
@@ -222,11 +200,6 @@ fn run(args: Args) -> Result<(), String> {
             probe_timeout: Duration::from_millis(args.probe_timeout_ms),
             eject_threshold: args.eject_threshold,
             eject_cooldown: Duration::from_millis(args.eject_cooldown_ms),
-        },
-        defaults: ExplainConfig {
-            n_samples: args.samples,
-            seed: args.seed,
-            ..Default::default()
         },
     };
     let workers = em_par::worker_count(config.workers);

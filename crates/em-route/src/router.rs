@@ -9,12 +9,14 @@
 //! brain:
 //!
 //! 1. **Key** (`route_key` stage): decode the request with the *same*
-//!    codec and defaults the backends use, compute the canonical key
+//!    codec the backends use, compute the canonical key
 //!    ([`em_codec::explain::cache_key`], or
 //!    [`em_codec::explain::predict_key`] for `/predict`), and look up the
-//!    owner on the ring. Malformed requests are rejected here with the
-//!    byte-same 400 body a backend would have produced — same decode
-//!    functions, same error encoding.
+//!    owner on the ring. The codec resolves a request from its body
+//!    alone, so the router and every backend compute one key for it with
+//!    no setting to keep in step. Malformed requests are rejected here
+//!    with the byte-same 400 body a backend would have produced — same
+//!    decode functions, same error encoding.
 //! 2. **Forward** (`route_forward` stage): exchange with the owner, on a
 //!    kept-alive connection from that backend's [`client::Pool`] when one
 //!    is idle. On a *connect* failure — nothing reached the backend —
@@ -39,7 +41,6 @@ use std::time::Duration;
 use em_codec::explain::{cache_key, decode_explain_request, decode_pair, predict_key};
 use em_codec::Value;
 use em_entity::Schema;
-use em_lime::ExplainConfig;
 use em_obs::{Span, Stage};
 use em_serve::client::{self, ClientError, ClientResponse, Pool, PoolUse};
 use em_serve::http::{Request, Response};
@@ -70,9 +71,6 @@ pub struct RouterConfig {
     pub failover_backoff: Duration,
     /// Health-machine tunables (probing, ejection, recovery).
     pub health: HealthConfig,
-    /// Default explainer settings — must mirror the backends' defaults so
-    /// the router resolves each request to the same canonical key.
-    pub defaults: ExplainConfig,
 }
 
 impl Default for RouterConfig {
@@ -86,7 +84,6 @@ impl Default for RouterConfig {
             failover_retries: 2,
             failover_backoff: Duration::from_millis(20),
             health: HealthConfig::default(),
-            defaults: ExplainConfig::default(),
         }
     }
 }
@@ -274,15 +271,15 @@ impl Service for Router {
     }
 }
 
-/// Proxies `POST /explain`: decode with the backends' own codec and
-/// defaults, key, and forward to the ring owner.
+/// Proxies `POST /explain`: decode with the backends' own codec, key, and
+/// forward to the ring owner.
 fn proxy_explain(state: &Router, request: &Request) -> Response {
     let trace = em_obs::Collector::new();
     let key = {
         let _span = Span::enter(&trace, Stage::RouteKey);
         // The same decode the backend runs: a malformed body gets the
         // byte-identical 400 it would have gotten from `em-serve`.
-        match decode_explain_request(&request.body, &state.schema, &state.config.defaults) {
+        match decode_explain_request(&request.body, &state.schema) {
             Ok(decoded) => cache_key(&state.schema, &decoded),
             Err(msg) => return Response::error(400, &msg),
         }

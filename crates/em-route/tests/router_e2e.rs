@@ -10,7 +10,6 @@ use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
-use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
@@ -48,7 +47,6 @@ fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::Server
         ServerConfig {
             workers: 2,
             cache_capacity: 64,
-            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )
@@ -108,7 +106,6 @@ fn failover_keeps_every_answer_byte_identical() {
                 eject_threshold: 1,
                 eject_cooldown: Duration::from_secs(120),
             },
-            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )

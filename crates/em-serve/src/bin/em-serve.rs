@@ -8,9 +8,7 @@
 
 use std::process::ExitCode;
 
-use em_codec::explain::SEED_LIMIT;
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_lime::ExplainConfig;
 use em_matchers::{
     load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher, MatcherConfig,
 };
@@ -31,8 +29,6 @@ FLAGS:
     --cache-shards N     cache shards           [default: 8]
     --dataset NAME       Table 1 dataset (e.g. S-FZ, T-AB) [default: S-FZ]
     --scale F            dataset size multiplier in (0,1]  [default: 0.25]
-    --samples N          default perturbation samples      [default: 500]
-    --seed N             default explanation seed, < 2^53  [default: 0]
     --slow-ms N          slow-request log threshold (ms), 0 disables [default: 1000]
     --request-timeout-ms N  total per-request read+write budget (ms) [default: 30000]
     --queue-age-ms N     discard connections queued longer than this (ms) [default: 10000]
@@ -50,8 +46,6 @@ struct Args {
     cache_shards: usize,
     dataset: DatasetId,
     scale: f64,
-    samples: usize,
-    seed: u64,
     slow_ms: u64,
     request_timeout_ms: u64,
     queue_age_ms: u64,
@@ -70,8 +64,6 @@ impl Default for Args {
             cache_shards: 8,
             dataset: DatasetId::SFz,
             scale: 0.25,
-            samples: 500,
-            seed: 0,
             slow_ms: 1_000,
             request_timeout_ms: 30_000,
             queue_age_ms: 10_000,
@@ -112,20 +104,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .ok()
                     .filter(|s| *s > 0.0 && *s <= 1.0)
                     .ok_or_else(|| bad("expected a number in (0, 1]"))?
-            }
-            "--samples" => {
-                args.samples = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| bad("expected a positive integer"))?
-            }
-            "--seed" => {
-                args.seed = value
-                    .parse()
-                    .ok()
-                    .filter(|s| *s < SEED_LIMIT)
-                    .ok_or_else(|| bad("expected an integer below 2^53"))?
             }
             "--slow-ms" => args.slow_ms = value.parse().map_err(|_| bad("expected an integer"))?,
             "--request-timeout-ms" => {
@@ -184,11 +162,6 @@ fn run(args: Args) -> Result<(), String> {
         queue_depth: args.queue_depth,
         cache_capacity: args.cache_size,
         cache_shards: args.cache_shards,
-        defaults: ExplainConfig {
-            n_samples: args.samples,
-            seed: args.seed,
-            ..Default::default()
-        },
         slow_request_ms: (args.slow_ms > 0).then_some(args.slow_ms),
         request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
         max_queue_age: std::time::Duration::from_millis(args.queue_age_ms),

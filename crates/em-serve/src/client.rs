@@ -32,7 +32,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use crate::deadline::{is_timeout, Deadline, DeadlineStream};
-use crate::http::{has_keep_alive, read_capped_line, MAX_HEADER_BYTES};
+use crate::http::{content_length, has_keep_alive, read_head, HeadError};
 
 /// Exchange budget applied by [`request`]: bounds the connect, the
 /// request write and the whole response read together. Generous, because
@@ -344,55 +344,33 @@ fn bad(msg: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
-/// One line of the response head, charged to the head's byte budget.
-fn head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> std::io::Result<String> {
-    let line = read_capped_line(reader, *budget)?
-        .ok_or_else(|| bad("response head exceeds the header cap"))?;
-    *budget -= line.len();
-    Ok(line)
-}
-
 /// Reads one response framed by its `Content-Length`, leaving `reader`
-/// at the first byte after it. EOF before the first byte is
+/// at the first byte after it. The head and the framing rule are the
+/// request reader's own ([`read_head`], [`content_length`]), so a
+/// response with conflicting lengths is refused, never framed by one of
+/// them. EOF before the head's blank line is
 /// [`std::io::ErrorKind::UnexpectedEof`]; a missing or short body, or a
 /// head that is not HTTP, is [`std::io::ErrorKind::InvalidData`].
 fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<ClientResponse> {
-    let mut budget = MAX_HEADER_BYTES;
-    let status_line = head_line(reader, &mut budget)?;
-    if status_line.is_empty() {
-        return Err(std::io::Error::new(
+    let (start_line, headers) = read_head(reader, "status line").map_err(|e| match e {
+        HeadError::Closed => std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "connection closed before any response byte",
-        ));
-    }
-    let status = status_line
+        ),
+        HeadError::Malformed(m) => bad(&m),
+        HeadError::Io(e) => e,
+    })?;
+    let status = start_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse::<u16>().ok())
         .ok_or_else(|| bad("bad status line"))?;
-    let mut headers = Vec::new();
-    loop {
-        let line = head_line(reader, &mut budget)?;
-        if line.is_empty() {
-            return Err(bad("no header/body separator"));
-        }
-        let line = line.trim_end_matches(['\r', '\n']);
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line.split_once(':').ok_or_else(|| bad("bad header"))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let declared = headers
-        .iter()
-        .find(|(name, _)| name == "content-length")
-        .ok_or_else(|| bad("response without Content-Length"))?
-        .1
-        .parse::<u64>()
-        .map_err(|_| bad("bad content-length"))?;
+    let declared = content_length(&headers)
+        .map_err(|m| bad(&m))?
+        .ok_or_else(|| bad("response without Content-Length"))?;
     let mut body = Vec::new();
-    reader.take(declared).read_to_end(&mut body)?;
-    if body.len() as u64 != declared {
+    reader.take(declared as u64).read_to_end(&mut body)?;
+    if body.len() != declared {
         return Err(bad("truncated body"));
     }
     let body = String::from_utf8(body).map_err(|_| bad("response is not utf-8"))?;
@@ -428,6 +406,21 @@ mod tests {
         assert_eq!(r.status, 200);
         assert_eq!(r.header("x-cache"), Some("hit"));
         assert_eq!(r.body, "{}");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_a_protocol_error() {
+        // Regression: the first `Content-Length` framed the response and
+        // the second was ignored, so on a kept-alive connection the rest
+        // of the body would have been read as the next answer.
+        let addr =
+            one_shot_server("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{} ");
+        let err = request(addr, "GET", "/healthz", "").expect_err("conflicting lengths");
+        assert!(matches!(err, ClientError::Protocol(_)), "got {err:?}");
+        // Identical duplicates frame the response as either one would.
+        let addr =
+            one_shot_server("HTTP/1.1 200 OK\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}");
+        assert_eq!(request(addr, "GET", "/healthz", "").unwrap().body, "{}");
     }
 
     #[test]

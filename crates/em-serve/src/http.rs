@@ -2,6 +2,9 @@
 //!
 //! Implements exactly what both tiers need: request-line + header
 //! parsing, `Content-Length` bodies with a size cap, and response writing.
+//! The head reader and the `Content-Length` rule are also the client's
+//! (`crate::client`), so a request and a response are framed by the same
+//! code.
 //! A response says `Connection: keep-alive` only when the listener keeps
 //! the connection open for another request, which it does for a request
 //! that asks (em-route's backend pool does) and only while no other
@@ -17,9 +20,8 @@ use em_codec::Value;
 /// Largest accepted request body (1 MiB) — an EM record pair is a few KB.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
-/// Largest accepted header section (the client caps response heads at
-/// the same size).
-pub(crate) const MAX_HEADER_BYTES: usize = 16 << 10;
+/// Largest accepted message head, request and response alike.
+const MAX_HEADER_BYTES: usize = 16 << 10;
 
 /// A parsed HTTP request.
 #[derive(Debug, Clone)]
@@ -136,30 +138,96 @@ fn classify_io(error: std::io::Error, phase: ReadPhase) -> HttpError {
 /// Reads one `\n`-terminated line of at most `budget` bytes (terminator
 /// included), without buffering anything past the cap: `None` for a
 /// longer line, the empty string on EOF. The cap is what keeps a
-/// newline-less request line (or a single huge header line) from
-/// buffering unboundedly; the client's response reader shares it.
-pub(crate) fn read_capped_line<R: BufRead>(
-    reader: &mut R,
-    budget: usize,
-) -> std::io::Result<Option<String>> {
+/// newline-less start line (or a single huge header line) from
+/// buffering unboundedly.
+fn read_capped_line<R: BufRead>(reader: &mut R, budget: usize) -> std::io::Result<Option<String>> {
     let mut line = String::new();
     let n = reader.take(budget as u64 + 1).read_line(&mut line)?;
     Ok((n <= budget).then_some(line))
 }
 
-/// [`read_capped_line`] for the request head, with its failures typed.
-fn read_head_line<R: BufRead>(
+/// Why [`read_head`] returned no head.
+pub(crate) enum HeadError {
+    /// EOF before the first byte.
+    Closed,
+    /// The head breaks the framing rules; the message says how.
+    Malformed(String),
+    /// The socket failed, timed out, or closed before the blank line.
+    Io(std::io::Error),
+}
+
+/// Reads one message head, the one head reader of both directions: the
+/// start line (a request or status line, named `start` in errors), then
+/// header lines up to the blank line ending them, all charged to one
+/// [`MAX_HEADER_BYTES`] budget enforced *while* reading. Returns the
+/// start line without its line end and the headers with lower-cased
+/// names, in arrival order; the bytes after the blank line stay in
+/// `reader`.
+pub(crate) fn read_head<R: BufRead>(
     reader: &mut R,
-    budget: usize,
-    what: &str,
-) -> Result<String, HttpError> {
-    read_capped_line(reader, budget)
-        .map_err(|e| classify_io(e, ReadPhase::Header))?
-        .ok_or_else(|| {
-            HttpError::Malformed(format!(
-                "{what} exceeds the {MAX_HEADER_BYTES}-byte header cap"
-            ))
-        })
+    start: &str,
+) -> Result<(String, Vec<(String, String)>), HeadError> {
+    let mut budget = MAX_HEADER_BYTES;
+    let mut line = |what: &str| {
+        let line = read_capped_line(reader, budget)
+            .map_err(HeadError::Io)?
+            .ok_or_else(|| {
+                HeadError::Malformed(format!(
+                    "{what} exceeds the {MAX_HEADER_BYTES}-byte header cap"
+                ))
+            })?;
+        budget -= line.len();
+        Ok(line)
+    };
+    let start_line = line(start)?;
+    if start_line.is_empty() {
+        return Err(HeadError::Closed);
+    }
+    let mut headers = Vec::new();
+    loop {
+        let header = line("header section")?;
+        if header.is_empty() {
+            return Err(HeadError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed before the end of the header section",
+            )));
+        }
+        let trimmed = header.trim_end_matches(['\r', '\n']);
+        if trimmed.is_empty() {
+            break;
+        }
+        let (name, value) = trimmed
+            .split_once(':')
+            .ok_or_else(|| HeadError::Malformed(format!("bad header line {trimmed:?}")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+    }
+    Ok((
+        start_line.trim_end_matches(['\r', '\n']).to_string(),
+        headers,
+    ))
+}
+
+/// The body length `headers` declare (`None` when no `Content-Length`
+/// is present), the one framing rule of both directions. Every
+/// `Content-Length` header must agree: identical duplicates are
+/// tolerated, but resolving conflicting ones to any single value is the
+/// classic request-smuggling bug — two parsers picking different values
+/// frame the connection differently.
+pub(crate) fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, String> {
+    let mut declared = None;
+    for (name, value) in headers {
+        if name != "content-length" {
+            continue;
+        }
+        let parsed = value
+            .parse::<usize>()
+            .map_err(|_| "bad content-length".to_string())?;
+        if declared.is_some_and(|previous| previous != parsed) {
+            return Err("conflicting content-length headers".into());
+        }
+        declared = Some(parsed);
+    }
+    Ok(declared)
 }
 
 /// Reads one HTTP/1.1 request from `stream`, buffered for this request
@@ -172,15 +240,12 @@ pub fn read_request<S: Read>(stream: S) -> Result<Request, HttpError> {
 /// past the request stay in `reader`, so a connection that carries
 /// several requests loses none of them.
 pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    // The request line, headers, and terminating blank line all count
-    // against one [`MAX_HEADER_BYTES`] budget, enforced *while* reading.
-    let mut budget = MAX_HEADER_BYTES;
-    let line = read_head_line(reader, budget, "request line")?;
-    if line.is_empty() {
-        return Err(HttpError::Closed);
-    }
-    budget -= line.len();
-    let mut parts = line.split_whitespace();
+    let (start_line, headers) = read_head(reader, "request line").map_err(|e| match e {
+        HeadError::Closed => HttpError::Closed,
+        HeadError::Malformed(m) => HttpError::Malformed(m),
+        HeadError::Io(e) => classify_io(e, ReadPhase::Header),
+    })?;
+    let mut parts = start_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
@@ -196,20 +261,6 @@ pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpErro
         return Err(HttpError::Malformed(format!("bad version {version:?}")));
     }
 
-    let mut headers = Vec::new();
-    loop {
-        let header = read_head_line(reader, budget, "header section")?;
-        let trimmed = header.trim_end_matches(['\r', '\n']);
-        if trimmed.is_empty() {
-            break;
-        }
-        budget -= header.len();
-        let (name, value) = trimmed
-            .split_once(':')
-            .ok_or_else(|| HttpError::Malformed(format!("bad header line {trimmed:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-
     // A chunked body is never decoded. Reading on without it would leave
     // the chunks on the wire, to be parsed as the next request on a
     // kept-alive connection, so the request is refused whole.
@@ -217,28 +268,9 @@ pub fn read_request_from<R: BufRead>(reader: &mut R) -> Result<Request, HttpErro
         return Err(HttpError::TransferEncoding);
     }
 
-    // Every `Content-Length` header must agree. Resolving duplicates to
-    // any single one silently (the old `find` behaviour) is the classic
-    // request-smuggling bug: two parsers picking different values frame
-    // the connection differently.
-    let mut declared: Option<usize> = None;
-    for (name, value) in &headers {
-        if name != "content-length" {
-            continue;
-        }
-        let parsed = value
-            .parse::<usize>()
-            .map_err(|_| HttpError::Malformed("bad content-length".into()))?;
-        match declared {
-            Some(previous) if previous != parsed => {
-                return Err(HttpError::Malformed(
-                    "conflicting content-length headers".into(),
-                ));
-            }
-            _ => declared = Some(parsed),
-        }
-    }
-    let content_length = declared.unwrap_or(0);
+    let content_length = content_length(&headers)
+        .map_err(HttpError::Malformed)?
+        .unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::BodyTooLarge);
     }
@@ -473,6 +505,21 @@ mod tests {
         let raw = "POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 4\r\n\r\nabcd";
         let req = read_request(raw.as_bytes()).unwrap();
         assert_eq!(req.body, "abcd");
+    }
+
+    #[test]
+    fn a_head_cut_before_its_blank_line_is_an_io_error() {
+        // The peer closed mid-request, as with a truncated body: the head
+        // is never read as complete without its blank line.
+        for raw in [
+            "GET /healthz HTTP/1.1\r\n",
+            "GET /healthz HTTP/1.1\r\nHost: x\r\n",
+        ] {
+            assert!(
+                matches!(read_request(raw.as_bytes()), Err(HttpError::Io(_))),
+                "{raw:?}"
+            );
+        }
     }
 
     #[test]

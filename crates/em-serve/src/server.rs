@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 use em_codec::explain as codec;
 use em_codec::Value;
 use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
-use em_lime::ExplainConfig;
 use em_obs::Tracer;
 
 use crate::cache::ShardedCache;
@@ -33,9 +32,6 @@ pub struct ServerConfig {
     pub cache_capacity: usize,
     /// Explanation-cache shard count.
     pub cache_shards: usize,
-    /// Default explainer settings; a request's `"config"` may override
-    /// `n_samples` and `seed`.
-    pub defaults: ExplainConfig,
     /// An `/explain` request slower than this (wall-clock, milliseconds)
     /// is logged to stderr with its stage breakdown and counted in
     /// `em_serve_slow_requests_total`. `None` disables slow-request
@@ -60,7 +56,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             cache_capacity: 1024,
             cache_shards: 8,
-            defaults: ExplainConfig::default(),
             slow_request_ms: Some(1_000),
             request_timeout: Duration::from_secs(30),
             max_queue_age: Duration::from_secs(10),
@@ -75,7 +70,6 @@ pub struct Server {
     model: Box<dyn MatchModel + Send + Sync>,
     cache: ShardedCache,
     metrics: Metrics,
-    defaults: ExplainConfig,
     slow_request_ms: Option<u64>,
     /// Set by `POST /drain`: the node keeps serving, but `GET /readyz`
     /// answers 503 so a routing tier stops sending it new traffic.
@@ -107,7 +101,6 @@ impl Server {
             model,
             cache: ShardedCache::new(config.cache_capacity, config.cache_shards),
             metrics: Metrics::new(),
-            defaults: config.defaults,
             slow_request_ms: config.slow_request_ms,
             draining: AtomicBool::new(false),
             listener: Listener::bind(
@@ -226,8 +219,7 @@ fn handle_readyz(state: &Server) -> Response {
 
 fn handle_explain(state: &Server, request: &Request) -> Response {
     let start = Instant::now(); // em-lint: allow(nondet-taint) -- latency for the X-Compute-Micros header and metrics only; never touches explanation bytes
-    let decoded = match codec::decode_explain_request(&request.body, &state.schema, &state.defaults)
-    {
+    let decoded = match codec::decode_explain_request(&request.body, &state.schema) {
         Ok(d) => d,
         Err(msg) => return Response::error(400, &msg),
     };

@@ -17,7 +17,6 @@ use em_codec::explain::{decode_explain_request, encode_pair, run_explain};
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
-use em_lime::ExplainConfig;
 use em_matchers::{LogisticMatcher, MatcherConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig, ServerHandle};
@@ -105,8 +104,7 @@ proptest! {
 
         // Ground truth: the explainer invoked directly, no server, no
         // sockets, no deadline anywhere near it.
-        let decoded = decode_explain_request(&body, &fx.schema, &ExplainConfig::default())
-            .expect("request decodes");
+        let decoded = decode_explain_request(&body, &fx.schema).expect("request decodes");
         let boxed: Box<dyn MatchModel + Send + Sync> = Box::new(fx.matcher.clone());
         let direct = run_explain(&boxed, &fx.schema, &decoded, em_obs::noop()).to_json();
 

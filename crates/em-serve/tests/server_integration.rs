@@ -77,7 +77,6 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
         ServerConfig {
             workers: 2,
             cache_capacity: 64,
-            defaults: ExplainConfig::default(),
             ..Default::default()
         },
     )

@@ -20,7 +20,7 @@ use rand::SeedableRng;
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    println!(
+    bench::outln!(
         "# Ablation: kernel width (dataset {}, LIME surrogate fidelity)\n",
         id.short_name()
     );
@@ -46,7 +46,7 @@ fn main() {
         )
         .collect();
 
-    println!("{:>8} {:>10} {:>10}", "width", "mean_r2", "mae");
+    bench::outln!("{:>8} {:>10} {:>10}", "width", "mean_r2", "mae");
     for width in [0.05, 0.1, 0.25, 0.5, 1.0, 5.0] {
         let cfg = ExplainConfig {
             n_samples: base.n_samples,
@@ -81,14 +81,14 @@ fn main() {
             errs.push((actual - (e.model_prediction - weight_sum)).abs());
         }
         let mae = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
-        println!(
+        bench::outln!(
             "{:>8.2} {:>10.3} {:>10.3}",
             width,
             r2_sum / records.len() as f64,
             mae
         );
     }
-    println!("\nExpected: very narrow widths overweight near-identity samples (noisy fit);");
-    println!("very wide widths avering over heavy perturbations (less local). The default");
-    println!("0.25 sits in the flat middle of the fidelity curve.");
+    bench::outln!("\nExpected: very narrow widths overweight near-identity samples (noisy fit);");
+    bench::outln!("very wide widths avering over heavy perturbations (less local). The default");
+    bench::outln!("0.25 sits in the flat middle of the fidelity curve.");
 }

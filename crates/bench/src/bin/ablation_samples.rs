@@ -13,13 +13,18 @@ use landmark_core::ExplainerKind;
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    println!(
+    bench::outln!(
         "# Ablation: perturbation budget (dataset {})\n",
         id.short_name()
     );
-    println!(
+    bench::outln!(
         "{:<8} {:<12} {:>12} {:>8} {:>8} {:>8}",
-        "samples", "technique", "label", "acc", "mae", "interest"
+        "samples",
+        "technique",
+        "label",
+        "acc",
+        "mae",
+        "interest"
     );
 
     for n_samples in [50usize, 100, 250, 500, 1000] {
@@ -30,7 +35,7 @@ fn main() {
                 if t.technique == ExplainerKind::MojitoCopy && lr.label {
                     continue; // the paper reports Copy on non-matching only
                 }
-                println!(
+                bench::outln!(
                     "{:<8} {:<12} {:>12} {:>8.3} {:>8.3} {:>8.3}",
                     n_samples,
                     t.technique.label(),
@@ -41,10 +46,10 @@ fn main() {
                 );
             }
         }
-        println!();
+        bench::outln!();
     }
-    println!("Expected: MAE decreases and stabilizes with budget; beyond ~500 samples");
-    println!("(the paper's LIME default) additional perturbations buy little fidelity.");
+    bench::outln!("Expected: MAE decreases and stabilizes with budget; beyond ~500 samples");
+    bench::outln!("(the paper's LIME default) additional perturbations buy little fidelity.");
 }
 
 // Default dataset when DATASETS is unset: the first of DatasetId::all(),

@@ -31,7 +31,7 @@ fn concatenated(run_dir: &Path, shards: usize) -> Vec<u8> {
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    println!(
+    bench::outln!(
         "# Batch pipeline throughput (dataset {}, n_samples {})\n",
         id.short_name(),
         base.n_samples
@@ -53,7 +53,7 @@ fn main() {
     std::fs::write(&input, dataset_to_csv(&small)).expect("write input");
 
     let shards = 4.min(n_records);
-    println!("{:>8} {:>10} {:>12}", "threads", "seconds", "records/s");
+    bench::outln!("{:>8} {:>10} {:>12}", "threads", "seconds", "records/s");
     let mut outputs: Vec<Vec<u8>> = Vec::new();
     for threads in [1usize, 2, 4] {
         let run_dir = dir.join(format!("run-t{threads}"));
@@ -79,7 +79,7 @@ fn main() {
         )
         .expect("run");
         let secs = start.elapsed().as_secs_f64();
-        println!(
+        bench::outln!(
             "{threads:>8} {secs:>10.3} {:>12.1}",
             n_records as f64 / secs
         );
@@ -87,7 +87,7 @@ fn main() {
     }
 
     let identical = outputs.windows(2).all(|w| w[0] == w[1]);
-    println!(
+    bench::outln!(
         "\nbyte-identity across thread counts: {}",
         if identical { "ok" } else { "VIOLATED" }
     );

@@ -57,13 +57,15 @@ fn same_fit(a: &SurrogateFit, b: &SurrogateFit) -> bool {
 fn main() {
     let base = bench::config_from_env();
     let id = DatasetId::SFz;
-    println!(
+    bench::outln!(
         "# Fused vs reference surrogate fit speedup (dataset {}, single thread)",
         id.short_name()
     );
-    println!(
+    bench::outln!(
         "# scale={}, records/label={}, samples/view={}, rounds={ROUNDS}\n",
-        base.scale, base.n_records_per_label, base.n_samples
+        base.scale,
+        base.n_records_per_label,
+        base.n_samples
     );
 
     let benchmark = MagellanBenchmark {
@@ -84,12 +86,13 @@ fn main() {
 
     let mut views = Vec::new();
     for (i, pair) in records.iter().enumerate() {
-        let strategy = GenerationStrategy::Auto.resolve(matcher.predict_proba(schema, pair));
+        let record = matcher.prepare_record(schema, pair);
+        let strategy = GenerationStrategy::Auto.resolve(record.predict());
         for landmark in [EntitySide::Left, EntitySide::Right] {
             let view = generate_view(pair, landmark, strategy);
             let masks = sample_masks(view.tokens.len(), base.n_samples, i as u64);
             let spec = perturb_spec(pair, &view);
-            let mut scorer = matcher.prepare_scorer(schema, &spec);
+            let mut scorer = record.scorer(&spec);
             let probs = masks.iter().map(|mask| scorer.score_mask(mask)).collect();
             let nested = masks.iter().map(<[bool]>::to_vec).collect();
             views.push(View {
@@ -134,20 +137,20 @@ fn main() {
     let speedup = reference_s / fused_s.max(1e-9);
     let per_view_us = |s: f64| s * 1e6 / views.len().max(1) as f64;
 
-    println!(
+    bench::outln!(
         "  views: {} (mean {mean_features:.1} features)",
         views.len()
     );
-    println!(
+    bench::outln!(
         "  reference fit: {reference_s:>8.4} s  ({:>7.1} us/view)",
         per_view_us(reference_s)
     );
-    println!(
+    bench::outln!(
         "  fused fit:     {fused_s:>8.4} s  ({:>7.1} us/view)",
         per_view_us(fused_s)
     );
-    println!("  speedup:       {speedup:>8.2}x");
-    println!(
+    bench::outln!("  speedup:       {speedup:>8.2}x");
+    bench::outln!(
         "  bit-identical fits: {}",
         if identical { "yes" } else { "NO" }
     );
@@ -166,7 +169,7 @@ fn main() {
     ]);
     let out = std::env::var("FIT_BENCH_OUT").unwrap_or_else(|_| "BENCH_fit.json".into());
     std::fs::write(&out, report.to_json() + "\n").expect("write fit bench report");
-    println!("\n  report written to {out}");
+    bench::outln!("\n  report written to {out}");
 
     if !identical {
         eprintln!("\nERROR: fused and reference fits diverged");

@@ -2,22 +2,27 @@
 //!
 //! Builds the landmark views of a handful of records (both landmarks,
 //! `Auto` strategy), samples each view's masks once, and then scores every
-//! view's masks two ways, single-threaded:
+//! record two ways, single-threaded, as an explanation scores it: the
+//! record's own prediction, then both views' masks.
 //!
-//! 1. **naive** — through [`FallbackScorer`], which reconstructs each
-//!    masked pair and extracts its features from scratch;
-//! 2. **kernel** — through the matcher's `prepare_scorer` override, which
-//!    precomputes per-record state once and scores each mask
+//! 1. **naive** — `predict_proba` for the prediction and a
+//!    [`FallbackScorer`](em_entity::FallbackScorer) per view, which
+//!    reconstructs each masked pair and extracts its features from
+//!    scratch ([`FallbackRecord`]);
+//! 2. **kernel** — one `prepare_record` per record, through the matcher's
+//!    override: the record state is built once and shared by the
+//!    prediction and both views' scorers, which score each mask
 //!    incrementally.
 //!
-//! Each side's time is preparing its scorer for every view and scoring
-//! the view's masks, and nothing else: no sampling and no surrogate fit,
-//! so the ratio moves only when scoring does. The two must return the
-//! same bits for every mask's probability (the report checks and exits
-//! non-zero on any difference); only wall-clock differs. Each of
-//! [`ROUNDS`] rounds times both sides, the naive one first on even rounds
-//! and the kernel first on odd ones; the report keeps the median round of
-//! each. The speedup is what `perf_gate` guards against regression in CI.
+//! Each side's time is the prediction, preparing both views' scorers and
+//! scoring their masks, and nothing else: no sampling and no surrogate
+//! fit, so the ratio moves only when preparation or scoring does. The two
+//! must return the same bits for every prediction and every mask's
+//! probability (the report checks and exits non-zero on any difference);
+//! only wall-clock differs. Each of [`ROUNDS`] rounds times both sides,
+//! the naive one first on even rounds and the kernel first on odd ones;
+//! the report keeps the median round of each. The speedup is what
+//! `perf_gate` guards against regression in CI.
 //!
 //! Run with: `cargo run --release -p bench --bin kernel_speedup`
 //!
@@ -36,8 +41,8 @@ use std::time::Instant;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{
-    dataset_from_csv, dataset_to_csv, EntityPair, EntitySide, FallbackScorer, Masks, MatchModel,
-    PreparedScorer, SplitConfig,
+    dataset_from_csv, dataset_to_csv, EntityPair, EntitySide, FallbackRecord, Masks, MatchModel,
+    PreparedRecord, SplitConfig,
 };
 use em_lime::sample_masks;
 use em_matchers::{LogisticMatcher, MatcherConfig};
@@ -46,11 +51,11 @@ use landmark_core::{generate_view, perturb_spec, GenerationStrategy, VaryingView
 /// Timed rounds per side; the report keeps the median of each.
 const ROUNDS: usize = 5;
 
-/// One landmark view of a record and its sampled masks.
-struct View<'a> {
-    pair: &'a EntityPair,
-    view: VaryingView,
-    masks: Masks,
+/// One sampled record and its two landmark views, each with its sampled
+/// masks.
+struct Record {
+    pair: EntityPair,
+    views: Vec<(VaryingView, Masks)>,
 }
 
 fn main() {
@@ -71,10 +76,12 @@ fn main() {
         Some(_) => format!("{}.csv", id.short_name()),
         None => id.short_name().to_string(),
     };
-    println!("# Prepared-kernel vs naive scoring speedup (input {input}, single thread)");
-    println!(
+    bench::outln!("# Prepared-kernel vs naive scoring speedup (input {input}, single thread)");
+    bench::outln!(
         "# scale={}, records/label={}, samples/view={}, rounds={ROUNDS}\n",
-        base.scale, base.n_records_per_label, base.n_samples
+        base.scale,
+        base.n_records_per_label,
+        base.n_samples
     );
 
     let benchmark = MagellanBenchmark {
@@ -91,42 +98,47 @@ fn main() {
     let schema = dataset.schema();
 
     let n_records = base.n_records_per_label.clamp(2, 24);
-    let records: Vec<EntityPair> = dataset
+    let records: Vec<Record> = dataset
         .sample_by_label(true, n_records / 2, 3)
         .into_iter()
         .chain(dataset.sample_by_label(false, n_records / 2, 3))
-        .map(|r| r.pair.clone())
+        .enumerate()
+        .map(|(i, record)| {
+            let pair = record.pair.clone();
+            let strategy = GenerationStrategy::Auto.resolve(matcher.predict_proba(schema, &pair));
+            let views = [EntitySide::Left, EntitySide::Right]
+                .into_iter()
+                .map(|landmark| {
+                    let view = generate_view(&pair, landmark, strategy);
+                    let masks = sample_masks(view.tokens.len(), base.n_samples, i as u64);
+                    (view, masks)
+                })
+                .collect();
+            Record { pair, views }
+        })
         .collect();
-
-    let mut views = Vec::new();
-    for (i, pair) in records.iter().enumerate() {
-        let strategy = GenerationStrategy::Auto.resolve(matcher.predict_proba(schema, pair));
-        for landmark in [EntitySide::Left, EntitySide::Right] {
-            let view = generate_view(pair, landmark, strategy);
-            views.push(View {
-                pair,
-                masks: sample_masks(view.tokens.len(), base.n_samples, i as u64),
-                view,
-            });
-        }
-    }
-    let n_masks: usize = views.iter().map(|v| v.masks.len()).sum();
+    let n_views: usize = records.iter().map(|r| r.views.len()).sum();
+    let n_masks: usize = records
+        .iter()
+        .flat_map(|r| &r.views)
+        .map(|(_, masks)| masks.len())
+        .sum();
 
     let score_all = |kernel: bool| {
         let start = Instant::now();
-        let mut bits = Vec::with_capacity(n_masks);
-        for view in &views {
-            let spec = perturb_spec(view.pair, &view.view);
-            let mut scorer: Box<dyn PreparedScorer + '_> = if kernel {
-                matcher.prepare_scorer(schema, &spec)
+        let mut bits = Vec::with_capacity(records.len() + n_masks);
+        for record in &records {
+            let prepared: Box<dyn PreparedRecord + '_> = if kernel {
+                matcher.prepare_record(schema, &record.pair)
             } else {
-                Box::new(FallbackScorer::new(&matcher, schema, &spec))
+                Box::new(FallbackRecord::new(&matcher, schema, &record.pair))
             };
-            bits.extend(
-                view.masks
-                    .iter()
-                    .map(|mask| scorer.score_mask(mask).to_bits()),
-            );
+            bits.push(prepared.predict().to_bits());
+            for (view, masks) in &record.views {
+                let spec = perturb_spec(&record.pair, view);
+                let mut scorer = prepared.scorer(&spec);
+                bits.extend(masks.iter().map(|mask| scorer.score_mask(mask).to_bits()));
+            }
         }
         (start.elapsed().as_secs_f64(), bits)
     };
@@ -150,19 +162,22 @@ fn main() {
     let kernel_s = bench::median(kernel_times);
     let speedup = naive_s / kernel_s.max(1e-9);
 
-    println!("  views: {} ({n_masks} masks)", views.len());
-    println!("  naive (fallback): {naive_s:>8.4} s");
-    println!("  prepared kernel:  {kernel_s:>8.4} s");
-    println!("  speedup:          {speedup:>8.2}x");
-    println!(
-        "  bit-identical probabilities: {}",
+    bench::outln!(
+        "  records: {} ({n_views} views, {n_masks} masks)",
+        records.len()
+    );
+    bench::outln!("  naive (fallback): {naive_s:>8.4} s");
+    bench::outln!("  prepared kernel:  {kernel_s:>8.4} s");
+    bench::outln!("  speedup:          {speedup:>8.2}x");
+    bench::outln!(
+        "  bit-identical predictions and probabilities: {}",
         if identical { "yes" } else { "NO" }
     );
 
     let report = Value::object(vec![
         ("dataset", Value::string(&input)),
         ("records", Value::from(records.len())),
-        ("views", Value::from(views.len())),
+        ("views", Value::from(n_views)),
         ("samples", Value::from(base.n_samples)),
         ("rounds", Value::from(ROUNDS)),
         ("naive_s", Value::from(naive_s)),
@@ -172,7 +187,7 @@ fn main() {
     ]);
     let out = std::env::var("KERNEL_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".into());
     std::fs::write(&out, report.to_json() + "\n").expect("write kernel bench report");
-    println!("\n  report written to {out}");
+    bench::outln!("\n  report written to {out}");
 
     if !identical {
         eprintln!("\nERROR: kernel and naive probabilities diverged");

@@ -26,11 +26,11 @@ fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
     let threads = em_par::worker_count(0);
-    println!(
+    bench::outln!(
         "# Parallel record-explanation speedup (dataset {})",
         id.short_name()
     );
-    println!("# cores detected: {threads}\n");
+    bench::outln!("# cores detected: {threads}\n");
 
     let benchmark = MagellanBenchmark {
         scale: base.scale,
@@ -73,16 +73,16 @@ fn main() {
         .iter()
         .zip(&parallel)
         .all(|(a, b)| bench::bit_identical(a, b));
-    println!(
+    bench::outln!(
         "## across-record explanation ({} records, {} samples)",
         records.len(),
         base.n_samples
     );
     let (serial_s, parallel_s) = (t_serial.as_secs_f64(), t_parallel.as_secs_f64());
-    println!("  serial:   {serial_s:>8.3} s");
-    println!("  parallel: {parallel_s:>8.3} s");
-    println!("  speedup:  {:>8.2}x", serial_s / parallel_s.max(1e-9));
-    println!(
+    bench::outln!("  serial:   {serial_s:>8.3} s");
+    bench::outln!("  parallel: {parallel_s:>8.3} s");
+    bench::outln!("  speedup:  {:>8.2}x", serial_s / parallel_s.max(1e-9));
+    bench::outln!(
         "  bit-identical results: {}",
         if identical { "yes" } else { "NO" }
     );

@@ -74,20 +74,22 @@ fn main() {
     }
     let floor = baseline.speedup * (1.0 - TOLERANCE);
 
-    println!("# Perf gate");
-    println!(
+    bench::outln!("# Perf gate");
+    bench::outln!(
         "  baseline speedup: {:>7.2}x  ({})",
-        baseline.speedup, args[1]
+        baseline.speedup,
+        args[1]
     );
-    println!(
+    bench::outln!(
         "  current speedup:  {:>7.2}x  ({})",
-        current.speedup, args[2]
+        current.speedup,
+        args[2]
     );
-    println!(
+    bench::outln!(
         "  allowed floor:    {floor:>7.2}x  (baseline - {:.0}%)",
         TOLERANCE * 100.0
     );
-    println!(
+    bench::outln!(
         "  current bit-identical: {}",
         if current.bit_identical { "yes" } else { "NO" }
     );
@@ -105,5 +107,5 @@ fn main() {
         );
         std::process::exit(1);
     }
-    println!("\nPASS");
+    bench::outln!("\nPASS");
 }

@@ -34,9 +34,14 @@ fn main() {
         &datasets,
     );
 
-    println!(
+    bench::outln!(
         "{:<8} {:>14} {:>14} {:>14} {:>14} {:>12}",
-        "Dataset", "LIME match%", "Single match%", "Double match%", "Copy match%", "LIME null%"
+        "Dataset",
+        "LIME match%",
+        "Single match%",
+        "Double match%",
+        "Copy match%",
+        "LIME null%"
     );
     let benchmark = MagellanBenchmark {
         scale: config.scale,
@@ -70,7 +75,7 @@ fn main() {
             }
         }
         let n = records.len().max(1) as f64;
-        println!(
+        bench::outln!(
             "{:<8} {:>13.1}% {:>13.1}% {:>13.1}% {:>13.1}% {:>11.1}%",
             id.short_name(),
             100.0 * sums[0] / n,
@@ -80,6 +85,6 @@ fn main() {
             100.0 * null_sum / n,
         );
     }
-    println!("\nExpected: LIME/Single neighborhoods of non-matching records contain almost");
-    println!("no match-class samples; Double injects landmark tokens and restores balance.");
+    bench::outln!("\nExpected: LIME/Single neighborhoods of non-matching records contain almost");
+    bench::outln!("no match-class samples; Double injects landmark tokens and restores balance.");
 }

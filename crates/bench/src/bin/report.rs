@@ -40,7 +40,7 @@ fn main() {
             (id, d.len(), d.match_percentage())
         })
         .collect();
-    println!("{}", format_table1(&rows));
+    bench::outln!("{}", format_table1(&rows));
 
     let evaluator = Evaluator::new(config);
     let mut results = Vec::new();
@@ -54,25 +54,29 @@ fn main() {
         results.push(r);
     }
 
-    println!("{}", format_table2(&results, true));
-    println!("{}", format_table2(&results, false));
-    println!("Expected shape (paper): on matching records Single beats LIME on accuracy");
-    println!("everywhere and on MAE in 11/12 datasets; on non-matching records Double has");
-    println!("the lowest MAE in most datasets and Mojito Copy collapses (accuracy ~0).\n");
+    bench::outln!("{}", format_table2(&results, true));
+    bench::outln!("{}", format_table2(&results, false));
+    bench::outln!("Expected shape (paper): on matching records Single beats LIME on accuracy");
+    bench::outln!("everywhere and on MAE in 11/12 datasets; on non-matching records Double has");
+    bench::outln!("the lowest MAE in most datasets and Mojito Copy collapses (accuracy ~0).\n");
 
-    println!("{}", format_table3(&results, true));
-    println!("{}", format_table3(&results, false));
-    println!("Expected shape (paper): Landmark (especially Double on matching records)");
-    println!("correlates with the EM model's attribute ranking at least as well as LIME;");
-    println!("Mojito Copy is not consistently better despite being designed for non-matches.\n");
+    bench::outln!("{}", format_table3(&results, true));
+    bench::outln!("{}", format_table3(&results, false));
+    bench::outln!("Expected shape (paper): Landmark (especially Double on matching records)");
+    bench::outln!("correlates with the EM model's attribute ranking at least as well as LIME;");
+    bench::outln!(
+        "Mojito Copy is not consistently better despite being designed for non-matches.\n"
+    );
 
-    println!("{}", format_table4(&results, true));
-    println!("{}", format_table4(&results, false));
-    println!("Expected shape (paper): on non-matching records Double far exceeds");
-    println!("LIME/Mojito Drop and Mojito Copy; on matching records LIME is slightly ahead.\n");
+    bench::outln!("{}", format_table4(&results, true));
+    bench::outln!("{}", format_table4(&results, false));
+    bench::outln!("Expected shape (paper): on non-matching records Double far exceeds");
+    bench::outln!(
+        "LIME/Mojito Drop and Mojito Copy; on matching records LIME is slightly ahead.\n"
+    );
 
-    println!("Matcher F1 per dataset (diagnostic, not a paper table):");
+    bench::outln!("Matcher F1 per dataset (diagnostic, not a paper table):");
     for r in &results {
-        println!("  {:<7} F1 = {:.3}", r.dataset, r.matcher_f1);
+        bench::outln!("  {:<7} F1 = {:.3}", r.dataset, r.matcher_f1);
     }
 }

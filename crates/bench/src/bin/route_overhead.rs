@@ -134,7 +134,7 @@ fn main() {
         ),
         ("phases", phases),
     ]);
-    println!("{}", report.to_json());
+    bench::outln!("{}", report.to_json());
     assert!(
         identical,
         "routed bodies must be byte-identical to the direct run"

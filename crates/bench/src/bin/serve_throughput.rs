@@ -89,7 +89,7 @@ fn main() {
             ]),
         ),
     ]);
-    println!("{}", report.to_json());
+    bench::outln!("{}", report.to_json());
     assert!(
         identical,
         "cached bodies must be byte-identical to cold ones"

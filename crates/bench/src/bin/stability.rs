@@ -15,7 +15,7 @@ use em_matchers::{LogisticMatcher, MatcherConfig};
 fn main() {
     let config = bench::config_from_env();
     let id = bench::datasets_from_env()[0];
-    println!(
+    bench::outln!(
         "# Explanation stability across seeds (dataset {})\n",
         id.short_name()
     );
@@ -29,9 +29,12 @@ fn main() {
     let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
     let seeds = [11, 22, 33, 44];
 
-    println!(
+    bench::outln!(
         "{:<14} {:>8} {:>14} {:>12}",
-        "technique", "samples", "top5 jaccard", "weight cv"
+        "technique",
+        "samples",
+        "top5 jaccard",
+        "weight cv"
     );
     for n_samples in [100usize, config.n_samples] {
         for technique in TECHNIQUES {
@@ -52,7 +55,7 @@ fn main() {
                 cv += rep.weight_cv;
             }
             let n = records.len() as f64;
-            println!(
+            bench::outln!(
                 "{:<14} {:>8} {:>14.3} {:>12.3}",
                 technique.label(),
                 n_samples,
@@ -60,9 +63,9 @@ fn main() {
                 cv / n
             );
         }
-        println!();
+        bench::outln!();
     }
-    println!("Expected: stability improves with the perturbation budget; the landmark");
-    println!("techniques are at least as stable as LIME at equal budget (fewer features");
-    println!("per surrogate: only the varying entity's tokens).");
+    bench::outln!("Expected: stability improves with the perturbation budget; the landmark");
+    bench::outln!("techniques are at least as stable as LIME at equal budget (fewer features");
+    bench::outln!("per surrogate: only the varying entity's tokens).");
 }

@@ -120,7 +120,7 @@ fn main() {
         ("min_stage_coverage", min_coverage.into()),
         ("cells", Value::Array(cells)),
     ]);
-    println!("{}", report.to_json());
+    bench::outln!("{}", report.to_json());
     assert!(
         min_coverage >= MIN_COVERAGE,
         "stage spans cover only {min_coverage:.3} of end-to-end latency (floor {MIN_COVERAGE})"

@@ -21,10 +21,10 @@ fn main() {
             (id, d.len(), d.match_percentage())
         })
         .collect();
-    println!("{}", format_table1(&rows));
-    println!("Paper reference (full scale): S-BR 450/15.11, S-IA 539/24.49, S-FZ 946/11.63,");
-    println!("S-DA 12363/17.96, S-DG 28707/18.63, S-AG 11460/10.18, S-WA 10242/9.39,");
-    println!(
+    bench::outln!("{}", format_table1(&rows));
+    bench::outln!("Paper reference (full scale): S-BR 450/15.11, S-IA 539/24.49, S-FZ 946/11.63,");
+    bench::outln!("S-DA 12363/17.96, S-DG 28707/18.63, S-AG 11460/10.18, S-WA 10242/9.39,");
+    bench::outln!(
         "T-AB 9575/10.74, D-IA 539/24.49, D-DA 12363/17.96, D-DG 28707/18.63, D-WA 10242/9.39"
     );
 }

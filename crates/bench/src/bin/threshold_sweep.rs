@@ -15,15 +15,15 @@ fn main() {
     bench::print_banner("Threshold sweep (Sections 4.2.1, 4.3)", &base, &datasets);
 
     for threshold in [0.3, 0.4, 0.5, 0.6] {
-        println!("== threshold {threshold} ==");
+        bench::outln!("== threshold {threshold} ==");
         let evaluator = Evaluator::new(EvalConfig { threshold, ..base });
         for &id in &datasets {
             let r = evaluator.evaluate_dataset(id);
-            print!("{:<7}", r.dataset);
+            bench::out!("{:<7}", r.dataset);
             for lr in [&r.matching, &r.non_matching] {
                 let tag = if lr.label { "M" } else { "N" };
                 for t in &lr.techniques {
-                    print!(
+                    bench::out!(
                         "  {tag}/{}: acc={:.2} int={:.2}",
                         t.technique.label().chars().next().unwrap_or('?'),
                         t.token.accuracy,
@@ -31,8 +31,8 @@ fn main() {
                     );
                 }
             }
-            println!();
+            bench::outln!();
         }
-        println!();
+        bench::outln!();
     }
 }

@@ -22,9 +22,16 @@
 //! [`phase_report`]; the speedup reports share [`median`], and `perf_gate`
 //! checks with [`same_input`] that a fresh report and its baseline
 //! measured the same input.
+//!
+//! Every binary prints its report with [`outln!`] and [`out!`], which
+//! write through [`write_report`]: when the reader closes the pipe early
+//! (`report | head -1`) the binary ends quietly with status 0, and any
+//! other failure to write still panics.
 
 #![forbid(unsafe_code)]
 
+use std::fmt;
+use std::io::{ErrorKind, Write};
 use std::net::SocketAddr;
 use std::time::Instant;
 
@@ -36,6 +43,53 @@ use em_eval::EvalConfig;
 use em_lime::PairExplanation;
 use em_serve::client;
 use landmark_core::DualExplanation;
+
+/// The reader of a report went away: its standard output is a pipe whose
+/// other end closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReaderGone;
+
+/// Writes `args` to `sink`: [`ReaderGone`] when the write fails with
+/// [`ErrorKind::BrokenPipe`], and a panic naming any other failure, as
+/// `println!` gives.
+pub fn write_report<W: Write + ?Sized>(
+    sink: &mut W,
+    args: fmt::Arguments<'_>,
+) -> Result<(), ReaderGone> {
+    match sink.write_fmt(args) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => Err(ReaderGone),
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
+/// Writes `args` to standard output through [`write_report`], and ends
+/// the process with status 0 and no message once the reader is gone:
+/// nothing is left to report to.
+pub fn print_report(args: fmt::Arguments<'_>) {
+    if write_report(&mut std::io::stdout().lock(), args).is_err() {
+        std::process::exit(0);
+    }
+}
+
+/// `print!` for reports, through [`print_report`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::print_report(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for reports, through [`print_report`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::print_report(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::print_report(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// One environment variable's value, `None` when it is unset.
 fn env(key: &str) -> Option<String> {
@@ -127,7 +181,7 @@ pub fn datasets_from_env() -> Vec<DatasetId> {
 
 /// Prints the banner every binary shows before running.
 pub fn print_banner(table: &str, config: &EvalConfig, datasets: &[DatasetId]) {
-    println!(
+    outln!(
         "# {table} — scale={}, records/label={}, samples/explanation={}, datasets={}",
         config.scale,
         config.n_records_per_label,
@@ -138,7 +192,7 @@ pub fn print_banner(table: &str, config: &EvalConfig, datasets: &[DatasetId]) {
             .collect::<Vec<_>>()
             .join(",")
     );
-    println!("# (set SCALE=1.0 RECORDS=100 SAMPLES=500 for the full paper-scale run)\n");
+    outln!("# (set SCALE=1.0 RECORDS=100 SAMPLES=500 for the full paper-scale run)\n");
 }
 
 /// Whether two explanations of one record are the same bits: in both
@@ -277,6 +331,45 @@ pub fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
 mod tests {
     use super::*;
     use em_entity::{EntitySide, Token};
+
+    /// A sink whose every write fails with `kind`.
+    struct Failing(ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::new(self.0, "sink failed"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_report_line_reaches_a_working_sink() {
+        let mut sink = Vec::new();
+        assert_eq!(
+            write_report(&mut sink, format_args!("{} {}\n", "speedup", 1.5)),
+            Ok(())
+        );
+        assert_eq!(sink, b"speedup 1.5\n");
+    }
+
+    #[test]
+    fn a_closed_pipe_means_the_reader_is_gone() {
+        let mut sink = Failing(ErrorKind::BrokenPipe);
+        assert_eq!(
+            write_report(&mut sink, format_args!("line\n")),
+            Err(ReaderGone)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "failed printing to stdout")]
+    fn any_other_write_failure_panics() {
+        let mut sink = Failing(ErrorKind::PermissionDenied);
+        let _ = write_report(&mut sink, format_args!("line\n"));
+    }
     use em_lime::TokenWeight;
     use landmark_core::strategy::ResolvedStrategy;
     use landmark_core::LandmarkExplanation;

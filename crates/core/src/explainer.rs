@@ -1,6 +1,6 @@
 //! The Landmark Explanation entry point.
 
-use em_entity::{EntityPair, EntitySide, MatchModel, Schema};
+use em_entity::{EntityPair, EntitySide, MatchModel, PreparedRecord, Schema};
 use em_lime::engine::{perturb_and_fit, ExplainConfig};
 use em_lime::explanation::{PairExplanation, TokenWeight};
 use em_obs::{Span, Stage, Tracer};
@@ -87,9 +87,10 @@ impl LandmarkExplainer {
 
     /// Produces the two landmark explanations for a record, recording
     /// per-stage timings into `tracer` ([`em_obs::noop`] records nothing;
-    /// tracing only observes, DESIGN.md §10). The record's own prediction
-    /// is computed once, timed as [`Stage::ModelScoring`], and shared by
-    /// both landmark views.
+    /// tracing only observes, DESIGN.md §10). The record is prepared once
+    /// ([`MatchModel::prepare_record`]): its own prediction is read from
+    /// it, timed as [`Stage::ModelScoring`], and both landmark views score
+    /// through it.
     ///
     /// Each view depends only on its landmark side and the record, so
     /// `explain(..).with_landmark(side)` is the single-view explanation.
@@ -100,23 +101,27 @@ impl LandmarkExplainer {
         pair: &EntityPair,
         tracer: &dyn Tracer,
     ) -> DualExplanation {
-        let model_prediction = {
+        let (record, model_prediction) = {
             let _span = Span::enter(tracer, Stage::ModelScoring);
-            model.predict_proba(schema, pair)
+            let record = model.prepare_record(schema, pair);
+            let prediction = record.predict();
+            (record, prediction)
         };
-        let view =
-            |landmark| self.explain_view(model, schema, pair, landmark, model_prediction, tracer);
+        let view = |landmark| {
+            self.explain_view(&*record, schema, pair, landmark, model_prediction, tracer)
+        };
         DualExplanation {
             left_landmark: view(EntitySide::Left),
             right_landmark: view(EntitySide::Right),
         }
     }
 
-    /// One landmark view, given the model's prediction for the unperturbed
-    /// record (which resolves `Auto` and is reported as-is).
-    fn explain_view<M: MatchModel>(
+    /// One landmark view, scored through the prepared `record`, given the
+    /// model's prediction for the unperturbed record (which resolves
+    /// `Auto` and is reported as-is).
+    fn explain_view(
         &self,
-        model: &M,
+        record: &dyn PreparedRecord,
         schema: &Schema,
         pair: &EntityPair,
         landmark: EntitySide,
@@ -140,7 +145,7 @@ impl LandmarkExplainer {
                 EntitySide::Right => 0xD1B5_4A32_D192_ED03,
             };
         let spec = perturb_spec(pair, &view);
-        let (_, fit) = perturb_and_fit(model, schema, &spec, seed, &self.config, tracer);
+        let (_, fit) = perturb_and_fit(record, schema, &spec, seed, &self.config, tracer);
 
         let token_weights: Vec<TokenWeight> = view
             .tokens
@@ -392,9 +397,15 @@ mod tests {
         );
     }
 
-    /// Counts `predict_proba` calls; its kernel scores masks without
-    /// calling it, so the count is the explainer's own record predictions.
-    struct CountingModel(std::sync::atomic::AtomicUsize);
+    /// Counts the records it prepares and their predictions; its records
+    /// score masks without calling `predict_proba`.
+    #[derive(Default)]
+    struct CountingModel {
+        records: std::cell::Cell<usize>,
+        predictions: std::cell::Cell<usize>,
+    }
+
+    struct CountingRecord<'a>(&'a CountingModel);
 
     struct KeptFractionScorer;
 
@@ -404,31 +415,47 @@ mod tests {
         }
     }
 
-    impl MatchModel for CountingModel {
-        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
-            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    impl PreparedRecord for CountingRecord<'_> {
+        fn predict(&self) -> f64 {
+            let predictions = &self.0.predictions;
+            predictions.set(predictions.get() + 1);
             0.25
         }
 
-        fn prepare_scorer<'a>(
+        fn scorer<'s>(
+            &'s self,
+            _spec: &'s em_entity::PerturbSpec<'s>,
+        ) -> Box<dyn em_entity::PreparedScorer + 's> {
+            Box::new(KeptFractionScorer)
+        }
+    }
+
+    impl MatchModel for CountingModel {
+        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
+            unreachable!("the explainer reads the prediction from its prepared record")
+        }
+
+        fn prepare_record<'a>(
             &'a self,
             _schema: &'a Schema,
-            _spec: &'a em_entity::PerturbSpec<'a>,
-        ) -> Box<dyn em_entity::PreparedScorer + 'a> {
-            Box::new(KeptFractionScorer)
+            _pair: &'a EntityPair,
+        ) -> Box<dyn PreparedRecord + 'a> {
+            self.records.set(self.records.get() + 1);
+            Box::new(CountingRecord(self))
         }
     }
 
     #[test]
     fn both_views_share_one_record_prediction() {
-        let model = CountingModel(Default::default());
+        let model = CountingModel::default();
         let dual = LandmarkExplainer::default().explain(
             &model,
             &schema(),
             &non_matching_pair(),
             em_obs::noop(),
         );
-        assert_eq!(model.0.load(std::sync::atomic::Ordering::SeqCst), 1);
+        assert_eq!(model.records.get(), 1);
+        assert_eq!(model.predictions.get(), 1);
         for view in dual.both() {
             assert_eq!(view.explanation.model_prediction, 0.25);
             assert_eq!(view.strategy, ResolvedStrategy::DoubleEntity);

@@ -34,6 +34,8 @@ pub use entity::{Entity, UnknownAttribute};
 pub use masks::Masks;
 pub use model::{MatchModel, MATCH_THRESHOLD};
 pub use pair::{EntityPair, EntitySide, LabeledPair};
-pub use prepared::{FallbackScorer, PerturbSpec, PreparedScorer, SideSpec};
+pub use prepared::{
+    FallbackRecord, FallbackScorer, PerturbSpec, PreparedRecord, PreparedScorer, SideSpec,
+};
 pub use schema::Schema;
 pub use tokenizer::{detokenize, tokenize_entity, tokenize_pair, Token};

@@ -1,7 +1,7 @@
 //! The black-box model interface every explainer consumes.
 
 use crate::pair::EntityPair;
-use crate::prepared::{FallbackScorer, PerturbSpec, PreparedScorer};
+use crate::prepared::{FallbackRecord, PreparedRecord};
 use crate::schema::Schema;
 
 /// The conventional decision threshold: [`MatchModel::predict`] calls a
@@ -12,9 +12,9 @@ pub const MATCH_THRESHOLD: f64 = 0.5;
 /// to a match probability.
 ///
 /// Explainers treat implementations as black boxes — exactly the post-hoc
-/// setting of the paper. The mask-scoring method exists because
+/// setting of the paper. The record-preparing method exists because
 /// perturbation-based explainers score hundreds of synthetic records per
-/// explanation.
+/// explanation, all perturbations of one record.
 pub trait MatchModel {
     /// Probability in `[0, 1]` that the pair is a match.
     fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64;
@@ -29,31 +29,34 @@ pub trait MatchModel {
         self.predict_with_threshold(schema, pair, MATCH_THRESHOLD)
     }
 
-    /// Builds a [`PreparedScorer`] for one perturbation family.
+    /// Prepares one record for scoring: its own prediction and a
+    /// [`PreparedScorer`](crate::PreparedScorer) per perturbation family of
+    /// it ([`PreparedRecord`]).
     ///
-    /// The default falls back to the naive reconstruct-then-predict path
-    /// ([`FallbackScorer`]); models with an incremental kernel override
-    /// this with a scorer that precomputes per-record state once. Every
-    /// override must stay **bit-identical** to the fallback for all masks
-    /// (DESIGN.md §11) — the kernel is a pure optimization, never a
-    /// semantic fork.
+    /// The default falls back to the naive path ([`FallbackRecord`]:
+    /// `predict_proba`, and reconstruct-then-predict per mask); models with
+    /// an incremental kernel override this with a record that computes its
+    /// per-record state once for the prediction and every family. Every
+    /// override must stay **bit-identical** to the fallback for the
+    /// prediction and for all masks (DESIGN.md §11) — the kernel is a pure
+    /// optimization, never a semantic fork.
     ///
     /// Object-safe, so boxed models (`Box<dyn MatchModel + …>`, as served
     /// by `em-serve`) dispatch to the concrete model's kernel through the
     /// vtable.
-    fn prepare_scorer<'a>(
+    fn prepare_record<'a>(
         &'a self,
         schema: &'a Schema,
-        spec: &'a PerturbSpec<'a>,
-    ) -> Box<dyn PreparedScorer + 'a> {
-        Box::new(FallbackScorer::new(self, schema, spec))
+        pair: &'a EntityPair,
+    ) -> Box<dyn PreparedRecord + 'a> {
+        Box::new(FallbackRecord::new(self, schema, pair))
     }
 }
 
 /// Blanket implementation so `&M`, `Box<M>`, etc. are also models.
 ///
-/// `prepare_scorer` must forward too: without it, a wrapped model would
-/// silently fall back to the naive scorer and lose its kernel — `em-serve`
+/// `prepare_record` must forward too: without it, a wrapped model would
+/// silently fall back to the naive record and lose its kernel — `em-serve`
 /// holds models as `Box<dyn MatchModel + Send + Sync>` and relies on this
 /// forwarding to engage the kernel on the serving path.
 impl<M: MatchModel + ?Sized> MatchModel for &M {
@@ -61,12 +64,12 @@ impl<M: MatchModel + ?Sized> MatchModel for &M {
         (**self).predict_proba(schema, pair)
     }
 
-    fn prepare_scorer<'a>(
+    fn prepare_record<'a>(
         &'a self,
         schema: &'a Schema,
-        spec: &'a PerturbSpec<'a>,
-    ) -> Box<dyn PreparedScorer + 'a> {
-        (**self).prepare_scorer(schema, spec)
+        pair: &'a EntityPair,
+    ) -> Box<dyn PreparedRecord + 'a> {
+        (**self).prepare_record(schema, pair)
     }
 }
 
@@ -75,12 +78,12 @@ impl<M: MatchModel + ?Sized> MatchModel for Box<M> {
         (**self).predict_proba(schema, pair)
     }
 
-    fn prepare_scorer<'a>(
+    fn prepare_record<'a>(
         &'a self,
         schema: &'a Schema,
-        spec: &'a PerturbSpec<'a>,
-    ) -> Box<dyn PreparedScorer + 'a> {
-        (**self).prepare_scorer(schema, spec)
+        pair: &'a EntityPair,
+    ) -> Box<dyn PreparedRecord + 'a> {
+        (**self).prepare_record(schema, pair)
     }
 }
 
@@ -88,6 +91,7 @@ impl<M: MatchModel + ?Sized> MatchModel for Box<M> {
 mod tests {
     use super::*;
     use crate::entity::Entity;
+    use crate::prepared::{PerturbSpec, PreparedScorer};
 
     /// Toy model: probability = fraction of attributes with equal values.
     struct EqualityModel;
@@ -132,10 +136,12 @@ mod tests {
         assert_eq!(boxed.predict_proba(&s, &p), 0.5);
     }
 
-    /// Probe model whose kernel returns a sentinel: if a wrapper fails to
-    /// forward `prepare_scorer`, the fallback would return real
-    /// probabilities instead of the sentinel and this test catches it.
+    /// Probe model whose kernel returns sentinels: if a wrapper fails to
+    /// forward `prepare_record`, the fallback would return real
+    /// probabilities instead of the sentinels and this test catches it.
     struct KernelProbe;
+
+    struct SentinelRecord;
 
     struct SentinelScorer;
 
@@ -145,22 +151,32 @@ mod tests {
         }
     }
 
+    impl PreparedRecord for SentinelRecord {
+        fn predict(&self) -> f64 {
+            7.0
+        }
+
+        fn scorer<'s>(&'s self, _spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's> {
+            Box::new(SentinelScorer)
+        }
+    }
+
     impl MatchModel for KernelProbe {
         fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
             0.0
         }
 
-        fn prepare_scorer<'a>(
+        fn prepare_record<'a>(
             &'a self,
             _schema: &'a Schema,
-            _spec: &'a PerturbSpec<'a>,
-        ) -> Box<dyn PreparedScorer + 'a> {
-            Box::new(SentinelScorer)
+            _pair: &'a EntityPair,
+        ) -> Box<dyn PreparedRecord + 'a> {
+            Box::new(SentinelRecord)
         }
     }
 
     #[test]
-    fn boxed_and_borrowed_models_forward_prepare_scorer() {
+    fn boxed_and_borrowed_models_forward_prepare_record() {
         let (s, p) = setup();
         let spec = PerturbSpec::AttrCopy {
             pair: &p,
@@ -168,8 +184,10 @@ mod tests {
         };
         let mask = vec![true, true];
         let boxed: Box<dyn MatchModel + Send + Sync> = Box::new(KernelProbe);
-        assert_eq!(boxed.prepare_scorer(&s, &spec).score_mask(&mask), 42.0);
         let by_ref = &KernelProbe;
-        assert_eq!(by_ref.prepare_scorer(&s, &spec).score_mask(&mask), 42.0);
+        for record in [boxed.prepare_record(&s, &p), by_ref.prepare_record(&s, &p)] {
+            assert_eq!(record.predict(), 7.0);
+            assert_eq!(record.scorer(&spec).score_mask(&mask), 42.0);
+        }
     }
 }

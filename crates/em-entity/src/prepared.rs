@@ -1,20 +1,23 @@
-//! Prepared perturbation scoring: the spec + scorer interface of the
-//! incremental kernel (DESIGN.md §11).
+//! Prepared perturbation scoring: the record + spec + scorer interface of
+//! the incremental kernel (DESIGN.md §11).
 //!
 //! Perturbation-based explainers (Landmark, LIME drop, Mojito copy) score
 //! hundreds of masked variants of *one* record. The naive path rebuilds an
 //! [`EntityPair`] per mask and re-extracts features from raw strings. A
-//! [`PerturbSpec`] instead describes the whole perturbation family up
-//! front, so a model can return a [`PreparedScorer`] that precomputes
-//! per-record state once and scores each mask incrementally.
+//! model instead prepares the record once ([`PreparedRecord`]), which
+//! gives the record's own prediction and, for each [`PerturbSpec`] — a
+//! whole perturbation family described up front — a [`PreparedScorer`]
+//! that scores each mask incrementally from state shared by every family
+//! of that record.
 //!
 //! The contract every implementation must honor: `score_mask(mask)` is
 //! **bit-identical** to reconstructing the masked pair exactly as the
 //! naive explainer would and calling
-//! [`MatchModel::predict_proba`] on it.
-//! [`FallbackScorer`] is that naive path, word for word; it both serves as
-//! the default implementation for models without a kernel and as the
-//! reference oracle in bit-identity tests.
+//! [`MatchModel::predict_proba`] on it, and [`PreparedRecord::predict`]
+//! is bit-identical to `predict_proba` on the record itself.
+//! [`FallbackRecord`] and [`FallbackScorer`] are that naive path, word for
+//! word; they both serve as the default implementation for models without
+//! a kernel and as the reference oracle in bit-identity tests.
 
 use crate::pair::{EntityPair, EntitySide};
 use crate::schema::Schema;
@@ -76,6 +79,16 @@ impl PerturbSpec<'_> {
         match self {
             PerturbSpec::TokenDrop { pair, .. } | PerturbSpec::AttrCopy { pair, .. } => pair,
         }
+    }
+
+    /// Panics unless this family perturbs `pair` itself — the same value,
+    /// not an equal copy. A [`PreparedRecord`] checks it before handing out
+    /// a scorer, so a family of another pair never reads its state.
+    pub fn assert_perturbs(&self, pair: &EntityPair) {
+        assert!(
+            std::ptr::eq(self.pair(), pair),
+            "a prepared record scores only perturbations of its own pair"
+        );
     }
 
     /// The exact mask length every `score_mask` call must pass.
@@ -158,10 +171,62 @@ pub trait PreparedScorer {
     fn score_mask(&mut self, mask: &[bool]) -> f64;
 }
 
+/// One record prepared for scoring by a model: the record's own prediction
+/// and a scorer for each perturbation family of it.
+///
+/// Everything a model can compute once per record — for the feature-based
+/// matchers, the record's interned tokens, IDF values and Jaro-Winkler
+/// values — lives here and is shared by [`PreparedRecord::predict`] and
+/// every scorer it hands out. A prepared record belongs to the thread that
+/// prepared it: an explanation runs on one thread (DESIGN.md §7).
+pub trait PreparedRecord {
+    /// The model's match probability for the record itself: the bits of
+    /// [`MatchModel::predict_proba`] on the prepared pair.
+    fn predict(&self) -> f64;
+
+    /// A scorer for one perturbation family of this record.
+    ///
+    /// Panics when `spec.pair()` is not the prepared pair itself
+    /// ([`PerturbSpec::assert_perturbs`]).
+    fn scorer<'s>(&'s self, spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's>;
+}
+
+/// The naive reference record: [`MatchModel::predict_proba`] for the
+/// prediction and a [`FallbackScorer`] per family. Every model gets it for
+/// free via the default [`MatchModel::prepare_record`]; kernels must match
+/// it bit for bit.
+#[derive(Debug)]
+pub struct FallbackRecord<'a, M: ?Sized> {
+    model: &'a M,
+    schema: &'a Schema,
+    pair: &'a EntityPair,
+}
+
+impl<'a, M: MatchModel + ?Sized> FallbackRecord<'a, M> {
+    /// Wraps a model, schema, and record into the naive prepared record.
+    pub fn new(model: &'a M, schema: &'a Schema, pair: &'a EntityPair) -> Self {
+        Self {
+            model,
+            schema,
+            pair,
+        }
+    }
+}
+
+impl<M: MatchModel + ?Sized> PreparedRecord for FallbackRecord<'_, M> {
+    fn predict(&self) -> f64 {
+        self.model.predict_proba(self.schema, self.pair)
+    }
+
+    fn scorer<'s>(&'s self, spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's> {
+        spec.assert_perturbs(self.pair);
+        Box::new(FallbackScorer::new(self.model, self.schema, spec))
+    }
+}
+
 /// The naive reference scorer: reconstructs the perturbed pair per mask
 /// and calls [`MatchModel::predict_proba`]. Every model gets this for free
-/// via the default [`MatchModel::prepare_scorer`]; kernels must match its
-/// output bit for bit.
+/// through [`FallbackRecord`]; kernels must match its output bit for bit.
 #[derive(Debug)]
 pub struct FallbackScorer<'a, M: ?Sized> {
     model: &'a M,
@@ -281,6 +346,35 @@ mod tests {
         };
         let short = vec![true; spec.mask_len(s.len()) - 1];
         spec.reconstruct(&short, s.len());
+    }
+
+    #[test]
+    fn fallback_record_predicts_the_pair_and_scores_its_families() {
+        let (s, p) = setup();
+        let record = FallbackRecord::new(&EqualityModel, &s, &p);
+        assert_eq!(
+            record.predict().to_bits(),
+            EqualityModel.predict_proba(&s, &p).to_bits()
+        );
+        let spec = PerturbSpec::AttrCopy {
+            pair: &p,
+            copy_into: EntitySide::Right,
+        };
+        let mut scorer = record.scorer(&spec);
+        assert_eq!(scorer.score_mask(&[false, true]), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own pair")]
+    fn a_record_refuses_a_family_of_an_equal_copy_of_its_pair() {
+        let (s, p) = setup();
+        let copy = p.clone();
+        let record = FallbackRecord::new(&EqualityModel, &s, &p);
+        let spec = PerturbSpec::AttrCopy {
+            pair: &copy,
+            copy_into: EntitySide::Right,
+        };
+        let _ = record.scorer(&spec);
     }
 
     #[test]

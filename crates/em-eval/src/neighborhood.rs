@@ -18,7 +18,9 @@
 
 use std::collections::HashSet;
 
-use em_entity::{EntityPair, EntitySide, MatchModel, PerturbSpec, Schema, SideSpec, Token};
+use em_entity::{
+    EntityPair, EntitySide, MatchModel, PerturbSpec, PreparedRecord, Schema, SideSpec, Token,
+};
 use em_lime::engine::{perturb, ExplainConfig};
 use landmark_core::strategy::ResolvedStrategy;
 use landmark_core::{generate_view, perturb_spec, ExplainerKind, GenerationStrategy};
@@ -42,7 +44,8 @@ pub struct NeighborhoodStats {
 /// Measures the perturbation neighborhood a technique would generate for
 /// `pair`. Landmark techniques report the left-landmark neighborhood;
 /// `Landmark` resolves its strategy from the record's prediction, as the
-/// landmark explainer does.
+/// landmark explainer does. The record is prepared once, as every
+/// explainer prepares it, and scores the prediction and the neighborhood.
 pub fn neighborhood_stats<M: MatchModel>(
     model: &M,
     schema: &Schema,
@@ -51,16 +54,16 @@ pub fn neighborhood_stats<M: MatchModel>(
     n_samples: usize,
     seed: u64,
 ) -> NeighborhoodStats {
+    let record = model.prepare_record(schema, pair);
+    let record = &*record;
     let strategy = match technique {
-        ExplainerKind::Lime => return lime_stats(model, schema, pair, n_samples, seed),
-        ExplainerKind::MojitoCopy => return copy_stats(model, schema, pair, n_samples, seed),
+        ExplainerKind::Lime => return lime_stats(record, schema, pair, n_samples, seed),
+        ExplainerKind::MojitoCopy => return copy_stats(record, schema, pair, n_samples, seed),
         ExplainerKind::LandmarkSingle => ResolvedStrategy::SingleEntity,
         ExplainerKind::LandmarkDouble => ResolvedStrategy::DoubleEntity,
-        ExplainerKind::Landmark => {
-            GenerationStrategy::Auto.resolve(model.predict_proba(schema, pair))
-        }
+        ExplainerKind::Landmark => GenerationStrategy::Auto.resolve(record.predict()),
     };
-    landmark_stats(model, schema, pair, strategy, n_samples, seed)
+    landmark_stats(record, schema, pair, strategy, n_samples, seed)
 }
 
 fn summarize(probs: &[f64], nulls: usize) -> NeighborhoodStats {
@@ -75,8 +78,8 @@ fn summarize(probs: &[f64], nulls: usize) -> NeighborhoodStats {
 
 /// The masks and probabilities of `spec`'s neighborhood: the engine's own
 /// sample and scores.
-fn neighborhood<M: MatchModel>(
-    model: &M,
+fn neighborhood(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
     n_samples: usize,
@@ -86,11 +89,11 @@ fn neighborhood<M: MatchModel>(
         n_samples,
         ..Default::default()
     };
-    perturb(model, schema, spec, seed, &config, em_obs::noop())
+    perturb(record, schema, spec, seed, &config, em_obs::noop())
 }
 
-fn lime_stats<M: MatchModel>(
-    model: &M,
+fn lime_stats(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     pair: &EntityPair,
     n_samples: usize,
@@ -102,7 +105,7 @@ fn lime_stats<M: MatchModel>(
         left: SideSpec::Varying(&lt),
         right: SideSpec::Varying(&rt),
     };
-    let (masks, probs) = neighborhood(model, schema, &spec, n_samples, seed);
+    let (masks, probs) = neighborhood(record, schema, &spec, n_samples, seed);
     // The mask layout is left tokens then right tokens.
     let features: Vec<(EntitySide, &Token)> = lt
         .iter()
@@ -134,8 +137,8 @@ fn lime_stats<M: MatchModel>(
     summarize(&probs, nulls)
 }
 
-fn landmark_stats<M: MatchModel>(
-    model: &M,
+fn landmark_stats(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     pair: &EntityPair,
     strategy: ResolvedStrategy,
@@ -145,11 +148,11 @@ fn landmark_stats<M: MatchModel>(
     // The left entity is the landmark, so the right side varies.
     let view = generate_view(pair, EntitySide::Left, strategy);
     let spec = perturb_spec(pair, &view);
-    summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
+    summarize(&neighborhood(record, schema, &spec, n_samples, seed).1, 0)
 }
 
-fn copy_stats<M: MatchModel>(
-    model: &M,
+fn copy_stats(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     pair: &EntityPair,
     n_samples: usize,
@@ -159,7 +162,7 @@ fn copy_stats<M: MatchModel>(
         pair,
         copy_into: EntitySide::Right,
     };
-    summarize(&neighborhood(model, schema, &spec, n_samples, seed).1, 0)
+    summarize(&neighborhood(record, schema, &spec, n_samples, seed).1, 0)
 }
 
 #[cfg(test)]

@@ -9,11 +9,16 @@
 //! tokens. [`perturb_and_fit`] is the loop; LIME, Mojito Copy and
 //! Landmark Explanation (`landmark-core`) each call it once per view.
 //!
-//! The loop runs on the calling thread: a view prepares one scorer and
-//! scores its masks in order. Parallelism lives above one explanation,
-//! across records (em-eval, em-batch) and requests (the serving tiers).
+//! The loop scores through the record's [`PreparedRecord`], which the
+//! explainer prepares once per record with
+//! [`MatchModel::prepare_record`](em_entity::MatchModel::prepare_record):
+//! both landmark views and the record's own prediction share its state.
+//! The loop runs on the calling thread: a view takes one scorer from the
+//! record and scores its masks in order. Parallelism lives above one
+//! explanation, across records (em-eval, em-batch) and requests (the
+//! serving tiers).
 
-use em_entity::{Masks, MatchModel, PerturbSpec, Schema};
+use em_entity::{Masks, PerturbSpec, PreparedRecord, Schema};
 use em_obs::{Counter, Span, Stage, Tracer};
 
 use crate::sampler::MaskSampler;
@@ -42,7 +47,8 @@ impl Default for ExplainConfig {
 }
 
 /// Samples `config.n_samples` masks over `spec`'s features from `seed`,
-/// scores every mask with `model`, and fits the surrogate.
+/// scores every mask through `record`, and fits the surrogate. `spec` must
+/// perturb the record's own pair.
 ///
 /// Returns the probabilities in mask order — `probs[0]` is the all-ones
 /// mask, the view's unperturbed record — and the fit, with one
@@ -53,15 +59,15 @@ impl Default for ExplainConfig {
 /// [`Stage::ModelScoring`] (with [`Counter::SamplesScored`]) and
 /// [`Stage::SurrogateFit`], once each and in that order. Tracing only
 /// observes: any tracer yields the same bits (DESIGN.md §10).
-pub fn perturb_and_fit<M: MatchModel>(
-    model: &M,
+pub fn perturb_and_fit(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
     seed: u64,
     config: &ExplainConfig,
     tracer: &dyn Tracer,
 ) -> (Vec<f64>, SurrogateFit) {
-    let (masks, probs) = perturb(model, schema, spec, seed, config, tracer);
+    let (masks, probs) = perturb(record, schema, spec, seed, config, tracer);
     let fit = {
         let _span = Span::enter(tracer, Stage::SurrogateFit);
         fit_surrogate(&masks, &probs, &config.surrogate)
@@ -73,13 +79,14 @@ pub fn perturb_and_fit<M: MatchModel>(
 /// their probabilities, with every stage but the fit recorded. The
 /// neighborhood diagnostics read it directly.
 ///
-/// Scoring prepares one scorer for the view with
-/// [`MatchModel::prepare_scorer`] and scores the masks in order with it,
-/// inside [`Stage::ModelScoring`]; by the prepared-scorer contract each
+/// Scoring takes one scorer for the view from the record with
+/// [`PreparedRecord::scorer`] and scores the masks in order with it,
+/// inside [`Stage::ModelScoring`]; by the prepared-record contract each
 /// probability equals reconstructing the masked pair and calling
-/// [`MatchModel::predict_proba`] on it (DESIGN.md §11).
-pub fn perturb<M: MatchModel>(
-    model: &M,
+/// [`MatchModel::predict_proba`](em_entity::MatchModel::predict_proba) on
+/// it (DESIGN.md §11).
+pub fn perturb(
+    record: &dyn PreparedRecord,
     schema: &Schema,
     spec: &PerturbSpec<'_>,
     seed: u64,
@@ -101,7 +108,7 @@ pub fn perturb<M: MatchModel>(
     let probs = {
         let _span = Span::enter(tracer, Stage::ModelScoring);
         tracer.add(Counter::SamplesScored, masks.len() as u64);
-        let mut scorer = model.prepare_scorer(schema, spec);
+        let mut scorer = record.scorer(spec);
         masks.iter().map(|mask| scorer.score_mask(mask)).collect()
     };
     (masks, probs)
@@ -124,34 +131,26 @@ mod tests {
         }
     }
 
-    impl MatchModel for KeptFraction {
-        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
-            unreachable!("the engine scores masks through the prepared scorer")
+    impl PreparedRecord for KeptFraction {
+        fn predict(&self) -> f64 {
+            unreachable!("the engine scores masks, not the record")
         }
 
-        fn prepare_scorer<'a>(
-            &'a self,
-            _schema: &'a Schema,
-            _spec: &'a PerturbSpec<'a>,
-        ) -> Box<dyn PreparedScorer + 'a> {
+        fn scorer<'s>(&'s self, _spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's> {
             Box::new(KeptFractionScorer)
         }
     }
 
-    /// [`KeptFraction`] that counts the scorers it prepares.
+    /// [`KeptFraction`] that counts the scorers it hands out.
     #[derive(Default)]
-    struct CountingPrepares(std::cell::Cell<usize>);
+    struct CountingScorers(std::cell::Cell<usize>);
 
-    impl MatchModel for CountingPrepares {
-        fn predict_proba(&self, _schema: &Schema, _pair: &EntityPair) -> f64 {
-            unreachable!("the engine scores masks through the prepared scorer")
+    impl PreparedRecord for CountingScorers {
+        fn predict(&self) -> f64 {
+            unreachable!("the engine scores masks, not the record")
         }
 
-        fn prepare_scorer<'a>(
-            &'a self,
-            _schema: &'a Schema,
-            _spec: &'a PerturbSpec<'a>,
-        ) -> Box<dyn PreparedScorer + 'a> {
+        fn scorer<'s>(&'s self, _spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's> {
             self.0.set(self.0.get() + 1);
             Box::new(KeptFractionScorer)
         }
@@ -264,15 +263,15 @@ mod tests {
             pair: &pair,
             copy_into: EntitySide::Right,
         };
-        let model = CountingPrepares::default();
+        let record = CountingScorers::default();
         for (calls, n_samples) in [(1, 1), (2, 64), (3, 500)] {
             let config = ExplainConfig {
                 n_samples,
                 ..Default::default()
             };
-            let (masks, probs) = perturb(&model, &schema, &spec, 5, &config, em_obs::noop());
+            let (masks, probs) = perturb(&record, &schema, &spec, 5, &config, em_obs::noop());
             assert_eq!((masks.len(), probs.len()), (n_samples, n_samples));
-            assert_eq!(model.0.get(), calls, "{n_samples} samples");
+            assert_eq!(record.0.get(), calls, "{n_samples} samples");
         }
     }
 }

@@ -48,8 +48,15 @@ impl LimeExplainer {
             left: SideSpec::Varying(&left_tokens),
             right: SideSpec::Varying(&right_tokens),
         };
-        let (probs, fit) =
-            perturb_and_fit(model, schema, &spec, self.config.seed, &self.config, tracer);
+        let record = model.prepare_record(schema, pair);
+        let (probs, fit) = perturb_and_fit(
+            &*record,
+            schema,
+            &spec,
+            self.config.seed,
+            &self.config,
+            tracer,
+        );
 
         let token_weights = left_tokens
             .into_iter()

@@ -55,8 +55,15 @@ impl MojitoCopyExplainer {
             pair,
             copy_into: COPY_INTO,
         };
-        let (probs, fit) =
-            perturb_and_fit(model, schema, &spec, self.config.seed, &self.config, tracer);
+        let record = model.prepare_record(schema, pair);
+        let (probs, fit) = perturb_and_fit(
+            &*record,
+            schema,
+            &spec,
+            self.config.seed,
+            &self.config,
+            tracer,
+        );
 
         // Distribute each attribute's coefficient uniformly over the tokens
         // of the replaced side (the tokens the copy substitutes).

@@ -21,13 +21,12 @@ pub mod features;
 pub mod logistic_matcher;
 pub mod naive_bayes;
 pub mod persist;
-pub mod prepared;
+mod prepared;
 
 pub use evaluation::{evaluate_matcher, tune_threshold, MatchQuality};
 pub use features::FeatureExtractor;
 pub use logistic_matcher::{LogisticMatcher, MatcherConfig};
 pub use naive_bayes::NaiveBayesMatcher;
-pub use prepared::{LogisticPreparedScorer, NaiveBayesPreparedScorer};
 
 pub use persist::{
     deserialize_logistic, load_logistic_file, save_logistic_file, serialize_logistic, PersistError,

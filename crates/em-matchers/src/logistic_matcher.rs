@@ -106,14 +106,12 @@ impl MatchModel for LogisticMatcher {
         self.model.predict_proba(&features)
     }
 
-    fn prepare_scorer<'a>(
+    fn prepare_record<'a>(
         &'a self,
         schema: &'a Schema,
-        spec: &'a em_entity::PerturbSpec<'a>,
-    ) -> Box<dyn em_entity::PreparedScorer + 'a> {
-        Box::new(crate::prepared::LogisticPreparedScorer::new(
-            self, schema, spec,
-        ))
+        pair: &'a EntityPair,
+    ) -> Box<dyn em_entity::PreparedRecord + 'a> {
+        Box::new(crate::prepared::MatcherRecord::new(self, schema, pair))
     }
 }
 

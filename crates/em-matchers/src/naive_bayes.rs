@@ -121,14 +121,12 @@ impl MatchModel for NaiveBayesMatcher {
         self.posterior_from_features(&self.extractor.extract(schema, pair))
     }
 
-    fn prepare_scorer<'a>(
+    fn prepare_record<'a>(
         &'a self,
         schema: &'a Schema,
-        spec: &'a em_entity::PerturbSpec<'a>,
-    ) -> Box<dyn em_entity::PreparedScorer + 'a> {
-        Box::new(crate::prepared::NaiveBayesPreparedScorer::new(
-            self, schema, spec,
-        ))
+        pair: &'a EntityPair,
+    ) -> Box<dyn em_entity::PreparedRecord + 'a> {
+        Box::new(crate::prepared::MatcherRecord::new(self, schema, pair))
     }
 }
 

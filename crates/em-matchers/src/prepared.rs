@@ -1,4 +1,4 @@
-//! The prepared-pair scoring kernel for the feature-based matchers
+//! The prepared-record scoring kernel for the feature-based matchers
 //! (DESIGN.md §11).
 //!
 //! Perturbation explainers score hundreds of masked variants of one
@@ -8,8 +8,18 @@
 //! that work is mask-invariant: the token set is fixed (masks only toggle
 //! membership), the landmark side never changes, and every pairwise
 //! Jaro-Winkler value is drawn from a fixed matrix. This module hoists the
-//! mask-invariant work into a one-time preparation step and scores each
-//! mask with integer id merges over reusable buffers.
+//! mask-invariant work into preparation and scores each mask with integer
+//! id merges over reusable buffers.
+//!
+//! Preparation has two levels. A [`MatcherRecord`] holds the state that
+//! depends on the record alone — its interned tokens, their IDF values
+//! and characters, each value's ids, and per Name attribute one
+//! Jaro-Winkler value per distinct pair of its tokens — built once on
+//! first use and shared by the record's own
+//! prediction and every perturbation family of it: every token a family
+//! perturbs is a token of the record. Each family's scorer then builds
+//! only its own layout on top: per-side state, the Name probes and the
+//! memo tables.
 //!
 //! Each attribute's similarity reads only the mask bits of that
 //! attribute's own tokens, so a scorer also memoizes it per distinct
@@ -33,19 +43,26 @@
 //!   elementwise max over the other side's kept vectors of the
 //!   precomputed matrix (`NameProbe`). Either is the value the naive
 //!   `f64::max` fold returns, and positions are summed in the same token
-//!   order, an unkept one adding +0.0;
+//!   order, an unkept one adding +0.0. A value read from the record's
+//!   memo has the bits of the one computed for those two positions,
+//!   because Jaro-Winkler is deterministic and bitwise symmetric;
 //! * numeric parsing per token is equivalent to parsing the joined string
 //!   (a space always flushes the current number fragment), and the blend /
 //!   fallback helpers are shared functions, not re-implementations.
+//!
+//! The record's prediction is the family with both sides fixed, scored on
+//! its one, empty, mask: reconstructing that family returns the pair
+//! itself, and a fixed side reads the original values.
 //!
 //! The property suite (`tests/property_kernel.rs`) and the
 //! `kernel_speedup` bench assert the resulting probabilities equal the
 //! naive path's bit for bit.
 
-use em_entity::prepared::{PerturbSpec, PreparedScorer, SideSpec};
+use std::cell::{Cell, OnceCell};
+
+use em_entity::prepared::{FallbackScorer, PerturbSpec, PreparedRecord, PreparedScorer, SideSpec};
 use em_entity::schema::AttributeKind;
-use em_entity::{EntityPair, EntitySide, Schema};
-use em_linalg::logistic::LogisticModel;
+use em_entity::{EntityPair, EntitySide, MatchModel, Schema};
 use em_text::intern::Interner;
 use em_text::jaro::{jaro_winkler_chars, JaroScratch};
 use em_text::tfidf::{cosine_prepared, PreparedDoc};
@@ -328,42 +345,161 @@ struct Scratch {
     features: Vec<f64>,
 }
 
-/// Prepared per-record state for a token-drop perturbation family.
+/// Record-level state: everything the record's prediction and each of its
+/// perturbation families read that depends on the record alone. Every
+/// token a family perturbs is a token of the record, so one state serves
+/// them all.
+#[derive(Debug)]
+struct RecordState {
+    /// Every normalized token of both entities, over all attributes.
+    interner: Interner,
+    /// Each interned id's IDF.
+    idf_by_id: Vec<f64>,
+    /// Each interned id's characters, decoded once.
+    chars: TokenChars,
+    /// Per side (left, right) and attribute, the value's normalized ids in
+    /// token order: what a fixed side scores.
+    value_ids: [Vec<Vec<u32>>; 2],
+    /// Per attribute, the Jaro-Winkler values between its tokens; empty
+    /// for an attribute that is not Name.
+    jaro: Vec<AttrJaro>,
+}
+
+impl RecordState {
+    fn new(extractor: &FeatureExtractor, schema: &Schema, pair: &EntityPair) -> Self {
+        let norms = |side: EntitySide| -> Vec<Vec<String>> {
+            (0..schema.len())
+                .map(|i| normalized_tokens(pair.entity(side).value(i)))
+                .collect()
+        };
+        let norms = [norms(EntitySide::Left), norms(EntitySide::Right)];
+        let interner = Interner::from_tokens(norms.iter().flatten().flatten());
+        let value_ids = norms.map(|values| {
+            values
+                .iter()
+                .map(|tokens| {
+                    tokens
+                        .iter()
+                        .map(|t| interner.id(t).expect("every value's tokens were interned"))
+                        .collect()
+                })
+                .collect::<Vec<Vec<u32>>>()
+        });
+        let jaro = (0..schema.len())
+            .map(|i| {
+                if schema.attribute(i).kind == AttributeKind::Name {
+                    AttrJaro::new([&value_ids[0][i], &value_ids[1][i]])
+                } else {
+                    AttrJaro::default()
+                }
+            })
+            .collect();
+        RecordState {
+            idf_by_id: extractor.vectorizer().idf_by_id(&interner),
+            chars: TokenChars::new(&interner),
+            value_ids,
+            jaro,
+            interner,
+        }
+    }
+
+    /// The normalized ids of `side`'s value of attribute `attr`.
+    fn value_ids(&self, side: EntitySide, attr: usize) -> &[u32] {
+        let side = match side {
+            EntitySide::Left => 0,
+            EntitySide::Right => 1,
+        };
+        &self.value_ids[side][attr]
+    }
+
+    /// Jaro-Winkler of attribute `attr`'s tokens at indices `p` and `q`
+    /// of its [`AttrJaro::ids`]. Equal ids are exactly 1.0 (em-text's
+    /// `jaro_winkler_of_a_string_with_itself_is_one`); any other pair is
+    /// computed on its first read, lower id first, and read back after
+    /// that. Jaro-Winkler is deterministic and bitwise symmetric (both
+    /// property-tested in em-text), so the value has the bits of one
+    /// computed for the two tokens in either order.
+    fn jaro_winkler(&self, attr: usize, p: usize, q: usize, scratch: &mut JaroScratch) -> f64 {
+        if p == q {
+            return 1.0;
+        }
+        let memo = &self.jaro[attr];
+        // Ids ascend with their indices, so `j`'s is the lower id.
+        let (j, i) = (p.min(q), p.max(q));
+        let cell = &memo.values[i * (i - 1) / 2 + j];
+        if cell.get().is_nan() {
+            let (lo, hi) = (memo.ids[j], memo.ids[i]);
+            cell.set(jaro_winkler_chars(
+                self.chars.get(lo),
+                self.chars.get(hi),
+                scratch,
+            ));
+        }
+        cell.get()
+    }
+}
+
+/// One Name attribute's Jaro-Winkler memo: a slot per distinct unordered
+/// pair of the ids its two values hold, filled on first read, so a family
+/// computes no pair it never reads and no family recomputes one another
+/// has read. Every family of the record reads the same table: a varying
+/// side holds the attribute's own tokens and, under double-entity
+/// generation, the landmark's tokens of that attribute.
+///
+/// The slots are `Cell`s: a prepared record is read on the one thread
+/// that runs its explanation.
+#[derive(Debug, Default)]
+struct AttrJaro {
+    /// The distinct ids of both values, ascending.
+    ids: Vec<u32>,
+    /// The lower triangle over indices into `ids`: the pair `i > j` at
+    /// `i·(i − 1)/2 + j`. NaN marks a slot not computed yet; Jaro-Winkler
+    /// is never NaN.
+    values: Vec<Cell<f64>>,
+}
+
+impl AttrJaro {
+    /// The memo over the ids of the attribute's two values.
+    fn new(values: [&[u32]; 2]) -> Self {
+        let mut ids: Vec<u32> = values.concat();
+        ids.sort_unstable();
+        ids.dedup();
+        let slots = ids.len() * ids.len().saturating_sub(1) / 2;
+        AttrJaro {
+            ids,
+            values: vec![Cell::new(f64::NAN); slots],
+        }
+    }
+
+    /// The index of each id in `ids`, or `None` when the attribute's
+    /// values do not hold one of them.
+    fn indices(&self, ids: &[u32]) -> Option<Vec<usize>> {
+        ids.iter()
+            .map(|id| self.ids.binary_search(id).ok())
+            .collect()
+    }
+}
+
+/// Prepared state for one token-drop perturbation family of a record.
 #[derive(Debug)]
 struct PreparedTokenDrop<'a> {
     mask_len: usize,
     attrs: Vec<AttrState<'a>>,
-    idf_by_id: Vec<f64>,
+    state: &'a RecordState,
 }
 
 impl<'a> PreparedTokenDrop<'a> {
+    /// The family's state over the record's, or `None` when a varying
+    /// token is not one the record holds — a normalized form it never
+    /// interned, or a Name token that neither value of its attribute
+    /// holds.
     fn new(
-        extractor: &FeatureExtractor,
+        state: &'a RecordState,
         schema: &Schema,
         pair: &'a EntityPair,
         left: &SideSpec<'a>,
         right: &SideSpec<'a>,
-    ) -> Self {
-        // Pass 1: normalize every token of both sides once and intern the
-        // union, so ids are shared (and comparable) across sides.
-        let mut all_norms: Vec<String> = Vec::new();
-        let mut side_norms = |spec: &SideSpec<'a>, side: EntitySide| match spec {
-            SideSpec::Fixed => {
-                for i in 0..schema.len() {
-                    all_norms.extend(normalized_tokens(pair.entity(side).value(i)));
-                }
-            }
-            SideSpec::Varying(tokens) => {
-                for t in tokens.iter() {
-                    let n = normalize(&t.text);
-                    if !n.is_empty() {
-                        all_norms.push(n);
-                    }
-                }
-            }
-        };
-        side_norms(left, EntitySide::Left);
-        side_norms(right, EntitySide::Right);
+    ) -> Option<Self> {
         for spec in [left, right] {
             if let SideSpec::Varying(tokens) = spec {
                 for t in tokens.iter() {
@@ -377,48 +513,25 @@ impl<'a> PreparedTokenDrop<'a> {
                 }
             }
         }
-        let interner = Interner::from_tokens(all_norms);
-        let idf_by_id = extractor.vectorizer().idf_by_id(&interner);
-        let chars = TokenChars::new(&interner);
         let mut jaro = JaroScratch::default();
-
-        // Pass 2: per-attribute, per-side mask-invariant state.
         let left_offset = 0;
         let right_offset = left.token_count();
         let mut attrs = Vec::with_capacity(schema.len());
         for i in 0..schema.len() {
             let kind = schema.attribute(i).kind;
-            let (l_state, l_norm_ids) = build_side(
-                pair,
-                EntitySide::Left,
-                left,
-                i,
-                left_offset,
-                &interner,
-                &idf_by_id,
-            );
-            let (r_state, r_norm_ids) = build_side(
-                pair,
-                EntitySide::Right,
-                right,
-                i,
-                right_offset,
-                &interner,
-                &idf_by_id,
-            );
+            let (l_state, l_norm_ids) =
+                build_side(pair, EntitySide::Left, left, i, left_offset, state)?;
+            let (r_state, r_norm_ids) =
+                build_side(pair, EntitySide::Right, right, i, right_offset, state)?;
             // The Jaro-Winkler matrix is only consulted for Name
             // attributes; skip the quadratic work everywhere else.
             let probe = if kind == AttributeKind::Name {
-                let mut jw = Vec::with_capacity(l_norm_ids.len() * r_norm_ids.len());
-                for &li in &l_norm_ids {
-                    for &ri in &r_norm_ids {
-                        // Equal tokens are exactly 1.0 (em-text's
-                        // `jaro_winkler_of_a_string_with_itself_is_one`).
-                        jw.push(if li == ri {
-                            1.0
-                        } else {
-                            jaro_winkler_chars(chars.get(li), chars.get(ri), &mut jaro)
-                        });
+                let rows = state.jaro[i].indices(&l_norm_ids)?;
+                let cols = state.jaro[i].indices(&r_norm_ids)?;
+                let mut jw = Vec::with_capacity(rows.len() * cols.len());
+                for &p in &rows {
+                    for &q in &cols {
+                        jw.push(state.jaro_winkler(i, p, q, &mut jaro));
                     }
                 }
                 NameProbe::new(
@@ -436,11 +549,11 @@ impl<'a> PreparedTokenDrop<'a> {
                 probe,
             });
         }
-        PreparedTokenDrop {
+        Some(PreparedTokenDrop {
             mask_len: left.token_count() + right.token_count(),
             attrs,
-            idf_by_id,
-        }
+            state,
+        })
     }
 
     /// Scratch for this family, with an unfilled memo table for every
@@ -477,13 +590,14 @@ impl<'a> PreparedTokenDrop<'a> {
             features,
         } = scratch;
         features.clear();
+        let idf_by_id = &self.state.idf_by_id;
         for (a, attr) in self.attrs.iter().enumerate() {
             let table = &mut memo[a];
             let value = if table.is_empty() {
-                attr.similarity(mask, bufs, &self.idf_by_id)
+                attr.similarity(mask, bufs, idf_by_id)
             } else {
                 *table[attr.memo_index(mask)]
-                    .get_or_insert_with(|| attr.similarity(mask, bufs, &self.idf_by_id))
+                    .get_or_insert_with(|| attr.similarity(mask, bufs, idf_by_id))
             };
             features.push(value);
         }
@@ -493,39 +607,32 @@ impl<'a> PreparedTokenDrop<'a> {
 
 /// Builds one side of one attribute; also returns the side's full
 /// normalized-id sequence (in token order) for the Jaro-Winkler matrix.
+/// `None` when a varying token normalizes to a form the record never
+/// interned.
 fn build_side<'a>(
     pair: &'a EntityPair,
     side: EntitySide,
     spec: &SideSpec<'a>,
     attr: usize,
     offset: usize,
-    interner: &Interner,
-    idf_by_id: &[f64],
-) -> (SideState<'a>, Vec<u32>) {
-    let intern_id = |norm: &str| -> u32 {
-        interner
-            .id(norm)
-            .expect("every normalized token was interned in pass 1")
-    };
+    state: &RecordState,
+) -> Option<(SideState<'a>, Vec<u32>)> {
     match spec {
         SideSpec::Fixed => {
             let raw = pair.entity(side).value(attr);
-            let norm_ids: Vec<u32> = normalized_tokens(raw)
-                .iter()
-                .map(|t| intern_id(t))
-                .collect();
+            let norm_ids = state.value_ids(side, attr).to_vec();
             let mut sorted_ids = norm_ids.clone();
             sorted_ids.sort_unstable();
             let mut doc = PreparedDoc::default();
-            doc.rebuild_from_sorted_ids(&sorted_ids, idf_by_id);
-            let state = SideState::Fixed {
+            doc.rebuild_from_sorted_ids(&sorted_ids, &state.idf_by_id);
+            let fixed = SideState::Fixed {
                 raw,
                 sorted_ids,
                 doc,
                 parsed: parse_number(raw),
                 code_norm: raw.trim().to_lowercase(),
             };
-            (state, norm_ids)
+            Some((fixed, norm_ids))
         }
         SideSpec::Varying(tokens) => {
             let mut feat_idx = Vec::new();
@@ -545,19 +652,19 @@ fn build_side<'a>(
                 lower.push(token.text.to_lowercase());
                 let norm = normalize(&token.text);
                 if !norm.is_empty() {
-                    let id = intern_id(&norm);
+                    let id = state.interner.id(&norm)?;
                     norm_pos.push((local, id));
                     norm_ids.push(id);
                 }
             }
-            let state = SideState::Varying {
+            let varying = SideState::Varying {
                 feat_idx,
                 raw,
                 norm_pos,
                 parsed,
                 lower,
             };
-            (state, norm_ids)
+            Some((varying, norm_ids))
         }
     }
 }
@@ -584,8 +691,9 @@ fn jaccard_ids(a: &[u32], b: &[u32]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Every interned token's characters, decoded once per prepared pair:
+/// Every interned token's characters, decoded once per prepared record:
 /// id `i`'s are `chars[starts[i]..starts[i + 1]]`.
+#[derive(Debug)]
 struct TokenChars {
     chars: Vec<char>,
     starts: Vec<usize>,
@@ -914,35 +1022,22 @@ enum PreparedFamily<'a> {
 /// vector that `FeatureExtractor::extract` would produce on the
 /// reconstructed pair, bit for bit.
 #[derive(Debug)]
-pub(crate) struct PreparedFeatures<'a> {
+struct PreparedFeatures<'a> {
     family: PreparedFamily<'a>,
     scratch: Scratch,
 }
 
 impl<'a> PreparedFeatures<'a> {
-    pub(crate) fn new(
-        extractor: &FeatureExtractor,
-        schema: &Schema,
-        spec: &PerturbSpec<'a>,
-    ) -> Self {
-        let (family, scratch) = match spec {
-            PerturbSpec::TokenDrop { pair, left, right } => {
-                let td = PreparedTokenDrop::new(extractor, schema, pair, left, right);
-                let scratch = td.scratch();
-                (PreparedFamily::TokenDrop(td), scratch)
-            }
-            PerturbSpec::AttrCopy { pair, copy_into } => (
-                PreparedFamily::AttrCopy(PreparedAttrCopy::new(
-                    extractor, schema, pair, *copy_into,
-                )),
-                Scratch::default(),
-            ),
+    fn new(family: PreparedFamily<'a>) -> Self {
+        let scratch = match &family {
+            PreparedFamily::TokenDrop(td) => td.scratch(),
+            PreparedFamily::AttrCopy(_) => Scratch::default(),
         };
         PreparedFeatures { family, scratch }
     }
 
     /// The feature vector for one mask (borrowed from internal scratch).
-    pub(crate) fn compute(&mut self, mask: &[bool]) -> &[f64] {
+    fn compute(&mut self, mask: &[bool]) -> &[f64] {
         match &self.family {
             PreparedFamily::TokenDrop(td) => td.features(mask, &mut self.scratch),
             PreparedFamily::AttrCopy(ac) => ac.features(mask, &mut self.scratch),
@@ -950,52 +1045,124 @@ impl<'a> PreparedFeatures<'a> {
     }
 }
 
-/// The [`LogisticMatcher`] kernel: prepared features + the logistic head.
-#[derive(Debug)]
-pub struct LogisticPreparedScorer<'a> {
-    features: PreparedFeatures<'a>,
-    model: &'a LogisticModel,
+/// A matcher that scores a record from its feature vector: what the
+/// [`LogisticMatcher`] and [`NaiveBayesMatcher`] kernels share.
+pub(crate) trait FeatureModel: MatchModel {
+    /// The fitted feature extractor.
+    fn feature_extractor(&self) -> &FeatureExtractor;
+
+    /// The match probability of one feature vector: the operations
+    /// `predict_proba` runs after extraction.
+    fn proba_of_features(&self, features: &[f64]) -> f64;
 }
 
-impl<'a> LogisticPreparedScorer<'a> {
-    /// Prepares the matcher for one perturbation family.
-    pub fn new(matcher: &'a LogisticMatcher, schema: &Schema, spec: &PerturbSpec<'a>) -> Self {
-        LogisticPreparedScorer {
-            features: PreparedFeatures::new(matcher.extractor(), schema, spec),
-            model: matcher.model(),
+impl FeatureModel for LogisticMatcher {
+    fn feature_extractor(&self) -> &FeatureExtractor {
+        self.extractor()
+    }
+
+    fn proba_of_features(&self, features: &[f64]) -> f64 {
+        self.model().predict_proba(features)
+    }
+}
+
+impl FeatureModel for NaiveBayesMatcher {
+    fn feature_extractor(&self) -> &FeatureExtractor {
+        self.extractor()
+    }
+
+    fn proba_of_features(&self, features: &[f64]) -> f64 {
+        self.posterior_from_features(features)
+    }
+}
+
+/// A feature-based matcher's prepared record: the record-level state,
+/// built on first use, shared by the prediction and every family's scorer.
+///
+/// Building it lazily puts its cost in whichever scoring stage first
+/// needs it — the prediction for a landmark explanation, the one view of
+/// LIME — and Mojito Copy's attribute-copy family, which needs none of
+/// it, never builds it.
+#[derive(Debug)]
+pub(crate) struct MatcherRecord<'a, M> {
+    model: &'a M,
+    schema: &'a Schema,
+    pair: &'a EntityPair,
+    state: OnceCell<RecordState>,
+}
+
+impl<'a, M: FeatureModel> MatcherRecord<'a, M> {
+    pub(crate) fn new(model: &'a M, schema: &'a Schema, pair: &'a EntityPair) -> Self {
+        MatcherRecord {
+            model,
+            schema,
+            pair,
+            state: OnceCell::new(),
+        }
+    }
+
+    fn state(&self) -> &RecordState {
+        self.state.get_or_init(|| {
+            RecordState::new(self.model.feature_extractor(), self.schema, self.pair)
+        })
+    }
+
+    /// The prepared features of one family of this record, or `None` when
+    /// a varying token is not one of the record's own.
+    fn features<'s>(&'s self, spec: &'s PerturbSpec<'s>) -> Option<PreparedFeatures<'s>> {
+        let family = match spec {
+            PerturbSpec::TokenDrop { pair, left, right } => PreparedFamily::TokenDrop(
+                PreparedTokenDrop::new(self.state(), self.schema, pair, left, right)?,
+            ),
+            PerturbSpec::AttrCopy { pair, copy_into } => {
+                PreparedFamily::AttrCopy(PreparedAttrCopy::new(
+                    self.model.feature_extractor(),
+                    self.schema,
+                    pair,
+                    *copy_into,
+                ))
+            }
+        };
+        Some(PreparedFeatures::new(family))
+    }
+}
+
+impl<M: FeatureModel> PreparedRecord for MatcherRecord<'_, M> {
+    fn predict(&self) -> f64 {
+        let spec = PerturbSpec::TokenDrop {
+            pair: self.pair,
+            left: SideSpec::Fixed,
+            right: SideSpec::Fixed,
+        };
+        let mut scorer = self.scorer(&spec);
+        scorer.score_mask(&[])
+    }
+
+    fn scorer<'s>(&'s self, spec: &'s PerturbSpec<'s>) -> Box<dyn PreparedScorer + 's> {
+        spec.assert_perturbs(self.pair);
+        match self.features(spec) {
+            Some(features) => Box::new(MatcherScorer {
+                features,
+                model: self.model,
+            }),
+            // A token the record does not hold has no id in its state:
+            // the family is scored the naive way.
+            None => Box::new(FallbackScorer::new(self.model, self.schema, spec)),
         }
     }
 }
 
-impl PreparedScorer for LogisticPreparedScorer<'_> {
-    fn score_mask(&mut self, mask: &[bool]) -> f64 {
-        let features = self.features.compute(mask);
-        self.model.predict_proba(features)
-    }
-}
-
-/// The [`NaiveBayesMatcher`] kernel: prepared features + the Gaussian NB
-/// posterior head.
+/// One family's kernel: prepared features and the matcher's head.
 #[derive(Debug)]
-pub struct NaiveBayesPreparedScorer<'a> {
+struct MatcherScorer<'a, M> {
     features: PreparedFeatures<'a>,
-    matcher: &'a NaiveBayesMatcher,
+    model: &'a M,
 }
 
-impl<'a> NaiveBayesPreparedScorer<'a> {
-    /// Prepares the matcher for one perturbation family.
-    pub fn new(matcher: &'a NaiveBayesMatcher, schema: &Schema, spec: &PerturbSpec<'a>) -> Self {
-        NaiveBayesPreparedScorer {
-            features: PreparedFeatures::new(matcher.extractor(), schema, spec),
-            matcher,
-        }
-    }
-}
-
-impl PreparedScorer for NaiveBayesPreparedScorer<'_> {
+impl<M: FeatureModel> PreparedScorer for MatcherScorer<'_, M> {
     fn score_mask(&mut self, mask: &[bool]) -> f64 {
         let features = self.features.compute(mask);
-        self.matcher.posterior_from_features(features)
+        self.model.proba_of_features(features)
     }
 }
 
@@ -1137,7 +1304,8 @@ mod tests {
 
     /// Memo table sizes, per attribute, of a logistic scorer for `spec`.
     fn memo_slots(m: &LogisticMatcher, s: &Schema, spec: &PerturbSpec<'_>) -> Vec<usize> {
-        let features = PreparedFeatures::new(m.extractor(), s, spec);
+        let record = MatcherRecord::new(m, s, spec.pair());
+        let features = record.features(spec).expect("the record's own tokens");
         features.scratch.memo.iter().map(Vec::len).collect()
     }
 
@@ -1146,16 +1314,22 @@ mod tests {
         assert_kernel_matches_fallback_on(model, s, spec, &masks);
     }
 
-    /// Checks every mask against the fallback, then scores them again in
-    /// reverse through the same scorer: memo tables filled in one order
-    /// must give the same bits in the other.
+    /// Checks the record's prediction and every mask against the
+    /// fallback, then scores the masks again in reverse through the same
+    /// scorer: memo tables filled in one order must give the same bits in
+    /// the other.
     fn assert_kernel_matches_fallback_on<M: MatchModel>(
         model: &M,
         s: &Schema,
         spec: PerturbSpec<'_>,
         masks: &[Vec<bool>],
     ) {
-        let mut kernel = model.prepare_scorer(s, &spec);
+        let record = model.prepare_record(s, spec.pair());
+        assert_eq!(
+            record.predict().to_bits(),
+            model.predict_proba(s, spec.pair()).to_bits()
+        );
+        let mut kernel = record.scorer(&spec);
         let mut naive = FallbackScorer::new(model, s, &spec);
         let forwards: Vec<u64> = masks
             .iter()
@@ -1302,7 +1476,8 @@ mod tests {
             assert_kernel_matches_fallback_on(&m, s, spec, &masks);
         }
         // Every sub-mask of the name was scored, so its table is full.
-        let mut features = PreparedFeatures::new(m.extractor(), s, &spec);
+        let record = MatcherRecord::new(&m, s, &pair);
+        let mut features = record.features(&spec).expect("the record's own tokens");
         for mask in sub_masks(tokens.len(), &attr_bits(&tokens, 0, 0)) {
             features.compute(&mask);
         }
@@ -1563,8 +1738,108 @@ mod tests {
             left: SideSpec::Varying(&tokens[..]),
             right: SideSpec::Fixed,
         };
-        let mut scorer = m.prepare_scorer(d.schema(), &spec);
+        let record = m.prepare_record(d.schema(), pair);
+        let mut scorer = record.scorer(&spec);
         let short = vec![true; tokens.len() - 1];
         scorer.score_mask(&short);
+    }
+
+    #[test]
+    #[should_panic(expected = "its own pair")]
+    fn a_record_refuses_a_family_of_another_pair() {
+        // Equal values, another pair: its family must not read this
+        // record's ids.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let pair = &d.records()[0].pair;
+        let copy = pair.clone();
+        let tokens = tokenize_entity(&copy.left);
+        let record = m.prepare_record(d.schema(), pair);
+        let _ = record.scorer(&left_varying(&copy, &tokens));
+    }
+
+    #[test]
+    fn views_and_prediction_of_one_record_share_its_jaro_winkler_values() {
+        // Both landmark views of a non-match (double-entity, so each
+        // varying side also holds the landmark's tokens) and the
+        // prediction, all through one record: every value they filled is
+        // the one the `&str` entry computes for those two tokens, and the
+        // scores equal the fallback's.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let pair = &d.records()[1].pair;
+        let record = MatcherRecord::new(&m, s, pair);
+        assert_eq!(
+            record.predict().to_bits(),
+            m.predict_proba(s, pair).to_bits()
+        );
+        let (lt, rt) = em_entity::tokenize_pair(pair);
+        let left_view: Vec<Token> = lt.iter().chain(&rt).cloned().collect();
+        let right_view: Vec<Token> = rt.iter().chain(&lt).cloned().collect();
+        let specs = [
+            left_varying(pair, &left_view),
+            PerturbSpec::TokenDrop {
+                pair,
+                left: SideSpec::Fixed,
+                right: SideSpec::Varying(&right_view),
+            },
+        ];
+        for spec in &specs {
+            let mut kernel = record.scorer(spec);
+            let mut naive = FallbackScorer::new(&m, s, spec);
+            for mask in masks_for(spec.mask_len(s.len())) {
+                assert_eq!(
+                    kernel.score_mask(&mask).to_bits(),
+                    naive.score_mask(&mask).to_bits()
+                );
+            }
+        }
+        let state = record.state.get().expect("built by the prediction");
+        let mut jaro = JaroScratch::default();
+        let mut filled = 0;
+        for (attr, memo) in state.jaro.iter().enumerate() {
+            for i in 0..memo.ids.len() {
+                for j in 0..i {
+                    if memo.values[i * (i - 1) / 2 + j].get().is_nan() {
+                        continue;
+                    }
+                    filled += 1;
+                    let direct = em_text::jaro_winkler(
+                        state.interner.get(memo.ids[j]),
+                        state.interner.get(memo.ids[i]),
+                    );
+                    assert_eq!(
+                        state.jaro_winkler(attr, i, j, &mut jaro).to_bits(),
+                        direct.to_bits()
+                    );
+                }
+            }
+        }
+        assert!(filled > 0);
+    }
+
+    #[test]
+    fn a_family_of_tokens_the_record_does_not_hold_is_scored_the_naive_way() {
+        // "tripod" is in no attribute of the record, and "kit" is only in
+        // the Text attribute, so the name's memo has no slots for it: both
+        // families are scored bit-identically all the same.
+        let d = dataset();
+        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let s = d.schema();
+        let pair = &d.records()[0].pair;
+        let record = m.prepare_record(s, pair);
+        for foreign in [Token::new(0, 0, "tripod"), Token::new(0, 0, "kit")] {
+            let tokens = vec![Token::new(0, 0, "sony"), foreign];
+            let spec = left_varying(pair, &tokens);
+            let mut kernel = record.scorer(&spec);
+            let mut naive = FallbackScorer::new(&m, s, &spec);
+            for mask in masks_for(tokens.len()) {
+                assert_eq!(
+                    kernel.score_mask(&mask).to_bits(),
+                    naive.score_mask(&mask).to_bits()
+                );
+            }
+        }
     }
 }

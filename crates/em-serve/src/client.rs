@@ -409,6 +409,18 @@ mod tests {
     }
 
     #[test]
+    fn a_response_head_that_is_not_utf8_is_a_protocol_error() {
+        let raw = b"HTTP/1.1 200 OK\r\nX-Name: caf\xe9\r\nContent-Length: 2\r\n\r\n{}";
+        let err = read_response(&mut &raw[..])
+            .map_err(ClientError::established)
+            .expect_err("a head that is not UTF-8");
+        assert!(
+            matches!(&err, ClientError::Protocol(e) if e.to_string() == "header section is not UTF-8"),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
     fn conflicting_content_lengths_are_a_protocol_error() {
         // Regression: the first `Content-Length` framed the response and
         // the second was ignored, so on a kept-alive connection the rest

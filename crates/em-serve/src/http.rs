@@ -137,12 +137,15 @@ fn classify_io(error: std::io::Error, phase: ReadPhase) -> HttpError {
 
 /// Reads one `\n`-terminated line of at most `budget` bytes (terminator
 /// included), without buffering anything past the cap: `None` for a
-/// longer line, the empty string on EOF. The cap is what keeps a
-/// newline-less start line (or a single huge header line) from
-/// buffering unboundedly.
-fn read_capped_line<R: BufRead>(reader: &mut R, budget: usize) -> std::io::Result<Option<String>> {
-    let mut line = String::new();
-    let n = reader.take(budget as u64 + 1).read_line(&mut line)?;
+/// longer line, no bytes on EOF. The cap is what keeps a newline-less
+/// start line (or a single huge header line) from buffering unboundedly.
+/// The line is bytes: whether they are UTF-8 is the head's framing
+/// question, not an I/O failure.
+fn read_capped_line<R: BufRead>(reader: &mut R, budget: usize) -> std::io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
     Ok((n <= budget).then_some(line))
 }
 
@@ -162,7 +165,8 @@ pub(crate) enum HeadError {
 /// [`MAX_HEADER_BYTES`] budget enforced *while* reading. Returns the
 /// start line without its line end and the headers with lower-cased
 /// names, in arrival order; the bytes after the blank line stay in
-/// `reader`.
+/// `reader`. A line that is not UTF-8 is [`HeadError::Malformed`]: the
+/// peer sent it whole, so nothing failed on the socket.
 pub(crate) fn read_head<R: BufRead>(
     reader: &mut R,
     start: &str,
@@ -177,7 +181,7 @@ pub(crate) fn read_head<R: BufRead>(
                 ))
             })?;
         budget -= line.len();
-        Ok(line)
+        String::from_utf8(line).map_err(|_| HeadError::Malformed(format!("{what} is not UTF-8")))
     };
     let start_line = line(start)?;
     if start_line.is_empty() {
@@ -434,6 +438,28 @@ mod tests {
             read_request("GET / HTTP/1.1\r\nno-colon-here\r\n\r\n".as_bytes()),
             Err(HttpError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_head_that_is_not_utf8_is_malformed_not_an_io_failure() {
+        // Regression: `read_line` failed such a line with `InvalidData`,
+        // which was answered as an i/o failure and counted as a peer
+        // abort.
+        for (raw, what) in [
+            (
+                &b"GET /healthz HTTP/1.1\r\nX-Name: caf\xe9\r\n\r\n"[..],
+                "header section",
+            ),
+            (&b"GET /caf\xe9 HTTP/1.1\r\n\r\n"[..], "request line"),
+        ] {
+            match read_request(raw) {
+                Err(err @ HttpError::Malformed(_)) => assert_eq!(
+                    err.to_string(),
+                    format!("malformed request: {what} is not UTF-8")
+                ),
+                other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
     }
 
     /// A reader that never yields a newline — a socket-level slowloris.

@@ -137,6 +137,48 @@ fn hostile_framing_is_rejected_cleanly_and_nothing_wedges() {
 }
 
 #[test]
+fn a_head_that_is_not_utf8_is_a_malformed_request_not_a_peer_abort() {
+    // Regression: the head reader failed such a line as an i/o error, so
+    // the answer read `i/o: stream did not contain valid UTF-8` and the
+    // connection was counted as a peer abort although the peer sent the
+    // whole request.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        Schema::from_names(vec!["name"]),
+        Box::new(ConstModel),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+    let handle = server.spawn();
+    let addr = handle.addr();
+
+    let answer = raw_roundtrip(
+        addr,
+        b"GET /healthz HTTP/1.1\r\nX-Name: caf\xe9\r\n\r\n",
+        false,
+    );
+    assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+    assert!(
+        answer.ends_with("\r\n\r\n{\"error\":\"malformed request: header section is not UTF-8\"}"),
+        "{answer}"
+    );
+
+    let text = client::request(addr, "GET", "/metrics", "").unwrap().body;
+    assert_eq!(
+        metric(&text, "em_serve_rejects_total{cause=\"peer_abort\"}"),
+        0
+    );
+    assert_eq!(
+        metric(&text, "em_serve_request_errors_total{endpoint=\"other\"}"),
+        1
+    );
+
+    let bye = client::request(addr, "POST", "/shutdown", "").unwrap();
+    assert_eq!(bye.status, 200);
+    handle.join();
+}
+
+#[test]
 fn a_chunked_body_is_refused_with_501_and_the_connection_closes() {
     // Regression: the chunks were never read, so the body parsed as empty
     // JSON (a 400), and on a kept-alive connection the chunk bytes would

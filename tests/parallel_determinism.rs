@@ -81,8 +81,8 @@ proptest! {
         let (dataset, matcher) = setup();
         let schema = dataset.schema();
         let records = dataset.records();
-        // Several records, each scoring its own masks on one prepared
-        // scorer, the way one explanation scores a view.
+        // Several records, each prepared once and scoring its own masks on
+        // one scorer from it, the way one explanation scores a view.
         let picked: Vec<&EntityPair> = (0..4)
             .map(|k| &records[(seed as usize + 7 * k) % records.len()].pair)
             .collect();
@@ -94,7 +94,8 @@ proptest! {
                 right: SideSpec::Varying(&right),
             };
             let masks = sample_masks(spec.mask_len(schema.len()), n_masks, seed + i as u64);
-            let mut scorer = matcher.prepare_scorer(schema, &spec);
+            let record = matcher.prepare_record(schema, pair);
+            let mut scorer = record.scorer(&spec);
             masks.iter().map(|m| scorer.score_mask(m).to_bits()).collect()
         };
         let serial = par_map(1, &picked, score);

@@ -1,14 +1,16 @@
 //! Property tests for the prepared perturbation-scoring kernel.
 //!
 //! The kernel's contract (DESIGN.md §11) is *bit-identity*: for any
-//! schema, record, perturbation family and mask, scoring a
-//! mask through `MatchModel::prepare_scorer` must produce the same `f64`
-//! — same bits — as reconstructing the perturbed pair and calling
-//! `predict_proba` on it. These tests drive that contract with random
-//! schemas (all four attribute kinds), random values (including empty,
-//! numeric, punctuation-only, and long enough to pass the memo cap),
-//! random logistic coefficients, random masks, every perturbation family,
-//! and both explainer layers on top.
+//! schema, record, perturbation family and mask, scoring a mask through a
+//! scorer of the record's `MatchModel::prepare_record` must produce the
+//! same `f64` — same bits — as reconstructing the perturbed pair and
+//! calling `predict_proba` on it, and the prepared record's own
+//! prediction must have the bits of `predict_proba` on the record. These
+//! tests drive that contract with random schemas (all four attribute
+//! kinds), random values (including empty, numeric, punctuation-only,
+//! whitespace-padded, and long enough to pass the memo cap), random
+//! logistic coefficients, random masks, every perturbation family, and
+//! both explainer layers on top.
 
 use landmark_explanation::entity::schema::{Attribute, AttributeKind};
 use landmark_explanation::entity::{
@@ -22,7 +24,7 @@ use landmark_explanation::matchers::{FeatureExtractor, LogisticMatcher, NaiveBay
 use landmark_explanation::prelude::noop;
 use proptest::prelude::*;
 
-/// Forwards only `predict_proba`, hiding `prepare_scorer` so the default
+/// Forwards only `predict_proba`, hiding `prepare_record` so the default
 /// fallback (reconstruct each pair, extract features from scratch) runs.
 struct NaiveOnly<'m, M>(&'m M);
 
@@ -43,6 +45,9 @@ fn attr_kind() -> impl Strategy<Value = AttributeKind> {
 
 /// One attribute value: a handful of tokens drawn from words, numbers,
 /// and awkward punctuation (possibly none — empty values must work too).
+/// A third of the values are padded with spaces or tabs at either end and
+/// a third separate their tokens with doubled spaces or tabs: tokenizing
+/// drops that whitespace, so a fixed side must read the value as it is.
 fn attr_value() -> impl Strategy<Value = String> {
     let token = prop_oneof![
         "[a-z]{1,5}",
@@ -52,7 +57,10 @@ fn attr_value() -> impl Strategy<Value = String> {
         Just("!!!".to_string()),
         Just("MiXeD".to_string()),
     ];
-    prop::collection::vec(token, 0..4).prop_map(|w| w.join(" "))
+    let edge = || prop_oneof![Just(String::new()), Just(String::new()), "[ \t]{1,2}"];
+    let gap = prop_oneof![Just(" ".to_string()), Just(" ".to_string()), "[ \t]{1,2}"];
+    (edge(), prop::collection::vec(token, 0..4), gap, edge())
+        .prop_map(|(lead, words, gap, trail)| lead + &words.join(&gap) + &trail)
 }
 
 /// A long attribute value: 11–40 tokens from a small vocabulary of near
@@ -198,7 +206,9 @@ fn all_specs<'a>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Mask-level bit-identity, both model families, every spec family.
+    /// Record-level bit-identity, both model families: the prepared
+    /// record's prediction is `predict_proba`, and every family's scorer
+    /// taken from that one record equals the fallback's on its mask.
     #[test]
     fn prepared_scorer_is_bit_identical_to_fallback(
         s in scenario(3),
@@ -207,15 +217,20 @@ proptest! {
         let nb = NaiveBayesMatcher::train(&s.dataset);
         let left_tokens = tokenize_entity(&s.pair.left);
         let right_tokens = tokenize_entity(&s.pair.right);
-        for spec in all_specs(&s.pair, &left_tokens, &right_tokens) {
-            let n = spec.mask_len(s.schema.len());
-            let mask: Vec<bool> = (0..n)
-                .map(|i| mask_bits.get(i).copied().unwrap_or(true))
-                .collect();
-            let logistic: &dyn MatchModel = &s.matcher;
-            let bayes: &dyn MatchModel = &nb;
-            for model in [logistic, bayes] {
-                let kernel = model.prepare_scorer(&s.schema, &spec).score_mask(&mask);
+        let logistic: &dyn MatchModel = &s.matcher;
+        let bayes: &dyn MatchModel = &nb;
+        for model in [logistic, bayes] {
+            let record = model.prepare_record(&s.schema, &s.pair);
+            prop_assert_eq!(
+                record.predict().to_bits(),
+                model.predict_proba(&s.schema, &s.pair).to_bits()
+            );
+            for spec in all_specs(&s.pair, &left_tokens, &right_tokens) {
+                let n = spec.mask_len(s.schema.len());
+                let mask: Vec<bool> = (0..n)
+                    .map(|i| mask_bits.get(i).copied().unwrap_or(true))
+                    .collect();
+                let kernel = record.scorer(&spec).score_mask(&mask);
                 let naive =
                     FallbackScorer::new(model, &s.schema, &spec).score_mask(&mask);
                 prop_assert_eq!(kernel.to_bits(), naive.to_bits());
@@ -246,7 +261,8 @@ proptest! {
             let logistic: &dyn MatchModel = &s.matcher;
             let bayes: &dyn MatchModel = &nb;
             for model in [logistic, bayes] {
-                let mut kernel = model.prepare_scorer(&s.schema, &spec);
+                let record = model.prepare_record(&s.schema, &s.pair);
+                let mut kernel = record.scorer(&spec);
                 let mut naive = FallbackScorer::new(model, &s.schema, &spec);
                 for mask in &masks {
                     prop_assert_eq!(

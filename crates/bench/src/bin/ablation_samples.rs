@@ -6,12 +6,13 @@
 //!
 //! Run with: `cargo run --release -p bench --bin ablation_samples`
 
-use em_datagen::DatasetId;
 use em_eval::{EvalConfig, Evaluator};
 use landmark_core::ExplainerKind;
 
 fn main() {
     let base = bench::config_from_env();
+    // Without DATASETS this is the first of `DatasetId::all()`, S-BR: the
+    // smallest dataset, which keeps the sweep fast.
     let id = bench::datasets_from_env()[0];
     bench::outln!(
         "# Ablation: perturbation budget (dataset {})\n",
@@ -51,8 +52,3 @@ fn main() {
     bench::outln!("Expected: MAE decreases and stabilizes with budget; beyond ~500 samples");
     bench::outln!("(the paper's LIME default) additional perturbations buy little fidelity.");
 }
-
-// Default dataset when DATASETS is unset: the first of DatasetId::all(),
-// i.e. S-BR — the smallest dataset, keeping the sweep fast.
-#[allow(dead_code)]
-fn _doc(_: DatasetId) {}

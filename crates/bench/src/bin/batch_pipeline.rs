@@ -12,6 +12,10 @@ use em_datagen::MagellanBenchmark;
 use em_entity::{dataset_to_csv, EmDataset};
 use landmark_core::ExplainerKind;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test scratch directory: the path never reaches an output byte"
+)]
 fn scratch() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bench-batch-pipeline-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -28,6 +32,10 @@ fn concatenated(run_dir: &Path, shards: usize) -> Vec<u8> {
     bytes
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a measurement tool: it is configured from the environment and times with the clock, and no output of the explainers depends on either"
+)]
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];

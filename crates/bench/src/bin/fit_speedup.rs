@@ -54,6 +54,10 @@ fn same_fit(a: &SurrogateFit, b: &SurrogateFit) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a measurement tool: it is configured from the environment and times with the clock, and no output of the explainers depends on either"
+)]
 fn main() {
     let base = bench::config_from_env();
     let id = DatasetId::SFz;

@@ -58,6 +58,10 @@ struct Record {
     views: Vec<(VaryingView, Masks)>,
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a measurement tool: it is configured from the environment and times with the clock, and no output of the explainers depends on either"
+)]
 fn main() {
     let base = bench::config_from_env();
     let selected = std::env::var("DATASETS").ok();

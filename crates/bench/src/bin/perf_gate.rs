@@ -59,6 +59,10 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "command-line arguments name the two reports to compare"
+)]
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     if args.len() != 3 {

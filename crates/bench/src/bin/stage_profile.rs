@@ -45,6 +45,10 @@ fn run_cell(
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a measurement tool: it is configured from the environment and times with the clock, and no output of the explainers depends on either"
+)]
 fn main() {
     let base = bench::config_from_env();
     let id = bench::datasets_from_env()[0];

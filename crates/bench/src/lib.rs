@@ -92,6 +92,10 @@ macro_rules! outln {
 }
 
 /// One environment variable's value, `None` when it is unset.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench binaries are configured from the environment; the values choose what to measure, never an explanation byte"
+)]
 fn env(key: &str) -> Option<String> {
     std::env::var(key).ok()
 }
@@ -287,6 +291,10 @@ impl Pass {
 
 /// Sends every body to `addr` as `POST /explain`, one after another,
 /// each on its own connection; panics unless each answer is a 200.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "client-side latency measurement; the bodies are compared byte for byte, the times only reported"
+)]
 pub fn drive(addr: SocketAddr, bodies: &[String]) -> Pass {
     let mut pass = Pass {
         latencies_us: Vec::with_capacity(bodies.len()),

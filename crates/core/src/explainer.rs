@@ -196,13 +196,13 @@ impl LandmarkExplainer {
 mod tests {
     use super::*;
     use em_entity::Entity;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     /// Token-overlap model over all attributes (Jaccard).
     struct JaccardModel;
     impl MatchModel for JaccardModel {
         fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-            let collect = |e: &Entity| -> HashSet<String> {
+            let collect = |e: &Entity| -> BTreeSet<String> {
                 (0..schema.len())
                     .flat_map(|i| {
                         e.value(i)

@@ -28,6 +28,10 @@ mod tests {
     use super::*;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
     fn generated_csv_roundtrips_through_the_importer() {
         let dir = std::env::temp_dir().join("em-batch-gen-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -40,6 +44,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
     fn generation_is_deterministic() {
         let dir = std::env::temp_dir().join("em-batch-gen-det");
         std::fs::create_dir_all(&dir).unwrap();

@@ -64,6 +64,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
     fn hash_file_streams_identically() {
         let dir = std::env::temp_dir().join("em-batch-hash-test");
         std::fs::create_dir_all(&dir).unwrap();

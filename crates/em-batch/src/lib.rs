@@ -29,15 +29,18 @@
 //! kill/resume test sweep and the CI smoke job use to crash the pipeline
 //! at every commit-protocol site.
 //!
-//! Timing note: this crate never reads the clock. All timings in the
-//! summary JSON come from `em-obs` spans recorded inside the explainers
-//! (the one declared `nondet-taint` sanitizer), which keeps everything
-//! reachable from this crate's shard writers clean under `em-lint`'s
-//! taint rule. The summary is an observability artifact and is
-//! deliberately *outside* the byte-identity claim.
+//! Timing note: this crate never reads the clock (clippy's
+//! `disallowed_methods` refuses it, DESIGN.md §9). All timings in the
+//! summary JSON come from `em-obs` spans recorded inside the explainers,
+//! whose one clock read carries the workspace's only sanctioned
+//! `#[expect]` for observability. The summary is an observability
+//! artifact and is deliberately *outside* the byte-identity claim.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// A staged or published shard dropped before the manifest records it is
+// a commit left half done (DESIGN.md §12).
+#![deny(unused_must_use)]
 
 pub mod atomic;
 pub mod error;

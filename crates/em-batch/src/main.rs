@@ -36,6 +36,10 @@ commands:
 explainers: landmark, landmark-single, landmark-double, lime, mojito-copy
 failpoint sites: before-write, before-rename, before-manifest, after-manifest";
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "command-line arguments configure the process; every request and plan is resolved from its own bytes"
+)]
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&args) {
@@ -184,6 +188,10 @@ fn cmd_plan(opts: &Options) -> Result<ExitCode, BatchError> {
     Ok(ExitCode::SUCCESS)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "EM_BATCH_FAILPOINT only chooses where a test run crashes; it never changes a committed byte"
+)]
 fn failpoint_hook(opts: &Options) -> Result<Box<dyn FailpointHook>, String> {
     let spec = match opts.get("failpoint") {
         Some(s) => Some(s.to_string()),

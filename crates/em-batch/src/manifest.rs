@@ -16,13 +16,46 @@
 //! auditing a crashed run directory never mutates it. A torn line
 //! anywhere else, or two entries for the same shard that disagree, means
 //! outside interference and is a hard error.
+//!
+//! Only the holder of the run directory's [`RunLock`] appends, and only
+//! for a shard file [`crate::atomic::rename_durable`] has put in place.
 
 use std::io::Write;
 use std::path::Path;
 
 use em_codec::json::Value;
 
+use crate::atomic::Published;
 use crate::error::BatchError;
+
+/// The exclusive OS lock (`flock`) on a run directory's lock file: one
+/// run/resume process per run directory, so two can never interleave
+/// manifest appends. The OS releases it when the process exits, clean or
+/// not, so a crashed run never wedges a later resume.
+#[derive(Debug)]
+pub struct RunLock {
+    _file: std::fs::File,
+}
+
+impl RunLock {
+    /// Takes the lock on `path` without waiting, creating the file if
+    /// needed; [`BatchError::Locked`] when another process holds it.
+    pub fn try_lock(path: &Path) -> Result<RunLock, BatchError> {
+        let file = std::fs::OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)
+            .map_err(|e| BatchError::io(path, e))?;
+        match file.try_lock() {
+            Ok(()) => Ok(RunLock { _file: file }),
+            Err(std::fs::TryLockError::WouldBlock) => Err(BatchError::Locked {
+                path: path.display().to_string(),
+            }),
+            Err(std::fs::TryLockError::Error(e)) => Err(BatchError::io(path, e)),
+        }
+    }
+}
 
 /// One committed shard, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,8 +184,14 @@ pub fn load_and_repair(path: &Path) -> Result<Vec<ManifestEntry>, BatchError> {
 }
 
 /// Appends one entry durably: write, flush, fsync. After this returns the
-/// shard's completion survives any crash.
-pub fn append(path: &Path, entry: &ManifestEntry) -> Result<(), BatchError> {
+/// shard's completion survives any crash. `_shard_file` is the proof that
+/// the entry's shard file is already in place.
+pub fn append(
+    path: &Path,
+    _lock: &RunLock,
+    _shard_file: Published,
+    entry: &ManifestEntry,
+) -> Result<(), BatchError> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -170,11 +209,22 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("em-batch-manifest-{name}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("manifest.jsonl")
+    }
+
+    /// Appends through the commit types: the real run-directory lock and
+    /// a shard file taken as published.
+    fn append_entry(path: &Path, entry: &ManifestEntry) {
+        let lock = RunLock::try_lock(&path.with_file_name("run.lock")).unwrap();
+        append(path, &lock, Published::assumed(), entry).unwrap();
     }
 
     fn entry(shard: usize) -> ManifestEntry {
@@ -201,7 +251,7 @@ mod tests {
     fn append_then_load_preserves_order() {
         let path = scratch("order");
         for s in 0..3 {
-            append(&path, &entry(s)).unwrap();
+            append_entry(&path, &entry(s));
         }
         let loaded = load_and_repair(&path).unwrap();
         assert_eq!(loaded, vec![entry(0), entry(1), entry(2)]);
@@ -210,7 +260,7 @@ mod tests {
     #[test]
     fn torn_final_line_is_truncated_away() {
         let path = scratch("torn");
-        append(&path, &entry(0)).unwrap();
+        append_entry(&path, &entry(0));
         let full = std::fs::read(&path).unwrap();
         let mut torn = full.clone();
         torn.extend_from_slice(&entry(1).to_line().as_bytes()[..9]);
@@ -224,7 +274,7 @@ mod tests {
     #[test]
     fn load_reports_a_torn_tail_without_mutating_the_file() {
         let path = scratch("readonly");
-        append(&path, &entry(0)).unwrap();
+        append_entry(&path, &entry(0));
         let clean_len = std::fs::metadata(&path).unwrap().len() as usize;
         let mut torn = std::fs::read(&path).unwrap();
         torn.extend_from_slice(&entry(1).to_line().as_bytes()[..9]);
@@ -241,16 +291,16 @@ mod tests {
     #[test]
     fn torn_line_then_reappend_matches_uninterrupted_bytes() {
         let uninterrupted = scratch("ref");
-        append(&uninterrupted, &entry(0)).unwrap();
-        append(&uninterrupted, &entry(1)).unwrap();
+        append_entry(&uninterrupted, &entry(0));
+        append_entry(&uninterrupted, &entry(1));
 
         let crashed = scratch("crashed");
-        append(&crashed, &entry(0)).unwrap();
+        append_entry(&crashed, &entry(0));
         let mut bytes = std::fs::read(&crashed).unwrap();
         bytes.extend_from_slice(&entry(1).to_line().as_bytes()[..5]);
         std::fs::write(&crashed, &bytes).unwrap();
         let _ = load_and_repair(&crashed).unwrap();
-        append(&crashed, &entry(1)).unwrap();
+        append_entry(&crashed, &entry(1));
 
         assert_eq!(
             std::fs::read(&crashed).unwrap(),
@@ -261,10 +311,10 @@ mod tests {
     #[test]
     fn conflicting_duplicate_is_an_error() {
         let path = scratch("conflict");
-        append(&path, &entry(0)).unwrap();
+        append_entry(&path, &entry(0));
         let mut other = entry(0);
         other.hash = "fnv1a64:ffffffffffffffff".into();
-        append(&path, &other).unwrap();
+        append_entry(&path, &other);
         assert!(matches!(
             load_and_repair(&path),
             Err(BatchError::Manifest(_))
@@ -274,11 +324,11 @@ mod tests {
     #[test]
     fn garbage_in_the_middle_is_an_error() {
         let path = scratch("garbage");
-        append(&path, &entry(0)).unwrap();
+        append_entry(&path, &entry(0));
         let mut bytes = std::fs::read(&path).unwrap();
         bytes.extend_from_slice(b"not json\n");
         std::fs::write(&path, &bytes).unwrap();
-        append(&path, &entry(1)).unwrap();
+        append_entry(&path, &entry(1));
         assert!(matches!(
             load_and_repair(&path),
             Err(BatchError::Manifest(_))

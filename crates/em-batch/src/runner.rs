@@ -27,7 +27,7 @@ use crate::atomic;
 use crate::error::BatchError;
 use crate::failpoint::{FailSite, FailpointHook};
 use crate::hash;
-use crate::manifest::{self, ManifestEntry};
+use crate::manifest::{self, ManifestEntry, RunLock};
 use crate::plan::{self, RunPlan};
 
 /// Whether this invocation is a fresh `run` or a `resume`.
@@ -146,25 +146,10 @@ pub fn execute(
 
     // One run/resume process per run directory: a concurrent invocation
     // would interleave manifest appends and break the manifest's
-    // byte-identity claim. flock is advisory but every manifest writer
-    // goes through this function, and the OS releases it on process exit
-    // (clean or not). Held until `execute` returns.
-    let lock_path = run_dir.join(plan::LOCK_FILE);
-    let lock_file = std::fs::OpenOptions::new()
-        .create(true)
-        .write(true)
-        .truncate(false)
-        .open(&lock_path)
-        .map_err(|e| BatchError::io(&lock_path, e))?;
-    match lock_file.try_lock() {
-        Ok(()) => {}
-        Err(std::fs::TryLockError::WouldBlock) => {
-            return Err(BatchError::Locked {
-                path: lock_path.display().to_string(),
-            });
-        }
-        Err(std::fs::TryLockError::Error(e)) => return Err(BatchError::io(&lock_path, e)),
-    }
+    // byte-identity claim. flock is advisory, but `manifest::append`
+    // takes the lock guard, and the OS releases it on process exit (clean
+    // or not). Held until `execute` returns.
+    let lock = RunLock::try_lock(&run_dir.join(plan::LOCK_FILE))?;
 
     let input = Path::new(&plan.input);
     let actual_hash = hash::hash_file(input).map_err(|e| BatchError::io(input, e))?;
@@ -237,12 +222,14 @@ pub fn execute(
             }
         };
         fail(FailSite::BeforeWrite)?;
-        atomic::write_sync(&tmp, &bytes).map_err(|e| BatchError::io(&tmp, e))?;
+        let staged = atomic::write_sync(&dst, &bytes).map_err(|e| BatchError::io(&tmp, e))?;
         fail(FailSite::BeforeRename)?;
-        atomic::rename_durable(&tmp, &dst).map_err(|e| BatchError::io(&dst, e))?;
+        let published = atomic::rename_durable(staged).map_err(|e| BatchError::io(&dst, e))?;
         fail(FailSite::BeforeManifest)?;
         manifest::append(
             &manifest_path,
+            &lock,
+            published,
             &ManifestEntry {
                 shard,
                 records: n_records,

@@ -13,6 +13,10 @@ use landmark_core::ExplainerKind;
 const N_RECORDS: usize = 10;
 const N_SAMPLES: usize = 16;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test scratch directory: the path never reaches an output byte"
+)]
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("em-batch-pipeline-{name}"));
     let _ = std::fs::remove_dir_all(&dir);

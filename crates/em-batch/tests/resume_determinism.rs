@@ -23,6 +23,10 @@ const SHARDS: usize = 3;
 const REFERENCE_THREADS: usize = 1;
 const RESUME_THREADS: usize = 3;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "test scratch directory: the path never reaches an output byte"
+)]
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("em-batch-resume-{name}"));
     let _ = std::fs::remove_dir_all(&dir);

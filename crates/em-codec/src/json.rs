@@ -78,6 +78,7 @@ impl Value {
         out
     }
 
+    #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
     fn write_to(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -86,7 +87,6 @@ impl Value {
             Value::Number(n) => {
                 // JSON has no NaN/Infinity literal; degrade to null.
                 if n.is_finite() {
-                    // em-lint: allow(panic-in-request-path) -- fmt::Write to a String is infallible
                     write!(out, "{n}").expect("write to String");
                 } else {
                     out.push_str("null");
@@ -180,6 +180,7 @@ impl Value {
 }
 
 /// Writes `s` as a JSON string literal with full escaping.
+#[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -192,7 +193,6 @@ fn write_json_string(s: &str, out: &mut String) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                // em-lint: allow(panic-in-request-path) -- fmt::Write to a String is infallible
                 write!(out, "\\u{:04x}", c as u32).expect("write to String");
             }
             c => out.push(c),
@@ -251,8 +251,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "pos <= bytes.len() is a parser invariant"
+    )]
     fn parse_literal(&mut self, text: &str, value: Value) -> Result<Value, JsonError> {
-        // em-lint: allow(panic-in-request-path) -- pos <= bytes.len() is a parser invariant
         if self.bytes[self.pos..].starts_with(text.as_bytes()) {
             self.pos += text.len();
             Ok(value)
@@ -261,6 +264,11 @@ impl<'a> Parser<'a> {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        clippy::indexing_slicing,
+        reason = "start <= pos <= bytes.len(), and the slice holds only ASCII digits/sign/exponent bytes"
+    )]
     fn parse_number(&mut self) -> Result<Value, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -270,7 +278,6 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        // em-lint: allow(panic-in-request-path) -- slice holds only ASCII digits/sign/exponent bytes
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Number(n)),
@@ -341,12 +348,15 @@ impl<'a> Parser<'a> {
         char::from_u32(unit).ok_or_else(|| self.error("invalid \\u escape"))
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "end <= bytes.len() checked two lines above"
+    )]
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
         let end = self.pos + 4;
         if end > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        // em-lint: allow(panic-in-request-path) -- end <= bytes.len() checked two lines above
         let hex = std::str::from_utf8(&self.bytes[self.pos..end])
             .map_err(|_| self.error("non-ascii in \\u escape"))?;
         let unit = u32::from_str_radix(hex, 16).map_err(|_| self.error("bad \\u escape"))?;

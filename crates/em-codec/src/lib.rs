@@ -25,6 +25,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod explain;
 pub mod hash;

@@ -200,14 +200,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let original = entity();
         let v = make_variant(&original, &schema(), &NoiseConfig::default(), &mut rng);
-        let orig: std::collections::HashSet<&str> = entity_tokens(&original);
-        let var: std::collections::HashSet<&str> = v.value(0).split_whitespace().collect();
+        let orig: std::collections::BTreeSet<&str> = entity_tokens(&original);
+        let var: std::collections::BTreeSet<&str> = v.value(0).split_whitespace().collect();
         // Typos may alter tokens, but most should survive verbatim.
         let shared = var.iter().filter(|t| orig.contains(*t)).count();
         assert!(shared >= 1);
     }
 
-    fn entity_tokens(e: &Entity) -> std::collections::HashSet<&str> {
+    fn entity_tokens(e: &Entity) -> std::collections::BTreeSet<&str> {
         e.value(0).split_whitespace().collect()
     }
 

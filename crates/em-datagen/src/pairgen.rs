@@ -188,9 +188,9 @@ mod tests {
     fn matching_pairs_share_more_tokens_than_non_matching() {
         let d = generator(400, 0.25).generate("t");
         let overlap = |p: &EntityPair| -> f64 {
-            use std::collections::HashSet;
-            let a: HashSet<&str> = p.left.values().flat_map(str::split_whitespace).collect();
-            let b: HashSet<&str> = p.right.values().flat_map(str::split_whitespace).collect();
+            use std::collections::BTreeSet;
+            let a: BTreeSet<&str> = p.left.values().flat_map(str::split_whitespace).collect();
+            let b: BTreeSet<&str> = p.right.values().flat_map(str::split_whitespace).collect();
             if a.is_empty() && b.is_empty() {
                 return 0.0;
             }
@@ -221,14 +221,14 @@ mod tests {
         let d = PairGenerator::new(Domain::new(DomainKind::Music), cfg).generate("hard");
         let mut any_shared = 0;
         for r in d.records() {
-            use std::collections::HashSet;
-            let a: HashSet<&str> = r
+            use std::collections::BTreeSet;
+            let a: BTreeSet<&str> = r
                 .pair
                 .left
                 .values()
                 .flat_map(str::split_whitespace)
                 .collect();
-            let b: HashSet<&str> = r
+            let b: BTreeSet<&str> = r
                 .pair
                 .right
                 .values()

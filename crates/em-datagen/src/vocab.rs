@@ -430,7 +430,7 @@ mod tests {
         let mut r = rng();
         let words = draw_distinct(&mut r, BEER_WORDS, 10);
         assert_eq!(words.len(), 10);
-        let set: std::collections::HashSet<_> = words.iter().collect();
+        let set: std::collections::BTreeSet<_> = words.iter().collect();
         assert_eq!(set.len(), 10);
     }
 

@@ -3,8 +3,8 @@
 use crate::entity::Entity;
 use crate::schema::Schema;
 
-/// Which entity of a pair is being referenced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// Which entity of a pair is being referenced. Ordered `Left < Right`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntitySide {
     /// The left entity (first dataset).
     Left,
@@ -42,6 +42,24 @@ impl EntitySide {
     /// Both sides, in `[Left, Right]` order.
     pub fn both() -> [EntitySide; 2] {
         [EntitySide::Left, EntitySide::Right]
+    }
+}
+
+// Written by hand: a derived `PartialOrd` calls `partial_cmp`, which
+// clippy's `disallowed_methods` refuses in this workspace (DESIGN.md §9).
+impl Ord for EntitySide {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let rank = |side: &EntitySide| match side {
+            EntitySide::Left => 0u8,
+            EntitySide::Right => 1,
+        };
+        rank(self).cmp(&rank(other))
+    }
+}
+
+impl PartialOrd for EntitySide {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -155,6 +173,24 @@ mod tests {
             Entity::new(vec!["sony camera"]),
             Entity::new(vec!["nikon case"]),
         )
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test pins `partial_cmp` itself against `cmp`"
+    )]
+    fn side_order_is_left_before_right() {
+        use std::cmp::Ordering;
+        assert!(EntitySide::Left < EntitySide::Right);
+        assert_eq!(EntitySide::Left.cmp(&EntitySide::Right), Ordering::Less);
+        assert_eq!(EntitySide::Right.cmp(&EntitySide::Left), Ordering::Greater);
+        for a in EntitySide::both() {
+            assert_eq!(a.cmp(&a), Ordering::Equal);
+            for b in EntitySide::both() {
+                assert_eq!(a.partial_cmp(&b), Some(a.cmp(&b)));
+            }
+        }
     }
 
     #[test]

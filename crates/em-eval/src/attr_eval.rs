@@ -61,9 +61,9 @@ mod tests {
     impl WeightedOverlapModel {
         const WEIGHTS: [f64; 2] = [0.6, 0.2];
         fn attr_overlap(pair: &EntityPair, idx: usize) -> f64 {
-            use std::collections::HashSet;
-            let a: HashSet<&str> = pair.left.value(idx).split_whitespace().collect();
-            let b: HashSet<&str> = pair.right.value(idx).split_whitespace().collect();
+            use std::collections::BTreeSet;
+            let a: BTreeSet<&str> = pair.left.value(idx).split_whitespace().collect();
+            let b: BTreeSet<&str> = pair.right.value(idx).split_whitespace().collect();
             if a.is_empty() && b.is_empty() {
                 return 0.0;
             }

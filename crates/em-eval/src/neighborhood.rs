@@ -16,7 +16,7 @@
 //! perturbation strategy, so the motivation can be verified empirically
 //! (`cargo run --release -p bench --bin perturbation_stats`).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use em_entity::{
     EntityPair, EntitySide, MatchModel, PerturbSpec, PreparedRecord, Schema, SideSpec, Token,
@@ -112,16 +112,16 @@ fn lime_stats(
         .map(|t| (EntitySide::Left, t))
         .chain(rt.iter().map(|t| (EntitySide::Right, t)))
         .collect();
-    let shared: HashSet<&str> = {
-        let l: HashSet<&str> = lt.iter().map(|t| t.text.as_str()).collect();
-        let r: HashSet<&str> = rt.iter().map(|t| t.text.as_str()).collect();
+    let shared: BTreeSet<&str> = {
+        let l: BTreeSet<&str> = lt.iter().map(|t| t.text.as_str()).collect();
+        let r: BTreeSet<&str> = rt.iter().map(|t| t.text.as_str()).collect();
         l.intersection(&r).copied().collect()
     };
     let mut nulls = 0usize;
     for mask in masks.iter() {
         // Null perturbation: some shared text dropped from both sides.
-        let mut dropped_left: HashSet<&str> = HashSet::new();
-        let mut dropped_right: HashSet<&str> = HashSet::new();
+        let mut dropped_left: BTreeSet<&str> = BTreeSet::new();
+        let mut dropped_right: BTreeSet<&str> = BTreeSet::new();
         for ((side, token), &keep) in features.iter().zip(mask) {
             if !keep && shared.contains(token.text.as_str()) {
                 match side {
@@ -173,7 +173,7 @@ mod tests {
     struct Overlap;
     impl MatchModel for Overlap {
         fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-            let g = |e: &Entity| -> HashSet<String> {
+            let g = |e: &Entity| -> BTreeSet<String> {
                 (0..schema.len())
                     .flat_map(|i| {
                         e.value(i)

@@ -12,7 +12,7 @@
 
 use em_entity::{EntityPair, MatchModel, Schema};
 use landmark_core::ExplainerKind;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use crate::technique::explain_record;
 
@@ -72,7 +72,7 @@ pub fn explanation_stability<M: MatchModel>(
         .collect();
 
     // Top-k sets per run.
-    let top_sets: Vec<HashSet<Key>> = runs
+    let top_sets: Vec<BTreeSet<Key>> = runs
         .iter()
         .map(|run| {
             let mut sorted: Vec<&(Key, f64)> = run.iter().collect();
@@ -139,7 +139,7 @@ mod tests {
     struct Overlap;
     impl MatchModel for Overlap {
         fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-            let g = |e: &Entity| -> HashSet<String> {
+            let g = |e: &Entity| -> BTreeSet<String> {
                 (0..schema.len())
                     .flat_map(|i| {
                         e.value(i)

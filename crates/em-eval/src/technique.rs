@@ -121,8 +121,8 @@ mod tests {
     struct OverlapModel;
     impl MatchModel for OverlapModel {
         fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-            use std::collections::HashSet;
-            let grab = |e: &Entity| -> HashSet<String> {
+            use std::collections::BTreeSet;
+            let grab = |e: &Entity| -> BTreeSet<String> {
                 (0..schema.len())
                     .flat_map(|i| {
                         e.value(i)

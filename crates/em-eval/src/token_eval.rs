@@ -217,8 +217,8 @@ mod tests {
         struct Overlap;
         impl MatchModel for Overlap {
             fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-                use std::collections::HashSet;
-                let g = |e: &Entity| -> HashSet<String> {
+                use std::collections::BTreeSet;
+                let g = |e: &Entity| -> BTreeSet<String> {
                     (0..schema.len())
                         .flat_map(|i| {
                             e.value(i)

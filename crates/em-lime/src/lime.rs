@@ -92,8 +92,8 @@ mod tests {
 
     impl MatchModel for JaccardModel {
         fn predict_proba(&self, schema: &Schema, pair: &EntityPair) -> f64 {
-            use std::collections::HashSet;
-            let collect = |e: &Entity| -> HashSet<String> {
+            use std::collections::BTreeSet;
+            let collect = |e: &Entity| -> BTreeSet<String> {
                 (0..schema.len())
                     .flat_map(|i| {
                         e.value(i)

@@ -63,7 +63,10 @@ impl Cholesky {
     }
 
     /// Solves `A x = b` using the factorization.
-    #[allow(clippy::needless_range_loop)] // index arithmetic mirrors the math
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "index arithmetic mirrors the math"
+    )]
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         if b.len() != self.n {
             return Err(LinalgError::DimensionMismatch {

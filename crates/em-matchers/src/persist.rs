@@ -233,6 +233,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
     fn file_roundtrip_and_missing_file() {
         let dir = std::env::temp_dir().join("em-matchers-persist-test");
         std::fs::create_dir_all(&dir).unwrap();

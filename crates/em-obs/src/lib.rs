@@ -22,14 +22,23 @@
 //! duration or counter value may influence a seed, an ordering, or an
 //! output byte. Traced and untraced runs of any explainer are
 //! bit-identical (DESIGN.md §10). This crate is the single sanctioned
-//! reader of the monotonic clock in seeded-path code — [`Span::enter`]
-//! is a declared sanitizer for `em-lint`'s `nondet-taint` rule, whose
-//! call-graph taint pass keeps `Instant::now` out of everything
-//! reachable from the seeded pipeline's determinism sinks, so all timing
-//! flows through [`Span`] and stays auditable in one place.
+//! reader of the monotonic clock in seeded-path code: clippy's
+//! `disallowed_methods` refuses `Instant::now` at every call site in the
+//! workspace (DESIGN.md §9), and [`Span::enter`] holds the one
+//! `#[expect]` the explainers' timing needs, so all timing flows through
+//! [`Span`] and stays auditable in one place.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -222,7 +231,10 @@ impl std::fmt::Debug for Span<'_> {
 impl<'t> Span<'t> {
     /// Starts timing `stage`. The clock is read only if the tracer is
     /// enabled.
-    // em-lint: sanitize(nondet-taint) -- the sanctioned clock: span durations feed metrics/summaries only, never seeds, orderings, or output bytes (DESIGN.md §10)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned clock: span durations feed metrics/summaries only, never seeds, orderings, or output bytes (DESIGN.md §10)"
+    )]
     pub fn enter(tracer: &'t dyn Tracer, stage: Stage) -> Span<'t> {
         let start = tracer.is_enabled().then(Instant::now);
         Span {

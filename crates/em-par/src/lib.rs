@@ -123,13 +123,17 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
     /// The distinct threads `par_map` ran `n_items` items on.
-    fn threads_used(threads: usize, n_items: usize) -> HashSet<ThreadId> {
-        let seen = Mutex::new(HashSet::new());
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the test observes which threads par_map runs on; `ThreadId` has no order, so the set is hashed"
+    )]
+    fn threads_used(threads: usize, n_items: usize) -> std::collections::HashSet<ThreadId> {
+        let seen = Mutex::new(std::collections::HashSet::new());
         let items = vec![0u8; n_items];
         par_map(threads, &items, |_, _| {
             seen.lock().unwrap().insert(std::thread::current().id());
@@ -138,9 +142,17 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the test observes which threads par_map runs on; `ThreadId` has no order, so the set is hashed"
+    )]
     fn serial_config_never_forks() {
         let caller = std::thread::current().id();
-        assert_eq!(threads_used(1, 1_000), HashSet::from([caller]));
+        assert_eq!(
+            threads_used(1, 1_000),
+            std::collections::HashSet::from([caller])
+        );
     }
 
     #[test]

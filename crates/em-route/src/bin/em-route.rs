@@ -12,6 +12,16 @@
 //! is `Domain::schema()` on the dataset's domain: no data generation, no
 //! training, startup is instant.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -227,6 +237,10 @@ fn run(args: Args) -> Result<(), String> {
     Ok(())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "command-line arguments configure the process; every request and plan is resolved from its own bytes"
+)]
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&argv) {

@@ -28,8 +28,9 @@
 //! time. That nondeterminism decides only *which backend* serves a
 //! request, never what bytes ship: every backend computes bit-identical
 //! responses (the workspace determinism contract), so routing is
-//! response-invariant. The clock reads are concentrated in
-//! `HealthTable::now_ms`, a declared `nondet-taint` sanitizer.
+//! response-invariant. `HealthTable::new` takes the table's epoch from
+//! the clock under an `#[expect(clippy::disallowed_methods)]`, and every
+//! later read is a delta against it in `HealthTable::now_ms`.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -111,7 +112,10 @@ pub struct HealthTable {
 
 impl HealthTable {
     /// A table of `n` healthy, non-draining backends.
-    // em-lint: sanitize(nondet-taint) -- the table's epoch: all later clock reads are deltas against it, and health state picks a backend, never a response byte (module docs)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the table's epoch: all later clock reads are deltas against it, and health state picks a backend, never a response byte (module docs)"
+    )]
     pub fn new(n: usize, config: HealthConfig) -> HealthTable {
         HealthTable {
             entries: (0..n)
@@ -131,15 +135,18 @@ impl HealthTable {
 
     /// Milliseconds since the table was built — the only clock read on
     /// the routing path.
-    // em-lint: sanitize(nondet-taint) -- cooldown arithmetic decides *where* a request goes via ring state only; every backend ships bit-identical bytes (module docs)
     fn now_ms(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_millis()).unwrap_or(u64::MAX)
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means another worker already panicked; propagating is the correct failure mode"
+    )]
     fn entry(&self, backend: usize) -> Option<std::sync::MutexGuard<'_, BackendHealth>> {
         self.entries
             .get(backend)
-            .map(|m| m.lock().expect("health entry poisoned")) // em-lint: allow(panic-in-request-path) -- poisoning means another worker already panicked; propagating is the correct failure mode
+            .map(|m| m.lock().expect("health entry poisoned"))
     }
 
     /// Applies the Unhealthy → HalfOpen transition if the cooldown has

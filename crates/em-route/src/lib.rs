@@ -38,7 +38,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod health;
 pub mod metrics;

@@ -121,15 +121,23 @@ impl Ring {
     /// the ring finalizer) and take the first virtual node at or
     /// clockwise after the hash (wrapping). `None` only when the ring is
     /// empty (all weights zero).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "position() returns an in-bounds index by construction"
+    )]
     pub fn owner(&self, key: &str) -> Option<usize> {
         let position = self.position(ring_hash(key))?;
-        Some(self.points[position].1 as usize) // em-lint: allow(panic-in-request-path) -- position() returns an in-bounds index by construction
+        Some(self.points[position].1 as usize)
     }
 
     /// Every distinct backend in ring order starting at `key`'s owner —
     /// the failover order: the first entry is the owner, later entries
     /// are "next owner clockwise", which is exactly who inherits the key
     /// if the ones before it leave the ring.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the point index is reduced modulo points.len(), which position() proved non-zero; idx < n_backends: every point stores a valid backend index"
+    )]
     pub fn owners(&self, key: &str) -> Vec<usize> {
         let mut order = Vec::new();
         let Some(start) = self.position(ring_hash(key)) else {
@@ -137,10 +145,9 @@ impl Ring {
         };
         let mut seen = vec![false; self.n_backends];
         for step in 0..self.points.len() {
-            let (_, idx) = self.points[(start + step) % self.points.len()]; // em-lint: allow(panic-in-request-path) -- index is reduced modulo points.len(), which position() proved non-zero
+            let (_, idx) = self.points[(start + step) % self.points.len()];
             let idx = idx as usize;
             if !seen[idx] {
-                // em-lint: allow(panic-in-request-path) -- idx < n_backends: every point stores a valid backend index
                 seen[idx] = true;
                 order.push(idx);
                 if order.len() == self.n_backends {
@@ -163,13 +170,17 @@ impl Ring {
     /// The ring state as JSON for `GET /ring`: per-backend name, weight,
     /// virtual-node count, and owned share of the keyspace (the summed
     /// arc length ahead of each of its points, as a fraction).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop body only runs when points is non-empty, and i > 0 in the else branch with i < points.len() from enumerate"
+    )]
     pub fn to_value(&self, backends: &[BackendSpec]) -> Value {
         let mut owned = vec![0u128; self.n_backends];
         for (i, &(hash, idx)) in self.points.iter().enumerate() {
             let prev = if i == 0 {
-                self.points[self.points.len() - 1].0 // em-lint: allow(panic-in-request-path) -- the loop body only runs when points is non-empty
+                self.points[self.points.len() - 1].0
             } else {
-                self.points[i - 1].0 // em-lint: allow(panic-in-request-path) -- i > 0 in this branch and i < points.len() from enumerate
+                self.points[i - 1].0
             };
             let arc = hash.wrapping_sub(prev) as u128;
             if let Some(slot) = owned.get_mut(idx as usize) {

@@ -89,6 +89,10 @@ fn shut_down(handle: ServerHandle) {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test waits on the clock for the backend's first probe round"
+)]
 fn a_pooled_connection_the_backend_closed_is_re_sent_not_failed_over() {
     let backend = Server::bind(
         "127.0.0.1:0",
@@ -150,6 +154,10 @@ fn a_pooled_connection_the_backend_closed_is_re_sent_not_failed_over() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test measures how long the router takes to give up"
+)]
 fn a_dripping_backend_is_cut_at_the_exchange_budget() {
     // Regression: the budget used to bound each socket read, so a backend
     // dripping a 61-byte body at 10 bytes/s held a 300 ms forward for

@@ -6,6 +6,16 @@
 //! curl -s localhost:8080/healthz
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use std::process::ExitCode;
 
 use em_datagen::{DatasetId, MagellanBenchmark};
@@ -184,6 +194,10 @@ fn run(args: Args) -> Result<(), String> {
     Ok(())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "command-line arguments configure the process; every request and plan is resolved from its own bytes"
+)]
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&argv) {

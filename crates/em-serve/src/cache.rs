@@ -14,7 +14,6 @@
 //! scans the (small) shard for the minimum tick — O(shard size), which at
 //! serving-cache sizes is cheaper than maintaining an intrusive list.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -24,6 +23,12 @@ struct Entry {
     body: String,
     tick: u64,
 }
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "probed by key, and eviction takes the unique minimum tick: no output observes iteration order"
+)]
+type Shard = Mutex<std::collections::HashMap<String, Entry>>;
 
 /// Hit/miss counters, surfaced on `/metrics`.
 #[derive(Debug, Default)]
@@ -38,7 +43,7 @@ pub struct CacheStats {
 
 /// The sharded LRU described in the module docs.
 pub struct ShardedCache {
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
+    shards: Vec<Shard>,
     capacity_per_shard: usize,
     tick: AtomicU64,
     stats: CacheStats,
@@ -63,21 +68,29 @@ impl ShardedCache {
         let shards = shards.max(1);
         let capacity_per_shard = capacity.max(1).div_ceil(shards);
         ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..shards).map(|_| Shard::default()).collect(),
             capacity_per_shard,
             tick: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
 
-    fn shard(&self, key: &str) -> &Mutex<HashMap<String, Entry>> {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx < shards.len() by the modulo above"
+    )]
+    fn shard(&self, key: &str) -> &Shard {
         let idx = (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize;
-        &self.shards[idx] // em-lint: allow(panic-in-request-path) -- idx < shards.len() by the modulo above
+        &self.shards[idx]
     }
 
     /// Returns the cached body for `key`, refreshing its recency.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn get(&self, key: &str) -> Option<String> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned"); // em-lint: allow(panic-in-request-path) -- poisoning means a worker already panicked; propagating is the correct failure mode
+        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.get_mut(key) {
             Some(entry) => {
                 entry.tick = self.tick.fetch_add(1, Ordering::Relaxed);
@@ -93,9 +106,13 @@ impl ShardedCache {
 
     /// Inserts (or refreshes) `key → body`, evicting the least recently
     /// used entry of the shard when it is full.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn insert(&self, key: String, body: String) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned"); // em-lint: allow(panic-in-request-path) -- poisoning means a worker already panicked; propagating is the correct failure mode
+        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if !shard.contains_key(&key) && shard.len() >= self.capacity_per_shard {
             if let Some(oldest) = shard
                 .iter()
@@ -110,10 +127,14 @@ impl ShardedCache {
     }
 
     /// Number of cached entries (sums shard sizes).
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len()) // em-lint: allow(panic-in-request-path) -- poisoning means a worker already panicked; propagating is the correct failure mode
+            .map(|s| s.lock().expect("cache shard poisoned").len())
             .sum()
     }
 

@@ -150,9 +150,7 @@ pub fn request_with_timeout(
 /// Idle keep-alive connections to one backend, the most recently used on
 /// top, behind a mutex. A caller holds a connection only for the length
 /// of one exchange, so the stack never grows past the number of callers
-/// exchanging at once. The stack is a deque used at its back: em-lint
-/// resolves calls by method name, and `Vec::pop` would resolve to
-/// [`crate::pool::BoundedQueue::pop`].
+/// exchanging at once. The stack is a deque used at its back.
 #[derive(Debug)]
 pub struct Pool {
     addr: SocketAddr,
@@ -460,6 +458,10 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures how long the client takes to give up"
+    )]
     fn a_dripping_answer_is_cut_at_the_exchange_budget() {
         // Regression: the budget used to bound each read, so a server
         // sending one byte every 100 ms held a 300 ms exchange for as
@@ -503,6 +505,10 @@ HTTP/1.1 404 Not Found\r\nContent-Length: 4\r\n\r\nnope";
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures how long the client takes to give up"
+    )]
     fn established_but_silent_is_a_timeout_error() {
         // A listener that never answers (the kernel completes the
         // handshake from the backlog either way): the request reached

@@ -10,9 +10,9 @@
 //! deadline for each further request ([`DeadlineStream::rearm`]), and the
 //! client charges a whole exchange — connect, write, every read — to one.
 //! The deadline machinery only decides *when to give up on a socket* — it
-//! never influences explanation bytes, seeds, or orderings, which is why
-//! its clock reads are declared `sanitize(nondet-taint)` barriers
-//! (DESIGN.md §14).
+//! never influences explanation bytes, seeds, or orderings, which is the
+//! reason each of its clock reads gives in its
+//! `#[expect(clippy::disallowed_methods)]` (DESIGN.md §14).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -38,7 +38,10 @@ pub struct Deadline {
 
 impl Deadline {
     /// A deadline expiring `budget` from now.
-    // em-lint: sanitize(nondet-taint) -- lifecycle clock: the deadline only bounds socket I/O (when to give up on a peer); it never feeds seeds, orderings, or response bytes (DESIGN.md §14)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lifecycle clock: the deadline only bounds socket I/O (when to give up on a peer); it never feeds seeds, orderings, or response bytes (DESIGN.md §14)"
+    )]
     pub fn starting_now(budget: Duration) -> Deadline {
         Deadline {
             started: Instant::now(),
@@ -69,7 +72,10 @@ impl Deadline {
     }
 
     /// Remaining budget as of this instant.
-    // em-lint: sanitize(nondet-taint) -- lifecycle clock: remaining budget arms socket timeouts only, never seeds, orderings, or response bytes (DESIGN.md §14)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lifecycle clock: remaining budget arms socket timeouts only, never seeds, orderings, or response bytes (DESIGN.md §14)"
+    )]
     pub fn remaining(&self) -> Option<Duration> {
         self.remaining_at(Instant::now())
     }
@@ -192,6 +198,10 @@ mod tests {
     use std::sync::Mutex;
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test pins the deadline math against instants taken from the clock"
+    )]
     fn remaining_at_the_boundaries() {
         let start = Instant::now();
         let d = Deadline::starting_at(start, Duration::from_millis(100));
@@ -210,6 +220,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test pins the deadline math against instants taken from the clock"
+    )]
     fn remaining_saturates_for_a_clock_before_the_start() {
         // `saturating_duration_since` guards against `now < started`
         // (possible when a deadline is stamped on another thread): the

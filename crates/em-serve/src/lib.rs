@@ -41,7 +41,15 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![deny(clippy::unwrap_used)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
 
 pub mod cache;
 pub mod client;

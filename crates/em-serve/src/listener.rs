@@ -244,6 +244,10 @@ impl Listener {
 
     /// Reads, routes, answers, and records one request under the
     /// reader's current deadline, and says what the connection does next.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "request latency for /metrics only; it never touches a response byte"
+    )]
     fn serve_request<S: Service>(
         &self,
         service: &S,
@@ -392,8 +396,11 @@ impl ServerHandle {
     }
 
     /// Waits for the server to finish (after a `/shutdown` request).
+    #[expect(
+        clippy::expect_used,
+        reason = "shutdown path; propagating a worker panic is the point"
+    )]
     pub fn join(self) {
-        // em-lint: allow(panic-in-request-path) -- shutdown path; propagating a worker panic is the point
         self.thread.join().expect("server thread panicked");
     }
 }

@@ -27,7 +27,10 @@ pub struct Enqueued<T> {
 
 impl<T> Enqueued<T> {
     /// Stamps `item` with the current instant.
-    // em-lint: sanitize(nondet-taint) -- admission-control clock: the enqueue stamp only decides whether a stale connection is discarded; it never feeds seeds, orderings, or response bytes (DESIGN.md §14)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "admission-control clock: the enqueue stamp only decides whether a stale connection is discarded; it never feeds seeds, orderings, or response bytes (DESIGN.md §14)"
+    )]
     pub fn stamped_now(item: T) -> Enqueued<T> {
         Enqueued {
             item,
@@ -52,7 +55,10 @@ impl<T> Enqueued<T> {
     }
 
     /// How long the item has been waiting.
-    // em-lint: sanitize(nondet-taint) -- admission-control clock: queue age only decides whether a stale connection is discarded, never what is computed for it (DESIGN.md §14)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "admission-control clock: queue age only decides whether a stale connection is discarded, never what is computed for it (DESIGN.md §14)"
+    )]
     pub fn age(&self) -> Duration {
         self.age_at(Instant::now())
     }
@@ -110,8 +116,12 @@ impl<T> BoundedQueue<T> {
 
     /// Enqueues a pre-stamped item (tests fabricate old entries this
     /// way), or returns the inner item if the queue is full/closed.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn push_stamped(&self, entry: Enqueued<T>) -> Result<(), PushError<T>> {
-        let mut state = self.state.lock().expect("queue poisoned"); // em-lint: allow(panic-in-request-path) -- poisoning means a worker already panicked; propagating is the correct failure mode
+        let mut state = self.state.lock().expect("queue poisoned");
         if state.closed {
             return Err(PushError::Closed(entry.item));
         }
@@ -128,6 +138,10 @@ impl<T> BoundedQueue<T> {
     /// the queue is open and empty. Returns `None` only when the queue is
     /// closed **and** drained — so closing lets in-flight work finish
     /// (graceful shutdown).
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn pop(&self) -> Option<Enqueued<T>> {
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
@@ -142,14 +156,22 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue and wakes every blocked consumer.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn close(&self) {
         self.state.lock().expect("queue poisoned").closed = true;
         self.not_empty.notify_all();
     }
 
     /// Items currently queued.
+    #[expect(
+        clippy::expect_used,
+        reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
+    )]
     pub fn len(&self) -> usize {
-        self.state.lock().expect("queue poisoned").items.len() // em-lint: allow(panic-in-request-path) -- poisoning means a worker already panicked; propagating is the correct failure mode
+        self.state.lock().expect("queue poisoned").items.len()
     }
 
     /// Whether the queue is currently empty.
@@ -174,6 +196,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks the enqueue stamp against the clock"
+    )]
     fn entries_carry_their_enqueue_stamp() {
         let q = BoundedQueue::new(4);
         let before = Instant::now();
@@ -230,7 +256,7 @@ mod tests {
                                 item = x;
                                 std::thread::yield_now();
                             }
-                            Err(PushError::Closed(_)) => unreachable!(),
+                            Err(PushError::Closed(_)) => panic!("closed before the last push"),
                         }
                     }
                 }

@@ -11,6 +11,11 @@
 //! deadline, and `/metrics` attributes each rejection to its distinct
 //! `em_serve_rejects_total{cause=...}`.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "every attack is timed against its deadline with the clock"
+)]
+
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -148,6 +148,10 @@ Content-Length: 15\r\nConnection: close\r\n\r\n{\"status\":\"ok\"}";
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test measures how long a queued request waits"
+)]
 fn an_idle_kept_alive_connection_gives_its_worker_to_a_queued_request() {
     // One worker: while it waits on the kept-alive connection, a new
     // connection can only be served once the worker gives that one up.

@@ -11,13 +11,15 @@
 //! interned ids ascend in the same lexicographic order
 //! (see [`crate::intern::Interner`]).
 
-use std::collections::HashMap;
-
 /// Builder that accumulates corpus documents before freezing IDF weights.
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-key map from one HashMap into another; consumers only do point lookups, so iteration order cannot reach any output"
+)]
 #[derive(Debug, Default)]
 pub struct TfIdfVectorizerBuilder {
     doc_count: usize,
-    doc_freq: HashMap<String, usize>,
+    doc_freq: std::collections::HashMap<String, usize>,
 }
 
 impl TfIdfVectorizerBuilder {
@@ -41,7 +43,6 @@ impl TfIdfVectorizerBuilder {
     pub fn build(self) -> TfIdfVectorizer {
         let n = self.doc_count.max(1) as f64;
         let idf = self
-            // em-lint: allow(hashmap-iter-order, nondet-taint) -- per-key map from one HashMap into another; consumers only do point lookups, so iteration order cannot reach any output
             .doc_freq
             .into_iter()
             .map(|(t, df)| {
@@ -58,9 +59,13 @@ impl TfIdfVectorizerBuilder {
 }
 
 /// A frozen TF-IDF weighting table.
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-key map from one HashMap into another; consumers only do point lookups, so iteration order cannot reach any output"
+)]
 #[derive(Debug, Clone)]
 pub struct TfIdfVectorizer {
-    idf: HashMap<String, f64>,
+    idf: std::collections::HashMap<String, f64>,
     /// IDF assigned to tokens never seen in the corpus (max rarity).
     default_idf: f64,
 }

@@ -1,8 +1,10 @@
 //! Set-based similarities over token collections.
 
-use std::collections::HashSet;
-
-fn to_set<'a>(tokens: &'a [&'a str]) -> HashSet<&'a str> {
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership only: `jaccard` counts an intersection and a union, which no iteration order changes"
+)]
+fn to_set<'a>(tokens: &'a [&'a str]) -> std::collections::HashSet<&'a str> {
     tokens.iter().copied().collect()
 }
 

@@ -47,14 +47,14 @@ fn main() {
         .iter()
         .filter(|r| !r.label)
         .find(|r| {
-            use std::collections::HashSet;
-            let a: HashSet<&str> = r
+            use std::collections::BTreeSet;
+            let a: BTreeSet<&str> = r
                 .pair
                 .left
                 .values()
                 .flat_map(str::split_whitespace)
                 .collect();
-            let b: HashSet<&str> = r
+            let b: BTreeSet<&str> = r
                 .pair
                 .right
                 .values()

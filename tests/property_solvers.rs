@@ -11,8 +11,8 @@ fn small_f64() -> impl Strategy<Value = f64> {
 /// A random SPD matrix: A = B Bᵀ + εI.
 fn spd(n: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(small_f64(), n * n).prop_map(move |data| {
-        let b = Matrix::from_vec(n, n, data).unwrap();
-        let mut a = b.matmul(&b.transpose()).unwrap();
+        let b = Matrix::from_vec(n, n, data).expect("n × n values");
+        let mut a = b.matmul(&b.transpose()).expect("square factors");
         for i in 0..n {
             a.set(i, i, a.get(i, i) + 1.0);
         }

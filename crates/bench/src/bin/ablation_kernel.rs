@@ -89,6 +89,6 @@ fn main() {
         );
     }
     bench::outln!("\nExpected: very narrow widths overweight near-identity samples (noisy fit);");
-    bench::outln!("very wide widths avering over heavy perturbations (less local). The default");
+    bench::outln!("very wide widths average over heavy perturbations (less local). The default");
     bench::outln!("0.25 sits in the flat middle of the fidelity curve.");
 }

@@ -8,6 +8,9 @@
 //! also ignores every clippy level. These tests read the shipped sources
 //! and configuration, so the tier-1 run catches each of those without
 //! running clippy.
+//!
+//! The last test reads the committed experiment outputs in `results/`:
+//! each must be its producer's standard output and nothing else.
 
 use std::path::{Path, PathBuf};
 
@@ -321,5 +324,54 @@ fn reordering_the_shipped_commit_sequence_is_caught() {
     assert!(
         bypasses.is_empty(),
         "files renaming outside the Staged → Published type-state: {bypasses:?}"
+    );
+}
+
+/// Lines a captured report must not hold: cargo's build log (`cargo run`
+/// prints it to stderr) and the progress lines `report` writes to stderr.
+const NOT_REPORT_LINES: [&str; 5] = [
+    "Compiling ",
+    "Finished ",
+    "Running ",
+    "evaluating ",
+    "matcher F1 = ",
+];
+
+/// Every `results/*.txt` is one bench binary's standard output alone
+/// (results/README.md): it opens with the producer's `# ` header, and no
+/// line is a cargo build-log line or a stderr progress line. A file
+/// captured with `cargo run … &> file`, or trimmed by hand above its
+/// header, fails here.
+#[test]
+fn committed_results_are_their_producers_stdout() {
+    let dir = workspace_root().join("results");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "txt"))
+        .collect();
+    files.sort();
+    assert!(
+        files.len() >= 7,
+        "expected the seven committed reports, found {}",
+        files.len()
+    );
+    let mut problems = Vec::new();
+    for file in &files {
+        let text = read(file);
+        if !text.starts_with("# ") {
+            problems.push(format!("{}: does not begin with `# `", relative(file)));
+        }
+        for (i, line) in text.lines().enumerate() {
+            let trimmed = line.trim_start();
+            if NOT_REPORT_LINES.iter().any(|p| trimmed.starts_with(p)) {
+                problems.push(format!("{}:{}: {line:?}", relative(file), i + 1));
+            }
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "results/ holds lines no producer prints to stdout:\n{}",
+        problems.join("\n")
     );
 }

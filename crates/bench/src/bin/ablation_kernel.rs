@@ -8,11 +8,10 @@
 //! Run with: `cargo run --release -p bench --bin ablation_kernel`
 
 use em_datagen::MagellanBenchmark;
-use em_entity::{EntityPair, MatchModel, SplitConfig};
+use em_entity::{EntityPair, MatchModel};
 use em_eval::removal::remove_tokens;
-use em_lime::surrogate::SurrogateConfig;
 use em_lime::{ExplainConfig, LimeExplainer};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,8 +29,8 @@ fn main() {
         ..Default::default()
     };
     let dataset = benchmark.generate(id);
-    let (train, _) = dataset.train_test_split(&SplitConfig::default());
-    let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+    let (train, _) = dataset.train_test_split(42);
+    let matcher = LogisticMatcher::train(&train);
     let schema = dataset.schema();
 
     let records: Vec<&EntityPair> = dataset
@@ -50,10 +49,7 @@ fn main() {
     for width in [0.05, 0.1, 0.25, 0.5, 1.0, 5.0] {
         let cfg = ExplainConfig {
             n_samples: base.n_samples,
-            surrogate: SurrogateConfig {
-                kernel_width: width,
-                lambda: 1.0,
-            },
+            kernel_width: width,
             seed: 7,
         };
         let explainer = LimeExplainer::new(cfg);

@@ -29,9 +29,9 @@ use std::time::Instant;
 
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{EntitySide, Masks, MatchModel, SplitConfig};
-use em_lime::{fit_surrogate, reference, sample_masks, SurrogateConfig, SurrogateFit};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_entity::{EntitySide, Masks, MatchModel};
+use em_lime::{fit_surrogate, reference, sample_masks, ExplainConfig, SurrogateFit};
+use em_matchers::LogisticMatcher;
 use landmark_core::{generate_view, perturb_spec, GenerationStrategy};
 
 /// Timed rounds per side; the report keeps the median of each.
@@ -77,8 +77,8 @@ fn main() {
         ..Default::default()
     };
     let dataset = benchmark.generate(id);
-    let (train, _) = dataset.train_test_split(&SplitConfig::default());
-    let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+    let (train, _) = dataset.train_test_split(42);
+    let matcher = LogisticMatcher::train(&train);
     let schema = dataset.schema();
     let n_records = base.n_records_per_label.clamp(2, 24);
     let records: Vec<_> = dataset
@@ -109,14 +109,14 @@ fn main() {
     let mean_features =
         views.iter().map(|v| v.masks.width()).sum::<usize>() as f64 / views.len().max(1) as f64;
 
-    let config = SurrogateConfig::default();
+    let width = ExplainConfig::default().kernel_width;
     let time_all = |fit: &dyn Fn(&View) -> SurrogateFit| {
         let start = Instant::now();
         let fits: Vec<SurrogateFit> = views.iter().map(fit).collect();
         (start.elapsed().as_secs_f64(), fits)
     };
-    let reference_fit = |v: &View| reference::fit_surrogate(&v.nested, &v.probs, &config);
-    let fused_fit = |v: &View| fit_surrogate(&v.masks, &v.probs, &config);
+    let reference_fit = |v: &View| reference::fit_surrogate(&v.nested, &v.probs, width);
+    let fused_fit = |v: &View| fit_surrogate(&v.masks, &v.probs, width);
 
     let mut reference_times = Vec::with_capacity(ROUNDS);
     let mut fused_times = Vec::with_capacity(ROUNDS);

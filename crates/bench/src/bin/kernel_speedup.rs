@@ -42,10 +42,10 @@ use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{
     dataset_from_csv, dataset_to_csv, EntityPair, EntitySide, FallbackRecord, Masks, MatchModel,
-    PreparedRecord, SplitConfig,
+    PreparedRecord,
 };
 use em_lime::sample_masks;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use landmark_core::{generate_view, perturb_spec, GenerationStrategy, VaryingView};
 
 /// Timed rounds per side; the report keeps the median of each.
@@ -97,8 +97,8 @@ fn main() {
         dataset = dataset_from_csv(&input, &dataset_to_csv(&dataset))
             .expect("a generated dataset round-trips through CSV");
     }
-    let (train, _) = dataset.train_test_split(&SplitConfig::default());
-    let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+    let (train, _) = dataset.train_test_split(42);
+    let matcher = LogisticMatcher::train(&train);
     let schema = dataset.schema();
 
     let n_records = base.n_records_per_label.clamp(2, 24);

@@ -15,10 +15,10 @@
 use std::time::Instant;
 
 use em_datagen::MagellanBenchmark;
-use em_entity::{EntityPair, SplitConfig};
+use em_entity::EntityPair;
 use em_eval::technique::record_seed;
 use em_lime::ExplainConfig;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_par::par_map;
 use landmark_core::{GenerationStrategy, LandmarkExplainer};
 
@@ -41,8 +41,8 @@ fn main() {
         ..Default::default()
     };
     let dataset = benchmark.generate(id);
-    let (train, _) = dataset.train_test_split(&SplitConfig::default());
-    let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+    let (train, _) = dataset.train_test_split(42);
+    let matcher = LogisticMatcher::train(&train);
     let schema = dataset.schema();
 
     // At least one record per label: a 0-record run would only time noise.

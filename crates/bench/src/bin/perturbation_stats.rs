@@ -12,9 +12,9 @@
 //! Run with: `cargo run --release -p bench --bin perturbation_stats`
 
 use em_datagen::MagellanBenchmark;
-use em_entity::{EntityPair, SplitConfig};
+use em_entity::EntityPair;
 use em_eval::neighborhood_stats;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use landmark_core::ExplainerKind;
 
 /// The report's columns, in print order.
@@ -49,8 +49,8 @@ fn main() {
     };
     for id in datasets {
         let dataset = benchmark.generate(id);
-        let (train, _) = dataset.train_test_split(&SplitConfig::default());
-        let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+        let (train, _) = dataset.train_test_split(42);
+        let matcher = LogisticMatcher::train(&train);
         let records: Vec<&EntityPair> = dataset
             .sample_by_label(false, config.n_records_per_label.min(20), 5)
             .into_iter()

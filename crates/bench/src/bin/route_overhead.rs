@@ -21,7 +21,7 @@
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::Schema;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_route::{BackendSpec, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
@@ -58,7 +58,7 @@ fn main() {
     }
     .generate(id);
     let schema = dataset.schema().clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     let records = dataset.records();
     let bodies: Vec<String> = (0..n_requests)

@@ -16,7 +16,7 @@
 
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
 
@@ -31,7 +31,7 @@ fn main() {
     }
     .generate(id);
     let schema = dataset.schema().clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     // One body per distinct seed: distinct cache keys, so the first pass is
     // all misses and the second all hits.

@@ -8,9 +8,8 @@
 //! Run with: `cargo run --release -p bench --bin stability`
 
 use em_datagen::MagellanBenchmark;
-use em_entity::SplitConfig;
 use em_eval::{explanation_stability, TECHNIQUES};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 
 fn main() {
     let config = bench::config_from_env();
@@ -25,8 +24,8 @@ fn main() {
         ..Default::default()
     };
     let dataset = benchmark.generate(id);
-    let (train, _) = dataset.train_test_split(&SplitConfig::default());
-    let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+    let (train, _) = dataset.train_test_split(42);
+    let matcher = LogisticMatcher::train(&train);
     let seeds = [11, 22, 33, 44];
 
     bench::outln!(

@@ -19,7 +19,7 @@ use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::{EntityPair, Schema};
 use em_lime::ExplainConfig;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_obs::{Collector, Counter, Stage};
 use landmark_core::ExplainerKind;
 
@@ -59,7 +59,7 @@ fn main() {
     }
     .generate(id);
     let schema = dataset.schema().clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let records = dataset.records();
     let pairs: Vec<&EntityPair> = records
         .iter()

@@ -18,7 +18,7 @@ use em_codec::explain::{N_SAMPLES_RANGE, SEED_LIMIT};
 use em_codec::json::Value;
 use em_entity::{dataset_from_reader, EmDataset};
 use em_lime::ExplainConfig;
-use em_matchers::{save_logistic_file, LogisticMatcher, MatcherConfig};
+use em_matchers::{save_logistic_file, LogisticMatcher};
 use landmark_core::ExplainerKind;
 
 use crate::atomic;
@@ -283,7 +283,7 @@ pub fn create_plan(
 
     std::fs::create_dir_all(run_dir.join(SHARD_DIR)).map_err(|e| BatchError::io(run_dir, e))?;
 
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let model_path = run_dir.join(MODEL_FILE);
     save_logistic_file(&model_path, matcher.model(), dataset.schema())
         .map_err(|e| BatchError::Model(e.to_string()))?;

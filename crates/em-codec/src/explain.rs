@@ -28,7 +28,8 @@
 //! [`ExplainConfig::default`]'s value. No server or router setting
 //! changes that resolution, so one body has one cache key on every tier.
 //! The surrogate's kernel width and ridge penalty are not on the wire:
-//! every served explanation uses the default [`em_lime::SurrogateConfig`].
+//! every served explanation uses the default
+//! [`ExplainConfig::kernel_width`] and [`em_lime::RIDGE_LAMBDA`].
 //! Neither is a thread count: one explanation always runs on one thread
 //! (DESIGN.md §7).
 
@@ -154,19 +155,20 @@ pub fn decode_explain_request(body: &str, schema: &Schema) -> Result<ExplainRequ
 }
 
 /// The canonical cache key for a resolved request (see module docs). The
-/// surrogate fields come from the resolved config; a decoded request always
-/// carries the library defaults there, and writing them keeps every key's
-/// bytes, ring placement and cache entry unchanged.
+/// kernel width comes from the resolved config, which a decoded request
+/// always leaves at the library default, and the ridge penalty is
+/// [`em_lime::RIDGE_LAMBDA`]; writing both keeps every key's bytes, ring
+/// placement and cache entry unchanged.
 pub fn cache_key(schema: &Schema, request: &ExplainRequest) -> String {
     let config = &request.config;
     Value::object(vec![
         ("explainer", Value::string(request.explainer.name())),
         ("n_samples", config.n_samples.into()),
         ("seed", Value::Number(config.seed as f64)),
-        ("kernel_width", config.surrogate.kernel_width.into()),
+        ("kernel_width", config.kernel_width.into()),
         // Only ridge remains; the field keeps every key's bytes unchanged.
         ("solver", Value::string("ridge")),
-        ("lambda", config.surrogate.lambda.into()),
+        ("lambda", em_lime::RIDGE_LAMBDA.into()),
         ("left", values(schema, &request.pair, EntitySide::Left)),
         ("right", values(schema, &request.pair, EntitySide::Right)),
     ])
@@ -494,14 +496,6 @@ mod tests {
         assert_eq!(
             cache_key(&s, &request),
             r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":1,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
-        );
-        // The wire cannot set the ridge penalty; a request built in code
-        // still keys by it.
-        let mut ridge = request;
-        ridge.config.surrogate.lambda = 0.5;
-        assert_eq!(
-            cache_key(&s, &ridge),
-            r#"{"explainer":"landmark","n_samples":500,"seed":0,"kernel_width":0.25,"solver":"ridge","lambda":0.5,"left":["sony alpha",""],"right":["sony kit","9.5"]}"#
         );
     }
 

@@ -15,23 +15,9 @@ pub struct EmDataset {
     records: Vec<LabeledPair>,
 }
 
-/// Configuration for [`EmDataset::train_test_split`].
-#[derive(Debug, Clone, Copy)]
-pub struct SplitConfig {
-    /// Fraction of records assigned to the training split, in `(0, 1)`.
-    pub train_fraction: f64,
-    /// Seed for the shuffle.
-    pub seed: u64,
-}
-
-impl Default for SplitConfig {
-    fn default() -> Self {
-        SplitConfig {
-            train_fraction: 0.7,
-            seed: 42,
-        }
-    }
-}
+/// Fraction of the records [`EmDataset::train_test_split`] puts in the
+/// training split.
+const TRAIN_FRACTION: f64 = 0.7;
 
 impl EmDataset {
     /// Builds a dataset.
@@ -91,17 +77,13 @@ impl EmDataset {
         100.0 * self.match_count() as f64 / self.records.len() as f64
     }
 
-    /// Shuffles and splits into `(train, test)` datasets.
-    pub fn train_test_split(&self, config: &SplitConfig) -> (EmDataset, EmDataset) {
-        assert!(
-            config.train_fraction > 0.0 && config.train_fraction < 1.0,
-            "train_fraction must be in (0, 1)"
-        );
-        let mut rng = StdRng::seed_from_u64(config.seed);
+    /// Shuffles with an RNG seeded by `seed` and splits into `(train,
+    /// test)` datasets, with 70% of the records (rounded) in train.
+    pub fn train_test_split(&self, seed: u64) -> (EmDataset, EmDataset) {
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut shuffled = self.records.clone();
         shuffled.shuffle(&mut rng);
-        let cut = ((shuffled.len() as f64) * config.train_fraction).round() as usize;
-        let cut = cut.min(shuffled.len());
+        let cut = ((shuffled.len() as f64) * TRAIN_FRACTION).round() as usize;
         let (train, test) = shuffled.split_at(cut);
         (
             EmDataset::new(
@@ -183,37 +165,24 @@ mod tests {
     #[test]
     fn split_partitions_all_records() {
         let d = make_dataset(10, 30);
-        let (train, test) = d.train_test_split(&SplitConfig {
-            train_fraction: 0.75,
-            seed: 1,
-        });
+        let (train, test) = d.train_test_split(1);
         assert_eq!(train.len() + test.len(), d.len());
-        assert_eq!(train.len(), 30);
+        assert_eq!(train.len(), 28);
     }
 
     #[test]
     fn split_is_deterministic_per_seed() {
         let d = make_dataset(10, 30);
-        let cfg = SplitConfig {
-            train_fraction: 0.5,
-            seed: 7,
-        };
-        let (a, _) = d.train_test_split(&cfg);
-        let (b, _) = d.train_test_split(&cfg);
+        let (a, _) = d.train_test_split(7);
+        let (b, _) = d.train_test_split(7);
         assert_eq!(a.records(), b.records());
     }
 
     #[test]
     fn split_differs_across_seeds() {
         let d = make_dataset(20, 60);
-        let (a, _) = d.train_test_split(&SplitConfig {
-            train_fraction: 0.5,
-            seed: 1,
-        });
-        let (b, _) = d.train_test_split(&SplitConfig {
-            train_fraction: 0.5,
-            seed: 2,
-        });
+        let (a, _) = d.train_test_split(1);
+        let (b, _) = d.train_test_split(2);
         assert_ne!(a.records(), b.records());
     }
 

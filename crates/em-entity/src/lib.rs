@@ -29,7 +29,7 @@ pub mod schema;
 pub mod tokenizer;
 
 pub use csv::{dataset_from_csv, dataset_from_reader, dataset_to_csv, CsvError, CsvRecords};
-pub use dataset::{EmDataset, SplitConfig};
+pub use dataset::EmDataset;
 pub use entity::{Entity, UnknownAttribute};
 pub use masks::Masks;
 pub use model::{MatchModel, MATCH_THRESHOLD};

@@ -9,8 +9,8 @@
 //!    every technique.
 
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{EmDataset, EntityPair, SplitConfig};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_entity::{EmDataset, EntityPair};
+use em_matchers::LogisticMatcher;
 use landmark_core::ExplainerKind;
 
 use crate::attr_eval::attribute_eval;
@@ -27,8 +27,6 @@ pub struct EvalConfig {
     pub n_records_per_label: usize,
     /// Perturbation samples per explanation.
     pub n_samples: usize,
-    /// Token-removal fraction for Table 2 (paper: 0.25).
-    pub removal_fraction: f64,
     /// Decision threshold (paper: 0.5; Section 4.2.1 also discusses 0.4).
     pub threshold: f64,
     /// Base seed.
@@ -46,7 +44,6 @@ impl Default for EvalConfig {
             scale: 1.0,
             n_records_per_label: 100,
             n_samples: 500,
-            removal_fraction: 0.25,
             threshold: 0.5,
             seed: 0xE0B7,
             threads: 1,
@@ -121,11 +118,8 @@ impl Evaluator {
 
     /// Evaluates an already-generated dataset (used by tests and ablations).
     pub fn evaluate_prepared(&self, dataset: &EmDataset) -> DatasetEvaluation {
-        let (train, test) = dataset.train_test_split(&SplitConfig {
-            train_fraction: 0.7,
-            seed: self.config.seed,
-        });
-        let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+        let (train, test) = dataset.train_test_split(self.config.seed);
+        let matcher = LogisticMatcher::train(&train);
         let matcher_f1 = em_matchers::evaluate_matcher(&matcher, &test, self.config.threshold).f1();
 
         let matching = self.evaluate_label(dataset, &matcher, true);
@@ -152,7 +146,6 @@ impl Evaluator {
         let schema = dataset.schema();
 
         let token_cfg = TokenEvalConfig {
-            removal_fraction: self.config.removal_fraction,
             threshold: self.config.threshold,
             seed: self.config.seed,
         };

@@ -20,6 +20,10 @@ use rand::SeedableRng;
 use crate::removal::remove_tokens;
 use crate::technique::{record_seed, ExplainedRecord};
 
+/// Fraction of a view's explained tokens each record's draw removes
+/// (paper: 25%, Table 2), rounded and at least one token.
+const REMOVAL_FRACTION: f64 = 0.25;
+
 /// Result of the token-based evaluation on a set of records.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TokenEvalResult {
@@ -55,8 +59,6 @@ impl TokenEvalResult {
 /// Configuration for the token-based evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct TokenEvalConfig {
-    /// Fraction of explained tokens removed (paper: 0.25).
-    pub removal_fraction: f64,
     /// Decision threshold (paper: 0.5, with a 0.4 sensitivity note).
     pub threshold: f64,
     /// Base seed: record `i`'s removal draw is seeded from
@@ -67,7 +69,6 @@ pub struct TokenEvalConfig {
 impl Default for TokenEvalConfig {
     fn default() -> Self {
         TokenEvalConfig {
-            removal_fraction: 0.25,
             threshold: 0.5,
             seed: 0,
         }
@@ -90,7 +91,7 @@ pub fn token_eval<M: MatchModel>(
             if view.removable.is_empty() {
                 continue;
             }
-            let k = ((view.removable.len() as f64 * config.removal_fraction).round() as usize)
+            let k = ((view.removable.len() as f64 * REMOVAL_FRACTION).round() as usize)
                 .clamp(1, view.removable.len());
             let mut indices: Vec<usize> = (0..view.removable.len()).collect();
             indices.shuffle(&mut rng);

@@ -21,8 +21,10 @@
 use em_entity::{Masks, PerturbSpec, PreparedRecord, Schema};
 use em_obs::{Counter, Span, Stage, Tracer};
 
-use crate::sampler::MaskSampler;
-use crate::surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit};
+use em_linalg::kernel::DEFAULT_TEXT_KERNEL_WIDTH;
+
+use crate::sampler::sample_masks;
+use crate::surrogate::{fit_surrogate, SurrogateFit};
 
 /// Settings shared by every explainer.
 #[derive(Debug, Clone, Copy)]
@@ -30,8 +32,18 @@ pub struct ExplainConfig {
     /// Number of perturbation samples per surrogate fit (LIME's
     /// `num_samples`).
     pub n_samples: usize,
-    /// Surrogate kernel width and ridge penalty.
-    pub surrogate: SurrogateConfig,
+    /// Width of the surrogate's exponential proximity kernel over cosine
+    /// distances (LIME's text default, 0.25).
+    ///
+    /// Keep it at or above `1e-6`: a narrower width cannot change an
+    /// explanation, only break it. At `1e-6` every perturbed mask of a
+    /// record with up to about 18,000 features already weighs exactly 0
+    /// and the unperturbed mask exactly 1, so the surrogate is the
+    /// unperturbed probability; near `1e-162` the square of the width is
+    /// 0, the unperturbed weight becomes `0 / 0`, and the fit turns
+    /// non-finite. No request can set it: the serving codec keeps the
+    /// default.
+    pub kernel_width: f64,
     /// RNG seed for mask sampling.
     pub seed: u64,
 }
@@ -40,7 +52,7 @@ impl Default for ExplainConfig {
     fn default() -> Self {
         ExplainConfig {
             n_samples: 500,
-            surrogate: SurrogateConfig::default(),
+            kernel_width: DEFAULT_TEXT_KERNEL_WIDTH,
             seed: 0,
         }
     }
@@ -70,7 +82,7 @@ pub fn perturb_and_fit(
     let (masks, probs) = perturb(record, schema, spec, seed, config, tracer);
     let fit = {
         let _span = Span::enter(tracer, Stage::SurrogateFit);
-        fit_surrogate(&masks, &probs, &config.surrogate)
+        fit_surrogate(&masks, &probs, config.kernel_width)
     };
     (probs, fit)
 }
@@ -97,7 +109,7 @@ pub fn perturb(
     tracer.add(Counter::Features, n_features as u64);
     let masks = {
         let _span = Span::enter(tracer, Stage::MaskSampling);
-        MaskSampler::new(seed).sample(n_features, config.n_samples)
+        sample_masks(n_features, config.n_samples, seed)
     };
     // The prepared kernel subsumes per-mask pair reconstruction: the spec
     // describes the whole perturbation family and the model's scorer
@@ -226,7 +238,7 @@ mod tests {
 
     #[test]
     fn masks_are_the_seeded_sample() {
-        // The engine's masks are `MaskSampler`'s: the fit over them equals
+        // The engine's masks are `sample_masks`': the fit over them equals
         // a fit over the same sample drawn directly.
         let schema = Schema::from_names(vec!["name", "price"]);
         let pair = pair();
@@ -240,7 +252,7 @@ mod tests {
         };
         let (probs, fit) =
             perturb_and_fit(&KeptFraction, &schema, &spec, 9, &config, em_obs::noop());
-        let masks = MaskSampler::new(9).sample(2, 50);
+        let masks = sample_masks(2, 50, 9);
         assert_eq!(
             perturb(&KeptFraction, &schema, &spec, 9, &config, em_obs::noop()).0,
             masks
@@ -250,7 +262,7 @@ mod tests {
             .map(|m| KeptFractionScorer.score_mask(m))
             .collect();
         assert_eq!(probs, expected);
-        let direct = fit_surrogate(&masks, &expected, &config.surrogate);
+        let direct = fit_surrogate(&masks, &expected, config.kernel_width);
         assert_eq!(fit.coefficients, direct.coefficients);
         assert_eq!(fit.intercept, direct.intercept);
     }

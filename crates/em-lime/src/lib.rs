@@ -38,5 +38,5 @@ pub use engine::{perturb_and_fit, ExplainConfig};
 pub use explanation::{PairExplanation, TokenWeight};
 pub use lime::LimeExplainer;
 pub use mojito::MojitoCopyExplainer;
-pub use sampler::{sample_masks, MaskSampler};
-pub use surrogate::{fit_surrogate, SurrogateConfig, SurrogateFit};
+pub use sampler::sample_masks;
+pub use surrogate::{fit_surrogate, SurrogateFit, RIDGE_LAMBDA};

@@ -11,17 +11,17 @@
 //! fused fit against them on the same views.
 
 use em_linalg::kernel::{cosine_distance, exponential_kernel};
-use em_linalg::ridge::{ridge_fit, RidgeConfig, RidgeModel};
+use em_linalg::ridge::{ridge_fit, RidgeModel};
 use em_linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
-use crate::surrogate::{SurrogateConfig, SurrogateFit};
+use crate::surrogate::{SurrogateFit, RIDGE_LAMBDA};
 
 /// The nested sampler: one `Vec<bool>` per mask, same RNG draws as
-/// [`crate::sampler::MaskSampler::sample`].
+/// [`crate::sampler::sample_masks`].
 pub fn sample_masks(n_features: usize, n_samples: usize, seed: u64) -> Vec<Vec<bool>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut masks = Vec::with_capacity(n_samples);
@@ -51,7 +51,7 @@ pub fn sample_masks(n_features: usize, n_samples: usize, seed: u64) -> Vec<Vec<b
 /// # Panics
 /// Panics if `masks.len() != probs.len()`, if no samples are given, if
 /// masks are ragged, or if the solver fails (e.g. every weight is zero).
-pub fn fit_surrogate(masks: &[Vec<bool>], probs: &[f64], config: &SurrogateConfig) -> SurrogateFit {
+pub fn fit_surrogate(masks: &[Vec<bool>], probs: &[f64], kernel_width: f64) -> SurrogateFit {
     assert_eq!(masks.len(), probs.len(), "one probability per mask");
     assert!(!masks.is_empty(), "need at least one sample");
     let d = masks[0].len();
@@ -72,23 +72,14 @@ pub fn fit_surrogate(masks: &[Vec<bool>], probs: &[f64], config: &SurrogateConfi
         .collect();
     let weights: Vec<f64> = rows
         .iter()
-        .map(|row| exponential_kernel(cosine_distance(row, &ones), config.kernel_width))
+        .map(|row| exponential_kernel(cosine_distance(row, &ones), kernel_width))
         .collect();
     let x = Matrix::from_rows(&rows).expect("rectangular rows");
 
     let RidgeModel {
         intercept,
         coefficients,
-    } = ridge_fit(
-        &x,
-        probs,
-        &weights,
-        &RidgeConfig {
-            lambda: config.lambda,
-            fit_intercept: true,
-        },
-    )
-    .expect("ridge surrogate fit");
+    } = ridge_fit(&x, probs, &weights, RIDGE_LAMBDA).expect("ridge surrogate fit");
 
     let wsum: f64 = weights.iter().sum();
     let y_mean: f64 = probs.iter().zip(&weights).map(|(y, w)| y * w).sum::<f64>() / wsum;

@@ -11,49 +11,31 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 
-/// A reusable mask sampler with its own RNG.
-#[derive(Debug)]
-pub struct MaskSampler {
-    rng: StdRng,
-}
-
-impl MaskSampler {
-    /// Creates a sampler from a seed.
-    pub fn new(seed: u64) -> Self {
-        MaskSampler {
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// Draws `n_samples` masks of width `n_features` into one buffer.
-    ///
-    /// The first mask is all-true (the original record); each subsequent
-    /// mask deactivates a uniformly-sized random subset of the features.
-    /// With `n_features == 0` every mask is empty (and no randomness is
-    /// drawn). Each mask costs one `gen_range` and one full shuffle of the
-    /// running position permutation, so the RNG stream — and therefore
-    /// every mask — depends only on the seed and the shape.
-    pub fn sample(&mut self, n_features: usize, n_samples: usize) -> Masks {
-        let mut masks = Masks::all_true(n_samples, n_features);
-        if n_features == 0 {
-            return masks;
-        }
-        let mut positions: Vec<usize> = (0..n_features).collect();
-        for r in 1..n_samples {
-            let k = self.rng.gen_range(1..=n_features);
-            positions.shuffle(&mut self.rng);
-            let mask = masks.row_mut(r);
-            for &p in &positions[..k] {
-                mask[p] = false;
-            }
-        }
-        masks
-    }
-}
-
-/// One-shot convenience wrapper around [`MaskSampler`].
+/// Draws `n_samples` masks of width `n_features` into one buffer, from an
+/// RNG seeded with `seed`.
+///
+/// The first mask is all-true (the original record); each subsequent
+/// mask deactivates a uniformly-sized random subset of the features.
+/// With `n_features == 0` every mask is empty (and no randomness is
+/// drawn). Each mask costs one `gen_range` and one full shuffle of the
+/// running position permutation, so the RNG stream — and therefore
+/// every mask — depends only on the seed and the shape.
 pub fn sample_masks(n_features: usize, n_samples: usize, seed: u64) -> Masks {
-    MaskSampler::new(seed).sample(n_features, n_samples)
+    let mut masks = Masks::all_true(n_samples, n_features);
+    if n_features == 0 {
+        return masks;
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut positions: Vec<usize> = (0..n_features).collect();
+    for r in 1..n_samples {
+        let k = rng.gen_range(1..=n_features);
+        positions.shuffle(&mut rng);
+        let mask = masks.row_mut(r);
+        for &p in &positions[..k] {
+            mask[p] = false;
+        }
+    }
+    masks
 }
 
 #[cfg(test)]

@@ -2,37 +2,13 @@
 //! probabilities to a proximity-weighted linear model.
 
 use em_entity::Masks;
-use em_linalg::kernel::{cosine_distance_to_ones, exponential_kernel, DEFAULT_TEXT_KERNEL_WIDTH};
+use em_linalg::kernel::{cosine_distance_to_ones, exponential_kernel};
 use em_linalg::matrix::dot;
 use em_linalg::ridge::ridge_solve_centered;
 use em_linalg::Matrix;
 
-/// Configuration for [`fit_surrogate`].
-#[derive(Debug, Clone, Copy)]
-pub struct SurrogateConfig {
-    /// Width of the exponential proximity kernel over cosine distances.
-    ///
-    /// Keep it at or above `1e-6`: a narrower width cannot change an
-    /// explanation, only break it. At `1e-6` every perturbed mask of a
-    /// record with up to about 18,000 features already weighs exactly 0
-    /// and the unperturbed mask exactly 1, so the surrogate is the
-    /// unperturbed probability; near `1e-162` the square of the width is
-    /// 0, the unperturbed weight becomes `0 / 0`, and the fit turns
-    /// non-finite. No request can set it: the serving codec keeps the
-    /// default.
-    pub kernel_width: f64,
-    /// L2 penalty of the ridge fit (LIME's default is 1).
-    pub lambda: f64,
-}
-
-impl Default for SurrogateConfig {
-    fn default() -> Self {
-        SurrogateConfig {
-            kernel_width: DEFAULT_TEXT_KERNEL_WIDTH,
-            lambda: 1.0,
-        }
-    }
-}
+/// L2 penalty of the surrogate's ridge fit: LIME's default, 1.
+pub const RIDGE_LAMBDA: f64 = 1.0;
 
 /// A fitted surrogate: linear coefficients over the interpretable features.
 #[derive(Debug, Clone)]
@@ -72,7 +48,8 @@ impl SurrogateFit {
 ///
 /// * `masks` — binary neighborhood samples (first is conventionally the
 ///   unperturbed record);
-/// * `probs` — black-box match probability for each reconstructed sample.
+/// * `probs` — black-box match probability for each reconstructed sample;
+/// * `kernel_width` — the proximity kernel's width.
 ///
 /// Samples are weighted by `exp(-cosineDist(mask, 1⃗)² / width²)`, exactly
 /// LIME's text kernel. The fit works on the mask bits directly (DESIGN.md
@@ -85,8 +62,10 @@ impl SurrogateFit {
 /// Panics if `masks.len() != probs.len()`, if no samples are given, or if
 /// every sample weight is zero (impossible for sampled neighborhoods,
 /// whose first mask keeps every feature and weighs exactly 1 at any width
-/// of at least `1e-6`, see [`SurrogateConfig::kernel_width`]).
-pub fn fit_surrogate(masks: &Masks, probs: &[f64], config: &SurrogateConfig) -> SurrogateFit {
+/// of at least `1e-6`, see [`ExplainConfig::kernel_width`]).
+///
+/// [`ExplainConfig::kernel_width`]: crate::ExplainConfig::kernel_width
+pub fn fit_surrogate(masks: &Masks, probs: &[f64], kernel_width: f64) -> SurrogateFit {
     assert_eq!(masks.len(), probs.len(), "one probability per mask");
     assert!(!masks.is_empty(), "need at least one sample");
     if masks.width() == 0 {
@@ -99,8 +78,8 @@ pub fn fit_surrogate(masks: &Masks, probs: &[f64], config: &SurrogateConfig) -> 
         };
     }
 
-    let weights = proximity_weights(masks, config.kernel_width);
-    let (intercept, coefficients) = fit_ridge(masks, probs, &weights, config.lambda);
+    let weights = proximity_weights(masks, kernel_width);
+    let (intercept, coefficients) = fit_ridge(masks, probs, &weights);
     let r2 = weighted_r2(masks, probs, &weights, intercept, &coefficients);
     SurrogateFit {
         intercept,
@@ -123,13 +102,14 @@ fn proximity_weights(masks: &Masks, width: f64) -> Vec<f64> {
         .collect()
 }
 
-/// Weighted ridge with an unpenalized intercept, centered from the bits.
+/// Weighted ridge with penalty [`RIDGE_LAMBDA`] and an unpenalized
+/// intercept, centered from the bits.
 ///
 /// The same operations as centering a 0/1 design and calling
 /// [`em_linalg::ridge_fit`]: in-order weighted sums for the means, then
 /// every centered entry is `1.0 − mean` or `0.0 − mean` of its column, so
 /// both are computed once per column and each row selects between them.
-fn fit_ridge(masks: &Masks, probs: &[f64], weights: &[f64], lambda: f64) -> (f64, Vec<f64>) {
+fn fit_ridge(masks: &Masks, probs: &[f64], weights: &[f64]) -> (f64, Vec<f64>) {
     let (n, d) = (masks.len(), masks.width());
     let wsum: f64 = weights.iter().sum();
     if wsum <= 0.0 {
@@ -157,7 +137,7 @@ fn fit_ridge(masks: &Masks, probs: &[f64], weights: &[f64], lambda: f64) -> (f64
     let yc: Vec<f64> = probs.iter().map(|y| y - y_mean).collect();
 
     let coefficients =
-        ridge_solve_centered(&xc, &yc, weights, lambda).expect("ridge surrogate fit");
+        ridge_solve_centered(&xc, &yc, weights, RIDGE_LAMBDA).expect("ridge surrogate fit");
     let intercept = y_mean - dot(&x_mean, &coefficients);
     (intercept, coefficients)
 }
@@ -198,10 +178,11 @@ mod tests {
     use super::*;
     use crate::reference;
     use crate::sampler::sample_masks;
+    use em_linalg::kernel::DEFAULT_TEXT_KERNEL_WIDTH;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
 
-    /// The width floor of [`SurrogateConfig::kernel_width`].
+    /// The width floor of [`crate::ExplainConfig::kernel_width`].
     const NARROWEST_WIDTH: f64 = 1e-6;
 
     /// Black box: probability = 0.1 + 0.5·[token0 on] + 0.3·[token2 on].
@@ -216,7 +197,7 @@ mod tests {
     fn recovers_additive_structure_with_ridge() {
         let masks = sample_masks(4, 400, 0);
         let probs = synthetic_probs(&masks);
-        let fit = fit_surrogate(&masks, &probs, &SurrogateConfig::default());
+        let fit = fit_surrogate(&masks, &probs, DEFAULT_TEXT_KERNEL_WIDTH);
         assert!(
             (fit.coefficients[0] - 0.5).abs() < 0.05,
             "{:?}",
@@ -243,7 +224,7 @@ mod tests {
     fn constant_black_box_gives_zero_coefficients() {
         let masks = sample_masks(3, 100, 3);
         let probs = vec![0.7; masks.len()];
-        let fit = fit_surrogate(&masks, &probs, &SurrogateConfig::default());
+        let fit = fit_surrogate(&masks, &probs, DEFAULT_TEXT_KERNEL_WIDTH);
         for c in &fit.coefficients {
             assert!(c.abs() < 1e-6, "{c}");
         }
@@ -254,7 +235,7 @@ mod tests {
     fn zero_feature_record_reduces_to_mean() {
         let masks = Masks::all_true(3, 0);
         let probs = vec![0.2, 0.4, 0.6];
-        let fit = fit_surrogate(&masks, &probs, &SurrogateConfig::default());
+        let fit = fit_surrogate(&masks, &probs, DEFAULT_TEXT_KERNEL_WIDTH);
         assert!((fit.intercept - 0.4).abs() < 1e-12);
         assert!(fit.coefficients.is_empty());
     }
@@ -265,7 +246,7 @@ mod tests {
         fit_surrogate(
             &Masks::all_true(1, 1),
             &[0.1, 0.2],
-            &SurrogateConfig::default(),
+            DEFAULT_TEXT_KERNEL_WIDTH,
         );
     }
 
@@ -286,22 +267,8 @@ mod tests {
                 }
             })
             .collect();
-        let narrow = fit_surrogate(
-            &masks,
-            &probs,
-            &SurrogateConfig {
-                kernel_width: 0.1,
-                ..Default::default()
-            },
-        );
-        let wide = fit_surrogate(
-            &masks,
-            &probs,
-            &SurrogateConfig {
-                kernel_width: 5.0,
-                ..Default::default()
-            },
-        );
+        let narrow = fit_surrogate(&masks, &probs, 0.1);
+        let wide = fit_surrogate(&masks, &probs, 5.0);
         // The narrow kernel concentrates its weight on light perturbations
         // (≥ 6 tokens on), so its surrogate must predict that local linear
         // region far better than the wide kernel's global compromise fit.
@@ -363,8 +330,8 @@ mod tests {
     /// One random fit case: masks from the sampler or independent coin
     /// flips (first row all ones either way, as every explainer's is),
     /// probabilities that are constant, additive or noisy, and a kernel
-    /// width and λ drawn from the ranges a request may use.
-    fn random_case(rng: &mut StdRng) -> (Masks, Vec<f64>, SurrogateConfig) {
+    /// width from the narrowest floor to far wider than the default.
+    fn random_case(rng: &mut StdRng) -> (Masks, Vec<f64>, f64) {
         let d = match rng.gen_range(0..4) {
             0 => rng.gen_range(0..=4),
             1 | 2 => rng.gen_range(0..=24),
@@ -412,35 +379,23 @@ mod tests {
             1 => DEFAULT_TEXT_KERNEL_WIDTH,
             _ => 10f64.powf(rng.gen_range(-6.0..2.0)),
         };
-        let lambda = match rng.gen_range(0..3) {
-            0 => 0.0,
-            1 => 1.0,
-            _ => rng.gen_range(0.0..10.0),
-        };
-        (
-            masks,
-            probs,
-            SurrogateConfig {
-                kernel_width,
-                lambda,
-            },
-        )
+        (masks, probs, kernel_width)
     }
 
     #[test]
     fn fused_fit_equals_the_unfused_pipeline_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0xF17);
         for case in 0..400 {
-            let (masks, probs, config) = random_case(&mut rng);
+            let (masks, probs, width) = random_case(&mut rng);
             let nested: Vec<Vec<bool>> = masks.iter().map(<[bool]>::to_vec).collect();
             let label = format!(
-                "case {case}: n = {}, d = {}, {config:?}",
+                "case {case}: n = {}, d = {}, width = {width:e}",
                 masks.len(),
                 masks.width()
             );
             assert_same_fit(
-                &fit_surrogate(&masks, &probs, &config),
-                &reference::fit_surrogate(&nested, &probs, &config),
+                &fit_surrogate(&masks, &probs, width),
+                &reference::fit_surrogate(&nested, &probs, width),
                 &label,
             );
         }
@@ -453,11 +408,7 @@ mod tests {
         for d in [1, 2, 5, 7, 10, 64] {
             let masks = sample_masks(d, 200, d as u64);
             let probs: Vec<f64> = (0..200).map(|i| (i % 7) as f64 / 7.0 + 0.01).collect();
-            let config = SurrogateConfig {
-                kernel_width: NARROWEST_WIDTH,
-                ..Default::default()
-            };
-            let fit = fit_surrogate(&masks, &probs, &config);
+            let fit = fit_surrogate(&masks, &probs, NARROWEST_WIDTH);
             assert_eq!(fit.intercept, probs[0], "d = {d}");
             assert!(fit.coefficients.iter().all(|&c| c == 0.0), "d = {d}");
             assert_eq!(fit.r2, 1.0);
@@ -472,11 +423,7 @@ mod tests {
         // panicking fit. Its true distance is 0.
         let masks = sample_masks(5, 50, 3);
         let probs = vec![0.25; 50];
-        let config = SurrogateConfig {
-            kernel_width: 1e-17,
-            ..Default::default()
-        };
-        let fit = fit_surrogate(&masks, &probs, &config);
+        let fit = fit_surrogate(&masks, &probs, 1e-17);
         assert_eq!(fit.intercept, 0.25);
         assert!(fit.coefficients.iter().all(|&c| c == 0.0));
     }

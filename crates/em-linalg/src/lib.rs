@@ -29,9 +29,9 @@ pub mod ridge;
 
 pub use cholesky::Cholesky;
 pub use kernel::{cosine_distance, cosine_distance_to_ones, exponential_kernel};
-pub use logistic::{LogisticConfig, LogisticModel};
+pub use logistic::LogisticModel;
 pub use matrix::Matrix;
-pub use ridge::{ridge_fit, ridge_solve_centered, RidgeConfig, RidgeModel};
+pub use ridge::{ridge_fit, ridge_solve_centered, RidgeModel};
 
 /// Errors produced by the solvers in this crate.
 #[derive(Debug, Clone, PartialEq)]

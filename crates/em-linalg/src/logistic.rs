@@ -19,50 +19,28 @@ pub fn sigmoid(z: f64) -> f64 {
     }
 }
 
-/// Configuration for [`LogisticModel::fit`].
-#[derive(Debug, Clone, Copy)]
-pub struct LogisticConfig {
-    /// L2 penalty on the coefficients (the intercept is not penalized).
-    pub lambda: f64,
-    /// Maximum gradient-descent iterations.
-    pub max_iter: usize,
-    /// Convergence threshold on the gradient's infinity norm.
-    pub tol: f64,
-    /// Initial learning rate (adapted by backtracking).
-    pub learning_rate: f64,
-    /// Per-class weights `(weight_negative, weight_positive)`.
-    ///
-    /// EM datasets are heavily imbalanced (typically 10-25% matches, see
-    /// Table 1 of the paper); weighting the positive class keeps the model
-    /// from collapsing to the majority class.
-    pub class_weights: (f64, f64),
-}
+/// Maximum gradient-descent iterations.
+const MAX_ITER: usize = 2000;
+/// Convergence threshold on the gradient's infinity norm.
+const TOL: f64 = 1e-6;
+/// Initial learning rate (adapted by backtracking).
+const LEARNING_RATE: f64 = 1.0;
 
-impl Default for LogisticConfig {
-    fn default() -> Self {
-        LogisticConfig {
-            lambda: 1e-3,
-            max_iter: 2000,
-            tol: 1e-6,
-            learning_rate: 1.0,
-            class_weights: (1.0, 1.0),
-        }
-    }
-}
-
-impl LogisticConfig {
-    /// Returns a config with class weights balanced for the given label
-    /// vector, i.e. `w_c = n / (2 * n_c)` as scikit-learn's
-    /// `class_weight="balanced"` does.
-    pub fn balanced_for(labels: &[bool]) -> Self {
-        let n = labels.len() as f64;
-        let pos = labels.iter().filter(|&&l| l).count() as f64;
-        let neg = n - pos;
-        let mut cfg = LogisticConfig::default();
-        if pos > 0.0 && neg > 0.0 {
-            cfg.class_weights = (n / (2.0 * neg), n / (2.0 * pos));
-        }
-        cfg
+/// Per-class weights `(weight_negative, weight_positive)` balanced for
+/// `labels`: `w_c = n / (2 * n_c)`, as scikit-learn's
+/// `class_weight="balanced"` does, and `(1, 1)` when a class is absent.
+///
+/// EM datasets are heavily imbalanced (typically 10-25% matches, see
+/// Table 1 of the paper); weighting the positive class keeps the model
+/// from collapsing to the majority class.
+fn balanced_weights(labels: &[bool]) -> (f64, f64) {
+    let n = labels.len() as f64;
+    let pos = labels.iter().filter(|&&l| l).count() as f64;
+    let neg = n - pos;
+    if pos > 0.0 && neg > 0.0 {
+        (n / (2.0 * neg), n / (2.0 * pos))
+    } else {
+        (1.0, 1.0)
     }
 }
 
@@ -78,8 +56,10 @@ pub struct LogisticModel {
 }
 
 impl LogisticModel {
-    /// Fits the model on design matrix `x` and boolean labels `y`.
-    pub fn fit(x: &Matrix, y: &[bool], config: &LogisticConfig) -> Result<LogisticModel> {
+    /// Fits the model on design matrix `x` and boolean labels `y`, with
+    /// L2 penalty `lambda` on the coefficients (the intercept is not
+    /// penalized) and the two classes weighed as balanced.
+    pub fn fit(x: &Matrix, y: &[bool], lambda: f64) -> Result<LogisticModel> {
         let n = x.rows();
         let d = x.cols();
         if n == 0 || d == 0 {
@@ -93,21 +73,16 @@ impl LogisticModel {
             });
         }
 
+        let (weight_negative, weight_positive) = balanced_weights(y);
         let sample_w: Vec<f64> = y
             .iter()
-            .map(|&l| {
-                if l {
-                    config.class_weights.1
-                } else {
-                    config.class_weights.0
-                }
-            })
+            .map(|&l| if l { weight_positive } else { weight_negative })
             .collect();
         let wsum: f64 = sample_w.iter().sum();
 
         let mut beta = vec![0.0; d];
         let mut intercept = 0.0;
-        let mut lr = config.learning_rate;
+        let mut lr = LEARNING_RATE;
         let mut iterations = 0;
 
         let loss = |b: &[f64], b0: f64| -> f64 {
@@ -118,11 +93,11 @@ impl LogisticModel {
                 let t = if y[i] { p } else { 1.0 - p };
                 l -= sample_w[i] * t.max(1e-300).ln();
             }
-            l / wsum + 0.5 * config.lambda * crate::matrix::norm_sq(b)
+            l / wsum + 0.5 * lambda * crate::matrix::norm_sq(b)
         };
 
         let mut current_loss = loss(&beta, intercept);
-        for it in 0..config.max_iter {
+        for it in 0..MAX_ITER {
             iterations = it + 1;
             // Gradient.
             let mut grad = vec![0.0; d];
@@ -138,14 +113,14 @@ impl LogisticModel {
             }
             grad0 /= wsum;
             for (g, b) in grad.iter_mut().zip(&beta) {
-                *g = *g / wsum + config.lambda * b;
+                *g = *g / wsum + lambda * b;
             }
 
             let gmax = grad
                 .iter()
                 .chain(std::iter::once(&grad0))
                 .fold(0.0f64, |m, g| m.max(g.abs()));
-            if gmax < config.tol {
+            if gmax < TOL {
                 break;
             }
 
@@ -202,7 +177,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<bool> = rows.iter().map(|r| r[0] > 0.5).collect();
-        let m = LogisticModel::fit(&x, &y, &LogisticConfig::default()).unwrap();
+        let m = LogisticModel::fit(&x, &y, 1e-3).unwrap();
         assert!(m.coefficients[0] > 0.0);
         assert!(m.predict(&[0.9]));
         assert!(!m.predict(&[0.1]));
@@ -213,7 +188,7 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 30.0]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<bool> = rows.iter().map(|r| r[0] > 0.4).collect();
-        let m = LogisticModel::fit(&x, &y, &LogisticConfig::default()).unwrap();
+        let m = LogisticModel::fit(&x, &y, 1e-3).unwrap();
         let p1 = m.predict_proba(&[0.2]);
         let p2 = m.predict_proba(&[0.6]);
         let p3 = m.predict_proba(&[0.95]);
@@ -221,24 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn class_weights_shift_the_decision_boundary() {
-        // Imbalanced: only 3 positives out of 30.
-        let rows: Vec<Vec<f64>> = (0..30).map(|i| vec![i as f64 / 30.0]).collect();
-        let x = Matrix::from_rows(&rows).unwrap();
-        let y: Vec<bool> = (0..30).map(|i| i >= 27).collect();
-        let plain = LogisticModel::fit(&x, &y, &LogisticConfig::default()).unwrap();
-        let balanced = LogisticModel::fit(&x, &y, &LogisticConfig::balanced_for(&y)).unwrap();
-        // The balanced model should give higher probability to a borderline positive.
-        let probe = [27.0 / 30.0];
-        assert!(balanced.predict_proba(&probe) > plain.predict_proba(&probe));
-    }
-
-    #[test]
-    fn balanced_for_computes_expected_weights() {
-        let y = [true, false, false, false];
-        let cfg = LogisticConfig::balanced_for(&y);
-        assert!((cfg.class_weights.0 - 4.0 / 6.0).abs() < 1e-12);
-        assert!((cfg.class_weights.1 - 4.0 / 2.0).abs() < 1e-12);
+    fn balanced_weights_computes_expected_weights() {
+        let (negative, positive) = balanced_weights(&[true, false, false, false]);
+        assert!((negative - 4.0 / 6.0).abs() < 1e-12);
+        assert!((positive - 4.0 / 2.0).abs() < 1e-12);
+        assert_eq!(balanced_weights(&[false, false]), (1.0, 1.0));
     }
 
     #[test]
@@ -246,32 +208,16 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<bool> = (0..20).map(|i| i >= 10).collect();
-        let weak = LogisticModel::fit(
-            &x,
-            &y,
-            &LogisticConfig {
-                lambda: 1e-6,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let strong = LogisticModel::fit(
-            &x,
-            &y,
-            &LogisticConfig {
-                lambda: 10.0,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let weak = LogisticModel::fit(&x, &y, 1e-6).unwrap();
+        let strong = LogisticModel::fit(&x, &y, 10.0).unwrap();
         assert!(strong.coefficients[0].abs() < weak.coefficients[0].abs());
     }
 
     #[test]
     fn rejects_bad_input() {
-        assert!(LogisticModel::fit(&Matrix::zeros(0, 0), &[], &LogisticConfig::default()).is_err());
+        assert!(LogisticModel::fit(&Matrix::zeros(0, 0), &[], 1e-3).is_err());
         let x = Matrix::zeros(2, 1);
-        assert!(LogisticModel::fit(&x, &[true], &LogisticConfig::default()).is_err());
+        assert!(LogisticModel::fit(&x, &[true], 1e-3).is_err());
     }
 
     #[test]
@@ -288,7 +234,7 @@ mod tests {
             }
         }
         let x = Matrix::from_rows(&rows).unwrap();
-        let m = LogisticModel::fit(&x, &labels, &LogisticConfig::default()).unwrap();
+        let m = LogisticModel::fit(&x, &labels, 1e-3).unwrap();
         assert!(m.coefficients[0] > 0.0);
         assert!(m.coefficients[1] < 0.0);
     }

@@ -13,28 +13,10 @@
 
 use crate::{Cholesky, LinalgError, Matrix, Result};
 
-/// Configuration for [`ridge_fit`].
-#[derive(Debug, Clone, Copy)]
-pub struct RidgeConfig {
-    /// L2 penalty applied to all coefficients except the intercept.
-    pub lambda: f64,
-    /// Whether to fit an (unpenalized) intercept.
-    pub fit_intercept: bool,
-}
-
-impl Default for RidgeConfig {
-    fn default() -> Self {
-        RidgeConfig {
-            lambda: 1.0,
-            fit_intercept: true,
-        }
-    }
-}
-
 /// A fitted ridge model.
 #[derive(Debug, Clone)]
 pub struct RidgeModel {
-    /// Intercept term (0.0 when `fit_intercept` was false).
+    /// Intercept term (unpenalized).
     pub intercept: f64,
     /// Per-feature coefficients.
     pub coefficients: Vec<f64>,
@@ -62,17 +44,13 @@ impl RidgeModel {
 ///
 /// * `x` — design matrix, one sample per row;
 /// * `y` — responses, `y.len() == x.rows()`;
-/// * `weights` — non-negative sample weights, same length as `y`.
+/// * `weights` — non-negative sample weights, same length as `y`;
+/// * `lambda` — the L2 penalty on every coefficient but the intercept.
 ///
-/// With `fit_intercept`, the data is first centered with the weighted means
-/// so the intercept stays unpenalized; the centered system is then solved
-/// by [`ridge_solve_centered`].
-pub fn ridge_fit(
-    x: &Matrix,
-    y: &[f64],
-    weights: &[f64],
-    config: &RidgeConfig,
-) -> Result<RidgeModel> {
+/// The data is first centered with the weighted means so the intercept
+/// stays unpenalized; the centered system is then solved by
+/// [`ridge_solve_centered`].
+pub fn ridge_fit(x: &Matrix, y: &[f64], weights: &[f64], lambda: f64) -> Result<RidgeModel> {
     let n = x.rows();
     let d = x.cols();
     if n == 0 || d == 0 {
@@ -96,13 +74,6 @@ pub fn ridge_fit(
     if wsum <= 0.0 {
         return Err(LinalgError::EmptyInput);
     }
-    if !config.fit_intercept {
-        return Ok(RidgeModel {
-            intercept: 0.0,
-            coefficients: ridge_solve_centered(x, y, weights, config.lambda)?,
-        });
-    }
-
     // Weighted means for centering.
     let mut x_mean = vec![0.0; d];
     let mut y_mean = 0.0;
@@ -127,7 +98,7 @@ pub fn ridge_fit(
     }
     let yc: Vec<f64> = y.iter().map(|v| v - y_mean).collect();
 
-    let coefficients = ridge_solve_centered(&xc, &yc, weights, config.lambda)?;
+    let coefficients = ridge_solve_centered(&xc, &yc, weights, lambda)?;
     let intercept = y_mean - crate::matrix::dot(&x_mean, &coefficients);
     Ok(RidgeModel {
         intercept,
@@ -184,16 +155,7 @@ mod tests {
         let y: Vec<f64> = (0..x.rows())
             .map(|r| 2.0 + 3.0 * x.get(r, 0) - x.get(r, 1))
             .collect();
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(5),
-            &RidgeConfig {
-                lambda: 1e-9,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &ones(5), 1e-9).unwrap();
         assert!((m.intercept - 2.0).abs() < 1e-5, "{m:?}");
         assert!((m.coefficients[0] - 3.0).abs() < 1e-5);
         assert!((m.coefficients[1] + 1.0).abs() < 1e-5);
@@ -203,26 +165,8 @@ mod tests {
     fn shrinkage_reduces_coefficient_magnitude() {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]).unwrap();
         let y = vec![0.0, 2.0, 4.0, 6.0];
-        let low = ridge_fit(
-            &x,
-            &y,
-            &ones(4),
-            &RidgeConfig {
-                lambda: 0.01,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
-        let high = ridge_fit(
-            &x,
-            &y,
-            &ones(4),
-            &RidgeConfig {
-                lambda: 100.0,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let low = ridge_fit(&x, &y, &ones(4), 0.01).unwrap();
+        let high = ridge_fit(&x, &y, &ones(4), 100.0).unwrap();
         assert!(high.coefficients[0].abs() < low.coefficients[0].abs());
         assert!(low.coefficients[0] > 1.5); // close to the true slope of 2
     }
@@ -232,16 +176,7 @@ mod tests {
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![100.0]]).unwrap();
         let y = vec![0.0, 1.0, 2.0, -500.0]; // outlier with zero weight
         let w = vec![1.0, 1.0, 1.0, 0.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &w,
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &w, 1e-6).unwrap();
         assert!((m.coefficients[0] - 1.0).abs() < 1e-4, "{m:?}");
     }
 
@@ -250,45 +185,17 @@ mod tests {
         // Two inconsistent slopes; weighting one pair heavily should pull the fit.
         let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![0.0], vec![1.0]]).unwrap();
         let y = vec![0.0, 1.0, 0.0, 3.0];
-        let m_heavy_a = ridge_fit(
-            &x,
-            &y,
-            &[10.0, 10.0, 0.1, 0.1],
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
-        let m_heavy_b = ridge_fit(
-            &x,
-            &y,
-            &[0.1, 0.1, 10.0, 10.0],
-            &RidgeConfig {
-                lambda: 1e-6,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m_heavy_a = ridge_fit(&x, &y, &[10.0, 10.0, 0.1, 0.1], 1e-6).unwrap();
+        let m_heavy_b = ridge_fit(&x, &y, &[0.1, 0.1, 10.0, 10.0], 1e-6).unwrap();
         assert!(m_heavy_a.coefficients[0] < m_heavy_b.coefficients[0]);
     }
 
     #[test]
     fn no_intercept_passes_through_origin() {
+        // The solve alone, on uncentered data, fits without an intercept.
         let x = Matrix::from_rows(&[vec![1.0], vec![2.0]]).unwrap();
-        let y = vec![2.0, 4.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(2),
-            &RidgeConfig {
-                lambda: 1e-9,
-                fit_intercept: false,
-            },
-        )
-        .unwrap();
-        assert_eq!(m.intercept, 0.0);
-        assert!((m.coefficients[0] - 2.0).abs() < 1e-5);
+        let beta = ridge_solve_centered(&x, &[2.0, 4.0], &ones(2), 1e-9).unwrap();
+        assert!((beta[0] - 2.0).abs() < 1e-5);
     }
 
     #[test]
@@ -296,16 +203,7 @@ mod tests {
         // Columns are identical -> singular Gram matrix without the ridge term.
         let x = Matrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 2.0], vec![3.0, 3.0]]).unwrap();
         let y = vec![2.0, 4.0, 6.0];
-        let m = ridge_fit(
-            &x,
-            &y,
-            &ones(3),
-            &RidgeConfig {
-                lambda: 0.1,
-                fit_intercept: true,
-            },
-        )
-        .unwrap();
+        let m = ridge_fit(&x, &y, &ones(3), 0.1).unwrap();
         // The two coefficients should split the slope symmetrically.
         assert!((m.coefficients[0] - m.coefficients[1]).abs() < 1e-8);
     }
@@ -313,14 +211,14 @@ mod tests {
     #[test]
     fn rejects_mismatched_lengths() {
         let x = Matrix::zeros(3, 2);
-        assert!(ridge_fit(&x, &[1.0], &ones(3), &RidgeConfig::default()).is_err());
-        assert!(ridge_fit(&x, &[1.0, 2.0, 3.0], &[1.0], &RidgeConfig::default()).is_err());
+        assert!(ridge_fit(&x, &[1.0], &ones(3), 1.0).is_err());
+        assert!(ridge_fit(&x, &[1.0, 2.0, 3.0], &[1.0], 1.0).is_err());
     }
 
     #[test]
     fn rejects_all_zero_weights() {
         let x = Matrix::zeros(2, 1);
-        assert!(ridge_fit(&x, &[0.0, 0.0], &[0.0, 0.0], &RidgeConfig::default()).is_err());
+        assert!(ridge_fit(&x, &[0.0, 0.0], &[0.0, 0.0], 1.0).is_err());
     }
 
     #[test]

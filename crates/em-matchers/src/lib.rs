@@ -25,7 +25,7 @@ mod prepared;
 
 pub use evaluation::{evaluate_matcher, tune_threshold, MatchQuality};
 pub use features::FeatureExtractor;
-pub use logistic_matcher::{LogisticMatcher, MatcherConfig};
+pub use logistic_matcher::LogisticMatcher;
 pub use naive_bayes::NaiveBayesMatcher;
 
 pub use persist::{

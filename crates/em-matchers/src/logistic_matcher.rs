@@ -1,32 +1,13 @@
 //! The logistic-regression EM model the paper explains.
 
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
-use em_linalg::logistic::{LogisticConfig, LogisticModel};
+use em_linalg::logistic::LogisticModel;
 use em_linalg::Matrix;
 
 use crate::features::FeatureExtractor;
 
-/// Training configuration for [`LogisticMatcher::train`].
-#[derive(Debug, Clone, Copy)]
-pub struct MatcherConfig {
-    /// L2 regularization strength.
-    pub lambda: f64,
-    /// Balance class weights for imbalanced EM data (Table 1 of the paper
-    /// shows 9-25% match rates).
-    pub balance_classes: bool,
-    /// Maximum optimizer iterations.
-    pub max_iter: usize,
-}
-
-impl Default for MatcherConfig {
-    fn default() -> Self {
-        MatcherConfig {
-            lambda: 0.1,
-            balance_classes: true,
-            max_iter: 2000,
-        }
-    }
-}
+/// L2 penalty of the matcher's logistic fit.
+const LAMBDA: f64 = 0.1;
 
 /// A trained logistic-regression entity matcher.
 ///
@@ -39,12 +20,14 @@ pub struct LogisticMatcher {
 }
 
 impl LogisticMatcher {
-    /// Fits the feature extractor and the logistic model on a dataset.
+    /// Fits the feature extractor and the logistic model on a dataset,
+    /// with L2 penalty 0.1 and the classes weighed as balanced (Table 1
+    /// of the paper shows 9-25% match rates).
     ///
     /// # Panics
     /// Panics if the dataset is empty or single-class — the paper's
     /// benchmark datasets always contain both classes.
-    pub fn train(dataset: &EmDataset, config: &MatcherConfig) -> Self {
+    pub fn train(dataset: &EmDataset) -> Self {
         assert!(!dataset.is_empty(), "cannot train on an empty dataset");
         let extractor = FeatureExtractor::fit(dataset);
         let schema = dataset.schema();
@@ -59,14 +42,7 @@ impl LogisticMatcher {
             "training data must contain both classes"
         );
         let x = Matrix::from_rows(&rows).expect("feature rows are rectangular");
-        let mut lcfg = if config.balance_classes {
-            LogisticConfig::balanced_for(&labels)
-        } else {
-            LogisticConfig::default()
-        };
-        lcfg.lambda = config.lambda;
-        lcfg.max_iter = config.max_iter;
-        let model = LogisticModel::fit(&x, &labels, &lcfg).expect("logistic fit");
+        let model = LogisticModel::fit(&x, &labels, LAMBDA).expect("logistic fit");
         LogisticMatcher { extractor, model }
     }
 
@@ -173,7 +149,7 @@ mod tests {
     #[test]
     fn trained_matcher_separates_the_training_data() {
         let d = toy_dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let mut correct = 0;
         for r in d.records() {
             if m.predict(d.schema(), &r.pair) == r.label {
@@ -192,7 +168,7 @@ mod tests {
         // Higher similarity => higher match probability, so coefficients
         // should come out positive for informative attributes.
         let d = toy_dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         assert_eq!(m.attribute_weights().len(), 2);
         assert!(m.attribute_weights()[0] > 0.0);
         assert!(m.attribute_weights()[1] > 0.0);
@@ -201,7 +177,7 @@ mod tests {
     #[test]
     fn identical_pair_scores_higher_than_disjoint_pair() {
         let d = toy_dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let same = EntityPair::new(
             Entity::new(vec!["zeiss lens kit", "500.00"]),
             Entity::new(vec!["zeiss lens kit", "500.00"]),
@@ -216,7 +192,7 @@ mod tests {
     #[test]
     fn probabilities_are_probabilities() {
         let d = toy_dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         for r in d.records() {
             let p = m.predict_proba(d.schema(), &r.pair);
             assert!((0.0..=1.0).contains(&p));
@@ -228,7 +204,7 @@ mod tests {
     fn training_on_empty_dataset_panics() {
         let schema = Schema::from_names(vec!["a"]);
         let d = EmDataset::new("empty", schema, vec![]);
-        LogisticMatcher::train(&d, &MatcherConfig::default());
+        LogisticMatcher::train(&d);
     }
 
     #[test]
@@ -241,6 +217,6 @@ mod tests {
             schema,
             vec![LabeledPair::new(EntityPair::new(e.clone(), e), true)],
         );
-        LogisticMatcher::train(&d, &MatcherConfig::default());
+        LogisticMatcher::train(&d);
     }
 }

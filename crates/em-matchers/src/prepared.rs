@@ -1169,7 +1169,6 @@ impl<M: FeatureModel> PreparedScorer for MatcherScorer<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logistic_matcher::MatcherConfig;
     use em_entity::prepared::FallbackScorer;
     use em_entity::schema::Attribute;
     use em_entity::tokenizer::{tokenize_entity, Token};
@@ -1356,7 +1355,7 @@ mod tests {
     #[test]
     fn logistic_kernel_is_bit_identical_for_landmark_specs() {
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         for record in d.records() {
             for varying in [EntitySide::Left, EntitySide::Right] {
@@ -1378,7 +1377,7 @@ mod tests {
     #[test]
     fn logistic_kernel_is_bit_identical_for_both_sides_varying() {
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = &d.records()[0].pair;
         let lt = tokenize_entity(&pair.left);
@@ -1394,7 +1393,7 @@ mod tests {
     #[test]
     fn logistic_kernel_is_bit_identical_for_attr_copy() {
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         for record in d.records() {
             for side in [EntitySide::Left, EntitySide::Right] {
@@ -1433,7 +1432,7 @@ mod tests {
         // punctuation-only tokens (normalize to empty), unparseable
         // numerics falling back to Levenshtein on the raw join.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = EntityPair::new(
             Entity::new(vec!["!!! ---", "", "around 12.50 ish", "  MIXed Case  "]),
@@ -1453,7 +1452,7 @@ mod tests {
         // The name has exactly MEMO_MAX_BITS varying tokens and gets a
         // table; the description has one more and is computed per mask.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = EntityPair::new(
             Entity::new(vec![
@@ -1489,7 +1488,7 @@ mod tests {
         // LIME varies both sides: each name side is under the cap, but the
         // similarity reads both, and together they cross it.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let half = MEMO_MAX_BITS / 2 + 1;
         let pair = EntityPair::new(
@@ -1526,7 +1525,7 @@ mod tests {
         // The blank name and description read no mask bit: one slot each,
         // filled by the first mask and reused by every other.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = EntityPair::new(
             Entity::new(vec!["", "   ", "around 12.50", "DSLRA200W"]),
@@ -1567,7 +1566,7 @@ mod tests {
         // Keeping exactly one name token sweeps a single vector: a row
         // when the left side varies, a column when the right side does.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let long = Entity::new(vec![
             words(0, MEMO_MAX_BITS + 5),
@@ -1611,7 +1610,7 @@ mod tests {
     #[test]
     fn over_cap_name_against_an_empty_side() {
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let long = Entity::new(vec![
             words(1, MEMO_MAX_BITS + 3),
@@ -1652,7 +1651,7 @@ mod tests {
         // Repeated ids give tied Jaro-Winkler rows and columns and
         // repeated entries in both Jaccard id lists.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = EntityPair::new(
             Entity::new(vec![
@@ -1703,7 +1702,7 @@ mod tests {
         // Digits share no character with letters: every matrix entry, and
         // so every stored maximum and swept best match, is 0.0.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let digits = (0..MEMO_MAX_BITS + 2)
             .map(|i| (i * 37 % 100).to_string())
@@ -1730,7 +1729,7 @@ mod tests {
     #[should_panic(expected = "mask length")]
     fn kernel_rejects_short_masks() {
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let pair = &d.records()[0].pair;
         let tokens = tokenize_entity(&pair.left);
         let spec = PerturbSpec::TokenDrop {
@@ -1750,7 +1749,7 @@ mod tests {
         // Equal values, another pair: its family must not read this
         // record's ids.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let pair = &d.records()[0].pair;
         let copy = pair.clone();
         let tokens = tokenize_entity(&copy.left);
@@ -1766,7 +1765,7 @@ mod tests {
         // the one the `&str` entry computes for those two tokens, and the
         // scores equal the fallback's.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = &d.records()[1].pair;
         let record = MatcherRecord::new(&m, s, pair);
@@ -1825,7 +1824,7 @@ mod tests {
         // the Text attribute, so the name's memo has no slots for it: both
         // families are scored bit-identically all the same.
         let d = dataset();
-        let m = LogisticMatcher::train(&d, &MatcherConfig::default());
+        let m = LogisticMatcher::train(&d);
         let s = d.schema();
         let pair = &d.records()[0].pair;
         let record = m.prepare_record(s, pair);

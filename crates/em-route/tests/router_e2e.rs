@@ -10,7 +10,7 @@ use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, Schema};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
@@ -72,7 +72,7 @@ fn failover_keeps_every_answer_byte_identical() {
     // servers: a reference node (direct traffic) and three routed nodes.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     let reference = spawn_backend(&schema, &matcher);
     let mut backends: Vec<Option<em_serve::ServerHandle>> = (0..3)

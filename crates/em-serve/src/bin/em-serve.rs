@@ -19,9 +19,7 @@
 use std::process::ExitCode;
 
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_matchers::{
-    load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher, MatcherConfig,
-};
+use em_matchers::{load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -158,7 +156,7 @@ fn run(args: Args) -> Result<(), String> {
         }
         None => {
             eprintln!("em-serve: training logistic matcher");
-            LogisticMatcher::train(&dataset, &MatcherConfig::default())
+            LogisticMatcher::train(&dataset)
         }
     };
     if let Some(path) = &args.save_model {

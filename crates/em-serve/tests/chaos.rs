@@ -25,7 +25,7 @@ use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_serve::client;
 use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
 use em_serve::http::Response;
@@ -273,7 +273,7 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
     let suite_started = Instant::now();
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let server = Server::bind(
         "127.0.0.1:0",
         schema.clone(),

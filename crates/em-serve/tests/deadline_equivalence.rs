@@ -17,7 +17,7 @@ use em_codec::explain::{decode_explain_request, encode_pair, run_explain};
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair, MatchModel, Schema};
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_serve::client;
 use em_serve::{Server, ServerConfig, ServerHandle};
 use proptest::prelude::*;
@@ -39,7 +39,7 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
         let schema = dataset.schema().clone();
-        let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+        let matcher = LogisticMatcher::train(&dataset);
         let server = Server::bind(
             "127.0.0.1:0",
             schema.clone(),

@@ -8,7 +8,7 @@ use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
 use em_lime::ExplainConfig;
-use em_matchers::{LogisticMatcher, MatcherConfig};
+use em_matchers::LogisticMatcher;
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
 use landmark_core::{GenerationStrategy, LandmarkExplainer};
@@ -54,7 +54,7 @@ fn serves_bit_identical_explanations_with_cache_and_metrics() {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     // Ground truth, computed before the matcher moves into the server.
     let config = ExplainConfig {
@@ -239,7 +239,7 @@ fn request_thread_count_never_changes_the_body() {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let bodies: Vec<String> = [1, 2]
         .into_iter()
         .map(|workers| {
@@ -290,7 +290,7 @@ fn a_request_of_death_never_kills_a_worker() {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let pair = dataset.records()[0].pair.clone();
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let workers = 2;
     let server = Server::bind(
         "127.0.0.1:0",

@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example benchmark_tour`
 
-use landmark_explanation::entity::SplitConfig;
 use landmark_explanation::matchers::evaluate_matcher;
 use landmark_explanation::prelude::*;
 
@@ -22,8 +21,8 @@ fn main() {
 
     for id in DatasetId::all() {
         let dataset = benchmark.generate(id);
-        let (train, test) = dataset.train_test_split(&SplitConfig::default());
-        let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+        let (train, test) = dataset.train_test_split(42);
+        let matcher = LogisticMatcher::train(&train);
         let f1 = evaluate_matcher(&matcher, &test, 0.5).f1();
         println!(
             "{:<7} {:<10} {:<20} {:>7} {:>8.2} {:>6.3}",

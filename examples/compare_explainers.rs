@@ -39,7 +39,7 @@ fn main() {
     let dataset = MagellanBenchmark::scaled(0.2).generate(DatasetId::SWa);
     let schema = dataset.schema().clone();
     println!("Training the EM model on {} records...", dataset.len());
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     // Pick a non-matching record with some shared tokens (a hard negative).
     let record = dataset

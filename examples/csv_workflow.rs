@@ -35,7 +35,7 @@ fn main() {
         dataset.match_percentage()
     );
 
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let record = &dataset.records()[0].pair;
     let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
 

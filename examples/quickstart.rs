@@ -16,7 +16,7 @@ fn main() {
         "Training the EM model (logistic regression) on {} records...",
         dataset.len()
     );
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
 
     // The record of Figure 1: a digital camera vs a leather case.
     let record = EntityPair::new(

@@ -21,7 +21,7 @@
 //!
 //! // Train the EM model the paper explains: logistic regression over
 //! // per-attribute similarity features.
-//! let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+//! let matcher = LogisticMatcher::train(&dataset);
 //!
 //! // Explain one record from both landmark perspectives.
 //! let record = &dataset.records()[0].pair;
@@ -90,7 +90,7 @@ pub mod prelude {
         EmDataset, Entity, EntityPair, EntitySide, LabeledPair, MatchModel, Schema, Token,
     };
     pub use em_lime::{ExplainConfig, LimeExplainer, MojitoCopyExplainer};
-    pub use em_matchers::{LogisticMatcher, MatcherConfig, NaiveBayesMatcher};
+    pub use em_matchers::{LogisticMatcher, NaiveBayesMatcher};
     pub use em_obs::noop;
     pub use landmark_core::{
         DualExplanation, GenerationStrategy, LandmarkExplainer, LandmarkExplanation,
@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn prelude_supports_the_readme_flow() {
         let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SBr);
-        let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+        let matcher = LogisticMatcher::train(&dataset);
         let record = &dataset.records()[0].pair;
         let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
         assert_eq!(dual.both().len(), 2);

@@ -1,7 +1,6 @@
 //! End-to-end integration: benchmark generation → matcher training →
 //! all four explanation techniques → all three evaluations.
 
-use landmark_explanation::entity::SplitConfig;
 use landmark_explanation::eval::technique::explain_record;
 use landmark_explanation::eval::{EvalConfig, Evaluator, TECHNIQUES};
 use landmark_explanation::landmark::ExplainerKind;
@@ -39,8 +38,8 @@ fn matcher_generalizes_across_all_domains() {
     let benchmark = MagellanBenchmark::scaled(0.1);
     for id in DatasetId::all() {
         let dataset = benchmark.generate(id);
-        let (train, test) = dataset.train_test_split(&SplitConfig::default());
-        let matcher = LogisticMatcher::train(&train, &MatcherConfig::default());
+        let (train, test) = dataset.train_test_split(42);
+        let matcher = LogisticMatcher::train(&train);
         // Tiny datasets (S-BR, S-IA at this scale) have almost no test
         // matches; score them on the full dataset instead.
         let eval_set = if dataset.len() < 100 { &dataset } else { &test };
@@ -70,7 +69,7 @@ fn every_technique_explains_every_domain_without_panicking() {
         DatasetId::DWa,
     ] {
         let dataset = benchmark.generate(id);
-        let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+        let matcher = LogisticMatcher::train(&dataset);
         let record = &dataset.records()[0].pair;
         for technique in TECHNIQUES {
             let views = explain_record(technique, &matcher, dataset.schema(), record, 80, 3);
@@ -89,7 +88,7 @@ fn landmark_explanations_respect_the_frozen_side() {
     // Whatever the technique does internally, the reported token weights
     // of a landmark explanation must reference only the varying entity.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SIa);
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let record = &dataset.records()[1].pair;
     let dual = LandmarkExplainer::default().explain(&matcher, dataset.schema(), record, noop());
     for le in dual.both() {

@@ -23,7 +23,6 @@ use em_codec::{explain, fnv1a64, ExplainRequest};
 use landmark_explanation::entity::schema::AttributeKind;
 use landmark_explanation::entity::{dataset_from_reader, dataset_to_csv};
 use landmark_explanation::landmark::ExplainerKind;
-use landmark_explanation::lime::SurrogateConfig;
 use landmark_explanation::prelude::*;
 
 /// The explainers every digest row covers, in wire order.
@@ -52,11 +51,6 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("S-FZ", "wide", "landmark-double", 0x4621f8a225c843d5),
     ("S-FZ", "wide", "lime", 0xcafd7e3ed0cecd99),
     ("S-FZ", "wide", "mojito-copy", 0xde9144554b05364b),
-    ("S-FZ", "lambda0", "landmark", 0x8fe3dcad8a9af427),
-    ("S-FZ", "lambda0", "landmark-single", 0x63a519d73841bd4d),
-    ("S-FZ", "lambda0", "landmark-double", 0xfa9d07a3d54e2b20),
-    ("S-FZ", "lambda0", "lime", 0x6ec87b919a099570),
-    ("S-FZ", "lambda0", "mojito-copy", 0x42bacd4cf332bb8d),
     ("T-AB", "default", "landmark", 0x849bd0458cecf741),
     ("T-AB", "default", "landmark-single", 0x7bfd7872d7240d2a),
     ("T-AB", "default", "landmark-double", 0xa30711133435d8e3),
@@ -72,11 +66,6 @@ const GOLDEN: &[(&str, &str, &str, u64)] = &[
     ("T-AB", "wide", "landmark-double", 0x9e166cd81bbe7087),
     ("T-AB", "wide", "lime", 0x0ff8c38ddc402eea),
     ("T-AB", "wide", "mojito-copy", 0x8b395c5783164792),
-    ("T-AB", "lambda0", "landmark", 0x4bca35e6c8ae5432),
-    ("T-AB", "lambda0", "landmark-single", 0x54084dda380ca9ed),
-    ("T-AB", "lambda0", "landmark-double", 0x457cbce2a3199efc),
-    ("T-AB", "lambda0", "lime", 0xb82b483469117ec4),
-    ("T-AB", "lambda0", "mojito-copy", 0xbdfc98f6c927158a),
 ];
 
 /// Expected digests of the CSV round-tripped T-AB records under the
@@ -108,7 +97,7 @@ fn csv_setup(id: DatasetId, scale: f64) -> Setup {
 }
 
 fn trained(id: DatasetId, dataset: EmDataset) -> Setup {
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let records = dataset
         .sample_by_label(true, 2, 11)
         .into_iter()
@@ -124,28 +113,23 @@ fn trained(id: DatasetId, dataset: EmDataset) -> Setup {
 }
 
 /// The settings each explainer runs under: the defaults at a small
-/// sample count, plus the surrogate settings the fit special-cases (the
-/// narrowest kernel width, which zeroes every perturbed weight, a wide
-/// kernel, and λ = 0). The wire cannot set the surrogate; these requests
-/// are built in code.
+/// sample count, plus the kernel widths the fit special-cases (the
+/// narrowest width, which zeroes every perturbed weight, and a wide
+/// kernel). The wire cannot set the width; these requests are built in
+/// code.
 fn cases() -> Vec<(&'static str, ExplainConfig)> {
     let base = ExplainConfig {
         n_samples: 64,
         ..Default::default()
     };
-    let surrogate = |kernel_width, lambda| ExplainConfig {
-        surrogate: SurrogateConfig {
-            kernel_width,
-            lambda,
-        },
+    let width = |kernel_width| ExplainConfig {
+        kernel_width,
         ..base
     };
-    let defaults = base.surrogate;
     vec![
         ("default", base),
-        ("narrow", surrogate(1e-6, defaults.lambda)),
-        ("wide", surrogate(5.0, defaults.lambda)),
-        ("lambda0", surrogate(defaults.kernel_width, 0.0)),
+        ("narrow", width(1e-6)),
+        ("wide", width(5.0)),
     ]
 }
 

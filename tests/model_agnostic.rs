@@ -31,7 +31,7 @@ fn landmark_explanations_agree_on_informative_attributes_across_model_families()
     // attribute importance of their explanations should rank the most
     // informative attribute (title, index 0 for S-WA) highly in both.
     let dataset = MagellanBenchmark::scaled(0.08).generate(DatasetId::SAg);
-    let lr = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let lr = LogisticMatcher::train(&dataset);
     let nb = NaiveBayesMatcher::train(&dataset);
     let config = ExplainConfig {
         n_samples: 150,

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 
 fn setup() -> (EmDataset, LogisticMatcher) {
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SWa);
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     (dataset, matcher)
 }
 

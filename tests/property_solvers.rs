@@ -1,6 +1,6 @@
 //! Property-based tests for the numerical substrate.
 
-use landmark_explanation::linalg::ridge::{ridge_fit, RidgeConfig};
+use landmark_explanation::linalg::ridge::ridge_fit;
 use landmark_explanation::linalg::{Cholesky, Matrix};
 use proptest::prelude::*;
 
@@ -55,8 +55,8 @@ proptest! {
             .map(|(i, r)| r[0] - 0.5 * r[1] + noise[i % noise.len()])
             .collect();
         let w = vec![1.0; n];
-        let cfg = RidgeConfig { lambda: 0.5, fit_intercept: true };
-        let fit = ridge_fit(&x, &y, &w, &cfg).unwrap();
+        let lambda = 0.5;
+        let fit = ridge_fit(&x, &y, &w, lambda).unwrap();
 
         let objective = |coefs: &[f64], intercept: f64| -> f64 {
             let mut loss = 0.0;
@@ -64,7 +64,7 @@ proptest! {
                 let pred: f64 = intercept + r.iter().zip(coefs).map(|(a, b)| a * b).sum::<f64>();
                 loss += (yi - pred) * (yi - pred);
             }
-            loss + cfg.lambda * coefs.iter().map(|c| c * c).sum::<f64>()
+            loss + lambda * coefs.iter().map(|c| c * c).sum::<f64>()
         };
 
         let base = objective(&fit.coefficients, fit.intercept);
@@ -87,7 +87,7 @@ proptest! {
         let x = Matrix::from_rows(&rows).unwrap();
         let y: Vec<f64> = rows.iter().map(|r| r[0] + r[1]).collect();
         let w = vec![1.0; rows.len()];
-        let fit = ridge_fit(&x, &y, &w, &RidgeConfig::default()).unwrap();
+        let fit = ridge_fit(&x, &y, &w, 1.0).unwrap();
         // predict(a) + predict(b) - intercept == predict(a + b)
         let a = [1.0, 2.0];
         let b = [0.5, -1.0];

@@ -195,7 +195,7 @@ const EXPECTED: &[Row] = &[
 /// the golden digests draw them.
 fn records(id: DatasetId, scale: f64) -> (EmDataset, LogisticMatcher, Vec<EntityPair>) {
     let dataset = MagellanBenchmark::scaled(scale).generate(id);
-    let matcher = LogisticMatcher::train(&dataset, &MatcherConfig::default());
+    let matcher = LogisticMatcher::train(&dataset);
     let records = dataset
         .sample_by_label(true, 2, 11)
         .into_iter()

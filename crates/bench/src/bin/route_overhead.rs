@@ -6,8 +6,12 @@
 //! * **routed** — three backends behind the `em-route` consistent-hash
 //!   router, driven through the router.
 //!
-//! Each topology serves the same request set twice (cold, then cached).
-//! The report gives per-phase p50/p99, the router-added p50 on the cached
+//! Each topology serves the same request set twice (cold, then cached);
+//! every request carries its own seed, so every key is distinct. The
+//! direct leg checks the cache itself: every cold request misses, every
+//! cached one hits with the cold request's exact bytes, and `/metrics`
+//! shows `em_serve_cache_hits_total`. The report gives per-phase p50/p99,
+//! the router-added p50 on the cached
 //! path (where proxy cost is not drowned by explanation compute), and the
 //! cache-affinity hit rate: the fraction of repeated requests through the
 //! router answered from a backend's warm cache. With keyed routing that
@@ -72,6 +76,22 @@ fn main() {
     let direct = spawn_backend(&schema, &matcher, n_requests);
     let mut direct_cold = bench::drive(direct.addr(), &bodies);
     let mut direct_cached = bench::drive(direct.addr(), &bodies);
+    assert!(
+        direct_cold.cache.iter().all(|c| c == "miss"),
+        "every cold request must miss: {:?}",
+        direct_cold.cache
+    );
+    assert!(
+        direct_cached.cache.iter().all(|c| c == "hit"),
+        "every repeated request must hit: {:?}",
+        direct_cached.cache
+    );
+    let metrics = client::request(direct.addr(), "GET", "/metrics", "").expect("metrics");
+    assert!(
+        metrics.body.contains("em_serve_cache_hits_total"),
+        "/metrics lacks the cache-hit counter:\n{}",
+        metrics.body
+    );
     client::request(direct.addr(), "POST", "/shutdown", "").expect("shutdown direct");
     direct.join();
     let baseline_hit_rate = direct_cached.hits() as f64 / n_requests as f64;

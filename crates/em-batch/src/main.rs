@@ -2,9 +2,8 @@
 //!
 //! Exit codes: `0` success, `1` usage error, `2` runtime or verification
 //! failure, `3` injected failpoint fired (so the CI kill/resume smoke job
-//! can tell a deliberate crash from a real one). Failpoints come from
-//! `--failpoint <site>:<shard>` or the `EM_BATCH_FAILPOINT` environment
-//! variable (the flag wins).
+//! can tell a deliberate crash from a real one). A failpoint comes from
+//! `--failpoint <site>:<shard>`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -188,18 +187,10 @@ fn cmd_plan(opts: &Options) -> Result<ExitCode, BatchError> {
     Ok(ExitCode::SUCCESS)
 }
 
-#[expect(
-    clippy::disallowed_methods,
-    reason = "EM_BATCH_FAILPOINT only chooses where a test run crashes; it never changes a committed byte"
-)]
 fn failpoint_hook(opts: &Options) -> Result<Box<dyn FailpointHook>, String> {
-    let spec = match opts.get("failpoint") {
-        Some(s) => Some(s.to_string()),
-        None => std::env::var("EM_BATCH_FAILPOINT").ok(),
-    };
-    match spec {
+    match opts.get("failpoint") {
         None => Ok(Box::new(NoFailpoints)),
-        Some(s) => match FailAt::parse(&s) {
+        Some(s) => match FailAt::parse(s) {
             Some(fp) => Ok(Box::new(fp)),
             None => Err(format!(
                 "bad failpoint spec {s:?} (expected <site>:<shard>)"

@@ -19,9 +19,8 @@
 //! serving tiers).
 
 use em_entity::{Masks, PerturbSpec, PreparedRecord, Schema};
-use em_obs::{Counter, Span, Stage, Tracer};
-
 use em_linalg::kernel::DEFAULT_TEXT_KERNEL_WIDTH;
+use em_obs::{Counter, Span, Stage, Tracer};
 
 use crate::sampler::sample_masks;
 use crate::surrogate::{fit_surrogate, SurrogateFit};

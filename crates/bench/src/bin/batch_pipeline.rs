@@ -7,7 +7,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use em_batch::{execute, plan, NoFailpoints, PlanConfig, RunMode};
+use em_batch::{execute, plan, PlanConfig, RunMode};
 use em_datagen::MagellanBenchmark;
 use em_entity::{dataset_to_csv, EmDataset};
 use landmark_core::ExplainerKind;
@@ -78,14 +78,7 @@ fn main() {
         )
         .expect("plan");
         let start = Instant::now();
-        execute(
-            &run_dir,
-            RunMode::Fresh,
-            None,
-            &NoFailpoints,
-            em_obs::noop(),
-        )
-        .expect("run");
+        execute(&run_dir, RunMode::Fresh, None, None, em_obs::noop()).expect("run");
         let secs = start.elapsed().as_secs_f64();
         bench::outln!(
             "{threads:>8} {secs:>10.3} {:>12.1}",

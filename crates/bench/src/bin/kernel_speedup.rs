@@ -32,8 +32,8 @@
 //! attributes; `S-FZ` is the structured family whose short attributes are
 //! all memoized), or a short name with a `.csv` suffix (`T-AB.csv`) for
 //! that dataset round-tripped through `dataset_to_csv` and
-//! `dataset_from_csv`, where every attribute is a Name attribute, as in
-//! the files `em-batch` reads. `KERNEL_BENCH_OUT` sets the JSON report
+//! `dataset_from_reader`, where every attribute is a Name attribute, as
+//! in the files `em-batch` reads. `KERNEL_BENCH_OUT` sets the JSON report
 //! path (default `BENCH_kernel.json`).
 
 use std::time::Instant;
@@ -41,7 +41,7 @@ use std::time::Instant;
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{
-    dataset_from_csv, dataset_to_csv, EntityPair, EntitySide, FallbackRecord, Masks, MatchModel,
+    dataset_from_reader, dataset_to_csv, EntityPair, EntitySide, FallbackRecord, Masks, MatchModel,
     PreparedRecord,
 };
 use em_lime::sample_masks;
@@ -94,7 +94,7 @@ fn main() {
     };
     let mut dataset = benchmark.generate(id);
     if csv_name.is_some() {
-        dataset = dataset_from_csv(&input, &dataset_to_csv(&dataset))
+        dataset = dataset_from_reader(&input, dataset_to_csv(&dataset).as_bytes())
             .expect("a generated dataset round-trips through CSV");
     }
     let (train, _) = dataset.train_test_split(42);

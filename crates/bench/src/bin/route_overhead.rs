@@ -22,13 +22,16 @@
 //!
 //! Run with: `cargo run --release -p bench --bin route_overhead`
 
+use em_codec::explain::{encode_explain_request, ExplainRequest};
 use em_codec::Value;
 use em_datagen::MagellanBenchmark;
 use em_entity::Schema;
+use em_lime::ExplainConfig;
 use em_matchers::LogisticMatcher;
 use em_route::{BackendSpec, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
+use landmark_core::ExplainerKind;
 
 fn spawn_backend(
     schema: &Schema,
@@ -67,8 +70,16 @@ fn main() {
     let records = dataset.records();
     let bodies: Vec<String> = (0..n_requests)
         .map(|i| {
-            let pair = &records[i % records.len()].pair;
-            bench::explain_body(&schema, pair, base.n_samples, base.seed + i as u64)
+            let request = ExplainRequest {
+                pair: records[i % records.len()].pair.clone(),
+                explainer: ExplainerKind::Landmark,
+                config: ExplainConfig {
+                    n_samples: base.n_samples,
+                    seed: base.seed + i as u64,
+                    ..Default::default()
+                },
+            };
+            encode_explain_request(&schema, &request)
         })
         .collect();
 

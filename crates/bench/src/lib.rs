@@ -18,8 +18,8 @@
 //! dataset name exits with status 2 naming the variable, so a typo never
 //! measures another input.
 //!
-//! The serving reports share [`explain_body`], [`drive`] and
-//! [`phase_report`]; the speedup reports share [`median`], and `perf_gate`
+//! The serving reports share [`drive`] and [`phase_report`]; the speedup
+//! reports share [`median`], and `perf_gate`
 //! checks with [`same_input`] that a fresh report and its baseline
 //! measured the same input.
 //!
@@ -35,14 +35,10 @@ use std::io::{ErrorKind, Write};
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use em_codec::explain::encode_pair;
 use em_codec::Value;
 use em_datagen::DatasetId;
-use em_entity::{EntityPair, Schema};
 use em_eval::EvalConfig;
-use em_lime::PairExplanation;
 use em_serve::client;
-use landmark_core::DualExplanation;
 
 /// The reader of a report went away: its standard output is a pipe whose
 /// other end closed.
@@ -199,30 +195,6 @@ pub fn print_banner(table: &str, config: &EvalConfig, datasets: &[DatasetId]) {
     outln!("# (set SCALE=1.0 RECORDS=100 SAMPLES=500 for the full paper-scale run)\n");
 }
 
-/// Whether two explanations of one record are the same bits: in both
-/// views, the same tokens in the same order, and every float (each token
-/// weight, the intercept, the model and surrogate predictions and the
-/// surrogate's R²) equal by `to_bits`, so +0.0 and -0.0 differ.
-pub fn bit_identical(a: &DualExplanation, b: &DualExplanation) -> bool {
-    let floats = |e: &PairExplanation| {
-        [
-            e.intercept,
-            e.model_prediction,
-            e.surrogate_prediction,
-            e.surrogate_r2,
-        ]
-        .map(f64::to_bits)
-    };
-    a.both().iter().zip(b.both()).all(|(x, y)| {
-        let (x, y) = (&x.explanation, &y.explanation);
-        floats(x) == floats(y)
-            && x.token_weights.len() == y.token_weights.len()
-            && x.token_weights.iter().zip(&y.token_weights).all(|(s, t)| {
-                s.side == t.side && s.token == t.token && s.weight.to_bits() == t.weight.to_bits()
-            })
-    })
-}
-
 /// The median of `xs` (the upper one for an even count).
 pub fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -253,22 +225,6 @@ pub fn same_input(baseline: &Value, current: &Value) -> Result<(), String> {
     } else {
         Err(differing.join(", "))
     }
-}
-
-/// A `POST /explain` body for `pair` under the landmark explainer.
-pub fn explain_body(schema: &Schema, pair: &EntityPair, n_samples: usize, seed: u64) -> String {
-    Value::object(vec![
-        ("pair", encode_pair(schema, pair)),
-        ("explainer", Value::string("landmark")),
-        (
-            "config",
-            Value::object(vec![
-                ("n_samples", n_samples.into()),
-                ("seed", Value::Number(seed as f64)),
-            ]),
-        ),
-    ])
-    .to_json()
 }
 
 /// What one [`drive`] pass saw, in request order.
@@ -338,7 +294,6 @@ pub fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_entity::{EntitySide, Token};
 
     /// A sink whose every write fails with `kind`.
     struct Failing(ErrorKind);
@@ -378,43 +333,6 @@ mod tests {
         let mut sink = Failing(ErrorKind::PermissionDenied);
         let _ = write_report(&mut sink, format_args!("line\n"));
     }
-    use em_lime::TokenWeight;
-    use landmark_core::strategy::ResolvedStrategy;
-    use landmark_core::LandmarkExplanation;
-
-    fn dual(weight: f64, surrogate_r2: f64) -> DualExplanation {
-        let view = |landmark: EntitySide| LandmarkExplanation {
-            landmark,
-            varying: landmark.other(),
-            strategy: ResolvedStrategy::SingleEntity,
-            explanation: PairExplanation {
-                token_weights: vec![TokenWeight {
-                    side: landmark.other(),
-                    token: Token::new(0, 0, "sony"),
-                    weight,
-                }],
-                intercept: 0.25,
-                model_prediction: 0.75,
-                surrogate_prediction: 0.5,
-                surrogate_r2,
-            },
-            injected: vec![false],
-        };
-        DualExplanation {
-            left_landmark: view(EntitySide::Left),
-            right_landmark: view(EntitySide::Right),
-        }
-    }
-
-    #[test]
-    fn bit_identity_compares_every_float_by_its_bits() {
-        assert!(bit_identical(&dual(0.0, 0.5), &dual(0.0, 0.5)));
-        // Equal by `==`, different bits.
-        assert!(!bit_identical(&dual(0.0, 0.5), &dual(-0.0, 0.5)));
-        // Token weights and intercept equal; only the fit quality moved.
-        assert!(!bit_identical(&dual(0.0, 0.5), &dual(0.0, 0.25)));
-    }
-
     #[test]
     fn default_config_is_sane() {
         let c = config_from_env();

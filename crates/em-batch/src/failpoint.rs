@@ -2,11 +2,11 @@
 //!
 //! The commit protocol for one shard has four externally observable
 //! states, separated by the three durable operations (tmp write, rename,
-//! manifest append). A [`FailpointHook`] lets tests and the CI smoke job
-//! crash the pipeline in each state; the kill/resume sweep then proves
-//! that resuming from every state reproduces the uninterrupted run byte
-//! for byte. Production runs use [`NoFailpoints`], which the optimizer
-//! erases.
+//! manifest append). A [`FailAt`] passed to
+//! [`execute`](crate::execute) lets tests and the CI smoke job crash the
+//! pipeline in each state; the kill/resume sweep then proves that
+//! resuming from every state reproduces the uninterrupted run byte for
+//! byte. Production runs pass `None`.
 
 /// The four sites in the shard commit protocol where a crash leaves a
 /// distinct on-disk state.
@@ -53,27 +53,9 @@ impl FailSite {
     }
 }
 
-/// Decides, at each commit-protocol site, whether the pipeline should
-/// crash. Implementations must be deterministic for the sweep's
-/// byte-identity assertions to make sense.
-pub trait FailpointHook: Sync {
-    /// Returns `true` to make the runner abort with
-    /// [`BatchError::Failpoint`](crate::BatchError::Failpoint) at `site`
-    /// while committing `shard`.
-    fn should_fail(&self, site: FailSite, shard: usize) -> bool;
-}
-
-/// The production hook: never fires.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFailpoints;
-
-impl FailpointHook for NoFailpoints {
-    fn should_fail(&self, _site: FailSite, _shard: usize) -> bool {
-        false
-    }
-}
-
 /// Fires once at an exact `(site, shard)` — what `--failpoint` injects.
+/// The runner fires when its failpoint equals `Some(FailAt { site, shard })`
+/// for the site it reached and the shard it is committing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailAt {
     /// The commit-protocol site to crash at.
@@ -90,12 +72,6 @@ impl FailAt {
             site: FailSite::parse(site)?,
             shard: shard.parse().ok()?,
         })
-    }
-}
-
-impl FailpointHook for FailAt {
-    fn should_fail(&self, site: FailSite, shard: usize) -> bool {
-        self.site == site && self.shard == shard
     }
 }
 
@@ -120,13 +96,15 @@ mod tests {
 
     #[test]
     fn fail_at_fires_only_on_its_exact_site_and_shard() {
-        let fp = FailAt {
+        // The runner fires where its failpoint equals the site it reached
+        // and the shard it commits: on both fields, or not at all.
+        let fp = Some(FailAt {
             site: FailSite::BeforeRename,
             shard: 2,
-        };
-        assert!(fp.should_fail(FailSite::BeforeRename, 2));
-        assert!(!fp.should_fail(FailSite::BeforeRename, 3));
-        assert!(!fp.should_fail(FailSite::BeforeWrite, 2));
-        assert!(!NoFailpoints.should_fail(FailSite::BeforeRename, 2));
+        });
+        let fires = |site, shard| fp == Some(FailAt { site, shard });
+        assert!(fires(FailSite::BeforeRename, 2));
+        assert!(!fires(FailSite::BeforeRename, 3));
+        assert!(!fires(FailSite::BeforeWrite, 2));
     }
 }

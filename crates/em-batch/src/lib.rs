@@ -25,7 +25,7 @@
 //!
 //! The crate ships a CLI binary (`em-batch`) with `plan` / `run` /
 //! `resume` / `verify` subcommands plus a `gen` helper for synthetic
-//! inputs, and an injectable failpoint hook ([`failpoint`]) that the
+//! inputs, and injectable failpoints ([`failpoint`]) that the
 //! kill/resume test sweep and the CI smoke job use to crash the pipeline
 //! at every commit-protocol site.
 //!
@@ -54,7 +54,7 @@ pub mod summary;
 pub mod verify;
 
 pub use error::BatchError;
-pub use failpoint::{FailAt, FailSite, FailpointHook, NoFailpoints};
+pub use failpoint::{FailAt, FailSite};
 pub use manifest::ManifestEntry;
 pub use plan::{PlanConfig, RunPlan};
 pub use runner::{execute, RunMode, RunOutcome};

@@ -8,10 +8,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use em_batch::{
-    execute, gen, plan, summary, verify_run, BatchError, FailAt, FailpointHook, NoFailpoints,
-    PlanConfig, RunMode,
-};
+use em_batch::{execute, gen, plan, summary, verify_run, BatchError, FailAt, PlanConfig, RunMode};
 use em_datagen::DatasetId;
 use em_obs::Collector;
 use landmark_core::ExplainerKind;
@@ -187,11 +184,11 @@ fn cmd_plan(opts: &Options) -> Result<ExitCode, BatchError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn failpoint_hook(opts: &Options) -> Result<Box<dyn FailpointHook>, String> {
+fn failpoint(opts: &Options) -> Result<Option<FailAt>, String> {
     match opts.get("failpoint") {
-        None => Ok(Box::new(NoFailpoints)),
+        None => Ok(None),
         Some(s) => match FailAt::parse(s) {
-            Some(fp) => Ok(Box::new(fp)),
+            Some(fp) => Ok(Some(fp)),
             None => Err(format!(
                 "bad failpoint spec {s:?} (expected <site>:<shard>)"
             )),
@@ -210,15 +207,14 @@ fn cmd_execute(opts: &Options, mode: RunMode) -> Result<ExitCode, BatchError> {
                     .map_err(|_| format!("bad value for --threads: {v:?}"))?,
             ),
         };
-        let hook = failpoint_hook(opts)?;
-        Ok((run_dir, threads, hook))
+        Ok((run_dir, threads, failpoint(opts)?))
     })();
-    let (run_dir, threads, hook) = match parsed {
+    let (run_dir, threads, failpoint) = match parsed {
         Ok(p) => p,
         Err(msg) => return Ok(usage_error(&msg)),
     };
     let collector = Collector::new();
-    let outcome = execute(&run_dir, mode, threads, hook.as_ref(), &collector)?;
+    let outcome = execute(&run_dir, mode, threads, failpoint, &collector)?;
     let plan = plan::RunPlan::load(&run_dir)?;
     summary::write_summary(&run_dir, &plan, &outcome, &collector)?;
     println!(

@@ -25,7 +25,7 @@ use em_par::par_map;
 
 use crate::atomic;
 use crate::error::BatchError;
-use crate::failpoint::{FailSite, FailpointHook};
+use crate::failpoint::{FailAt, FailSite};
 use crate::hash;
 use crate::manifest::{self, ManifestEntry, RunLock};
 use crate::plan::{self, RunPlan};
@@ -132,14 +132,15 @@ fn load_model(
 /// Runs (or resumes) every incomplete shard of a planned run directory.
 ///
 /// `threads` overrides the plan's worker-thread default when `Some`; any
-/// value yields byte-identical outputs. Stage timings and counters from
-/// the explainers accumulate into `tracer` (pass an
+/// value yields byte-identical outputs. `failpoint` crashes the commit at
+/// one site of one shard (`None` in production). Stage timings and
+/// counters from the explainers accumulate into `tracer` (pass an
 /// [`em_obs::Collector`] to collect them, [`em_obs::noop()`] otherwise).
 pub fn execute(
     run_dir: &Path,
     mode: RunMode,
     threads: Option<usize>,
-    hook: &dyn FailpointHook,
+    failpoint: Option<FailAt>,
     tracer: &dyn Tracer,
 ) -> Result<RunOutcome, BatchError> {
     let plan = RunPlan::load(run_dir)?;
@@ -215,7 +216,7 @@ pub fn execute(
         let tmp = atomic::tmp_path(&dst);
 
         let fail = |site: FailSite| -> Result<(), BatchError> {
-            if hook.should_fail(site, shard) {
+            if failpoint == Some(FailAt { site, shard }) {
                 Err(BatchError::Failpoint { site, shard })
             } else {
                 Ok(())

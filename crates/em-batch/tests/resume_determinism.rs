@@ -11,8 +11,7 @@ use std::path::{Path, PathBuf};
 use em_batch::hash::content_hash;
 use em_batch::manifest::ManifestEntry;
 use em_batch::{
-    execute, manifest, plan, verify_run, BatchError, FailAt, FailSite, NoFailpoints, PlanConfig,
-    RunMode,
+    execute, manifest, plan, verify_run, BatchError, FailAt, FailSite, PlanConfig, RunMode,
 };
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
@@ -86,7 +85,7 @@ fn kill_at_every_site_and_shard_then_resume_is_byte_identical() {
         &ref_dir,
         RunMode::Fresh,
         Some(REFERENCE_THREADS),
-        &NoFailpoints,
+        None,
         em_obs::noop(),
     )
     .unwrap();
@@ -117,7 +116,7 @@ fn kill_at_every_site_and_shard_then_resume_is_byte_identical() {
                 &run_dir,
                 RunMode::Fresh,
                 Some(REFERENCE_THREADS),
-                &FailAt { site, shard },
+                Some(FailAt { site, shard }),
                 em_obs::noop(),
             );
             match killed {
@@ -153,7 +152,7 @@ fn kill_at_every_site_and_shard_then_resume_is_byte_identical() {
                 &run_dir,
                 RunMode::Resume,
                 Some(RESUME_THREADS),
-                &NoFailpoints,
+                None,
                 em_obs::noop(),
             )
             .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
@@ -185,14 +184,7 @@ fn double_kill_then_resume_still_converges() {
 
     let ref_dir = dir.join("reference");
     plan::create_plan(&input, &ref_dir, &config()).unwrap();
-    execute(
-        &ref_dir,
-        RunMode::Fresh,
-        Some(1),
-        &NoFailpoints,
-        em_obs::noop(),
-    )
-    .unwrap();
+    execute(&ref_dir, RunMode::Fresh, Some(1), None, em_obs::noop()).unwrap();
     let reference = snapshot(&ref_dir, SHARDS);
 
     let run_dir = dir.join("crashy");
@@ -201,10 +193,10 @@ fn double_kill_then_resume_still_converges() {
         &run_dir,
         RunMode::Fresh,
         Some(2),
-        &FailAt {
+        Some(FailAt {
             site: FailSite::BeforeRename,
             shard: 0,
-        },
+        }),
         em_obs::noop(),
     );
     assert!(matches!(first, Err(BatchError::Failpoint { .. })));
@@ -212,21 +204,14 @@ fn double_kill_then_resume_still_converges() {
         &run_dir,
         RunMode::Resume,
         Some(1),
-        &FailAt {
+        Some(FailAt {
             site: FailSite::BeforeManifest,
             shard: 2,
-        },
+        }),
         em_obs::noop(),
     );
     assert!(matches!(second, Err(BatchError::Failpoint { .. })));
-    execute(
-        &run_dir,
-        RunMode::Resume,
-        Some(3),
-        &NoFailpoints,
-        em_obs::noop(),
-    )
-    .unwrap();
+    execute(&run_dir, RunMode::Resume, Some(3), None, em_obs::noop()).unwrap();
 
     assert_eq!(snapshot(&run_dir, SHARDS), reference);
     assert!(verify_run(&run_dir).unwrap().is_complete_and_ok());
@@ -241,14 +226,7 @@ fn torn_manifest_tail_heals_to_reference_bytes() {
 
     let ref_dir = dir.join("reference");
     plan::create_plan(&input, &ref_dir, &config()).unwrap();
-    execute(
-        &ref_dir,
-        RunMode::Fresh,
-        Some(1),
-        &NoFailpoints,
-        em_obs::noop(),
-    )
-    .unwrap();
+    execute(&ref_dir, RunMode::Fresh, Some(1), None, em_obs::noop()).unwrap();
     let reference = snapshot(&ref_dir, SHARDS);
 
     let run_dir = dir.join("crashy");
@@ -257,10 +235,10 @@ fn torn_manifest_tail_heals_to_reference_bytes() {
         &run_dir,
         RunMode::Fresh,
         Some(1),
-        &FailAt {
+        Some(FailAt {
             site: FailSite::AfterManifest,
             shard: 1,
-        },
+        }),
         em_obs::noop(),
     );
     assert!(matches!(killed, Err(BatchError::Failpoint { .. })));
@@ -269,13 +247,6 @@ fn torn_manifest_tail_heals_to_reference_bytes() {
     let bytes = std::fs::read(&manifest_path).unwrap();
     std::fs::write(&manifest_path, &bytes[..bytes.len() - 7]).unwrap();
 
-    execute(
-        &run_dir,
-        RunMode::Resume,
-        Some(2),
-        &NoFailpoints,
-        em_obs::noop(),
-    )
-    .unwrap();
+    execute(&run_dir, RunMode::Resume, Some(2), None, em_obs::noop()).unwrap();
     assert_eq!(snapshot(&run_dir, SHARDS), reference);
 }

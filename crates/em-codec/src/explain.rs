@@ -11,8 +11,9 @@
 //!
 //! The pair's wire form is owned here in both directions: [`decode_pair`]
 //! reads `{"left": {attr: value, ...}, "right": {...}}` and
-//! [`encode_pair`] writes it, for em-batch's record lines and for every
-//! client that builds a request body.
+//! [`encode_pair`] writes it, for em-batch's record lines. The whole
+//! request is too: [`encode_explain_request`] writes the body
+//! [`decode_explain_request`] reads, for every client that sends one.
 //!
 //! So are the two routing keys. [`cache_key`] is the JSON of the
 //! *resolved* request — explainer, every config field that affects the
@@ -83,6 +84,26 @@ pub fn encode_pair(schema: &Schema, pair: &EntityPair) -> Value {
         ("left", entity(EntitySide::Left)),
         ("right", entity(EntitySide::Right)),
     ])
+}
+
+/// Encodes a request as the `POST /explain` body [`decode_explain_request`]
+/// reads back: `{"pair": …, "explainer": …, "config": {"n_samples": …,
+/// "seed": …}}`. It is the inverse of decode for every request decode
+/// returns. The kernel width is never on the wire, so a request whose
+/// width is not [`ExplainConfig::default`]'s decodes to another request.
+pub fn encode_explain_request(schema: &Schema, request: &ExplainRequest) -> String {
+    Value::object(vec![
+        ("pair", encode_pair(schema, &request.pair)),
+        ("explainer", Value::string(request.explainer.name())),
+        (
+            "config",
+            Value::object(vec![
+                ("n_samples", request.config.n_samples.into()),
+                ("seed", Value::Number(request.config.seed as f64)),
+            ]),
+        ),
+    ])
+    .to_json()
 }
 
 /// Decodes the `"pair"` field: `{"left": {attr: value, ...}, "right": ...}`.
@@ -562,6 +583,48 @@ mod tests {
                 let root = Value::parse(&body).map_err(|e| e.to_string())?;
                 prop_assert_eq!(decode_pair(&root, &schema), Ok(pair.clone()));
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn decode_explain_request_reads_back_what_encode_explain_request_writes(
+            values in prop::collection::vec(wire_value(), 6),
+            kind in 0usize..ExplainerKind::ALL.len(),
+            n_samples in prop_oneof![
+                Just(*N_SAMPLES_RANGE.start()),
+                Just(*N_SAMPLES_RANGE.end()),
+                N_SAMPLES_RANGE,
+            ],
+            seed in prop_oneof![Just(0u64), Just(SEED_LIMIT - 1), 0..SEED_LIMIT],
+        ) {
+            let (schema, _) = awkward_pair();
+            let request = ExplainRequest {
+                pair: EntityPair::new(
+                    Entity::new(values[..3].to_vec()),
+                    Entity::new(values[3..].to_vec()),
+                ),
+                explainer: ExplainerKind::ALL[kind],
+                config: ExplainConfig {
+                    n_samples,
+                    seed,
+                    ..Default::default()
+                },
+            };
+            let body = encode_explain_request(&schema, &request);
+            let back = decode_explain_request(&body, &schema)?;
+            prop_assert_eq!(&back.pair, &request.pair);
+            prop_assert_eq!(back.explainer, request.explainer);
+            prop_assert_eq!(back.config.n_samples, n_samples);
+            prop_assert_eq!(back.config.seed, seed);
+            prop_assert_eq!(
+                back.config.kernel_width.to_bits(),
+                request.config.kernel_width.to_bits()
+            );
+            // Decoding then encoding gives the body back byte for byte.
+            prop_assert_eq!(encode_explain_request(&schema, &back), body);
         }
     }
 

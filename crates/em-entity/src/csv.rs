@@ -12,7 +12,8 @@
 //!
 //! The parser implements RFC-4180-style quoting: fields may be wrapped in
 //! double quotes, quoted fields may contain commas and newlines, and `""`
-//! inside a quoted field is an escaped quote.
+//! inside a quoted field is an escaped quote. [`dataset_from_reader`] is
+//! the one import path: text in memory reads through `text.as_bytes()`.
 
 use crate::dataset::EmDataset;
 use crate::entity::Entity;
@@ -77,7 +78,7 @@ impl std::fmt::Display for CsvError {
 impl std::error::Error for CsvError {}
 
 /// Splits CSV text into records of fields, honoring quotes.
-pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
+fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
     let mut records = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
@@ -132,9 +133,8 @@ pub fn parse_csv(text: &str) -> Result<Vec<Vec<String>>, CsvError> {
 /// whole input in memory at once. Physical lines are accumulated until the
 /// running count of `"` characters is even — an odd count means a quoted
 /// field spans the newline — then the completed record is parsed with the
-/// same state machine as [`parse_csv`], so quoting semantics (including
-/// CRLF endings and a final record with no trailing newline) are identical
-/// to the in-memory path.
+/// quoting rules above, CRLF endings and a final record with no trailing
+/// newline included.
 pub struct CsvRecords<R: BufRead> {
     reader: R,
     done: bool,
@@ -215,33 +215,16 @@ fn write_field(out: &mut String, field: &str) {
     }
 }
 
-/// Parses an EM dataset from CSV text.
+/// Parses an EM dataset from a buffered reader, streaming record by record.
 ///
 /// Requirements: a header row containing a `label` column and pairs of
 /// `left_<attr>` / `right_<attr>` columns. Column order is free; extra
 /// columns (e.g. `id`) are ignored. Labels accept `0/1`, `true/false`
-/// (any case).
-pub fn dataset_from_csv(name: &str, text: &str) -> Result<EmDataset, CsvError> {
-    dataset_from_records(name, &parse_csv(text)?)
-}
-
-/// Parses an EM dataset from a buffered reader, streaming record by record.
-///
-/// Same layout requirements as [`dataset_from_csv`]; this entry point
-/// avoids materializing the whole file as one string, which matters for
-/// the batch pipeline's large Magellan-style inputs. Reader failures
-/// (including invalid UTF-8) surface as [`CsvError::Io`].
+/// (any case). Every attribute is a Name attribute
+/// ([`Schema::from_names`]). Reader failures (including invalid UTF-8)
+/// surface as [`CsvError::Io`].
 pub fn dataset_from_reader<R: BufRead>(name: &str, reader: R) -> Result<EmDataset, CsvError> {
-    let mut rows = Vec::new();
-    for record in CsvRecords::new(reader) {
-        rows.push(record?);
-    }
-    dataset_from_records(name, &rows)
-}
-
-/// Shared core of the in-memory and streaming imports: interprets parsed
-/// records (header + data rows) as a Magellan-style labeled pair dataset.
-fn dataset_from_records(name: &str, rows: &[Vec<String>]) -> Result<EmDataset, CsvError> {
+    let rows = CsvRecords::new(reader).collect::<Result<Vec<_>, _>>()?;
     let Some((header, data)) = rows.split_first() else {
         return Err(CsvError::MissingHeader);
     };
@@ -316,7 +299,7 @@ fn dataset_from_records(name: &str, rows: &[Vec<String>]) -> Result<EmDataset, C
     Ok(EmDataset::new(name, schema, records))
 }
 
-/// Serializes a dataset to CSV text in the layout [`dataset_from_csv`]
+/// Serializes a dataset to CSV text in the layout [`dataset_from_reader`]
 /// reads (`label` first, then `left_*` columns, then `right_*` columns).
 pub fn dataset_to_csv(dataset: &EmDataset) -> String {
     let schema = dataset.schema();
@@ -351,7 +334,7 @@ mod tests {
 
     #[test]
     fn parses_simple_dataset() {
-        let d = dataset_from_csv("t", SIMPLE).unwrap();
+        let d = dataset_from_reader("t", SIMPLE.as_bytes()).unwrap();
         assert_eq!(d.len(), 2);
         assert_eq!(d.schema().len(), 2);
         assert_eq!(d.schema().name(0), "name");
@@ -362,24 +345,24 @@ mod tests {
 
     #[test]
     fn quoted_fields_keep_commas_and_quotes() {
-        let d = dataset_from_csv("t", SIMPLE).unwrap();
+        let d = dataset_from_reader("t", SIMPLE.as_bytes()).unwrap();
         assert_eq!(d.records()[1].pair.left.value(0), "alpha, deluxe");
         let csv = "label,left_a,right_a\n0,\"he said \"\"hi\"\"\",x\n";
-        let d = dataset_from_csv("t", csv).unwrap();
+        let d = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert_eq!(d.records()[0].pair.left.value(0), "he said \"hi\"");
     }
 
     #[test]
     fn quoted_newlines_survive() {
         let csv = "label,left_a,right_a\n0,\"line1\nline2\",x\n";
-        let d = dataset_from_csv("t", csv).unwrap();
+        let d = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert_eq!(d.records()[0].pair.left.value(0), "line1\nline2");
     }
 
     #[test]
     fn crlf_line_endings_are_accepted() {
         let csv = "label,left_a,right_a\r\n1,x,y\r\n";
-        let d = dataset_from_csv("t", csv).unwrap();
+        let d = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert_eq!(d.len(), 1);
         assert!(d.records()[0].label);
     }
@@ -387,7 +370,7 @@ mod tests {
     #[test]
     fn extra_columns_are_ignored() {
         let csv = "id,label,left_a,right_a\n42,0,x,y\n";
-        let d = dataset_from_csv("t", csv).unwrap();
+        let d = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert_eq!(d.schema().len(), 1);
         assert_eq!(d.records()[0].pair.right.value(0), "y");
     }
@@ -396,7 +379,7 @@ mod tests {
     fn missing_label_column_errors() {
         let csv = "left_a,right_a\nx,y\n";
         assert_eq!(
-            dataset_from_csv("t", csv).unwrap_err(),
+            dataset_from_reader("t", csv.as_bytes()).unwrap_err(),
             CsvError::MissingLabel
         );
     }
@@ -405,7 +388,7 @@ mod tests {
     fn unpaired_columns_error() {
         let csv = "label,left_a,right_b\n0,x,y\n";
         assert!(matches!(
-            dataset_from_csv("t", csv).unwrap_err(),
+            dataset_from_reader("t", csv.as_bytes()).unwrap_err(),
             CsvError::UnpairedColumn(_)
         ));
     }
@@ -414,7 +397,7 @@ mod tests {
     fn no_attributes_errors() {
         let csv = "label,id\n0,1\n";
         assert_eq!(
-            dataset_from_csv("t", csv).unwrap_err(),
+            dataset_from_reader("t", csv.as_bytes()).unwrap_err(),
             CsvError::NoAttributes
         );
     }
@@ -423,7 +406,7 @@ mod tests {
     fn bad_row_width_errors_with_row_number() {
         let csv = "label,left_a,right_a\n0,x\n";
         assert_eq!(
-            dataset_from_csv("t", csv).unwrap_err(),
+            dataset_from_reader("t", csv.as_bytes()).unwrap_err(),
             CsvError::RowWidth {
                 row: 2,
                 expected: 3,
@@ -436,7 +419,7 @@ mod tests {
     fn bad_label_errors() {
         let csv = "label,left_a,right_a\nmaybe,x,y\n";
         assert!(matches!(
-            dataset_from_csv("t", csv).unwrap_err(),
+            dataset_from_reader("t", csv.as_bytes()).unwrap_err(),
             CsvError::BadLabel { .. }
         ));
     }
@@ -449,7 +432,7 @@ mod tests {
     #[test]
     fn empty_input_errors() {
         assert_eq!(
-            dataset_from_csv("t", "").unwrap_err(),
+            dataset_from_reader("t", "".as_bytes()).unwrap_err(),
             CsvError::MissingHeader
         );
     }
@@ -457,15 +440,18 @@ mod tests {
     #[test]
     fn true_false_labels_accepted() {
         let csv = "label,left_a,right_a\nTRUE,x,y\nFalse,u,v\n";
-        let d = dataset_from_csv("t", csv).unwrap();
+        let d = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert!(d.records()[0].label);
         assert!(!d.records()[1].label);
     }
 
     #[test]
     fn reader_matches_in_memory_parse() {
-        let d = dataset_from_reader("t", SIMPLE.as_bytes()).unwrap();
-        let e = dataset_from_csv("t", SIMPLE).unwrap();
+        // A one-byte buffer splits every line and quoted field across
+        // reads; the whole text in memory splits none.
+        let small = std::io::BufReader::with_capacity(1, SIMPLE.as_bytes());
+        let d = dataset_from_reader("t", small).unwrap();
+        let e = dataset_from_reader("t", SIMPLE.as_bytes()).unwrap();
         assert_eq!(d.records(), e.records());
         assert_eq!(d.schema(), e.schema());
     }
@@ -530,9 +516,9 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let d = dataset_from_csv("t", SIMPLE).unwrap();
+        let d = dataset_from_reader("t", SIMPLE.as_bytes()).unwrap();
         let csv = dataset_to_csv(&d);
-        let back = dataset_from_csv("t", &csv).unwrap();
+        let back = dataset_from_reader("t", csv.as_bytes()).unwrap();
         assert_eq!(d.records(), back.records());
         assert_eq!(d.schema(), back.schema());
     }
@@ -545,7 +531,7 @@ mod tests {
             Entity::new(vec![""]),
         );
         let d = EmDataset::new("t", schema, vec![LabeledPair::new(pair, true)]);
-        let back = dataset_from_csv("t", &dataset_to_csv(&d)).unwrap();
+        let back = dataset_from_reader("t", dataset_to_csv(&d).as_bytes()).unwrap();
         assert_eq!(back.records(), d.records());
     }
 }

@@ -53,6 +53,7 @@ mod tests {
     use super::*;
     use crate::technique::explain_record;
     use em_entity::{Entity, EntityPair, MatchModel};
+    use em_lime::ExplainConfig;
     use landmark_core::ExplainerKind;
 
     /// Linear model over per-attribute token overlap with known weights:
@@ -89,8 +90,11 @@ mod tests {
             &WeightedOverlapModel,
             &schema(),
             &matching_pair(),
-            n_samples,
-            seed,
+            &ExplainConfig {
+                n_samples,
+                seed,
+                ..Default::default()
+            },
         );
         attribute_eval(weights, &schema(), &[views])
     }

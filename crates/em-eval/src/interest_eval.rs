@@ -70,6 +70,7 @@ mod tests {
     use super::*;
     use crate::technique::explain_record;
     use em_entity::{Entity, EntityPair};
+    use em_lime::ExplainConfig;
     use landmark_core::ExplainerKind;
 
     /// Overlap model: probability = Jaccard over all tokens.
@@ -108,7 +109,11 @@ mod tests {
         n_samples: usize,
         threshold: f64,
     ) -> f64 {
-        let views = explain_record(technique, &Overlap, &schema(), pair, n_samples, 0);
+        let config = ExplainConfig {
+            n_samples,
+            ..Default::default()
+        };
+        let views = explain_record(technique, &Overlap, &schema(), pair, &config);
         interest_eval(&Overlap, &schema(), &[views], remove_positive, threshold)
     }
 

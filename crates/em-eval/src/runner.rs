@@ -10,6 +10,7 @@
 
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EmDataset, EntityPair};
+use em_lime::ExplainConfig;
 use em_matchers::LogisticMatcher;
 use landmark_core::ExplainerKind;
 
@@ -160,14 +161,12 @@ impl Evaluator {
                 // seed and its index, so thread count never changes results.
                 let views_per_record: Vec<Vec<ExplainedRecord>> =
                     em_par::par_map(self.config.threads, &records, |i, pair| {
-                        explain_record(
-                            technique,
-                            matcher,
-                            schema,
-                            pair,
-                            self.config.n_samples,
-                            record_seed(self.config.seed, i),
-                        )
+                        let config = ExplainConfig {
+                            n_samples: self.config.n_samples,
+                            seed: record_seed(self.config.seed, i),
+                            ..Default::default()
+                        };
+                        explain_record(technique, matcher, schema, pair, &config)
                     });
                 let token = token_eval(matcher, schema, &views_per_record, &token_cfg);
                 let attr_tau =

@@ -11,6 +11,7 @@
 //! by the mean absolute weight (a scale-free noise-to-signal ratio).
 
 use em_entity::{EntityPair, MatchModel, Schema};
+use em_lime::ExplainConfig;
 use landmark_core::ExplainerKind;
 use std::collections::BTreeSet;
 
@@ -39,7 +40,12 @@ fn explain_keys_and_weights<M: MatchModel>(
     n_samples: usize,
     seed: u64,
 ) -> Vec<(Key, f64)> {
-    explain_record(technique, model, schema, pair, n_samples, seed)
+    let config = ExplainConfig {
+        n_samples,
+        seed,
+        ..Default::default()
+    };
+    explain_record(technique, model, schema, pair, &config)
         .into_iter()
         .enumerate()
         .flat_map(|(vi, view)| {

@@ -46,25 +46,30 @@ pub fn record_seed(base: u64, index: usize) -> u64 {
     base.wrapping_add(index as u64).wrapping_mul(0x9E37_79B9)
 }
 
-/// Produces the explained record(s) for a technique.
-///
-/// `n_samples` is the perturbation budget per explanation; `seed` drives
-/// mask sampling. Like every explanation it runs on the calling thread;
-/// the evaluation harness parallelizes *across* records.
+/// Produces the explained record(s) for a technique: explains `pair`
+/// under `config` and maps the explanation with [`explained_records`].
+/// Like every explanation it runs on the calling thread; the evaluation
+/// harness parallelizes *across* records.
 pub fn explain_record<M: MatchModel>(
     technique: ExplainerKind,
     model: &M,
     schema: &Schema,
     pair: &EntityPair,
-    n_samples: usize,
-    seed: u64,
+    config: &ExplainConfig,
 ) -> Vec<ExplainedRecord> {
-    let config = ExplainConfig {
-        n_samples,
-        seed,
-        ..Default::default()
-    };
-    match technique.explain(model, schema, pair, &config, em_obs::noop()) {
+    let explanation = technique.explain(model, schema, pair, config, em_obs::noop());
+    explained_records(model, schema, pair, &explanation)
+}
+
+/// The explained record(s) of one explanation of `pair`: one per landmark
+/// view, or one for LIME and Mojito Copy.
+pub fn explained_records<M: MatchModel>(
+    model: &M,
+    schema: &Schema,
+    pair: &EntityPair,
+    explanation: &Explanation,
+) -> Vec<ExplainedRecord> {
+    match explanation {
         Explanation::Dual(dual) => dual
             .both()
             .into_iter()
@@ -145,6 +150,14 @@ mod tests {
         Schema::from_names(vec!["name", "price"])
     }
 
+    /// The evaluations' tests explain with 100 samples at seed 0.
+    fn config() -> ExplainConfig {
+        ExplainConfig {
+            n_samples: 100,
+            ..Default::default()
+        }
+    }
+
     fn pair() -> EntityPair {
         EntityPair::new(
             Entity::new(vec!["sony alpha camera", "849.99"]),
@@ -159,7 +172,7 @@ mod tests {
             ExplainerKind::LandmarkSingle,
             ExplainerKind::LandmarkDouble,
         ] {
-            let views = explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0);
+            let views = explain_record(t, &OverlapModel, &schema(), &pair(), &config());
             assert_eq!(views.len(), 2, "{t:?}");
         }
     }
@@ -167,7 +180,7 @@ mod tests {
     #[test]
     fn flat_techniques_produce_one_view() {
         for t in [ExplainerKind::Lime, ExplainerKind::MojitoCopy] {
-            let views = explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0);
+            let views = explain_record(t, &OverlapModel, &schema(), &pair(), &config());
             assert_eq!(views.len(), 1, "{t:?}");
         }
     }
@@ -179,8 +192,7 @@ mod tests {
             &OverlapModel,
             &schema(),
             &pair(),
-            100,
-            0,
+            &config(),
         );
         assert_eq!(views[0].removable.len(), 8);
     }
@@ -192,8 +204,7 @@ mod tests {
             &OverlapModel,
             &schema(),
             &pair(),
-            100,
-            0,
+            &config(),
         );
         // View 0: landmark = Left, so removable tokens are on the Right.
         assert!(views[0]
@@ -214,8 +225,7 @@ mod tests {
             &OverlapModel,
             &schema(),
             &pair(),
-            100,
-            0,
+            &config(),
         );
         // The interpretable space is the concatenated record: 4 original
         // varying tokens + 4 injected tokens are all removable.
@@ -230,8 +240,7 @@ mod tests {
             &OverlapModel,
             &schema(),
             &pair(),
-            100,
-            0,
+            &config(),
         );
         // View 0: landmark = Left, varying = Right; the base's right entity
         // holds its own tokens plus the left entity's tokens.
@@ -253,7 +262,7 @@ mod tests {
             ExplainerKind::Lime,
             ExplainerKind::MojitoCopy,
         ] {
-            for v in explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0) {
+            for v in explain_record(t, &OverlapModel, &schema(), &pair(), &config()) {
                 assert_eq!(v.base, pair(), "{t:?}");
                 assert_eq!(v.base_prediction, v.original_prediction, "{t:?}");
             }
@@ -264,7 +273,7 @@ mod tests {
     fn original_prediction_is_consistent_across_techniques() {
         let expected = OverlapModel.predict_proba(&schema(), &pair());
         for t in TECHNIQUES {
-            for v in explain_record(t, &OverlapModel, &schema(), &pair(), 100, 0) {
+            for v in explain_record(t, &OverlapModel, &schema(), &pair(), &config()) {
                 assert!((v.original_prediction - expected).abs() < 1e-12, "{t:?}");
             }
         }

@@ -118,6 +118,7 @@ mod tests {
     use super::*;
     use crate::technique::explain_record;
     use em_entity::{Entity, EntityPair};
+    use em_lime::ExplainConfig;
     use landmark_core::ExplainerKind;
 
     /// Fully linear model: probability = (# tokens in left entity) / 20,
@@ -144,7 +145,11 @@ mod tests {
         technique: ExplainerKind,
         n_samples: usize,
     ) -> TokenEvalResult {
-        let views = explain_record(technique, model, &schema(), pair, n_samples, 0);
+        let config = ExplainConfig {
+            n_samples,
+            ..Default::default()
+        };
+        let views = explain_record(technique, model, &schema(), pair, &config);
         token_eval(model, &schema(), &[views], &TokenEvalConfig::default())
     }
 

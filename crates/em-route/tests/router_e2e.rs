@@ -1,43 +1,28 @@
 //! End-to-end failover test: three real `em-serve` backends behind the
 //! router, mixed `/explain` and `/predict` traffic, one backend that
 //! holds pooled connections killed mid-run. Every request must be
-//! answered, every body byte-identical to a direct single-backend run,
-//! and post-kill traffic must redistribute to the survivors only.
+//! answered, every body byte-identical to the library's answer for the
+//! same matcher, and post-kill traffic must redistribute to the
+//! survivors only.
 
 use std::time::Duration;
 
-use em_codec::explain::encode_pair;
+use em_codec::explain::{
+    encode_explain_request, encode_pair, encode_prediction, run_explain, ExplainRequest,
+};
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{EntityPair, Schema};
+use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
+use em_lime::ExplainConfig;
 use em_matchers::LogisticMatcher;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
 use em_serve::client;
 use em_serve::{Server, ServerConfig};
+use landmark_core::ExplainerKind;
 
 const N_SAMPLES: usize = 32;
 const SEED: u64 = 7;
 const N_PAIRS: usize = 8;
-
-fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
-    Value::object(vec![
-        ("pair", encode_pair(schema, pair)),
-        ("explainer", Value::string("landmark")),
-        (
-            "config",
-            Value::object(vec![
-                ("n_samples", N_SAMPLES.into()),
-                ("seed", Value::Number(SEED as f64)),
-            ]),
-        ),
-    ])
-    .to_json()
-}
-
-fn predict_body(explain: &str) -> String {
-    let root = Value::parse(explain).expect("explain body is valid JSON");
-    Value::object(vec![("pair", root.get("pair").expect("pair").clone())]).to_json()
-}
 
 fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::ServerHandle {
     Server::bind(
@@ -68,13 +53,12 @@ fn metric(text: &str, name: &str) -> u64 {
 
 #[test]
 fn failover_keeps_every_answer_byte_identical() {
-    // One dataset, one trained matcher, cloned into four identical
-    // servers: a reference node (direct traffic) and three routed nodes.
+    // One dataset, one trained matcher, cloned into three identical
+    // routed nodes.
     let dataset = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
     let schema = dataset.schema().clone();
     let matcher = LogisticMatcher::train(&dataset);
 
-    let reference = spawn_backend(&schema, &matcher);
     let mut backends: Vec<Option<em_serve::ServerHandle>> = (0..3)
         .map(|_| Some(spawn_backend(&schema, &matcher)))
         .collect();
@@ -113,35 +97,39 @@ fn failover_keeps_every_answer_byte_identical() {
     .spawn();
     let via = router.addr();
 
-    // Mixed traffic: an explain and a predict per pair.
-    let pairs: Vec<EntityPair> = dataset.records()[..N_PAIRS]
+    // Mixed traffic: an explain and a predict per pair, each with the
+    // library's answer for the same matcher.
+    let (requests, expected): (Vec<(&str, String)>, Vec<String>) = dataset.records()[..N_PAIRS]
         .iter()
-        .map(|r| r.pair.clone())
-        .collect();
-    let requests: Vec<(&str, String)> = pairs
-        .iter()
-        .flat_map(|pair| {
-            let explain = explain_body(&schema, pair);
-            let predict = predict_body(&explain);
-            [("/explain", explain), ("/predict", predict)]
+        .flat_map(|record| {
+            let request = ExplainRequest {
+                pair: record.pair.clone(),
+                explainer: ExplainerKind::Landmark,
+                config: ExplainConfig {
+                    n_samples: N_SAMPLES,
+                    seed: SEED,
+                    ..Default::default()
+                },
+            };
+            let explain = (
+                ("/explain", encode_explain_request(&schema, &request)),
+                run_explain(&matcher, &schema, &request, em_obs::noop()).to_json(),
+            );
+            let probability = matcher.predict_proba(&schema, &record.pair);
+            let predict = (
+                (
+                    "/predict",
+                    Value::object(vec![("pair", encode_pair(&schema, &record.pair))]).to_json(),
+                ),
+                encode_prediction(probability, MATCH_THRESHOLD).to_json(),
+            );
+            [explain, predict]
         })
-        .collect();
-
-    // Ground truth from the reference backend, then shut it down.
-    let expected: Vec<String> = requests
-        .iter()
-        .map(|(path, body)| {
-            let r = client::request(reference.addr(), "POST", path, body).expect("reference");
-            assert_eq!(r.status, 200, "{}", r.body);
-            r.body
-        })
-        .collect();
-    // A malformed body's 400 must also match byte-for-byte.
+        .unzip();
+    // A malformed body's 400, as a live backend answers it.
     let expected_bad =
-        client::request(reference.addr(), "POST", "/explain", "{not json").expect("reference 400");
+        client::request(backend_addrs[0], "POST", "/explain", "{not json").expect("backend 400");
     assert_eq!(expected_bad.status, 400);
-    client::request(reference.addr(), "POST", "/shutdown", "").expect("reference shutdown");
-    reference.join();
 
     // Phase 1: everything through the router. Byte-identical answers,
     // and the serving backend named in X-Backend.
@@ -149,7 +137,7 @@ fn failover_keeps_every_answer_byte_identical() {
     for ((path, body), want) in requests.iter().zip(&expected) {
         let r = client::request(via, "POST", path, body).expect("routed");
         assert_eq!(r.status, 200, "{}", r.body);
-        assert_eq!(&r.body, want, "routed {path} body differs from direct run");
+        assert_eq!(&r.body, want, "routed {path} body differs from the library");
         served_by.push(r.header("x-backend").expect("X-Backend header").to_string());
     }
     let mut distinct = served_by.clone();
@@ -207,7 +195,7 @@ fn failover_keeps_every_answer_byte_identical() {
         assert_eq!(r.status, 200, "{}", r.body);
         assert_eq!(
             &r.body, want,
-            "post-kill {path} body differs from direct run"
+            "post-kill {path} body differs from the library"
         );
         let backend = r.header("x-backend").expect("X-Backend header");
         assert_ne!(backend, victim_name, "request served by the killed backend");

@@ -21,15 +21,16 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use em_codec::explain::encode_pair;
-use em_codec::Value;
+use em_codec::explain::{encode_explain_request, ExplainRequest};
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{EntityPair, MatchModel, Schema};
+use em_lime::ExplainConfig;
 use em_matchers::LogisticMatcher;
 use em_serve::client;
 use em_serve::deadline::{is_timeout, Deadline, DeadlineStream};
 use em_serve::http::Response;
 use em_serve::{Server, ServerConfig};
+use landmark_core::ExplainerKind;
 
 /// The per-connection budget used by the chaos server: short enough to
 /// keep the suite fast, long enough that a healthy request (parse +
@@ -68,18 +69,6 @@ fn reject_count(text: &str, cause: &str) -> u64 {
         text,
         &format!("em_serve_rejects_total{{cause=\"{cause}\"}}"),
     )
-}
-
-fn explain_body(schema: &Schema, pair: &EntityPair) -> String {
-    Value::object(vec![
-        ("pair", encode_pair(schema, pair)),
-        ("explainer", Value::string("landmark")),
-        (
-            "config",
-            Value::object(vec![("n_samples", 32usize.into()), ("seed", 7usize.into())]),
-        ),
-    ])
-    .to_json()
 }
 
 /// Drains the socket until EOF/reset (the server has finished with us)
@@ -299,7 +288,21 @@ fn chaos_suite_healthy_traffic_survives_eight_concurrent_attacks() {
         .take(5)
         .map(|r| r.pair.clone())
         .collect();
-    let bodies: Vec<String> = pairs.iter().map(|p| explain_body(&schema, p)).collect();
+    let bodies: Vec<String> = pairs
+        .iter()
+        .map(|pair| {
+            let request = ExplainRequest {
+                pair: pair.clone(),
+                explainer: ExplainerKind::Landmark,
+                config: ExplainConfig {
+                    n_samples: 32,
+                    seed: 7,
+                    ..Default::default()
+                },
+            };
+            encode_explain_request(&schema, &request)
+        })
+        .collect();
     let baselines: Vec<String> = bodies
         .iter()
         .map(|b| {

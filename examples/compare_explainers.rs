@@ -74,7 +74,11 @@ fn main() {
 
     for technique in TECHNIQUES {
         let views = landmark_explanation::eval::technique::explain_record(
-            technique, &matcher, &schema, &record, 500, 0,
+            technique,
+            &matcher,
+            &schema,
+            &record,
+            &ExplainConfig::default(),
         );
         show(&schema, technique.label(), &views);
     }

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example csv_workflow`
 
-use landmark_explanation::entity::{dataset_from_csv, dataset_to_csv};
+use landmark_explanation::entity::{dataset_from_reader, dataset_to_csv};
 use landmark_explanation::prelude::*;
 
 fn main() {
@@ -26,7 +26,8 @@ fn main() {
     );
 
     // The part you would run on real data: parse, train, explain.
-    let dataset = dataset_from_csv("my-restaurants", &csv).expect("well-formed CSV");
+    // A file would come in through `BufReader::new(File::open(path)?)`.
+    let dataset = dataset_from_reader("my-restaurants", csv.as_bytes()).expect("well-formed CSV");
     assert_eq!(dataset.len(), original.len());
     println!(
         "\nParsed back: {} records, {} attributes, {:.1}% match.",

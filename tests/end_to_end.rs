@@ -72,7 +72,12 @@ fn every_technique_explains_every_domain_without_panicking() {
         let matcher = LogisticMatcher::train(&dataset);
         let record = &dataset.records()[0].pair;
         for technique in TECHNIQUES {
-            let views = explain_record(technique, &matcher, dataset.schema(), record, 80, 3);
+            let config = ExplainConfig {
+                n_samples: 80,
+                seed: 3,
+                ..Default::default()
+            };
+            let views = explain_record(technique, &matcher, dataset.schema(), record, &config);
             assert!(!views.is_empty(), "{technique:?} on {}", id.short_name());
             for v in &views {
                 for (_, _, w) in &v.removable {

@@ -14,7 +14,11 @@ fn all_techniques_explain_a_naive_bayes_model() {
     let nb = NaiveBayesMatcher::train(&dataset);
     let record = &dataset.records()[0].pair;
     for technique in TECHNIQUES {
-        let views = explain_record(technique, &nb, dataset.schema(), record, 120, 0);
+        let config = ExplainConfig {
+            n_samples: 120,
+            ..Default::default()
+        };
+        let views = explain_record(technique, &nb, dataset.schema(), record, &config);
         assert!(!views.is_empty());
         for v in &views {
             assert!(v.original_prediction.is_finite());

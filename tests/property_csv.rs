@@ -1,7 +1,10 @@
-//! Property-based tests for the CSV import/export layer.
+//! Property-based tests for the CSV import/export layer, read back
+//! through `dataset_from_reader`, the path `em-batch` reads its input
+//! with.
 
 use landmark_explanation::entity::{
-    dataset_from_csv, dataset_to_csv, EmDataset, Entity, EntityPair, LabeledPair, Schema,
+    dataset_from_reader, dataset_to_csv, CsvRecords, EmDataset, Entity, EntityPair, LabeledPair,
+    Schema,
 };
 use proptest::prelude::*;
 
@@ -44,7 +47,7 @@ proptest! {
     #[test]
     fn csv_roundtrip_preserves_records(d in dataset()) {
         let csv = dataset_to_csv(&d);
-        let back = dataset_from_csv("prop", &csv).expect("roundtrip parse");
+        let back = dataset_from_reader("prop", csv.as_bytes()).expect("roundtrip parse");
         prop_assert_eq!(back.schema(), d.schema());
         prop_assert_eq!(back.len(), d.len());
         for (a, b) in d.records().iter().zip(back.records()) {
@@ -58,15 +61,16 @@ proptest! {
     #[test]
     fn csv_output_has_one_line_per_record_plus_header(d in dataset()) {
         let csv = dataset_to_csv(&d);
-        // Quoted newlines inflate raw line counts; parse instead.
-        let parsed = landmark_explanation::entity::csv::parse_csv(&csv).unwrap();
-        prop_assert_eq!(parsed.len(), d.len() + 1);
+        // Quoted newlines inflate raw line counts; count records instead.
+        prop_assert_eq!(CsvRecords::new(csv.as_bytes()).count(), d.len() + 1);
     }
 
     #[test]
     fn label_column_is_first_and_binary(d in dataset()) {
         let csv = dataset_to_csv(&d);
-        let parsed = landmark_explanation::entity::csv::parse_csv(&csv).unwrap();
+        let parsed: Vec<Vec<String>> = CsvRecords::new(csv.as_bytes())
+            .collect::<Result<_, _>>()
+            .unwrap();
         prop_assert_eq!(parsed[0][0].as_str(), "label");
         for row in &parsed[1..] {
             prop_assert!(row[0] == "0" || row[0] == "1");

@@ -15,7 +15,8 @@
 //! instead of healing it, which is what `em-batch verify` uses so that
 //! auditing a crashed run directory never mutates it. A torn line
 //! anywhere else, or two entries for the same shard that disagree, means
-//! outside interference and is a hard error.
+//! outside interference and is a hard error; an identical repeat is kept
+//! in file order, where `verify` reports it as out of shard order.
 //!
 //! Only the holder of the run directory's [`RunLock`] appends, and only
 //! for a shard file [`crate::atomic::rename_durable`] has put in place.
@@ -109,8 +110,8 @@ pub struct LoadedManifest {
 /// reported, not truncated).
 ///
 /// Returns the entries in file order. A missing file is an empty
-/// manifest. Identical duplicate entries collapse to one; conflicting
-/// duplicates are a [`BatchError::Manifest`].
+/// manifest. Identical duplicate entries are returned as they stand;
+/// conflicting duplicates are a [`BatchError::Manifest`].
 pub fn load(path: &Path) -> Result<LoadedManifest, BatchError> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
@@ -131,18 +132,16 @@ pub fn load(path: &Path) -> Result<LoadedManifest, BatchError> {
         let complete = piece.ends_with('\n');
         match ManifestEntry::parse(piece.trim_end_matches(['\n', '\r'])) {
             Some(entry) if complete => {
-                if let Some(prev) = entries.iter().find(|e| e.shard == entry.shard) {
-                    if *prev != entry {
-                        return Err(BatchError::Manifest(format!(
-                            "conflicting entries for shard {}",
-                            entry.shard
-                        )));
-                    }
-                    // Identical duplicate: tolerated on load, but keep the
-                    // file as-is; the runner never produces one.
-                } else {
-                    entries.push(entry);
+                if entries
+                    .iter()
+                    .any(|e| e.shard == entry.shard && *e != entry)
+                {
+                    return Err(BatchError::Manifest(format!(
+                        "conflicting entries for shard {}",
+                        entry.shard
+                    )));
                 }
+                entries.push(entry);
                 offset += piece.len();
                 keep_bytes = offset;
             }

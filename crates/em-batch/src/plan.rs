@@ -7,9 +7,11 @@
 //! a pure function of this file plus the (hash-pinned) input and model —
 //! which is the whole determinism argument: a resumed run reads the same
 //! plan, so it recomputes exactly the same bytes. Shard boundaries are
-//! balanced contiguous ranges derived from `(records, shards)` alone, in
-//! the same first-`extra`-chunks-get-one-more shape as `em_par`'s
-//! chunking, so they never depend on thread count or timing.
+//! balanced contiguous ranges derived from `(records, shards)` alone (the
+//! first `records % shards` shards get one more record), so they never
+//! depend on thread count or timing. A loaded plan is held to the same
+//! limits `plan` enforces, so a hand-edited `plan.json` cannot run an
+//! empty shard.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -64,8 +66,9 @@ pub struct RunPlan {
     /// Perturbation samples per surrogate fit, in
     /// [`N_SAMPLES_RANGE`] like a request's.
     pub n_samples: usize,
-    /// Worker threads per shard (`0` auto, `1` serial). Not part of any
-    /// output byte — recorded only as the default for `run`.
+    /// Worker threads explaining the run's records (`0` auto, `1`
+    /// serial). Not part of any output byte — recorded only as the
+    /// default for `run`.
     pub threads: usize,
     /// Schema attribute names, in order, for validation at load time.
     pub schema: Vec<String>,
@@ -206,9 +209,10 @@ impl RunPlan {
             threads: usize_field("threads")?,
             schema,
         };
-        if plan.shards == 0 {
-            return Err(bad("shard count must be at least 1"));
-        }
+        // A plan file edited by hand gets no further than `create_plan`
+        // would have let it.
+        check_layout(plan.records, plan.shards)?;
+        check_seed(plan.seed)?;
         check_n_samples(plan.n_samples)?;
         Ok(plan)
     }
@@ -218,6 +222,34 @@ impl RunPlan {
         let path = run_dir.join(PLAN_FILE);
         let text = std::fs::read_to_string(&path).map_err(|e| BatchError::io(&path, e))?;
         RunPlan::from_json(&text)
+    }
+}
+
+/// Refuses a shard layout with an empty shard: no records, no shards, or
+/// more shards than records.
+fn check_layout(records: usize, shards: usize) -> Result<(), BatchError> {
+    if shards == 0 {
+        return Err(BatchError::Plan("shard count must be at least 1".into()));
+    }
+    if records == 0 {
+        return Err(BatchError::Plan("input has no records".into()));
+    }
+    if shards > records {
+        return Err(BatchError::Plan(format!(
+            "shard count {shards} exceeds record count {records}"
+        )));
+    }
+    Ok(())
+}
+
+/// Refuses a base seed JSON's number type cannot carry exactly.
+fn check_seed(seed: u64) -> Result<(), BatchError> {
+    if seed < SEED_LIMIT {
+        Ok(())
+    } else {
+        Err(BatchError::Plan(
+            "seed must fit in 53 bits (JSON number precision)".into(),
+        ))
     }
 }
 
@@ -255,11 +287,7 @@ pub fn create_plan(
     if config.shards == 0 {
         return Err(BatchError::Plan("shard count must be at least 1".into()));
     }
-    if config.seed >= SEED_LIMIT {
-        return Err(BatchError::Plan(
-            "seed must fit in 53 bits (JSON number precision)".into(),
-        ));
-    }
+    check_seed(config.seed)?;
     check_n_samples(config.n_samples)?;
     let plan_path = run_dir.join(PLAN_FILE);
     if plan_path.exists() {
@@ -269,16 +297,7 @@ pub fn create_plan(
         )));
     }
     let dataset = read_input(input)?;
-    if dataset.is_empty() {
-        return Err(BatchError::Plan("input has no records".into()));
-    }
-    if config.shards > dataset.len() {
-        return Err(BatchError::Plan(format!(
-            "shard count {} exceeds record count {}",
-            config.shards,
-            dataset.len()
-        )));
-    }
+    check_layout(dataset.len(), config.shards)?;
     let input_hash = hash::hash_file(input).map_err(|e| BatchError::io(input, e))?;
 
     std::fs::create_dir_all(run_dir.join(SHARD_DIR)).map_err(|e| BatchError::io(run_dir, e))?;
@@ -416,6 +435,24 @@ mod tests {
             let edited = text.replace(r#""n_samples":64"#, &format!(r#""n_samples":{n_samples}"#));
             assert!(
                 matches!(RunPlan::from_json(&edited), Err(BatchError::Plan(m)) if m.contains("n_samples")),
+                "{edited}"
+            );
+        }
+    }
+
+    #[test]
+    fn plan_files_with_a_layout_create_plan_refuses_are_rejected() {
+        let text = plan(10, 3).to_json();
+        for (from, to, refusal) in [
+            (r#""records":10"#, r#""records":0"#, "no records"),
+            (r#""records":10"#, r#""records":2"#, "exceeds record count"),
+            (r#""shards":3"#, r#""shards":11"#, "exceeds record count"),
+            (r#""seed":42"#, r#""seed":9007199254740992"#, "53 bits"),
+        ] {
+            assert!(text.contains(from), "{text}");
+            let edited = text.replace(from, to);
+            assert!(
+                matches!(RunPlan::from_json(&edited), Err(BatchError::Plan(m)) if m.contains(refusal)),
                 "{edited}"
             );
         }

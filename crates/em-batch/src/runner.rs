@@ -1,17 +1,22 @@
 //! Shard execution: explain, commit, record.
 //!
-//! Shards run strictly in shard-id order (parallelism lives *inside* a
-//! shard, across its records), so manifest entries always append in
-//! increasing shard order — which is what makes a resumed manifest
-//! byte-identical to an uninterrupted one. [`execute`] also holds an
-//! exclusive OS lock (`flock`) on the run directory's `run.lock` for its
-//! whole duration, so two concurrent run/resume processes can never
-//! interleave manifest appends; the lock dies with the process, so a
-//! crashed run never wedges a later resume. Per-record work fans out with
-//! `em_par::par_map` over the shard's records, the only fork level: each
-//! record is explained on one batch worker, like every explanation.
-//! Record outputs depend only on `(plan, input, model, global index)`,
-//! never on the worker that computed them.
+//! One run-wide pipeline ([`em_par::par_stream`]) explains every pending
+//! record: its workers start once per `run`/`resume` and take records one
+//! at a time, in global index order, across shard boundaries. The calling
+//! thread gets the lines back in index order and commits each shard as
+//! soon as its last line arrives, while the workers go on with the next
+//! one — never more than one shard's records ahead, so at most two
+//! shards' lines are held at once. Shards still commit strictly in
+//! shard-id order, so manifest entries always append in increasing shard
+//! order — which is what makes a resumed manifest byte-identical to an
+//! uninterrupted one. [`execute`] also holds an exclusive OS lock
+//! (`flock`) on the run directory's `run.lock` for its whole duration, so
+//! two concurrent run/resume processes can never interleave manifest
+//! appends; the lock dies with the process, so a crashed run never wedges
+//! a later resume. Records are the only fork level: each is explained on
+//! one batch worker, like every explanation. Record outputs depend only on
+//! `(plan, input, model, global index)`, never on the worker that computed
+//! them.
 
 use std::path::Path;
 
@@ -21,7 +26,7 @@ use em_entity::{LabeledPair, Schema};
 use em_lime::ExplainConfig;
 use em_matchers::{load_logistic_file, FeatureExtractor, LogisticMatcher};
 use em_obs::Tracer;
-use em_par::par_map;
+use em_par::par_stream;
 
 use crate::atomic;
 use crate::error::BatchError;
@@ -81,35 +86,28 @@ fn encode_record_line(
     line
 }
 
-/// Computes the full byte content of one shard file.
-fn compute_shard(
+/// Explains record `index` and encodes its output line.
+fn explain_record(
     plan: &RunPlan,
-    shard: usize,
     dataset: &em_entity::EmDataset,
     model: &LogisticMatcher,
-    threads: usize,
+    index: usize,
     tracer: &dyn Tracer,
-) -> Vec<u8> {
-    let range = plan.shard_range(shard);
-    let offset = range.start;
-    let records = &dataset.records()[range];
+) -> String {
+    let record = &dataset.records()[index];
     let schema = dataset.schema();
-    let lines: Vec<String> = par_map(threads, records, |i, record| {
-        let index = offset + i;
-        let seed = plan.record_seed(index);
-        let request = ExplainRequest {
-            pair: record.pair.clone(),
-            explainer: plan.explainer,
-            config: ExplainConfig {
-                n_samples: plan.n_samples,
-                seed,
-                ..ExplainConfig::default()
-            },
-        };
-        let response = run_explain(model, schema, &request, tracer);
-        encode_record_line(schema, index, seed, record, response)
-    });
-    lines.concat().into_bytes()
+    let seed = plan.record_seed(index);
+    let request = ExplainRequest {
+        pair: record.pair.clone(),
+        explainer: plan.explainer,
+        config: ExplainConfig {
+            n_samples: plan.n_samples,
+            seed,
+            ..ExplainConfig::default()
+        },
+    };
+    let response = run_explain(model, schema, &request, tracer);
+    encode_record_line(schema, index, seed, record, response)
 }
 
 /// Loads the persisted matcher and re-attaches its feature extractor.
@@ -198,54 +196,74 @@ pub fn execute(
     let shard_dir = run_dir.join(plan::SHARD_DIR);
     std::fs::create_dir_all(&shard_dir).map_err(|e| BatchError::io(&shard_dir, e))?;
 
-    let threads = threads.unwrap_or(plan.threads);
+    let pending: Vec<usize> = (0..plan.shards)
+        .filter(|&shard| !done.iter().any(|e| e.shard == shard))
+        .collect();
+    // Every pending record, in global index order, with its shard.
+    let work: Vec<(usize, usize)> = pending
+        .iter()
+        .flat_map(|&shard| plan.shard_range(shard).map(move |index| (shard, index)))
+        .collect();
     let mut outcome = RunOutcome {
         shards_total: plan.shards,
         shards_run: Vec::new(),
-        shards_skipped: 0,
+        shards_skipped: plan.shards - pending.len(),
         records_explained: 0,
     };
-    for shard in 0..plan.shards {
-        if done.iter().any(|e| e.shard == shard) {
-            outcome.shards_skipped += 1;
-            continue;
-        }
-        let bytes = compute_shard(&plan, shard, &dataset, &model, threads, tracer);
-        let n_records = plan.shard_range(shard).len();
-        let dst = plan.shard_path(run_dir, shard);
-        let tmp = atomic::tmp_path(&dst);
-
-        let fail = |site: FailSite| -> Result<(), BatchError> {
-            if failpoint == Some(FailAt { site, shard }) {
-                Err(BatchError::Failpoint { site, shard })
-            } else {
-                Ok(())
+    // The shard being assembled or committed is one shard's lines; the
+    // workers may hold one more (the first shard is the largest).
+    let ahead = plan.shard_range(0).len();
+    let mut shard_bytes = Vec::new();
+    par_stream(
+        threads.unwrap_or(plan.threads),
+        &work,
+        ahead,
+        |_, &(_, index)| explain_record(&plan, &dataset, &model, index, tracer),
+        |k, line: String| -> Result<(), BatchError> {
+            shard_bytes.extend_from_slice(line.as_bytes());
+            let (shard, index) = work[k];
+            let range = plan.shard_range(shard);
+            if index + 1 < range.end {
+                return Ok(());
             }
-        };
-        fail(FailSite::BeforeWrite)?;
-        let staged = atomic::write_sync(&dst, &bytes).map_err(|e| BatchError::io(&tmp, e))?;
-        fail(FailSite::BeforeRename)?;
-        let published = atomic::rename_durable(staged).map_err(|e| BatchError::io(&dst, e))?;
-        fail(FailSite::BeforeManifest)?;
-        manifest::append(
-            &manifest_path,
-            &lock,
-            published,
-            &ManifestEntry {
-                shard,
-                records: n_records,
-                hash: hash::content_hash(&bytes),
-            },
-        )?;
-        fail(FailSite::AfterManifest)?;
+            let dst = plan.shard_path(run_dir, shard);
+            let tmp = atomic::tmp_path(&dst);
+            let fail = |site: FailSite| -> Result<(), BatchError> {
+                if failpoint == Some(FailAt { site, shard }) {
+                    Err(BatchError::Failpoint { site, shard })
+                } else {
+                    Ok(())
+                }
+            };
+            fail(FailSite::BeforeWrite)?;
+            let staged =
+                atomic::write_sync(&dst, &shard_bytes).map_err(|e| BatchError::io(&tmp, e))?;
+            fail(FailSite::BeforeRename)?;
+            let published = atomic::rename_durable(staged).map_err(|e| BatchError::io(&dst, e))?;
+            fail(FailSite::BeforeManifest)?;
+            manifest::append(
+                &manifest_path,
+                &lock,
+                published,
+                &ManifestEntry {
+                    shard,
+                    records: range.len(),
+                    hash: hash::content_hash(&shard_bytes),
+                },
+            )?;
+            fail(FailSite::AfterManifest)?;
+            shard_bytes.clear();
 
-        outcome.shards_run.push(shard);
-        outcome.records_explained += n_records;
-        eprintln!(
-            "em-batch: shard {}/{} committed ({n_records} records)",
-            shard + 1,
-            plan.shards
-        );
-    }
+            outcome.shards_run.push(shard);
+            outcome.records_explained += range.len();
+            eprintln!(
+                "em-batch: shard {}/{} committed ({} records)",
+                shard + 1,
+                plan.shards,
+                range.len()
+            );
+            Ok(())
+        },
+    )?;
     Ok(outcome)
 }

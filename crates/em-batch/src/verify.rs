@@ -2,7 +2,10 @@
 //!
 //! Recomputes every committed shard file's content hash and checks it
 //! against the manifest, checks line counts against the planned shard
-//! ranges, and reports shards that are planned but not yet committed.
+//! ranges and the manifest's entries against shard order (a resumed
+//! manifest is byte-identical to an uninterrupted one only because shards
+//! commit in increasing id order), and reports shards that are planned but
+//! not yet committed.
 //! Verification is strictly read-only: the manifest is read with the
 //! non-repairing [`manifest::load`], so a torn final line (the normal
 //! artifact of a crash mid-append) is *reported* — never truncated —
@@ -25,7 +28,8 @@ pub struct VerifyReport {
     /// not corrupt — it just needs `resume`).
     pub shards_pending: Vec<usize>,
     /// Integrity violations: hash mismatches, wrong line counts, missing
-    /// files. Empty means every committed shard checks out.
+    /// files, manifest entries out of shard order. Empty means every
+    /// committed shard checks out.
     pub problems: Vec<String>,
     /// Bytes of a torn final manifest append (`0` = clean). Benign — the
     /// expected trace of a crash mid-append, healed by the next
@@ -103,5 +107,78 @@ pub fn verify_run(run_dir: &Path) -> Result<VerifyReport, BatchError> {
             ));
         }
     }
+    for pair in entries.windows(2) {
+        if pair[1].shard <= pair[0].shard {
+            report.problems.push(format!(
+                "manifest lists shard {} after shard {}: shards commit in increasing order",
+                pair[1].shard, pair[0].shard
+            ));
+        }
+    }
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::manifest::ManifestEntry;
+    use crate::plan::PLAN_FILE;
+    use landmark_core::ExplainerKind;
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "test scratch directory: the path never reaches an output byte"
+    )]
+    fn manifest_entries_out_of_shard_order_are_a_problem() {
+        let run_dir = std::env::temp_dir().join("em-batch-verify-order");
+        let _ = std::fs::remove_dir_all(&run_dir);
+        std::fs::create_dir_all(run_dir.join(crate::plan::SHARD_DIR)).unwrap();
+        let plan = RunPlan {
+            dataset: "t".into(),
+            input: "t.csv".into(),
+            input_hash: "fnv1a64:0000000000000000".into(),
+            records: 2,
+            shards: 2,
+            seed: 0,
+            explainer: ExplainerKind::Landmark,
+            n_samples: 16,
+            threads: 1,
+            schema: vec!["name".into()],
+        };
+        std::fs::write(run_dir.join(PLAN_FILE), plan.to_json()).unwrap();
+        // Two intact shards, each one line.
+        let mut lines = Vec::new();
+        for shard in 0..2 {
+            let bytes = format!("{{\"index\":{shard}}}\n");
+            std::fs::write(plan.shard_path(&run_dir, shard), &bytes).unwrap();
+            let entry = ManifestEntry {
+                shard,
+                records: 1,
+                hash: hash::content_hash(bytes.as_bytes()),
+            };
+            lines.push(entry.to_line());
+        }
+        // Shard 1 recorded before shard 0, and shard 0 recorded again
+        // after shard 1.
+        for (order, problem) in [
+            ([1, 0].as_slice(), "shard 0 after shard 1"),
+            ([0, 1, 0].as_slice(), "shard 0 after shard 1"),
+        ] {
+            let manifest: String = order.iter().map(|&shard| lines[shard].as_str()).collect();
+            std::fs::write(run_dir.join(MANIFEST_FILE), manifest).unwrap();
+
+            let report = verify_run(&run_dir).unwrap();
+            assert_eq!(report.shards_ok, 2, "{order:?}");
+            assert!(report.shards_pending.is_empty(), "{order:?}");
+            assert_eq!(
+                report.problems,
+                vec![format!(
+                    "manifest lists {problem}: shards commit in increasing order"
+                )],
+                "{order:?}"
+            );
+            assert!(!report.is_complete_and_ok(), "{order:?}");
+        }
+    }
 }

@@ -1,9 +1,10 @@
 //! The crash-safety acceptance sweep: kill the pipeline at **every**
-//! failpoint site on **every** shard, resume, and require the healed run
-//! directory — every shard file *and* the manifest — to be byte-identical
-//! to an uninterrupted reference run. Resumes run at a different thread
-//! count than the reference on purpose: kill-point, shard layout, and
-//! thread count must all be invisible in the output bytes.
+//! failpoint site on **every** shard, serially and with workers running
+//! ahead of the commits, resume, and require the healed run directory —
+//! every shard file *and* the manifest — to be byte-identical to an
+//! uninterrupted reference run. Resumes run at a different thread count
+//! than the kill on purpose: kill-point, shard layout, and thread count
+//! must all be invisible in the output bytes.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -11,7 +12,7 @@ use std::path::{Path, PathBuf};
 use em_batch::hash::content_hash;
 use em_batch::manifest::ManifestEntry;
 use em_batch::{
-    execute, manifest, plan, verify_run, BatchError, FailAt, FailSite, PlanConfig, RunMode,
+    atomic, execute, manifest, plan, verify_run, BatchError, FailAt, FailSite, PlanConfig, RunMode,
 };
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_entity::{dataset_to_csv, EmDataset};
@@ -20,7 +21,9 @@ use landmark_core::ExplainerKind;
 const N_RECORDS: usize = 9;
 const SHARDS: usize = 3;
 const REFERENCE_THREADS: usize = 1;
-const RESUME_THREADS: usize = 3;
+/// (kill, resume) thread counts: the serial path, and a pipeline whose
+/// workers run a shard ahead of the commit the kill interrupts.
+const KILL_RESUME_THREADS: [(usize, usize); 2] = [(1, 3), (3, 2)];
 
 #[expect(
     clippy::disallowed_methods,
@@ -105,72 +108,85 @@ fn kill_at_every_site_and_shard_then_resume_is_byte_identical() {
         expected_entries
     );
 
-    for site in FailSite::all() {
-        for shard in 0..SHARDS {
-            let name = format!("{}-{shard}", site.name());
-            let run_dir = dir.join(&name);
-            plan::create_plan(&input, &run_dir, &config()).unwrap();
+    for (kill_threads, resume_threads) in KILL_RESUME_THREADS {
+        for site in FailSite::all() {
+            for shard in 0..SHARDS {
+                let name = format!("{}-{shard}-t{kill_threads}", site.name());
+                let run_dir = dir.join(&name);
+                plan::create_plan(&input, &run_dir, &config()).unwrap();
 
-            // Kill.
-            let killed = execute(
-                &run_dir,
-                RunMode::Fresh,
-                Some(REFERENCE_THREADS),
-                Some(FailAt { site, shard }),
-                em_obs::noop(),
-            );
-            match killed {
-                Err(BatchError::Failpoint { site: s, shard: h }) => {
-                    assert_eq!((s, h), (site, shard), "{name}");
+                // Kill.
+                let killed = execute(
+                    &run_dir,
+                    RunMode::Fresh,
+                    Some(kill_threads),
+                    Some(FailAt { site, shard }),
+                    em_obs::noop(),
+                );
+                match killed {
+                    Err(BatchError::Failpoint { site: s, shard: h }) => {
+                        assert_eq!((s, h), (site, shard), "{name}");
+                    }
+                    other => panic!("{name}: expected failpoint, got {other:?}"),
                 }
-                other => panic!("{name}: expected failpoint, got {other:?}"),
+
+                // The crash state matches the commit protocol.
+                let plan = plan::RunPlan::load(&run_dir).unwrap();
+                let shard_file = plan.shard_path(&run_dir, shard);
+                let committed = match site {
+                    FailSite::BeforeWrite | FailSite::BeforeRename => {
+                        assert!(!shard_file.exists(), "{name}: shard visible too early");
+                        assert_eq!(
+                            atomic::tmp_path(&shard_file).exists(),
+                            site == FailSite::BeforeRename,
+                            "{name}: staged file"
+                        );
+                        shard
+                    }
+                    FailSite::BeforeManifest => {
+                        assert!(shard_file.exists(), "{name}: renamed file missing");
+                        shard
+                    }
+                    FailSite::AfterManifest => {
+                        assert!(shard_file.exists(), "{name}");
+                        shard + 1
+                    }
+                };
+                // The manifest holds exactly the committed prefix, and no
+                // shard after the killed one left a file, staged or not,
+                // however far the workers had run ahead.
+                assert_eq!(
+                    manifest::load_and_repair(&run_dir.join(plan::MANIFEST_FILE)).unwrap(),
+                    expected_entries[..committed],
+                    "{name}"
+                );
+                for later in shard + 1..SHARDS {
+                    let path = plan.shard_path(&run_dir, later);
+                    assert!(!path.exists(), "{name}: {} exists", path.display());
+                    let tmp = atomic::tmp_path(&path);
+                    assert!(!tmp.exists(), "{name}: {} exists", tmp.display());
+                }
+
+                // Resume at a different thread count.
+                let outcome = execute(
+                    &run_dir,
+                    RunMode::Resume,
+                    Some(resume_threads),
+                    None,
+                    em_obs::noop(),
+                )
+                .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
+                assert_eq!(outcome.shards_skipped, committed, "{name}");
+                assert_eq!(
+                    outcome.shards_run,
+                    (committed..SHARDS).collect::<Vec<_>>(),
+                    "{name}"
+                );
+
+                // Byte identity of the whole run directory output set.
+                assert_eq!(snapshot(&run_dir, SHARDS), reference, "{name}");
+                assert!(verify_run(&run_dir).unwrap().is_complete_and_ok(), "{name}");
             }
-
-            // The crash state matches the commit protocol.
-            let plan = plan::RunPlan::load(&run_dir).unwrap();
-            let shard_file = plan.shard_path(&run_dir, shard);
-            let committed = manifest::load_and_repair(&run_dir.join(plan::MANIFEST_FILE))
-                .unwrap()
-                .len();
-            match site {
-                FailSite::BeforeWrite | FailSite::BeforeRename => {
-                    assert!(!shard_file.exists(), "{name}: shard visible too early");
-                    assert_eq!(committed, shard, "{name}");
-                }
-                FailSite::BeforeManifest => {
-                    assert!(shard_file.exists(), "{name}: renamed file missing");
-                    assert_eq!(committed, shard, "{name}");
-                }
-                FailSite::AfterManifest => {
-                    assert!(shard_file.exists(), "{name}");
-                    assert_eq!(committed, shard + 1, "{name}");
-                }
-            }
-
-            // Resume at a different thread count.
-            let outcome = execute(
-                &run_dir,
-                RunMode::Resume,
-                Some(RESUME_THREADS),
-                None,
-                em_obs::noop(),
-            )
-            .unwrap_or_else(|e| panic!("{name}: resume failed: {e}"));
-            let already = if site == FailSite::AfterManifest {
-                shard + 1
-            } else {
-                shard
-            };
-            assert_eq!(outcome.shards_skipped, already, "{name}");
-            assert_eq!(
-                outcome.shards_run,
-                (already..SHARDS).collect::<Vec<_>>(),
-                "{name}"
-            );
-
-            // Byte identity of the whole run directory output set.
-            assert_eq!(snapshot(&run_dir, SHARDS), reference, "{name}");
-            assert!(verify_run(&run_dir).unwrap().is_complete_and_ok(), "{name}");
         }
     }
 }

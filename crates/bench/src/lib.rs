@@ -13,15 +13,13 @@
 //! * `THREADS` — worker threads for per-record explanation (`0` = one per
 //!   core, `1` = serial; default `0`). Results are identical for any value.
 //!
-//! The serving reports also read `REQUESTS` ([`requests_from_env`]). A
-//! value that does not parse, a `SCALE` outside `(0, 1]` or an unknown
-//! dataset name exits with status 2 naming the variable, so a typo never
-//! measures another input.
+//! A value that does not parse, a `SCALE` outside `(0, 1]`, a `RECORDS`
+//! or `SAMPLES` of 0 or an unknown dataset name exits with status 2
+//! naming the variable, so a typo never measures another input.
 //!
-//! The serving reports share [`drive`] and [`phase_report`]; the speedup
-//! reports share [`median`], and `perf_gate`
-//! checks with [`same_input`] that a fresh report and its baseline
-//! measured the same input.
+//! The speedup reports share [`median`], and `perf_gate` checks with
+//! [`same_input`] that a fresh report and its baseline measured the same
+//! input.
 //!
 //! Every binary prints its report with [`outln!`] and [`out!`], which
 //! write through [`write_report`]: when the reader closes the pipe early
@@ -32,13 +30,10 @@
 
 use std::fmt;
 use std::io::{ErrorKind, Write};
-use std::net::SocketAddr;
-use std::time::Instant;
 
 use em_codec::Value;
 use em_datagen::DatasetId;
 use em_eval::EvalConfig;
-use em_serve::client;
 
 /// The reader of a report went away: its standard output is a pipe whose
 /// other end closed.
@@ -126,10 +121,15 @@ fn parse_config(lookup: &dyn Fn(&str) -> Option<String>) -> Result<EvalConfig, S
     if !(scale > 0.0 && scale <= 1.0) {
         return Err(format!("SCALE={scale} is outside (0, 1]"));
     }
+    // No record or no sample leaves nothing to measure.
+    let count = |key: &str, default: usize| match parse_var(lookup, key, default)? {
+        0 => Err(format!("{key}=0 is below 1")),
+        n => Ok(n),
+    };
     Ok(EvalConfig {
         scale,
-        n_records_per_label: parse_var(lookup, "RECORDS", 100usize)?,
-        n_samples: parse_var(lookup, "SAMPLES", 500usize)?,
+        n_records_per_label: count("RECORDS", 100)?,
+        n_samples: count("SAMPLES", 500)?,
         threads: parse_var(lookup, "THREADS", 0usize)?,
         ..Default::default()
     })
@@ -139,12 +139,6 @@ fn parse_config(lookup: &dyn Fn(&str) -> Option<String>) -> Result<EvalConfig, S
 /// status 2 on a malformed variable.
 pub fn config_from_env() -> EvalConfig {
     or_exit(parse_config(&env))
-}
-
-/// The serving reports' `REQUESTS`: requests per phase, default 20. Exits
-/// with status 2 when it does not parse.
-pub fn requests_from_env() -> usize {
-    or_exit(parse_var(&env, "REQUESTS", 20))
 }
 
 /// Parses a comma-separated list of dataset short names. Empty entries
@@ -225,70 +219,6 @@ pub fn same_input(baseline: &Value, current: &Value) -> Result<(), String> {
     } else {
         Err(differing.join(", "))
     }
-}
-
-/// What one [`drive`] pass saw, in request order.
-#[derive(Debug)]
-pub struct Pass {
-    /// Client-observed latency of each request, in µs.
-    pub latencies_us: Vec<u64>,
-    /// Each response body.
-    pub bodies: Vec<String>,
-    /// Each response's `X-Cache` header (empty when absent).
-    pub cache: Vec<String>,
-}
-
-impl Pass {
-    /// How many responses came from a cache (`X-Cache: hit`).
-    pub fn hits(&self) -> usize {
-        self.cache.iter().filter(|c| *c == "hit").count()
-    }
-}
-
-/// Sends every body to `addr` as `POST /explain`, one after another,
-/// each on its own connection; panics unless each answer is a 200.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "client-side latency measurement; the bodies are compared byte for byte, the times only reported"
-)]
-pub fn drive(addr: SocketAddr, bodies: &[String]) -> Pass {
-    let mut pass = Pass {
-        latencies_us: Vec::with_capacity(bodies.len()),
-        bodies: Vec::with_capacity(bodies.len()),
-        cache: Vec::with_capacity(bodies.len()),
-    };
-    for body in bodies {
-        let start = Instant::now();
-        let resp = client::request(addr, "POST", "/explain", body).expect("request failed");
-        let latency = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        assert_eq!(resp.status, 200, "{}", resp.body);
-        pass.latencies_us.push(latency);
-        pass.cache
-            .push(resp.header("x-cache").unwrap_or_default().to_string());
-        pass.bodies.push(resp.body);
-    }
-    pass
-}
-
-/// The `p`-quantile (`0.0..=1.0`) of an ascending slice, by nearest rank.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
-/// One phase's row of a serving report: request count, throughput, and
-/// p50/p99 latency. Sorts `latencies` in place.
-pub fn phase_report(name: &str, latencies: &mut [u64]) -> Value {
-    latencies.sort_unstable();
-    let total_us: u64 = latencies.iter().sum();
-    let rps = latencies.len() as f64 / (total_us as f64 / 1e6);
-    Value::object(vec![
-        ("phase", Value::string(name)),
-        ("requests", latencies.len().into()),
-        ("requests_per_sec", rps.into()),
-        ("p50_us", Value::Number(percentile(latencies, 0.5) as f64)),
-        ("p99_us", Value::Number(percentile(latencies, 0.99) as f64)),
-    ])
 }
 
 #[cfg(test)]
@@ -375,6 +305,8 @@ mod tests {
             (vec![("SCALE", "0")], "SCALE=0 is outside (0, 1]"),
             (vec![("SCALE", "7")], "SCALE=7 is outside (0, 1]"),
             (vec![("SCALE", "NaN")], "SCALE=NaN is outside (0, 1]"),
+            (vec![("RECORDS", "0")], "RECORDS=0 is below 1"),
+            (vec![("SAMPLES", "0")], "SAMPLES=0 is below 1"),
         ] {
             assert_eq!(config_of(&vars).unwrap_err(), expected, "{vars:?}");
         }
@@ -430,9 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn percentiles_and_medians_pick_ranks() {
-        assert_eq!(percentile(&[1, 2, 3, 4, 5], 0.5), 3);
-        assert_eq!(percentile(&[1, 2, 3, 4, 5], 0.99), 5);
+    fn medians_pick_the_upper_middle_rank() {
         assert_eq!(median(vec![3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(vec![4.0, 1.0, 3.0, 2.0]), 3.0);
     }

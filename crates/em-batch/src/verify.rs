@@ -125,13 +125,17 @@ mod tests {
     use crate::plan::PLAN_FILE;
     use landmark_core::ExplainerKind;
 
-    #[test]
+    /// A run directory `name` under the system's temporary directory:
+    /// a two-record, two-shard plan and the given shard files, each
+    /// with a manifest line whose hash matches its bytes and which says
+    /// one record. Returns the directory and the manifest lines, one per
+    /// shard file.
     #[expect(
         clippy::disallowed_methods,
         reason = "test scratch directory: the path never reaches an output byte"
     )]
-    fn manifest_entries_out_of_shard_order_are_a_problem() {
-        let run_dir = std::env::temp_dir().join("em-batch-verify-order");
+    fn two_shard_run(name: &str, shard_files: &[&str]) -> (std::path::PathBuf, Vec<String>) {
+        let run_dir = std::env::temp_dir().join(name);
         let _ = std::fs::remove_dir_all(&run_dir);
         std::fs::create_dir_all(run_dir.join(crate::plan::SHARD_DIR)).unwrap();
         let plan = RunPlan {
@@ -147,23 +151,53 @@ mod tests {
             schema: vec!["name".into()],
         };
         std::fs::write(run_dir.join(PLAN_FILE), plan.to_json()).unwrap();
-        // Two intact shards, each one line.
-        let mut lines = Vec::new();
-        for shard in 0..2 {
-            let bytes = format!("{{\"index\":{shard}}}\n");
-            std::fs::write(plan.shard_path(&run_dir, shard), &bytes).unwrap();
-            let entry = ManifestEntry {
-                shard,
+        let lines = shard_files
+            .iter()
+            .enumerate()
+            .map(|(shard, bytes)| {
+                std::fs::write(plan.shard_path(&run_dir, shard), bytes).unwrap();
+                ManifestEntry {
+                    shard,
+                    records: 1,
+                    hash: hash::content_hash(bytes.as_bytes()),
+                }
+                .to_line()
+            })
+            .collect();
+        (run_dir, lines)
+    }
+
+    #[test]
+    fn manifest_entries_out_of_shard_order_are_a_problem() {
+        // Two intact shards, each one line, and an entry for a third
+        // shard the plan does not have.
+        let (run_dir, mut lines) = two_shard_run(
+            "em-batch-verify-order",
+            &["{\"index\":0}\n", "{\"index\":1}\n"],
+        );
+        lines.push(
+            ManifestEntry {
+                shard: 2,
                 records: 1,
-                hash: hash::content_hash(bytes.as_bytes()),
-            };
-            lines.push(entry.to_line());
-        }
-        // Shard 1 recorded before shard 0, and shard 0 recorded again
-        // after shard 1.
+                hash: hash::content_hash(b"{\"index\":2}\n"),
+            }
+            .to_line(),
+        );
+        // Shard 1 recorded before shard 0, shard 0 recorded again after
+        // shard 1, and shard 2 recorded after both.
         for (order, problem) in [
-            ([1, 0].as_slice(), "shard 0 after shard 1"),
-            ([0, 1, 0].as_slice(), "shard 0 after shard 1"),
+            (
+                [1, 0].as_slice(),
+                "manifest lists shard 0 after shard 1: shards commit in increasing order",
+            ),
+            (
+                [0, 1, 0].as_slice(),
+                "manifest lists shard 0 after shard 1: shards commit in increasing order",
+            ),
+            (
+                [0, 1, 2].as_slice(),
+                "manifest entry for shard 2 but plan has only 2 shards",
+            ),
         ] {
             let manifest: String = order.iter().map(|&shard| lines[shard].as_str()).collect();
             std::fs::write(run_dir.join(MANIFEST_FILE), manifest).unwrap();
@@ -171,14 +205,27 @@ mod tests {
             let report = verify_run(&run_dir).unwrap();
             assert_eq!(report.shards_ok, 2, "{order:?}");
             assert!(report.shards_pending.is_empty(), "{order:?}");
-            assert_eq!(
-                report.problems,
-                vec![format!(
-                    "manifest lists {problem}: shards commit in increasing order"
-                )],
-                "{order:?}"
-            );
+            assert_eq!(report.problems, vec![problem.to_string()], "{order:?}");
             assert!(!report.is_complete_and_ok(), "{order:?}");
         }
+    }
+
+    #[test]
+    fn a_shard_file_with_more_lines_than_its_entry_is_a_problem() {
+        // The entry's hash matches the file, and its one record matches
+        // the plan's range; only the file's line count gives it away.
+        let (run_dir, lines) = two_shard_run(
+            "em-batch-verify-lines",
+            &["{\"index\":0}\n{\"index\":0}\n", "{\"index\":1}\n"],
+        );
+        std::fs::write(run_dir.join(MANIFEST_FILE), lines.concat()).unwrap();
+
+        let report = verify_run(&run_dir).unwrap();
+        assert_eq!(report.shards_ok, 1);
+        assert!(report.shards_pending.is_empty());
+        assert_eq!(
+            report.problems,
+            vec!["shard 0: file has 2 lines, manifest says 1 records".to_string()]
+        );
     }
 }

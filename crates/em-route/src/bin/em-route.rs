@@ -27,7 +27,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use em_datagen::{DatasetId, Domain};
-use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
+use em_route::{BackendSpec, Router, RouterConfig};
 
 const USAGE: &str = "\
 em-route — consistent-hash routing tier for em-serve backends
@@ -55,44 +55,13 @@ FLAGS:
     --help               print this help
 ";
 
+/// The command line: the router's own [`RouterConfig`], and what it does not hold.
 struct Args {
     host: String,
     port: u16,
-    threads: usize,
-    queue_depth: usize,
     dataset: DatasetId,
-    request_timeout_ms: u64,
-    queue_age_ms: u64,
-    backend_timeout_ms: u64,
-    failover_retries: usize,
-    failover_backoff_ms: u64,
-    probe_interval_ms: u64,
-    probe_timeout_ms: u64,
-    eject_threshold: u32,
-    eject_cooldown_ms: u64,
     backends: Vec<BackendSpec>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            host: "127.0.0.1".to_string(),
-            port: 8700,
-            threads: 0,
-            queue_depth: 128,
-            dataset: DatasetId::SFz,
-            request_timeout_ms: 30_000,
-            queue_age_ms: 10_000,
-            backend_timeout_ms: 20_000,
-            failover_retries: 2,
-            failover_backoff_ms: 20,
-            probe_interval_ms: 500,
-            probe_timeout_ms: 500,
-            eject_threshold: 2,
-            eject_cooldown_ms: 2_000,
-            backends: Vec::new(),
-        }
-    }
+    config: RouterConfig,
 }
 
 /// Parses `[NAME=]HOST:PORT[*WEIGHT]`. `ordinal` supplies the default
@@ -119,7 +88,14 @@ fn parse_backend(spec: &str, ordinal: usize) -> Result<BackendSpec, String> {
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut args = Args::default();
+    let mut args = Args {
+        host: "127.0.0.1".to_string(),
+        port: 8700,
+        dataset: DatasetId::SFz,
+        backends: Vec::new(),
+        config: RouterConfig::default(),
+    };
+    let config = &mut args.config;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
@@ -129,6 +105,20 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             .next()
             .ok_or_else(|| format!("{flag} requires a value"))?;
         let bad = |what: &str| format!("{flag}: {what} (got {value:?})");
+        let ms = || {
+            value
+                .parse()
+                .map(Duration::from_millis)
+                .map_err(|_| bad("expected an integer"))
+        };
+        let positive_ms = || {
+            value
+                .parse()
+                .ok()
+                .filter(|n| *n > 0)
+                .map(Duration::from_millis)
+                .ok_or_else(|| bad("expected a positive integer"))
+        };
         match flag.as_str() {
             "--backend" => {
                 let backend = parse_backend(value, args.backends.len())?;
@@ -139,47 +129,30 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             }
             "--host" => args.host = value.clone(),
             "--port" => args.port = value.parse().map_err(|_| bad("expected a port"))?,
-            "--threads" => args.threads = value.parse().map_err(|_| bad("expected an integer"))?,
+            "--threads" => {
+                config.workers = value.parse().map_err(|_| bad("expected an integer"))?
+            }
             "--queue-depth" => {
-                args.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
+                config.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
             }
             "--dataset" => args.dataset = DatasetId::parse(value)?,
-            "--request-timeout-ms" => {
-                args.request_timeout_ms =
-                    parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
-            }
-            "--queue-age-ms" => {
-                args.queue_age_ms =
-                    parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
-            }
-            "--backend-timeout-ms" => {
-                args.backend_timeout_ms =
-                    parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
-            }
+            "--request-timeout-ms" => config.request_timeout = positive_ms()?,
+            "--queue-age-ms" => config.max_queue_age = positive_ms()?,
+            "--backend-timeout-ms" => config.backend_timeout = positive_ms()?,
             "--failover-retries" => {
-                args.failover_retries = value.parse().map_err(|_| bad("expected an integer"))?
+                config.failover_retries = value.parse().map_err(|_| bad("expected an integer"))?
             }
-            "--failover-backoff-ms" => {
-                args.failover_backoff_ms = value.parse().map_err(|_| bad("expected an integer"))?
-            }
-            "--probe-interval-ms" => {
-                args.probe_interval_ms =
-                    parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
-            }
-            "--probe-timeout-ms" => {
-                args.probe_timeout_ms =
-                    parse_positive(value).ok_or_else(|| bad("expected a positive integer"))?
-            }
+            "--failover-backoff-ms" => config.failover_backoff = ms()?,
+            "--probe-interval-ms" => config.health.probe_interval = positive_ms()?,
+            "--probe-timeout-ms" => config.health.probe_timeout = positive_ms()?,
             "--eject-threshold" => {
-                args.eject_threshold = value
+                config.health.eject_threshold = value
                     .parse()
                     .ok()
                     .filter(|n| *n > 0)
                     .ok_or_else(|| bad("expected a positive integer"))?
             }
-            "--eject-cooldown-ms" => {
-                args.eject_cooldown_ms = value.parse().map_err(|_| bad("expected an integer"))?
-            }
+            "--eject-cooldown-ms" => config.health.eject_cooldown = ms()?,
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -189,30 +162,11 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
-fn parse_positive(value: &str) -> Option<u64> {
-    value.parse().ok().filter(|n| *n > 0)
-}
-
 fn run(args: Args) -> Result<(), String> {
     // The schema comes from the dataset's domain directly — the router
     // never generates data or trains a model.
     let schema = Domain::new(args.dataset.spec().domain).schema();
-    let config = RouterConfig {
-        workers: args.threads,
-        queue_depth: args.queue_depth,
-        request_timeout: Duration::from_millis(args.request_timeout_ms),
-        max_queue_age: Duration::from_millis(args.queue_age_ms),
-        backend_timeout: Duration::from_millis(args.backend_timeout_ms),
-        failover_retries: args.failover_retries,
-        failover_backoff: Duration::from_millis(args.failover_backoff_ms),
-        health: HealthConfig {
-            probe_interval: Duration::from_millis(args.probe_interval_ms),
-            probe_timeout: Duration::from_millis(args.probe_timeout_ms),
-            eject_threshold: args.eject_threshold,
-            eject_cooldown: Duration::from_millis(args.eject_cooldown_ms),
-        },
-    };
-    let workers = em_par::worker_count(config.workers);
+    let workers = em_par::worker_count(args.config.workers);
     let names: Vec<String> = args
         .backends
         .iter()
@@ -222,7 +176,7 @@ fn run(args: Args) -> Result<(), String> {
         (args.host.as_str(), args.port),
         schema,
         args.backends,
-        config,
+        args.config,
     )
     .map_err(|e| format!("binding {}:{}: {e}", args.host, args.port))?;
     eprintln!(

@@ -171,11 +171,16 @@ impl HealthTable {
     }
 
     /// Records a successful exchange (probe or proxied request): resets
-    /// the failure streak and closes a half-open circuit.
+    /// the failure streak and closes a half-open circuit. An ejected
+    /// backend still inside its cooldown stays ejected: the prober
+    /// reaches it every round, and a probe answer is no half-open trial.
     pub fn record_success(&self, backend: usize) {
         if let Some(mut h) = self.entry(backend) {
+            self.refresh(&mut h);
             h.consecutive_failures = 0;
-            h.state = HealthState::Healthy;
+            if h.state == HealthState::HalfOpen {
+                h.state = HealthState::Healthy;
+            }
         }
     }
 
@@ -272,6 +277,17 @@ mod tests {
         t.record_success(0);
         t.record_failure(0);
         assert!(t.is_routable(0), "streak was reset by the success");
+    }
+
+    #[test]
+    fn a_success_inside_the_cooldown_leaves_the_backend_ejected() {
+        // The prober calls `record_success` for every backend that
+        // answers `/healthz`, ejected ones included.
+        let t = table(1, 60_000);
+        t.record_failure(0);
+        t.record_success(0);
+        assert!(!t.is_routable(0), "ejected until the cooldown elapses");
+        assert_eq!(t.snapshot(0).map(|s| s.state), Some(HealthState::Unhealthy));
     }
 
     #[test]

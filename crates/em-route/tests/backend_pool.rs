@@ -1,8 +1,9 @@
 //! The router → backend hop over real TCP: forwards reuse a pooled
 //! connection, a pooled connection the backend closed costs one re-send
 //! on a fresh connection (not a failover), `backend_timeout` bounds a
-//! whole backend exchange, however the backend paces its answer, and a
-//! drain the router refuses never reaches the backend.
+//! whole backend exchange, however the backend paces its answer, a
+//! timed-out exchange counts toward ejection, and a drain the router
+//! refuses never reaches the backend.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener};
@@ -33,6 +34,16 @@ fn schema() -> Schema {
 /// to once a minute and ejection out of reach, so only the forwards
 /// under test touch the backend.
 fn spawn_router(backend: SocketAddr, backend_timeout: Duration) -> ServerHandle {
+    spawn_router_ejecting_at(backend, backend_timeout, 100)
+}
+
+/// [`spawn_router`] with ejection after `eject_threshold` consecutive
+/// transport failures.
+fn spawn_router_ejecting_at(
+    backend: SocketAddr,
+    backend_timeout: Duration,
+    eject_threshold: u32,
+) -> ServerHandle {
     Router::bind(
         "127.0.0.1:0",
         schema(),
@@ -42,7 +53,7 @@ fn spawn_router(backend: SocketAddr, backend_timeout: Duration) -> ServerHandle 
             backend_timeout,
             health: HealthConfig {
                 probe_interval: Duration::from_secs(60),
-                eject_threshold: 100,
+                eject_threshold,
                 ..Default::default()
             },
             ..Default::default()
@@ -50,6 +61,39 @@ fn spawn_router(backend: SocketAddr, backend_timeout: Duration) -> ServerHandle 
     )
     .expect("bind router")
     .spawn()
+}
+
+/// A fake backend that answers `GET /healthz` at once and drips every
+/// other answer: a 200 head, then a 61-byte body at 10 bytes/s.
+fn dripping_backend() -> SocketAddr {
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = fake.local_addr().expect("fake addr");
+    std::thread::spawn(move || {
+        for conn in fake.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            std::thread::spawn(move || {
+                let mut request = [0u8; 8192];
+                let n = conn.read(&mut request).unwrap_or(0);
+                if request[..n].starts_with(b"GET /healthz ") {
+                    let _ = conn.write_all(
+                        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\nConnection: close\r\n\r\nok",
+                    );
+                    return;
+                }
+                let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 61\r\n\r\n";
+                if conn.write_all(head.as_bytes()).is_err() {
+                    return;
+                }
+                for _ in 0..61 {
+                    std::thread::sleep(Duration::from_millis(100));
+                    if conn.write_all(b" ").is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
 }
 
 /// Reads `name value` from the Prometheus text; a missing series fails
@@ -162,28 +206,7 @@ fn a_dripping_backend_is_cut_at_the_exchange_budget() {
     // Regression: the budget used to bound each socket read, so a backend
     // dripping a 61-byte body at 10 bytes/s held a 300 ms forward for
     // 6.1 s and was answered 200.
-    let fake = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
-    let addr = fake.local_addr().expect("fake addr");
-    std::thread::spawn(move || {
-        for conn in fake.incoming() {
-            let Ok(mut conn) = conn else { continue };
-            std::thread::spawn(move || {
-                let mut sink = [0u8; 8192];
-                let _ = conn.read(&mut sink);
-                let head = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 61\r\n\r\n";
-                if conn.write_all(head.as_bytes()).is_err() {
-                    return;
-                }
-                for _ in 0..61 {
-                    std::thread::sleep(Duration::from_millis(100));
-                    if conn.write_all(b" ").is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-    });
-    let router = spawn_router(addr, Duration::from_millis(300));
+    let router = spawn_router(dripping_backend(), Duration::from_millis(300));
 
     let started = Instant::now();
     let r = client::request(router.addr(), "POST", "/predict", PREDICT).expect("predict");
@@ -193,6 +216,24 @@ fn a_dripping_backend_is_cut_at_the_exchange_budget() {
     assert!(
         took < Duration::from_millis(1500),
         "a 300 ms backend budget took {took:?}"
+    );
+    let text = scrape(&router);
+    assert_eq!(outcome(&text, "timeout"), 1, "{text}");
+    shut_down(router);
+}
+
+#[test]
+fn a_timed_out_forward_counts_toward_ejection() {
+    // The fake answers the start-up probe at once, so with a threshold
+    // of 1 the ejection can only come from the forward's timeout.
+    let router = spawn_router_ejecting_at(dripping_backend(), Duration::from_millis(300), 1);
+    let r = client::request(router.addr(), "POST", "/predict", PREDICT).expect("predict");
+    assert_eq!(r.status, 504, "{}", r.body);
+    let ring = client::request(router.addr(), "GET", "/ring", "").expect("ring");
+    assert!(
+        ring.body.contains(r#""name":"b0""#) && ring.body.contains(r#""state":"unhealthy""#),
+        "{}",
+        ring.body
     );
     let text = scrape(&router);
     assert_eq!(outcome(&text, "timeout"), 1, "{text}");

@@ -3,9 +3,9 @@
 //! The router runs the same connection lifecycle as `em-serve`, so a
 //! misbehaving client is reaped by the same defence and counted under
 //! the same cause in `em_route_rejects_total{cause=...}`. No test needs
-//! a live backend: every request here is rejected before the router
-//! would forward it, so the single backend address points at a closed
-//! port.
+//! a live backend: every backend address points at a closed port, so a
+//! request is rejected before the router would forward it, or, in the
+//! failover test, after every forward it may make has failed to connect.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -172,4 +172,55 @@ fn a_body_the_codec_refuses_is_answered_without_a_forward() {
         .collect();
     assert!(forwarded.is_empty(), "{forwarded:?}");
     assert_eq!(metric(&text, "em_route_no_backend_total"), 0, "{text}");
+}
+
+#[test]
+fn failover_stops_at_the_retry_budget() {
+    // Three closed ports: every forward fails to connect, so a request
+    // tries the ring owners until `failover_retries` hops are spent. The
+    // prober runs once, at start-up, and leaves every backend routable
+    // (one failure, threshold 2), so only the forward moves the counters.
+    let schema = Domain::new(DatasetId::SFz.spec().domain).schema();
+    let body = r#"{"pair":{"left":{"name":"alpha"},"right":{"name":"beta"}}}"#;
+    for retries in [0u64, 1] {
+        let router = Router::bind(
+            "127.0.0.1:0",
+            schema.clone(),
+            (0..3)
+                .map(|i| BackendSpec::new(format!("b{i}"), closed_port()))
+                .collect(),
+            RouterConfig {
+                workers: 1,
+                failover_retries: retries as usize,
+                failover_backoff: Duration::from_millis(1),
+                health: HealthConfig {
+                    probe_interval: Duration::from_secs(60),
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+        )
+        .expect("bind router")
+        .spawn();
+        let response = client::request(router.addr(), "POST", "/predict", body).expect("predict");
+        assert_eq!(response.status, 503, "{}", response.body);
+
+        let text = scrape_and_shut_down(router);
+        let connect_errors: u64 = (0..3)
+            .map(|i| {
+                metric(
+                    &text,
+                    &format!(
+                        "em_route_requests_total{{backend=\"b{i}\",outcome=\"connect_error\"}}"
+                    ),
+                )
+            })
+            .sum();
+        assert_eq!(connect_errors, retries + 1, "retries {retries}: {text}");
+        assert_eq!(
+            metric(&text, "em_route_failovers_total"),
+            retries,
+            "retries {retries}: {text}"
+        );
+    }
 }

@@ -17,6 +17,7 @@
 )]
 
 use std::process::ExitCode;
+use std::time::Duration;
 
 use em_datagen::{DatasetId, MagellanBenchmark};
 use em_matchers::{load_logistic_file, save_logistic_file, FeatureExtractor, LogisticMatcher};
@@ -45,44 +46,28 @@ FLAGS:
     --help               print this help
 ";
 
+/// The command line: the server's own [`ServerConfig`], and what it does not hold.
 struct Args {
     host: String,
     port: u16,
-    threads: usize,
-    queue_depth: usize,
-    cache_size: usize,
-    cache_shards: usize,
     dataset: DatasetId,
     scale: f64,
-    slow_ms: u64,
-    request_timeout_ms: u64,
-    queue_age_ms: u64,
     model: Option<String>,
     save_model: Option<String>,
-}
-
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            host: "127.0.0.1".to_string(),
-            port: 8080,
-            threads: 0,
-            queue_depth: 64,
-            cache_size: 1024,
-            cache_shards: 8,
-            dataset: DatasetId::SFz,
-            scale: 0.25,
-            slow_ms: 1_000,
-            request_timeout_ms: 30_000,
-            queue_age_ms: 10_000,
-            model: None,
-            save_model: None,
-        }
-    }
+    config: ServerConfig,
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut args = Args::default();
+    let mut args = Args {
+        host: "127.0.0.1".to_string(),
+        port: 8080,
+        dataset: DatasetId::SFz,
+        scale: 0.25,
+        model: None,
+        save_model: None,
+        config: ServerConfig::default(),
+    };
+    let config = &mut args.config;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
@@ -92,18 +77,28 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             .next()
             .ok_or_else(|| format!("{flag} requires a value"))?;
         let bad = |what: &str| format!("{flag}: {what} (got {value:?})");
+        let positive_ms = || {
+            value
+                .parse()
+                .ok()
+                .filter(|n| *n > 0)
+                .map(Duration::from_millis)
+                .ok_or_else(|| bad("expected a positive integer"))
+        };
         match flag.as_str() {
             "--host" => args.host = value.clone(),
             "--port" => args.port = value.parse().map_err(|_| bad("expected a port"))?,
-            "--threads" => args.threads = value.parse().map_err(|_| bad("expected an integer"))?,
+            "--threads" => {
+                config.workers = value.parse().map_err(|_| bad("expected an integer"))?
+            }
             "--queue-depth" => {
-                args.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
+                config.queue_depth = value.parse().map_err(|_| bad("expected an integer"))?
             }
             "--cache-size" => {
-                args.cache_size = value.parse().map_err(|_| bad("expected an integer"))?
+                config.cache_capacity = value.parse().map_err(|_| bad("expected an integer"))?
             }
             "--cache-shards" => {
-                args.cache_shards = value.parse().map_err(|_| bad("expected an integer"))?
+                config.cache_shards = value.parse().map_err(|_| bad("expected an integer"))?
             }
             "--dataset" => args.dataset = DatasetId::parse(value)?,
             "--scale" => {
@@ -113,21 +108,12 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .filter(|s| *s > 0.0 && *s <= 1.0)
                     .ok_or_else(|| bad("expected a number in (0, 1]"))?
             }
-            "--slow-ms" => args.slow_ms = value.parse().map_err(|_| bad("expected an integer"))?,
-            "--request-timeout-ms" => {
-                args.request_timeout_ms = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| bad("expected a positive integer"))?
+            "--slow-ms" => {
+                let ms: u64 = value.parse().map_err(|_| bad("expected an integer"))?;
+                config.slow_request_ms = (ms > 0).then_some(ms);
             }
-            "--queue-age-ms" => {
-                args.queue_age_ms = value
-                    .parse()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| bad("expected a positive integer"))?
-            }
+            "--request-timeout-ms" => config.request_timeout = positive_ms()?,
+            "--queue-age-ms" => config.max_queue_age = positive_ms()?,
             "--model" => args.model = Some(value.clone()),
             "--save-model" => args.save_model = Some(value.clone()),
             _ => return Err(format!("unknown flag {flag}")),
@@ -165,21 +151,12 @@ fn run(args: Args) -> Result<(), String> {
         eprintln!("em-serve: saved model to {path}");
     }
 
-    let config = ServerConfig {
-        workers: args.threads,
-        queue_depth: args.queue_depth,
-        cache_capacity: args.cache_size,
-        cache_shards: args.cache_shards,
-        slow_request_ms: (args.slow_ms > 0).then_some(args.slow_ms),
-        request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
-        max_queue_age: std::time::Duration::from_millis(args.queue_age_ms),
-    };
-    let workers = em_par::worker_count(config.workers);
+    let workers = em_par::worker_count(args.config.workers);
     let server = Server::bind(
         (args.host.as_str(), args.port),
         schema,
         Box::new(matcher),
-        config,
+        args.config,
     )
     .map_err(|e| format!("binding {}:{}: {e}", args.host, args.port))?;
     eprintln!(

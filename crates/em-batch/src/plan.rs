@@ -242,6 +242,20 @@ fn check_layout(records: usize, shards: usize) -> Result<(), BatchError> {
     Ok(())
 }
 
+/// Refuses an input the matcher cannot be trained on: the logistic fit
+/// needs at least one record of each label.
+fn check_labels(dataset: &EmDataset) -> Result<(), BatchError> {
+    let matches = dataset.match_count();
+    if matches == 0 || matches == dataset.len() {
+        return Err(BatchError::Plan(format!(
+            "every one of the {} records is labeled {}; training the matcher needs both labels",
+            dataset.len(),
+            u8::from(matches > 0)
+        )));
+    }
+    Ok(())
+}
+
 /// Refuses a base seed JSON's number type cannot carry exactly.
 fn check_seed(seed: u64) -> Result<(), BatchError> {
     if seed < SEED_LIMIT {
@@ -298,6 +312,7 @@ pub fn create_plan(
     }
     let dataset = read_input(input)?;
     check_layout(dataset.len(), config.shards)?;
+    check_labels(&dataset)?;
     let input_hash = hash::hash_file(input).map_err(|e| BatchError::io(input, e))?;
 
     std::fs::create_dir_all(run_dir.join(SHARD_DIR)).map_err(|e| BatchError::io(run_dir, e))?;

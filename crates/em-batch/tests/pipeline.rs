@@ -176,6 +176,49 @@ fn only_sample_counts_a_request_may_carry_are_planned_and_run() {
 }
 
 #[test]
+fn a_single_label_input_is_refused_before_anything_is_written() {
+    // The first 5 label-0 rows of `em-batch gen --dataset S-FZ --scale 0.05`.
+    let dir = scratch("single-label");
+    let full = MagellanBenchmark::scaled(0.05).generate(DatasetId::SFz);
+    let non_matches = full
+        .records()
+        .iter()
+        .filter(|r| !r.label)
+        .take(5)
+        .cloned()
+        .collect();
+    let input = dir.join("input.csv");
+    let one_label = EmDataset::new(full.name(), full.schema().clone(), non_matches);
+    std::fs::write(&input, dataset_to_csv(&one_label)).unwrap();
+
+    let run_dir = dir.join("run");
+    match plan::create_plan(&input, &run_dir, &config(1)) {
+        Err(BatchError::Plan(msg)) => assert!(msg.contains("both labels"), "{msg}"),
+        other => panic!("expected a plan error, got {other:?}"),
+    }
+    assert!(!run_dir.exists(), "plan left {} behind", run_dir.display());
+
+    let cli = std::process::Command::new(env!("CARGO_BIN_EXE_em-batch"))
+        .arg("plan")
+        .arg("--input")
+        .arg(&input)
+        .arg("--run")
+        .arg(&run_dir)
+        .args(["--shards", "1", "--seed", "1", "--n-samples", "8"])
+        .output()
+        .expect("run em-batch");
+    let stderr = String::from_utf8_lossy(&cli.stderr);
+    assert_eq!(cli.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("both labels"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        !run_dir.exists(),
+        "em-batch plan left {} behind",
+        run_dir.display()
+    );
+}
+
+#[test]
 fn concurrent_execute_on_one_run_directory_is_rejected() {
     let dir = scratch("locked");
     let input = write_input(&dir);

@@ -18,10 +18,13 @@
 //!   ejection on connect/timeout errors, half-open recovery, draining;
 //! * [`metrics`] — the router's own Prometheus surface:
 //!   `em_route_requests_total{backend,outcome}`,
-//!   `em_route_connections_total{backend,kind}`, the shared
+//!   `em_route_connections_total{backend,kind}`, the response cache's
+//!   `em_route_cache_*` series, the shared
 //!   `em_route_rejects_total{cause}` taxonomy, and latency and stage
 //!   histograms;
-//! * [`router`] — the proxy itself: keyed forwarding over a pool of
+//! * [`router`] — the proxy itself: a repeated `/explain` answered from
+//!   the router's own response cache (em-serve's sharded LRU of the 200s
+//!   it has relayed), keyed forwarding of everything else over a pool of
 //!   kept-alive connections per backend, with bounded
 //!   retry-with-backoff failover (connect failures only — the requests
 //!   are pure, so replaying one elsewhere cannot change any answer), the
@@ -32,8 +35,8 @@
 //! [`em_serve::Service`] on an [`em_serve::Listener`], the one accept
 //! loop, bounded queue, worker pool, per-request deadline, shedding
 //! path, and reject-counter table both tiers run. With the HTTP
-//! reader/writer and the typed client and its connection pool, that
-//! machinery is reused as a library, not copied; the crate adds no
+//! reader/writer, the typed client and its connection pool, and the
+//! response cache, that machinery is reused as a library, not copied; the crate adds no
 //! dependencies beyond the workspace.
 
 #![forbid(unsafe_code)]

@@ -9,7 +9,9 @@
 //! have no backend (nothing routable) get their own counters, and
 //! rejected connections render from the shared listener's
 //! [`Rejects`] as `em_route_rejects_total{cause}` — the same taxonomy
-//! `em-serve` exposes. Latency histograms are [`em_obs::Histogram`]s, the
+//! `em-serve` exposes. The router's response cache renders its counters
+//! with [`CacheStats::render`], the helper `em-serve` renders its own
+//! with. Latency histograms are [`em_obs::Histogram`]s, the
 //! backends' own type and bucket layout, so the two tiers' dashboards
 //! line up, and the proxy path's `route_key` / `route_forward` stages
 //! ([`em_obs::Stage`]) render as stage histograms exactly like the
@@ -19,7 +21,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use em_obs::Histogram;
-use em_serve::Rejects;
+use em_serve::{CacheStats, Rejects};
 
 /// The outcome of one proxied attempt against one backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,9 +263,16 @@ impl RouterMetrics {
     }
 
     /// Renders the Prometheus text exposition. `names[i]` labels backend
-    /// `i`; `rejects` are the listener's reject counters; extra series
-    /// (probe state) are appended by the caller.
-    pub fn render(&self, names: &[&str], rejects: &Rejects) -> String {
+    /// `i`; `rejects` are the listener's reject counters; `cache` and
+    /// `cache_len` are the response cache's counters and size; extra
+    /// series (probe state) are appended by the caller.
+    pub fn render(
+        &self,
+        names: &[&str],
+        rejects: &Rejects,
+        cache: &CacheStats,
+        cache_len: usize,
+    ) -> String {
         let mut out = String::new();
         out.push_str("# TYPE em_route_requests_total counter\n");
         for (i, outcomes) in self.backends.iter().enumerate() {
@@ -296,6 +305,7 @@ impl RouterMetrics {
             let value = counter.load(Ordering::Relaxed);
             let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
         }
+        cache.render(&mut out, "em_route", cache_len);
         rejects.render(&mut out, "em_route_rejects_total");
         out.push_str("# TYPE em_route_request_latency_us histogram\n");
         for (endpoint, histogram) in RouteEndpoint::all().into_iter().zip(&self.endpoints) {
@@ -332,7 +342,12 @@ mod tests {
         m.record_outcome(7, Outcome::Ok); // unknown backend: dropped, not a panic
         assert_eq!(m.outcome(0, Outcome::Ok), 2);
         assert_eq!(m.outcome(1, Outcome::ConnectError), 1);
-        let text = m.render(&["alpha", "beta"], &Rejects::default());
+        let text = m.render(
+            &["alpha", "beta"],
+            &Rejects::default(),
+            &CacheStats::default(),
+            0,
+        );
         assert!(text.contains("em_route_requests_total{backend=\"alpha\",outcome=\"ok\"} 2"));
         assert!(
             text.contains("em_route_requests_total{backend=\"beta\",outcome=\"connect_error\"} 1")
@@ -351,7 +366,12 @@ mod tests {
         m.record_connection(5, ConnectionKind::Opened); // unknown backend: dropped
         assert_eq!(m.connections(0, ConnectionKind::Reused), 2);
         assert_eq!(m.connections(1, ConnectionKind::Stale), 1);
-        let text = m.render(&["alpha", "beta"], &Rejects::default());
+        let text = m.render(
+            &["alpha", "beta"],
+            &Rejects::default(),
+            &CacheStats::default(),
+            0,
+        );
         assert!(text.contains("em_route_connections_total{backend=\"alpha\",kind=\"reused\"} 2"));
         assert!(text.contains("em_route_connections_total{backend=\"beta\",kind=\"opened\"} 0"));
     }
@@ -361,7 +381,7 @@ mod tests {
         let m = RouterMetrics::new(1);
         m.record_latency(RouteEndpoint::Explain, 50);
         m.record_latency(RouteEndpoint::Explain, 700);
-        let text = m.render(&["a"], &Rejects::default());
+        let text = m.render(&["a"], &Rejects::default(), &CacheStats::default(), 0);
         assert!(
             text.contains("em_route_request_latency_us_bucket{endpoint=\"explain\",le=\"100\"} 1")
         );
@@ -382,7 +402,7 @@ mod tests {
         trace.record_stage(em_obs::Stage::RouteKey, 40_000); // 40 us
         trace.record_stage(em_obs::Stage::RouteForward, 2_000_000); // 2000 us
         m.record_stages(&trace);
-        let text = m.render(&["a"], &Rejects::default());
+        let text = m.render(&["a"], &Rejects::default(), &CacheStats::default(), 0);
         assert!(text.contains("em_route_stage_latency_us_count{stage=\"route_key\"} 1"));
         assert!(text.contains("em_route_stage_latency_us_sum{stage=\"route_forward\"} 2000"));
     }
@@ -395,7 +415,7 @@ mod tests {
         let rejects = Rejects::default();
         rejects.record(em_serve::RejectCause::Shed);
         rejects.record(em_serve::RejectCause::Idle);
-        let text = m.render(&["a"], &rejects);
+        let text = m.render(&["a"], &rejects, &CacheStats::default(), 0);
         assert!(text.contains("em_route_failovers_total 1"));
         assert!(text.contains("em_route_no_backend_total 1"));
         assert!(text.contains("em_route_rejects_total{cause=\"shed\"} 1"));

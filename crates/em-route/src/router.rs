@@ -17,7 +17,14 @@
 //!    no setting to keep in step. Malformed requests are rejected here
 //!    with the byte-same 400 body a backend would have produced — same
 //!    decode functions, same error encoding.
-//! 2. **Forward** (`route_forward` stage): exchange with the owner, on a
+//! 2. **Answer a repeat**: an `/explain` key the router has relayed a
+//!    200 for is answered from its own [`ShardedCache`] — the stored
+//!    bytes, `X-Cache: hit`, and `X-Backend` naming the backend that
+//!    computed them — with no forward, whatever the backends' health.
+//!    For a fleet serving one model a key's bytes are a pure function of
+//!    the key, the same fact failover rests on. Only 200 answers to
+//!    `/explain` are stored; `/predict` is forwarded every time.
+//! 3. **Forward** (`route_forward` stage): exchange with the owner, on a
 //!    kept-alive connection from that backend's [`client::Pool`] when one
 //!    is idle. On a *connect* failure — nothing reached the backend —
 //!    record the failure, back off, and retry against the next ring
@@ -30,7 +37,7 @@
 //!    and a connect failure there fails over as above. A backend's idle
 //!    connections are closed on a connect failure or timeout, when the
 //!    health table ejects it, and when it is drained.
-//! 3. **Attribute**: every attempt lands in
+//! 4. **Attribute**: every attempt lands in
 //!    `em_route_requests_total{backend,outcome}` and its pool use in
 //!    `em_route_connections_total{backend,kind}`; the winning backend is
 //!    named in the response's `X-Backend` header.
@@ -42,6 +49,7 @@ use em_codec::explain::{cache_key, decode_explain_request, decode_pair, predict_
 use em_codec::Value;
 use em_entity::Schema;
 use em_obs::{Span, Stage};
+use em_serve::cache::{self, ShardedCache};
 use em_serve::client::{self, ClientError, ClientResponse, Pool, PoolUse};
 use em_serve::http::{Request, Response};
 use em_serve::{Listener, ServerHandle, Service};
@@ -88,6 +96,13 @@ impl Default for RouterConfig {
     }
 }
 
+/// A relayed `/explain` 200: its body and the backend that computed it.
+#[derive(Clone)]
+struct Relayed {
+    backend: usize,
+    body: String,
+}
+
 /// A bound router. [`Router::run`] blocks until shutdown;
 /// [`Router::spawn`] runs it on a background thread for tests.
 pub struct Router {
@@ -99,6 +114,9 @@ pub struct Router {
     pools: Vec<Pool>,
     ring: Ring,
     health: HealthTable,
+    /// `/explain` 200s already relayed, by canonical key, at a backend
+    /// cache's default size.
+    cache: ShardedCache<Relayed>,
     metrics: RouterMetrics,
     config: RouterConfig,
     listener: Listener,
@@ -138,6 +156,7 @@ impl Router {
             pools: backends.iter().map(|b| Pool::new(b.addr)).collect(),
             backends,
             health: HealthTable::new(n, config.health),
+            cache: ShardedCache::new(cache::DEFAULT_CAPACITY, cache::DEFAULT_SHARDS),
             metrics: RouterMetrics::new(n),
             config,
             listener: Listener::bind(
@@ -271,8 +290,9 @@ impl Service for Router {
     }
 }
 
-/// Proxies `POST /explain`: decode with the backends' own codec, key, and
-/// forward to the ring owner.
+/// Proxies `POST /explain`: decode with the backends' own codec and key;
+/// answer a key already relayed from the router's cache, and forward any
+/// other to the ring owner, keeping a 200.
 fn proxy_explain(state: &Router, request: &Request) -> Response {
     let trace = em_obs::Collector::new();
     let key = {
@@ -284,7 +304,22 @@ fn proxy_explain(state: &Router, request: &Request) -> Response {
             Err(msg) => return Response::error(400, &msg),
         }
     };
-    let response = forward(state, &trace, &key, "/explain", &request.body);
+    let response = match state.cache.get(&key) {
+        Some(hit) => Response::json(200, hit.body)
+            .with_header("X-Cache", "hit")
+            .with_header("X-Backend", backend_name(state, hit.backend)),
+        None => match forward(state, &trace, &key, "/explain", &request.body) {
+            Ok((backend, answer)) => {
+                let response = passthrough(answer, backend_name(state, backend));
+                if response.status == 200 {
+                    let body = response.body.clone();
+                    state.cache.insert(key, Relayed { backend, body });
+                }
+                response
+            }
+            Err(response) => response,
+        },
+    };
     state.metrics.record_stages(&trace);
     response
 }
@@ -303,21 +338,26 @@ fn proxy_predict(state: &Router, request: &Request) -> Response {
             Err(msg) => return Response::error(400, &msg),
         }
     };
-    let response = forward(state, &trace, &key, "/predict", &request.body);
+    let response = match forward(state, &trace, &key, "/predict", &request.body) {
+        Ok((backend, answer)) => passthrough(answer, backend_name(state, backend)),
+        Err(response) => response,
+    };
     state.metrics.record_stages(&trace);
     response
 }
 
 /// Forwards `body` to the backends in ring order for `key`, failing over
 /// past unroutable or connect-dead backends, bounded by the retry
-/// budget. See the module docs for the failover policy.
+/// budget. See the module docs for the failover policy. `Ok` carries the
+/// backend that answered 2xx and its answer; `Err` is the response for
+/// every other end.
 fn forward(
     state: &Router,
     trace: &em_obs::Collector,
     key: &str,
     path: &str,
     body: &str,
-) -> Response {
+) -> Result<(usize, ClientResponse), Response> {
     let _span = Span::enter(trace, Stage::RouteForward);
     let order = state.ring.owners(key);
     let mut hops = 0usize;
@@ -345,7 +385,7 @@ fn forward(
             Ok(response) => {
                 state.health.record_success(backend);
                 state.metrics.record_outcome(backend, Outcome::Ok);
-                return passthrough(response, &spec.name);
+                return Ok((backend, response));
             }
             Err(ClientError::Status(response)) => {
                 // The backend is alive and said no: pass its answer
@@ -353,7 +393,7 @@ fn forward(
                 // (and a 503 shed elsewhere would double load).
                 state.health.record_success(backend);
                 state.metrics.record_outcome(backend, Outcome::Status);
-                return passthrough(response, &spec.name);
+                return Err(passthrough(response, &spec.name));
             }
             Err(ClientError::Connect(_)) => {
                 // Nothing reached the backend: eject-worthy and safe to
@@ -370,20 +410,20 @@ fn forward(
                 pool.discard_idle();
                 state.health.record_failure(backend);
                 state.metrics.record_outcome(backend, Outcome::Timeout);
-                return Response::error(504, "backend exchange timed out")
-                    .with_header("X-Backend", &spec.name);
+                return Err(Response::error(504, "backend exchange timed out")
+                    .with_header("X-Backend", &spec.name));
             }
             Err(ClientError::Protocol(_)) => {
                 state
                     .metrics
                     .record_outcome(backend, Outcome::ProtocolError);
-                return Response::error(502, "backend spoke invalid HTTP")
-                    .with_header("X-Backend", &spec.name);
+                return Err(Response::error(502, "backend spoke invalid HTTP")
+                    .with_header("X-Backend", &spec.name));
             }
         }
     }
     state.metrics.record_no_backend();
-    Response::error(503, "no routable backend").with_header("Retry-After", "1")
+    Err(Response::error(503, "no routable backend").with_header("Retry-After", "1"))
 }
 
 /// Counts how one forward used `backend`'s connection pool.
@@ -399,11 +439,16 @@ fn record_pool_use(state: &Router, backend: usize, used: PoolUse) {
     }
 }
 
+/// The name of backend `index`, as `X-Backend` gives it.
+fn backend_name(state: &Router, index: usize) -> &str {
+    state.backends.get(index).map_or("?", |b| b.name.as_str())
+}
+
 /// Rebuilds a backend response for the client: same status, byte-same
 /// body, the cache/timing headers preserved, plus `X-Backend` naming who
 /// served it.
-fn passthrough(response: ClientResponse, backend_name: &str) -> Response {
-    let mut out = Response::json(response.status, response.body.clone());
+fn passthrough(mut response: ClientResponse, backend_name: &str) -> Response {
+    let mut out = Response::json(response.status, std::mem::take(&mut response.body));
     for header in ["x-cache", "x-timing", "retry-after"] {
         if let Some(value) = response.header(header) {
             out = out.with_header(header, value);
@@ -495,7 +540,12 @@ fn handle_drain(state: &Router, request: &Request) -> Response {
 /// `em_route_backend_state` gauge per backend.
 fn render_metrics(state: &Router) -> String {
     let names: Vec<&str> = state.backends.iter().map(|b| b.name.as_str()).collect();
-    let mut out = state.metrics.render(&names, state.listener.rejects());
+    let mut out = state.metrics.render(
+        &names,
+        state.listener.rejects(),
+        state.cache.stats(),
+        state.cache.len(),
+    );
     out.push_str("# TYPE em_route_backend_routable gauge\n");
     for (i, backend) in state.backends.iter().enumerate() {
         let snap = state.health.snapshot(i);

@@ -3,10 +3,15 @@
 //! on a fresh connection (not a failover), `backend_timeout` bounds a
 //! whole backend exchange, however the backend paces its answer, a
 //! timed-out exchange counts toward ejection, and a drain the router
-//! refuses never reaches the backend.
+//! refuses never reaches the backend. A repeated `/explain` skips the
+//! hop: the router answers it from its own cache, which keeps only 200
+//! answers to `/explain`, so an error status and `/predict` are
+//! forwarded every time.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use em_datagen::{DatasetId, Domain};
@@ -25,6 +30,8 @@ impl MatchModel for ConstModel {
 }
 
 const PREDICT: &str = r#"{"pair":{"left":{"name":"bistro 12","addr":"12 main st","city":"springfield","phone":"555-0112","type":"cafe"},"right":{"name":"bistro 12","addr":"12 main street","city":"springfield","phone":"555-0112","type":"cafe"}}}"#;
+
+const EXPLAIN: &str = r#"{"pair":{"left":{"name":"bistro 12","addr":"12 main st","city":"springfield","phone":"555-0112","type":"cafe"},"right":{"name":"bistro 12","addr":"12 main street","city":"springfield","phone":"555-0112","type":"cafe"}},"config":{"n_samples":16}}"#;
 
 fn schema() -> Schema {
     Domain::new(DatasetId::SFz.spec().domain).schema()
@@ -96,6 +103,61 @@ fn dripping_backend() -> SocketAddr {
     addr
 }
 
+/// Reads one request, head and `Content-Length` body, from `conn`.
+fn read_request(conn: &mut TcpStream) -> Vec<u8> {
+    let mut request = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(end) = request.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&request[..end]).to_ascii_lowercase();
+            let length: usize = head
+                .lines()
+                .find_map(|line| line.strip_prefix("content-length:"))
+                .map_or(0, |v| v.trim().parse().unwrap_or(0));
+            if request.len() >= end + 4 + length {
+                return request;
+            }
+        }
+        match conn.read(&mut chunk) {
+            Ok(0) | Err(_) => return request,
+            Ok(n) => request.extend_from_slice(&chunk[..n]),
+        }
+    }
+}
+
+/// A fake backend that answers `GET /healthz` at once, its first
+/// `POST /explain` with a 503 and every later one with a 200, counting
+/// the explains it receives in `explains`.
+fn flaky_backend(explains: Arc<AtomicUsize>) -> SocketAddr {
+    let fake = TcpListener::bind("127.0.0.1:0").expect("bind fake backend");
+    let addr = fake.local_addr().expect("fake addr");
+    std::thread::spawn(move || {
+        for conn in fake.incoming() {
+            let Ok(mut conn) = conn else { continue };
+            let request = read_request(&mut conn);
+            let (head, body) = if request.starts_with(b"POST /explain ") {
+                if explains.fetch_add(1, Ordering::SeqCst) == 0 {
+                    (
+                        "503 Service Unavailable\r\nRetry-After: 1",
+                        r#"{"error":"server overloaded"}"#,
+                    )
+                } else {
+                    ("200 OK\r\nX-Cache: miss", r#"{"explanations":[]}"#)
+                }
+            } else {
+                ("200 OK", r#"{"status":"ok"}"#)
+            };
+            let _ = write!(
+                conn,
+                "HTTP/1.1 {head}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            );
+        }
+    });
+    addr
+}
+
 /// Reads `name value` from the Prometheus text; a missing series fails
 /// the test rather than reading as zero.
 fn metric(text: &str, name: &str) -> u64 {
@@ -121,6 +183,32 @@ fn outcome(text: &str, outcome: &str) -> u64 {
     )
 }
 
+/// The `em_route_requests_total` and `em_route_connections_total` series:
+/// what a forward moves.
+fn forward_series(text: &str) -> Vec<&str> {
+    text.lines()
+        .filter(|line| {
+            line.starts_with("em_route_requests_total{")
+                || line.starts_with("em_route_connections_total{")
+        })
+        .collect()
+}
+
+/// An em-serve backend over [`ConstModel`] with two workers.
+fn const_backend() -> ServerHandle {
+    Server::bind(
+        "127.0.0.1:0",
+        schema(),
+        Box::new(ConstModel),
+        ServerConfig {
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind backend")
+    .spawn()
+}
+
 fn scrape(router: &ServerHandle) -> String {
     let metrics = client::request(router.addr(), "GET", "/metrics", "").expect("scrape");
     assert_eq!(metrics.status, 200);
@@ -138,17 +226,7 @@ fn shut_down(handle: ServerHandle) {
     reason = "the test waits on the clock for the backend's first probe round"
 )]
 fn a_pooled_connection_the_backend_closed_is_re_sent_not_failed_over() {
-    let backend = Server::bind(
-        "127.0.0.1:0",
-        schema(),
-        Box::new(ConstModel),
-        ServerConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind backend")
-    .spawn();
+    let backend = const_backend();
     let router = spawn_router(backend.addr(), Duration::from_secs(10));
     // The prober's first round runs at start-up. Let it land first: a
     // probe queued at the backend while a pooled connection idles there
@@ -244,17 +322,7 @@ fn a_timed_out_forward_counts_toward_ejection() {
 fn a_drain_whose_flag_is_not_a_boolean_changes_nothing() {
     // em-serve cannot undo a drain without a restart, so a body that
     // does not say `true` or `false` must not drain either tier.
-    let backend = Server::bind(
-        "127.0.0.1:0",
-        schema(),
-        Box::new(ConstModel),
-        ServerConfig {
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind backend")
-    .spawn();
+    let backend = const_backend();
     let router = spawn_router(backend.addr(), Duration::from_secs(10));
     for flag in [r#""false""#, "0", "null", "[]"] {
         let body = format!(r#"{{"backend":"b0","draining":{flag}}}"#);
@@ -271,6 +339,99 @@ fn a_drain_whose_flag_is_not_a_boolean_changes_nothing() {
     assert!(!ring.body.contains(r#""draining":true"#), "{}", ring.body);
     let ready = client::request(backend.addr(), "GET", "/readyz", "").expect("readyz");
     assert_eq!(ready.status, 200, "{}", ready.body);
+    shut_down(router);
+    shut_down(backend);
+}
+
+#[test]
+fn a_repeated_explain_is_answered_by_the_router_without_a_forward() {
+    let backend = const_backend();
+    let router = spawn_router(backend.addr(), Duration::from_secs(10));
+    let explain = || {
+        let r = client::request(router.addr(), "POST", "/explain", EXPLAIN).expect("explain");
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.header("x-backend"), Some("b0"));
+        r
+    };
+
+    let first = explain();
+    assert_eq!(first.header("x-cache"), Some("miss"));
+    let before = scrape(&router);
+    let again = explain();
+    assert_eq!(again.body, first.body);
+    assert_eq!(again.header("x-cache"), Some("hit"));
+    assert_eq!(again.header("x-timing"), None, "no backend handler ran");
+    let after = scrape(&router);
+    assert_eq!(forward_series(&after), forward_series(&before));
+    assert_eq!(metric(&after, "em_route_cache_hits_total"), 1, "{after}");
+    assert_eq!(metric(&after, "em_route_cache_misses_total"), 1, "{after}");
+    assert_eq!(metric(&after, "em_route_cache_entries"), 1, "{after}");
+    let backend_text = client::request(backend.addr(), "GET", "/metrics", "")
+        .expect("backend metrics")
+        .body;
+    assert_eq!(
+        metric(
+            &backend_text,
+            "em_serve_requests_total{endpoint=\"explain\"}"
+        ),
+        1,
+        "the repeat reached the backend"
+    );
+
+    shut_down(router);
+    shut_down(backend);
+}
+
+#[test]
+fn an_error_status_is_never_stored() {
+    let explains = Arc::new(AtomicUsize::new(0));
+    let router = spawn_router(flaky_backend(explains.clone()), Duration::from_secs(10));
+    let explain = || client::request(router.addr(), "POST", "/explain", EXPLAIN).expect("explain");
+
+    let refused = explain();
+    assert_eq!(refused.status, 503, "{}", refused.body);
+    assert_eq!(refused.header("retry-after"), Some("1"));
+    assert_eq!(metric(&scrape(&router), "em_route_cache_entries"), 0);
+
+    let computed = explain();
+    assert_eq!(computed.status, 200, "{}", computed.body);
+    assert_eq!(computed.header("x-cache"), Some("miss"));
+    let repeat = explain();
+    assert_eq!(repeat.status, 200, "{}", repeat.body);
+    assert_eq!(repeat.header("x-cache"), Some("hit"));
+    assert_eq!(repeat.body, computed.body);
+    assert_eq!(
+        explains.load(Ordering::SeqCst),
+        2,
+        "the 503 was not re-asked"
+    );
+    let text = scrape(&router);
+    assert_eq!(outcome(&text, "status"), 1, "{text}");
+    assert_eq!(outcome(&text, "ok"), 1, "{text}");
+    assert_eq!(metric(&text, "em_route_cache_entries"), 1, "{text}");
+    shut_down(router);
+}
+
+#[test]
+fn a_repeated_predict_is_forwarded_every_time() {
+    let backend = const_backend();
+    let router = spawn_router(backend.addr(), Duration::from_secs(10));
+    let first = client::request(router.addr(), "POST", "/predict", PREDICT).expect("predict");
+    for _ in 0..2 {
+        let r = client::request(router.addr(), "POST", "/predict", PREDICT).expect("predict");
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert_eq!(r.body, first.body);
+        assert_eq!(r.header("x-cache"), None);
+    }
+    let text = scrape(&router);
+    assert_eq!(outcome(&text, "ok"), 3, "{text}");
+    for series in [
+        "em_route_cache_hits_total",
+        "em_route_cache_misses_total",
+        "em_route_cache_entries",
+    ] {
+        assert_eq!(metric(&text, series), 0, "{text}");
+    }
     shut_down(router);
     shut_down(backend);
 }

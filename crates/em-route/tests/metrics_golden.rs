@@ -6,9 +6,11 @@
 //! outcome and connection counters by the CI smoke job, so any change to
 //! a series name, label, order or bucket layout shows up here as a diff.
 
+use std::sync::atomic::Ordering;
+
 use em_obs::{Stage, Tracer};
 use em_route::metrics::{ConnectionKind, Outcome, RouteEndpoint, RouterMetrics};
-use em_serve::{RejectCause, Rejects};
+use em_serve::{CacheStats, RejectCause, Rejects};
 
 #[test]
 fn metrics_render_matches_the_golden_text() {
@@ -45,6 +47,11 @@ fn metrics_render_matches_the_golden_text() {
     rejects.record(RejectCause::HeaderDeadline);
     rejects.record(RejectCause::WriteDeadline);
 
-    let text = m.render(&["alpha", "beta"], &rejects);
+    let cache = CacheStats::default();
+    cache.hits.store(9, Ordering::Relaxed);
+    cache.misses.store(4, Ordering::Relaxed);
+    cache.evictions.store(2, Ordering::Relaxed);
+
+    let text = m.render(&["alpha", "beta"], &rejects, &cache, 3);
     assert_eq!(text, include_str!("golden/metrics.txt"));
 }

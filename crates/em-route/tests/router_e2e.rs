@@ -2,8 +2,9 @@
 //! router, mixed `/explain` and `/predict` traffic, one backend that
 //! holds pooled connections killed mid-run. Every request must be
 //! answered, every body byte-identical to the library's answer for the
-//! same matcher, and post-kill traffic must redistribute to the
-//! survivors only.
+//! same matcher, an explanation the router cached before the kill must
+//! still be answered from its cache, and post-kill traffic on keys the
+//! router has not cached must redistribute to the survivors only.
 
 use std::time::Duration;
 
@@ -12,7 +13,7 @@ use em_codec::explain::{
 };
 use em_codec::Value;
 use em_datagen::{DatasetId, MagellanBenchmark};
-use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
+use em_entity::{EmDataset, MatchModel, Schema, MATCH_THRESHOLD};
 use em_lime::ExplainConfig;
 use em_matchers::LogisticMatcher;
 use em_route::{BackendSpec, HealthConfig, Router, RouterConfig};
@@ -23,6 +24,44 @@ use landmark_core::ExplainerKind;
 const N_SAMPLES: usize = 32;
 const SEED: u64 = 7;
 const N_PAIRS: usize = 8;
+
+/// Mixed traffic over the first [`N_PAIRS`] pairs: an explain (at
+/// `seed`) and a predict per pair, each with the library's answer for
+/// the same matcher.
+fn traffic(
+    dataset: &EmDataset,
+    matcher: &LogisticMatcher,
+    seed: u64,
+) -> (Vec<(&'static str, String)>, Vec<String>) {
+    let schema = dataset.schema();
+    dataset.records()[..N_PAIRS]
+        .iter()
+        .flat_map(|record| {
+            let request = ExplainRequest {
+                pair: record.pair.clone(),
+                explainer: ExplainerKind::Landmark,
+                config: ExplainConfig {
+                    n_samples: N_SAMPLES,
+                    seed,
+                    ..Default::default()
+                },
+            };
+            let explain = (
+                ("/explain", encode_explain_request(schema, &request)),
+                run_explain(matcher, schema, &request, em_obs::noop()).to_json(),
+            );
+            let probability = matcher.predict_proba(schema, &record.pair);
+            let predict = (
+                (
+                    "/predict",
+                    Value::object(vec![("pair", encode_pair(schema, &record.pair))]).to_json(),
+                ),
+                encode_prediction(probability, MATCH_THRESHOLD).to_json(),
+            );
+            [explain, predict]
+        })
+        .unzip()
+}
 
 fn spawn_backend(schema: &Schema, matcher: &LogisticMatcher) -> em_serve::ServerHandle {
     Server::bind(
@@ -97,35 +136,7 @@ fn failover_keeps_every_answer_byte_identical() {
     .spawn();
     let via = router.addr();
 
-    // Mixed traffic: an explain and a predict per pair, each with the
-    // library's answer for the same matcher.
-    let (requests, expected): (Vec<(&str, String)>, Vec<String>) = dataset.records()[..N_PAIRS]
-        .iter()
-        .flat_map(|record| {
-            let request = ExplainRequest {
-                pair: record.pair.clone(),
-                explainer: ExplainerKind::Landmark,
-                config: ExplainConfig {
-                    n_samples: N_SAMPLES,
-                    seed: SEED,
-                    ..Default::default()
-                },
-            };
-            let explain = (
-                ("/explain", encode_explain_request(&schema, &request)),
-                run_explain(&matcher, &schema, &request, em_obs::noop()).to_json(),
-            );
-            let probability = matcher.predict_proba(&schema, &record.pair);
-            let predict = (
-                (
-                    "/predict",
-                    Value::object(vec![("pair", encode_pair(&schema, &record.pair))]).to_json(),
-                ),
-                encode_prediction(probability, MATCH_THRESHOLD).to_json(),
-            );
-            [explain, predict]
-        })
-        .unzip();
+    let (requests, expected) = traffic(&dataset, &matcher, SEED);
     // A malformed body's 400, as a live backend answers it.
     let expected_bad =
         client::request(backend_addrs[0], "POST", "/explain", "{not json").expect("backend 400");
@@ -148,15 +159,15 @@ fn failover_keeps_every_answer_byte_identical() {
         "16 keyed requests should spread across >1 of 3 backends, got {distinct:?}"
     );
 
-    // Affinity: an explain repeated through the router lands on the same
-    // backend's warm cache.
+    // A repeated explain is answered from the router's own cache, named
+    // after the backend that computed it.
     let (path0, body0) = &requests[0];
     let repeat = client::request(via, "POST", path0, body0).expect("repeat");
     assert_eq!(repeat.header("x-backend"), Some(served_by[0].as_str()));
     assert_eq!(
         repeat.header("x-cache"),
         Some("hit"),
-        "rerouted repeat should hit the owner's cache"
+        "a repeat should be answered from the router's cache"
     );
     assert_eq!(&repeat.body, &expected[0]);
 
@@ -166,12 +177,25 @@ fn failover_keeps_every_answer_byte_identical() {
     assert_eq!(bad.status, 400);
     assert_eq!(bad.body, expected_bad.body);
 
-    // Kill the backend that served request 0, mid-run and for real.
+    // Kill the backend that computed request 0, mid-run and for real.
     // Joining its thread guarantees the listener socket is fully closed,
     // so later connects are refused rather than racing the kernel
     // accept backlog. The router holds pooled connections to it: the
-    // repeat above was answered on one.
+    // predicts it served are forwarded again (predicts are never cached)
+    // and answered on one.
     let victim_name = served_by[0].clone();
+    let victim_predicts: Vec<usize> = (0..requests.len())
+        .filter(|&i| requests[i].0 == "/predict" && served_by[i] == victim_name)
+        .collect();
+    assert!(
+        !victim_predicts.is_empty(),
+        "no predict key is owned by {victim_name}: {served_by:?}"
+    );
+    for &i in &victim_predicts {
+        let r = client::request(via, "POST", requests[i].0, &requests[i].1).expect("predict");
+        assert_eq!(r.header("x-backend"), Some(victim_name.as_str()));
+        assert_eq!(&r.body, &expected[i]);
+    }
     let before_kill = client::request(via, "GET", "/metrics", "").expect("metrics");
     assert!(
         metric(
@@ -188,8 +212,18 @@ fn failover_keeps_every_answer_byte_identical() {
     client::request(backend_addrs[victim_idx], "POST", "/shutdown", "").expect("kill victim");
     backends[victim_idx].take().expect("victim alive").join();
 
-    // Phase 2: same traffic again. Every request answered, still
-    // byte-identical, and nothing served by the dead node.
+    // The key cached before the kill is still answered, byte for byte,
+    // from the router's cache: a hit needs no live backend.
+    let cached = client::request(via, "POST", path0, body0).expect("cached after kill");
+    assert_eq!(cached.status, 200, "{}", cached.body);
+    assert_eq!(&cached.body, &expected[0]);
+    assert_eq!(cached.header("x-cache"), Some("hit"));
+    assert_eq!(cached.header("x-backend"), Some(victim_name.as_str()));
+
+    // Phase 2: the same pairs, explained at a seed the router has not
+    // cached, so the victim's keys fail over. Every request answered,
+    // still byte-identical, and nothing served by the dead node.
+    let (requests, expected) = traffic(&dataset, &matcher, SEED + 1);
     for ((path, body), want) in requests.iter().zip(&expected) {
         let r = client::request(via, "POST", path, body).expect("routed after kill");
         assert_eq!(r.status, 200, "{}", r.body);
@@ -244,7 +278,8 @@ fn failover_keeps_every_answer_byte_identical() {
         }
     }
 
-    // Draining a survivor moves its traffic without erroring anything.
+    // Draining a survivor moves its traffic without erroring anything,
+    // on keys the router has not cached yet.
     let survivor = distinct
         .iter()
         .find(|n| **n != victim_name)
@@ -258,6 +293,7 @@ fn failover_keeps_every_answer_byte_identical() {
     )
     .expect("drain");
     assert_eq!(drain.status, 200, "{}", drain.body);
+    let (requests, expected) = traffic(&dataset, &matcher, SEED + 2);
     for ((path, body), want) in requests.iter().zip(&expected) {
         let r = client::request(via, "POST", path, body).expect("routed while draining");
         assert_eq!(r.status, 200, "{}", r.body);

@@ -3,7 +3,10 @@
 //! Explanations are deterministic functions of `(pair, explainer, config,
 //! seed)` — see `DESIGN.md` §7 — so the service can cache the **encoded
 //! response body** and replay it byte-for-byte: a cached response is
-//! bit-identical to a freshly computed one by construction.
+//! bit-identical to a freshly computed one by construction. Both tiers
+//! keep one: `em-serve` caches the bodies it computes, and `em-route`
+//! the bodies it relayed, with the backend that computed each
+//! (DESIGN.md §15).
 //!
 //! Keys are the canonical JSON of the resolved request (stable across
 //! processes); an FNV-1a hash of the key picks the shard — `em-codec`'s,
@@ -14,13 +17,21 @@
 //! scans the (small) shard for the minimum tick — O(shard size), which at
 //! serving-cache sizes is cheaper than maintaining an intrusive list.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use em_codec::hash::fnv1a64;
 
-struct Entry {
-    body: String,
+/// Entries a tier's response cache holds by default: `em-serve`'s
+/// `--cache-size` default and `em-route`'s fixed size.
+pub const DEFAULT_CAPACITY: usize = 1024;
+/// Shards of a tier's response cache by default, as
+/// [`DEFAULT_CAPACITY`].
+pub const DEFAULT_SHARDS: usize = 8;
+
+struct Entry<V> {
+    value: V,
     tick: u64,
 }
 
@@ -28,7 +39,7 @@ struct Entry {
     clippy::disallowed_types,
     reason = "probed by key, and eviction takes the unique minimum tick: no output observes iteration order"
 )]
-type Shard = Mutex<std::collections::HashMap<String, Entry>>;
+type Shard<V> = Mutex<std::collections::HashMap<String, Entry<V>>>;
 
 /// Hit/miss counters, surfaced on `/metrics`.
 #[derive(Debug, Default)]
@@ -41,15 +52,38 @@ pub struct CacheStats {
     pub evictions: AtomicU64,
 }
 
-/// The sharded LRU described in the module docs.
-pub struct ShardedCache {
-    shards: Vec<Shard>,
+impl CacheStats {
+    /// Appends the `{tier}_cache_{hits,misses,evictions}_total` counters
+    /// and the `{tier}_cache_entries` gauge, `entries` being the cache's
+    /// current size: the one rendering both tiers' `/metrics` use.
+    pub fn render(&self, out: &mut String, tier: &str, entries: usize) {
+        for (name, counter) in [
+            ("hits", &self.hits),
+            ("misses", &self.misses),
+            ("evictions", &self.evictions),
+        ] {
+            let metric = format!("{tier}_cache_{name}_total");
+            let value = counter.load(Ordering::Relaxed);
+            let _ = writeln!(out, "# TYPE {metric} counter\n{metric} {value}");
+        }
+        let _ = writeln!(
+            out,
+            "# TYPE {tier}_cache_entries gauge\n{tier}_cache_entries {entries}"
+        );
+    }
+}
+
+/// The sharded LRU described in the module docs, mapping a canonical key
+/// to a `V`: a response body on a backend, a body and the backend that
+/// computed it on the router.
+pub struct ShardedCache<V = String> {
+    shards: Vec<Shard<V>>,
     capacity_per_shard: usize,
     tick: AtomicU64,
     stats: CacheStats,
 }
 
-impl std::fmt::Debug for ShardedCache {
+impl<V> std::fmt::Debug for ShardedCache<V> {
     // Manual impl: printing the shards would lock every mutex (and Entry
     // bodies are whole JSON responses); shape + counters is enough.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -61,7 +95,7 @@ impl std::fmt::Debug for ShardedCache {
     }
 }
 
-impl ShardedCache {
+impl<V: Clone> ShardedCache<V> {
     /// A cache holding at most `capacity` entries across `shards` shards
     /// (both clamped to at least 1; per-shard capacity rounds up).
     pub fn new(capacity: usize, shards: usize) -> Self {
@@ -79,23 +113,24 @@ impl ShardedCache {
         clippy::indexing_slicing,
         reason = "idx < shards.len() by the modulo above"
     )]
-    fn shard(&self, key: &str) -> &Shard {
+    fn shard(&self, key: &str) -> &Shard<V> {
         let idx = (fnv1a64(key.as_bytes()) % self.shards.len() as u64) as usize;
         &self.shards[idx]
     }
 
-    /// Returns the cached body for `key`, refreshing its recency.
+    /// Returns a copy of the value cached for `key`, refreshing its
+    /// recency.
     #[expect(
         clippy::expect_used,
         reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
     )]
-    pub fn get(&self, key: &str) -> Option<String> {
+    pub fn get(&self, key: &str) -> Option<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.get_mut(key) {
             Some(entry) => {
                 entry.tick = self.tick.fetch_add(1, Ordering::Relaxed);
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                Some(entry.body.clone())
+                Some(entry.value.clone())
             }
             None => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -104,13 +139,13 @@ impl ShardedCache {
         }
     }
 
-    /// Inserts (or refreshes) `key → body`, evicting the least recently
+    /// Inserts (or refreshes) `key → value`, evicting the least recently
     /// used entry of the shard when it is full.
     #[expect(
         clippy::expect_used,
         reason = "poisoning means a worker already panicked; propagating is the correct failure mode"
     )]
-    pub fn insert(&self, key: String, body: String) {
+    pub fn insert(&self, key: String, value: V) {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
         if !shard.contains_key(&key) && shard.len() >= self.capacity_per_shard {
@@ -123,7 +158,7 @@ impl ShardedCache {
                 self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
-        shard.insert(key, Entry { body, tick });
+        shard.insert(key, Entry { value, tick });
     }
 
     /// Number of cached entries (sums shard sizes).

@@ -266,17 +266,12 @@ impl Metrics {
             );
         }
         rejects.render(&mut out, "em_serve_rejects_total");
-        for (name, counter) in [
-            ("em_serve_slow_requests_total", &self.slow_requests),
-            ("em_serve_cache_hits_total", &cache.hits),
-            ("em_serve_cache_misses_total", &cache.misses),
-            ("em_serve_cache_evictions_total", &cache.evictions),
-        ] {
-            let value = counter.load(Ordering::Relaxed);
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
-        }
-        out.push_str("# TYPE em_serve_cache_entries gauge\n");
-        let _ = writeln!(out, "em_serve_cache_entries {cache_len}");
+        let slow = self.slow_requests.load(Ordering::Relaxed);
+        let _ = writeln!(
+            out,
+            "# TYPE em_serve_slow_requests_total counter\nem_serve_slow_requests_total {slow}"
+        );
+        cache.render(&mut out, "em_serve", cache_len);
         out
     }
 }

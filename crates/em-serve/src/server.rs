@@ -15,7 +15,7 @@ use em_codec::Value;
 use em_entity::{MatchModel, Schema, MATCH_THRESHOLD};
 use em_obs::Tracer;
 
-use crate::cache::ShardedCache;
+use crate::cache::{self, ShardedCache};
 use crate::http::{Request, Response};
 use crate::listener::{Listener, ServerHandle, Service};
 use crate::metrics::{Endpoint, Metrics};
@@ -54,8 +54,8 @@ impl Default for ServerConfig {
         ServerConfig {
             workers: 0,
             queue_depth: 64,
-            cache_capacity: 1024,
-            cache_shards: 8,
+            cache_capacity: cache::DEFAULT_CAPACITY,
+            cache_shards: cache::DEFAULT_SHARDS,
             slow_request_ms: Some(1_000),
             request_timeout: Duration::from_secs(30),
             max_queue_age: Duration::from_secs(10),
